@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test race deprecations bench-fastpath bench-wire bench-sched bench-faults bench-journal bench-serve bench-iterate figures smoke-wire smoke-faults smoke-resume smoke-serve smoke-iterate smoke-elastic fuzz-wire perf-smoke
+.PHONY: check build vet test race deprecations bench bench-smoke bench-fastpath bench-wire bench-sched bench-faults bench-journal bench-serve bench-iterate figures smoke-wire smoke-faults smoke-resume smoke-serve smoke-iterate smoke-elastic fuzz-wire perf-smoke
 
 ## check: the CI gate — vet, the deprecation sweep, build, the full test
 ## suite under the race detector, the fault-injection smoke (kill one
@@ -11,8 +11,19 @@ GO ?= go
 ## smoke (register-iter over 4 real processes on the shm tier, plus a
 ## kill-all/resume cycle mid-iteration) and the elastic smoke (2 real
 ## processes, 2 more joining mid-run, 1 gracefully drained, digests
-## verified against serial).
-check: vet deprecations build race smoke-faults smoke-resume smoke-serve smoke-iterate smoke-elastic
+## verified against serial) and the benchmark smoke (every BENCHMARK.json
+## workload once on tiny inputs, sink digests checked against serial).
+check: vet deprecations build race smoke-faults smoke-resume smoke-serve smoke-iterate smoke-elastic bench-smoke
+
+## bench: the repository benchmark (BENCHMARK.json) — the whole suite with
+## its closing layer report; see bench/README.md.
+bench:
+	bash bench/run.sh
+
+## bench-smoke: the benchmark harness on tiny inputs with one-run trials;
+## it checks every workload end to end and measures nothing.
+bench-smoke:
+	bash bench/run.sh -smoke
 
 ## deprecations: the API-freshness gate — after the functional-options
 ## migration no deprecated symbol may remain (or be newly introduced).

@@ -313,23 +313,9 @@ func (r *charmRun) deliver(ch *chare, m fabric.Message) error {
 // the outputs to the consuming chares as RPCs.
 func (r *charmRun) execute(pe int, ch *chare, inputs []core.Payload) error {
 	t := ch.task
-	out, cancelled := core.CancelDead(t, inputs)
-	if !cancelled {
-		fn, ok := r.c.reg.Lookup(t.Callback)
-		if !ok {
-			return fmt.Errorf("%w: callback %d", core.ErrUnregisteredCallback, t.Callback)
-		}
-		var err error
-		out, err = core.SafeInvoke(fn, inputs, t.Id)
-		if err != nil {
-			return fmt.Errorf("charm: chare %d (callback %d): %w", t.Id, t.Callback, err)
-		}
-		if len(out) != len(t.Outgoing) {
-			return fmt.Errorf("charm: chare %d produced %d outputs, graph declares %d slots", t.Id, len(out), len(t.Outgoing))
-		}
-		if r.c.opt.Observer != nil {
-			r.c.opt.Observer.TaskExecuted(t.Id, core.ShardId(pe), t.Callback)
-		}
+	out, _, err := core.Step(r.c.reg, r.c.opt.Observer, t, inputs, core.ShardId(pe))
+	if err != nil {
+		return fmt.Errorf("charm: chare %d: %w", t.Id, err)
 	}
 	var batch []fabric.Message
 	for slot, consumers := range t.Outgoing {
@@ -359,7 +345,6 @@ func (r *charmRun) execute(pe int, ch *chare, inputs []core.Payload) error {
 			wireConsumers--
 		}
 		var wire core.Payload
-		var err error
 		switch {
 		case wireConsumers == 0:
 			// Single same-PE consumer: pure pointer pass.

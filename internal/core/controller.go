@@ -130,6 +130,40 @@ func SafeInvoke(fn Callback, in []Payload, id TaskId) (out []Payload, err error)
 	return fn(in, id)
 }
 
+// Step is the per-task kernel every controller shares: given a ready task
+// and its assembled inputs it decides whether the task runs at all and, if
+// so, runs it. A dead input cancels the task (CancelDead): the callback and
+// the Observer are skipped, cancelled is true and out carries one dead
+// token per output slot for routing. Otherwise the inputs are detached from
+// any shared fan-out wire form (a callback owns its inputs), the callback
+// is looked up in reg and invoked with panics converted to errors, the
+// output count is checked against the graph's declaration, and obs (nil
+// for none) is told the task executed on shard. Gathering inputs, ledgers
+// and routing stay with the calling runtime.
+func Step(reg *Registry, obs Observer, t Task, in []Payload, shard ShardId) (out []Payload, cancelled bool, err error) {
+	if out, cancelled = CancelDead(t, in); cancelled {
+		return out, true, nil
+	}
+	fn, ok := reg.Lookup(t.Callback)
+	if !ok {
+		return nil, false, fmt.Errorf("%w: callback %d", ErrUnregisteredCallback, t.Callback)
+	}
+	for i := range in {
+		in[i] = in[i].Own()
+	}
+	out, err = SafeInvoke(fn, in, t.Id)
+	if err != nil {
+		return nil, false, fmt.Errorf("core: task %d (callback %d): %w", t.Id, t.Callback, err)
+	}
+	if len(out) != len(t.Outgoing) {
+		return nil, false, fmt.Errorf("core: task %d produced %d outputs, graph declares %d slots", t.Id, len(out), len(t.Outgoing))
+	}
+	if obs != nil {
+		obs.TaskExecuted(t.Id, shard, t.Callback)
+	}
+	return out, false, nil
+}
+
 // CheckInitial verifies that the initial inputs passed to Run exactly cover
 // the external input slots of the graph: every externally fed task receives
 // exactly as many payloads as it has ExternalInput slots, and no payloads

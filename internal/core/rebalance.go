@@ -2,10 +2,10 @@ package core
 
 import "errors"
 
-// Shard rebalancing for elastic membership. Where ReassignShards only ever
-// shrinks a task map around dead shards, RebalanceShards builds the map of
-// an arbitrary membership epoch: members may drop out (drained or dead) AND
-// new members may join, with work actively moved onto the joiners.
+// Shard rebalancing for recovery and elastic membership: RebalanceShards
+// builds the map of an arbitrary membership epoch. Members may drop out
+// (drained or dead) AND new members may join, with work actively moved onto
+// the joiners; a recovery epoch is the loss-only special case.
 //
 // Member identity convention: members[l] is the physical identity of the
 // epoch's logical rank l. An identity in [0, m.ShardCount()) denotes that

@@ -2,9 +2,10 @@ package core
 
 import "testing"
 
-// TestRebalanceShardsMatchesReassignWithoutJoiners: with every member a
-// shard of the base map, RebalanceShards must be exactly ReassignShards.
-func TestRebalanceShardsMatchesReassignWithoutJoiners(t *testing.T) {
+// TestRebalanceShardsWithoutJoiners: with every member a shard of the base
+// map, survivors keep their tasks under their logical rank and orphans land
+// in range — the loss-only (recovery) special case.
+func TestRebalanceShardsWithoutJoiners(t *testing.T) {
 	g := reassignGraph()
 	m := NewGraphMap(4, g)
 	for _, members := range [][]ShardId{

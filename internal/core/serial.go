@@ -162,19 +162,9 @@ func (s *Serial) RunContext(ctx context.Context, initial map[TaskId][]Payload) (
 			if !ready {
 				return nil, fmt.Errorf("core: task %d reached in dependency order without all inputs", id)
 			}
-			out, cancelled := CancelDead(t, in)
-			if !cancelled {
-				fn, _ := s.registry.Lookup(t.Callback)
-				out, err = SafeInvoke(fn, in, id)
-				if err != nil {
-					return nil, fmt.Errorf("core: task %d (callback %d): %w", id, t.Callback, err)
-				}
-				if len(out) != len(t.Outgoing) {
-					return nil, fmt.Errorf("core: task %d produced %d outputs, graph declares %d slots", id, len(out), len(t.Outgoing))
-				}
-				if s.Observer != nil {
-					s.Observer.TaskExecuted(id, 0, t.Callback)
-				}
+			out, _, err := Step(s.registry, s.Observer, t, in, 0)
+			if err != nil {
+				return nil, err
 			}
 			for slot, consumers := range t.Outgoing {
 				if len(consumers) == 0 {

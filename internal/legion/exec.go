@@ -68,30 +68,17 @@ func gatherInputs(g core.TaskGraph, t core.Task, store *RegionStore, met *metric
 	return in, nil
 }
 
-// runCallback executes a task's callback, charging its duration to compute
-// time. A dead input cancels the task: the callback is skipped (cancelled is
-// true, so callers must not notify Observers) and dead tokens propagate on
-// every output slot.
-func runCallback(reg *core.Registry, t core.Task, in []core.Payload, met *metricsCollector) (out []core.Payload, cancelled bool, err error) {
-	if out, cancelled = core.CancelDead(t, in); cancelled {
-		met.tasks.Add(1)
-		return out, true, nil
-	}
-	fn, ok := reg.Lookup(t.Callback)
-	if !ok {
-		return nil, false, fmt.Errorf("%w: callback %d", core.ErrUnregisteredCallback, t.Callback)
-	}
+// step runs one ready task through the shared kernel (core.Step), charging
+// the call's duration to compute time.
+func step(reg *core.Registry, obs core.Observer, t core.Task, in []core.Payload, shard core.ShardId, met *metricsCollector) ([]core.Payload, error) {
 	start := time.Now()
-	out, err = core.SafeInvoke(fn, in, t.Id)
+	out, _, err := core.Step(reg, obs, t, in, shard)
 	met.computeNS.Add(int64(time.Since(start)))
 	if err != nil {
-		return nil, false, fmt.Errorf("legion: task %d (callback %d): %w", t.Id, t.Callback, err)
-	}
-	if len(out) != len(t.Outgoing) {
-		return nil, false, fmt.Errorf("legion: task %d produced %d outputs, graph declares %d slots", t.Id, len(out), len(t.Outgoing))
+		return nil, fmt.Errorf("legion: %w", err)
 	}
 	met.tasks.Add(1)
-	return out, false, nil
+	return out, nil
 }
 
 // stageOutputs writes a task's outputs into the region store (sink slots go

@@ -124,15 +124,7 @@ func (c *IndexLaunch) RunContext(ctx context.Context, initial map[core.TaskId][]
 			go func(i int, rec launchRecord) {
 				defer wg.Done()
 				defer func() { <-sem }()
-				out, cancelled, err := runCallback(c.reg, rec.task, rec.in, met)
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				if !cancelled && c.opt.Observer != nil {
-					c.opt.Observer.TaskExecuted(rec.task.Id, core.ShardId(i%c.opt.Workers), rec.task.Callback)
-				}
-				outs[i] = out
+				outs[i], errs[i] = step(c.reg, c.opt.Observer, rec.task, rec.in, core.ShardId(i%c.opt.Workers), met)
 			}(i, rec)
 		}
 		wg.Wait()

@@ -193,12 +193,9 @@ func (c *SPMD) runShard(shard core.ShardId, order map[core.TaskId]int, store *Re
 		if err != nil {
 			return err
 		}
-		out, cancelled, err := runCallback(c.reg, t, in, met)
+		out, err := step(c.reg, c.opt.Observer, t, in, shard, met)
 		if err != nil {
 			return err
-		}
-		if !cancelled && c.opt.Observer != nil {
-			c.opt.Observer.TaskExecuted(t.Id, shard, t.Callback)
 		}
 		if err := stageOutputs(t, out, store, met, results, resMu); err != nil {
 			return err

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/babelflow/babelflow-go/internal/core"
@@ -209,10 +208,6 @@ type ElasticOptions struct {
 	Initial map[core.TaskId][]core.Payload
 	// Membership is the shared registry join/drain requests flow through.
 	Membership *Membership
-	// MaxFences bounds membership-fence rebuilds (0 selects 32). Fenced
-	// epochs do not consume the retry budget — a retry is a failure, a
-	// fence is a request — but runaway churn must still terminate.
-	MaxFences int
 }
 
 // ElasticReport summarizes an elastic run.
@@ -248,308 +243,20 @@ type ElasticReport struct {
 // RunElastic executes the dataflow under elastic membership: epochs run
 // until one completes over whatever member set the Membership registry
 // holds, fencing and rebalancing on joins and drains, shrinking on real
-// deaths, and retrying (without eviction) on partitions. See the package
-// comments above and DESIGN.md §16 for the protocol.
+// deaths, and retrying (without eviction) on partitions — the supervise
+// loop over the caller's registry. See DESIGN.md "Execution engine".
 func (c *Controller) RunElastic(ctx context.Context, eo ElasticOptions) (map[core.TaskId][]core.Payload, ElasticReport, error) {
-	var rep ElasticReport
-	if c.graph == nil {
-		return nil, rep, core.ErrNotInitialized
-	}
-	if eo.Connect == nil {
-		return nil, rep, fmt.Errorf("mpi: RunElastic requires a Connect function")
-	}
 	if eo.Membership == nil {
-		return nil, rep, fmt.Errorf("mpi: RunElastic requires a Membership")
+		return nil, ElasticReport{}, fmt.Errorf("mpi: RunElastic requires a Membership")
 	}
-	if err := c.reg.Covers(c.graph); err != nil {
-		return nil, rep, err
-	}
-	if err := core.CheckInitial(c.graph, eo.Initial); err != nil {
-		return nil, rep, err
-	}
-
-	policy := c.opt.Retry.WithDefaults()
-	maxFences := eo.MaxFences
-	if maxFences <= 0 {
-		maxFences = 32
-	}
-	ms := eo.Membership
-
-	// Ledgers and journal stores are keyed by stable member identity and
-	// opened lazily as members appear; they persist across epochs (and,
-	// when journaled, across process restarts).
-	ledgers := make(map[core.ShardId]*core.Ledger)
-	stores := make(map[core.ShardId]*journal.LedgerStore)
-	defer func() {
-		leds := make([]*core.Ledger, 0, len(ledgers))
-		for _, l := range ledgers {
-			leds = append(leds, l)
-		}
-		if c.opt.Journal != "" {
-			c.recordJournalStats(leds)
-		}
-		for _, s := range stores {
-			s.Close()
-		}
-	}()
-	ledgerFor := func(id core.ShardId) (*core.Ledger, error) {
-		if l, ok := ledgers[id]; ok {
-			return l, nil
-		}
-		if c.opt.Journal == "" {
-			ledgers[id] = core.NewLedger()
-			return ledgers[id], nil
-		}
-		led, store, err := c.openLedger(int(id))
-		if err != nil {
-			return nil, err
-		}
-		ledgers[id], stores[id] = led, store
-		return led, nil
-	}
-
-	wantSinks := expectedSinks(c.graph)
-
-	// prevOwner tracks each task's owner (member identity) as of the last
-	// epoch map, the baseline hand-off diffs against. Before the first
-	// epoch the base map's shard ids ARE member identities.
-	prevOwner := make(map[core.TaskId]core.ShardId, len(c.graph.TaskIds()))
-	for _, id := range c.graph.TaskIds() {
-		prevOwner[id] = c.tmap.Shard(id)
-	}
-
-	var recoveryStart time.Time
-	var lastErr error
-	failures := 0
-	for epoch := 1; ; epoch++ {
-		rep.Epochs = epoch
-		if err := ctx.Err(); err != nil {
-			return nil, rep, core.Cancelled(ctx)
-		}
-
-		joins, drains, joinAt, drainAt := ms.take()
-		rep.Joined = append(rep.Joined, joins...)
-		rep.Drained = append(rep.Drained, drains...)
-		members := ms.Members()
-		if len(members) == 0 {
-			return nil, rep, fmt.Errorf("mpi: every member lost: %w", core.ErrRetriesExhausted)
-		}
-
-		tmap, err := core.RebalanceShards(c.graph, c.tmap, members)
-		if err != nil {
-			return nil, rep, err
-		}
-		for _, id := range members {
-			if _, err := ledgerFor(id); err != nil {
-				return nil, rep, err
-			}
-		}
-
-		// Hand-off: every recorded task whose owner changed is adopted into
-		// the new owner's ledger (journaled when backed), BEFORE the epoch
-		// runs — group-commit flush happened at the fence, so the transfer
-		// is replayable even if the donor's journal is retired.
-		for _, id := range c.graph.TaskIds() {
-			owner := members[tmap.Shard(id)]
-			was := prevOwner[id]
-			if owner != was {
-				if donor, ok := ledgers[was]; ok {
-					if heir := ledgers[owner]; heir.Adopt(donor, id) {
-						rep.HandedOff++
-					}
-				}
-				prevOwner[id] = owner
-			}
-		}
-
-		merged, lost, fenced, err := c.runElasticEpoch(ctx, epoch, tmap, members, ledgers, stores, wantSinks, eo, policy, &rep, joinAt, drainAt)
-		if err == nil {
-			if !recoveryStart.IsZero() {
-				rep.RecoveryTime = time.Since(recoveryStart)
-			}
-			return merged, rep, nil
-		}
-		if recoveryStart.IsZero() {
-			recoveryStart = time.Now()
-		}
-		if ctx.Err() != nil {
-			return nil, rep, core.Cancelled(ctx)
-		}
-		if fenced {
-			rep.Fences++
-			if rep.Fences > maxFences {
-				return nil, rep, fmt.Errorf("mpi: %d membership fences: %w", rep.Fences, core.ErrRetriesExhausted)
-			}
-			continue // a fence is a request, not a failure: no backoff, no budget
-		}
-		if !retryable(err) {
-			return nil, rep, err
-		}
-		lastErr = err
-		failures++
-
-		if len(lost) > 0 {
-			for _, id := range lost {
-				ms.evict(id)
-				rep.LostShards = append(rep.LostShards, id)
-			}
-			sort.Slice(rep.LostShards, func(i, j int) bool { return rep.LostShards[i] < rep.LostShards[j] })
-			if c.recObs != nil {
-				c.recObs.RecoveryStarted(epoch+1, append([]core.ShardId(nil), rep.LostShards...))
-			}
-		}
-		if failures >= policy.MaxAttempts {
-			return nil, rep, fmt.Errorf("mpi: %d attempt(s) failed: %w (last: %v)", failures, core.ErrRetriesExhausted, lastErr)
-		}
-		if err := policy.Sleep(ctx, failures); err != nil {
-			return nil, rep, err
-		}
-	}
+	return c.supervise(ctx, eo.Membership, eo.Connect, eo.Inject, eo.Initial)
 }
 
-// runElasticEpoch runs one attempt over the given member set. It returns
-// the merged sinks on success; on failure it reports the members declared
-// dead under the partition-hardened classification and whether the epoch
-// was cut short by a membership fence.
-func (c *Controller) runElasticEpoch(
-	ctx context.Context, epoch int, tmap core.TaskMap, members []core.ShardId,
-	ledgers map[core.ShardId]*core.Ledger, stores map[core.ShardId]*journal.LedgerStore,
-	wantSinks map[core.TaskId]int, eo ElasticOptions, policy core.RetryPolicy,
-	rep *ElasticReport, joinAt, drainAt time.Time,
-) (map[core.TaskId][]core.Payload, []core.ShardId, bool, error) {
-	ranks := len(members)
-	ectx, ecancel := context.WithCancel(ctx)
-	defer ecancel()
-	if policy.AttemptTimeout > 0 {
-		var tcancel context.CancelFunc
-		ectx, tcancel = context.WithTimeout(ectx, policy.AttemptTimeout)
-		defer tcancel()
-	}
-
-	trs, err := eo.Connect(epoch, ranks)
-	if err != nil {
-		return nil, nil, false, fmt.Errorf("mpi: epoch %d connect: %w", epoch, err)
-	}
-	if len(trs) != ranks {
-		closeEpoch(trs, false)
-		return nil, nil, false, fmt.Errorf("mpi: epoch %d: connect returned %d transports, want %d", epoch, len(trs), ranks)
-	}
-	// The rebalanced epoch is connected: the membership events it absorbed
-	// are now served.
-	if !joinAt.IsZero() {
-		rep.JoinLatency = time.Since(joinAt)
-	}
-	if !drainAt.IsZero() {
-		rep.DrainLatency = time.Since(drainAt)
-	}
-
-	wrapped := make([]fabric.Transport, ranks)
-	for l := range trs {
-		wrapped[l] = trs[l]
-		if eo.Inject != nil {
-			wrapped[l] = eo.Inject(epoch, l, trs[l])
-		}
-	}
-
-	parts, err := partitionInitialClone(tmap, ranks, eo.Initial)
-	if err != nil {
-		closeEpoch(trs, false)
-		return nil, nil, false, err
-	}
-
-	// The fence watcher: a membership event arriving mid-epoch freezes the
-	// mesh at a journal-consistent point and collapses the epoch. Ordering
-	// matters: suspend liveness timers FIRST (a rank stalled in a journal
-	// flush must not read as dead), then flush the group-commit journals,
-	// then tear the epoch down.
-	var fenceFired atomic.Bool
-	fenceDone := make(chan struct{})
-	go func() {
-		defer close(fenceDone)
-		select {
-		case <-ectx.Done():
-		case <-eo.Membership.wait():
-			fenceFired.Store(true)
-			for _, tr := range trs {
-				if fr, ok := tr.(Fencer); ok {
-					fr.Fence(true)
-				}
-			}
-			for _, st := range stores {
-				st.Sync()
-			}
-			ecancel()
-			for _, tr := range trs {
-				tr.Cancel()
-			}
-		}
-	}()
-
-	preReplay, preExec := sumLedgerMap(ledgers)
-	results := make([]map[core.TaskId][]core.Payload, ranks)
-	errs := make([]error, ranks)
-	var wg sync.WaitGroup
-	for l := 0; l < ranks; l++ {
-		wg.Add(1)
-		go func(l int) {
-			defer wg.Done()
-			results[l], errs[l] = c.runRankOn(ectx, l, wrapped[l], parts[l], ledgers[members[l]], tmap)
-		}(l)
-	}
-	wg.Wait()
-	ecancel()
-	<-fenceDone
-
-	postReplay, postExec := sumLedgerMap(ledgers)
-	rep.TotalExecuted = postExec
-
-	if fenceFired.Load() {
-		releaseResults(mergeResults(results))
-		closeEpoch(trs, false)
-		return nil, nil, true, errFenced
-	}
-
-	lost := classifyDead(wrapped, errs, members)
-
-	var firstErr, nonRetryable error
-	lostSet := make(map[core.ShardId]bool, len(lost))
-	for _, id := range lost {
-		lostSet[id] = true
-	}
-	for l, e := range errs {
-		if e == nil {
-			continue
-		}
-		if firstErr == nil {
-			firstErr = e
-		}
-		if !lostSet[members[l]] && !retryable(e) {
-			nonRetryable = e
-		}
-	}
-	merged := mergeResults(results)
-	if firstErr == nil && len(lost) == 0 && sinksComplete(wantSinks, merged) {
-		rep.Replayed = postReplay - preReplay
-		rep.Executed = postExec - preExec
-		closeEpoch(trs, true)
-		return merged, nil, false, nil
-	}
-	releaseResults(merged)
-	closeEpoch(trs, false)
-	if nonRetryable != nil {
-		return nil, lost, false, nonRetryable
-	}
-	if firstErr == nil {
-		firstErr = fmt.Errorf("mpi: epoch %d: incomplete sink coverage: %w", epoch, fabric.ErrPeerLost)
-	}
-	return nil, lost, false, firstErr
-}
-
-// classifyDead is the partition-hardened loss classification. RunRecover's
-// rule — any reported rank that also errored is dead — evicts the victim of
-// an asymmetric partition: the rank that times out on a silent link fails,
-// cancels, and its closing connections make every peer report it. Here a
-// rank is declared dead only when
+// classifyDead is the loss rule of every supervised run, hardened against
+// partitions. The naive rule — any reported rank that also errored is dead
+// — evicts the victim of an asymmetric partition: the rank that times out
+// on a silent link fails, cancels, and its closing connections make every
+// peer report it. Here a rank is declared dead only when
 //
 //   - it reported ITSELF lost (the injection harness's authoritative
 //     self-report for a killed rank), or
@@ -608,25 +315,6 @@ func classifyDead(wrapped []fabric.Transport, errs []error, members []core.Shard
 	}
 	sort.Slice(lost, func(i, j int) bool { return lost[i] < lost[j] })
 	return lost
-}
-
-func sumLedgerMap(ledgers map[core.ShardId]*core.Ledger) (replayed, executed int) {
-	for _, l := range ledgers {
-		replayed += l.Replays()
-		executed += l.Executions()
-	}
-	return replayed, executed
-}
-
-// RunMemberContext executes one logical rank of an elastic epoch whose
-// peers live in other OS processes: the multi-process counterpart of the
-// per-rank loop inside RunElastic. rank is the epoch's logical rank on the
-// transport, tmap the epoch task map (core.RebalanceShards over the
-// coordinator's member table), and led the member's lineage ledger — tasks
-// already recorded there replay instead of re-executing, exactly as in a
-// recovery epoch. A nil ledger runs the epoch without lineage.
-func (c *Controller) RunMemberContext(ctx context.Context, rank int, tr fabric.Transport, initial map[core.TaskId][]core.Payload, tmap core.TaskMap, led *core.Ledger) (map[core.TaskId][]core.Payload, error) {
-	return c.runRankOn(ctx, rank, tr, initial, led, tmap)
 }
 
 // OpenMemberLedger opens the journal-backed lineage ledger of a stable

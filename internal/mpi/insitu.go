@@ -40,7 +40,9 @@ func NewGroup(g core.TaskGraph, m core.TaskMap, opts ...Option) (*Group, error) 
 	} else {
 		fab = fabric.New(m.ShardCount())
 	}
-	return &Group{ctrl: c, fab: fab, started: make(map[int]bool)}, nil
+	gr := &Group{ctrl: c, fab: fab, started: make(map[int]bool)}
+	c.onFail = gr.abort
+	return gr, nil
 }
 
 // RegisterCallback binds a task type's implementation for every shard of
@@ -117,7 +119,7 @@ func (s *Shard) RunContext(ctx context.Context, initial map[core.TaskId][]core.P
 	// All shards dispatch into one executor, so an idle rank's worker can
 	// steal a loaded rank's ready tasks (Inline mode needs none).
 	if gr.pool == nil && !gr.ctrl.opt.Inline {
-		gr.pool = gr.ctrl.newPool(gr.fab.Ranks())
+		gr.pool = gr.ctrl.opt.newPool(gr.ctrl.graph.Size(), gr.fab.Ranks(), allRanks)
 	}
 	pool := gr.pool
 	gr.mu.Unlock()
@@ -134,29 +136,11 @@ func (s *Shard) RunContext(ctx context.Context, initial map[core.TaskId][]core.P
 		gr.mu.Unlock()
 	}()
 
-	if err := gr.ctrl.reg.Covers(gr.ctrl.graph); err != nil {
-		gr.abort(err)
-		return nil, err
-	}
-	if err := checkLocalInitial(gr.ctrl.graph, gr.ctrl.tmap, s.rank, initial); err != nil {
-		gr.abort(err)
-		return nil, err
-	}
-
-	stop := watchContext(ctx, gr.abort)
-	defer stop()
-
-	results := make(map[core.TaskId][]core.Payload)
-	var resMu sync.Mutex
-	env := &runEnv{
-		tmap:    gr.ctrl.tmap,
-		fab:     gr.fab,
-		pool:    pool,
-		abort:   gr.abort,
-		results: results,
-		resMu:   &resMu,
-	}
-	if err := gr.ctrl.runRank(s.rank, env, initial); err != nil {
+	// One epoch, this rank alone, over the group's fabric and pool. Rank
+	// failures reach the group through the controller's onFail hook before
+	// the fabric is cancelled; abort here covers failures ahead of the epoch.
+	results, err := gr.ctrl.run(ctx, s.rank, gr.fab, pool, nil, nil, initial)
+	if err != nil {
 		gr.abort(err)
 	}
 	if err := gr.Err(); err != nil {

@@ -32,7 +32,6 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -43,122 +42,10 @@ import (
 	"github.com/babelflow/babelflow-go/internal/wire"
 )
 
-// TransportFactory builds the transport an in-process Run executes over —
-// the hook the functional option WithTransport installs. The returned
-// transport must be receivable for every rank in-process (like the
-// in-memory fabric); per-process transports (wire) go through RunRank.
-type TransportFactory func(ranks int) fabric.Transport
-
-// Options configures a Controller.
-type Options struct {
-	// Workers is the global worker budget of a run: the number of executor
-	// goroutines shared by all ranks. With stealing enabled (the default) an
-	// idle rank's worker executes another rank's ready tasks, so the budget
-	// bounds total execution concurrency rather than per-rank concurrency.
-	// Zero selects runtime.GOMAXPROCS(0). When stealing is disabled the
-	// budget is raised to at least one homed worker per rank, since nothing
-	// else can drain a rank's deque.
-	Workers int
-	// FIFO dispatches ready tasks in arrival order instead of
-	// most-critical-first — the pre-scheduler discipline, kept as the
-	// ablation baseline of the scheduler benches.
-	FIFO bool
-	// NoSteal pins workers to their home rank's deque (ablation). It forces
-	// at least one worker per rank.
-	NoSteal bool
-	// Inline executes tasks inside the controller loop instead of on the
-	// pool — the single-threaded execution style of the hand-tuned baseline.
-	Inline bool
-	// Blocking switches the fabric to rendezvous sends, modeling blocking
-	// MPI_Send of large (rendezvous-protocol) messages. Like real
-	// unbuffered blocking sends, it can deadlock on dataflows where two
-	// ranks send to each other simultaneously; the safe single-threaded
-	// "Original MPI" baseline of Fig. 6 uses Inline with asynchronous
-	// sends, which removes compute/communication overlap (the effect the
-	// paper attributes the performance gap to) without the deadlock.
-	Blocking bool
-	// AlwaysSerialize disables the in-memory message optimization, forcing
-	// every payload through serialization (ablation).
-	AlwaysSerialize bool
-	// Observer, when non-nil, receives a notification per executed task. An
-	// Observer that also implements core.SchedObserver additionally receives
-	// per-task queue timing (enqueue and dispatch instants); one implementing
-	// core.ReplayObserver or core.RecoveryObserver additionally receives
-	// fault-tolerance notifications (ledger replays, recovery epochs).
-	Observer core.Observer
-	// Retry bounds fault-tolerant execution (RunRecover): attempt count,
-	// backoff and per-attempt timeout. The zero value selects
-	// core.DefaultRetryPolicy.
-	Retry core.RetryPolicy
-	// Transport, when non-nil, builds the transport Run/RunContext executes
-	// over instead of the default in-memory fabric — the seam fault-injection
-	// and custom interconnects plug into.
-	Transport TransportFactory
-	// Journal, when non-empty, is the directory where every rank's lineage
-	// ledger is persisted as a segmented CRC32C record log
-	// (internal/journal): rank r journals under Journal/rank-r. A run
-	// started over an existing journal resumes — journaled tasks replay
-	// their recorded outputs instead of re-executing, so only the
-	// un-journaled frontier runs. Journaling implies fault-tolerant
-	// bookkeeping (sequence-stamped messages, receiver dedup) even outside
-	// RunRecover.
-	Journal string
-	// JournalSync selects the journal's fsync policy. The zero value
-	// (journal.SyncEveryRecord) makes every recorded task crash-durable;
-	// see journal.SyncPolicy for the cheaper relaxations.
-	JournalSync journal.SyncPolicy
-	// JournalCommitInterval and JournalCommitRecords tune the
-	// journal.SyncGroupCommit policy's commit window (time and record
-	// bounds). Zero keeps the journal defaults (2ms, 64 records); both are
-	// ignored by the other sync policies.
-	JournalCommitInterval time.Duration
-	JournalCommitRecords  int
-	// HeartbeatInterval and HeartbeatTimeout tune the wire transport's
-	// failure detector for meshes built from this controller's WireOptions
-	// template. Zero keeps the wire defaults (1s interval, 4x timeout).
-	HeartbeatInterval time.Duration
-	HeartbeatTimeout  time.Duration
-	// WireTier selects the wire transport tier for meshes built from this
-	// controller's WireOptions template: wire.TierAuto (default) rides
-	// unix-domain sockets between co-located ranks and TCP across hosts;
-	// wire.TierTCP and wire.TierUnix force one transport.
-	WireTier wire.Tier
-
-	// Validation bookkeeping stamped by the functional options so
-	// conflicting combinations surface as errors at Initialize instead of
-	// silently letting the last option win. The struct form leaves these
-	// zero and is validated on its field values alone.
-	syncSet  bool
-	syncWas  journal.SyncPolicy
-	groupSet bool
-	optErr   error
-}
-
-// validate rejects option combinations with no coherent meaning: an
-// explicit WithJournalSync policy fighting WithJournalGroupCommit, or a
-// negative commit window. It returns the first error a functional option
-// recorded while being applied.
-func (o *Options) validate() error {
-	if o.optErr != nil {
-		return o.optErr
-	}
-	if o.syncSet && o.groupSet && o.syncWas != journal.SyncGroupCommit {
-		return fmt.Errorf("mpi: WithJournalSync(%v) conflicts with WithJournalGroupCommit (which implies %v); pass one of them",
-			o.syncWas, journal.SyncGroupCommit)
-	}
-	if o.JournalCommitInterval < 0 {
-		return fmt.Errorf("mpi: negative journal commit interval %v", o.JournalCommitInterval)
-	}
-	if o.JournalCommitRecords < 0 {
-		return fmt.Errorf("mpi: negative journal commit record bound %d", o.JournalCommitRecords)
-	}
-	return nil
-}
-
 // Controller executes task graphs in MPI style. Create one, Initialize it
 // with a graph and task map, register callbacks, then Run.
 type Controller struct {
-	opt       Options
+	opt       options
 	graph     core.TaskGraph
 	tmap      core.TaskMap
 	reg       *core.Registry
@@ -166,6 +53,12 @@ type Controller struct {
 	schedObs  core.SchedObserver
 	replayObs core.ReplayObserver
 	recObs    core.RecoveryObserver
+
+	// onFail, when set, hears of every rank failure before the failing
+	// rank's transport is cancelled. An in-situ Group's shards run separate
+	// epochs over one fabric; this is how the group records the cause ahead
+	// of the echoes the cancellation sets off in the other shards.
+	onFail func(error)
 
 	// Stats from the last Run.
 	lastStats fabric.Stats
@@ -201,22 +94,76 @@ func (c *Controller) JournalStats() JournalStats {
 	return c.jstats
 }
 
-// recordJournalStats aggregates the given ledgers into the controller's
-// last-run journal counters.
-func (c *Controller) recordJournalStats(leds []*core.Ledger) {
+// ledgerTable holds the lineage ledgers of one run keyed by stable member
+// identity (the rank, for fixed-membership runs) and owns the journal
+// stores behind them. Ledgers open on first use: journal-backed under
+// Journal/rank-<member> when the controller journals — so they survive
+// epochs and process restarts — and in-memory otherwise.
+type ledgerTable struct {
+	c      *Controller
+	leds   map[core.ShardId]*core.Ledger
+	stores map[core.ShardId]*journal.LedgerStore
+}
+
+func (c *Controller) newLedgerTable() *ledgerTable {
+	return &ledgerTable{c: c, leds: make(map[core.ShardId]*core.Ledger), stores: make(map[core.ShardId]*journal.LedgerStore)}
+}
+
+// open returns member's ledger, opening it if this is its first use.
+func (lt *ledgerTable) open(member core.ShardId) (*core.Ledger, error) {
+	if led, ok := lt.leds[member]; ok {
+		return led, nil
+	}
+	if lt.c.opt.Journal == "" {
+		lt.leds[member] = core.NewLedger()
+		return lt.leds[member], nil
+	}
+	led, store, err := lt.c.openLedger(int(member))
+	if err != nil {
+		return nil, err
+	}
+	lt.leds[member], lt.stores[member] = led, store
+	return led, nil
+}
+
+// sync flushes every journal store (group-commit windows included), making
+// everything recorded so far durable — the fence's consistency point.
+func (lt *ledgerTable) sync() {
+	for _, s := range lt.stores {
+		s.Sync()
+	}
+}
+
+// counts sums the replay and execution counters of every ledger.
+func (lt *ledgerTable) counts() (replayed, executed int) {
+	for _, l := range lt.leds {
+		replayed += l.Replays()
+		executed += l.Executions()
+	}
+	return replayed, executed
+}
+
+// close publishes the journal counters (JournalStats) of a journaled run
+// and closes every store. Callers defer it on every exit path; an
+// in-memory table, or a second call, finds nothing to close.
+func (lt *ledgerTable) close() {
+	if len(lt.stores) == 0 {
+		return
+	}
 	var js JournalStats
-	for _, l := range leds {
-		if l == nil {
-			continue
-		}
+	for _, l := range lt.leds {
 		js.Restored += l.Restored()
 		js.Replayed += l.Replays()
 		js.Executed += l.Executions()
 		js.StoreErrors += l.StoreErrors()
 	}
-	c.jmu.Lock()
-	c.jstats = js
-	c.jmu.Unlock()
+	lt.c.jmu.Lock()
+	lt.c.jstats = js
+	lt.c.jmu.Unlock()
+	for _, s := range lt.stores {
+		s.Close()
+	}
+	lt.stores = nil
 }
 
 // openLedger opens rank's slice of the controller's journal directory and
@@ -235,55 +182,18 @@ func (c *Controller) openLedger(rank int) (*core.Ledger, *journal.LedgerStore, e
 	return core.NewLedgerBacked(store, 0), store, nil
 }
 
-// openLedgers opens one durable ledger per rank under the controller's
-// journal directory. The returned close function records the run's journal
-// counters and closes every store exactly once — callers may defer it on
-// every exit path (including error and cancellation unwinds) without
-// double-closing. On an open error the stores opened so far are closed
-// before returning.
-func (c *Controller) openLedgers(ranks int) (leds []*core.Ledger, close func(), err error) {
-	leds = make([]*core.Ledger, ranks)
-	stores := make([]*journal.LedgerStore, ranks)
-	for r := 0; r < ranks; r++ {
-		led, store, err := c.openLedger(r)
-		if err != nil {
-			for _, s := range stores[:r] {
-				s.Close()
-			}
-			return nil, nil, err
-		}
-		leds[r], stores[r] = led, store
-	}
-	var once sync.Once
-	return leds, func() {
-		once.Do(func() {
-			c.recordJournalStats(leds)
-			for _, s := range stores {
-				s.Close()
-			}
-		})
-	}, nil
-}
-
 // New returns an MPI controller. Configuration is functional-options style,
 // applied left to right:
 //
 //	mpi.New(mpi.WithWorkers(4), mpi.WithRetry(policy))
 func New(opts ...Option) *Controller {
-	var opt Options
-	for _, o := range opts {
-		o.apply(&opt)
-	}
-	return newFromOptions(opt)
+	return newFromOptions(resolve(opts))
 }
 
 // newFromOptions builds a controller from a resolved configuration — the
 // internal seam the service uses to stamp per-run controllers from its
 // option template.
-func newFromOptions(opt Options) *Controller {
-	if opt.Workers <= 0 {
-		opt.Workers = runtime.GOMAXPROCS(0)
-	}
+func newFromOptions(opt options) *Controller {
 	c := &Controller{opt: opt, reg: core.NewRegistry()}
 	if so, ok := opt.Observer.(core.SchedObserver); ok {
 		c.schedObs = so
@@ -336,144 +246,256 @@ func (c *Controller) RegisterCallback(cb core.CallbackId, fn core.Callback) erro
 // Stats returns the inter-rank traffic of the last Run.
 func (c *Controller) Stats() fabric.Stats { return c.lastStats }
 
-// budget returns the worker count for a run over the given rank count,
-// bounded by the number of tasks that can ever be in flight.
-func (c *Controller) budget(ranks int) int {
-	n := c.opt.Workers
-	if size := c.graph.Size(); n > size {
-		n = size
-	}
-	if n < 1 {
-		n = 1
-	}
-	if c.opt.NoSteal && n < ranks {
-		// Without stealing every rank needs a homed worker of its own.
-		n = ranks
-	}
-	return n
-}
-
-// newPool builds the shared work-stealing executor for a run over ranks.
-func (c *Controller) newPool(ranks int) *fabric.Pool {
-	n := c.budget(ranks)
-	return fabric.NewPool(ranks, fabric.RoundRobinHomes(n, ranks),
-		fabric.PoolOptions{FIFO: c.opt.FIFO, NoSteal: c.opt.NoSteal})
-}
-
 // Run implements core.Controller.
 func (c *Controller) Run(initial map[core.TaskId][]core.Payload) (map[core.TaskId][]core.Payload, error) {
 	return c.RunContext(context.Background(), initial)
 }
 
 // RunContext implements core.Controller: Run with cancellation and deadline
-// propagation. When the context ends, the fabric is cancelled so every rank
-// loop and blocked receive unwinds promptly, and the call returns an error
-// wrapping core.ErrCancelled.
+// propagation. It is one epoch over every rank on a fresh in-process fabric
+// and executor. When the context ends, the fabric is cancelled so every
+// rank loop and blocked receive unwinds promptly, and the call returns an
+// error wrapping core.ErrCancelled.
 func (c *Controller) RunContext(ctx context.Context, initial map[core.TaskId][]core.Payload) (map[core.TaskId][]core.Payload, error) {
+	return c.run(ctx, allRanks, nil, nil, nil, nil, initial)
+}
+
+// RunRank executes exactly one rank of the dataflow over the provided
+// transport — the multi-process entry point. Where Run spawns every rank as
+// a goroutine over an in-memory fabric sharing one work-stealing executor,
+// RunRank drives a single rank whose peers live behind the transport (other
+// OS processes over the TCP fabric, or other in-process RunRank calls
+// sharing a transport per rank); its executor serves only the local rank,
+// so the worker budget applies per process.
+//
+// initial must contain exactly the external inputs of this rank's tasks.
+// RunRank returns the sink outputs produced by local tasks. On any local
+// failure — including one found before the first task runs — the transport
+// is cancelled so every peer unwinds; a peer or transport failure surfaces
+// as the transport's typed error.
+//
+// RunRank is safe to call concurrently for different ranks on one shared
+// controller (it does not update Stats — consult the transport's Snapshot).
+func (c *Controller) RunRank(rank int, tr fabric.Transport, initial map[core.TaskId][]core.Payload) (map[core.TaskId][]core.Payload, error) {
+	return c.run(context.Background(), rank, tr, nil, nil, nil, initial)
+}
+
+// RunMemberContext executes one logical rank of an elastic epoch whose
+// peers live in other OS processes: the multi-process counterpart of the
+// per-rank loop inside RunElastic. rank is the epoch's logical rank on the
+// transport, tmap the epoch task map (core.RebalanceShards over the
+// coordinator's member table), and led the member's lineage ledger — tasks
+// already recorded there replay instead of re-executing, exactly as in a
+// recovery epoch. A nil ledger runs the epoch without lineage. A finished
+// ctx cancels the transport, unwinding this rank (and, over the wire, its
+// peers) with an error wrapping core.ErrCancelled.
+func (c *Controller) RunMemberContext(ctx context.Context, rank int, tr fabric.Transport, initial map[core.TaskId][]core.Payload, tmap core.TaskMap, led *core.Ledger) (map[core.TaskId][]core.Payload, error) {
+	return c.run(ctx, rank, tr, nil, tmap, led, initial)
+}
+
+// allRanks is run's rank argument for driving every rank of the task map.
+const allRanks = -1
+
+// preflight is the validation every entry point runs before any rank
+// starts: the controller is initialized, every task type has a callback,
+// and the external inputs cover exactly the ExternalInput slots of the
+// whole graph (rank == allRanks) or of rank's local tasks.
+func (c *Controller) preflight(tmap core.TaskMap, rank int, initial map[core.TaskId][]core.Payload) error {
 	if c.graph == nil {
-		return nil, core.ErrNotInitialized
+		return core.ErrNotInitialized
 	}
 	if err := c.reg.Covers(c.graph); err != nil {
-		return nil, err
+		return err
 	}
-	if err := core.CheckInitial(c.graph, initial); err != nil {
-		return nil, err
+	if rank == allRanks {
+		return core.CheckInitial(c.graph, initial)
 	}
+	if n := tmap.ShardCount(); rank < 0 || rank >= n {
+		return fmt.Errorf("mpi: rank %d out of range [0,%d)", rank, n)
+	}
+	return checkLocalInitial(c.graph, tmap, rank, initial)
+}
 
-	ranks := c.tmap.ShardCount()
-
-	// Journaled runs give every rank a durable ledger before any task runs:
-	// a fresh directory journals progress, an existing one resumes from it.
-	var leds []*core.Ledger
-	if c.opt.Journal != "" {
-		var closeLeds func()
-		var err error
-		leds, closeLeds, err = c.openLedgers(ranks)
-		if err != nil {
-			return nil, err
+// run is the one gate between the fixed-membership entry points and epoch:
+// it validates, supplies whatever the caller did not bring, and runs one
+// epoch. rank selects the ranks driven here (allRanks, or one logical rank
+// whose peers live behind tr). Everything passed as nil is run-scoped and
+// owned by run: a nil tr is a fresh in-process fabric (whose traffic becomes
+// Stats), a nil pool a fresh executor unless the controller runs inline, a
+// nil tmap the Initialize map, and a nil led the rank's journal-backed
+// ledger when the controller journals (a fresh directory journals progress,
+// an existing one resumes from it) — opened here, and closed with the
+// journal counters published on every exit path.
+//
+// Any failure once tr is in hand cancels it: a peer blocked in a receive
+// on a shared transport must not outwait a run that never started.
+func (c *Controller) run(ctx context.Context, rank int, tr fabric.Transport, pool *fabric.Pool, tmap core.TaskMap, led *core.Ledger, initial map[core.TaskId][]core.Payload) (sinks map[core.TaskId][]core.Payload, err error) {
+	defer func() {
+		if err != nil && tr != nil {
+			tr.Cancel()
 		}
-		defer closeLeds()
+	}()
+	if tmap == nil {
+		tmap = c.tmap
+	}
+	if err = c.preflight(tmap, rank, initial); err != nil {
+		return nil, err
+	}
+	n := tmap.ShardCount()
+	if tr == nil {
+		switch {
+		case c.opt.Transport != nil:
+			tr = c.opt.Transport(n)
+		case c.opt.Blocking:
+			tr = fabric.NewBlocking(n)
+		default:
+			tr = fabric.New(n)
+		}
+		defer func() { c.lastStats = tr.Snapshot() }()
+	}
+	if got := tr.Ranks(); got != n {
+		return nil, fmt.Errorf("mpi: transport has %d ranks, task map shards over %d", got, n)
 	}
 
-	var fab fabric.Transport
-	switch {
-	case c.opt.Transport != nil:
-		fab = c.opt.Transport(ranks)
-	case c.opt.Blocking:
-		fab = fabric.NewBlocking(ranks)
-	default:
-		fab = fabric.New(ranks)
+	lo, hi := rank, rank+1
+	if rank == allRanks {
+		lo, hi = 0, n
 	}
-	var pool *fabric.Pool
-	if !c.opt.Inline {
-		pool = c.newPool(ranks)
+	trs := make([]fabric.Transport, n)
+	for r := lo; r < hi; r++ {
+		trs[r] = tr
+	}
+	var leds []*core.Ledger
+	switch {
+	case led != nil:
+		leds = make([]*core.Ledger, n)
+		leds[rank] = led
+	case c.opt.Journal != "":
+		table := c.newLedgerTable()
+		defer table.close()
+		leds = make([]*core.Ledger, n)
+		for r := lo; r < hi; r++ {
+			if leds[r], err = table.open(core.ShardId(r)); err != nil {
+				return nil, err
+			}
+		}
+	}
+	if pool == nil && !c.opt.Inline {
+		pool = c.opt.newPool(c.graph.Size(), n, rank)
 		defer pool.Close()
 	}
 
-	results, err := c.runAllRanks(ctx, fab, pool, leds, initial)
-	c.lastStats = fab.Snapshot()
-	return results, err
+	sinks, _, err = c.epoch(ctx, tmap, trs, pool, leds, initial)
+	if err != nil {
+		return nil, err
+	}
+	return sinks, nil
 }
 
-// runAllRanks drives every rank of one dataflow execution over fab,
-// dispatching onto pool (nil = inline execution). It owns abort propagation
-// and result merging but neither the transport nor the pool — both outlive
-// the call, which is what lets a resident Service run a stream of graphs
-// over one warm fabric and executor (each Submit passing its run's demuxed
-// transport view). One-shot paths (RunContext) build and tear down a fresh
-// pair per call.
-func (c *Controller) runAllRanks(ctx context.Context, fab fabric.Transport, pool *fabric.Pool, leds []*core.Ledger, initial map[core.TaskId][]core.Payload) (map[core.TaskId][]core.Payload, error) {
-	ranks := c.tmap.ShardCount()
-	results := make(map[core.TaskId][]core.Payload)
-	var resMu sync.Mutex
-	var firstErr error
-	var errMu sync.Mutex
-	abort := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-		fab.Cancel()
-	}
-	stop := watchContext(ctx, abort)
-	defer stop()
+// runEnv is the state one epoch threads through its rank loops: the epoch's
+// task map (a recovery epoch's differs from Initialize's), the transport of
+// every rank driven here (nil for ranks living elsewhere), the executor,
+// the merged sink results and failures, and — for ledgered runs — the
+// per-rank lineage ledgers plus the per-home-rank egress sequence counters
+// that give messages a dedup identity.
+type runEnv struct {
+	tmap core.TaskMap
+	trs  []fabric.Transport
+	pool *fabric.Pool    // nil = inline execution
+	leds []*core.Ledger  // nil outside ledgered runs
+	seq  []atomic.Uint64 // nil outside ledgered runs
 
+	onFail func(error)    // Controller.onFail
+	ranks  sync.WaitGroup // the rank loops in flight
+
+	mu      sync.Mutex
+	results map[core.TaskId][]core.Payload
+	errs    []error // first failure per rank
+	first   error   // first failure of the epoch
+}
+
+// fail records a failure of rank and cancels the rank's transport, so the
+// rank's loop and — over a shared fabric or the wire — its peers unwind.
+func (e *runEnv) fail(rank int, err error) {
+	e.mu.Lock()
+	if e.errs[rank] == nil {
+		e.errs[rank] = err
+	}
+	if e.first == nil {
+		e.first = err
+	}
+	e.mu.Unlock()
+	if e.onFail != nil {
+		e.onFail(err)
+	}
+	e.trs[rank].Cancel()
+}
+
+// ledger returns rank's lineage ledger, or nil when the run keeps none.
+func (e *runEnv) ledger(rank int) *core.Ledger {
+	if e.leds == nil {
+		return nil
+	}
+	return e.leds[rank]
+}
+
+// epoch is the execution engine: one attempt of the dataflow under tmap,
+// driving every logical rank r with a transport in trs[r] (ranks with a nil
+// entry live behind the others' transports), executing on pool (nil =
+// inline in the rank loops), recording into and replaying from leds[r]
+// when leds is non-nil. Every way of running the controller is this
+// function under a different supply of arguments; neither transports, pool
+// nor ledgers are owned here — they may outlive the call.
+//
+// epoch alone starts the rank loops, captures failures (per rank, and the
+// first overall — the cause, where later ones are its echoes), cancels a
+// failing rank's transport, watches ctx (a finished context fails every
+// driven rank with core.ErrCancelled), arms sequence stamping and receiver
+// dedup for ledgered runs, and merges the sinks. The sinks are returned
+// even when the epoch failed; callers discard them.
+func (c *Controller) epoch(ctx context.Context, tmap core.TaskMap, trs []fabric.Transport, pool *fabric.Pool, leds []*core.Ledger, initial map[core.TaskId][]core.Payload) (map[core.TaskId][]core.Payload, []error, error) {
 	env := &runEnv{
-		tmap:    c.tmap,
-		fab:     fab,
+		tmap:    tmap,
+		trs:     trs,
 		pool:    pool,
-		abort:   abort,
-		results: results,
-		resMu:   &resMu,
 		leds:    leds,
+		onFail:  c.onFail,
+		results: make(map[core.TaskId][]core.Payload),
+		errs:    make([]error, len(trs)),
 	}
 	if leds != nil {
-		env.seq = make([]atomic.Uint64, ranks)
+		env.seq = make([]atomic.Uint64, len(trs))
 	}
-	var wg sync.WaitGroup
-	for r := 0; r < ranks; r++ {
-		wg.Add(1)
+	stop := watchContext(ctx, func(err error) {
+		for r, tr := range trs {
+			if tr != nil {
+				env.fail(r, err)
+			}
+		}
+	})
+	for r, tr := range trs {
+		if tr == nil {
+			continue
+		}
+		env.ranks.Add(1)
 		go func(rank int) {
-			defer wg.Done()
+			defer env.ranks.Done()
 			if err := c.runRank(rank, env, initial); err != nil {
-				abort(err)
+				env.fail(rank, err)
 			}
 		}(r)
 	}
-	wg.Wait()
-
-	errMu.Lock()
-	defer errMu.Unlock()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return results, nil
+	env.ranks.Wait()
+	stop()
+	return env.results, env.errs, env.first
 }
 
-// watchContext aborts the run when the context ends. The returned stop
-// function retires the watcher; it must be called before the run's results
-// are returned so a late cancellation cannot fire mid-teardown.
+// watchContext aborts the epoch when the context ends. The returned stop
+// function retires the watcher and does not return before the watcher is
+// past its last action: either it never fired, or abort has completed. So
+// once stop returns, a cancellation racing completion can no longer reach
+// a transport the caller is about to release, and the goroutine is gone
+// (stopc is unbuffered; the watcher's final act is the receive).
 func watchContext(ctx context.Context, abort func(error)) (stop func()) {
 	if ctx == nil || ctx.Done() == nil {
 		return func() {}
@@ -483,10 +505,11 @@ func watchContext(ctx context.Context, abort func(error)) (stop func()) {
 		select {
 		case <-ctx.Done():
 			abort(core.Cancelled(ctx))
+			<-stopc
 		case <-stopc:
 		}
 	}()
-	return func() { close(stopc) }
+	return func() { stopc <- struct{}{} }
 }
 
 // Fingerprint returns the canonical fingerprint of the controller's graph
@@ -510,132 +533,6 @@ func (c *Controller) WireOptions() wire.Options {
 		HeartbeatTimeout:  c.opt.HeartbeatTimeout,
 		Tier:              c.opt.WireTier,
 	}
-}
-
-// RunRank executes exactly one rank of the dataflow over the provided
-// transport — the multi-process entry point. Where Run spawns every rank as
-// a goroutine over an in-memory fabric sharing one work-stealing executor,
-// RunRank drives a single rank whose peers live behind the transport (other
-// OS processes over the TCP fabric, or other in-process RunRank calls
-// sharing a transport per rank); its executor serves only the local rank,
-// so the worker budget applies per process.
-//
-// initial must contain exactly the external inputs of this rank's tasks.
-// RunRank returns the sink outputs produced by local tasks. On any local
-// failure the transport is cancelled so every peer unwinds; a peer or
-// transport failure surfaces as the transport's typed error.
-//
-// RunRank is safe to call concurrently for different ranks on one shared
-// controller (it does not update Stats — consult the transport's Snapshot).
-func (c *Controller) RunRank(rank int, tr fabric.Transport, initial map[core.TaskId][]core.Payload) (map[core.TaskId][]core.Payload, error) {
-	return c.runRankOn(context.Background(), rank, tr, initial, nil, nil)
-}
-
-// RunRankContext is RunRank with cancellation and deadline propagation: a
-// finished context cancels the transport, unwinding this rank (and, over
-// the wire, its peers) with an error wrapping core.ErrCancelled.
-func (c *Controller) RunRankContext(ctx context.Context, rank int, tr fabric.Transport, initial map[core.TaskId][]core.Payload) (map[core.TaskId][]core.Payload, error) {
-	return c.runRankOn(ctx, rank, tr, initial, nil, nil)
-}
-
-// runRankOn is the common single-rank entry: RunRank/RunRankContext pass a
-// nil ledger and map (plain execution over c.tmap); the recovery
-// coordinator passes the rank's persistent lineage ledger and the epoch's
-// reassigned task map.
-func (c *Controller) runRankOn(ctx context.Context, rank int, tr fabric.Transport, initial map[core.TaskId][]core.Payload, led *core.Ledger, tmap core.TaskMap) (map[core.TaskId][]core.Payload, error) {
-	if c.graph == nil {
-		return nil, core.ErrNotInitialized
-	}
-	if tmap == nil {
-		tmap = c.tmap
-	}
-	if err := c.reg.Covers(c.graph); err != nil {
-		return nil, err
-	}
-	if got, want := tr.Ranks(), tmap.ShardCount(); got != want {
-		return nil, fmt.Errorf("mpi: transport has %d ranks, task map shards over %d", got, want)
-	}
-	if rank < 0 || rank >= tr.Ranks() {
-		return nil, fmt.Errorf("mpi: rank %d out of range [0,%d)", rank, tr.Ranks())
-	}
-	if err := checkLocalInitial(c.graph, tmap, rank, initial); err != nil {
-		tr.Cancel()
-		return nil, err
-	}
-
-	// A journal-configured plain run (RunRank without a recovery
-	// coordinator) opens its own durable ledger: outputs journal as tasks
-	// complete, and a restart over the same directory replays them.
-	if led == nil && c.opt.Journal != "" {
-		var store *journal.LedgerStore
-		var err error
-		led, store, err = c.openLedger(rank)
-		if err != nil {
-			tr.Cancel()
-			return nil, err
-		}
-		defer func() {
-			c.recordJournalStats([]*core.Ledger{led})
-			store.Close()
-		}()
-	}
-
-	var pool *fabric.Pool
-	if !c.opt.Inline {
-		// All workers home on the one local rank; peer deques stay empty.
-		n := c.opt.Workers
-		if local := len(tmap.Ids(core.ShardId(rank))); n > local {
-			n = local
-		}
-		if n < 1 {
-			n = 1
-		}
-		homes := make([]int, n)
-		for i := range homes {
-			homes[i] = rank
-		}
-		pool = fabric.NewPool(tr.Ranks(), homes,
-			fabric.PoolOptions{FIFO: c.opt.FIFO, NoSteal: c.opt.NoSteal})
-		defer pool.Close()
-	}
-
-	var firstErr error
-	var errMu sync.Mutex
-	abort := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-		tr.Cancel()
-	}
-	stop := watchContext(ctx, abort)
-	defer stop()
-
-	results := make(map[core.TaskId][]core.Payload)
-	var resMu sync.Mutex
-	env := &runEnv{
-		tmap:    tmap,
-		fab:     tr,
-		pool:    pool,
-		abort:   abort,
-		results: results,
-		resMu:   &resMu,
-	}
-	if led != nil {
-		env.leds = make([]*core.Ledger, tr.Ranks())
-		env.leds[rank] = led
-		env.seq = make([]atomic.Uint64, tr.Ranks())
-	}
-	if err := c.runRank(rank, env, initial); err != nil {
-		abort(err)
-	}
-	errMu.Lock()
-	defer errMu.Unlock()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return results, nil
 }
 
 // checkLocalInitial verifies rank-local external inputs: exactly the
@@ -678,33 +575,6 @@ func checkLocalInitial(g core.TaskGraph, m core.TaskMap, rank int, initial map[c
 // longer rank-scoped, so scratch lives in a pool instead of a worker local.
 var scratchPool = sync.Pool{New: func() any { return new([]fabric.Message) }}
 
-// runEnv bundles the state one dataflow execution threads through the rank
-// loops: the task map of this epoch (recovery may differ from Initialize's),
-// the transport, the shared executor, the abort hook, the merged sink
-// results, and — for fault-tolerant runs — the rank's lineage ledger plus
-// the per-home-rank egress sequence counters that give messages a dedup
-// identity.
-type runEnv struct {
-	tmap    core.TaskMap
-	fab     fabric.Transport
-	pool    *fabric.Pool
-	abort   func(error)
-	results map[core.TaskId][]core.Payload
-	resMu   *sync.Mutex
-	leds    []*core.Ledger  // per-rank ledgers; nil outside ledgered runs
-	seq     []atomic.Uint64 // nil outside fault-tolerant runs
-}
-
-// ledger returns rank's lineage ledger, or nil when the run keeps none.
-// RunContext shares one env across every in-process rank, so ledgers are
-// indexed rather than a single field.
-func (e *runEnv) ledger(rank int) *core.Ledger {
-	if e.leds == nil {
-		return nil
-	}
-	return e.leds[rank]
-}
-
 // runRank is the per-rank controller loop: it drains the rank's mailbox,
 // tracks input readiness and dispatches ready tasks into the rank's
 // priority deque on the shared executor (pool is nil only in Inline mode).
@@ -724,75 +594,57 @@ func (c *Controller) runRank(rank int, env *runEnv, initial map[core.TaskId][]co
 	st := core.NewDataflowState(c.graph)
 	remaining := len(local)
 	led := env.ledger(rank)
+	tr := env.trs[rank]
 
 	// execute runs one ready task on whichever worker picked it up and
-	// routes its outputs. A failing task records the cause and cancels the
-	// fabric so every rank unwinds. In a fault-tolerant run, a task whose
+	// routes its outputs. A failing task fails the rank, which cancels its
+	// transport so every rank unwinds. In a ledgered run, a task whose
 	// outputs are already in the lineage ledger is replayed — its recorded
 	// wire forms are re-routed downstream without re-running the callback —
-	// so a recovery epoch only pays for the undelivered frontier.
+	// so a recovery epoch only pays for the undelivered frontier. A task
+	// cancelled by a dead input journals like a normal execution, so a
+	// resumed run replays the cancellation instead of re-deciding it.
 	execute := func(t core.Task, in []core.Payload, scratch []fabric.Message) []fabric.Message {
+		var out []core.Payload
+		var attempt uint32
+		var rec [][]byte
+		replay := false
 		if led != nil {
-			if rec, ok := led.Outputs(t.Id); ok {
-				// The inputs were assembled only to satisfy readiness; the
-				// replayed outputs come from the ledger.
-				for i := range in {
-					in[i].Release()
-				}
-				out := make([]core.Payload, len(rec))
-				for s, b := range rec {
-					cp := make([]byte, len(b))
-					copy(cp, b)
-					out[s] = core.Buffer(cp)
-				}
-				led.CountReplay()
-				if c.replayObs != nil {
-					c.replayObs.TaskReplayed(t.Id, env.tmap.Shard(t.Id), t.Callback)
-				}
-				scratch, err := c.route(rank, env, t, 0, out, scratch)
-				if err != nil {
-					env.abort(err)
-				}
-				return scratch
-			}
+			rec, replay = led.Outputs(t.Id)
 		}
-		// A dead input cancels the task: the callback is skipped and dead
-		// tokens propagate on every output slot. Cancellation journals like
-		// a normal execution, so a resumed run replays it instead of
-		// re-deciding.
-		if out, cancelled := core.CancelDead(t, in); cancelled {
-			var attempt uint32
+		if replay {
+			// The inputs were assembled only to satisfy readiness; the
+			// replayed outputs come from the ledger.
+			for i := range in {
+				in[i].Release()
+			}
+			out = make([]core.Payload, len(rec))
+			for s, b := range rec {
+				cp := make([]byte, len(b))
+				copy(cp, b)
+				out[s] = core.Buffer(cp)
+			}
+			led.CountReplay()
+			if c.replayObs != nil {
+				c.replayObs.TaskReplayed(t.Id, env.tmap.Shard(t.Id), t.Callback)
+			}
+		} else {
 			if led != nil {
 				attempt = uint32(led.BeginAttempt(t.Id))
+			}
+			var err error
+			out, _, err = core.Step(c.reg, c.opt.Observer, t, in, env.tmap.Shard(t.Id))
+			if err != nil {
+				env.fail(rank, err)
+				return scratch
+			}
+			if led != nil {
 				recordOutputs(led, t, out)
 			}
-			scratch, err := c.route(rank, env, t, attempt, out, scratch)
-			if err != nil {
-				env.abort(err)
-			}
-			return scratch
 		}
-		// Detach private copies of shared fan-out wire forms on the worker,
-		// so the copies of independent consumers proceed in parallel instead
-		// of serializing on the receive loop.
-		for i := range in {
-			in[i] = in[i].Own()
-		}
-		var attempt uint32
-		if led != nil {
-			attempt = uint32(led.BeginAttempt(t.Id))
-		}
-		out, err := c.runTask(t, in, env.tmap.Shard(t.Id))
+		scratch, err := c.route(rank, env, t, attempt, out, scratch)
 		if err != nil {
-			env.abort(err)
-			return scratch
-		}
-		if led != nil {
-			recordOutputs(led, t, out)
-		}
-		scratch, err = c.route(rank, env, t, attempt, out, scratch)
-		if err != nil {
-			env.abort(err)
+			env.fail(rank, err)
 		}
 		return scratch
 	}
@@ -857,16 +709,19 @@ func (c *Controller) runRank(rank int, env *runEnv, initial map[core.TaskId][]co
 	batch := make([]fabric.Message, 64)
 	var seen []map[uint64]struct{}
 	if led != nil {
-		seen = make([]map[uint64]struct{}, env.fab.Ranks())
+		seen = make([]map[uint64]struct{}, len(env.trs))
 	}
 	for remaining > 0 {
-		n, ok := env.fab.RecvBatch(rank, batch)
+		n, ok := tr.RecvBatch(rank, batch)
 		if !ok {
-			// Delivery became impossible. For a controller-initiated abort
-			// the aborting goroutine recorded the cause and Err() is nil;
-			// a transport-level failure (lost peer, broken wire) surfaces
-			// here as the typed transport error.
-			return env.fab.Err()
+			// Delivery became impossible. A transport-level failure (lost
+			// peer, broken wire) surfaces as the typed transport error; a
+			// controller-initiated abort leaves Err() nil, and whoever
+			// aborted already recorded the cause ahead of this echo.
+			if err := tr.Err(); err != nil {
+				return err
+			}
+			return fmt.Errorf("mpi: rank %d aborted with %d task(s) pending: %w", rank, remaining, fabric.ErrClosed)
 		}
 		for i := 0; i < n; i++ {
 			m := batch[i]
@@ -916,27 +771,6 @@ func recordOutputs(led *core.Ledger, t core.Task, out []core.Payload) {
 	led.Record(t.Id, wires)
 }
 
-// runTask executes one task's callback. shard is the task's placement in
-// the executing run's task map (a recovery epoch's may differ from the one
-// given to Initialize).
-func (c *Controller) runTask(t core.Task, in []core.Payload, shard core.ShardId) ([]core.Payload, error) {
-	fn, ok := c.reg.Lookup(t.Callback)
-	if !ok {
-		return nil, fmt.Errorf("%w: callback %d", core.ErrUnregisteredCallback, t.Callback)
-	}
-	out, err := core.SafeInvoke(fn, in, t.Id)
-	if err != nil {
-		return nil, fmt.Errorf("mpi: task %d (callback %d): %w", t.Id, t.Callback, err)
-	}
-	if len(out) != len(t.Outgoing) {
-		return nil, fmt.Errorf("mpi: task %d produced %d outputs, graph declares %d slots", t.Id, len(out), len(t.Outgoing))
-	}
-	if c.opt.Observer != nil {
-		c.opt.Observer.TaskExecuted(t.Id, shard, t.Callback)
-	}
-	return out, nil
-}
-
 // route delivers a finished task's outputs: sink slots into the result map,
 // intra-rank single-consumer edges as in-memory messages, everything else
 // as wire forms over the fabric.
@@ -967,9 +801,9 @@ func (c *Controller) route(rank int, env *runEnv, t core.Task, attempt uint32, o
 			if core.IsDead(out[slot]) {
 				continue
 			}
-			env.resMu.Lock()
+			env.mu.Lock()
 			env.results[t.Id] = append(env.results[t.Id], out[slot])
-			env.resMu.Unlock()
+			env.mu.Unlock()
 			continue
 		}
 		p := out[slot]
@@ -1016,7 +850,16 @@ func (c *Controller) route(rank int, env *runEnv, t core.Task, attempt uint32, o
 			batch = append(batch, m)
 		}
 	}
-	err := env.fab.SendN(batch)
+	tr := env.trs[rank]
+	err := tr.SendN(batch)
+	if err != nil {
+		// A send refused by a transport that has already failed is an echo
+		// of that failure (a lost peer closes the mailboxes); report the
+		// typed cause.
+		if cause := tr.Err(); cause != nil {
+			err = cause
+		}
+	}
 	clear(batch) // drop payload references until the next task reuses it
 	return batch, err
 }

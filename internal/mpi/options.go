@@ -2,90 +2,210 @@ package mpi
 
 import (
 	"fmt"
+	"runtime"
 	"time"
 
 	"github.com/babelflow/babelflow-go/internal/core"
+	"github.com/babelflow/babelflow-go/internal/fabric"
 	"github.com/babelflow/babelflow-go/internal/journal"
 	"github.com/babelflow/babelflow-go/internal/wire"
 )
 
-// Option configures a Controller at construction. Each functional option
-// below (WithWorkers, WithRetry, …) sets one knob; options are applied left
-// to right, so a later option overrides an earlier one for the same knob.
+// TransportFactory builds the transport an in-process Run executes over —
+// the hook the functional option WithTransport installs. The returned
+// transport must be receivable for every rank in-process (like the
+// in-memory fabric); per-process transports (wire) go through RunRank.
+type TransportFactory func(ranks int) fabric.Transport
+
+// options is the resolved configuration of a Controller or Service; the
+// functional options below are the only way to set it.
+type options struct {
+	Workers         int
+	FIFO            bool
+	NoSteal         bool
+	Inline          bool
+	Blocking        bool
+	AlwaysSerialize bool
+	Observer        core.Observer
+	Retry           core.RetryPolicy
+	Transport       TransportFactory
+	Journal         string
+	JournalSync     journal.SyncPolicy
+	// Group-commit window; zero keeps the journal defaults (2ms, 64 records).
+	JournalCommitInterval time.Duration
+	JournalCommitRecords  int
+	// Wire failure-detector tuning; zero keeps the wire defaults.
+	HeartbeatInterval time.Duration
+	HeartbeatTimeout  time.Duration
+	WireTier          wire.Tier
+
+	// Validation bookkeeping stamped by the options so conflicting
+	// combinations surface as errors at Initialize instead of silently
+	// letting the last option win.
+	syncSet  bool
+	syncWas  journal.SyncPolicy
+	groupSet bool
+	optErr   error
+}
+
+// validate rejects option combinations with no coherent meaning: an
+// explicit WithJournalSync policy fighting WithJournalGroupCommit, or a
+// negative commit window. It returns the first error an option recorded
+// while being applied.
+func (o *options) validate() error {
+	if o.optErr != nil {
+		return o.optErr
+	}
+	if o.syncSet && o.groupSet && o.syncWas != journal.SyncGroupCommit {
+		return fmt.Errorf("mpi: WithJournalSync(%v) conflicts with WithJournalGroupCommit (which implies %v); pass one of them",
+			o.syncWas, journal.SyncGroupCommit)
+	}
+	if o.JournalCommitInterval < 0 {
+		return fmt.Errorf("mpi: negative journal commit interval %v", o.JournalCommitInterval)
+	}
+	if o.JournalCommitRecords < 0 {
+		return fmt.Errorf("mpi: negative journal commit record bound %d", o.JournalCommitRecords)
+	}
+	return nil
+}
+
+// resolve applies opts left to right and fills the defaults.
+func resolve(opts []Option) options {
+	var o options
+	for _, opt := range opts {
+		opt.apply(&o)
+	}
+	if o.Workers <= 0 {
+		o.Workers = runtime.GOMAXPROCS(0)
+	}
+	return o
+}
+
+// newPool builds the work-stealing executor for runs over ranks: the worker
+// budget, capped at limit (the tasks that can ever be in flight; a resident
+// service passes the budget itself), homed round-robin over the ranks. A
+// run that drives a single rank (only >= 0) homes every worker there — its
+// peers live behind the transport, so the budget applies per process.
+// Without stealing every homed rank needs a worker of its own.
+func (o *options) newPool(limit, ranks, only int) *fabric.Pool {
+	n, homed := max(min(o.Workers, limit), 1), ranks
+	if only >= 0 {
+		homed = 1
+	}
+	if o.NoSteal {
+		n = max(n, homed)
+	}
+	homes := fabric.RoundRobinHomes(n, ranks)
+	if only >= 0 {
+		for i := range homes {
+			homes[i] = only
+		}
+	}
+	return fabric.NewPool(ranks, homes, fabric.PoolOptions{FIFO: o.FIFO, NoSteal: o.NoSteal})
+}
+
+// Option configures a Controller (or Service, or in-situ Group) at
+// construction. Options are applied left to right, so a later option
+// overrides an earlier one for the same knob.
 type Option interface {
-	apply(*Options)
+	apply(*options)
 }
 
-type optionFunc func(*Options)
+type optionFunc func(*options)
 
-func (f optionFunc) apply(o *Options) { f(o) }
+func (f optionFunc) apply(o *options) { f(o) }
 
-// WithWorkers sets the global worker budget (see Options.Workers).
+// WithWorkers sets the global worker budget of a run: the number of
+// executor goroutines shared by all ranks. With stealing enabled (the
+// default) an idle rank's worker executes another rank's ready tasks, so
+// the budget bounds total execution concurrency rather than per-rank
+// concurrency. Zero selects runtime.GOMAXPROCS(0). When stealing is
+// disabled the budget is raised to at least one homed worker per rank,
+// since nothing else can drain a rank's deque.
 func WithWorkers(n int) Option {
-	return optionFunc(func(o *Options) { o.Workers = n })
+	return optionFunc(func(o *options) { o.Workers = n })
 }
 
-// WithObserver installs the execution observer (see Options.Observer).
+// WithObserver installs the execution observer: it receives a notification
+// per executed task. An Observer that also implements core.SchedObserver
+// additionally receives per-task queue timing (enqueue and dispatch
+// instants); one implementing core.ReplayObserver or core.RecoveryObserver
+// additionally receives fault-tolerance notifications (ledger replays,
+// recovery epochs).
 func WithObserver(obs core.Observer) Option {
-	return optionFunc(func(o *Options) { o.Observer = obs })
+	return optionFunc(func(o *options) { o.Observer = obs })
 }
 
 // WithRetry sets the retry policy governing fault-tolerant execution
-// (RunRecover): attempt count, backoff, per-attempt timeout.
+// (RunRecover, RunElastic): attempt count, backoff, per-attempt timeout.
+// The zero value selects core.DefaultRetryPolicy.
 func WithRetry(p core.RetryPolicy) Option {
-	return optionFunc(func(o *Options) { o.Retry = p })
+	return optionFunc(func(o *options) { o.Retry = p })
 }
 
-// WithTransport installs a transport factory for in-process runs — the
-// seam fault injection and custom interconnects plug into (see
-// Options.Transport).
+// WithTransport installs the factory of the transport Run/RunContext
+// executes over instead of the default in-memory fabric — the seam fault
+// injection and custom interconnects plug into.
 func WithTransport(t TransportFactory) Option {
-	return optionFunc(func(o *Options) { o.Transport = t })
+	return optionFunc(func(o *options) { o.Transport = t })
 }
 
-// WithInline selects inline execution (see Options.Inline).
+// WithInline executes tasks inside the controller loop instead of on the
+// pool — the single-threaded execution style of the hand-tuned baseline.
 func WithInline(inline bool) Option {
-	return optionFunc(func(o *Options) { o.Inline = inline })
+	return optionFunc(func(o *options) { o.Inline = inline })
 }
 
-// WithFIFO selects arrival-order dispatch instead of most-critical-first
-// (see Options.FIFO).
+// WithFIFO dispatches ready tasks in arrival order instead of
+// most-critical-first — the pre-scheduler discipline, kept as the ablation
+// baseline of the scheduler benches.
 func WithFIFO(fifo bool) Option {
-	return optionFunc(func(o *Options) { o.FIFO = fifo })
+	return optionFunc(func(o *options) { o.FIFO = fifo })
 }
 
 // WithBlocking switches the fabric to rendezvous sends, modeling blocking
-// MPI communication (see Options.Blocking).
+// MPI_Send of large (rendezvous-protocol) messages. Like real unbuffered
+// blocking sends, it can deadlock on dataflows where two ranks send to each
+// other simultaneously; the safe single-threaded "Original MPI" baseline of
+// Fig. 6 uses WithInline with asynchronous sends, which removes
+// compute/communication overlap (the effect the paper attributes the
+// performance gap to) without the deadlock.
 func WithBlocking(blocking bool) Option {
-	return optionFunc(func(o *Options) { o.Blocking = blocking })
+	return optionFunc(func(o *options) { o.Blocking = blocking })
 }
 
-// WithNoSteal disables work stealing between ranks (see Options.NoSteal).
+// WithNoSteal pins workers to their home rank's deque (ablation). It forces
+// at least one worker per rank.
 func WithNoSteal(noSteal bool) Option {
-	return optionFunc(func(o *Options) { o.NoSteal = noSteal })
+	return optionFunc(func(o *options) { o.NoSteal = noSteal })
 }
 
-// WithAlwaysSerialize forces every payload through its wire form even for
-// rank-local deliveries (see Options.AlwaysSerialize) — the configuration
-// conformance tests use to prove serialization round-trips are lossless.
+// WithAlwaysSerialize disables the in-memory message optimization, forcing
+// every payload through its wire form even for rank-local deliveries — the
+// configuration conformance tests use to prove serialization round-trips
+// are lossless.
 func WithAlwaysSerialize(always bool) Option {
-	return optionFunc(func(o *Options) { o.AlwaysSerialize = always })
+	return optionFunc(func(o *options) { o.AlwaysSerialize = always })
 }
 
 // WithJournal persists every rank's lineage ledger under dir (rank r under
-// dir/rank-r) as a crash-safe record log, making runs resumable: a
-// controller started over an existing journal replays journaled outputs
-// and executes only the remaining frontier (see Options.Journal).
+// dir/rank-r) as a segmented CRC32C record log (internal/journal), making
+// runs resumable: a controller started over an existing journal replays
+// journaled outputs instead of re-executing, so only the un-journaled
+// frontier runs. Journaling implies fault-tolerant bookkeeping
+// (sequence-stamped messages, receiver dedup) even outside RunRecover.
 func WithJournal(dir string) Option {
-	return optionFunc(func(o *Options) { o.Journal = dir })
+	return optionFunc(func(o *options) { o.Journal = dir })
 }
 
-// WithJournalSync selects the journal's fsync policy (see
-// Options.JournalSync). Combining it with WithJournalGroupCommit is an
-// error unless the policy is journal.SyncGroupCommit — the two options
-// would otherwise silently overwrite each other depending on order.
+// WithJournalSync selects the journal's fsync policy. The default
+// (journal.SyncEveryRecord) makes every recorded task crash-durable; see
+// journal.SyncPolicy for the cheaper relaxations. Combining it with
+// WithJournalGroupCommit is an error unless the policy is
+// journal.SyncGroupCommit — the two options would otherwise silently
+// overwrite each other depending on order.
 func WithJournalSync(p journal.SyncPolicy) Option {
-	return optionFunc(func(o *Options) {
+	return optionFunc(func(o *options) {
 		o.JournalSync = p
 		o.syncSet, o.syncWas = true, p
 	})
@@ -99,7 +219,7 @@ func WithJournalSync(p journal.SyncPolicy) Option {
 // silently degrading durability. (The journal's own defaults are 2ms and
 // 64 records.)
 func WithJournalGroupCommit(interval time.Duration, records int) Option {
-	return optionFunc(func(o *Options) {
+	return optionFunc(func(o *options) {
 		o.JournalSync = journal.SyncGroupCommit
 		o.JournalCommitInterval = interval
 		o.JournalCommitRecords = records
@@ -111,17 +231,19 @@ func WithJournalGroupCommit(interval time.Duration, records int) Option {
 }
 
 // WithWireTier selects the wire transport tier for meshes built from the
-// controller's WireOptions template (see Options.WireTier).
+// controller's WireOptions template: wire.TierAuto (default) picks the
+// fastest tier two ranks share (shm, then unix sockets, then TCP); the
+// other values force one transport.
 func WithWireTier(t wire.Tier) Option {
-	return optionFunc(func(o *Options) { o.WireTier = t })
+	return optionFunc(func(o *options) { o.WireTier = t })
 }
 
-// WithHeartbeat tunes the wire failure detector: how often idle
-// connections heartbeat and how long silence may last before a peer is
-// declared lost. Flows into meshes built from the controller's WireOptions
-// template (see Options.HeartbeatInterval).
+// WithHeartbeat tunes the wire failure detector for meshes built from the
+// controller's WireOptions template: how often idle connections heartbeat
+// and how long silence may last before a peer is declared lost. Zero keeps
+// the wire defaults (1s interval, 4x timeout).
 func WithHeartbeat(interval, timeout time.Duration) Option {
-	return optionFunc(func(o *Options) {
+	return optionFunc(func(o *options) {
 		o.HeartbeatInterval = interval
 		o.HeartbeatTimeout = timeout
 	})

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/babelflow/babelflow-go/internal/core"
@@ -42,10 +43,10 @@ type RecoveryReport struct {
 	Epochs int
 	// LostShards lists the shards (original map numbering) declared dead.
 	LostShards []core.ShardId
-	// Replayed counts tasks whose outputs were re-emitted from a lineage
-	// ledger instead of re-running the callback.
+	// Replayed and Executed count the FINAL epoch only: tasks whose outputs
+	// were re-emitted from a lineage ledger, and tasks that ran. On success
+	// Replayed+Executed equals the task count.
 	Replayed int
-	// Executed counts callback executions across all epochs.
 	Executed int
 	// RecoveryTime is the wall clock spent after the first failure.
 	RecoveryTime time.Duration
@@ -56,11 +57,14 @@ type RecoveryReport struct {
 // keeps a lineage ledger of its completed tasks' serialized outputs across
 // epochs; when a peer is lost (wire failure or fault injection), the
 // coordinator drops the dead shard from the task map via
-// core.ReassignShards — survivors keep their own tasks, the dead shard's
+// core.RebalanceShards — survivors keep their own tasks, the dead shard's
 // tasks round-robin over them — and the next epoch replays recorded
 // outputs instead of re-executing them, so only the undelivered frontier
-// (the dead rank's work and anything unrecorded) runs again. No
-// checkpointing: correctness rests on the paper's idempotence contract.
+// (the dead rank's unrecorded work) runs again. No checkpointing:
+// correctness rests on the paper's idempotence contract.
+//
+// It is the supervise loop of RunElastic over a private membership that
+// nobody joins or drains, so it can only shrink.
 //
 // The controller's retry policy (WithRetry) bounds the number of epochs,
 // the backoff between them and each epoch's wall clock. A non-retryable
@@ -68,75 +72,106 @@ type RecoveryReport struct {
 // exhausting the policy returns an error wrapping core.ErrRetriesExhausted;
 // a finished ctx returns one wrapping core.ErrCancelled.
 func (c *Controller) RunRecover(ctx context.Context, ro RecoverOptions) (map[core.TaskId][]core.Payload, RecoveryReport, error) {
-	var rep RecoveryReport
-	if c.graph == nil {
-		return nil, rep, core.ErrNotInitialized
-	}
-	if ro.Connect == nil {
-		return nil, rep, fmt.Errorf("mpi: RunRecover requires a Connect function")
-	}
-	if err := c.reg.Covers(c.graph); err != nil {
-		return nil, rep, err
-	}
-	if err := core.CheckInitial(c.graph, ro.Initial); err != nil {
-		return nil, rep, err
-	}
+	sinks, rep, err := c.supervise(ctx, nil, ro.Connect, ro.Inject, ro.Initial)
+	return sinks, RecoveryReport{
+		Epochs:       rep.Epochs,
+		LostShards:   rep.LostShards,
+		Replayed:     rep.Replayed,
+		Executed:     rep.Executed,
+		RecoveryTime: rep.RecoveryTime,
+	}, err
+}
 
-	policy := c.opt.Retry.WithDefaults()
-	origRanks := c.tmap.ShardCount()
-	alive := make([]core.ShardId, origRanks)
-	for i := range alive {
-		alive[i] = core.ShardId(i)
+// maxFences bounds membership-fence rebuilds of one supervised run. Fenced
+// epochs do not consume the retry budget — a retry is a failure, a fence is
+// a request — but runaway churn must still terminate.
+const maxFences = 32
+
+// supervise is the one loop around epoch for fault-tolerant runs. Per
+// iteration it applies the pending membership changes in ONE epoch bump,
+// rebalances the task map over the members (core.RebalanceShards), hands
+// the lineage of every task that changed owner to the new owner's ledger,
+// runs one attempt, and decides: done; fenced by a membership change
+// (rebuild, no backoff, no budget); members lost (evict them, retry);
+// partitioned or timed out (retry in place); non-retryable (give up);
+// budget exhausted (give up). Ledgers are keyed by stable member identity
+// and live as long as the loop, so they survive renumbering across epochs
+// — and, when journaled, process restarts.
+//
+// A nil ms runs over a private membership of the Initialize map's shards.
+func (c *Controller) supervise(ctx context.Context, ms *Membership, connect ConnectFunc, inject InjectFunc, initial map[core.TaskId][]core.Payload) (map[core.TaskId][]core.Payload, ElasticReport, error) {
+	var rep ElasticReport
+	if connect == nil {
+		return nil, rep, fmt.Errorf("mpi: fault-tolerant runs require a Connect function")
 	}
-	// Ledgers persist across epochs, keyed by the original (physical) shard.
-	// With a journal configured they also persist across process restarts:
-	// each shard's ledger journals to Journal/rank-i and a rerun over the
-	// same directory resumes from whatever was recorded before the crash.
-	var ledgers []*core.Ledger
-	if c.opt.Journal != "" {
-		var closeLeds func()
+	if err := c.preflight(c.tmap, allRanks, initial); err != nil {
+		return nil, rep, err
+	}
+	if ms == nil {
 		var err error
-		ledgers, closeLeds, err = c.openLedgers(origRanks)
-		if err != nil {
+		if ms, err = NewMembership(c.tmap.ShardCount()); err != nil {
 			return nil, rep, err
 		}
-		defer closeLeds()
-	} else {
-		ledgers = make([]*core.Ledger, origRanks)
-		for i := range ledgers {
-			ledgers[i] = core.NewLedger()
-		}
 	}
-	wantSinks := expectedSinks(c.graph)
+	policy := c.opt.Retry.WithDefaults()
+	ledgers := c.newLedgerTable()
+	defer ledgers.close()
+	s := &supervision{c: c, ms: ms, connect: connect, inject: inject, initial: initial, policy: policy, ledgers: ledgers, rep: &rep}
+
+	// prevOwner tracks each task's owner (member identity) as of the last
+	// epoch map, the baseline hand-off diffs against. Before the first
+	// epoch the base map's shard ids ARE member identities.
+	prevOwner := make(map[core.TaskId]core.ShardId, c.graph.Size())
+	for _, id := range c.graph.TaskIds() {
+		prevOwner[id] = c.tmap.Shard(id)
+	}
 
 	var recoveryStart time.Time
 	var lastErr error
-	for epoch := 1; epoch <= policy.MaxAttempts; epoch++ {
+	failures := 0
+	for epoch := 1; ; epoch++ {
 		rep.Epochs = epoch
-		if err := ctx.Err(); err != nil {
+		if ctx.Err() != nil {
 			return nil, rep, core.Cancelled(ctx)
 		}
-		if epoch > 1 && c.recObs != nil {
-			c.recObs.RecoveryStarted(epoch, append([]core.ShardId(nil), rep.LostShards...))
-		}
 
-		tmap := c.tmap
-		if len(alive) < origRanks {
-			var err error
-			tmap, err = core.ReassignShards(c.graph, c.tmap, alive)
-			if err != nil {
+		joins, drains, joinAt, drainAt := ms.take()
+		rep.Joined = append(rep.Joined, joins...)
+		rep.Drained = append(rep.Drained, drains...)
+		members := ms.Members()
+		if len(members) == 0 {
+			return nil, rep, fmt.Errorf("mpi: every member lost: %w", core.ErrRetriesExhausted)
+		}
+		tmap, err := core.RebalanceShards(c.graph, c.tmap, members)
+		if err != nil {
+			return nil, rep, err
+		}
+		leds := make([]*core.Ledger, len(members))
+		for l, id := range members {
+			if leds[l], err = ledgers.open(id); err != nil {
 				return nil, rep, err
 			}
 		}
-		ranks := len(alive)
+		// Hand-off: every recorded task whose owner changed is adopted into
+		// the new owner's ledger (journaled when backed), BEFORE the epoch
+		// runs — the group-commit flush happened at the fence, so the
+		// transfer is replayable even if the donor's journal is retired.
+		for _, id := range c.graph.TaskIds() {
+			l := tmap.Shard(id)
+			if was := prevOwner[id]; members[l] != was {
+				if leds[l].Adopt(ledgers.leds[was], id) {
+					rep.HandedOff++
+				}
+				prevOwner[id] = members[l]
+			}
+		}
 
-		merged, lost, err := c.runEpoch(ctx, epoch, ranks, tmap, alive, ledgers, wantSinks, ro, policy)
+		sinks, lost, err := s.attempt(ctx, epoch, tmap, members, leds, joinAt, drainAt)
 		if err == nil {
-			rep.Replayed, rep.Executed = sumLedgers(ledgers)
 			if !recoveryStart.IsZero() {
 				rep.RecoveryTime = time.Since(recoveryStart)
 			}
-			return merged, rep, nil
+			return sinks, rep, nil
 		}
 		if recoveryStart.IsZero() {
 			recoveryStart = time.Now()
@@ -144,133 +179,165 @@ func (c *Controller) RunRecover(ctx context.Context, ro RecoverOptions) (map[cor
 		if ctx.Err() != nil {
 			return nil, rep, core.Cancelled(ctx)
 		}
+		if err == errFenced {
+			rep.Fences++
+			if rep.Fences > maxFences {
+				return nil, rep, fmt.Errorf("mpi: %d membership fences: %w", rep.Fences, core.ErrRetriesExhausted)
+			}
+			continue
+		}
 		if !retryable(err) {
 			return nil, rep, err
 		}
 		lastErr = err
-
-		if len(lost) > 0 {
-			dead := make(map[core.ShardId]bool, len(lost))
-			for _, s := range lost {
-				dead[s] = true
-				rep.LostShards = append(rep.LostShards, s)
-			}
-			sort.Slice(rep.LostShards, func(i, j int) bool { return rep.LostShards[i] < rep.LostShards[j] })
-			next := alive[:0]
-			for _, s := range alive {
-				if !dead[s] {
-					next = append(next, s)
-				}
-			}
-			alive = next
-			if len(alive) == 0 {
-				return nil, rep, fmt.Errorf("mpi: every rank lost: %w", core.ErrRetriesExhausted)
-			}
+		failures++
+		for _, id := range lost {
+			ms.evict(id)
+			rep.LostShards = append(rep.LostShards, id)
 		}
-		if epoch < policy.MaxAttempts {
-			if err := policy.Sleep(ctx, epoch); err != nil {
-				return nil, rep, err
-			}
+		sort.Slice(rep.LostShards, func(i, j int) bool { return rep.LostShards[i] < rep.LostShards[j] })
+		if failures >= policy.MaxAttempts {
+			return nil, rep, fmt.Errorf("mpi: %d attempt(s) failed: %w (last: %v)", failures, core.ErrRetriesExhausted, lastErr)
+		}
+		if c.recObs != nil {
+			c.recObs.RecoveryStarted(epoch+1, append([]core.ShardId(nil), rep.LostShards...))
+		}
+		if err := policy.Sleep(ctx, failures); err != nil {
+			return nil, rep, err
 		}
 	}
-	return nil, rep, fmt.Errorf("mpi: %d attempt(s) failed: %w (last: %v)", policy.MaxAttempts, core.ErrRetriesExhausted, lastErr)
 }
 
-// runEpoch runs one attempt over freshly connected transports and returns
-// the merged sink results on success, or the shards (original numbering)
-// newly observed dead plus the epoch's failure.
-func (c *Controller) runEpoch(ctx context.Context, epoch, ranks int, tmap core.TaskMap, alive []core.ShardId, ledgers []*core.Ledger, wantSinks map[core.TaskId]int, ro RecoverOptions, policy core.RetryPolicy) (map[core.TaskId][]core.Payload, []core.ShardId, error) {
-	ectx := ctx
-	cancel := func() {}
-	if policy.AttemptTimeout > 0 {
-		ectx, cancel = context.WithTimeout(ctx, policy.AttemptTimeout)
-	}
-	defer cancel()
+// supervision is the run-constant state of one supervise loop, shared with
+// its attempts.
+type supervision struct {
+	c       *Controller
+	ms      *Membership
+	connect ConnectFunc
+	inject  InjectFunc
+	initial map[core.TaskId][]core.Payload
+	policy  core.RetryPolicy
+	ledgers *ledgerTable
+	rep     *ElasticReport
+}
 
-	trs, err := ro.Connect(epoch, ranks)
+// attempt runs one supervised epoch over the given member set: connect the
+// epoch's transports, wrap them for injection, clone the inputs, run the
+// epoch under the fence watcher, classify losses, tear the transports down.
+// It returns the merged sinks on success; otherwise the members declared
+// dead (classifyDead — the only loss rule) plus the epoch's failure, or
+// errFenced when a membership change cut the epoch short.
+func (s *supervision) attempt(ctx context.Context, epoch int, tmap core.TaskMap, members []core.ShardId, leds []*core.Ledger, joinAt, drainAt time.Time) (map[core.TaskId][]core.Payload, []core.ShardId, error) {
+	c, rep, ranks := s.c, s.rep, len(members)
+	ectx, ecancel := context.WithCancel(ctx)
+	defer ecancel()
+	if s.policy.AttemptTimeout > 0 {
+		var tcancel context.CancelFunc
+		ectx, tcancel = context.WithTimeout(ectx, s.policy.AttemptTimeout)
+		defer tcancel()
+	}
+
+	trs, err := s.connect(epoch, ranks)
 	if err != nil {
 		return nil, nil, fmt.Errorf("mpi: epoch %d connect: %w", epoch, err)
 	}
+	graceful := false
+	defer func() { closeEpoch(trs, graceful) }()
 	if len(trs) != ranks {
-		closeEpoch(trs, false)
 		return nil, nil, fmt.Errorf("mpi: epoch %d: connect returned %d transports, want %d", epoch, len(trs), ranks)
 	}
-	wrapped := make([]fabric.Transport, ranks)
-	for l := range trs {
-		wrapped[l] = trs[l]
-		if ro.Inject != nil {
-			wrapped[l] = ro.Inject(epoch, l, trs[l])
+	// The rebalanced epoch is connected: the membership events it absorbed
+	// are now served.
+	if !joinAt.IsZero() {
+		rep.JoinLatency = time.Since(joinAt)
+	}
+	if !drainAt.IsZero() {
+		rep.DrainLatency = time.Since(drainAt)
+	}
+	wrapped := trs
+	if s.inject != nil {
+		wrapped = make([]fabric.Transport, ranks)
+		for l := range trs {
+			wrapped[l] = s.inject(epoch, l, trs[l])
 		}
 	}
-
-	parts, err := partitionInitialClone(tmap, ranks, ro.Initial)
+	// Tasks own their inputs, so every attempt consumes a private clone.
+	inputs, err := cloneInputs(s.initial)
 	if err != nil {
-		closeEpoch(trs, false)
 		return nil, nil, err
 	}
-
-	results := make([]map[core.TaskId][]core.Payload, ranks)
-	errs := make([]error, ranks)
-	var wg sync.WaitGroup
-	for l := 0; l < ranks; l++ {
-		wg.Add(1)
-		go func(l int) {
-			defer wg.Done()
-			results[l], errs[l] = c.runRankOn(ectx, l, wrapped[l], parts[l], ledgers[alive[l]], tmap)
-		}(l)
+	var pool *fabric.Pool
+	if !c.opt.Inline {
+		pool = c.opt.newPool(c.graph.Size(), ranks, allRanks)
+		defer pool.Close()
 	}
-	wg.Wait()
 
-	// Declare dead ranks: a transport's self-report (the injection harness
-	// reports its own killed rank) is authoritative; a peer-reported loss
-	// counts only when the named rank actually failed, filtering the
-	// teardown cascade a survivor's cancellation causes.
-	lostLogical := make(map[int]bool)
-	for l := range wrapped {
-		lr, ok := wrapped[l].(fabric.LossReporter)
-		if !ok {
-			continue
-		}
-		for _, lp := range lr.LostPeers() {
-			if lp < 0 || lp >= ranks {
-				continue
+	// The fence watcher: a membership event arriving mid-epoch freezes the
+	// mesh at a journal-consistent point and collapses the epoch. Ordering
+	// matters: suspend liveness timers FIRST (a rank stalled in a journal
+	// flush must not read as dead), then flush the group-commit journals,
+	// then tear the epoch down.
+	var fenced atomic.Bool
+	fenceDone := make(chan struct{})
+	go func() {
+		defer close(fenceDone)
+		select {
+		case <-ectx.Done():
+		case <-s.ms.wait():
+			fenced.Store(true)
+			for _, tr := range trs {
+				if fr, ok := tr.(Fencer); ok {
+					fr.Fence(true)
+				}
 			}
-			if lp == l || errs[lp] != nil {
-				lostLogical[lp] = true
+			s.ledgers.sync()
+			ecancel()
+			for _, tr := range trs {
+				tr.Cancel()
 			}
 		}
-	}
-	var lost []core.ShardId
-	for l := range lostLogical {
-		lost = append(lost, alive[l])
+	}()
+
+	preReplay, preExec := s.ledgers.counts()
+	sinks, errs, _ := c.epoch(ectx, tmap, wrapped, pool, leds, inputs)
+	ecancel()
+	<-fenceDone
+	postReplay, postExec := s.ledgers.counts()
+	rep.TotalExecuted = postExec
+	if fenced.Load() {
+		return nil, nil, errFenced
 	}
 
-	var firstErr, nonRetryable error
+	lost := classifyDead(wrapped, errs, members)
+	isLost := make(map[core.ShardId]bool, len(lost))
+	for _, id := range lost {
+		isLost[id] = true
+	}
+	var firstErr error
 	for l, e := range errs {
 		if e == nil {
 			continue
 		}
+		if !isLost[members[l]] && !retryable(e) {
+			// A real dataflow failure on a healthy rank outranks every
+			// transport echo around it.
+			return nil, lost, e
+		}
 		if firstErr == nil {
 			firstErr = e
 		}
-		if !lostLogical[l] && !retryable(e) {
-			nonRetryable = e
-		}
 	}
-	merged := mergeResults(results)
-	if firstErr == nil && len(lost) == 0 && sinksComplete(wantSinks, merged) {
-		closeEpoch(trs, true)
-		return merged, nil, nil
+	if firstErr == nil && len(lost) > 0 {
+		firstErr = fmt.Errorf("mpi: epoch %d: %d member(s) lost: %w", epoch, len(lost), fabric.ErrPeerLost)
 	}
-	releaseResults(merged)
-	closeEpoch(trs, false)
-	if nonRetryable != nil {
-		return nil, lost, nonRetryable
+	if firstErr != nil {
+		return nil, lost, firstErr
 	}
-	if firstErr == nil {
-		firstErr = fmt.Errorf("mpi: epoch %d: incomplete sink coverage: %w", epoch, fabric.ErrPeerLost)
-	}
-	return nil, lost, firstErr
+	// Every rank loop returned nil, which it does only once each of its
+	// tasks ran (or replayed) and routed: the sinks are complete.
+	rep.Replayed, rep.Executed = postReplay-preReplay, postExec-preExec
+	graceful = true
+	return sinks, nil, nil
 }
 
 // retryable classifies an epoch failure: transport-level losses, closed
@@ -283,9 +350,9 @@ func retryable(err error) bool {
 		errors.Is(err, context.DeadlineExceeded)
 }
 
-// closeEpoch tears an epoch's transports down: gracefully (Shutdown, so
-// goodbye frames flow and sockets drain) after a successful epoch, abruptly
-// (Kill/Cancel) after a failed one.
+// closeEpoch tears transports down — an epoch's, or a closing service's
+// warm one: gracefully (Shutdown, so goodbye frames flow and sockets drain)
+// after success, abruptly (Kill/Cancel) after a failed epoch.
 func closeEpoch(trs []fabric.Transport, graceful bool) {
 	var wg sync.WaitGroup
 	for _, tr := range trs {
@@ -311,84 +378,18 @@ func closeEpoch(trs []fabric.Transport, graceful bool) {
 	wg.Wait()
 }
 
-// partitionInitialClone splits the global external inputs by the epoch's
-// task map, cloning every payload so one epoch's consumption (tasks own
-// their inputs) cannot corrupt the next attempt's.
-func partitionInitialClone(tmap core.TaskMap, ranks int, initial map[core.TaskId][]core.Payload) ([]map[core.TaskId][]core.Payload, error) {
-	parts := make([]map[core.TaskId][]core.Payload, ranks)
+// cloneInputs deep-copies the external inputs through their wire form, so
+// one attempt's consumption cannot corrupt the next attempt's.
+func cloneInputs(initial map[core.TaskId][]core.Payload) (map[core.TaskId][]core.Payload, error) {
+	out := make(map[core.TaskId][]core.Payload, len(initial))
 	for id, ps := range initial {
-		r := int(tmap.Shard(id))
-		if r < 0 || r >= ranks {
-			return nil, fmt.Errorf("mpi: task %d mapped to shard %d of %d", id, r, ranks)
-		}
-		if parts[r] == nil {
-			parts[r] = make(map[core.TaskId][]core.Payload)
-		}
 		for _, p := range ps {
 			cp, err := p.CloneForWire()
 			if err != nil {
 				return nil, fmt.Errorf("mpi: fault-tolerant runs need serializable external inputs: task %d: %w", id, err)
 			}
-			parts[r][id] = append(parts[r][id], cp)
+			out[id] = append(out[id], cp)
 		}
 	}
-	return parts, nil
-}
-
-// expectedSinks returns, per root task, how many sink payloads a complete
-// run must produce — the coordinator's completeness check (a killed rank
-// can exit without error but with its sinks missing).
-func expectedSinks(g core.TaskGraph) map[core.TaskId]int {
-	want := make(map[core.TaskId]int)
-	for _, id := range g.TaskIds() {
-		t, _ := g.Task(id)
-		n := 0
-		for _, consumers := range t.Outgoing {
-			if len(consumers) == 0 {
-				n++
-			}
-		}
-		if n > 0 {
-			want[id] = n
-		}
-	}
-	return want
-}
-
-func sinksComplete(want map[core.TaskId]int, got map[core.TaskId][]core.Payload) bool {
-	if len(got) != len(want) {
-		return false
-	}
-	for id, n := range want {
-		if len(got[id]) != n {
-			return false
-		}
-	}
-	return true
-}
-
-func mergeResults(per []map[core.TaskId][]core.Payload) map[core.TaskId][]core.Payload {
-	merged := make(map[core.TaskId][]core.Payload)
-	for _, m := range per {
-		for id, ps := range m {
-			merged[id] = append(merged[id], ps...)
-		}
-	}
-	return merged
-}
-
-func releaseResults(m map[core.TaskId][]core.Payload) {
-	for _, ps := range m {
-		for _, p := range ps {
-			p.Release()
-		}
-	}
-}
-
-func sumLedgers(ledgers []*core.Ledger) (replayed, executed int) {
-	for _, l := range ledgers {
-		replayed += l.Replays()
-		executed += l.Executions()
-	}
-	return replayed, executed
+	return out, nil
 }

@@ -5,11 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/babelflow/babelflow-go/internal/core"
 	"github.com/babelflow/babelflow-go/internal/fabric"
@@ -50,7 +48,7 @@ type Submission struct {
 // concurrent submissions interleave freely over the shared infrastructure
 // without seeing each other's messages.
 type Service struct {
-	opt   Options
+	opt   options
 	ranks int
 	base  fabric.Transport
 	demux *fabric.Demux
@@ -80,18 +78,12 @@ type Service struct {
 // root), and Transport substitutes the warm fabric (it must be receivable
 // for every rank in-process, like the default in-memory fabric).
 func NewService(ranks int, opts ...Option) (*Service, error) {
-	var opt Options
-	for _, o := range opts {
-		o.apply(&opt)
-	}
+	opt := resolve(opts)
 	if err := opt.validate(); err != nil {
 		return nil, err
 	}
 	if ranks <= 0 {
 		return nil, fmt.Errorf("mpi: service needs at least one rank, got %d", ranks)
-	}
-	if opt.Workers <= 0 {
-		opt.Workers = runtime.GOMAXPROCS(0)
 	}
 	if opt.Blocking {
 		// Rendezvous sends park the sender until the receiver dequeues; with
@@ -118,12 +110,7 @@ func NewService(ranks int, opts ...Option) (*Service, error) {
 		draining: make(map[int]bool),
 	}
 	if !opt.Inline {
-		n := opt.Workers
-		if opt.NoSteal && n < ranks {
-			n = ranks
-		}
-		s.pool = fabric.NewPool(ranks, fabric.RoundRobinHomes(n, ranks),
-			fabric.PoolOptions{FIFO: opt.FIFO, NoSteal: opt.NoSteal})
+		s.pool = opt.newPool(opt.Workers, ranks, allRanks)
 	}
 	return s, nil
 }
@@ -348,23 +335,6 @@ func (s *Service) Submit(ctx context.Context, sub Submission) (map[core.TaskId][
 			return nil, JournalStats{}, err
 		}
 	}
-	if err := ctrl.reg.Covers(sub.Graph); err != nil {
-		return nil, JournalStats{}, err
-	}
-	if err := core.CheckInitial(sub.Graph, sub.Initial); err != nil {
-		return nil, JournalStats{}, err
-	}
-
-	var leds []*core.Ledger
-	closeLeds := func() {}
-	if opt.Journal != "" {
-		var err error
-		leds, closeLeds, err = ctrl.openLedgers(s.ranks)
-		if err != nil {
-			return nil, JournalStats{}, err
-		}
-		defer closeLeds() // exactly-once: safe beside the explicit call below
-	}
 
 	view, err := s.demux.Open(id)
 	if err != nil {
@@ -372,8 +342,10 @@ func (s *Service) Submit(ctx context.Context, sub Submission) (map[core.TaskId][
 	}
 	defer s.demux.Release(id)
 
-	results, err := ctrl.runAllRanks(ctx, view, s.pool, leds, sub.Initial)
-	closeLeds() // record journal counters before reading them
+	// One epoch over every rank, on this run's view of the warm fabric and
+	// the resident pool; run's pre-flight and journal handling are the
+	// one-shot path's.
+	results, err := ctrl.run(ctx, allRanks, view, s.pool, nil, nil, sub.Initial)
 	return results, ctrl.JournalStats(), err
 }
 
@@ -394,12 +366,7 @@ func (s *Service) Close() error {
 		s.pool.Close()
 	}
 	s.demux.Close()
-	switch t := s.base.(type) {
-	case interface{ Shutdown(time.Duration) error }:
-		t.Shutdown(5 * time.Second)
-	default:
-		s.base.Cancel()
-	}
+	closeEpoch([]fabric.Transport{s.base}, true)
 	s.demux.Wait()
 	return nil
 }

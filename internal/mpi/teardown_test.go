@@ -22,26 +22,28 @@ func openFDs() int {
 	return len(ents)
 }
 
-// TestOpenLedgersCloseIdempotent is the double-close regression guard: the
-// close function every teardown path defers must be safe to invoke any
-// number of times, including beside an explicit call.
-func TestOpenLedgersCloseIdempotent(t *testing.T) {
+// TestLedgerTableCloseIdempotent is the double-close regression guard: the
+// close every teardown path defers must be safe to invoke any number of
+// times, including beside an explicit call.
+func TestLedgerTableCloseIdempotent(t *testing.T) {
 	g, _ := graphs.NewReduction(4, 2)
 	c := New(WithJournal(t.TempDir()), WithJournalSync(journal.SyncNever))
 	if err := c.Initialize(g, core.NewModuloMap(2, g.Size())); err != nil {
 		t.Fatal(err)
 	}
-	_, closeLeds, err := c.openLedgers(2)
-	if err != nil {
-		t.Fatal(err)
+	leds := c.newLedgerTable()
+	for r := core.ShardId(0); r < 2; r++ {
+		if _, err := leds.open(r); err != nil {
+			t.Fatal(err)
+		}
 	}
-	closeLeds()
+	leds.close()
 	after := openFDs()
-	closeLeds()
+	leds.close()
 	if again := openFDs(); after >= 0 && again != after {
 		t.Fatalf("second close changed fd count: %d -> %d", after, again)
 	}
-	closeLeds() // third call: still a no-op
+	leds.close() // third call: still a no-op
 }
 
 // TestJournalClosedOnError checks a journaled run whose callback fails
