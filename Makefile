@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test race deprecations bench bench-smoke bench-fastpath bench-wire bench-sched bench-faults bench-journal bench-serve bench-iterate figures smoke-wire smoke-faults smoke-resume smoke-serve smoke-iterate smoke-elastic fuzz-wire perf-smoke
+.PHONY: check build vet test race deprecations bench bench-smoke bench-sched bench-faults bench-iterate figures smoke-wire smoke-faults smoke-resume smoke-serve smoke-iterate smoke-elastic fuzz-wire perf-smoke
 
 ## check: the CI gate — vet, the deprecation sweep, build, the full test
 ## suite under the race detector, the fault-injection smoke (kill one
@@ -8,11 +8,11 @@ GO ?= go
 ## (kill every rank, restart from the journals, verify the sinks against
 ## serial), the service smoke (bfserve on a loopback port, the use cases
 ## submitted over HTTP, digests verified, drained) and the iterative-loop
-## smoke (register-iter over 4 real processes on the shm tier, plus a
-## kill-all/resume cycle mid-iteration) and the elastic smoke (2 real
-## processes, 2 more joining mid-run, 1 gracefully drained, digests
-## verified against serial) and the benchmark smoke (every BENCHMARK.json
-## workload once on tiny inputs, sink digests checked against serial).
+## smoke (register-iter over 4 real processes on the shm tier) and the
+## elastic smoke (2 real processes, 2 more joining mid-run, 1 gracefully
+## drained, digests verified against serial) and the benchmark smoke (every
+## BENCHMARK.json workload once on tiny inputs, sink digests checked
+## against serial).
 check: vet deprecations build race smoke-faults smoke-resume smoke-serve smoke-iterate smoke-elastic bench-smoke
 
 ## bench: the repository benchmark (BENCHMARK.json) — the whole suite with
@@ -42,17 +42,6 @@ test:
 
 race:
 	$(GO) test -race ./...
-
-## bench-fastpath: regenerate the message fast-path microbenchmark report
-## (BENCH_fastpath.json; the baseline_seed section is preserved).
-bench-fastpath:
-	$(GO) run ./cmd/bfbench -fastpath
-
-## bench-wire: regenerate the transport benchmark report — in-memory fabric
-## vs loopback sockets at every tier (BENCH_net.json; the baseline_seed
-## section is preserved).
-bench-wire:
-	$(GO) run ./cmd/bfbench -wire
 
 ## bench-sched: regenerate the scheduler makespan report — FIFO vs
 ## critical-path priority vs priority+stealing on a balanced and an
@@ -84,20 +73,15 @@ smoke-wire:
 smoke-faults:
 	$(GO) run ./cmd/bfrun -faults
 
-## bench-journal: regenerate the checkpoint/restart benchmark report —
-## journaling overhead per fsync policy plus resume latency over a
-## completed journal (BENCH_journal.json; baseline_seed preserved).
-bench-journal:
-	$(GO) run ./cmd/bfbench -journal
-
-## smoke-resume: for every use case, kill EVERY rank (including rank 0) of
-## a journaled 4-process TCP run mid-flight, then restart over the same
-## journal directory and verify the resumed sink digests byte-for-byte
-## against the serial reference — replaying the journaled prefix instead of
+## smoke-resume: for every use case (and the iterative loop, killed
+## mid-iteration), kill EVERY rank (including rank 0) of a journaled
+## 4-process TCP run mid-flight, then restart over the same journal
+## directory and verify the resumed sink digests byte-for-byte against the
+## serial reference — replaying the journaled prefix instead of
 ## re-executing it.
 smoke-resume:
 	$(GO) build -o bin/bfrun ./cmd/bfrun
-	@set -e; for c in mergetree render register; do \
+	@set -e; for c in mergetree render register register-iter; do \
 		dir=$$(mktemp -d); \
 		./bin/bfrun -case $$c -journal $$dir -kill-all-after 1 -ranks 4; \
 		./bin/bfrun -case $$c -resume $$dir -ranks 4; \
@@ -111,25 +95,13 @@ smoke-serve:
 	$(GO) build -o bin/bfserve ./cmd/bfserve
 	./bin/bfserve -smoke
 
-## bench-serve: regenerate the resident-service benchmark report — warm
-## mpi.Service.Submit vs cold one-shot runs (in-memory and socket-mesh
-## tiers) plus sustained admission-path throughput (BENCH_serve.json;
-## baseline_seed preserved).
-bench-serve:
-	$(GO) run ./cmd/bfbench -serve
-
 ## smoke-iterate: run the iterative registration refinement loop
 ## (core.Iterate) across 4 real worker processes on the shared-memory
-## tier, verifying the converged sinks against the serial reference, then
-## kill EVERY rank of a journaled run mid-iteration and resume it —
-## replayed loop state must splice with live execution to the same bytes.
+## tier, verifying the converged sinks against the serial reference (its
+## kill-all/resume cycle is smoke-resume's register-iter round).
 smoke-iterate:
 	$(GO) build -o bin/bfrun ./cmd/bfrun
 	./bin/bfrun -case register-iter -runtime mpi -transport tcp -ranks 4 -wire-tier shm
-	@set -e; dir=$$(mktemp -d); \
-	./bin/bfrun -case register-iter -journal $$dir -kill-all-after 1 -ranks 4; \
-	./bin/bfrun -case register-iter -resume $$dir -ranks 4; \
-	rm -rf $$dir
 
 ## bench-iterate: regenerate the loop-combinator benchmark report — a
 ## K-iteration chain under core.Iterate vs the same chain hand-unrolled

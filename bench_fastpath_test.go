@@ -1,7 +1,7 @@
 // Fast-path microbenchmarks: the message/data plane in isolation (mailbox
-// operations, wire cloning, fan-out routing). BENCH_fastpath.json records
-// the before/after series for these benches; cmd/bfbench -fastpath
-// regenerates the measurements.
+// operations, wire cloning, fan-out routing). Run them with
+// go test -run='^$' -bench='Mailbox|Fabric|Clone|FanOut' . — the end-to-end
+// effect of this path is what `make bench` measures (bench/README.md).
 package babelflow_test
 
 import (

@@ -8,9 +8,11 @@
 //	bfbench                 # all figures
 //	bfbench -figure fig6    # one figure
 //	bfbench -format csv     # machine-readable output
-//	bfbench -fastpath       # message fast-path microbenchmarks -> BENCH_fastpath.json
-//	bfbench -wire           # transport benchmarks (in-memory vs loopback TCP) -> BENCH_net.json
+//	bfbench -sched          # scheduler makespan benchmarks -> BENCH_sched.json
 //	bfbench -faults         # recovery benchmarks (failure-free vs one peer killed) -> BENCH_faults.json
+//	bfbench -iterate        # core.Iterate vs hand-unrolled DAG -> BENCH_iterate.json
+//
+// The end-to-end benchmark with per-layer attribution is bench/ (make bench).
 package main
 
 import (
@@ -23,65 +25,36 @@ import (
 	"github.com/babelflow/babelflow-go/internal/sim"
 )
 
+// Report paths of the three benchmark modes (each preserves an existing
+// baseline_seed section when it rewrites its file).
+const (
+	schedOut   = "BENCH_sched.json"
+	faultsOut  = "BENCH_faults.json"
+	iterateOut = "BENCH_iterate.json"
+)
+
 func main() {
 	var (
 		figure      = flag.String("figure", "", "regenerate one figure (default: all)")
 		format      = flag.String("format", "table", "table | csv")
-		fastpath    = flag.Bool("fastpath", false, "run the message fast-path microbenchmarks instead of the figures")
-		fastpathOut = flag.String("fastpath-out", "BENCH_fastpath.json", "report path for -fastpath (baseline_seed is preserved)")
-		wireBench   = flag.Bool("wire", false, "run the transport benchmarks (in-memory vs loopback TCP) instead of the figures")
-		wireOut     = flag.String("wire-out", "BENCH_net.json", "report path for -wire (baseline_seed is preserved)")
-		schedBench  = flag.Bool("sched", false, "run the scheduler makespan benchmarks (FIFO vs priority vs priority+stealing) instead of the figures")
-		schedOut    = flag.String("sched-out", "BENCH_sched.json", "report path for -sched (baseline_seed is preserved)")
-		faultsBench = flag.Bool("faults", false, "run the recovery benchmarks (failure-free vs one peer killed) instead of the figures")
-		faultsOut   = flag.String("faults-out", "BENCH_faults.json", "report path for -faults (baseline_seed is preserved)")
-		jnlBench    = flag.Bool("journal", false, "run the checkpoint/restart benchmarks (journaling overhead per fsync policy, resume latency) instead of the figures")
-		jnlOut      = flag.String("journal-out", "BENCH_journal.json", "report path for -journal (baseline_seed is preserved)")
-		serveBench  = flag.Bool("serve", false, "run the resident-service benchmarks (warm submit vs one-shot, sustained throughput) instead of the figures")
-		serveOut    = flag.String("serve-out", "BENCH_serve.json", "report path for -serve (baseline_seed is preserved)")
-		iterBench   = flag.Bool("iterate", false, "run the loop-combinator benchmarks (core.Iterate unroll vs hand-unrolled static DAG) instead of the figures")
-		iterOut     = flag.String("iterate-out", "BENCH_iterate.json", "report path for -iterate (baseline_seed is preserved)")
+		schedBench  = flag.Bool("sched", false, "run the scheduler makespan benchmarks (FIFO vs priority vs priority+stealing) instead of the figures -> "+schedOut)
+		faultsBench = flag.Bool("faults", false, "run the recovery benchmarks (failure-free vs one peer killed) instead of the figures -> "+faultsOut)
+		iterBench   = flag.Bool("iterate", false, "run the loop-combinator benchmarks (core.Iterate unroll vs hand-unrolled static DAG) instead of the figures -> "+iterateOut)
 	)
 	flag.Parse()
 
-	if *fastpath {
-		if err := runFastpath(*fastpathOut); err != nil {
-			log.Fatal(err)
-		}
-		return
+	var mode func(string) error
+	var out string
+	switch {
+	case *schedBench:
+		mode, out = runSched, schedOut
+	case *faultsBench:
+		mode, out = runFaultsBench, faultsOut
+	case *iterBench:
+		mode, out = runIterateBench, iterateOut
 	}
-	if *wireBench {
-		if err := runWire(*wireOut); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	if *schedBench {
-		if err := runSched(*schedOut); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	if *faultsBench {
-		if err := runFaultsBench(*faultsOut); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	if *jnlBench {
-		if err := runJournalBench(*jnlOut); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	if *serveBench {
-		if err := runServeBench(*serveOut); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	if *iterBench {
-		if err := runIterateBench(*iterOut); err != nil {
+	if mode != nil {
+		if err := mode(out); err != nil {
 			log.Fatal(err)
 		}
 		return

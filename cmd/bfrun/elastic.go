@@ -19,41 +19,30 @@
 package main
 
 import (
-	"bufio"
-	"bytes"
 	"context"
+	"errors"
 	"fmt"
-	"log"
-	"net"
-	"os"
-	"os/exec"
-	"sort"
-	"strconv"
-	"strings"
+	"io"
+	"slices"
 	"time"
 
 	"github.com/babelflow/babelflow-go/internal/core"
 	"github.com/babelflow/babelflow-go/internal/journal"
 	"github.com/babelflow/babelflow-go/internal/mpi"
+	"github.com/babelflow/babelflow-go/internal/usecase"
 	"github.com/babelflow/babelflow-go/internal/wire"
 )
 
-// pacedRegistrar interposes a fixed per-task delay before every callback,
-// stretching the epoch so membership events provably land mid-run. The
-// delay never touches payloads, so digests are unchanged.
-type pacedRegistrar struct {
-	inner core.CallbackRegistrar
-	delay time.Duration
-}
-
-func (p pacedRegistrar) RegisterCallback(id core.CallbackId, cb core.Callback) error {
-	if p.delay <= 0 {
-		return p.inner.RegisterCallback(id, cb)
+// paced interposes a fixed per-task delay before every callback, stretching
+// the epoch so membership events provably land mid-run. The delay never
+// touches payloads, so digests are unchanged.
+func paced(delay time.Duration) func(core.CallbackId, core.Callback) core.Callback {
+	return func(_ core.CallbackId, cb core.Callback) core.Callback {
+		return func(in []core.Payload, t core.TaskId) ([]core.Payload, error) {
+			time.Sleep(delay)
+			return cb(in, t)
+		}
 	}
-	return p.inner.RegisterCallback(id, func(in []core.Payload, t core.TaskId) ([]core.Payload, error) {
-		time.Sleep(p.delay)
-		return cb(in, t)
-	})
 }
 
 // epochResult is what one epoch attempt hands back to the worker loop.
@@ -69,37 +58,37 @@ type epochRun struct {
 	fab    *wire.Fabric
 	cancel context.CancelFunc
 	done   chan epochResult
-	fenced bool
+}
+
+// elasticSetup builds the case and an MPI controller initialized on the
+// base task map — the INITIAL -ranks placement every process agrees on,
+// which each epoch's rebalance diffs against — with the callbacks paced by
+// -elastic-pace. Parent and workers share it so the gate vets joiners by
+// the fingerprint the workers derive.
+func elasticSetup(cfg config) (usecase.Case, core.TaskMap, *mpi.Controller, error) {
+	c, err := cfg.build()
+	if err != nil {
+		return c, nil, nil, err
+	}
+	ctrl := mpi.New(mpi.WithJournal(cfg.journal)) // "" journals nothing; opened per member
+	base := c.Map(cfg.ranks)
+	if err := ctrl.Initialize(c.Graph, base); err != nil {
+		return c, nil, nil, err
+	}
+	return c, base, ctrl, c.Register(wrappedRegistrar{ctrl, paced(cfg.pace)})
 }
 
 // runElasticWorker is one elastic member process: join the gate, then
-// follow tickets until released. ranks is the INITIAL rank count every
-// process agrees on — the base task map the per-epoch rebalance diffs
-// against.
-func runElasticWorker(useCase, gateAddr, tierName string, ranks, n, blocks int, journalDir string, pace time.Duration) {
-	wc, err := setupWireCase(useCase, ranks, n, blocks)
+// follow tickets until released.
+func runElasticWorker(cfg config, stdout io.Writer) error {
+	c, base, ctrl, err := elasticSetup(cfg)
 	if err != nil {
-		log.Fatal("bfrun: ", err)
-	}
-	tier, err := wire.ParseTier(tierName)
-	if err != nil {
-		log.Fatal("bfrun: ", err)
-	}
-	var opts []mpi.Option
-	if journalDir != "" {
-		opts = append(opts, mpi.WithJournal(journalDir))
-	}
-	ctrl := mpi.New(opts...)
-	if err := ctrl.Initialize(wc.graph, wc.tmap); err != nil {
-		log.Fatal("bfrun: ", err)
-	}
-	if err := wc.reg(pacedRegistrar{ctrl, pace}); err != nil {
-		log.Fatal("bfrun: ", err)
+		return err
 	}
 
-	sess, err := wire.JoinGate(gateAddr, ctrl.Fingerprint(), 30*time.Second)
+	sess, err := wire.JoinGate(cfg.wireGate, ctrl.Fingerprint(), 30*time.Second)
 	if err != nil {
-		log.Fatal("bfrun: join gate: ", err)
+		return fmt.Errorf("join gate: %w", err)
 	}
 	defer sess.Close()
 	member := sess.Member()
@@ -107,15 +96,12 @@ func runElasticWorker(useCase, gateAddr, tierName string, ranks, n, blocks int, 
 	// The member's durable lineage: restored on start, synced at every
 	// fence, closed on drain/exit. Without -journal the ledger is
 	// in-memory — hand-offs then re-execute instead of replaying.
-	var led *core.Ledger
+	led := core.NewLedger()
 	var store *journal.LedgerStore
-	if journalDir != "" {
-		led, store, err = ctrl.OpenMemberLedger(member)
-		if err != nil {
-			log.Fatalf("bfrun: member %d: %v", member, err)
+	if cfg.journal != "" {
+		if led, store, err = ctrl.OpenMemberLedger(member); err != nil {
+			return fmt.Errorf("member %d: %w", member, err)
 		}
-	} else {
-		led = core.NewLedger()
 	}
 
 	tickets := make(chan wire.Ticket, 4)
@@ -132,8 +118,12 @@ func runElasticWorker(useCase, gateAddr, tierName string, ranks, n, blocks int, 
 		}
 	}()
 
-	fence := func(cur *epochRun) {
-		cur.fenced = true
+	// fence ends the in-flight epoch, if any, because a newer ticket arrived.
+	var cur *epochRun
+	fence := func() {
+		if cur == nil {
+			return
+		}
 		cur.fab.Fence(true)
 		if store != nil {
 			store.Sync()
@@ -141,9 +131,9 @@ func runElasticWorker(useCase, gateAddr, tierName string, ranks, n, blocks int, 
 		cur.cancel()
 		<-cur.done
 		sess.Report(wire.Status{Epoch: cur.epoch, OK: false, Detail: "fenced"})
+		cur = nil
 	}
 
-	var cur *epochRun
 	var lastOut map[core.TaskId][]core.Payload
 	epochs := 0
 	for {
@@ -172,9 +162,16 @@ func runElasticWorker(useCase, gateAddr, tierName string, ranks, n, blocks int, 
 
 		switch t.Action {
 		case wire.ActionRun:
-			if cur != nil {
-				fence(cur)
-				cur = nil
+			fence()
+			// The epoch's task map: the base map rebalanced over the ticket's
+			// member table.
+			members := make([]core.ShardId, len(t.Members))
+			for i, m := range t.Members {
+				members[i] = core.ShardId(m)
+			}
+			tmap, err := core.RebalanceShards(c.Graph, base, members)
+			if err != nil {
+				return fmt.Errorf("member %d: epoch %d: %w", member, t.Epoch, err)
 			}
 			// Adopt handed-off lineage from members retired since the last
 			// epoch: their journals are closed (they reported their drain),
@@ -183,17 +180,9 @@ func runElasticWorker(useCase, gateAddr, tierName string, ranks, n, blocks int, 
 				for _, donor := range t.Retired {
 					dled, dstore, err := ctrl.OpenMemberLedger(donor)
 					if err != nil {
-						log.Fatalf("bfrun: member %d: adopt from %d: %v", member, donor, err)
+						return fmt.Errorf("member %d: adopt from %d: %w", member, donor, err)
 					}
-					mem := make([]core.ShardId, len(t.Members))
-					for i, m := range t.Members {
-						mem[i] = core.ShardId(m)
-					}
-					tmap, err := core.RebalanceShards(wc.graph, wc.tmap, mem)
-					if err != nil {
-						log.Fatalf("bfrun: member %d: %v", member, err)
-					}
-					for _, id := range wc.graph.TaskIds() {
+					for _, id := range c.Graph.TaskIds() {
 						if tmap.Shard(id) == core.ShardId(t.Rank) {
 							led.Adopt(dled, id)
 						}
@@ -201,54 +190,34 @@ func runElasticWorker(useCase, gateAddr, tierName string, ranks, n, blocks int, 
 					dstore.Close()
 				}
 			}
-			cur = startEpoch(ctrl, wc, t, tier, led)
+			if cur, err = startEpoch(ctrl, localInputs(c.Initial, tmap, t.Rank), tmap, t, cfg.tier, led); err != nil {
+				return err
+			}
 			epochs++
 		case wire.ActionDrain:
-			if cur != nil {
-				fence(cur)
-				cur = nil
-			}
+			fence()
 			if store != nil {
 				store.Close()
 				store = nil
 			}
 			sess.Report(wire.Status{Epoch: t.Epoch, OK: true, Detail: "drained"})
 		case wire.ActionExit:
-			if cur != nil {
-				fence(cur)
-			}
+			fence()
 			if store != nil {
 				store.Close()
 			}
-			fmt.Printf("BFWIRE elastic member=%d epochs=%d restored=%d replayed=%d executed=%d\n",
+			fmt.Fprintf(stdout, "BFWIRE elastic member=%d epochs=%d restored=%d replayed=%d executed=%d\n",
 				member, epochs, led.Restored(), led.Replays(), led.Executions())
-			for _, line := range digestLines(lastOut) {
-				fmt.Println(line)
-			}
-			return
+			return printSinks(stdout, lastOut)
 		default:
-			log.Fatalf("bfrun: member %d: unexpected ticket action %d", member, t.Action)
+			return fmt.Errorf("member %d: unexpected ticket action %d", member, t.Action)
 		}
 	}
 }
 
-// startEpoch derives the ticket's task map, connects the epoch's rendezvous
-// as the assigned logical rank, and launches the run.
-func startEpoch(ctrl *mpi.Controller, wc wireCase, t wire.Ticket, tier wire.Tier, led *core.Ledger) *epochRun {
-	members := make([]core.ShardId, len(t.Members))
-	for i, m := range t.Members {
-		members[i] = core.ShardId(m)
-	}
-	tmap, err := core.RebalanceShards(wc.graph, wc.tmap, members)
-	if err != nil {
-		log.Fatalf("bfrun: epoch %d: %v", t.Epoch, err)
-	}
-	local := make(map[core.TaskId][]core.Payload)
-	for id, ps := range wc.initial {
-		if tmap.Shard(id) == core.ShardId(t.Rank) {
-			local[id] = ps
-		}
-	}
+// startEpoch connects the ticket's rendezvous as the assigned logical rank
+// and launches the run over the epoch's task map.
+func startEpoch(ctrl *mpi.Controller, local map[core.TaskId][]core.Payload, tmap core.TaskMap, t wire.Ticket, tier wire.Tier, led *core.Ledger) (*epochRun, error) {
 	fab, err := wire.Connect(wire.Options{
 		Rank: t.Rank, Ranks: t.Ranks, Addr: t.Addr, Epoch: t.Epoch, Tier: tier,
 		Fingerprint:       ctrl.Fingerprint(),
@@ -256,7 +225,7 @@ func startEpoch(ctrl *mpi.Controller, wc wireCase, t wire.Ticket, tier wire.Tier
 		HeartbeatTimeout:  2 * time.Second,
 	})
 	if err != nil {
-		log.Fatalf("bfrun: epoch %d rank %d: connect: %v", t.Epoch, t.Rank, err)
+		return nil, fmt.Errorf("epoch %d rank %d: connect: %w", t.Epoch, t.Rank, err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	run := &epochRun{epoch: t.Epoch, fab: fab, cancel: cancel, done: make(chan epochResult, 1)}
@@ -269,125 +238,75 @@ func startEpoch(ctrl *mpi.Controller, wc wireCase, t wire.Ticket, tier wire.Tier
 		}
 		run.done <- epochResult{out, err}
 	}()
-	return run
+	return run, nil
 }
 
 // runElasticParent is the coordinator: gate, initial fleet, deferred joins
 // and drain, per-epoch tickets, digest verification.
-func runElasticParent(useCase string, ranks, joinN int, joinAfter time.Duration,
-	drainMember int, drainAfter time.Duration, n, blocks int, tierName, journalDir string, pace time.Duration) {
-	if ranks < 1 {
-		log.Fatalf("bfrun: -ranks must be positive, got %d", ranks)
-	}
-	if _, err := wire.ParseTier(tierName); err != nil {
-		log.Fatal("bfrun: ", err)
-	}
-	if drainMember >= 0 && drainMember >= ranks+joinN {
-		log.Fatalf("bfrun: -drain %d names a member that will never exist (%d total)", drainMember, ranks+joinN)
-	}
-	wc, err := setupWireCase(useCase, ranks, n, blocks)
+func runElasticParent(cfg config, stdout io.Writer) error {
+	c, _, fpc, err := elasticSetup(cfg)
 	if err != nil {
-		log.Fatal(err)
-	}
-
-	// Serial reference digests (unpaced — the pace is a worker-side delay).
-	ser := core.NewSerial()
-	if err := ser.Initialize(wc.graph, nil); err != nil {
-		log.Fatal(err)
-	}
-	if err := wc.reg(ser); err != nil {
-		log.Fatal(err)
-	}
-	ref, err := ser.Run(wc.initial)
-	if err != nil {
-		log.Fatal(err)
-	}
-	want := make(map[string]bool)
-	for _, line := range digestLines(ref) {
-		want[line] = true
-	}
-	// The gate vets joiners by the same fingerprint the workers derive, so
-	// compute it the way they do: graph plus registered callback ids.
-	fpc := mpi.New()
-	if err := fpc.Initialize(wc.graph, wc.tmap); err != nil {
-		log.Fatal(err)
-	}
-	if err := wc.reg(fpc); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	fp := fpc.Fingerprint()
+	// Serial reference digests (unpaced — the pace is a worker-side delay).
+	want, err := referenceDigests(c)
+	if err != nil {
+		return err
+	}
 
 	gate, err := wire.NewGate("127.0.0.1:0", 0, fp)
 	if err != nil {
-		log.Fatal("bfrun: ", err)
+		return err
 	}
 	defer gate.Close()
 
-	exe, err := os.Executable()
-	if err != nil {
-		log.Fatal(err)
-	}
-	type worker struct {
-		cmd *exec.Cmd
-		out bytes.Buffer
-	}
-	var workers []*worker
-	fork := func() {
-		args := []string{
-			"-case", useCase,
-			"-n", strconv.Itoa(n),
-			"-blocks", strconv.Itoa(blocks),
-			"-ranks", strconv.Itoa(ranks),
-			"-wire-gate", gate.Addr(),
-			"-wire-tier", tierName,
-			"-elastic-pace", pace.String(),
-		}
-		if journalDir != "" {
-			args = append(args, "-wire-journal", journalDir)
-		}
-		w := &worker{cmd: exec.Command(exe, args...)}
-		w.cmd.Stdout = &w.out
-		w.cmd.Stderr = os.Stderr
-		if err := w.cmd.Start(); err != nil {
-			log.Fatal("bfrun: fork worker: ", err)
-		}
-		workers = append(workers, w)
+	var workers fleet
+	defer workers.kill()
+	fork := func() error {
+		return workers.fork(append(cfg.workerArgs(cfg.journal),
+			"-wire-gate", gate.Addr(), "-elastic-pace", cfg.pace.String())...)
 	}
 
 	start := time.Now()
-	for i := 0; i < ranks; i++ {
-		fork()
+	for i := 0; i < cfg.ranks; i++ {
+		if err := fork(); err != nil {
+			return err
+		}
 	}
 	// Initial fleet admission: the first `ranks` join events are the
 	// founding member set.
 	var members []int
-	for len(members) < ranks {
+	for len(members) < cfg.ranks {
 		select {
 		case ev := <-gate.Events():
 			if ev.Kind == wire.KindJoin {
 				members = append(members, ev.Member)
 			}
 		case <-time.After(30 * time.Second):
-			log.Fatal("bfrun: initial workers never joined the gate")
+			return errors.New("initial workers never joined the gate")
 		}
 	}
 
 	// Deferred membership changes, delivered through the gate like any
-	// external joiner or drain request would be.
-	if joinN > 0 {
-		time.AfterFunc(joinAfter, func() {
-			for i := 0; i < joinN; i++ {
-				fork()
+	// external joiner or drain request would be. Their failures surface in
+	// the epoch loop through timerErr.
+	timerErr := make(chan error, 2)
+	defer time.AfterFunc(cfg.joinAfter, func() {
+		for i := 0; i < cfg.join; i++ {
+			if err := fork(); err != nil {
+				timerErr <- err
+				return
 			}
-		})
-	}
-	if drainMember >= 0 {
+		}
+	}).Stop()
+	if cfg.drain >= 0 {
 		gateAddr := gate.Addr()
-		time.AfterFunc(drainAfter, func() {
-			if err := wire.RequestDrain(gateAddr, drainMember, fp, 10*time.Second); err != nil {
-				log.Fatal("bfrun: drain request: ", err)
+		defer time.AfterFunc(cfg.drainAfter, func() {
+			if err := wire.RequestDrain(gateAddr, cfg.drain, fp, 10*time.Second); err != nil {
+				timerErr <- fmt.Errorf("drain request: %w", err)
 			}
-		})
+		}).Stop()
 	}
 
 	// One status pump per admitted member; pumps for joiners start when
@@ -418,17 +337,12 @@ func runElasticParent(useCase string, ranks, joinN int, joinAfter time.Duration,
 		pendingJoin = nil
 		var retired []int
 		for _, d := range pendingDrain {
-			idx := -1
-			for i, m := range members {
-				if m == d {
-					idx = i
-				}
-			}
+			idx := slices.Index(members, d)
 			if idx < 0 {
 				continue // unknown or already drained: ignore
 			}
 			if err := gate.SendTicket(d, wire.Ticket{Action: wire.ActionDrain, Member: d, Epoch: epoch + 1}); err != nil {
-				log.Fatal("bfrun: ", err)
+				return err
 			}
 			deadline := time.After(60 * time.Second)
 		drainWait:
@@ -439,26 +353,29 @@ func runElasticParent(useCase string, ranks, joinN int, joinAfter time.Duration,
 						break drainWait
 					}
 				case <-deadline:
-					log.Fatalf("bfrun: member %d never reported its drain", d)
+					return fmt.Errorf("member %d never reported its drain", d)
 				}
 			}
-			members = append(members[:idx], members[idx+1:]...)
+			members = slices.Delete(members, idx, idx+1)
 			retired = append(retired, d)
 			drained = append(drained, d)
 		}
 		pendingDrain = nil
-		sort.Ints(members)
+		slices.Sort(members)
 		if len(members) == 0 {
-			log.Fatal("bfrun: every member drained; nothing left to run the epoch")
+			return errors.New("every member drained; nothing left to run the epoch")
 		}
 
 		epoch++
-		addr := freeLoopbackAddr()
+		addr, err := reserveLoopbackAddr()
+		if err != nil {
+			return err
+		}
 		for l, m := range members {
 			t := wire.Ticket{Action: wire.ActionRun, Member: m, Epoch: epoch, Rank: l,
 				Ranks: len(members), Addr: addr, Members: members, Retired: retired}
 			if err := gate.SendTicket(m, t); err != nil {
-				log.Fatal("bfrun: ", err)
+				return err
 			}
 		}
 
@@ -466,6 +383,8 @@ func runElasticParent(useCase string, ranks, joinN int, joinAfter time.Duration,
 	epochWait:
 		for {
 			select {
+			case err := <-timerErr:
+				return err
 			case ev := <-gate.Events():
 				// A membership event mid-epoch: coalesce whatever arrives in
 				// the next beat, then fence by issuing the next epoch.
@@ -500,7 +419,7 @@ func runElasticParent(useCase string, ranks, joinN int, joinAfter time.Duration,
 					if st.Detail == "fenced" {
 						continue
 					}
-					log.Fatalf("bfrun: member %d failed epoch %d: %s", st.Member, st.Epoch, st.Detail)
+					return fmt.Errorf("member %d failed epoch %d: %s", st.Member, st.Epoch, st.Detail)
 				}
 				okSet[st.Member] = true
 				if len(okSet) == len(members) {
@@ -514,49 +433,14 @@ func runElasticParent(useCase string, ranks, joinN int, joinAfter time.Duration,
 		gate.SendTicket(m, wire.Ticket{Action: wire.ActionExit})
 	}
 
-	failed := 0
-	got := make(map[string]bool)
-	for i, w := range workers {
-		if err := w.cmd.Wait(); err != nil {
-			fmt.Fprintf(os.Stderr, "bfrun: worker %d exited: %v\n", i, err)
-			failed++
-		}
-		sc := bufio.NewScanner(&w.out)
-		for sc.Scan() {
-			line := sc.Text()
-			switch {
-			case strings.HasPrefix(line, "BFWIRE sink"):
-				got[line] = true
-			case strings.HasPrefix(line, "BFWIRE elastic"):
-				fmt.Println(line)
-			}
-		}
-	}
+	t := workers.wait()
 	elapsed := time.Since(start)
-
-	matches := 0
-	for line := range got {
-		if want[line] {
-			matches++
-		}
+	for _, line := range t.records {
+		fmt.Fprintln(stdout, line)
 	}
-	ok := failed == 0 && matches == len(want) && len(got) == len(want)
-	fmt.Printf("wire-elastic %-10s %d tasks: start=%d join=+%d drain=%d epochs=%d fences=%d %v  sinks=%d/%d match-serial=%v\n",
-		useCase, wc.graph.Size(), ranks, joinN, len(drained), epoch, fences,
+	matches, ok := judge(want, t.sinks, t.failed)
+	fmt.Fprintf(stdout, "wire-elastic %-10s %d tasks: start=%d join=+%d drain=%d epochs=%d fences=%d %v  sinks=%d/%d match-serial=%v\n",
+		cfg.useCase, c.Graph.Size(), cfg.ranks, cfg.join, len(drained), epoch, fences,
 		elapsed.Round(time.Millisecond), matches, len(want), ok)
-	if !ok {
-		os.Exit(1)
-	}
-}
-
-// freeLoopbackAddr reserves an ephemeral loopback port and releases it for
-// the epoch's rank 0 to rebind.
-func freeLoopbackAddr() string {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		log.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	ln.Close()
-	return addr
+	return verdict(ok)
 }

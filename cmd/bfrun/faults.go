@@ -10,8 +10,7 @@ package main
 import (
 	"context"
 	"fmt"
-	"log"
-	"os"
+	"io"
 	"time"
 
 	"github.com/babelflow/babelflow-go/internal/core"
@@ -21,80 +20,50 @@ import (
 	"github.com/babelflow/babelflow-go/internal/wire"
 )
 
-// faultRun is the outcome of one use case under fault injection.
-type faultRun struct {
-	useCase  string
-	ok       bool
-	elapsed  time.Duration
-	report   mpi.RecoveryReport
-	sinksOK  int
-	sinksAll int
-}
-
-// runFaults executes the selected use cases (all three for useCase "" or
-// "all") with one peer killed on the first epoch and reports recovery
-// statistics. Exits non-zero if any recovered run diverges from serial.
-func runFaults(useCase string, ranks, n, blocks, killRank, killAfter int) {
+// runFaults executes the selected use case (all three when -case was not
+// passed) with one peer killed on the first epoch and reports recovery
+// statistics. Fails if any recovered run diverges from serial.
+func runFaults(cfg config, stdout io.Writer) error {
 	cases := []string{"mergetree", "render", "register"}
-	if useCase != "" && useCase != "all" {
-		cases = []string{useCase}
+	if cfg.caseSet {
+		cases = []string{cfg.useCase}
 	}
-	failed := false
+	allMatch := true
 	for _, uc := range cases {
-		r := runFaultCase(uc, ranks, n, blocks, killRank, killAfter)
-		status := "MATCH"
-		if !r.ok {
-			status = "MISMATCH"
-			failed = true
+		cfg.useCase = uc
+		ok, err := runFaultCase(cfg, stdout)
+		if err != nil {
+			return fmt.Errorf("%s: %w", uc, err)
 		}
-		fmt.Printf("faults %-10s %v  epochs=%d lost=%v replayed=%d executed=%d recovery=%v sinks=%d/%d %s\n",
-			r.useCase, r.elapsed.Round(time.Millisecond), r.report.Epochs, r.report.LostShards,
-			r.report.Replayed, r.report.Executed, r.report.RecoveryTime.Round(time.Millisecond),
-			r.sinksOK, r.sinksAll, status)
+		allMatch = allMatch && ok
 	}
-	if failed {
-		os.Exit(1)
-	}
+	return verdict(allMatch)
 }
 
-func runFaultCase(useCase string, ranks, n, blocks, killRank, killAfter int) faultRun {
-	wc, err := setupWireCase(useCase, ranks, n, blocks)
+func runFaultCase(cfg config, stdout io.Writer) (bool, error) {
+	ref, err := cfg.build()
 	if err != nil {
-		log.Fatalf("bfrun: %s: %v", useCase, err)
+		return false, err
 	}
-
-	// Serial reference digests.
-	ser := core.NewSerial()
-	if err := ser.Initialize(wc.graph, nil); err != nil {
-		log.Fatalf("bfrun: %s: %v", useCase, err)
-	}
-	if err := wc.reg(ser); err != nil {
-		log.Fatalf("bfrun: %s: %v", useCase, err)
-	}
-	ref, err := ser.Run(wc.initial)
+	want, err := referenceDigests(ref)
 	if err != nil {
-		log.Fatalf("bfrun: %s: serial: %v", useCase, err)
+		return false, err
 	}
-	want := make(map[string]bool)
-	for _, line := range digestLines(ref) {
-		want[line] = true
-	}
-
-	// Inputs are consumed by the serial run above, so rebuild them for the
-	// recovering run (tasks own their inputs).
-	wc, err = setupWireCase(useCase, ranks, n, blocks)
+	// The reference run consumed its inputs (tasks own their inputs), so the
+	// recovering run gets a fresh build.
+	c, err := cfg.build()
 	if err != nil {
-		log.Fatalf("bfrun: %s: %v", useCase, err)
+		return false, err
 	}
 	ctrl := mpi.New(mpi.WithRetry(core.RetryPolicy{
-		MaxAttempts: ranks,
+		MaxAttempts: cfg.ranks,
 		BaseBackoff: 10 * time.Millisecond,
 	}))
-	if err := ctrl.Initialize(wc.graph, wc.tmap); err != nil {
-		log.Fatalf("bfrun: %s: %v", useCase, err)
+	if err := ctrl.Initialize(c.Graph, c.Map(cfg.ranks)); err != nil {
+		return false, err
 	}
-	if err := wc.reg(ctrl); err != nil {
-		log.Fatalf("bfrun: %s: %v", useCase, err)
+	if err := c.Register(ctrl); err != nil {
+		return false, err
 	}
 	fp := ctrl.Fingerprint()
 	connect := func(epoch, nranks int) ([]fabric.Transport, error) {
@@ -118,8 +87,8 @@ func runFaultCase(useCase string, ranks, n, blocks, killRank, killAfter int) fau
 			return tr // retry epochs run clean, like a restarted process
 		}
 		return faultinject.Wrap(tr, rank, faultinject.Plan{
-			KillRank:  killRank,
-			KillAfter: killAfter,
+			KillRank:  cfg.killRank,
+			KillAfter: cfg.killAfter,
 			Delay:     time.Millisecond,
 		})
 	}
@@ -128,26 +97,24 @@ func runFaultCase(useCase string, ranks, n, blocks, killRank, killAfter int) fau
 	out, rep, err := ctrl.RunRecover(context.Background(), mpi.RecoverOptions{
 		Connect: connect,
 		Inject:  inject,
-		Initial: wc.initial,
+		Initial: c.Initial,
 	})
 	elapsed := time.Since(start)
 	if err != nil {
-		log.Fatalf("bfrun: %s: recovery failed: %v (report %+v)", useCase, err, rep)
+		return false, fmt.Errorf("recovery failed: %w (report %+v)", err, rep)
 	}
-
-	matches := 0
-	got := digestLines(out)
-	for _, line := range got {
-		if want[line] {
-			matches++
-		}
+	got, err := digestSet(out)
+	if err != nil {
+		return false, err
 	}
-	return faultRun{
-		useCase:  useCase,
-		ok:       matches == len(want) && len(got) == len(want),
-		elapsed:  elapsed,
-		report:   rep,
-		sinksOK:  matches,
-		sinksAll: len(want),
+	matches, ok := judge(want, got, 0)
+	status := "MATCH"
+	if !ok {
+		status = "MISMATCH"
 	}
+	fmt.Fprintf(stdout, "faults %-10s %v  epochs=%d lost=%v replayed=%d executed=%d recovery=%v sinks=%d/%d %s\n",
+		cfg.useCase, elapsed.Round(time.Millisecond), rep.Epochs, rep.LostShards,
+		rep.Replayed, rep.Executed, rep.RecoveryTime.Round(time.Millisecond),
+		matches, len(want), status)
+	return ok, nil
 }

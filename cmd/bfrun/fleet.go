@@ -1,0 +1,178 @@
+// The fleet helper: everything the multi-process parents (-transport tcp,
+// -resume, -elastic) and the fault-injected runs share — the wanted digest
+// set from the serial reference, a reserved loopback address, forking a
+// worker, collecting the workers' BFWIRE lines, and the one rule that says
+// whether the collected sinks match the reference.
+package main
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"errors"
+	"fmt"
+	"io"
+	"net"
+	"os"
+	"os/exec"
+	"sort"
+	"strings"
+	"sync"
+
+	"github.com/babelflow/babelflow-go/internal/core"
+	"github.com/babelflow/babelflow-go/internal/usecase"
+)
+
+// digestLines renders sink outputs as sorted, parseable digest lines — what
+// a worker prints and what a parent compares.
+func digestLines(out map[core.TaskId][]core.Payload) ([]string, error) {
+	var lines []string
+	for id, ps := range out {
+		for slot, p := range ps {
+			w, err := p.Wire()
+			if err != nil {
+				return nil, fmt.Errorf("sink %d/%d: %w", id, slot, err)
+			}
+			lines = append(lines, fmt.Sprintf("BFWIRE sink %d %d %x", id, slot, sha256.Sum256(w)))
+		}
+	}
+	sort.Strings(lines)
+	return lines, nil
+}
+
+// printSinks is the worker's report: one digest line per local sink payload.
+func printSinks(stdout io.Writer, out map[core.TaskId][]core.Payload) error {
+	lines, err := digestLines(out)
+	for _, line := range lines {
+		fmt.Fprintln(stdout, line)
+	}
+	return err
+}
+
+// digestSet is digestLines as a set.
+func digestSet(out map[core.TaskId][]core.Payload) (map[string]bool, error) {
+	lines, err := digestLines(out)
+	set := make(map[string]bool, len(lines))
+	for _, line := range lines {
+		set[line] = true
+	}
+	return set, err
+}
+
+// referenceDigests runs the case on the serial reference controller
+// (consuming c.Initial) and returns the digest lines a run must reproduce.
+func referenceDigests(c usecase.Case) (map[string]bool, error) {
+	ref, err := usecase.Reference(c)
+	if err != nil {
+		return nil, fmt.Errorf("serial reference: %w", err)
+	}
+	return digestSet(ref)
+}
+
+// judge is the verification rule: every wanted sink digest was produced,
+// nothing else was, and no worker failed.
+func judge(want, got map[string]bool, failed int) (matches int, ok bool) {
+	for line := range got {
+		if want[line] {
+			matches++
+		}
+	}
+	return matches, matches == len(want) && len(got) == len(want) && failed == 0
+}
+
+// reserveLoopbackAddr binds an ephemeral loopback port and releases it for
+// a worker (rank 0 of a rendezvous) to rebind.
+func reserveLoopbackAddr() (string, error) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return "", err
+	}
+	defer ln.Close()
+	return ln.Addr().String(), nil
+}
+
+// fleet is the set of worker processes a parent forked. The zero value is
+// ready; fork is safe to call from several goroutines (elastic joiners are
+// forked from a timer). Every parent defers kill, so no error path leaves a
+// worker behind waiting for a rendezvous that will never happen.
+type fleet struct {
+	mu      sync.Mutex
+	workers []*worker
+	closed  bool
+}
+
+type worker struct {
+	cmd *exec.Cmd
+	out bytes.Buffer
+}
+
+// fork starts this binary again with args as a worker: stdout captured for
+// wait to scan, stderr passed through.
+func (f *fleet) fork(args ...string) error {
+	self, err := os.Executable()
+	if err != nil {
+		return err
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.closed {
+		return errors.New("fork: fleet already closed")
+	}
+	w := &worker{cmd: exec.Command(self, args...)}
+	w.cmd.Stdout = &w.out
+	w.cmd.Stderr = os.Stderr
+	if err := w.cmd.Start(); err != nil {
+		return fmt.Errorf("fork worker %d: %w", len(f.workers), err)
+	}
+	f.workers = append(f.workers, w)
+	return nil
+}
+
+// tally is what a finished fleet reported on stdout.
+type tally struct {
+	sinks   map[string]bool // distinct "BFWIRE sink" lines
+	records []string        // every other BFWIRE line, in worker order
+	failed  int             // workers that exited non-zero
+}
+
+// wait blocks until every forked worker has exited and collects their
+// BFWIRE lines.
+func (f *fleet) wait() tally {
+	f.mu.Lock()
+	workers := f.workers
+	f.mu.Unlock()
+	t := tally{sinks: make(map[string]bool)}
+	for i, w := range workers {
+		if err := w.cmd.Wait(); err != nil {
+			fmt.Fprintf(os.Stderr, "bfrun: worker %d exited: %v\n", i, err)
+			t.failed++
+		}
+		t.scan(w.out.String())
+	}
+	return t
+}
+
+// scan files one worker's stdout into the tally.
+func (t *tally) scan(stdout string) {
+	for _, line := range strings.Split(stdout, "\n") {
+		switch {
+		case strings.HasPrefix(line, "BFWIRE sink"):
+			t.sinks[line] = true
+		case strings.HasPrefix(line, "BFWIRE "):
+			t.records = append(t.records, line)
+		}
+	}
+}
+
+// kill stops and reaps every worker that has not been waited for, and
+// refuses further forks. A no-op after wait.
+func (f *fleet) kill() {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.closed = true
+	for _, w := range f.workers {
+		if w.cmd.ProcessState == nil {
+			w.cmd.Process.Kill()
+			w.cmd.Wait()
+		}
+	}
+}

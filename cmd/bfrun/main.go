@@ -1,427 +1,305 @@
-// Command bfrun executes one of the paper's three use cases end to end on
-// a chosen runtime controller, over synthetic data, and reports timing and
-// a correctness check against the serial reference.
+// Command bfrun executes one of the paper's use cases (built by the
+// internal/usecase catalog) end to end on a chosen runtime controller, over
+// synthetic data, and reports timing and a correctness check against the
+// serial reference.
 //
 // Usage:
 //
-//	bfrun -case mergetree -runtime mpi -shards 8 -n 32
+//	bfrun -case mergetree -runtime mpi -ranks 8 -n 32
 //	bfrun -case render -runtime charm -blocks 8
 //	bfrun -case register -runtime legion-spmd
-//	bfrun -case register-iter -runtime mpi -shards 4
+//	bfrun -case register-iter -runtime mpi -ranks 4
+//
+// The multi-process modes (-transport tcp, -journal/-resume, -elastic) and
+// -faults are described in wire.go, elastic.go and faults.go.
 package main
 
 import (
+	"bytes"
+	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 	"time"
 
 	babelflow "github.com/babelflow/babelflow-go"
-	"github.com/babelflow/babelflow-go/internal/data"
-	"github.com/babelflow/babelflow-go/internal/graphs"
-	"github.com/babelflow/babelflow-go/internal/mergetree"
-	"github.com/babelflow/babelflow-go/internal/register"
-	"github.com/babelflow/babelflow-go/internal/render"
+	"github.com/babelflow/babelflow-go/internal/core"
 	"github.com/babelflow/babelflow-go/internal/sim"
 	"github.com/babelflow/babelflow-go/internal/trace"
+	"github.com/babelflow/babelflow-go/internal/usecase"
+	"github.com/babelflow/babelflow-go/internal/wire"
 )
 
 func main() {
-	var (
-		useCase   = flag.String("case", "mergetree", "mergetree | render | register | register-iter")
-		runtime   = flag.String("runtime", "mpi", "serial | mpi | original-mpi | charm | legion-spmd | legion-il")
-		shards    = flag.Int("shards", 4, "ranks / PEs / shards")
-		n         = flag.Int("n", 32, "domain edge length")
-		blocks    = flag.Int("blocks", 8, "blocks (power of two)")
-		traceTo   = flag.String("trace", "", "write a per-task execution trace (CSV) here")
-		whatIfC   = flag.Int("whatif", 0, "with -trace: replay the measured trace on all simulated runtime models at this core count")
-		transport = flag.String("transport", "mem", "mem | tcp (tcp forks one worker process per rank)")
-		ranks     = flag.Int("ranks", 4, "worker processes for -transport tcp")
-		wireRank  = flag.Int("wire-rank", -1, "internal: run as TCP worker for this rank")
-		wireAddr  = flag.String("wire-addr", "", "internal: rendezvous address for -wire-rank")
-		faults    = flag.Bool("faults", false, "run under fault injection: kill one peer, recover via replay, verify against serial")
-		killRank  = flag.Int("kill-rank", 1, "with -faults: the rank to kill")
-		killAfter = flag.Int("kill-after", 0, "with -faults: inter-rank messages the victim sends before dying")
-		journal   = flag.String("journal", "", "with -transport tcp: persist per-rank lineage journals under this directory")
-		resume    = flag.String("resume", "", "restart a crashed -journal run from its directory over TCP and verify sink digests against serial")
-		killAll   = flag.Int("kill-all-after", -1, "with -journal: kill EVERY rank (including rank 0) after it sends this many inter-rank messages, seeding a resumable crash")
-		wireKill  = flag.Int("wire-kill-after", -1, "internal: worker kills its own transport after this many inter-rank sends")
-		wireJnl   = flag.String("wire-journal", "", "internal: worker journal directory")
-		wireTier  = flag.String("wire-tier", "auto", "with -transport tcp: transport between co-located ranks (auto | tcp | unix | shm)")
-		elastic   = flag.Bool("elastic", false, "run with elastic membership: fork -ranks workers, join -join more mid-run, drain member -drain, verify digests against serial")
-		joinN     = flag.Int("join", 0, "with -elastic: workers to join mid-run")
-		joinAfter = flag.Duration("join-after", 150*time.Millisecond, "with -elastic: when the joiners are forked")
-		drainM    = flag.Int("drain", -1, "with -elastic: member to gracefully drain mid-run (-1 none)")
-		drainAft  = flag.Duration("drain-after", 400*time.Millisecond, "with -elastic: when the drain request is sent")
-		pace      = flag.Duration("elastic-pace", 20*time.Millisecond, "with -elastic: per-task delay so membership events land mid-run")
-		wireGate  = flag.String("wire-gate", "", "internal: run as elastic worker against this membership gate")
-	)
-	flag.Parse()
-	traceCSV = *traceTo
-	whatIfCores = *whatIfC
-
-	if *wireGate != "" {
-		runElasticWorker(*useCase, *wireGate, *wireTier, *ranks, *n, *blocks, *wireJnl, *pace)
-		return
-	}
-	if *elastic {
-		runElasticParent(*useCase, *ranks, *joinN, *joinAfter, *drainM, *drainAft, *n, *blocks, *wireTier, *journal, *pace)
-		return
-	}
-	if *wireRank >= 0 {
-		runWireWorker(*useCase, *wireRank, *ranks, *wireAddr, *wireTier, *n, *blocks, *wireJnl, *wireKill)
-		return
-	}
-	if *faults {
-		uc := *useCase
-		if !isFlagSet("case") {
-			uc = "all"
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "bfrun:", err)
+		var usage usageError
+		if errors.As(err, &usage) {
+			os.Exit(2)
 		}
-		runFaults(uc, *ranks, *n, *blocks, *killRank, *killAfter)
-		return
-	}
-	if *resume != "" {
-		runWireParent(*useCase, *runtime, *ranks, *n, *blocks, *wireTier, *resume, -1, true)
-		return
-	}
-	if *transport == "tcp" || *journal != "" {
-		runWireParent(*useCase, *runtime, *ranks, *n, *blocks, *wireTier, *journal, *killAll, false)
-		return
-	}
-	if *transport != "mem" {
-		log.Fatalf("bfrun: unknown transport %q", *transport)
-	}
-
-	switch *useCase {
-	case "mergetree":
-		runMergeTree(*runtime, *shards, *n, *blocks)
-	case "render":
-		runRender(*runtime, *shards, *n, *blocks)
-	case "register":
-		runRegister(*runtime, *shards)
-	case "register-iter":
-		runRegisterIter(*runtime, *shards)
-	default:
-		log.Fatalf("bfrun: unknown use case %q", *useCase)
+		os.Exit(1)
 	}
 }
 
-// isFlagSet reports whether the user passed the named flag explicitly.
-func isFlagSet(name string) bool {
-	set := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == name {
-			set = true
-		}
-	})
-	return set
-}
+// usageError is a rejected command line: main exits with status 2.
+type usageError string
 
-func controller(runtime string, shards int) babelflow.Controller {
-	switch runtime {
-	case "serial":
-		return babelflow.NewSerial()
-	case "mpi":
-		return babelflow.NewMPI()
-	case "original-mpi":
-		return babelflow.NewMPI(babelflow.WithInline(true))
-	case "charm":
-		return babelflow.NewCharm(babelflow.CharmOptions{PEs: shards, LBPeriod: 8})
-	case "legion-spmd":
-		return babelflow.NewLegionSPMD(babelflow.LegionOptions{})
-	case "legion-il":
-		return babelflow.NewLegionIndexLaunch(babelflow.LegionOptions{})
+func (e usageError) Error() string { return string(e) }
+
+func usagef(format string, a ...any) error { return usageError(fmt.Sprintf(format, a...)) }
+
+// verdict ends a run whose summary line is already printed: an error when
+// the line reports a result that does not match its reference.
+func verdict(ok bool) error {
+	if !ok {
+		return errors.New("result does not match the reference")
 	}
-	log.Fatalf("bfrun: unknown runtime %q", runtime)
 	return nil
 }
 
-// traceCSV, when set, receives the per-task execution trace of the run.
-var traceCSV string
+// config is the parsed command line.
+type config struct {
+	useCase   string
+	caseSet   bool // -case was passed explicitly
+	runtime   string
+	ranks     int
+	n, blocks int
 
-// whatIfCores, when set together with traceCSV, replays the measured trace
-// under every simulated runtime model at that core count.
-var whatIfCores int
+	traceTo string
+	whatIf  int
 
-// instrument wraps a controller's callbacks with the recorder when tracing
-// is on; register goes through it.
-func maybeTrace(rt string, shards int) (*trace.Recorder, babelflow.Controller) {
-	if traceCSV == "" {
-		return nil, controller(rt, shards)
-	}
-	rec := trace.NewRecorder()
-	var c babelflow.Controller
-	switch rt {
-	case "serial":
-		c = babelflow.NewSerial()
-	case "mpi":
-		c = babelflow.NewMPI(babelflow.WithObserver(rec))
-	case "original-mpi":
-		c = babelflow.NewMPI(babelflow.WithInline(true), babelflow.WithObserver(rec))
-	case "charm":
-		c = babelflow.NewCharm(babelflow.CharmOptions{PEs: shards, LBPeriod: 8, Observer: rec})
-	case "legion-spmd":
-		c = babelflow.NewLegionSPMD(babelflow.LegionOptions{Observer: rec})
-	case "legion-il":
-		c = babelflow.NewLegionIndexLaunch(babelflow.LegionOptions{Observer: rec})
-	default:
-		log.Fatalf("bfrun: unknown runtime %q", rt)
-	}
-	return rec, c
+	transport string
+	tierName  string
+	tier      wire.Tier
+	wireRank  int
+	wireAddr  string
+	wireGate  string
+
+	faults    bool
+	killRank  int
+	killAfter int
+
+	journal string
+	resume  string
+	killAll int
+
+	elastic    bool
+	join       int
+	joinAfter  time.Duration
+	drain      int
+	drainAfter time.Duration
+	pace       time.Duration
 }
 
-// writeTrace dumps the recorded spans and prints the trace summary.
-func writeTrace(rec *trace.Recorder, g babelflow.TaskGraph) {
-	if rec == nil {
-		return
+// forked reports whether the command line asks for one worker process per
+// rank over the TCP fabric.
+func (cfg config) forked() bool {
+	return cfg.transport == "tcp" || cfg.journal != "" || cfg.resume != ""
+}
+
+// build constructs the use case this command line names.
+func (cfg config) build() (usecase.Case, error) {
+	return usecase.Build(cfg.useCase, usecase.Params{"n": cfg.n, "blocks": cfg.blocks})
+}
+
+// run is bfrun: parse and vet the command line, then dispatch to the one
+// mode it selects. Summary lines go to stdout.
+func run(args []string, stdout io.Writer) error {
+	var cfg config
+	fs := flag.NewFlagSet("bfrun", flag.ContinueOnError)
+	fs.SetOutput(io.Discard) // main prints the one-line error; -h prints the flag list below
+	fs.StringVar(&cfg.useCase, "case", "mergetree", "mergetree | render | register | register-iter")
+	fs.StringVar(&cfg.runtime, "runtime", "mpi", "serial | mpi | original-mpi | charm | legion-spmd | legion-il")
+	fs.IntVar(&cfg.ranks, "ranks", 4, "ranks / PEs / shards; worker processes in the multi-process modes")
+	fs.IntVar(&cfg.n, "n", 32, "domain edge length")
+	fs.IntVar(&cfg.blocks, "blocks", 8, "blocks (power of two, at least 4)")
+	fs.StringVar(&cfg.traceTo, "trace", "", "write a per-task execution trace (CSV) here (in-memory runs)")
+	fs.IntVar(&cfg.whatIf, "whatif", 0, "with -trace: replay the measured trace on all simulated runtime models at this core count")
+	fs.StringVar(&cfg.transport, "transport", "mem", "mem | tcp (tcp forks one worker process per rank)")
+	fs.IntVar(&cfg.wireRank, "wire-rank", -1, "internal: run as TCP worker for this rank")
+	fs.StringVar(&cfg.wireAddr, "wire-addr", "", "internal: rendezvous address for -wire-rank")
+	fs.BoolVar(&cfg.faults, "faults", false, "run under fault injection: kill one peer, recover via replay, verify against serial")
+	fs.IntVar(&cfg.killRank, "kill-rank", 1, "with -faults: the rank to kill")
+	fs.IntVar(&cfg.killAfter, "kill-after", 0, "with -faults: inter-rank messages the victim sends before dying")
+	fs.StringVar(&cfg.journal, "journal", "", "with -transport tcp: persist per-rank lineage journals under this directory")
+	fs.StringVar(&cfg.resume, "resume", "", "restart a crashed -journal run from its directory over TCP and verify sink digests against serial")
+	fs.IntVar(&cfg.killAll, "kill-all-after", -1, "with -journal: kill EVERY rank (including rank 0) after it sends this many inter-rank messages, seeding a resumable crash")
+	fs.StringVar(&cfg.tierName, "wire-tier", "auto", "with -transport tcp: transport between co-located ranks (auto | tcp | unix | shm)")
+	fs.BoolVar(&cfg.elastic, "elastic", false, "run with elastic membership: fork -ranks workers, join -join more mid-run, drain member -drain, verify digests against serial")
+	fs.IntVar(&cfg.join, "join", 0, "with -elastic: workers to join mid-run")
+	fs.DurationVar(&cfg.joinAfter, "join-after", 150*time.Millisecond, "with -elastic: when the joiners are forked")
+	fs.IntVar(&cfg.drain, "drain", -1, "with -elastic: member to gracefully drain mid-run (-1 none)")
+	fs.DurationVar(&cfg.drainAfter, "drain-after", 400*time.Millisecond, "with -elastic: when the drain request is sent")
+	fs.DurationVar(&cfg.pace, "elastic-pace", 20*time.Millisecond, "with -elastic: per-task delay so membership events land mid-run")
+	fs.StringVar(&cfg.wireGate, "wire-gate", "", "internal: run as elastic worker against this membership gate")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			fs.SetOutput(stdout)
+			fs.Usage()
+			return nil
+		}
+		return usagef("%v (see bfrun -h)", err)
 	}
-	f, err := os.Create(traceCSV)
+	fs.Visit(func(f *flag.Flag) { cfg.caseSet = cfg.caseSet || f.Name == "case" })
+	var err error
+	if cfg.tier, err = wire.ParseTier(cfg.tierName); err != nil {
+		return usageError(err.Error())
+	}
+	if err := cfg.validate(); err != nil {
+		return err
+	}
+
+	switch {
+	case cfg.wireGate != "":
+		return runElasticWorker(cfg, stdout)
+	case cfg.elastic:
+		return runElasticParent(cfg, stdout)
+	case cfg.wireRank >= 0:
+		return runWireWorker(cfg, stdout)
+	case cfg.faults:
+		return runFaults(cfg, stdout)
+	case cfg.forked():
+		return runWireParent(cfg, stdout)
+	}
+	return runInMemory(cfg, stdout)
+}
+
+// validate rejects command lines no mode can honour, before anything is
+// built or forked.
+func (cfg config) validate() error {
+	if cfg.ranks < 1 {
+		return usagef("-ranks must be at least 1, got %d", cfg.ranks)
+	}
+	if cfg.blocks < 4 || cfg.blocks&(cfg.blocks-1) != 0 {
+		return usagef("-blocks must be a power of two, at least 4, got %d", cfg.blocks)
+	}
+	if cfg.transport != "mem" && cfg.transport != "tcp" {
+		return usagef("unknown -transport %q (want mem or tcp)", cfg.transport)
+	}
+	if cfg.traceTo != "" && (cfg.forked() || cfg.elastic || cfg.faults) {
+		return usagef("-trace records in-memory runs only; drop -transport tcp / -journal / -resume / -elastic / -faults")
+	}
+	if cfg.forked() && !cfg.elastic && !cfg.faults && cfg.runtime != "mpi" {
+		return usagef("-transport tcp supports -runtime mpi, got %q", cfg.runtime)
+	}
+	if cfg.killAll >= 0 && cfg.journal == "" {
+		return usagef("-kill-all-after needs -journal (a crash without a journal is not resumable)")
+	}
+	if cfg.elastic && cfg.drain >= cfg.ranks+cfg.join {
+		return usagef("-drain %d names a member that will never exist (%d total)", cfg.drain, cfg.ranks+cfg.join)
+	}
+	return nil
+}
+
+// controller is the one runtime switch. obs, when non-nil, observes every
+// task execution.
+func controller(runtime string, ranks int, obs core.Observer) (core.Controller, error) {
+	switch runtime {
+	case "serial":
+		s := core.NewSerial()
+		s.Observer = obs
+		return s, nil
+	case "mpi":
+		return babelflow.NewMPI(babelflow.WithObserver(obs)), nil
+	case "original-mpi":
+		return babelflow.NewMPI(babelflow.WithInline(true), babelflow.WithObserver(obs)), nil
+	case "charm":
+		return babelflow.NewCharm(babelflow.CharmOptions{PEs: ranks, LBPeriod: 8, Observer: obs}), nil
+	case "legion-spmd":
+		return babelflow.NewLegionSPMD(babelflow.LegionOptions{Observer: obs}), nil
+	case "legion-il":
+		return babelflow.NewLegionIndexLaunch(babelflow.LegionOptions{Observer: obs}), nil
+	}
+	return nil, usagef("unknown -runtime %q", runtime)
+}
+
+// wrappedRegistrar interposes wrap on every registered callback (the trace
+// recorder's span timing, the elastic pace).
+type wrappedRegistrar struct {
+	inner core.CallbackRegistrar
+	wrap  func(core.CallbackId, core.Callback) core.Callback
+}
+
+func (w wrappedRegistrar) RegisterCallback(cb core.CallbackId, fn core.Callback) error {
+	return w.inner.RegisterCallback(cb, w.wrap(cb, fn))
+}
+
+// runInMemory runs the use case in this process on the chosen controller
+// and prints its one-line summary with the paper-level check.
+func runInMemory(cfg config, stdout io.Writer) error {
+	c, err := cfg.build()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	defer f.Close()
-	spans := rec.Spans()
-	if err := trace.WriteCSV(f, spans); err != nil {
-		log.Fatal(err)
+	var rec *trace.Recorder
+	var obs core.Observer
+	if cfg.traceTo != "" {
+		rec = trace.NewRecorder()
+		obs = rec
+	}
+	ctrl, err := controller(cfg.runtime, cfg.ranks, obs)
+	if err != nil {
+		return err
+	}
+	if err := ctrl.Initialize(c.Graph, c.Map(cfg.ranks)); err != nil {
+		return err
+	}
+	var reg core.CallbackRegistrar = ctrl
+	if rec != nil {
+		reg = wrappedRegistrar{ctrl, rec.Wrap}
+	}
+	if err := c.Register(reg); err != nil {
+		return err
+	}
+	start := time.Now()
+	out, err := ctrl.Run(c.Initial)
+	if err != nil {
+		return err
+	}
+	elapsed := time.Since(start)
+
+	summary, ok, err := c.Check(out)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "%-9s %-12s %d tasks, %d shards: %v  %s\n",
+		cfg.useCase, cfg.runtime, c.Graph.Size(), cfg.ranks, elapsed.Round(time.Millisecond), summary)
+	if rec != nil {
+		if err := writeTrace(cfg, stdout, rec.Spans(), c.Graph); err != nil {
+			return err
+		}
+	}
+	return verdict(ok)
+}
+
+// writeTrace dumps the recorded spans and prints the trace summary and,
+// with -whatif, the replay under every simulated runtime model.
+func writeTrace(cfg config, stdout io.Writer, spans []trace.Span, g core.TaskGraph) error {
+	var csv bytes.Buffer
+	if err := trace.WriteCSV(&csv, spans); err != nil {
+		return err
+	}
+	if err := os.WriteFile(cfg.traceTo, csv.Bytes(), 0o644); err != nil {
+		return err
 	}
 	sum, err := trace.Summarize(g, spans)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("trace: %d spans -> %s  wall=%v critical-path=%v utilization=%.2f\n",
-		sum.Tasks, traceCSV, sum.Wall.Round(time.Microsecond),
+	fmt.Fprintf(stdout, "trace: %d spans -> %s  wall=%v critical-path=%v utilization=%.2f\n",
+		sum.Tasks, cfg.traceTo, sum.Wall.Round(time.Microsecond),
 		sum.CriticalPath.Round(time.Microsecond), sum.Utilization())
-	if whatIfCores > 0 {
-		results, err := sim.WhatIf(g, spans, nil, sim.ShaheenII(whatIfCores))
+	if cfg.whatIf > 0 {
+		results, err := sim.WhatIf(g, spans, nil, sim.ShaheenII(cfg.whatIf))
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("what-if on %d simulated cores:\n", whatIfCores)
+		fmt.Fprintf(stdout, "what-if on %d simulated cores:\n", cfg.whatIf)
 		for _, name := range []string{"IceT", "MPI", "Original MPI", "Charm++", "Legion", "Legion IL"} {
-			fmt.Printf("  %-14s %8.3fs (compute %.3fs, overhead %.3fs)\n",
+			fmt.Fprintf(stdout, "  %-14s %8.3fs (compute %.3fs, overhead %.3fs)\n",
 				name, results[name].Makespan, results[name].Compute, results[name].Overhead)
 		}
 	}
-}
-
-func runMergeTree(rt string, shards, n, blocks int) {
-	field := data.SyntheticHCCI(n, n, n, 8, 2026)
-	decomp, err := data.NewDecomposition(n, n, n, 2, 2, blocks/4)
-	if err != nil {
-		log.Fatal(err)
-	}
-	graph, err := mergetree.NewGraph(blocks, 2)
-	if err != nil {
-		log.Fatal(err)
-	}
-	cfg := mergetree.Config{Decomp: decomp, Threshold: 0.3}
-	rec, c := maybeTrace(rt, shards)
-	if err := c.Initialize(graph, babelflow.NewGraphMap(shards, graph)); err != nil {
-		log.Fatal(err)
-	}
-	if rec == nil {
-		if err := cfg.Register(c, graph); err != nil {
-			log.Fatal(err)
-		}
-	} else {
-		if err := cfg.Register(tracedController{c, rec}, graph); err != nil {
-			log.Fatal(err)
-		}
-	}
-	initial, err := cfg.InitialInputs(field, graph)
-	if err != nil {
-		log.Fatal(err)
-	}
-	start := time.Now()
-	out, err := c.Run(initial)
-	if err != nil {
-		log.Fatal(err)
-	}
-	elapsed := time.Since(start)
-
-	want := mergetree.SerialSegmentation(field, cfg.Threshold)
-	mismatches, labeled := 0, 0
-	features := make(map[uint64]bool)
-	for i := 0; i < blocks; i++ {
-		wire, _ := out[graph.SegmentationTask(i)][0].Wire()
-		seg, err := mergetree.DeserializeSegmentation(wire)
-		if err != nil {
-			log.Fatal(err)
-		}
-		for vid, rep := range seg.Labels {
-			labeled++
-			features[rep] = true
-			if want[vid] != rep {
-				mismatches++
-			}
-		}
-	}
-	fmt.Printf("mergetree %-12s %d tasks, %d shards: %v  features=%d labeled=%d mismatches=%d\n",
-		rt, graph.Size(), shards, elapsed.Round(time.Millisecond), len(features), labeled, mismatches)
-	writeTrace(rec, graph)
-}
-
-// tracedController interposes the recorder's Wrap on every registered
-// callback.
-type tracedController struct {
-	babelflow.Controller
-	rec *trace.Recorder
-}
-
-func (t tracedController) RegisterCallback(cb babelflow.CallbackId, fn babelflow.Callback) error {
-	return t.Controller.RegisterCallback(cb, t.rec.Wrap(cb, fn))
-}
-
-func runRender(rt string, shards, n, blocks int) {
-	field := data.SyntheticHCCI(n, n, n, 6, 7)
-	decomp, err := data.NewDecomposition(n, n, n, 2, 2, blocks/4)
-	if err != nil {
-		log.Fatal(err)
-	}
-	cfg := render.Config{
-		Decomp: decomp,
-		Camera: render.Camera{Width: n, Height: n},
-		TF:     render.TransferFunction{Lo: 0.25, Hi: 1.5, Opacity: 0.4},
-	}
-	graph, err := graphs.NewReduction(blocks, 2)
-	if err != nil {
-		log.Fatal(err)
-	}
-	c := controller(rt, shards)
-	if err := c.Initialize(graph, babelflow.NewModuloMap(shards, graph.Size())); err != nil {
-		log.Fatal(err)
-	}
-	if err := cfg.RegisterReduction(c, graph); err != nil {
-		log.Fatal(err)
-	}
-	initial, err := cfg.InitialInputs(field, graph.LeafIds())
-	if err != nil {
-		log.Fatal(err)
-	}
-	start := time.Now()
-	out, err := c.Run(initial)
-	if err != nil {
-		log.Fatal(err)
-	}
-	elapsed := time.Since(start)
-
-	wire, _ := out[graph.Root()][0].Wire()
-	frame, err := render.DeserializeImage(wire)
-	if err != nil {
-		log.Fatal(err)
-	}
-	direct, err := render.NewIceT(cfg).RenderAndCompositeTree(field)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("render    %-12s %d tasks, %d shards: %v  matches-icet=%v\n",
-		rt, graph.Size(), shards, elapsed.Round(time.Millisecond), frame.Equal(direct))
-}
-
-func runRegister(rt string, shards int) {
-	cfg := register.Config{GridW: 3, GridH: 3, Tile: 24, Overlap: 0.2, Jitter: 2}
-	tiles := data.BrainSpecimen(cfg.GridW, cfg.GridH, cfg.Tile, cfg.Overlap, cfg.Jitter, 5)
-	graph, err := cfg.Graph()
-	if err != nil {
-		log.Fatal(err)
-	}
-	c := controller(rt, shards)
-	if err := c.Initialize(graph, babelflow.NewModuloMap(shards, graph.Size())); err != nil {
-		log.Fatal(err)
-	}
-	if err := cfg.Register(c, graph); err != nil {
-		log.Fatal(err)
-	}
-	initial, err := cfg.InitialInputs(graph, tiles)
-	if err != nil {
-		log.Fatal(err)
-	}
-	start := time.Now()
-	out, err := c.Run(initial)
-	if err != nil {
-		log.Fatal(err)
-	}
-	elapsed := time.Since(start)
-
-	var ests []register.Estimate
-	for y := 0; y < cfg.GridH; y++ {
-		for x := 0; x < cfg.GridW; x++ {
-			wire, _ := out[graph.ProcessId(x, y)][0].Wire()
-			e, err := register.DeserializeEstimate(wire)
-			if err != nil {
-				log.Fatal(err)
-			}
-			ests = append(ests, e)
-		}
-	}
-	pos, err := register.Solve(cfg.GridW, cfg.GridH, ests)
-	if err != nil {
-		log.Fatal(err)
-	}
-	exact := 0
-	for y := 0; y < cfg.GridH; y++ {
-		for x := 0; x < cfg.GridW; x++ {
-			tl := tiles[y*cfg.GridW+x]
-			if (pos[y][x] == register.Position{X: tl.TrueX - tiles[0].TrueX, Y: tl.TrueY - tiles[0].TrueY}) {
-				exact++
-			}
-		}
-	}
-	fmt.Printf("register  %-12s %d tasks, %d shards: %v  exact=%d/%d\n",
-		rt, graph.Size(), shards, elapsed.Round(time.Millisecond), exact, len(tiles))
-}
-
-// runRegisterIter runs the iterative registration refinement: the
-// registration dataflow unrolled under core.Iterate, converging once the
-// pairwise estimates stop moving. The solved positions must still match
-// the ground truth exactly.
-func runRegisterIter(rt string, shards int) {
-	cfg := register.Config{GridW: 3, GridH: 3, Tile: 24, Overlap: 0.2, Jitter: 2}
-	tiles := data.BrainSpecimen(cfg.GridW, cfg.GridH, cfg.Tile, cfg.Overlap, cfg.Jitter, 5)
-	ig, err := cfg.Iterative(8)
-	if err != nil {
-		log.Fatal(err)
-	}
-	c := controller(rt, shards)
-	if err := c.Initialize(ig, babelflow.NewIterativeMap(shards, ig)); err != nil {
-		log.Fatal(err)
-	}
-	if err := cfg.RegisterIter(c, ig); err != nil {
-		log.Fatal(err)
-	}
-	initial, err := cfg.IterInitial(tiles)
-	if err != nil {
-		log.Fatal(err)
-	}
-	start := time.Now()
-	out, err := c.Run(initial)
-	if err != nil {
-		log.Fatal(err)
-	}
-	elapsed := time.Since(start)
-
-	iter, sinks, err := ig.Final(out)
-	if err != nil {
-		log.Fatal(err)
-	}
-	ests, err := cfg.IterEstimates(sinks)
-	if err != nil {
-		log.Fatal(err)
-	}
-	pos, err := register.Solve(cfg.GridW, cfg.GridH, ests)
-	if err != nil {
-		log.Fatal(err)
-	}
-	exact := 0
-	for y := 0; y < cfg.GridH; y++ {
-		for x := 0; x < cfg.GridW; x++ {
-			tl := tiles[y*cfg.GridW+x]
-			if (pos[y][x] == register.Position{X: tl.TrueX - tiles[0].TrueX, Y: tl.TrueY - tiles[0].TrueY}) {
-				exact++
-			}
-		}
-	}
-	fmt.Printf("register-iter %-12s %d tasks, %d shards: %v  converged=%d/%d exact=%d/%d\n",
-		rt, ig.Size(), shards, elapsed.Round(time.Millisecond), iter+1, ig.MaxIter(), exact, len(tiles))
+	return nil
 }

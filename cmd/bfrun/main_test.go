@@ -1,0 +1,250 @@
+package main
+
+import (
+	"bytes"
+	"encoding/csv"
+	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strconv"
+	"strings"
+	"syscall"
+	"testing"
+	"time"
+
+	"github.com/babelflow/babelflow-go/internal/core"
+)
+
+// workerEnv marks a re-exec of this test binary as a bfrun process: the
+// multi-process modes fork os.Executable(), which under `go test` is the
+// test binary, so TestMain turns those children into plain bfrun workers.
+const workerEnv = "BFRUN_TEST_AS_BFRUN"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(workerEnv) == "1" {
+		main()
+		return
+	}
+	os.Setenv(workerEnv, "1") // inherited by every forked worker
+	os.Exit(m.Run())
+}
+
+// bfrun runs one command line in-process and returns what it printed.
+func bfrun(t *testing.T, args ...string) (string, error) {
+	t.Helper()
+	var out bytes.Buffer
+	err := run(args, &out)
+	return out.String(), err
+}
+
+func TestInMemoryEveryCaseEveryRuntime(t *testing.T) {
+	want := map[string]string{
+		"mergetree":     "mismatches=0",
+		"render":        "matches-icet=true",
+		"register":      "exact=9/9",
+		"register-iter": "exact=9/9",
+	}
+	for uc, token := range want {
+		for _, rt := range []string{"serial", "mpi", "original-mpi", "charm", "legion-spmd", "legion-il"} {
+			out, err := bfrun(t, "-case", uc, "-runtime", rt, "-ranks", "3")
+			if err != nil {
+				t.Fatalf("%s on %s: %v\n%s", uc, rt, err, out)
+			}
+			if !strings.HasPrefix(out, uc) || !strings.Contains(out, token) || !strings.Contains(out, "3 shards") {
+				t.Errorf("%s on %s: summary %q lacks %q", uc, rt, out, token)
+			}
+		}
+	}
+}
+
+// TestTraceHonouredOutsideMergeTree is the regression test for -trace being
+// silently ignored by every case but mergetree.
+func TestTraceHonouredOutsideMergeTree(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "render.csv")
+	out, err := bfrun(t, "-case", "render", "-runtime", "mpi", "-trace", path, "-whatif", "64")
+	if err != nil {
+		t.Fatalf("%v\n%s", err, out)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatalf("-trace wrote nothing: %v", err)
+	}
+	defer f.Close()
+	rows, err := csv.NewReader(f).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const tasks = 15 // 8-leaf binary reduction
+	if len(rows) != tasks+1 {
+		t.Errorf("trace has %d rows, want a header and one span per task (%d)", len(rows), tasks)
+	}
+	if !strings.Contains(out, "trace: 15 spans") || !strings.Contains(out, "what-if on 64 simulated cores") {
+		t.Errorf("summary lacks the trace and what-if reports:\n%s", out)
+	}
+}
+
+func TestBadCommandLinesAreUsageErrors(t *testing.T) {
+	for _, args := range [][]string{
+		{"-ranks", "0"},
+		{"-ranks", "-3", "-transport", "tcp"},
+		{"-blocks", "6"},
+		{"-blocks", "2"},
+		{"-blocks", "0", "-case", "render"},
+		{"-trace", "t.csv", "-transport", "tcp"},
+		{"-trace", "t.csv", "-elastic"},
+		{"-trace", "t.csv", "-faults"},
+		{"-trace", "t.csv", "-resume", "dir"},
+		{"-transport", "udp"},
+		{"-transport", "tcp", "-runtime", "charm"},
+		{"-wire-tier", "carrier-pigeon"},
+		{"-runtime", "slurm"},
+		{"-kill-all-after", "1"},
+		{"-elastic", "-ranks", "2", "-join", "1", "-drain", "3"},
+		{"-shards", "4"},
+	} {
+		out, err := bfrun(t, args...)
+		var usage usageError
+		if !errors.As(err, &usage) {
+			t.Errorf("bfrun %v: err = %v, want a usage error (exit status 2)", args, err)
+		}
+		if out != "" || strings.Contains(fmt.Sprint(err), "\n") {
+			t.Errorf("bfrun %v: want a one-line error and no output, got %q / %q", args, err, out)
+		}
+	}
+	if _, err := os.Stat("t.csv"); err == nil {
+		t.Error("a rejected command line still wrote its trace file")
+	}
+}
+
+func TestRegisterOverTwoProcesses(t *testing.T) {
+	out, err := bfrun(t, "-case", "register", "-runtime", "mpi", "-transport", "tcp", "-ranks", "2")
+	if err != nil {
+		t.Fatalf("%v\n%s", err, out)
+	}
+	if !strings.Contains(out, "wire register") || !strings.Contains(out, "over 2 processes") ||
+		!strings.Contains(out, "sinks=9/9 match-serial=true") {
+		t.Errorf("unexpected summary:\n%s", out)
+	}
+}
+
+func TestKillAllThenResume(t *testing.T) {
+	dir := t.TempDir()
+	out, err := bfrun(t, "-case", "register", "-journal", dir, "-kill-all-after", "1", "-ranks", "4")
+	if err != nil {
+		t.Fatalf("seed: %v\n%s", err, out)
+	}
+	if !strings.Contains(out, "wire-journal seed register") || !strings.Contains(out, "crashed_ranks=4/4") {
+		t.Fatalf("seed did not crash every rank:\n%s", out)
+	}
+	out, err = bfrun(t, "-case", "register", "-resume", dir, "-ranks", "4")
+	if err != nil {
+		t.Fatalf("resume: %v\n%s", err, out)
+	}
+	m := regexp.MustCompile(`wire-resume register +(\d+) tasks .* restored=(\d+) replayed=(\d+) executed=(\d+) match-serial=true`).FindStringSubmatch(out)
+	if m == nil {
+		t.Fatalf("unexpected resume summary:\n%s", out)
+	}
+	tasks, _ := strconv.Atoi(m[1])
+	restored, _ := strconv.Atoi(m[2])
+	replayed, _ := strconv.Atoi(m[3])
+	executed, _ := strconv.Atoi(m[4])
+	if restored == 0 || replayed != restored || replayed+executed != tasks {
+		t.Errorf("restored=%d replayed=%d executed=%d tasks=%d: the restart did not resume from the journals",
+			restored, replayed, executed, tasks)
+	}
+}
+
+func TestElasticJoinAndDrain(t *testing.T) {
+	out, err := bfrun(t, "-case", "mergetree", "-elastic", "-ranks", "2", "-join", "1", "-join-after", "100ms",
+		"-drain", "1", "-drain-after", "300ms", "-journal", t.TempDir(), "-wire-tier", "tcp")
+	if err != nil {
+		t.Fatalf("%v\n%s", err, out)
+	}
+	if !strings.Contains(out, "wire-elastic mergetree") || !strings.Contains(out, "sinks=8/8 match-serial=true") {
+		t.Errorf("unexpected summary:\n%s", out)
+	}
+}
+
+func TestJudge(t *testing.T) {
+	sinks := map[core.TaskId][]core.Payload{
+		3: {core.Buffer([]byte("three"))},
+		7: {core.Buffer([]byte("seven")), core.Buffer([]byte("seven'"))},
+	}
+	want, err := digestSet(sinks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines, _ := digestLines(sinks)
+	report := func(lines []string) string {
+		return "noise\nBFWIRE done rank=0\n" + strings.Join(lines, "\n") + "\n"
+	}
+	tampered := append([]string(nil), lines...)
+	tampered[1] = tampered[1][:len(tampered[1])-1] + "0"
+	if tampered[1] == lines[1] {
+		tampered[1] = lines[1][:len(lines[1])-1] + "1"
+	}
+
+	for _, tc := range []struct {
+		name    string
+		stdout  []string // one per worker
+		failed  int
+		matches int
+		ok      bool
+	}{
+		{"exact", []string{report(lines)}, 0, 3, true},
+		{"split over workers, duplicates", []string{report(lines[:2]), report(lines[1:])}, 0, 3, true},
+		{"tampered sink", []string{report(tampered)}, 0, 2, false},
+		{"missing sink", []string{report(lines[:2])}, 0, 2, false},
+		{"extra sink", []string{report(append(lines[:3:3], "BFWIRE sink 9 0 abcd"))}, 0, 3, false},
+		{"failed worker", []string{report(lines)}, 1, 3, false},
+	} {
+		got := tally{sinks: map[string]bool{}, failed: tc.failed}
+		for _, s := range tc.stdout {
+			got.scan(s)
+		}
+		matches, ok := judge(want, got.sinks, got.failed)
+		if matches != tc.matches || ok != tc.ok {
+			t.Errorf("%s: judge = (%d, %v), want (%d, %v)", tc.name, matches, ok, tc.matches, tc.ok)
+		}
+		if len(got.records) != len(tc.stdout) {
+			t.Errorf("%s: %d tagged records, want one BFWIRE done per worker", tc.name, len(got.records))
+		}
+	}
+}
+
+// TestFleetKillLeavesNoChild closes a fleet whose workers are still blocked
+// in a rendezvous nobody will ever host — the state a parent's error path
+// leaves them in — and checks every child is gone and reaped.
+func TestFleetKillLeavesNoChild(t *testing.T) {
+	addr, err := reserveLoopbackAddr()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var f fleet
+	for rank := 1; rank <= 2; rank++ {
+		if err := f.fork("-case", "register", "-ranks", "3", "-wire-rank", strconv.Itoa(rank), "-wire-addr", addr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	time.Sleep(100 * time.Millisecond) // let them reach the rendezvous
+	for _, w := range f.workers {
+		if err := w.cmd.Process.Signal(syscall.Signal(0)); err != nil {
+			t.Fatalf("worker %d exited on its own before the fleet was closed: %v", w.cmd.Process.Pid, err)
+		}
+	}
+	f.kill()
+	for _, w := range f.workers {
+		if w.cmd.ProcessState == nil {
+			t.Errorf("worker %d was not reaped", w.cmd.Process.Pid)
+		}
+		if err := syscall.Kill(w.cmd.Process.Pid, 0); err != syscall.ESRCH {
+			t.Errorf("worker %d still exists after kill: %v", w.cmd.Process.Pid, err)
+		}
+	}
+	if err := f.fork("-case", "register"); err == nil {
+		t.Error("a closed fleet still forks")
+	}
+	f.kill() // idempotent
+}

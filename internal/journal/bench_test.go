@@ -7,8 +7,8 @@ import (
 )
 
 // BenchmarkAppend measures the append path under each fsync policy — the
-// numbers behind the journaling rows of BENCH_journal.json and the CI
-// perf-smoke sweep. Group commit's value is visible here: appends return at
+// per-record side of the repository benchmark's journal.append_us /
+// journal.overhead_x (make bench) and the CI perf-smoke sweep. Group commit's value is visible here: appends return at
 // write speed while a background committer amortizes the fsyncs, landing
 // near the rotate/never policies instead of the per-record fsync floor.
 func BenchmarkAppend(b *testing.B) {

@@ -7,8 +7,8 @@
 // graphs (reduction, broadcast, k-way merge, binary swap) with a
 // deterministic hash-mix callback, sized by parameters — the service
 // benchmark and smoke currency; and the paper's use cases (mergetree,
-// render, register, plus the iterative register-iter refinement loop)
-// wired exactly as cmd/bfrun wires them.
+// render, register, plus the iterative register-iter refinement loop),
+// built by the internal/usecase catalog.
 package serve
 
 import (
@@ -18,25 +18,14 @@ import (
 	"sort"
 
 	"github.com/babelflow/babelflow-go/internal/core"
-	"github.com/babelflow/babelflow-go/internal/data"
 	"github.com/babelflow/babelflow-go/internal/graphs"
-	"github.com/babelflow/babelflow-go/internal/mergetree"
 	"github.com/babelflow/babelflow-go/internal/mpi"
-	"github.com/babelflow/babelflow-go/internal/register"
-	"github.com/babelflow/babelflow-go/internal/render"
+	"github.com/babelflow/babelflow-go/internal/usecase"
 )
 
 // Params carries a submission's integer knobs (graph size, payload bytes,
 // …). Missing keys fall back to per-program defaults.
-type Params map[string]int
-
-// get returns p[key] or def when absent or non-positive.
-func (p Params) get(key string, def int) int {
-	if v, ok := p[key]; ok && v > 0 {
-		return v
-	}
-	return def
-}
+type Params = usecase.Params
 
 // Program is one named dataflow the service can run.
 type Program struct {
@@ -94,16 +83,7 @@ func (r *Registry) ReferenceDigest(name string, p Params) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	ser := core.NewSerial()
-	if err := ser.Initialize(sub.Graph, nil); err != nil {
-		return "", err
-	}
-	if sub.Register != nil {
-		if err := sub.Register(ser); err != nil {
-			return "", err
-		}
-	}
-	out, err := ser.Run(sub.Initial)
+	out, err := usecase.Reference(usecase.Case{Graph: sub.Graph, Register: sub.Register, Initial: sub.Initial})
 	if err != nil {
 		return "", err
 	}
@@ -118,7 +98,7 @@ func DefaultRegistry() *Registry {
 		Name:  "reduction",
 		About: "k-ary reduction tree over hash-mix tasks (blocks, valence, payload)",
 		Build: func(p Params) (mpi.Submission, error) {
-			g, err := graphs.NewReduction(p.get("blocks", 8), p.get("valence", 2))
+			g, err := graphs.NewReduction(p.Get("blocks", 8), p.Get("valence", 2))
 			if err != nil {
 				return mpi.Submission{}, err
 			}
@@ -129,7 +109,7 @@ func DefaultRegistry() *Registry {
 		Name:  "broadcast",
 		About: "k-ary broadcast tree over hash-mix tasks (blocks, valence, payload)",
 		Build: func(p Params) (mpi.Submission, error) {
-			g, err := graphs.NewBroadcast(p.get("blocks", 8), p.get("valence", 2))
+			g, err := graphs.NewBroadcast(p.Get("blocks", 8), p.Get("valence", 2))
 			if err != nil {
 				return mpi.Submission{}, err
 			}
@@ -140,7 +120,7 @@ func DefaultRegistry() *Registry {
 		Name:  "kwaymerge",
 		About: "k-way merge (reduce + broadcast back) over hash-mix tasks (blocks, valence, payload)",
 		Build: func(p Params) (mpi.Submission, error) {
-			g, err := graphs.NewKWayMerge(p.get("blocks", 8), p.get("valence", 2))
+			g, err := graphs.NewKWayMerge(p.Get("blocks", 8), p.Get("valence", 2))
 			if err != nil {
 				return mpi.Submission{}, err
 			}
@@ -151,123 +131,29 @@ func DefaultRegistry() *Registry {
 		Name:  "binaryswap",
 		About: "binary-swap compositing exchange over hash-mix tasks (blocks, payload)",
 		Build: func(p Params) (mpi.Submission, error) {
-			g, err := graphs.NewBinarySwap(p.get("blocks", 8))
+			g, err := graphs.NewBinarySwap(p.Get("blocks", 8))
 			if err != nil {
 				return mpi.Submission{}, err
 			}
 			return prototypeSubmission(g, p), nil
 		},
 	})
-	r.Add(Program{
-		Name:  "mergetree",
-		About: "distributed merge-tree segmentation use case (n, blocks)",
-		Build: func(p Params) (mpi.Submission, error) {
-			n, blocks := p.get("n", 32), p.get("blocks", 8)
-			field := data.SyntheticHCCI(n, n, n, 8, 2026)
-			decomp, err := data.NewDecomposition(n, n, n, 2, 2, blocks/4)
-			if err != nil {
-				return mpi.Submission{}, err
-			}
-			graph, err := mergetree.NewGraph(blocks, 2)
-			if err != nil {
-				return mpi.Submission{}, err
-			}
-			cfg := mergetree.Config{Decomp: decomp, Threshold: 0.3}
-			initial, err := cfg.InitialInputs(field, graph)
-			if err != nil {
-				return mpi.Submission{}, err
-			}
-			return mpi.Submission{
-				Graph:    graph,
-				Register: func(c core.CallbackRegistrar) error { return cfg.Register(c, graph) },
-				Initial:  initial,
-			}, nil
-		},
-	})
-	r.Add(Program{
-		Name:  "render",
-		About: "volume-render + tree compositing use case (n, blocks)",
-		Build: func(p Params) (mpi.Submission, error) {
-			n, blocks := p.get("n", 32), p.get("blocks", 8)
-			field := data.SyntheticHCCI(n, n, n, 6, 7)
-			decomp, err := data.NewDecomposition(n, n, n, 2, 2, blocks/4)
-			if err != nil {
-				return mpi.Submission{}, err
-			}
-			cfg := render.Config{
-				Decomp: decomp,
-				Camera: render.Camera{Width: n, Height: n},
-				TF:     render.TransferFunction{Lo: 0.25, Hi: 1.5, Opacity: 0.4},
-			}
-			graph, err := graphs.NewReduction(blocks, 2)
-			if err != nil {
-				return mpi.Submission{}, err
-			}
-			initial, err := cfg.InitialInputs(field, graph.LeafIds())
-			if err != nil {
-				return mpi.Submission{}, err
-			}
-			return mpi.Submission{
-				Graph:    graph,
-				Register: func(c core.CallbackRegistrar) error { return cfg.RegisterReduction(c, graph) },
-				Initial:  initial,
-			}, nil
-		},
-	})
-	r.Add(Program{
-		Name:  "register",
-		About: "image-registration neighborhood-exchange use case (grid, tile)",
-		Build: func(p Params) (mpi.Submission, error) {
-			cfg := register.Config{
-				GridW:   p.get("grid", 3),
-				GridH:   p.get("grid", 3),
-				Tile:    p.get("tile", 24),
-				Overlap: 0.2,
-				Jitter:  2,
-			}
-			tiles := data.BrainSpecimen(cfg.GridW, cfg.GridH, cfg.Tile, cfg.Overlap, cfg.Jitter, 5)
-			graph, err := cfg.Graph()
-			if err != nil {
-				return mpi.Submission{}, err
-			}
-			initial, err := cfg.InitialInputs(graph, tiles)
-			if err != nil {
-				return mpi.Submission{}, err
-			}
-			return mpi.Submission{
-				Graph:    graph,
-				Register: func(c core.CallbackRegistrar) error { return cfg.Register(c, graph) },
-				Initial:  initial,
-			}, nil
-		},
-	})
-	r.Add(Program{
-		Name:  "register-iter",
-		About: "iterative registration refinement loop under core.Iterate (grid, tile, maxiter)",
-		Build: func(p Params) (mpi.Submission, error) {
-			cfg := register.Config{
-				GridW:   p.get("grid", 3),
-				GridH:   p.get("grid", 3),
-				Tile:    p.get("tile", 24),
-				Overlap: 0.2,
-				Jitter:  2,
-			}
-			tiles := data.BrainSpecimen(cfg.GridW, cfg.GridH, cfg.Tile, cfg.Overlap, cfg.Jitter, 5)
-			ig, err := cfg.Iterative(p.get("maxiter", 8))
-			if err != nil {
-				return mpi.Submission{}, err
-			}
-			initial, err := cfg.IterInitial(tiles)
-			if err != nil {
-				return mpi.Submission{}, err
-			}
-			return mpi.Submission{
-				Graph:    ig,
-				Register: func(c core.CallbackRegistrar) error { return cfg.RegisterIter(c, ig) },
-				Initial:  initial,
-			}, nil
-		},
-	})
+	for _, uc := range []struct{ name, about string }{
+		{"mergetree", "distributed merge-tree segmentation use case (n, blocks)"},
+		{"render", "volume-render + tree compositing use case (n, blocks)"},
+		{"register", "image-registration neighborhood-exchange use case (grid, tile)"},
+		{"register-iter", "iterative registration refinement loop under core.Iterate (grid, tile, maxiter)"},
+	} {
+		r.Add(Program{
+			Name:  uc.name,
+			About: uc.about,
+			// Map stays nil: the service places a submission itself.
+			Build: func(p Params) (mpi.Submission, error) {
+				c, err := usecase.Build(uc.name, p)
+				return mpi.Submission{Graph: c.Graph, Register: c.Register, Initial: c.Initial}, err
+			},
+		})
+	}
 	return r
 }
 
@@ -286,7 +172,7 @@ func prototypeSubmission(g core.TaskGraph, p Params) mpi.Submission {
 			}
 			return nil
 		},
-		Initial: externalInputsFor(g, p.get("payload", 64)),
+		Initial: externalInputsFor(g, p.Get("payload", 64)),
 	}
 }
 

@@ -33,7 +33,7 @@ func slowRegistry() *Registry {
 			}
 			sub := prototypeSubmission(g, p)
 			mix := mixCallback(g)
-			nap := time.Duration(p.get("sleep_ms", 20)) * time.Millisecond
+			nap := time.Duration(p.Get("sleep_ms", 20)) * time.Millisecond
 			sub.Register = func(c core.CallbackRegistrar) error {
 				for _, cb := range g.Callbacks() {
 					if err := c.RegisterCallback(cb, func(in []core.Payload, id core.TaskId) ([]core.Payload, error) {
@@ -540,6 +540,36 @@ func TestReferenceDigestStable(t *testing.T) {
 		}
 		if c == a {
 			t.Fatalf("%s: digest ignores parameters", name)
+		}
+	}
+}
+
+// TestDefaultRegistryDigestsPinned pins the serial reference digest of every
+// stock program at default parameters to the bytes captured before the use
+// cases moved into internal/usecase: a refactor of the wiring must not move
+// a byte.
+func TestDefaultRegistryDigestsPinned(t *testing.T) {
+	pinned := map[string]string{
+		"binaryswap":    "e345c2bcb2c31a0e4da819472b2045582d225da7a0963f2fc02db7cce6f92999",
+		"broadcast":     "f73ad5f2cbe9dc27682b299196159b076ee1a4ea03ae66e846a801e69e5e6298",
+		"kwaymerge":     "c12916c95d74b2b3335a5a7a34a747c93cf1aedf6ba7685c495754dbc120c4a3",
+		"mergetree":     "a3dd815c958f44e3aa1b2b0c370468d901e121c95a00319797d8a043309b47f0",
+		"reduction":     "7dbdda14468604f5921204ae73dcdb77c7231e2644ea9fa7b2fc99e8cc7e1441",
+		"register":      "5359ce30c95f7ce2ba19c0cf86a6a1d37af9a395393468b77e11788a4b69fce5",
+		"register-iter": "aa8a7704ac186e88cca9a0c6f4a2054ee1d0f02d3d5ddb3a7d77a312c6aad5fb",
+		"render":        "63c6ffa9af99fc1d6d1bb97d0555fe409fcd2b65715917f5c807b1a35b6c2de5",
+	}
+	reg := DefaultRegistry()
+	if got := reg.Names(); len(got) != len(pinned) {
+		t.Fatalf("stock programs = %v, want the %d pinned ones", got, len(pinned))
+	}
+	for name, want := range pinned {
+		got, err := reg.ReferenceDigest(name, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got != want {
+			t.Errorf("%s: reference digest %s, pinned %s", name, got, want)
 		}
 	}
 }

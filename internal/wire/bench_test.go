@@ -9,9 +9,10 @@ import (
 	"github.com/babelflow/babelflow-go/internal/fabric"
 )
 
-// Transport micro-benchmarks, mirrored by cmd/bfbench -wire (which writes
-// BENCH_net.json). These exist so CI's perf-smoke job exercises the hot
-// path — including under the race detector — on every change.
+// Transport micro-benchmarks; the repository benchmark reports the same
+// tiers end to end as wire.{tcp,unix,shm}.rtt_us / bw_mb_s (make bench).
+// These exist so CI's perf-smoke job exercises the hot path — including
+// under the race detector — on every change.
 
 // benchPair bootstraps a 2-rank loopback mesh for the given data tier:
 // "tcp" and "unix" name the rendezvous network (and pin the matching
