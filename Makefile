@@ -130,9 +130,13 @@ fuzz-wire:
 ## tiers), the shm ring benchmarks again under the race detector, and
 ## every journal append benchmark (all fsync policies) at a fixed
 ## iteration count so hot-path regressions fail loudly, then the wire
-## package under the race detector.
+## package under the race detector, then the graph-plan benchmarks
+## (compile and cold run of the 16k-task graph) once each so they
+## cannot rot.
 perf-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=100x ./internal/wire
 	$(GO) test -race -run='^$$' -bench=Shm -benchtime=100x ./internal/wire
 	$(GO) test -run='^$$' -bench=. -benchtime=100x ./internal/journal
 	$(GO) test -race -count=1 ./internal/wire
+	$(GO) test -run='^$$' -bench='^BenchmarkCompile$$' -benchtime=1x ./internal/core
+	$(GO) test -run='^$$' -bench='^BenchmarkColdRun16k$$' -benchtime=1x ./internal/mpi

@@ -283,6 +283,10 @@ func writeTrace(cfg config, stdout io.Writer, spans []trace.Span, g core.TaskGra
 	if err := os.WriteFile(cfg.traceTo, csv.Bytes(), 0o644); err != nil {
 		return err
 	}
+	g, err := core.Compile(g) // once, for the summary and every what-if model
+	if err != nil {
+		return err
+	}
 	sum, err := trace.Summarize(g, spans)
 	if err != nil {
 		return err

@@ -67,10 +67,11 @@ func (c *Controller) Initialize(g core.TaskGraph, _ core.TaskMap) error {
 	if g == nil {
 		return fmt.Errorf("charm: nil task graph")
 	}
-	if err := core.Validate(g); err != nil {
+	p, err := core.Compile(g)
+	if err != nil {
 		return err
 	}
-	c.graph = g
+	c.graph = p
 	return nil
 }
 

@@ -169,36 +169,36 @@ func Step(reg *Registry, obs Observer, t Task, in []Payload, shard ShardId) (out
 // exactly as many payloads as it has ExternalInput slots, and no payloads
 // are addressed to tasks without external inputs.
 func CheckInitial(g TaskGraph, initial map[TaskId][]Payload) error {
+	p, err := Compile(g)
+	if err != nil {
+		return err
+	}
+	return p.CheckInitial(initial, nil, 0)
+}
+
+// CheckInitial is the package-level CheckInitial restricted to the tasks a
+// placement (Place) puts on one shard — what that shard's Run must be
+// handed, no more, no less. A nil shardOf checks the whole graph.
+func (p *Plan) CheckInitial(initial map[TaskId][]Payload, shardOf []int32, shard int) error {
+	here := func(i int) bool { return shardOf == nil || int(shardOf[i]) == shard }
 	for id, ps := range initial {
-		t, ok := g.Task(id)
-		if !ok {
-			return fmt.Errorf("core: initial input for unknown task %d", id)
+		i, ok := p.Index(id)
+		if !ok || !here(i) {
+			return fmt.Errorf("core: initial input for unknown or non-local task %d", id)
 		}
-		want := 0
-		for _, in := range t.Incoming {
-			if in == ExternalInput {
-				want++
-			}
-		}
-		if want == 0 {
+		if p.ext[i] == 0 {
 			return fmt.Errorf("core: task %d has no external inputs but received %d initial payloads", id, len(ps))
 		}
-		if len(ps) != want {
-			return fmt.Errorf("core: task %d expects %d external inputs, got %d", id, want, len(ps))
+		if len(ps) != int(p.ext[i]) {
+			return fmt.Errorf("core: task %d expects %d external inputs, got %d", id, p.ext[i], len(ps))
 		}
 	}
-	for _, id := range g.TaskIds() {
-		t, _ := g.Task(id)
-		want := 0
-		for _, in := range t.Incoming {
-			if in == ExternalInput {
-				want++
-			}
+	for i, id := range p.ids {
+		if p.ext[i] == 0 || !here(i) {
+			continue
 		}
-		if want > 0 {
-			if _, ok := initial[id]; !ok {
-				return fmt.Errorf("core: task %d expects %d external inputs but none were provided", id, want)
-			}
+		if _, ok := initial[id]; !ok {
+			return fmt.Errorf("core: task %d expects %d external inputs but none were provided", id, p.ext[i])
 		}
 	}
 	return nil

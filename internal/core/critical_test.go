@@ -4,6 +4,15 @@ import (
 	"testing"
 )
 
+func mustCompile(t *testing.T, g TaskGraph) *Plan {
+	t.Helper()
+	p, err := Compile(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 // diamond builds A -> B -> C with a side leaf L -> C.
 func diamond() TaskGraph {
 	return NewExplicitGraph([]Task{
@@ -15,7 +24,7 @@ func diamond() TaskGraph {
 }
 
 func TestCriticalPathsChainWithLeaf(t *testing.T) {
-	cp, err := ComputeCriticalPaths(diamond())
+	cp, err := Compile(diamond())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +62,7 @@ func TestCriticalPathsSingleTask(t *testing.T) {
 	g := NewExplicitGraph([]Task{
 		{Id: 7, Callback: 0, Incoming: []TaskId{ExternalInput}, Outgoing: [][]TaskId{{}}},
 	})
-	cp, err := ComputeCriticalPaths(g)
+	cp, err := Compile(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +78,7 @@ func TestCriticalPathsFanOutCountsOnce(t *testing.T) {
 		{Id: 0, Callback: 0, Incoming: []TaskId{ExternalInput}, Outgoing: [][]TaskId{{1}, {1}}},
 		{Id: 1, Callback: 0, Incoming: []TaskId{0, 0}, Outgoing: [][]TaskId{{}}},
 	})
-	cp, err := ComputeCriticalPaths(g)
+	cp, err := Compile(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,23 +92,23 @@ func TestCriticalPathsCycleFails(t *testing.T) {
 		{Id: 0, Callback: 0, Incoming: []TaskId{1}, Outgoing: [][]TaskId{{1}}},
 		{Id: 1, Callback: 0, Incoming: []TaskId{0}, Outgoing: [][]TaskId{{0}}},
 	})
-	if _, err := ComputeCriticalPaths(g); err == nil {
+	if _, err := Compile(g); err == nil {
 		t.Fatal("cycle must fail the analysis")
 	}
 }
 
-func TestCriticalPathsForCaches(t *testing.T) {
-	// Two structurally identical graphs built independently share one
-	// analysis through the fingerprint cache.
-	a, err := CriticalPathsFor(diamond())
+func TestCompileOfPlanReturnsIt(t *testing.T) {
+	// The analysis is part of the plan: compiling a plan again is free and
+	// yields the same annotation object.
+	a, err := Compile(diamond())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := CriticalPathsFor(diamond())
+	b, err := Compile(a)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a != b {
-		t.Error("identical graphs did not share the cached analysis")
+		t.Error("Compile of a plan did not return the plan")
 	}
 }

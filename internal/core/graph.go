@@ -75,179 +75,23 @@ func ContiguousIds(n int) []TaskId {
 	return ids
 }
 
-// Levels partitions the graph into rounds of non-interfering tasks: level 0
-// contains tasks with no internal producers, and each task sits one level
-// above its deepest producer. The Legion index-launch controller executes
-// the graph as one index launch per level; tasks within a level have no
-// dependencies among each other.
+// Levels partitions the graph into rounds of non-interfering tasks
+// (Plan.Levels of the compiled graph). The Legion index-launch controller
+// executes the graph as one index launch per level; tasks within a level
+// have no dependencies among each other.
 func Levels(g TaskGraph) ([][]TaskId, error) {
-	level := make(map[TaskId]int, g.Size())
-	ids := g.TaskIds()
-
-	// path is the explicit DFS stack, kept so a detected cycle can be
-	// reported with the full offending path rather than a single task id.
-	var path []TaskId
-	var depth func(id TaskId, stack map[TaskId]bool) (int, error)
-	depth = func(id TaskId, stack map[TaskId]bool) (int, error) {
-		if l, ok := level[id]; ok {
-			return l, nil
-		}
-		if stack[id] {
-			// The DFS recurses from consumers into producers, so walking
-			// the stack backwards from the revisited task yields the cycle
-			// in dataflow (producer -> consumer) order.
-			cycle := []TaskId{id}
-			for i := len(path) - 1; i >= 0; i-- {
-				cycle = append(cycle, path[i])
-				if path[i] == id {
-					break
-				}
-			}
-			return 0, &CycleError{Path: cycle}
-		}
-		stack[id] = true
-		path = append(path, id)
-		defer func() {
-			delete(stack, id)
-			path = path[:len(path)-1]
-		}()
-		t, ok := g.Task(id)
-		if !ok {
-			return 0, fmt.Errorf("core: graph enumerates unknown task %d", id)
-		}
-		l := 0
-		for _, p := range t.Incoming {
-			if p == ExternalInput {
-				continue
-			}
-			pl, err := depth(p, stack)
-			if err != nil {
-				return 0, err
-			}
-			if pl+1 > l {
-				l = pl + 1
-			}
-		}
-		level[id] = l
-		return l, nil
+	p, err := Compile(g)
+	if err != nil {
+		return nil, err
 	}
-
-	maxLevel := 0
-	for _, id := range ids {
-		l, err := depth(id, map[TaskId]bool{})
-		if err != nil {
-			return nil, err
-		}
-		if l > maxLevel {
-			maxLevel = l
-		}
-	}
-	rounds := make([][]TaskId, maxLevel+1)
-	for _, id := range ids {
-		l := level[id]
-		rounds[l] = append(rounds[l], id)
-	}
-	for _, r := range rounds {
-		sort.Slice(r, func(i, j int) bool { return r[i] < r[j] })
-	}
-	return rounds, nil
+	return p.Levels(), nil
 }
 
-// Validate checks the structural consistency of a task graph:
-//
-//   - Size matches the number of enumerated ids and ids are unique;
-//   - every edge is symmetric: if a lists b as a consumer, b lists a as a
-//     producer, and vice versa;
-//   - the graph is acyclic (violations surface as a path-citing
-//     *CycleError);
-//   - every task's callback id appears in Callbacks();
-//   - conditional-edge declarations are well formed: Cond covers exactly
-//     the output slots, branch indices are in range, and no declared branch
-//     dangles without a slot (violations surface as *CondError).
-//
-// All controllers accept only graphs that validate; the serial executor is
-// the reference for what a valid graph computes.
+// Validate checks the structural consistency of a task graph: it compiles
+// the graph (see Compile for the checks) and discards the plan.
 func Validate(g TaskGraph) error {
-	ids := g.TaskIds()
-	if len(ids) != g.Size() {
-		return fmt.Errorf("core: graph Size()=%d but TaskIds() enumerates %d tasks", g.Size(), len(ids))
-	}
-	known := make(map[TaskId]Task, len(ids))
-	for i, id := range ids {
-		if i > 0 && ids[i-1] >= id {
-			return fmt.Errorf("core: TaskIds() not strictly ascending at index %d (%d after %d)", i, id, ids[i-1])
-		}
-		if id == ExternalInput {
-			return fmt.Errorf("core: graph uses the reserved ExternalInput id")
-		}
-		t, ok := g.Task(id)
-		if !ok {
-			return fmt.Errorf("core: graph enumerates task %d but Task() does not return it", id)
-		}
-		if t.Id != id {
-			return fmt.Errorf("core: Task(%d) returned a task with id %d", id, t.Id)
-		}
-		known[id] = t
-	}
-	cbs := make(map[CallbackId]bool)
-	for _, cb := range g.Callbacks() {
-		cbs[cb] = true
-	}
-	for id, t := range known {
-		if !cbs[t.Callback] {
-			return fmt.Errorf("core: task %d uses callback %d not listed in Callbacks()", id, t.Callback)
-		}
-		if err := validateCond(t); err != nil {
-			return err
-		}
-		for slot, p := range t.Incoming {
-			if p == ExternalInput {
-				continue
-			}
-			pt, ok := known[p]
-			if !ok {
-				return fmt.Errorf("core: task %d input slot %d names unknown producer %d", id, slot, p)
-			}
-			if !taskLists(pt.Outgoing, id) {
-				return fmt.Errorf("core: task %d expects input from %d, but %d does not list it as a consumer", id, p, p)
-			}
-		}
-		for slot, consumers := range t.Outgoing {
-			for _, c := range consumers {
-				ct, ok := known[c]
-				if !ok {
-					return fmt.Errorf("core: task %d output slot %d names unknown consumer %d", id, slot, c)
-				}
-				if !idIn(ct.Incoming, id) {
-					return fmt.Errorf("core: task %d sends to %d, but %d does not list it as a producer", id, c, c)
-				}
-			}
-		}
-	}
-	if _, err := Levels(g); err != nil {
-		return err
-	}
-	return nil
-}
-
-func taskLists(outgoing [][]TaskId, id TaskId) bool {
-	for _, slot := range outgoing {
-		for _, c := range slot {
-			if c == id {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-func idIn(ids []TaskId, id TaskId) bool {
-	for _, x := range ids {
-		if x == id {
-			return true
-		}
-	}
-	return false
+	_, err := Compile(g)
+	return err
 }
 
 // ExplicitGraph is a TaskGraph materialized from an explicit task list. It

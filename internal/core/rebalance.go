@@ -30,11 +30,35 @@ import "errors"
 // repairs that by adopting their recorded lineage into the new owner's
 // ledger (Ledger.Adopt) before the epoch runs.
 func RebalanceShards(g TaskGraph, m TaskMap, members []ShardId) (TaskMap, error) {
+	p, err := Compile(g)
+	if err != nil {
+		return nil, err
+	}
+	base := make([]int32, len(p.ids))
+	for i, id := range p.ids {
+		base[i] = int32(m.Shard(id))
+	}
+	dest, err := p.Rebalance(base, m.ShardCount(), members)
+	if err != nil {
+		return nil, err
+	}
+	return NewFuncMap(len(members), p.ids, func(id TaskId) ShardId {
+		if i, ok := p.Index(id); ok {
+			return ShardId(dest[i])
+		}
+		return 0
+	}), nil
+}
+
+// Rebalance is RebalanceShards on compiled placements: base[i] is the base
+// shard (of shards) of the plan's i-th task, and the result is each task's
+// logical rank in the epoch over members.
+func (p *Plan) Rebalance(base []int32, shards int, members []ShardId) ([]int32, error) {
 	if len(members) == 0 {
 		return nil, errors.New("core: rebalance: no members")
 	}
-	base := ShardId(m.ShardCount())
-	logical := make(map[ShardId]ShardId, len(members))
+	logical := make(map[ShardId]int32, len(members))
+	var joiners []int // logical ranks of members outside the base map
 	for i, s := range members {
 		if s < 0 {
 			return nil, errors.New("core: rebalance: negative member identity")
@@ -42,29 +66,25 @@ func RebalanceShards(g TaskGraph, m TaskMap, members []ShardId) (TaskMap, error)
 		if _, dup := logical[s]; dup {
 			return nil, errors.New("core: rebalance: duplicate member")
 		}
-		logical[s] = ShardId(i)
-	}
-
-	ids := g.TaskIds()
-	dest := make(map[TaskId]ShardId, len(ids))
-	owned := make([][]TaskId, len(members))
-	rr := 0
-	for _, id := range ids {
-		l, ok := logical[m.Shard(id)]
-		if !ok {
-			l = ShardId(rr % len(members))
-			rr++
-		}
-		dest[id] = l
-		owned[l] = append(owned[l], id)
-	}
-
-	var joiners []int
-	for i, s := range members {
-		if s >= base {
+		logical[s] = int32(i)
+		if int(s) >= shards {
 			joiners = append(joiners, i)
 		}
 	}
+
+	dest := make([]int32, len(p.ids))
+	owned := make([][]int, len(members))
+	rr := 0
+	for i := range dest {
+		l, ok := logical[ShardId(base[i])]
+		if !ok {
+			l = int32(rr % len(members))
+			rr++
+		}
+		dest[i] = l
+		owned[l] = append(owned[l], i)
+	}
+
 	for len(joiners) > 0 {
 		src, dst := 0, joiners[0]
 		for i := range owned {
@@ -86,8 +106,7 @@ func RebalanceShards(g TaskGraph, m TaskMap, members []ShardId) (TaskMap, error)
 		t := owned[src][len(owned[src])-1]
 		owned[src] = owned[src][:len(owned[src])-1]
 		owned[dst] = append(owned[dst], t)
-		dest[t] = ShardId(dst)
+		dest[t] = int32(dst)
 	}
-
-	return NewFuncMap(len(members), ids, func(id TaskId) ShardId { return dest[id] }), nil
+	return dest, nil
 }

@@ -90,7 +90,7 @@ func (l *ExecutionLog) Len() int {
 // against, and — per the paper — the degenerate case of over-decomposition:
 // any graph can run serially while preserving a correct order of execution.
 type Serial struct {
-	graph    TaskGraph
+	plan     *Plan
 	registry *Registry
 	Observer Observer
 }
@@ -104,16 +104,17 @@ func (s *Serial) Initialize(g TaskGraph, _ TaskMap) error {
 	if g == nil {
 		return fmt.Errorf("core: nil task graph")
 	}
-	if err := Validate(g); err != nil {
+	p, err := Compile(g)
+	if err != nil {
 		return err
 	}
-	s.graph = g
+	s.plan = p
 	return nil
 }
 
 // RegisterCallback implements Controller.
 func (s *Serial) RegisterCallback(cb CallbackId, fn Callback) error {
-	if s.graph == nil {
+	if s.plan == nil {
 		return ErrNotInitialized
 	}
 	return s.registry.Register(cb, fn)
@@ -128,37 +129,36 @@ func (s *Serial) Run(initial map[TaskId][]Payload) (map[TaskId][]Payload, error)
 // between tasks, so cancellation latency is bounded by the longest single
 // callback.
 func (s *Serial) RunContext(ctx context.Context, initial map[TaskId][]Payload) (map[TaskId][]Payload, error) {
-	if s.graph == nil {
+	p := s.plan
+	if p == nil {
 		return nil, ErrNotInitialized
 	}
-	if err := s.registry.Covers(s.graph); err != nil {
+	if err := s.registry.Covers(p); err != nil {
 		return nil, err
 	}
-	if err := CheckInitial(s.graph, initial); err != nil {
+	if err := CheckInitial(p, initial); err != nil {
 		return nil, err
 	}
 
-	st := NewDataflowState(s.graph)
+	st := NewDataflowState(p, nil)
 	for id, ps := range initial {
-		for _, p := range ps {
-			if err := st.DeliverExternal(id, p); err != nil {
+		i, _ := p.Index(id)
+		for _, pl := range ps {
+			if err := st.Deliver(i, ExternalInput, pl); err != nil {
 				return nil, err
 			}
 		}
 	}
 
-	rounds, err := Levels(s.graph)
-	if err != nil {
-		return nil, err
-	}
 	results := make(map[TaskId][]Payload)
-	for _, round := range rounds {
+	for _, round := range p.Levels() {
 		for _, id := range round {
 			if ctx.Err() != nil {
 				return nil, Cancelled(ctx)
 			}
-			t, _ := s.graph.Task(id)
-			in, ready := st.Take(id)
+			i, _ := p.Index(id)
+			t := p.tasks[i]
+			in, ready := st.Take(i)
 			if !ready {
 				return nil, fmt.Errorf("core: task %d reached in dependency order without all inputs", id)
 			}
@@ -166,131 +166,121 @@ func (s *Serial) RunContext(ctx context.Context, initial map[TaskId][]Payload) (
 			if err != nil {
 				return nil, err
 			}
+			dest := p.Consumers(i)
 			for slot, consumers := range t.Outgoing {
 				if len(consumers) == 0 {
-					if IsDead(out[slot]) {
-						continue
+					if !IsDead(out[slot]) {
+						results[id] = append(results[id], out[slot])
 					}
-					results[id] = append(results[id], out[slot])
 					continue
 				}
-				for i, c := range consumers {
-					p := out[slot]
-					if i > 0 {
+				for k := range consumers {
+					pl := out[slot]
+					if k > 0 {
 						// Fan-out: every consumer after the first receives
 						// an owned copy.
-						cp, err := p.CloneForWire()
+						cp, err := pl.CloneForWire()
 						if err != nil {
 							return nil, fmt.Errorf("core: task %d output slot %d fans out: %w", id, slot, err)
 						}
-						p = cp
+						pl = cp
 					}
-					if err := st.Deliver(c, id, p); err != nil {
+					if err := st.Deliver(int(dest[k]), id, pl); err != nil {
 						return nil, err
 					}
 				}
+				dest = dest[len(consumers):]
 			}
+			// in is a window of st's arena, which outlives the task; it is
+			// cleared only now because a relay callback may return it as out.
+			clear(in)
 		}
 	}
 	return results, nil
 }
 
-// DataflowState tracks, for every task of a graph, which input slots have
-// been filled. Controllers share it as their readiness bookkeeping; it is
-// not safe for concurrent use — each controller shard guards its own state.
+// DataflowState tracks which input slots of a plan's tasks have been filled:
+// one count of missing inputs per task and one payload arena holding every
+// tracked task's input slots back to back. Tasks are addressed by dense plan
+// index. Controllers share it as their readiness bookkeeping; it is not safe
+// for concurrent use — each controller shard guards its own state.
 type DataflowState struct {
-	graph   TaskGraph
-	pending map[TaskId]*taskInputs
-}
-
-type taskInputs struct {
-	task    Task
+	plan    *Plan
+	base    []int32 // per task: its first slot in the arena
+	missing []int32 // per task: unfilled input slots; negative once taken or when not tracked
 	slots   []Payload
 	filled  []bool
-	missing int
 }
 
-// NewDataflowState returns empty input-tracking state for the graph.
-func NewDataflowState(g TaskGraph) *DataflowState {
-	return &DataflowState{graph: g, pending: make(map[TaskId]*taskInputs)}
+// NewDataflowState returns empty input-tracking state for the tasks of the
+// plan listed in local (dense indices); a nil local tracks every task.
+func NewDataflowState(p *Plan, local []int32) *DataflowState {
+	n := len(p.tasks)
+	st := &DataflowState{plan: p, base: make([]int32, n), missing: make([]int32, n)}
+	for i := range st.missing {
+		st.missing[i] = -1
+	}
+	total := int32(0)
+	track := func(i int) {
+		st.base[i], st.missing[i] = total, int32(len(p.tasks[i].Incoming))
+		total += st.missing[i]
+	}
+	if local == nil {
+		for i := range p.tasks {
+			track(i)
+		}
+	}
+	for _, i := range local {
+		track(int(i))
+	}
+	st.slots = make([]Payload, total)
+	st.filled = make([]bool, total)
+	return st
 }
 
-func (st *DataflowState) entry(id TaskId) (*taskInputs, error) {
-	ti, ok := st.pending[id]
-	if ok {
-		return ti, nil
-	}
-	t, ok := st.graph.Task(id)
-	if !ok {
-		return nil, fmt.Errorf("core: delivery to unknown task %d", id)
-	}
-	ti = &taskInputs{
-		task:    t,
-		slots:   make([]Payload, len(t.Incoming)),
-		filled:  make([]bool, len(t.Incoming)),
-		missing: len(t.Incoming),
-	}
-	st.pending[id] = ti
-	return ti, nil
-}
-
-// Deliver records a payload arriving at task id from producer from. When a
-// producer feeds several input slots of the same consumer, successive
-// deliveries fill successive slots; producers emit output slots in order and
-// transports preserve pairwise FIFO, so slot assignment is deterministic.
-// It returns the readiness of the task after the delivery via Ready.
+// Deliver records a payload arriving at the task with index i from producer
+// from (ExternalInput for an externally provided payload). When a producer
+// feeds several input slots of the same consumer, successive deliveries fill
+// successive slots; producers emit output slots in order and transports
+// preserve pairwise FIFO, so slot assignment is deterministic.
 //
 // A shared fan-out wire form is stored as-is: whoever hands the assembled
 // inputs (Take) to a task callback must detach private copies first
 // (Payload.Own), so the detach cost lands on the executing worker rather
 // than on the delivery loop.
-func (st *DataflowState) Deliver(id, from TaskId, p Payload) error {
-	ti, err := st.entry(id)
-	if err != nil {
-		return err
+func (st *DataflowState) Deliver(i int, from TaskId, p Payload) error {
+	if i < 0 || i >= len(st.missing) || st.missing[i] < 0 {
+		return fmt.Errorf("core: delivery to a task not awaiting inputs here (index %d)", i)
 	}
-	for slot, producer := range ti.task.Incoming {
-		if producer == from && !ti.filled[slot] {
-			ti.slots[slot] = p
-			ti.filled[slot] = true
-			ti.missing--
+	b := int(st.base[i])
+	for slot, producer := range st.plan.tasks[i].Incoming {
+		if producer == from && !st.filled[b+slot] {
+			st.slots[b+slot] = p
+			st.filled[b+slot] = true
+			st.missing[i]--
 			return nil
 		}
 	}
-	return fmt.Errorf("core: task %d has no open input slot for producer %d", id, from)
+	return fmt.Errorf("core: task %d has no open input slot for producer %d", st.plan.ids[i], from)
 }
 
-// DeliverExternal records an externally provided payload, filling the next
-// open ExternalInput slot.
-func (st *DataflowState) DeliverExternal(id TaskId, p Payload) error {
-	return st.Deliver(id, ExternalInput, p)
+// Ready reports whether every input slot of the task has been filled and
+// the inputs not yet taken.
+func (st *DataflowState) Ready(i int) bool {
+	return i >= 0 && i < len(st.missing) && st.missing[i] == 0
 }
 
-// Ready reports whether every input slot of the task has been filled.
-func (st *DataflowState) Ready(id TaskId) bool {
-	ti, ok := st.pending[id]
-	if !ok {
-		// Unseen task: ready only if it has no inputs at all.
-		t, exists := st.graph.Task(id)
-		return exists && len(t.Incoming) == 0
-	}
-	return ti.missing == 0
-}
-
-// Take returns the assembled input payloads of a ready task and releases the
-// bookkeeping. ok is false when the task is not ready.
-func (st *DataflowState) Take(id TaskId) ([]Payload, bool) {
-	ti, ok := st.pending[id]
-	if !ok {
-		t, exists := st.graph.Task(id)
-		if exists && len(t.Incoming) == 0 {
-			return nil, true
-		}
+// Take returns the assembled input payloads of a ready task — a window of
+// the arena, owned by the caller from here on — and retires the task. ok is
+// false when the task is not ready.
+func (st *DataflowState) Take(i int) ([]Payload, bool) {
+	if !st.Ready(i) {
 		return nil, false
 	}
-	if ti.missing != 0 {
-		return nil, false
+	st.missing[i] = -1
+	b, n := int(st.base[i]), len(st.plan.tasks[i].Incoming)
+	if n == 0 {
+		return nil, true
 	}
-	delete(st.pending, id)
-	return ti.slots, true
+	return st.slots[b : b+n : b+n], true
 }

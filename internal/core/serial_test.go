@@ -172,13 +172,34 @@ func TestSerialFanOutDeliversCopies(t *testing.T) {
 	}
 }
 
+// A callback owns its inputs, so it may return them (or a sub-slice) as its
+// outputs; the run must route them before it recycles the input window.
+func TestSerialRelayCallbackKeepsPayload(t *testing.T) {
+	g := NewExplicitGraph([]Task{
+		{Id: 0, Callback: 0, Incoming: []TaskId{ExternalInput}, Outgoing: [][]TaskId{{1}}},
+		{Id: 1, Callback: 0, Incoming: []TaskId{0}, Outgoing: [][]TaskId{nil}},
+	})
+	s := NewSerial()
+	if err := s.Initialize(g, nil); err != nil {
+		t.Fatal(err)
+	}
+	s.RegisterCallback(0, func(in []Payload, _ TaskId) ([]Payload, error) { return in, nil })
+	out, err := s.Run(map[TaskId][]Payload{0: {Buffer([]byte("hello"))}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out[1]) != 1 || string(out[1][0].Data) != "hello" {
+		t.Errorf("sink = %v, want one payload \"hello\"", out[1])
+	}
+}
+
 func TestDataflowStateDeliverSlots(t *testing.T) {
 	// A consumer with two slots from the same producer fills them in order.
 	g := NewExplicitGraph([]Task{
 		{Id: 0, Callback: 0, Incoming: []TaskId{ExternalInput}, Outgoing: [][]TaskId{{1}, {1}}},
 		{Id: 1, Callback: 0, Incoming: []TaskId{0, 0}, Outgoing: [][]TaskId{{}}},
 	})
-	st := NewDataflowState(g)
+	st := NewDataflowState(mustCompile(t, g), nil)
 	if st.Ready(1) {
 		t.Error("task 1 ready before any delivery")
 	}
@@ -202,7 +223,7 @@ func TestDataflowStateDeliverSlots(t *testing.T) {
 
 func TestDataflowStateRejectsUnexpectedProducer(t *testing.T) {
 	g := lineGraph(2)
-	st := NewDataflowState(g)
+	st := NewDataflowState(mustCompile(t, g), nil)
 	if err := st.Deliver(1, 99, Buffer(nil)); err == nil {
 		t.Error("Deliver from unlisted producer should fail")
 	}
@@ -220,7 +241,7 @@ func TestDataflowStateRejectsUnexpectedProducer(t *testing.T) {
 
 func TestDataflowStateTakeNotReady(t *testing.T) {
 	g := lineGraph(2)
-	st := NewDataflowState(g)
+	st := NewDataflowState(mustCompile(t, g), nil)
 	if _, ok := st.Take(1); ok {
 		t.Error("Take on not-ready task should report !ok")
 	}

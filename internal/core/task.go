@@ -21,7 +21,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // TaskId is the globally unique identifier of a logical task. Id spaces do
@@ -93,9 +93,6 @@ func (t *Task) OutDegree() int {
 // IsLeaf reports whether every input slot of the task is fed externally.
 // Leaf tasks are the entry points of the dataflow.
 func (t *Task) IsLeaf() bool {
-	if len(t.Incoming) == 0 {
-		return true
-	}
 	for _, in := range t.Incoming {
 		if in != ExternalInput {
 			return false
@@ -121,35 +118,25 @@ func (t *Task) IsRoot() bool {
 // Consumers returns the de-duplicated, sorted set of tasks consuming any
 // output of the task.
 func (t *Task) Consumers() []TaskId {
-	seen := make(map[TaskId]struct{})
+	out := make([]TaskId, 0, t.OutDegree())
 	for _, slot := range t.Outgoing {
-		for _, c := range slot {
-			seen[c] = struct{}{}
-		}
+		out = append(out, slot...)
 	}
-	out := make([]TaskId, 0, len(seen))
-	for c := range seen {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // Producers returns the de-duplicated, sorted set of tasks producing any
 // input of the task, excluding external inputs.
 func (t *Task) Producers() []TaskId {
-	seen := make(map[TaskId]struct{})
+	out := make([]TaskId, 0, len(t.Incoming))
 	for _, p := range t.Incoming {
 		if p != ExternalInput {
-			seen[p] = struct{}{}
+			out = append(out, p)
 		}
 	}
-	out := make([]TaskId, 0, len(seen))
-	for p := range seen {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // Clone returns a deep copy of the task.

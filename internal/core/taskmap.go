@@ -132,7 +132,7 @@ func NewListMap(shardCount int, ids []TaskId) *ListMap {
 		byShrd: make([][]TaskId, shardCount),
 	}
 	for i, id := range ids {
-		s := ShardId(i % shardCount)
+		s := roundRobin(i, shardCount)
 		m.byTask[id] = s
 		m.byShrd[s] = append(m.byShrd[s], id)
 	}
@@ -144,6 +144,20 @@ func NewListMap(shardCount int, ids []TaskId) *ListMap {
 func NewGraphMap(shardCount int, g TaskGraph) *ListMap {
 	return NewListMap(shardCount, g.TaskIds())
 }
+
+// RoundRobin is Place(NewGraphMap(shards, p)) without the map: the default
+// placement, by dense index.
+func (p *Plan) RoundRobin(shards int) []int32 {
+	shardOf := make([]int32, len(p.ids))
+	for i := range shardOf {
+		shardOf[i] = int32(roundRobin(i, shards))
+	}
+	return shardOf
+}
+
+// roundRobin is the default placement rule: the i-th id of an enumeration
+// lives on shard i mod shards.
+func roundRobin(i, shards int) ShardId { return ShardId(i % shards) }
 
 // Shard implements TaskMap. Unknown tasks map to shard 0.
 func (m *ListMap) Shard(id TaskId) ShardId { return m.byTask[id] }
@@ -192,26 +206,13 @@ func (m *FuncMap) Ids(shard ShardId) []TaskId {
 // ShardCount implements TaskMap.
 func (m *FuncMap) ShardCount() int { return m.shards }
 
-// ValidateMap checks that a task map covers exactly the tasks of a graph:
-// every task is assigned to a shard in range, Ids and Shard agree, and no
-// task is assigned twice.
+// ValidateMap checks that a task map covers exactly the tasks of a graph
+// (Plan.Place of the compiled graph, the placement discarded).
 func ValidateMap(g TaskGraph, m TaskMap) error {
-	seen := make(map[TaskId]ShardId)
-	for s := ShardId(0); int(s) < m.ShardCount(); s++ {
-		for _, id := range m.Ids(s) {
-			if prev, dup := seen[id]; dup {
-				return &MapError{Id: id, Msg: "assigned to multiple shards", Shard: prev}
-			}
-			if got := m.Shard(id); got != s {
-				return &MapError{Id: id, Msg: "Ids/Shard disagree", Shard: got}
-			}
-			seen[id] = s
-		}
+	p, err := Compile(g)
+	if err != nil {
+		return err
 	}
-	for _, id := range g.TaskIds() {
-		if _, ok := seen[id]; !ok {
-			return &MapError{Id: id, Msg: "not assigned to any shard"}
-		}
-	}
-	return nil
+	_, err = p.Place(m)
+	return err
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -85,6 +86,30 @@ func TestListMapNonContiguousIds(t *testing.T) {
 	got := m.Ids(0)
 	if len(got) != 2 || got[0] != 100 || got[1] != 2000 {
 		t.Errorf("Ids(0) = %v", got)
+	}
+}
+
+// The default placement has one rule in two forms: NewGraphMap for users,
+// Plan.RoundRobin for controllers that place by dense index.
+func TestPlanRoundRobinIsGraphMap(t *testing.T) {
+	g := NewExplicitGraph([]Task{
+		{Id: 3, Callback: 0, Incoming: []TaskId{ExternalInput}, Outgoing: [][]TaskId{{7}}},
+		{Id: 7, Callback: 0, Incoming: []TaskId{3}, Outgoing: [][]TaskId{{100}}},
+		{Id: 100, Callback: 0, Incoming: []TaskId{7}, Outgoing: [][]TaskId{{2000}}},
+		{Id: 2000, Callback: 0, Incoming: []TaskId{100}, Outgoing: [][]TaskId{nil}},
+	})
+	p, err := Compile(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for shards := 1; shards <= 5; shards++ {
+		want, err := p.Place(NewGraphMap(shards, p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := p.RoundRobin(shards); !slices.Equal(got, want) {
+			t.Errorf("%d shards: RoundRobin = %v, Place(NewGraphMap) = %v", shards, got, want)
+		}
 	}
 }
 

@@ -20,7 +20,7 @@ import (
 // measures in Figs. 2 and 3.
 type IndexLaunch struct {
 	opt   Options
-	graph core.TaskGraph
+	graph *core.Plan
 	reg   *core.Registry
 
 	lastMetrics Metrics
@@ -40,10 +40,11 @@ func (c *IndexLaunch) Initialize(g core.TaskGraph, _ core.TaskMap) error {
 	if g == nil {
 		return fmt.Errorf("legion: nil task graph")
 	}
-	if err := core.Validate(g); err != nil {
+	p, err := core.Compile(g)
+	if err != nil {
 		return err
 	}
-	c.graph = g
+	c.graph = p
 	return nil
 }
 
@@ -79,18 +80,13 @@ func (c *IndexLaunch) RunContext(ctx context.Context, initial map[core.TaskId][]
 		return nil, err
 	}
 
-	// Crawl the graph into rounds of non-interfering tasks.
-	rounds, err := core.Levels(c.graph)
-	if err != nil {
-		return nil, err
-	}
-
 	store := NewRegionStore()
 	results := make(map[core.TaskId][]core.Payload)
 	var resMu sync.Mutex
 	met := newMetricsCollector()
 
-	for _, round := range rounds {
+	// One index launch per round of non-interfering tasks.
+	for _, round := range c.graph.Levels() {
 		if ctx.Err() != nil {
 			c.lastMetrics = met.snapshot()
 			return nil, core.Cancelled(ctx)

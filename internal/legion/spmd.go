@@ -3,6 +3,7 @@ package legion
 import (
 	"context"
 	"fmt"
+	"sort"
 	"sync"
 
 	"github.com/babelflow/babelflow-go/internal/core"
@@ -23,7 +24,7 @@ type Options struct {
 // synchronize exclusively through the phase barriers of the region store.
 type SPMD struct {
 	opt   Options
-	graph core.TaskGraph
+	graph *core.Plan
 	tmap  core.TaskMap
 	reg   *core.Registry
 
@@ -65,13 +66,14 @@ func (c *SPMD) Initialize(g core.TaskGraph, m core.TaskMap) error {
 	if m == nil {
 		return fmt.Errorf("legion: the SPMD controller requires a task map")
 	}
-	if err := core.Validate(g); err != nil {
+	p, err := core.Compile(g)
+	if err != nil {
 		return err
 	}
-	if err := core.ValidateMap(g, m); err != nil {
+	if err := core.ValidateMap(p, m); err != nil {
 		return err
 	}
-	c.graph, c.tmap = g, m
+	c.graph, c.tmap = p, m
 	return nil
 }
 
@@ -121,21 +123,6 @@ func (c *SPMD) RunContext(ctx context.Context, initial map[core.TaskId][]core.Pa
 		store.Cancel()
 	}
 
-	// Global level order; each shard walks its local tasks in this order,
-	// which guarantees progress (see shard scheduling argument below).
-	levels, err := core.Levels(c.graph)
-	if err != nil {
-		return nil, err
-	}
-	order := make(map[core.TaskId]int, c.graph.Size())
-	pos := 0
-	for _, round := range levels {
-		for _, id := range round {
-			order[id] = pos
-			pos++
-		}
-	}
-
 	stopc := make(chan struct{})
 	defer close(stopc)
 	go func() {
@@ -153,7 +140,7 @@ func (c *SPMD) RunContext(ctx context.Context, initial map[core.TaskId][]core.Pa
 		wg.Add(1)
 		go func(shard core.ShardId) {
 			defer wg.Done()
-			if err := c.runShard(shard, order, store, met, initial, results, &resMu); err != nil {
+			if err := c.runShard(shard, store, met, initial, results, &resMu); err != nil {
 				abort(err)
 			}
 		}(core.ShardId(s))
@@ -178,12 +165,19 @@ func (c *SPMD) RunContext(ctx context.Context, initial map[core.TaskId][]core.Pa
 // respects the level order, the blocked task of minimal level always has
 // all its producers already executed or executing, so the schedule cannot
 // deadlock.
-func (c *SPMD) runShard(shard core.ShardId, order map[core.TaskId]int, store *RegionStore, met *metricsCollector, initial map[core.TaskId][]core.Payload, results map[core.TaskId][]core.Payload, resMu *sync.Mutex) error {
+func (c *SPMD) runShard(shard core.ShardId, store *RegionStore, met *metricsCollector, initial map[core.TaskId][]core.Payload, results map[core.TaskId][]core.Payload, resMu *sync.Mutex) error {
 	local, err := core.LocalGraph(c.graph, c.tmap, shard)
 	if err != nil {
 		return err
 	}
-	sortTasksBy(local, order)
+	// Global level order (level, then id): every shard walks its local
+	// tasks in it, which guarantees progress.
+	sort.Slice(local, func(a, b int) bool {
+		if ha, hb := c.graph.Height(local[a].Id), c.graph.Height(local[b].Id); ha != hb {
+			return ha < hb
+		}
+		return local[a].Id < local[b].Id
+	})
 
 	for _, t := range local {
 		// Single task launcher: gather region requirements, wait for them,
@@ -208,14 +202,6 @@ func (c *SPMD) runShard(shard core.ShardId, order map[core.TaskId]int, store *Re
 // initial inputs, everything else from the region store.
 func (c *SPMD) gatherInputs(t core.Task, store *RegionStore, met *metricsCollector, initial map[core.TaskId][]core.Payload) ([]core.Payload, error) {
 	return gatherInputs(c.graph, t, store, met, initial)
-}
-
-func sortTasksBy(tasks []core.Task, order map[core.TaskId]int) {
-	for i := 1; i < len(tasks); i++ {
-		for j := i; j > 0 && order[tasks[j].Id] < order[tasks[j-1].Id]; j-- {
-			tasks[j], tasks[j-1] = tasks[j-1], tasks[j]
-		}
-	}
 }
 
 var _ core.Controller = (*SPMD)(nil)

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"runtime"
@@ -37,6 +38,32 @@ func reductionWorkload(t *testing.T) workload {
 		register: reductionSubmission(g, nil).Register,
 		initial:  func() map[core.TaskId][]core.Payload { return reductionInputs(g) },
 	}
+}
+
+// relayWorkload is the reduction with callbacks that hand their inputs on: a
+// callback owns its inputs, so it may sum into in[0] and return in[:1] (the
+// whole of in at a leaf). The engine must not recycle a task's input window
+// before its outputs are routed.
+func relayWorkload(t *testing.T) workload {
+	w := reductionWorkload(t)
+	relay := func(in []core.Payload, _ core.TaskId) ([]core.Payload, error) {
+		var sum uint64
+		for _, p := range in {
+			sum += getU64(p)
+		}
+		binary.LittleEndian.PutUint64(in[0].Data, sum)
+		return in[:1], nil
+	}
+	w.name = "relay"
+	w.register = func(c core.CallbackRegistrar) error {
+		for _, cb := range []core.CallbackId{graphs.ReduceLeafCB, graphs.ReduceMidCB, graphs.ReduceRootCB} {
+			if err := c.RegisterCallback(cb, relay); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	return w
 }
 
 // loopWorkload is a core.Iterate loop whose body spans ranks: two leaves
@@ -99,20 +126,34 @@ func mergeSinks(parts []map[core.TaskId][]core.Payload) map[core.TaskId][]core.P
 	return merged
 }
 
-// TestEntriesAgree runs a reduction and a core.Iterate loop through every
-// way of driving the controller. They are all one epoch engine, so every
-// entry must produce sinks byte-identical to the serial reference; every
-// ledgered entry must account each task exactly once in its final epoch
-// (replayed + executed == tasks); and no arena buffer may stay outstanding.
+// askCounter counts how often the runtime asks a user's graph for a task.
+type askCounter struct {
+	core.TaskGraph
+	asked atomic.Int64
+}
+
+func (a *askCounter) Task(id core.TaskId) (core.Task, bool) {
+	a.asked.Add(1)
+	return a.TaskGraph.Task(id)
+}
+
+// TestEntriesAgree runs a reduction, the same reduction with input-relaying
+// callbacks and a core.Iterate loop through every way of driving the
+// controller. They are all one epoch engine on one compiled plan, so every entry must produce sinks byte-identical to the
+// serial reference; must ask the user's graph for each task exactly once
+// (the compile — recovery epochs, rebalancing and warm submissions run on
+// the plan); every ledgered entry must account each task exactly once in
+// its final epoch (replayed + executed == tasks); and no arena buffer may
+// stay outstanding.
 func TestEntriesAgree(t *testing.T) {
 	const ranks = 3
-	for _, w := range []workload{reductionWorkload(t), loopWorkload(t)} {
+	for _, w := range []workload{reductionWorkload(t), relayWorkload(t), loopWorkload(t)} {
 		w := w
 		tasks := w.graph.Size()
-		newCtrl := func(t *testing.T, opts ...Option) *Controller {
+		newCtrl := func(t *testing.T, g core.TaskGraph, opts ...Option) *Controller {
 			t.Helper()
 			c := New(opts...)
-			if err := c.Initialize(w.graph, w.tmap(ranks)); err != nil {
+			if err := c.Initialize(g, w.tmap(ranks)); err != nil {
 				t.Fatal(err)
 			}
 			if err := w.register(c); err != nil {
@@ -152,23 +193,23 @@ func TestEntriesAgree(t *testing.T) {
 
 		entries := []struct {
 			name string
-			run  func(t *testing.T) map[core.TaskId][]core.Payload
+			run  func(t *testing.T, g core.TaskGraph) map[core.TaskId][]core.Payload
 		}{
-			{"Run", func(t *testing.T) map[core.TaskId][]core.Payload {
-				got, err := newCtrl(t).Run(w.initial())
+			{"Run", func(t *testing.T, g core.TaskGraph) map[core.TaskId][]core.Payload {
+				got, err := newCtrl(t, g).Run(w.initial())
 				if err != nil {
 					t.Fatal(err)
 				}
 				return got
 			}},
-			{"RunRank", func(t *testing.T) map[core.TaskId][]core.Payload {
-				c, fab := newCtrl(t), fabric.New(ranks)
+			{"RunRank", func(t *testing.T, g core.TaskGraph) map[core.TaskId][]core.Payload {
+				c, fab := newCtrl(t, g), fabric.New(ranks)
 				return perRank(t, func(r int, local map[core.TaskId][]core.Payload) (map[core.TaskId][]core.Payload, error) {
 					return c.RunRank(r, fab, local)
 				})
 			}},
-			{"RunRecover", func(t *testing.T) map[core.TaskId][]core.Payload {
-				got, rep, err := newCtrl(t).RunRecover(context.Background(), RecoverOptions{Connect: memConnect, Initial: w.initial()})
+			{"RunRecover", func(t *testing.T, g core.TaskGraph) map[core.TaskId][]core.Payload {
+				got, rep, err := newCtrl(t, g).RunRecover(context.Background(), RecoverOptions{Connect: memConnect, Initial: w.initial()})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -178,8 +219,8 @@ func TestEntriesAgree(t *testing.T) {
 				ledgered(t, rep.Replayed, rep.Executed)
 				return got
 			}},
-			{"RunRecover/kill", func(t *testing.T) map[core.TaskId][]core.Payload {
-				c := newCtrl(t, WithRetry(core.RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond}))
+			{"RunRecover/kill", func(t *testing.T, g core.TaskGraph) map[core.TaskId][]core.Payload {
+				c := newCtrl(t, g, WithRetry(core.RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond}))
 				got, rep, err := c.RunRecover(context.Background(), RecoverOptions{
 					Connect: memConnect,
 					Inject: func(epoch, rank int, tr fabric.Transport) fabric.Transport {
@@ -202,12 +243,12 @@ func TestEntriesAgree(t *testing.T) {
 				ledgered(t, rep.Replayed, rep.Executed)
 				return got
 			}},
-			{"RunElastic", func(t *testing.T) map[core.TaskId][]core.Payload {
+			{"RunElastic", func(t *testing.T, g core.TaskGraph) map[core.TaskId][]core.Payload {
 				ms, err := NewMembership(ranks)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, rep, err := newCtrl(t).RunElastic(context.Background(), ElasticOptions{Connect: memConnect, Initial: w.initial(), Membership: ms})
+				got, rep, err := newCtrl(t, g).RunElastic(context.Background(), ElasticOptions{Connect: memConnect, Initial: w.initial(), Membership: ms})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -217,20 +258,38 @@ func TestEntriesAgree(t *testing.T) {
 				ledgered(t, rep.Replayed, rep.Executed)
 				return got
 			}},
-			{"Service.Submit", func(t *testing.T) map[core.TaskId][]core.Payload {
+			{"Service.Submit", func(t *testing.T, g core.TaskGraph) map[core.TaskId][]core.Payload {
 				svc, err := NewService(ranks)
 				if err != nil {
 					t.Fatal(err)
 				}
 				defer svc.Close()
-				got, _, err := svc.Submit(context.Background(), Submission{Graph: w.graph, Map: w.tmap(ranks), Register: w.register, Initial: w.initial()})
+				got, _, err := svc.Submit(context.Background(), Submission{Graph: g, Map: w.tmap(ranks), Register: w.register, Initial: w.initial()})
 				if err != nil {
 					t.Fatal(err)
 				}
 				return got
 			}},
-			{"Group", func(t *testing.T) map[core.TaskId][]core.Payload {
-				gr, err := NewGroup(w.graph, w.tmap(ranks))
+			{"Service.Submit/default map, one rank draining", func(t *testing.T, g core.TaskGraph) map[core.TaskId][]core.Payload {
+				svc, err := NewService(ranks)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer svc.Close()
+				if err := svc.Drain(1); err != nil {
+					t.Fatal(err)
+				}
+				got, _, err := svc.Submit(context.Background(), Submission{Graph: g, Register: w.register, Initial: w.initial()})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if runs, moved := svc.HandoffCounts(); runs != 1 || moved == 0 {
+					t.Errorf("hand-off off the draining rank: %d run(s), %d task(s)", runs, moved)
+				}
+				return got
+			}},
+			{"Group", func(t *testing.T, g core.TaskGraph) map[core.TaskId][]core.Payload {
+				gr, err := NewGroup(g, w.tmap(ranks))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -258,14 +317,25 @@ func TestEntriesAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		for id, ps := range want {
+			for _, p := range ps {
+				if len(p.Data) == 0 {
+					t.Fatalf("serial reference: sink %d holds an empty payload", id)
+				}
+			}
+		}
 		for _, e := range entries {
 			e := e
 			t.Run(w.name+"/"+e.name, func(t *testing.T) {
 				core.ArenaAccounting(true)
 				defer core.ArenaAccounting(false)
-				compareResults(t, want, e.run(t))
+				g := &askCounter{TaskGraph: w.graph}
+				compareResults(t, want, e.run(t, g))
 				if n := core.ArenaOutstanding(); n != 0 {
 					t.Errorf("%d arena buffer(s) outstanding after the run", n)
+				}
+				if n := g.asked.Load(); n != int64(tasks) {
+					t.Errorf("the runtime asked the graph for a task %d times, want once per task (%d)", n, tasks)
 				}
 			})
 		}

@@ -89,11 +89,6 @@ type Shard struct {
 // Rank returns the shard's rank.
 func (s *Shard) Rank() int { return s.rank }
 
-// LocalTasks returns the tasks assigned to this rank.
-func (s *Shard) LocalTasks() ([]core.Task, error) {
-	return core.LocalGraph(s.group.ctrl.graph, s.group.ctrl.tmap, core.ShardId(s.rank))
-}
-
 // Run executes this rank's sub-graph: it consumes the rank-local external
 // inputs, exchanges messages with the other shards through the group's
 // fabric, and returns the sink outputs produced by tasks of this rank. It
@@ -119,7 +114,7 @@ func (s *Shard) RunContext(ctx context.Context, initial map[core.TaskId][]core.P
 	// All shards dispatch into one executor, so an idle rank's worker can
 	// steal a loaded rank's ready tasks (Inline mode needs none).
 	if gr.pool == nil && !gr.ctrl.opt.Inline {
-		gr.pool = gr.ctrl.opt.newPool(gr.ctrl.graph.Size(), gr.fab.Ranks(), allRanks)
+		gr.pool = gr.ctrl.opt.newPool(gr.ctrl.plan.Size(), gr.fab.Ranks(), allRanks)
 	}
 	pool := gr.pool
 	gr.mu.Unlock()

@@ -10,17 +10,17 @@
 // serialized. A task assumes ownership of its inputs and relinquishes
 // ownership of its outputs, so no data races occur on payloads.
 //
-// Scheduling is graph-aware: at Initialize the controller runs a one-pass
-// critical-path analysis (core.CriticalPathsFor, cached per graph
-// fingerprint) and the receive loop dispatches ready tasks into per-rank
-// priority deques ordered by downstream depth, so the most critical ready
-// task runs first instead of the oldest. The deques are drained by a shared
-// work-stealing executor (fabric.Pool): a global budget of workers —
-// defaulting to GOMAXPROCS, not a fixed per-rank pool — is homed round-robin
-// over the ranks, and an idle worker whose home rank has no ready work
-// steals the most critical task of a loaded rank. Scheduling order never
-// changes outputs: tasks still run only when every input has arrived, and
-// routing depends only on the graph and the task map.
+// Scheduling is graph-aware: Initialize compiles the graph once into a flat
+// core.Plan (validation, dense task arrays, critical-path depths) and the
+// task map into a placement table, and the receive loop dispatches ready
+// tasks into per-rank priority deques ordered by downstream depth, so the
+// most critical ready task runs first instead of the oldest. The deques are
+// drained by a shared work-stealing executor (fabric.Pool): a global budget
+// of workers — defaulting to GOMAXPROCS, not a fixed per-rank pool — is
+// homed round-robin over the ranks, and an idle worker whose home rank has
+// no ready work steals the most critical task of a loaded rank. Scheduling
+// order never changes outputs: tasks still run only when every input has
+// arrived, and routing depends only on the graph and the task map.
 //
 // In this reproduction "ranks" are goroutine groups connected by the
 // in-process fabric rather than OS processes on a Cray; the control
@@ -46,10 +46,9 @@ import (
 // with a graph and task map, register callbacks, then Run.
 type Controller struct {
 	opt       options
-	graph     core.TaskGraph
-	tmap      core.TaskMap
+	plan      *core.Plan
+	place     *placement // Initialize's task map compiled against plan
 	reg       *core.Registry
-	prio      *core.CriticalPaths
 	schedObs  core.SchedObserver
 	replayObs core.ReplayObserver
 	recObs    core.RecoveryObserver
@@ -221,23 +220,48 @@ func (c *Controller) Initialize(g core.TaskGraph, m core.TaskMap) error {
 	if m == nil {
 		return fmt.Errorf("mpi: the MPI controller requires a task map")
 	}
-	if err := core.Validate(g); err != nil {
-		return err
-	}
-	if err := core.ValidateMap(g, m); err != nil {
-		return err
-	}
-	prio, err := core.CriticalPathsFor(g)
+	p, err := core.Compile(g)
 	if err != nil {
 		return err
 	}
-	c.graph, c.tmap, c.prio = g, m, prio
+	pl, err := place(p, m)
+	if err != nil {
+		return err
+	}
+	c.plan, c.place = p, pl
 	return nil
+}
+
+// placement is a task map compiled against the plan, the form an epoch
+// executes: shardOf[i] is the logical rank owning the plan's i-th task and
+// local[r] lists rank r's task indices, ascending. An elastic epoch rebuilds
+// only this table, never the plan.
+type placement struct {
+	shardOf []int32
+	local   [][]int32
+}
+
+// newPlacement derives the per-rank index lists from shardOf.
+func newPlacement(ranks int, shardOf []int32) *placement {
+	pl := &placement{shardOf: shardOf, local: make([][]int32, ranks)}
+	for i, r := range shardOf {
+		pl.local[r] = append(pl.local[r], int32(i))
+	}
+	return pl
+}
+
+// place compiles — and thereby validates — a task map against the plan.
+func place(p *core.Plan, m core.TaskMap) (*placement, error) {
+	shardOf, err := p.Place(m)
+	if err != nil {
+		return nil, err
+	}
+	return newPlacement(m.ShardCount(), shardOf), nil
 }
 
 // RegisterCallback implements core.Controller.
 func (c *Controller) RegisterCallback(cb core.CallbackId, fn core.Callback) error {
-	if c.graph == nil {
+	if c.plan == nil {
 		return core.ErrNotInitialized
 	}
 	return c.reg.Register(cb, fn)
@@ -299,21 +323,21 @@ const allRanks = -1
 // preflight is the validation every entry point runs before any rank
 // starts: the controller is initialized, every task type has a callback,
 // and the external inputs cover exactly the ExternalInput slots of the
-// whole graph (rank == allRanks) or of rank's local tasks.
-func (c *Controller) preflight(tmap core.TaskMap, rank int, initial map[core.TaskId][]core.Payload) error {
-	if c.graph == nil {
+// whole graph (rank == allRanks) or of rank's local tasks under pl.
+func (c *Controller) preflight(pl *placement, rank int, initial map[core.TaskId][]core.Payload) error {
+	if c.plan == nil {
 		return core.ErrNotInitialized
 	}
-	if err := c.reg.Covers(c.graph); err != nil {
+	if err := c.reg.Covers(c.plan); err != nil {
 		return err
 	}
 	if rank == allRanks {
-		return core.CheckInitial(c.graph, initial)
+		return c.plan.CheckInitial(initial, nil, 0)
 	}
-	if n := tmap.ShardCount(); rank < 0 || rank >= n {
+	if n := len(pl.local); rank < 0 || rank >= n {
 		return fmt.Errorf("mpi: rank %d out of range [0,%d)", rank, n)
 	}
-	return checkLocalInitial(c.graph, tmap, rank, initial)
+	return c.plan.CheckInitial(initial, pl.shardOf, rank)
 }
 
 // run is the one gate between the fixed-membership entry points and epoch:
@@ -335,13 +359,16 @@ func (c *Controller) run(ctx context.Context, rank int, tr fabric.Transport, poo
 			tr.Cancel()
 		}
 	}()
-	if tmap == nil {
-		tmap = c.tmap
+	pl := c.place
+	if tmap != nil && c.plan != nil {
+		if pl, err = place(c.plan, tmap); err != nil {
+			return nil, err
+		}
 	}
-	if err = c.preflight(tmap, rank, initial); err != nil {
+	if err = c.preflight(pl, rank, initial); err != nil {
 		return nil, err
 	}
-	n := tmap.ShardCount()
+	n := len(pl.local)
 	if tr == nil {
 		switch {
 		case c.opt.Transport != nil:
@@ -381,11 +408,11 @@ func (c *Controller) run(ctx context.Context, rank int, tr fabric.Transport, poo
 		}
 	}
 	if pool == nil && !c.opt.Inline {
-		pool = c.opt.newPool(c.graph.Size(), n, rank)
+		pool = c.opt.newPool(c.plan.Size(), n, rank)
 		defer pool.Close()
 	}
 
-	sinks, _, err = c.epoch(ctx, tmap, trs, pool, leds, initial)
+	sinks, _, err = c.epoch(ctx, pl, trs, pool, leds, initial)
 	if err != nil {
 		return nil, err
 	}
@@ -393,17 +420,17 @@ func (c *Controller) run(ctx context.Context, rank int, tr fabric.Transport, poo
 }
 
 // runEnv is the state one epoch threads through its rank loops: the epoch's
-// task map (a recovery epoch's differs from Initialize's), the transport of
+// placement (a recovery epoch's differs from Initialize's), the transport of
 // every rank driven here (nil for ranks living elsewhere), the executor,
 // the merged sink results and failures, and — for ledgered runs — the
 // per-rank lineage ledgers plus the per-home-rank egress sequence counters
 // that give messages a dedup identity.
 type runEnv struct {
-	tmap core.TaskMap
-	trs  []fabric.Transport
-	pool *fabric.Pool    // nil = inline execution
-	leds []*core.Ledger  // nil outside ledgered runs
-	seq  []atomic.Uint64 // nil outside ledgered runs
+	place *placement
+	trs   []fabric.Transport
+	pool  *fabric.Pool    // nil = inline execution
+	leds  []*core.Ledger  // nil outside ledgered runs
+	seq   []atomic.Uint64 // nil outside ledgered runs
 
 	onFail func(error)    // Controller.onFail
 	ranks  sync.WaitGroup // the rank loops in flight
@@ -439,7 +466,7 @@ func (e *runEnv) ledger(rank int) *core.Ledger {
 	return e.leds[rank]
 }
 
-// epoch is the execution engine: one attempt of the dataflow under tmap,
+// epoch is the execution engine: one attempt of the dataflow placed by pl,
 // driving every logical rank r with a transport in trs[r] (ranks with a nil
 // entry live behind the others' transports), executing on pool (nil =
 // inline in the rank loops), recording into and replaying from leds[r]
@@ -453,9 +480,9 @@ func (e *runEnv) ledger(rank int) *core.Ledger {
 // driven rank with core.ErrCancelled), arms sequence stamping and receiver
 // dedup for ledgered runs, and merges the sinks. The sinks are returned
 // even when the epoch failed; callers discard them.
-func (c *Controller) epoch(ctx context.Context, tmap core.TaskMap, trs []fabric.Transport, pool *fabric.Pool, leds []*core.Ledger, initial map[core.TaskId][]core.Payload) (map[core.TaskId][]core.Payload, []error, error) {
+func (c *Controller) epoch(ctx context.Context, pl *placement, trs []fabric.Transport, pool *fabric.Pool, leds []*core.Ledger, initial map[core.TaskId][]core.Payload) (map[core.TaskId][]core.Payload, []error, error) {
 	env := &runEnv{
-		tmap:    tmap,
+		place:   pl,
 		trs:     trs,
 		pool:    pool,
 		leds:    leds,
@@ -517,10 +544,10 @@ func watchContext(ctx context.Context, abort func(error)) (stop func()) {
 // rendezvous handshake so mismatched binaries are rejected before any
 // message flows. It is zero before Initialize.
 func (c *Controller) Fingerprint() core.Fingerprint {
-	if c.graph == nil {
+	if c.plan == nil {
 		return core.Fingerprint{}
 	}
-	return core.GraphFingerprint(c.graph, c.reg.Ids())
+	return core.GraphFingerprint(c.plan, c.reg.Ids())
 }
 
 // WireOptions returns the wire transport template this controller implies:
@@ -535,41 +562,6 @@ func (c *Controller) WireOptions() wire.Options {
 	}
 }
 
-// checkLocalInitial verifies rank-local external inputs: exactly the
-// ExternalInput slots of the rank's tasks must be covered, no more, no less.
-func checkLocalInitial(g core.TaskGraph, m core.TaskMap, rank int, initial map[core.TaskId][]core.Payload) error {
-	local, err := core.LocalGraph(g, m, core.ShardId(rank))
-	if err != nil {
-		return err
-	}
-	want := make(map[core.TaskId]int)
-	for _, t := range local {
-		n := 0
-		for _, in := range t.Incoming {
-			if in == core.ExternalInput {
-				n++
-			}
-		}
-		if n > 0 {
-			want[t.Id] = n
-		}
-	}
-	for id, ps := range initial {
-		n, ok := want[id]
-		if !ok {
-			return fmt.Errorf("mpi: rank %d received inputs for task %d, which expects none (or is not local)", rank, id)
-		}
-		if len(ps) != n {
-			return fmt.Errorf("mpi: rank %d task %d expects %d external inputs, got %d", rank, id, n, len(ps))
-		}
-		delete(want, id)
-	}
-	for id := range want {
-		return fmt.Errorf("mpi: rank %d task %d is missing its external inputs", rank, id)
-	}
-	return nil
-}
-
 // scratchPool recycles the per-execution message scratch slices the workers
 // batch a task's outputs into; with the shared executor workers are no
 // longer rank-scoped, so scratch lives in a pool instead of a worker local.
@@ -578,20 +570,16 @@ var scratchPool = sync.Pool{New: func() any { return new([]fabric.Message) }}
 // runRank is the per-rank controller loop: it drains the rank's mailbox,
 // tracks input readiness and dispatches ready tasks into the rank's
 // priority deque on the shared executor (pool is nil only in Inline mode).
+// Tasks are dense plan indices throughout: readiness, placement and
+// priority are array reads.
 func (c *Controller) runRank(rank int, env *runEnv, initial map[core.TaskId][]core.Payload) error {
-	local, err := core.LocalGraph(c.graph, env.tmap, core.ShardId(rank))
-	if err != nil {
-		return err
-	}
+	p, pl := c.plan, env.place
+	local := pl.local[rank]
 	if len(local) == 0 {
 		return nil // rank with no assigned tasks
 	}
-	tasks := make(map[core.TaskId]core.Task, len(local))
-	for _, t := range local {
-		tasks[t.Id] = t
-	}
-
-	st := core.NewDataflowState(c.graph)
+	ids := p.TaskIds()
+	st := core.NewDataflowState(p, local)
 	remaining := len(local)
 	led := env.ledger(rank)
 	tr := env.trs[rank]
@@ -604,7 +592,8 @@ func (c *Controller) runRank(rank int, env *runEnv, initial map[core.TaskId][]co
 	// so a recovery epoch only pays for the undelivered frontier. A task
 	// cancelled by a dead input journals like a normal execution, so a
 	// resumed run replays the cancellation instead of re-deciding it.
-	execute := func(t core.Task, in []core.Payload, scratch []fabric.Message) []fabric.Message {
+	execute := func(i int, in []core.Payload, scratch []fabric.Message) []fabric.Message {
+		t := p.TaskAt(i)
 		var out []core.Payload
 		var attempt uint32
 		var rec [][]byte
@@ -615,8 +604,8 @@ func (c *Controller) runRank(rank int, env *runEnv, initial map[core.TaskId][]co
 		if replay {
 			// The inputs were assembled only to satisfy readiness; the
 			// replayed outputs come from the ledger.
-			for i := range in {
-				in[i].Release()
+			for k := range in {
+				in[k].Release()
 			}
 			out = make([]core.Payload, len(rec))
 			for s, b := range rec {
@@ -626,14 +615,14 @@ func (c *Controller) runRank(rank int, env *runEnv, initial map[core.TaskId][]co
 			}
 			led.CountReplay()
 			if c.replayObs != nil {
-				c.replayObs.TaskReplayed(t.Id, env.tmap.Shard(t.Id), t.Callback)
+				c.replayObs.TaskReplayed(t.Id, core.ShardId(rank), t.Callback)
 			}
 		} else {
 			if led != nil {
 				attempt = uint32(led.BeginAttempt(t.Id))
 			}
 			var err error
-			out, _, err = core.Step(c.reg, c.opt.Observer, t, in, env.tmap.Shard(t.Id))
+			out, _, err = core.Step(c.reg, c.opt.Observer, t, in, core.ShardId(rank))
 			if err != nil {
 				env.fail(rank, err)
 				return scratch
@@ -642,7 +631,10 @@ func (c *Controller) runRank(rank int, env *runEnv, initial map[core.TaskId][]co
 				recordOutputs(led, t, out)
 			}
 		}
-		scratch, err := c.route(rank, env, t, attempt, out, scratch)
+		scratch, err := c.route(rank, env, i, t, attempt, out, scratch)
+		// in is a window of st's arena, which outlives the task; it is
+		// cleared only now because a relay callback may return it as out.
+		clear(in)
 		if err != nil {
 			env.fail(rank, err)
 		}
@@ -650,15 +642,16 @@ func (c *Controller) runRank(rank int, env *runEnv, initial map[core.TaskId][]co
 	}
 
 	// pend tracks this rank's dispatched-but-unfinished tasks; runRank only
-	// returns once its routes completed, exactly as the old per-rank pool's
-	// Wait did. The executor itself is shared and outlives the rank loop.
+	// returns once its routes completed. The executor itself is shared and
+	// outlives the rank loop.
 	var pend sync.WaitGroup
 	defer pend.Wait()
 
 	var inlineScratch []fabric.Message
-	dispatch := func(t core.Task, in []core.Payload) {
+	dispatch := func(i int, in []core.Payload) {
+		remaining--
 		if c.opt.Inline {
-			inlineScratch = execute(t, in, inlineScratch)
+			inlineScratch = execute(i, in, inlineScratch)
 			return
 		}
 		// Priority dispatch: the deque hands workers the most critical
@@ -670,30 +663,32 @@ func (c *Controller) runRank(rank int, env *runEnv, initial map[core.TaskId][]co
 			enq = time.Now()
 		}
 		pend.Add(1)
-		env.pool.Submit(rank, int64(c.prio.Depth(t.Id)), func() {
+		env.pool.Submit(rank, int64(p.Depth(ids[i])), func() {
 			defer pend.Done()
 			if c.schedObs != nil {
-				c.schedObs.TaskQueued(t.Id, enq, time.Now())
+				c.schedObs.TaskQueued(ids[i], enq, time.Now())
 			}
 			sp := scratchPool.Get().(*[]fabric.Message)
-			*sp = execute(t, in, *sp)
+			*sp = execute(i, in, *sp)
 			scratchPool.Put(sp)
 		})
 	}
 
 	// Feed external inputs for local leaf tasks, then dispatch tasks that
 	// are immediately ready.
-	for _, t := range local {
-		for _, p := range initial[t.Id] {
-			if err := st.DeliverExternal(t.Id, p); err != nil {
+	for _, i := range local {
+		if p.Externals(int(i)) == 0 {
+			continue
+		}
+		for _, pay := range initial[ids[i]] {
+			if err := st.Deliver(int(i), core.ExternalInput, pay); err != nil {
 				return err
 			}
 		}
 	}
-	for _, t := range local {
-		if in, ok := st.Take(t.Id); ok {
-			dispatch(t, in)
-			remaining--
+	for _, i := range local {
+		if in, ok := st.Take(int(i)); ok {
+			dispatch(int(i), in)
 		}
 	}
 
@@ -723,9 +718,9 @@ func (c *Controller) runRank(rank int, env *runEnv, initial map[core.TaskId][]co
 			}
 			return fmt.Errorf("mpi: rank %d aborted with %d task(s) pending: %w", rank, remaining, fabric.ErrClosed)
 		}
-		for i := 0; i < n; i++ {
-			m := batch[i]
-			batch[i] = fabric.Message{} // drop the payload reference
+		for k := 0; k < n; k++ {
+			m := batch[k]
+			batch[k] = fabric.Message{} // drop the payload reference
 			if seen != nil && m.Seq != 0 {
 				s := seen[m.From]
 				if s == nil {
@@ -738,16 +733,15 @@ func (c *Controller) runRank(rank int, env *runEnv, initial map[core.TaskId][]co
 				}
 				s[m.Seq] = struct{}{}
 			}
-			t, ok := tasks[m.Dest]
-			if !ok {
+			i, ok := p.Index(m.Dest)
+			if !ok || pl.shardOf[i] != int32(rank) {
 				return fmt.Errorf("mpi: rank %d received message for non-local task %d", rank, m.Dest)
 			}
-			if err := st.Deliver(m.Dest, m.Src, m.Payload); err != nil {
+			if err := st.Deliver(i, m.Src, m.Payload); err != nil {
 				return err
 			}
-			if in, ok := st.Take(m.Dest); ok {
-				dispatch(t, in)
-				remaining--
+			if in, ok := st.Take(i); ok {
+				dispatch(i, in)
 			}
 		}
 	}
@@ -792,9 +786,13 @@ func recordOutputs(led *core.Ledger, t core.Task, out []core.Payload) {
 // In fault-tolerant runs every message is stamped with a per-home-rank
 // sequence id (the receiver's dedup identity) and the producing task's
 // attempt number.
-func (c *Controller) route(rank int, env *runEnv, t core.Task, attempt uint32, out []core.Payload, scratch []fabric.Message) ([]fabric.Message, error) {
+func (c *Controller) route(rank int, env *runEnv, i int, t core.Task, attempt uint32, out []core.Payload, scratch []fabric.Message) ([]fabric.Message, error) {
 	batch := scratch[:0]
+	shardOf := env.place.shardOf
+	dest := c.plan.Consumers(i) // t.Outgoing flattened, as plan indices
 	for slot, consumers := range t.Outgoing {
+		to := dest[:len(consumers)]
+		dest = dest[len(consumers):]
 		if len(consumers) == 0 {
 			// A dead token reaching a sink is a deactivated branch's
 			// non-result; only live payloads leave the dataflow.
@@ -812,7 +810,7 @@ func (c *Controller) route(rank int, env *runEnv, t core.Task, attempt uint32, o
 		inMemoryIdx := -1
 		if !c.opt.AlwaysSerialize {
 			last := len(consumers) - 1
-			if int(env.tmap.Shard(consumers[last])) == rank {
+			if int(shardOf[to[last]]) == rank {
 				inMemoryIdx = last
 			}
 		}
@@ -838,12 +836,12 @@ func (c *Controller) route(rank int, env *runEnv, t core.Task, attempt uint32, o
 		if err != nil {
 			return batch, fmt.Errorf("mpi: task %d output slot %d: %w", t.Id, slot, err)
 		}
-		for i, dest := range consumers {
+		for k, dest := range consumers {
 			mp := wire
-			if i == inMemoryIdx {
+			if k == inMemoryIdx {
 				mp = p
 			}
-			m := fabric.Message{From: rank, To: int(env.tmap.Shard(dest)), Src: t.Id, Dest: dest, Payload: mp, Attempt: attempt}
+			m := fabric.Message{From: rank, To: int(shardOf[to[k]]), Src: t.Id, Dest: dest, Payload: mp, Attempt: attempt}
 			if env.seq != nil {
 				m.Seq = env.seq[rank].Add(1)
 			}

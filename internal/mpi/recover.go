@@ -89,7 +89,7 @@ const maxFences = 32
 
 // supervise is the one loop around epoch for fault-tolerant runs. Per
 // iteration it applies the pending membership changes in ONE epoch bump,
-// rebalances the task map over the members (core.RebalanceShards), hands
+// rebalances the placement over the members (Plan.Rebalance), hands
 // the lineage of every task that changed owner to the new owner's ledger,
 // runs one attempt, and decides: done; fenced by a membership change
 // (rebuild, no backoff, no budget); members lost (evict them, retry);
@@ -104,12 +104,12 @@ func (c *Controller) supervise(ctx context.Context, ms *Membership, connect Conn
 	if connect == nil {
 		return nil, rep, fmt.Errorf("mpi: fault-tolerant runs require a Connect function")
 	}
-	if err := c.preflight(c.tmap, allRanks, initial); err != nil {
+	if err := c.preflight(c.place, allRanks, initial); err != nil {
 		return nil, rep, err
 	}
 	if ms == nil {
 		var err error
-		if ms, err = NewMembership(c.tmap.ShardCount()); err != nil {
+		if ms, err = NewMembership(len(c.place.local)); err != nil {
 			return nil, rep, err
 		}
 	}
@@ -118,12 +118,13 @@ func (c *Controller) supervise(ctx context.Context, ms *Membership, connect Conn
 	defer ledgers.close()
 	s := &supervision{c: c, ms: ms, connect: connect, inject: inject, initial: initial, policy: policy, ledgers: ledgers, rep: &rep}
 
-	// prevOwner tracks each task's owner (member identity) as of the last
-	// epoch map, the baseline hand-off diffs against. Before the first
-	// epoch the base map's shard ids ARE member identities.
-	prevOwner := make(map[core.TaskId]core.ShardId, c.graph.Size())
-	for _, id := range c.graph.TaskIds() {
-		prevOwner[id] = c.tmap.Shard(id)
+	// prevOwner tracks each task's owner (member identity, by plan index)
+	// as of the last epoch map, the baseline hand-off diffs against. Before
+	// the first epoch the base map's shard ids ARE member identities.
+	ids := c.plan.TaskIds()
+	prevOwner := make([]core.ShardId, len(ids))
+	for i, r := range c.place.shardOf {
+		prevOwner[i] = core.ShardId(r)
 	}
 
 	var recoveryStart time.Time
@@ -142,10 +143,11 @@ func (c *Controller) supervise(ctx context.Context, ms *Membership, connect Conn
 		if len(members) == 0 {
 			return nil, rep, fmt.Errorf("mpi: every member lost: %w", core.ErrRetriesExhausted)
 		}
-		tmap, err := core.RebalanceShards(c.graph, c.tmap, members)
+		dest, err := c.plan.Rebalance(c.place.shardOf, len(c.place.local), members)
 		if err != nil {
 			return nil, rep, err
 		}
+		pl := newPlacement(len(members), dest)
 		leds := make([]*core.Ledger, len(members))
 		for l, id := range members {
 			if leds[l], err = ledgers.open(id); err != nil {
@@ -156,17 +158,16 @@ func (c *Controller) supervise(ctx context.Context, ms *Membership, connect Conn
 		// the new owner's ledger (journaled when backed), BEFORE the epoch
 		// runs — the group-commit flush happened at the fence, so the
 		// transfer is replayable even if the donor's journal is retired.
-		for _, id := range c.graph.TaskIds() {
-			l := tmap.Shard(id)
-			if was := prevOwner[id]; members[l] != was {
-				if leds[l].Adopt(ledgers.leds[was], id) {
+		for i, l := range pl.shardOf {
+			if was := prevOwner[i]; members[l] != was {
+				if leds[l].Adopt(ledgers.leds[was], ids[i]) {
 					rep.HandedOff++
 				}
-				prevOwner[id] = members[l]
+				prevOwner[i] = members[l]
 			}
 		}
 
-		sinks, lost, err := s.attempt(ctx, epoch, tmap, members, leds, joinAt, drainAt)
+		sinks, lost, err := s.attempt(ctx, epoch, pl, members, leds, joinAt, drainAt)
 		if err == nil {
 			if !recoveryStart.IsZero() {
 				rep.RecoveryTime = time.Since(recoveryStart)
@@ -227,7 +228,7 @@ type supervision struct {
 // It returns the merged sinks on success; otherwise the members declared
 // dead (classifyDead — the only loss rule) plus the epoch's failure, or
 // errFenced when a membership change cut the epoch short.
-func (s *supervision) attempt(ctx context.Context, epoch int, tmap core.TaskMap, members []core.ShardId, leds []*core.Ledger, joinAt, drainAt time.Time) (map[core.TaskId][]core.Payload, []core.ShardId, error) {
+func (s *supervision) attempt(ctx context.Context, epoch int, pl *placement, members []core.ShardId, leds []*core.Ledger, joinAt, drainAt time.Time) (map[core.TaskId][]core.Payload, []core.ShardId, error) {
 	c, rep, ranks := s.c, s.rep, len(members)
 	ectx, ecancel := context.WithCancel(ctx)
 	defer ecancel()
@@ -268,7 +269,7 @@ func (s *supervision) attempt(ctx context.Context, epoch int, tmap core.TaskMap,
 	}
 	var pool *fabric.Pool
 	if !c.opt.Inline {
-		pool = c.opt.newPool(c.graph.Size(), ranks, allRanks)
+		pool = c.opt.newPool(c.plan.Size(), ranks, allRanks)
 		defer pool.Close()
 	}
 
@@ -299,7 +300,7 @@ func (s *supervision) attempt(ctx context.Context, epoch int, tmap core.TaskMap,
 	}()
 
 	preReplay, preExec := s.ledgers.counts()
-	sinks, errs, _ := c.epoch(ectx, tmap, wrapped, pool, leds, inputs)
+	sinks, errs, _ := c.epoch(ectx, pl, wrapped, pool, leds, inputs)
 	ecancel()
 	<-fenceDone
 	postReplay, postExec := s.ledgers.counts()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"path/filepath"
 	"sort"
 	"sync"
@@ -223,36 +224,30 @@ func (s *Service) drainingSnapshot() map[int]bool {
 	if len(s.draining) == 0 {
 		return nil
 	}
-	cp := make(map[int]bool, len(s.draining))
-	for r := range s.draining {
-		cp[r] = true
-	}
-	return cp
+	return maps.Clone(s.draining)
 }
 
-// avoidDraining rebuilds tmap with every task on a draining rank moved
-// round-robin onto the undrained ranks. The shard count is unchanged (the
-// fabric still spans all ranks; draining ranks just own no tasks).
-func avoidDraining(g core.TaskGraph, tmap core.TaskMap, ranks int, draining map[int]bool) (core.TaskMap, int) {
-	var healthy []core.ShardId
-	for r := 0; r < ranks; r++ {
+// avoidDraining rebuilds a placement with every task on a draining rank
+// moved round-robin onto the undrained ranks, and reports how many moved.
+// The rank count is unchanged (the fabric still spans all ranks; draining
+// ranks just own no tasks).
+func avoidDraining(pl *placement, draining map[int]bool) (*placement, int) {
+	var healthy []int32
+	for r := range pl.local {
 		if !draining[r] {
-			healthy = append(healthy, core.ShardId(r))
+			healthy = append(healthy, int32(r))
 		}
 	}
-	ids := g.TaskIds()
-	dest := make(map[core.TaskId]core.ShardId, len(ids))
-	moved, rr := 0, 0
-	for _, id := range ids {
-		sh := tmap.Shard(id)
-		if draining[int(sh)] {
-			sh = healthy[rr%len(healthy)]
-			rr++
+	shardOf := make([]int32, len(pl.shardOf))
+	moved := 0
+	for i, r := range pl.shardOf {
+		if draining[int(r)] {
+			r = healthy[moved%len(healthy)]
 			moved++
 		}
-		dest[id] = sh
+		shardOf[i] = r
 	}
-	return core.NewFuncMap(ranks, ids, func(id core.TaskId) core.ShardId { return dest[id] }), moved
+	return newPlacement(len(pl.local), shardOf), moved
 }
 
 // Submit executes one graph instance over the warm fabric and pool,
@@ -274,27 +269,40 @@ func (s *Service) Submit(ctx context.Context, sub Submission) (map[core.TaskId][
 	if sub.Graph == nil {
 		return nil, JournalStats{}, fmt.Errorf("mpi: submission has no graph")
 	}
-	tmap := sub.Map
-	if tmap == nil {
-		tmap = core.NewGraphMap(s.ranks, sub.Graph)
+	// The per-run controller is built from the compiled submission: plan
+	// and placement are each derived once, here, and serve the drain check,
+	// the per-rank activity accounting and the run itself. Isolating
+	// registries per run lets submissions carry entirely different graphs
+	// and callbacks.
+	plan, err := core.Compile(sub.Graph)
+	if err != nil {
+		return nil, JournalStats{}, err
 	}
-	if got := tmap.ShardCount(); got != s.ranks {
-		return nil, JournalStats{}, fmt.Errorf("mpi: submission map shards over %d ranks, service has %d", got, s.ranks)
+	var pl *placement
+	if sub.Map == nil {
+		pl = newPlacement(s.ranks, plan.RoundRobin(s.ranks))
+	} else {
+		if got := sub.Map.ShardCount(); got != s.ranks {
+			return nil, JournalStats{}, fmt.Errorf("mpi: submission map shards over %d ranks, service has %d", got, s.ranks)
+		}
+		if pl, err = place(plan, sub.Map); err != nil {
+			return nil, JournalStats{}, err
+		}
 	}
 	if draining := s.drainingSnapshot(); draining != nil {
 		if sub.Map != nil {
 			// An explicit map is a placement contract: refuse rather than
 			// silently violate it when it pins tasks to a draining rank.
-			for _, id := range sub.Graph.TaskIds() {
-				if draining[int(tmap.Shard(id))] {
-					return nil, JournalStats{}, fmt.Errorf("mpi: submission places task %d on draining rank %d: %w", id, tmap.Shard(id), ErrDraining)
+			for i, r := range pl.shardOf {
+				if draining[int(r)] {
+					return nil, JournalStats{}, fmt.Errorf("mpi: submission places task %d on draining rank %d: %w", plan.TaskIds()[i], r, ErrDraining)
 				}
 			}
 		} else {
 			// Default placement: hand the draining ranks' shards off to the
 			// remaining ranks transparently.
 			var moved int
-			tmap, moved = avoidDraining(sub.Graph, tmap, s.ranks, draining)
+			pl, moved = avoidDraining(pl, draining)
 			if moved > 0 {
 				s.handoffRuns.Add(1)
 				s.handoffTasks.Add(uint64(moved))
@@ -304,32 +312,21 @@ func (s *Service) Submit(ctx context.Context, sub Submission) (map[core.TaskId][
 
 	// Per-rank activity accounting (drain completion watches it): a rank is
 	// busy while a run owning tasks on it is in flight.
-	used := make(map[core.ShardId]bool)
-	for _, tid := range sub.Graph.TaskIds() {
-		used[tmap.Shard(tid)] = true
-	}
-	for r := range used {
-		s.rankRuns[r].Add(1)
-	}
-	defer func() {
-		for r := range used {
-			s.rankRuns[r].Add(-1)
+	for r, local := range pl.local {
+		if len(local) > 0 {
+			s.rankRuns[r].Add(1)
+			defer s.rankRuns[r].Add(-1)
 		}
-	}()
+	}
 
 	id := s.next.Add(1)
-	// Per-run controller: construction is cheap (critical paths are cached
-	// per graph fingerprint), and isolating registries per run lets
-	// submissions carry entirely different graphs and callbacks.
 	opt := s.opt
 	opt.Transport = nil
 	if opt.Journal != "" {
 		opt.Journal = filepath.Join(opt.Journal, fmt.Sprintf("run-%d", id))
 	}
 	ctrl := newFromOptions(opt)
-	if err := ctrl.Initialize(sub.Graph, tmap); err != nil {
-		return nil, JournalStats{}, err
-	}
+	ctrl.plan, ctrl.place = plan, pl
 	if sub.Register != nil {
 		if err := sub.Register(ctrl); err != nil {
 			return nil, JournalStats{}, err

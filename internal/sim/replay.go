@@ -18,7 +18,13 @@ func ReplayWorkload(g core.TaskGraph, spans []trace.Span, msgBytes func(t core.T
 	for _, s := range spans {
 		durations[s.Task] = s.Duration().Seconds()
 	}
-	for _, id := range g.TaskIds() {
+	// Compiled here, once: every runtime model Execute replays the workload
+	// under then runs on the same plan.
+	plan, err := core.Compile(g)
+	if err != nil {
+		return Workload{}, err
+	}
+	for _, id := range plan.TaskIds() {
 		if _, ok := durations[id]; !ok {
 			return Workload{}, fmt.Errorf("sim: trace has no span for task %d", id)
 		}
@@ -27,7 +33,7 @@ func ReplayWorkload(g core.TaskGraph, spans []trace.Span, msgBytes func(t core.T
 		msgBytes = func(core.Task, int) int { return 0 }
 	}
 	return Workload{
-		Graph:    g,
+		Graph:    plan,
 		TaskCost: func(t core.Task) float64 { return durations[t.Id] },
 		MsgBytes: msgBytes,
 	}, nil

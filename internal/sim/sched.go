@@ -185,29 +185,9 @@ func ExecuteWith(w Workload, m Machine, r RuntimeModel, o Overheads) (Result, er
 	return executeList(w, m, o)
 }
 
-// denseGraph indexes a task graph into arrays for the scheduler.
-type denseGraph struct {
-	tasks []core.Task
-	index map[core.TaskId]int
-}
-
-func densify(g core.TaskGraph) (*denseGraph, error) {
-	ids := g.TaskIds()
-	d := &denseGraph{tasks: make([]core.Task, len(ids)), index: make(map[core.TaskId]int, len(ids))}
-	for i, id := range ids {
-		t, ok := g.Task(id)
-		if !ok {
-			return nil, fmt.Errorf("sim: graph enumerates unknown task %d", id)
-		}
-		d.tasks[i] = t
-		d.index[id] = i
-	}
-	return d, nil
-}
-
 // readyItem orders the scheduler's ready queue by time, then critical-path
-// priority (deepest downstream chain first — the same core.CriticalPathsFor
-// annotation the real MPI controller dispatches by, so the simulator and
+// priority (deepest downstream chain first — the same core.Plan depth the
+// real MPI controller dispatches by, so the simulator and
 // the controller rank simultaneously ready tasks identically), then task
 // index for determinism.
 type readyItem struct {
@@ -240,15 +220,11 @@ func (h *readyHeap) pop() readyItem    { return heap.Pop(h).(readyItem) }
 // earliest-free core (dynamic placement) in ready order — the paper's
 // "each task is started as soon as all its input data has been received".
 func executeList(w Workload, m Machine, o Overheads) (Result, error) {
-	dg, err := densify(w.Graph)
+	plan, err := core.Compile(w.Graph)
 	if err != nil {
 		return Result{}, err
 	}
-	prio, err := core.CriticalPathsFor(w.Graph)
-	if err != nil {
-		return Result{}, err
-	}
-	n := len(dg.tasks)
+	n := plan.Size()
 	place := make([]int, n)
 	for i := range place {
 		place[i] = i % m.Cores
@@ -260,7 +236,8 @@ func executeList(w Workload, m Machine, o Overheads) (Result, error) {
 	var rtFree float64 // Legion's serialized runtime-analysis resource
 
 	var ready readyHeap
-	for i, t := range dg.tasks {
+	for i := 0; i < n; i++ {
+		t := plan.TaskAt(i)
 		cnt := 0
 		for _, p := range t.Incoming {
 			if p != core.ExternalInput {
@@ -269,7 +246,7 @@ func executeList(w Workload, m Machine, o Overheads) (Result, error) {
 		}
 		missing[i] = cnt
 		if cnt == 0 {
-			ready.push(readyItem{at: 0, pri: prio.Depth(t.Id), idx: i})
+			ready.push(readyItem{at: 0, pri: plan.Depth(t.Id), idx: i})
 		}
 	}
 
@@ -279,13 +256,13 @@ func executeList(w Workload, m Machine, o Overheads) (Result, error) {
 	for ready.Len() > 0 {
 		it := ready.pop()
 		i := it.idx
-		t := dg.tasks[i]
+		t := plan.TaskAt(i)
 
 		// Input volume, used for staging and migration costs.
 		inBytes := 0
 		if o.Stage || o.Dynamic {
 			for _, p := range t.Producers() {
-				pt := dg.tasks[dg.index[p]]
+				pt, _ := plan.Task(p)
 				for s, cs := range pt.Outgoing {
 					for _, c := range cs {
 						if c == t.Id {
@@ -332,7 +309,7 @@ func executeList(w Workload, m Machine, o Overheads) (Result, error) {
 		for slot, consumers := range t.Outgoing {
 			size := w.MsgBytes(t, slot)
 			for _, c := range consumers {
-				ci := dg.index[c]
+				ci, _ := plan.Index(c)
 				transfer := m.Latency + float64(size)/m.Bandwidth
 				var arrive float64
 				remote := o.AlwaysRemote || o.Dynamic || place[ci] != rank
@@ -378,7 +355,7 @@ func executeList(w Workload, m Machine, o Overheads) (Result, error) {
 				}
 				missing[ci]--
 				if missing[ci] == 0 {
-					ready.push(readyItem{at: arrival[ci], pri: prio.Depth(c), idx: ci})
+					ready.push(readyItem{at: arrival[ci], pri: plan.Depth(c), idx: ci})
 				}
 			}
 		}
@@ -411,17 +388,17 @@ func minCore(free []float64) int {
 // round's tasks execute fully parallel across the cores; the next round
 // starts when the launch completes.
 func executeRounds(w Workload, m Machine, o Overheads) (Result, error) {
-	rounds, err := core.Levels(w.Graph)
+	plan, err := core.Compile(w.Graph)
 	if err != nil {
 		return Result{}, err
 	}
 	var res Result
 	now := 0.0
-	for _, round := range rounds {
+	for _, round := range plan.Levels() {
 		// Parent-borne preparation, serial in the number of subtasks.
 		prep := 0.0
 		for _, id := range round {
-			t, _ := w.Graph.Task(id)
+			t, _ := plan.Task(id)
 			prep += o.SpawnCost
 			res.Overhead += o.SpawnCost
 			if o.Stage {
@@ -440,7 +417,7 @@ func executeRounds(w Workload, m Machine, o Overheads) (Result, error) {
 		coreFree := make([]float64, m.Cores)
 		roundEnd := now
 		for i, id := range round {
-			t, _ := w.Graph.Task(id)
+			t, _ := plan.Task(id)
 			cost := w.TaskCost(t)
 			res.Compute += cost
 			res.Overhead += o.TaskOverhead

@@ -184,13 +184,13 @@ func (r *Recorder) Reset() {
 	r.epochs = nil
 }
 
-// AnnotateSlack fills each span's Slack field from the graph's critical-path
-// analysis: 0 means the task lies on a critical path, larger values mean
+// AnnotateSlack fills each span's Slack field from the compiled graph's
+// critical-path annotation: 0 means the task lies on a critical path, larger values mean
 // the task could be delayed that many levels without stretching the
 // makespan. Queue wait on zero-slack spans is schedule-induced makespan
 // loss; queue wait on high-slack spans is harmless.
 func AnnotateSlack(g core.TaskGraph, spans []Span) error {
-	cp, err := core.CriticalPathsFor(g)
+	cp, err := core.Compile(g)
 	if err != nil {
 		return err
 	}
@@ -246,7 +246,7 @@ func Summarize(g core.TaskGraph, spans []Span) (Summary, error) {
 	if len(spans) == 0 {
 		return sum, nil
 	}
-	cp, err := core.CriticalPathsFor(g)
+	cp, err := core.Compile(g)
 	if err != nil {
 		return Summary{}, err
 	}
@@ -278,7 +278,7 @@ func Summarize(g core.TaskGraph, spans []Span) (Summary, error) {
 		if d, ok := memo[id]; ok {
 			return d, nil
 		}
-		t, ok := g.Task(id)
+		t, ok := cp.Task(id)
 		if !ok {
 			return 0, fmt.Errorf("trace: span for unknown task %d", id)
 		}

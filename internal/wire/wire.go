@@ -332,6 +332,13 @@ func Connect(opt Options) (*Fabric, error) {
 			anyShm = true
 		}
 		f.peers[r] = p
+	}
+	// Start the loops only once every peer is in place: a loop that fails
+	// straight away cancels the fabric, which walks f.peers.
+	for _, p := range f.peers {
+		if p == nil {
+			continue
+		}
 		f.writers.Add(1)
 		f.readers.Add(1)
 		if p.shm != nil {

@@ -305,3 +305,32 @@ func TestSnapshotCountsEgress(t *testing.T) {
 		t.Fatalf("receiver counted ingress as egress: %+v", st)
 	}
 }
+
+// TestConnectSurvivesPeerFailingAtOnce: a link that is dead the moment it is
+// established fails its read loop straight away, and the resulting Cancel
+// walks every peer. Connect must have all peers in place before it starts
+// any loop — under -race the old interleaved start-up reports the walk
+// racing Connect's own writes.
+func TestConnectSurvivesPeerFailingAtOnce(t *testing.T) {
+	fabrics := connectMesh(t, 3, Options{
+		Tier: TierUnix, // WrapConn intercepts socket links, not rings
+		WrapConn: func(local, peer int, c net.Conn) net.Conn {
+			if local != 0 {
+				return c
+			}
+			if peer == 1 {
+				c.Close() // reads fail at once
+			} else {
+				time.Sleep(50 * time.Millisecond) // rank 0 is still connecting
+			}
+			return c
+		},
+	})
+	deadline := time.Now().Add(3 * time.Second)
+	for fabrics[0].Err() == nil && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if err := fabrics[0].Err(); !errors.Is(err, ErrPeerLost) {
+		t.Fatalf("rank 0: Err() = %v, want ErrPeerLost", err)
+	}
+}
