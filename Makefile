@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test race deprecations bench bench-smoke bench-sched bench-faults bench-iterate figures smoke-wire smoke-faults smoke-resume smoke-serve smoke-iterate smoke-elastic fuzz-wire perf-smoke
+.PHONY: check build vet test race deprecations loc bench bench-smoke bench-sched bench-faults bench-iterate figures smoke-wire smoke-faults smoke-resume smoke-serve smoke-iterate smoke-elastic fuzz-wire perf-smoke
 
 ## check: the CI gate — vet, the deprecation sweep, build, the full test
 ## suite under the race detector, the fault-injection smoke (kill one
@@ -30,6 +30,16 @@ bench-smoke:
 deprecations:
 	@! grep -rn "Deprecated:" --include='*.go' . || \
 		(echo "deprecations: deprecated symbols remain (listed above)"; exit 1)
+
+## loc: non-blank, non-comment, non-test Go lines per package under
+## internal/ and cmd/, and their total — the code-size figure simplicity
+## PRs quote (informational; nothing gates on it).
+loc:
+	@total=0; for d in internal/*/ cmd/*/; do \
+		n=$$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | \
+			grep -cv -e '^[[:space:]]*$$' -e '^[[:space:]]*//'); \
+		printf '%6d  %s\n' $$n $$d; total=$$((total + n)); \
+	done; printf '%6d  total\n' $$total
 
 build:
 	$(GO) build ./...

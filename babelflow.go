@@ -294,14 +294,13 @@ func WithNoSteal(noSteal bool) MPIOption { return mpi.WithNoSteal(noSteal) }
 func WithAlwaysSerialize(always bool) MPIOption { return mpi.WithAlwaysSerialize(always) }
 
 // SyncPolicy selects when a lineage journal fsyncs: SyncEveryRecord
-// (default, crash-durable), SyncOnRotate, SyncNever, or SyncGroupCommit
+// (default, crash-durable), SyncNever, or SyncGroupCommit
 // (near-SyncNever append cost with a bounded, observable durability lag).
 type SyncPolicy = journal.SyncPolicy
 
 // Journal fsync policies; see SyncPolicy.
 const (
 	SyncEveryRecord = journal.SyncEveryRecord
-	SyncOnRotate    = journal.SyncOnRotate
 	SyncNever       = journal.SyncNever
 	SyncGroupCommit = journal.SyncGroupCommit
 )

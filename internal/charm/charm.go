@@ -44,9 +44,8 @@ type Options struct {
 
 // Controller executes task graphs in Charm++ style.
 type Controller struct {
-	opt   Options
-	graph core.TaskGraph
-	reg   *core.Registry
+	core.Base
+	opt Options
 
 	lastStats      fabric.Stats
 	lastMigrations uint64
@@ -57,31 +56,13 @@ func New(opt Options) *Controller {
 	if opt.PEs <= 0 {
 		opt.PEs = 4
 	}
-	return &Controller{opt: opt, reg: core.NewRegistry()}
+	return &Controller{opt: opt}
 }
 
 // Initialize implements core.Controller. The task map is ignored: the
 // runtime places chares itself (initially round-robin over PEs, then by
 // migration).
-func (c *Controller) Initialize(g core.TaskGraph, _ core.TaskMap) error {
-	if g == nil {
-		return fmt.Errorf("charm: nil task graph")
-	}
-	p, err := core.Compile(g)
-	if err != nil {
-		return err
-	}
-	c.graph = p
-	return nil
-}
-
-// RegisterCallback implements core.Controller.
-func (c *Controller) RegisterCallback(cb core.CallbackId, fn core.Callback) error {
-	if c.graph == nil {
-		return core.ErrNotInitialized
-	}
-	return c.reg.Register(cb, fn)
-}
+func (c *Controller) Initialize(g core.TaskGraph, _ core.TaskMap) error { return c.Bind(g) }
 
 // Stats returns the inter-PE traffic of the last Run.
 func (c *Controller) Stats() fabric.Stats { return c.lastStats }
@@ -90,35 +71,28 @@ func (c *Controller) Stats() fabric.Stats { return c.lastStats }
 // performed during the last Run.
 func (c *Controller) Migrations() uint64 { return c.lastMigrations }
 
-// chare is the runtime state of one task: its current owner PE and the
-// input slots filled so far. A chare is locked individually; the location
-// manager lock orders migrations against ownership lookups.
+// chare is the location-manager entry of one task, addressed by the task's
+// plan index: its current owner PE and whether it has started. Its lock
+// orders deliveries against migration and also guards the chare's input
+// slots in the run's shared DataflowState.
 type chare struct {
 	mu      sync.Mutex
-	task    core.Task
-	owner   int
-	slots   []core.Payload
-	filled  []bool
-	missing int
-	started bool // inputs complete, execution scheduled or done
+	owner   atomic.Int32 // written under mu; read lock-free when addressing an RPC
+	started bool         // inputs complete, execution scheduled or done
 }
 
 // charmRun is the per-Run runtime instance.
 type charmRun struct {
+	core.Attempt
 	c      *Controller
+	plan   *core.Plan
 	fab    *fabric.Fabric
-	chares map[core.TaskId]*chare
-	locMu  sync.Mutex // serializes migrations and owner queries during LB
+	chares []chare
+	st     *core.DataflowState // chare i's slots are touched only under chares[i].mu
+	locMu  sync.Mutex          // serializes migrations
 
 	executed   atomic.Int64
-	total      int64
 	migrations atomic.Uint64
-
-	results map[core.TaskId][]core.Payload
-	resMu   sync.Mutex
-
-	firstErr error
-	errMu    sync.Mutex
 }
 
 // Run implements core.Controller.
@@ -130,160 +104,108 @@ func (c *Controller) Run(initial map[core.TaskId][]core.Payload) (map[core.TaskI
 // (cancelling the fabric so every PE loop unwinds) and the error wraps
 // core.ErrCancelled.
 func (c *Controller) RunContext(ctx context.Context, initial map[core.TaskId][]core.Payload) (map[core.TaskId][]core.Payload, error) {
-	if c.graph == nil {
-		return nil, core.ErrNotInitialized
-	}
-	if err := c.reg.Covers(c.graph); err != nil {
+	if err := c.Preflight(initial, nil, 0); err != nil {
 		return nil, err
 	}
-	if err := core.CheckInitial(c.graph, initial); err != nil {
-		return nil, err
-	}
+	p := c.Plan()
+	r := &charmRun{c: c, plan: p, fab: fabric.New(c.opt.PEs), chares: make([]chare, p.Size()), st: core.NewDataflowState(p, nil)}
+	r.Cancel = r.fab.Cancel
 
-	r := &charmRun{
-		c:       c,
-		fab:     fabric.New(c.opt.PEs),
-		chares:  make(map[core.TaskId]*chare, c.graph.Size()),
-		total:   int64(c.graph.Size()),
-		results: make(map[core.TaskId][]core.Payload),
-	}
 	// The main chare creates the chare array(s): one chare per task,
 	// placed round-robin over the PEs — either from a single array or,
 	// with ArrayPerType, from one array per task type with independent
-	// placement counters.
+	// placement counters. The dataflow execution is started asynchronously
+	// by the chares containing the input data: the external payloads are
+	// sent as messages, and a task with no inputs at all is started by an
+	// empty one.
+	ids := p.TaskIds()
 	perType := make(map[core.CallbackId]int)
-	for i, id := range c.graph.TaskIds() {
-		t, _ := c.graph.Task(id)
+	for i := range r.chares {
+		t := p.TaskAt(i)
 		owner := i % c.opt.PEs
 		if c.opt.ArrayPerType {
 			owner = perType[t.Callback] % c.opt.PEs
 			perType[t.Callback]++
 		}
-		r.chares[id] = &chare{
-			task:    t,
-			owner:   owner,
-			slots:   make([]core.Payload, len(t.Incoming)),
-			filled:  make([]bool, len(t.Incoming)),
-			missing: len(t.Incoming),
+		r.chares[i].owner.Store(int32(owner))
+		start := initial[ids[i]]
+		if len(t.Incoming) == 0 {
+			start = []core.Payload{{}}
+		}
+		for _, pl := range start {
+			r.fab.Send(fabric.Message{From: owner, To: owner, Src: core.ExternalInput, Dest: ids[i], Payload: pl})
 		}
 	}
 
-	// The dataflow execution is started asynchronously by the chares
-	// containing the input data: send the external payloads as messages.
-	for _, id := range core.SortedIds(initial) {
-		owner := r.owner(id)
-		for _, p := range initial[id] {
-			r.fab.Send(fabric.Message{From: owner, To: owner, Src: core.ExternalInput, Dest: id, Payload: p})
-		}
-	}
-	// Tasks with no inputs at all start immediately.
-	for id, ch := range r.chares {
-		if len(ch.task.Incoming) == 0 {
-			r.fab.Send(fabric.Message{From: ch.owner, To: ch.owner, Src: core.ExternalInput, Dest: id, Payload: core.Payload{}})
-		}
-	}
-
-	stopc := make(chan struct{})
-	defer close(stopc)
-	go func() {
-		select {
-		case <-ctx.Done():
-			r.abort(core.Cancelled(ctx))
-		case <-stopc:
-		}
-	}()
-
+	r.Watch(ctx, r.Fail)
 	var wg sync.WaitGroup
 	for pe := 0; pe < c.opt.PEs; pe++ {
 		wg.Add(1)
 		go func(pe int) {
 			defer wg.Done()
-			r.peLoop(pe)
+			if err := r.peLoop(pe); err != nil {
+				r.Fail(err)
+			}
 		}(pe)
 	}
 	wg.Wait()
 
 	c.lastStats = r.fab.Snapshot()
 	c.lastMigrations = r.migrations.Load()
-	r.errMu.Lock()
-	defer r.errMu.Unlock()
-	if r.firstErr != nil {
-		return nil, r.firstErr
-	}
-	return r.results, nil
-}
-
-func (r *charmRun) abort(err error) {
-	r.errMu.Lock()
-	if r.firstErr == nil {
-		r.firstErr = err
-	}
-	r.errMu.Unlock()
-	r.fab.Cancel()
-}
-
-// owner returns the current owner PE of a chare.
-func (r *charmRun) owner(id core.TaskId) int {
-	r.locMu.Lock()
-	defer r.locMu.Unlock()
-	ch, ok := r.chares[id]
-	if !ok {
-		return 0
-	}
-	return ch.owner
+	return r.Result()
 }
 
 // peLoop is the scheduler loop of one processing element: it drains the
 // PE's message queue, delivering RPCs to local chares and executing entry
-// methods (task callbacks) inline, one at a time, as Charm++ does.
-func (r *charmRun) peLoop(pe int) {
+// methods (task callbacks) inline, one at a time, as Charm++ does. It
+// returns nil once the fabric closes — at quiescence or on another PE's
+// failure.
+func (r *charmRun) peLoop(pe int) error {
 	for {
 		m, ok := r.fab.Recv(pe)
 		if !ok {
-			return
+			return nil
 		}
-		ch, exists := r.chares[m.Dest]
+		i, exists := r.plan.Index(m.Dest)
 		if !exists {
-			r.abort(fmt.Errorf("charm: message for unknown chare %d", m.Dest))
-			return
+			return fmt.Errorf("charm: message for unknown chare %d", m.Dest)
 		}
+		ch := &r.chares[i]
 
 		ch.mu.Lock()
-		if ch.owner != pe {
+		if to := int(ch.owner.Load()); to != pe {
 			// The chare migrated while the message was in flight; the
 			// location manager forwards it to the new owner.
-			to := ch.owner
 			ch.mu.Unlock()
 			r.fab.Send(fabric.Message{From: pe, To: to, Src: m.Src, Dest: m.Dest, Payload: m.Payload})
 			continue
 		}
-		if err := r.deliver(ch, m); err != nil {
-			ch.mu.Unlock()
-			r.abort(err)
-			return
+		// The start message of an input-less task fills no slot.
+		if len(r.plan.TaskAt(i).Incoming) > 0 {
+			if err := r.st.Deliver(i, m.Src, m.Payload); err != nil {
+				ch.mu.Unlock()
+				return err
+			}
 		}
-		ready := ch.missing == 0 && !ch.started
-		var inputs []core.Payload
+		in, ready := r.st.Take(i)
 		if ready {
 			ch.started = true
-			inputs = ch.slots
 		}
 		ch.mu.Unlock()
 
 		if !ready {
 			continue
 		}
-		if err := r.execute(pe, ch, inputs); err != nil {
-			r.abort(err)
-			return
+		if err := r.execute(pe, i, in); err != nil {
+			return err
 		}
 		done := r.executed.Add(1)
-		if done == r.total {
+		if done == int64(len(r.chares)) {
 			// Last entry method ran; quiescence detected, stop all PEs.
 			for p := 0; p < r.c.opt.PEs; p++ {
 				r.fab.Close(p)
 			}
-			return
+			return nil
 		}
 		if lb := r.c.opt.LBPeriod; lb > 0 && done%int64(lb) == 0 {
 			r.rebalance()
@@ -291,86 +213,45 @@ func (r *charmRun) peLoop(pe int) {
 	}
 }
 
-// deliver fills the next open input slot matching the message's source.
-func (r *charmRun) deliver(ch *chare, m fabric.Message) error {
-	if len(ch.task.Incoming) == 0 {
-		// Synthetic start message for an input-less task.
-		return nil
-	}
-	for slot, producer := range ch.task.Incoming {
-		if producer == m.Src && !ch.filled[slot] {
-			// Detach a private copy of a shared fan-out wire form: the
-			// chare owns its inputs and may mutate them.
-			ch.slots[slot] = m.Payload.Own()
-			ch.filled[slot] = true
-			ch.missing--
-			return nil
-		}
-	}
-	return fmt.Errorf("charm: chare %d has no open input slot for producer %d", ch.task.Id, m.Src)
-}
-
 // execute runs the chare's entry method (the registered callback) and sends
-// the outputs to the consuming chares as RPCs.
-func (r *charmRun) execute(pe int, ch *chare, inputs []core.Payload) error {
-	t := ch.task
-	out, _, err := core.Step(r.c.reg, r.c.opt.Observer, t, inputs, core.ShardId(pe))
+// the outputs to the consuming chares as RPCs: the last consumer of a slot
+// receives the payload pointer when it lives on this PE (the PUP framework's
+// in-memory optimization), every other RPC carries the wire form
+// core.FanOut decides on.
+func (r *charmRun) execute(pe, i int, in []core.Payload) error {
+	t := r.plan.TaskAt(i)
+	out, _, err := core.Step(r.c.Registry(), r.c.opt.Observer, t, in, core.ShardId(pe))
 	if err != nil {
 		return fmt.Errorf("charm: chare %d: %w", t.Id, err)
 	}
 	var batch []fabric.Message
+	dest := r.plan.Consumers(i) // t.Outgoing flattened, as plan indices
 	for slot, consumers := range t.Outgoing {
+		to := dest[:len(consumers)]
+		dest = dest[len(consumers):]
 		if len(consumers) == 0 {
-			if core.IsDead(out[slot]) {
-				continue
-			}
-			r.resMu.Lock()
-			r.results[t.Id] = append(r.results[t.Id], out[slot])
-			r.resMu.Unlock()
+			r.Sink(t.Id, out[slot])
 			continue
 		}
-		p := out[slot]
-		// Resolve every consumer's owner once; the last same-PE consumer
-		// receives the payload pointer (the PUP framework's in-memory
-		// optimization), every other RPC carries the wire form.
-		owners := make([]int, len(consumers))
-		for i, dest := range consumers {
-			owners[i] = r.owner(dest)
-		}
-		inMemoryIdx := -1
-		if last := len(consumers) - 1; owners[last] == pe {
-			inMemoryIdx = last
-		}
-		wireConsumers := len(consumers)
-		if inMemoryIdx >= 0 {
-			wireConsumers--
-		}
-		var wire core.Payload
-		switch {
-		case wireConsumers == 0:
-			// Single same-PE consumer: pure pointer pass.
-		case wireConsumers == 1 && inMemoryIdx < 0:
-			// Single RPC consumer: the chare relinquished the buffer,
-			// hand it over without a copy.
-			wire, err = p.WireForm()
-		default:
-			// Fan-out: the PUP framework serializes once; the immutable
-			// wire form is shared by all RPC consumers and each detaches
-			// a private copy at delivery.
-			wire, err = core.SharedPayload(p, wireConsumers, inMemoryIdx >= 0)
-		}
+		last := len(consumers) - 1
+		lastLocal := int(r.chares[to[last]].owner.Load()) == pe
+		wire, err := core.FanOut(out[slot], len(consumers), lastLocal)
 		if err != nil {
 			return fmt.Errorf("charm: chare %d output slot %d: %w", t.Id, slot, err)
 		}
-		for i, dest := range consumers {
-			mp := wire
-			if i == inMemoryIdx {
-				mp = p
+		for k, dest := range consumers {
+			m := fabric.Message{From: pe, To: int(r.chares[to[k]].owner.Load()), Src: t.Id, Dest: dest, Payload: wire}
+			if lastLocal && k == last {
+				m.To, m.Payload = pe, out[slot]
 			}
-			batch = append(batch, fabric.Message{From: pe, To: owners[i], Src: t.Id, Dest: dest, Payload: mp})
+			batch = append(batch, m)
 		}
 	}
-	return r.fab.SendN(batch)
+	err = r.fab.SendN(batch)
+	// in is a window of st's arena, which outlives the task; it is cleared
+	// only now because a relay callback may return it as out.
+	clear(in)
+	return err
 }
 
 // rebalance is the periodic load balancer: it measures the per-PE count of
@@ -384,10 +265,11 @@ func (r *charmRun) rebalance() {
 	pes := r.c.opt.PEs
 	load := make([]int, pes)
 	var pending []*chare
-	for _, ch := range r.chares {
+	for i := range r.chares {
+		ch := &r.chares[i]
 		ch.mu.Lock()
 		if !ch.started {
-			load[ch.owner]++
+			load[ch.owner.Load()]++
 			pending = append(pending, ch)
 		}
 		ch.mu.Unlock()
@@ -403,11 +285,11 @@ func (r *charmRun) rebalance() {
 			ch.mu.Unlock()
 			continue
 		}
-		from := ch.owner
+		from := int(ch.owner.Load())
 		if load[from] > avg {
 			to := minIndex(load)
 			if load[to] < load[from]-1 {
-				ch.owner = to
+				ch.owner.Store(int32(to))
 				load[from]--
 				load[to]++
 				r.migrations.Add(1)

@@ -74,15 +74,11 @@ func (e *MapError) Error() string {
 }
 
 // Registry stores the callback implementations registered with a controller.
-// It is safe for concurrent lookup after registration completes.
+// The zero value is an empty registry. It is safe for concurrent lookup after
+// registration completes.
 type Registry struct {
 	mu  sync.RWMutex
 	fns map[CallbackId]Callback
-}
-
-// NewRegistry returns an empty callback registry.
-func NewRegistry() *Registry {
-	return &Registry{fns: make(map[CallbackId]Callback)}
 }
 
 // Register binds fn to cb, replacing any previous binding.
@@ -92,6 +88,9 @@ func (r *Registry) Register(cb CallbackId, fn Callback) error {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if r.fns == nil {
+		r.fns = make(map[CallbackId]Callback)
+	}
 	r.fns[cb] = fn
 	return nil
 }

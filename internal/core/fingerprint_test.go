@@ -84,7 +84,7 @@ func TestFingerprintRegisteredCallbacks(t *testing.T) {
 		t.Error("fingerprint depends on registration order")
 	}
 
-	reg := NewRegistry()
+	reg := new(Registry)
 	noop := func(in []Payload, id TaskId) ([]Payload, error) { return nil, nil }
 	reg.Register(3, noop)
 	reg.Register(1, noop)

@@ -61,6 +61,9 @@ type Plan struct {
 // the reference for what a valid graph computes. Compile of a *Plan returns
 // it.
 func Compile(g TaskGraph) (*Plan, error) {
+	if g == nil {
+		return nil, fmt.Errorf("core: nil task graph")
+	}
 	if p, ok := g.(*Plan); ok {
 		return p, nil
 	}

@@ -81,7 +81,7 @@ func TestStep(t *testing.T) {
 		{name: "wrong arity", fn: func(in []Payload, _ TaskId) ([]Payload, error) { return in[:1], nil }, in: live(),
 			wantErr: func(err error) bool { return strings.Contains(err.Error(), "produced 1 outputs") }},
 	} {
-		reg := NewRegistry()
+		reg := new(Registry)
 		if tc.fn != nil {
 			reg.Register(cb, tc.fn)
 		}
@@ -108,7 +108,7 @@ func TestStep(t *testing.T) {
 
 	// A nil observer is allowed, and a shared fan-out wire form reaches the
 	// callback detached: the callback owns its inputs.
-	reg := NewRegistry()
+	reg := new(Registry)
 	reg.Register(cb, func(in []Payload, _ TaskId) ([]Payload, error) {
 		if in[0].Shared() {
 			t.Error("callback received a shared wire form")

@@ -90,35 +90,16 @@ func (l *ExecutionLog) Len() int {
 // against, and — per the paper — the degenerate case of over-decomposition:
 // any graph can run serially while preserving a correct order of execution.
 type Serial struct {
-	plan     *Plan
-	registry *Registry
+	Base
 	Observer Observer
 }
 
 // NewSerial returns an uninitialized serial controller.
-func NewSerial() *Serial { return &Serial{registry: NewRegistry()} }
+func NewSerial() *Serial { return &Serial{} }
 
 // Initialize implements Controller. The task map is ignored; a serial run
 // places every task on shard 0.
-func (s *Serial) Initialize(g TaskGraph, _ TaskMap) error {
-	if g == nil {
-		return fmt.Errorf("core: nil task graph")
-	}
-	p, err := Compile(g)
-	if err != nil {
-		return err
-	}
-	s.plan = p
-	return nil
-}
-
-// RegisterCallback implements Controller.
-func (s *Serial) RegisterCallback(cb CallbackId, fn Callback) error {
-	if s.plan == nil {
-		return ErrNotInitialized
-	}
-	return s.registry.Register(cb, fn)
-}
+func (s *Serial) Initialize(g TaskGraph, _ TaskMap) error { return s.Bind(g) }
 
 // Run implements Controller.
 func (s *Serial) Run(initial map[TaskId][]Payload) (map[TaskId][]Payload, error) {
@@ -129,16 +110,10 @@ func (s *Serial) Run(initial map[TaskId][]Payload) (map[TaskId][]Payload, error)
 // between tasks, so cancellation latency is bounded by the longest single
 // callback.
 func (s *Serial) RunContext(ctx context.Context, initial map[TaskId][]Payload) (map[TaskId][]Payload, error) {
+	if err := s.Preflight(initial, nil, 0); err != nil {
+		return nil, err
+	}
 	p := s.plan
-	if p == nil {
-		return nil, ErrNotInitialized
-	}
-	if err := s.registry.Covers(p); err != nil {
-		return nil, err
-	}
-	if err := CheckInitial(p, initial); err != nil {
-		return nil, err
-	}
 
 	st := NewDataflowState(p, nil)
 	for id, ps := range initial {
@@ -150,7 +125,7 @@ func (s *Serial) RunContext(ctx context.Context, initial map[TaskId][]Payload) (
 		}
 	}
 
-	results := make(map[TaskId][]Payload)
+	var att Attempt
 	for _, round := range p.Levels() {
 		for _, id := range round {
 			if ctx.Err() != nil {
@@ -162,16 +137,14 @@ func (s *Serial) RunContext(ctx context.Context, initial map[TaskId][]Payload) (
 			if !ready {
 				return nil, fmt.Errorf("core: task %d reached in dependency order without all inputs", id)
 			}
-			out, _, err := Step(s.registry, s.Observer, t, in, 0)
+			out, _, err := Step(&s.reg, s.Observer, t, in, 0)
 			if err != nil {
 				return nil, err
 			}
 			dest := p.Consumers(i)
 			for slot, consumers := range t.Outgoing {
 				if len(consumers) == 0 {
-					if !IsDead(out[slot]) {
-						results[id] = append(results[id], out[slot])
-					}
+					att.Sink(id, out[slot])
 					continue
 				}
 				for k := range consumers {
@@ -196,14 +169,16 @@ func (s *Serial) RunContext(ctx context.Context, initial map[TaskId][]Payload) (
 			clear(in)
 		}
 	}
-	return results, nil
+	return att.Result()
 }
 
 // DataflowState tracks which input slots of a plan's tasks have been filled:
 // one count of missing inputs per task and one payload arena holding every
 // tracked task's input slots back to back. Tasks are addressed by dense plan
-// index. Controllers share it as their readiness bookkeeping; it is not safe
-// for concurrent use — each controller shard guards its own state.
+// index. Controllers share it as their readiness bookkeeping. Calls for one
+// task must not overlap; calls for different tasks touch disjoint memory, so
+// a controller may guard a whole state (an mpi rank loop owns its own) or
+// each task (charm locks the chare).
 type DataflowState struct {
 	plan    *Plan
 	base    []int32 // per task: its first slot in the arena

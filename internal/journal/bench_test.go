@@ -12,7 +12,7 @@ import (
 // write speed while a background committer amortizes the fsyncs, landing
 // near the rotate/never policies instead of the per-record fsync floor.
 func BenchmarkAppend(b *testing.B) {
-	policies := []SyncPolicy{SyncEveryRecord, SyncGroupCommit, SyncOnRotate, SyncNever}
+	policies := []SyncPolicy{SyncEveryRecord, SyncGroupCommit, SyncNever}
 	body := make([]byte, 256)
 	for _, p := range policies {
 		b.Run(fmt.Sprintf("sync=%s", p), func(b *testing.B) {

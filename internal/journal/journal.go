@@ -17,10 +17,10 @@
 //
 // Appends go to the highest-numbered segment; a segment exceeding
 // Options.SegmentBytes is sealed and a new one started. Durability is
-// governed by Options.Sync: every record, on rotation only, never (leaving
-// flushes to the OS), or group commit — a background committer that
-// amortizes one fsync across a bounded window of appends and publishes the
-// crash-safe prefix through the Committed watermark.
+// governed by Options.Sync: every record, never (leaving flushes to the
+// OS), or group commit — a background committer that amortizes one fsync
+// across a bounded window of appends and publishes the crash-safe prefix
+// through the Committed watermark.
 //
 // Crash and corruption rules, applied when a journal is opened:
 //
@@ -57,9 +57,6 @@ const (
 	// SyncEveryRecord fsyncs after every append — a record returned from
 	// Append survives an immediate process or OS crash. The default.
 	SyncEveryRecord SyncPolicy = iota
-	// SyncOnRotate fsyncs only when a segment is sealed (and on Sync/Close).
-	// A crash may lose the records of the active segment's unsynced tail.
-	SyncOnRotate
 	// SyncNever leaves flushing to the OS (and to Sync/Close). Fastest;
 	// a crash may lose any unflushed suffix.
 	SyncNever
@@ -76,8 +73,6 @@ func (p SyncPolicy) String() string {
 	switch p {
 	case SyncEveryRecord:
 		return "every-record"
-	case SyncOnRotate:
-		return "on-rotate"
 	case SyncNever:
 		return "never"
 	case SyncGroupCommit:

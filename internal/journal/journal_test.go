@@ -80,8 +80,14 @@ func TestRoundTrip(t *testing.T) {
 }
 
 func TestRotation(t *testing.T) {
+	for _, pol := range []SyncPolicy{SyncEveryRecord, SyncNever, SyncGroupCommit} {
+		t.Run(pol.String(), func(t *testing.T) { testRotation(t, pol) })
+	}
+}
+
+func testRotation(t *testing.T, pol SyncPolicy) {
 	dir := t.TempDir()
-	opt := Options{SegmentBytes: 256, Sync: SyncOnRotate}
+	opt := Options{SegmentBytes: 256, Sync: pol}
 	l, err := Open(dir, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -271,7 +277,7 @@ func TestAppendRejectsOversizedRecord(t *testing.T) {
 }
 
 func TestSyncPolicies(t *testing.T) {
-	for _, pol := range []SyncPolicy{SyncEveryRecord, SyncOnRotate, SyncNever, SyncGroupCommit} {
+	for _, pol := range []SyncPolicy{SyncEveryRecord, SyncNever, SyncGroupCommit} {
 		t.Run(pol.String(), func(t *testing.T) {
 			dir := t.TempDir()
 			l, err := Open(dir, Options{Sync: pol, SegmentBytes: 128})

@@ -2,7 +2,6 @@ package legion
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -17,8 +16,6 @@ type metricsCollector struct {
 	tasks     atomic.Int64
 }
 
-func newMetricsCollector() *metricsCollector { return &metricsCollector{} }
-
 func (m *metricsCollector) launch() { m.launches.Add(1) }
 
 func (m *metricsCollector) snapshot() Metrics {
@@ -30,17 +27,47 @@ func (m *metricsCollector) snapshot() Metrics {
 	}
 }
 
-// gatherInputs assembles a task's input payloads: external slots come from
-// the initial inputs in order, internal slots from the region store (which
+// run is the state of one Legion run under either launcher: the attempt,
+// whose Cancel is the region store's (it releases every blocked phase
+// barrier), the controller's plan and callbacks, its observer, the store,
+// the metrics and the external inputs.
+type run struct {
+	core.Attempt
+	base    *core.Base
+	obs     core.Observer
+	store   *RegionStore
+	met     metricsCollector
+	initial map[core.TaskId][]core.Payload
+}
+
+func newRun(b *core.Base, opt Options, initial map[core.TaskId][]core.Payload) *run {
+	r := &run{base: b, obs: opt.Observer, store: NewRegionStore(), initial: initial}
+	r.Cancel = r.store.Cancel
+	return r
+}
+
+// end closes the run on every exit path, once every launched task has
+// returned: consumers only ever hold copies of region data, so the staging
+// buffers go back to the wire-buffer arena; the metrics are published
+// whether or not the run failed.
+func (r *run) end(last *Metrics) (map[core.TaskId][]core.Payload, error) {
+	sinks, err := r.Result()
+	r.store.Release()
+	*last = r.met.snapshot()
+	return sinks, err
+}
+
+// gather assembles a task's input payloads: external slots come from the
+// initial inputs in order, internal slots from the region store (which
 // waits on the producing region's phase barrier). Region reads count as
 // staging time.
-func gatherInputs(g core.TaskGraph, t core.Task, store *RegionStore, met *metricsCollector, initial map[core.TaskId][]core.Payload) ([]core.Payload, error) {
+func (r *run) gather(t core.Task) ([]core.Payload, error) {
 	in := make([]core.Payload, len(t.Incoming))
 	extIdx := 0
 	occ := make(map[core.TaskId]int)
 	for slot, p := range t.Incoming {
 		if p == core.ExternalInput {
-			ext := initial[t.Id]
+			ext := r.initial[t.Id]
 			if extIdx >= len(ext) {
 				return nil, fmt.Errorf("legion: task %d missing external input %d", t.Id, extIdx)
 			}
@@ -48,7 +75,7 @@ func gatherInputs(g core.TaskGraph, t core.Task, store *RegionStore, met *metric
 			extIdx++
 			continue
 		}
-		prod, ok := g.Task(p)
+		prod, ok := r.base.Plan().Task(p)
 		if !ok {
 			return nil, fmt.Errorf("legion: task %d names unknown producer %d", t.Id, p)
 		}
@@ -58,8 +85,8 @@ func gatherInputs(g core.TaskGraph, t core.Task, store *RegionStore, met *metric
 		}
 		occ[p]++
 		start := time.Now()
-		payload, err := store.Get(RegionId{Producer: p, Slot: ps})
-		met.stagingNS.Add(int64(time.Since(start)))
+		payload, err := r.store.Get(RegionId{Producer: p, Slot: ps})
+		r.met.stagingNS.Add(int64(time.Since(start)))
 		if err != nil {
 			return nil, err
 		}
@@ -70,34 +97,28 @@ func gatherInputs(g core.TaskGraph, t core.Task, store *RegionStore, met *metric
 
 // step runs one ready task through the shared kernel (core.Step), charging
 // the call's duration to compute time.
-func step(reg *core.Registry, obs core.Observer, t core.Task, in []core.Payload, shard core.ShardId, met *metricsCollector) ([]core.Payload, error) {
+func (r *run) step(t core.Task, in []core.Payload, shard core.ShardId) ([]core.Payload, error) {
 	start := time.Now()
-	out, _, err := core.Step(reg, obs, t, in, shard)
-	met.computeNS.Add(int64(time.Since(start)))
+	out, _, err := core.Step(r.base.Registry(), r.obs, t, in, shard)
+	r.met.computeNS.Add(int64(time.Since(start)))
 	if err != nil {
 		return nil, fmt.Errorf("legion: %w", err)
 	}
-	met.tasks.Add(1)
+	r.met.tasks.Add(1)
 	return out, nil
 }
 
-// stageOutputs writes a task's outputs into the region store (sink slots go
-// to the result map instead). Region writes count as staging time.
-func stageOutputs(t core.Task, out []core.Payload, store *RegionStore, met *metricsCollector, results map[core.TaskId][]core.Payload, resMu *sync.Mutex) error {
+// stage writes a task's outputs into the region store (sink slots leave
+// through the attempt instead). Region writes count as staging time.
+func (r *run) stage(t core.Task, out []core.Payload) error {
 	for slot, consumers := range t.Outgoing {
 		if len(consumers) == 0 {
-			// A dead token at a sink is a deactivated branch's non-result.
-			if core.IsDead(out[slot]) {
-				continue
-			}
-			resMu.Lock()
-			results[t.Id] = append(results[t.Id], out[slot])
-			resMu.Unlock()
+			r.Sink(t.Id, out[slot])
 			continue
 		}
 		start := time.Now()
-		err := store.Put(RegionId{Producer: t.Id, Slot: slot}, out[slot])
-		met.stagingNS.Add(int64(time.Since(start)))
+		err := r.store.Put(RegionId{Producer: t.Id, Slot: slot}, out[slot])
+		r.met.stagingNS.Add(int64(time.Since(start)))
 		if err != nil {
 			return err
 		}

@@ -2,7 +2,6 @@ package legion
 
 import (
 	"context"
-	"fmt"
 	"sync"
 
 	"github.com/babelflow/babelflow-go/internal/core"
@@ -19,9 +18,8 @@ import (
 // cost, borne serially by the parent, is the scaling bottleneck the paper
 // measures in Figs. 2 and 3.
 type IndexLaunch struct {
-	opt   Options
-	graph *core.Plan
-	reg   *core.Registry
+	core.Base
+	opt Options
 
 	lastMetrics Metrics
 }
@@ -31,30 +29,12 @@ func NewIndexLaunch(opt Options) *IndexLaunch {
 	if opt.Workers <= 0 {
 		opt.Workers = 4
 	}
-	return &IndexLaunch{opt: opt, reg: core.NewRegistry()}
+	return &IndexLaunch{opt: opt}
 }
 
 // Initialize implements core.Controller. The task map is optional and
 // ignored: index launches let the runtime distribute the tasks.
-func (c *IndexLaunch) Initialize(g core.TaskGraph, _ core.TaskMap) error {
-	if g == nil {
-		return fmt.Errorf("legion: nil task graph")
-	}
-	p, err := core.Compile(g)
-	if err != nil {
-		return err
-	}
-	c.graph = p
-	return nil
-}
-
-// RegisterCallback implements core.Controller.
-func (c *IndexLaunch) RegisterCallback(cb core.CallbackId, fn core.Callback) error {
-	if c.graph == nil {
-		return core.ErrNotInitialized
-	}
-	return c.reg.Register(cb, fn)
-}
+func (c *IndexLaunch) Initialize(g core.TaskGraph, _ core.TaskMap) error { return c.Bind(g) }
 
 // Metrics returns the timing breakdown of the last Run.
 func (c *IndexLaunch) Metrics() Metrics { return c.lastMetrics }
@@ -70,42 +50,38 @@ func (c *IndexLaunch) Run(initial map[core.TaskId][]core.Payload) (map[core.Task
 // core.ErrCancelled. Subtasks already in flight run to completion — an
 // index launch is an atomic unit of work for the parent.
 func (c *IndexLaunch) RunContext(ctx context.Context, initial map[core.TaskId][]core.Payload) (map[core.TaskId][]core.Payload, error) {
-	if c.graph == nil {
-		return nil, core.ErrNotInitialized
-	}
-	if err := c.reg.Covers(c.graph); err != nil {
+	if err := c.Preflight(initial, nil, 0); err != nil {
 		return nil, err
 	}
-	if err := core.CheckInitial(c.graph, initial); err != nil {
-		return nil, err
+	r := newRun(&c.Base, c.opt, initial)
+	if err := c.launchRounds(ctx, r); err != nil {
+		r.Fail(err)
 	}
+	return r.end(&c.lastMetrics)
+}
 
-	store := NewRegionStore()
-	results := make(map[core.TaskId][]core.Payload)
-	var resMu sync.Mutex
-	met := newMetricsCollector()
-
-	// One index launch per round of non-interfering tasks.
-	for _, round := range c.graph.Levels() {
+// launchRounds is the top-level task's loop: one index launch per round of
+// non-interfering tasks, until a round fails or the context ends.
+func (c *IndexLaunch) launchRounds(ctx context.Context, r *run) error {
+	p := c.Plan()
+	for _, round := range p.Levels() {
 		if ctx.Err() != nil {
-			c.lastMetrics = met.snapshot()
-			return nil, core.Cancelled(ctx)
+			return core.Cancelled(ctx)
 		}
-		// One index launch per round. The parent prepares every subtask's
-		// region requirements serially (gathering inputs counts as staging
-		// and is the parent-borne launch overhead), then the subtasks of
-		// the round execute concurrently.
-		met.launch()
+		// The parent prepares every subtask's region requirements serially
+		// (gathering inputs counts as staging and is the parent-borne launch
+		// overhead), then the subtasks of the round execute concurrently.
+		r.met.launch()
 		type launchRecord struct {
 			task core.Task
 			in   []core.Payload
 		}
 		records := make([]launchRecord, 0, len(round))
 		for _, id := range round {
-			t, _ := c.graph.Task(id)
-			in, err := gatherInputs(c.graph, t, store, met, initial)
+			t, _ := p.Task(id)
+			in, err := r.gather(t)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			records = append(records, launchRecord{task: t, in: in})
 		}
@@ -120,30 +96,24 @@ func (c *IndexLaunch) RunContext(ctx context.Context, initial map[core.TaskId][]
 			go func(i int, rec launchRecord) {
 				defer wg.Done()
 				defer func() { <-sem }()
-				outs[i], errs[i] = step(c.reg, c.opt.Observer, rec.task, rec.in, core.ShardId(i%c.opt.Workers), met)
+				outs[i], errs[i] = r.step(rec.task, rec.in, core.ShardId(i%c.opt.Workers))
 			}(i, rec)
 		}
 		wg.Wait()
 		for _, err := range errs {
 			if err != nil {
-				c.lastMetrics = met.snapshot()
-				return nil, err
+				return err
 			}
 		}
 		// The parent maps the launch's outputs into regions for the next
 		// round.
 		for i, rec := range records {
-			if err := stageOutputs(rec.task, outs[i], store, met, results, &resMu); err != nil {
-				return nil, err
+			if err := r.stage(rec.task, outs[i]); err != nil {
+				return err
 			}
 		}
 	}
-	// All rounds are complete and consumers hold copies of region data:
-	// return the staging buffers to the wire-buffer arena.
-	store.Release()
-
-	c.lastMetrics = met.snapshot()
-	return results, nil
+	return nil
 }
 
 var _ core.Controller = (*IndexLaunch)(nil)

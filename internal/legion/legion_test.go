@@ -236,6 +236,36 @@ func TestLegionErrorPropagation(t *testing.T) {
 	}
 }
 
+// TestLegionFailureReleasesRegions pins the exit path of a failing run:
+// when the root of a reduction-8 errors, both launchers have staged the 14
+// tasks before it — every region buffer must go back to the arena and the
+// metrics of the work done must still be published.
+func TestLegionFailureReleasesRegions(t *testing.T) {
+	g, reg, initial := reductionSetup(8, 2)
+	boom := errors.New("boom")
+	reg[graphs.ReduceRootCB] = func(in []core.Payload, id core.TaskId) ([]core.Payload, error) {
+		return nil, boom
+	}
+	for name, c := range controllers(g, 4, Options{}) {
+		for cb, fn := range reg {
+			c.RegisterCallback(cb, fn)
+		}
+		core.ArenaAccounting(true)
+		_, err := c.Run(initial)
+		out := core.ArenaOutstanding()
+		core.ArenaAccounting(false)
+		if !errors.Is(err, boom) {
+			t.Errorf("%s: err = %v, want boom", name, err)
+		}
+		if out != 0 {
+			t.Errorf("%s: %d region buffer(s) still grabbed after the failed run", name, out)
+		}
+		if tasks := c.(interface{ Metrics() Metrics }).Metrics().Tasks; tasks != 14 {
+			t.Errorf("%s: Metrics().Tasks = %d after the failed run, want 14", name, tasks)
+		}
+	}
+}
+
 func TestLegionInitializeErrors(t *testing.T) {
 	g, _, _ := reductionSetup(4, 2)
 	s := NewSPMD(Options{})

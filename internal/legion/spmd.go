@@ -23,10 +23,9 @@ type Options struct {
 // map shard, started together with a must-parallelism launcher; shards
 // synchronize exclusively through the phase barriers of the region store.
 type SPMD struct {
-	opt   Options
-	graph *core.Plan
-	tmap  core.TaskMap
-	reg   *core.Registry
+	core.Base
+	opt  Options
+	tmap core.TaskMap
 
 	lastMetrics Metrics
 }
@@ -53,36 +52,25 @@ func NewSPMD(opt Options) *SPMD {
 	if opt.Workers <= 0 {
 		opt.Workers = 4
 	}
-	return &SPMD{opt: opt, reg: core.NewRegistry()}
+	return &SPMD{opt: opt}
 }
 
 // Initialize implements core.Controller. Like the MPI controller, the SPMD
 // controller makes use of the task map: shards are conceptually similar to
 // the MPI rank assignment.
 func (c *SPMD) Initialize(g core.TaskGraph, m core.TaskMap) error {
-	if g == nil {
-		return fmt.Errorf("legion: nil task graph")
-	}
-	if m == nil {
-		return fmt.Errorf("legion: the SPMD controller requires a task map")
-	}
 	p, err := core.Compile(g)
 	if err != nil {
 		return err
 	}
+	if m == nil {
+		return fmt.Errorf("legion: the SPMD controller requires a task map")
+	}
 	if err := core.ValidateMap(p, m); err != nil {
 		return err
 	}
-	c.graph, c.tmap = p, m
-	return nil
-}
-
-// RegisterCallback implements core.Controller.
-func (c *SPMD) RegisterCallback(cb core.CallbackId, fn core.Callback) error {
-	if c.graph == nil {
-		return core.ErrNotInitialized
-	}
-	return c.reg.Register(cb, fn)
+	c.tmap = m
+	return c.Bind(p)
 }
 
 // Metrics returns the timing breakdown of the last Run.
@@ -97,41 +85,11 @@ func (c *SPMD) Run(initial map[core.TaskId][]core.Payload) (map[core.TaskId][]co
 // region store, releasing every blocked phase barrier so the shard tasks
 // unwind, and the returned error wraps core.ErrCancelled.
 func (c *SPMD) RunContext(ctx context.Context, initial map[core.TaskId][]core.Payload) (map[core.TaskId][]core.Payload, error) {
-	if c.graph == nil {
-		return nil, core.ErrNotInitialized
-	}
-	if err := c.reg.Covers(c.graph); err != nil {
+	if err := c.Preflight(initial, nil, 0); err != nil {
 		return nil, err
 	}
-	if err := core.CheckInitial(c.graph, initial); err != nil {
-		return nil, err
-	}
-
-	store := NewRegionStore()
-	results := make(map[core.TaskId][]core.Payload)
-	var resMu sync.Mutex
-	met := newMetricsCollector()
-
-	var firstErr error
-	var errMu sync.Mutex
-	abort := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-		store.Cancel()
-	}
-
-	stopc := make(chan struct{})
-	defer close(stopc)
-	go func() {
-		select {
-		case <-ctx.Done():
-			abort(core.Cancelled(ctx))
-		case <-stopc:
-		}
-	}()
+	r := newRun(&c.Base, c.opt, initial)
+	r.Watch(ctx, r.Fail)
 
 	// Must-parallelism launch: one shard task per shard, all running
 	// concurrently without runtime synchronization between them.
@@ -140,23 +98,13 @@ func (c *SPMD) RunContext(ctx context.Context, initial map[core.TaskId][]core.Pa
 		wg.Add(1)
 		go func(shard core.ShardId) {
 			defer wg.Done()
-			if err := c.runShard(shard, store, met, initial, results, &resMu); err != nil {
-				abort(err)
+			if err := c.runShard(shard, r); err != nil {
+				r.Fail(err)
 			}
 		}(core.ShardId(s))
 	}
 	wg.Wait()
-	// Every shard has joined, so no region reader remains: return the
-	// staging buffers to the wire-buffer arena.
-	store.Release()
-
-	c.lastMetrics = met.snapshot()
-	errMu.Lock()
-	defer errMu.Unlock()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return results, nil
+	return r.end(&c.lastMetrics)
 }
 
 // runShard is the long-running per-shard task. It schedules its assigned
@@ -165,15 +113,16 @@ func (c *SPMD) RunContext(ctx context.Context, initial map[core.TaskId][]core.Pa
 // respects the level order, the blocked task of minimal level always has
 // all its producers already executed or executing, so the schedule cannot
 // deadlock.
-func (c *SPMD) runShard(shard core.ShardId, store *RegionStore, met *metricsCollector, initial map[core.TaskId][]core.Payload, results map[core.TaskId][]core.Payload, resMu *sync.Mutex) error {
-	local, err := core.LocalGraph(c.graph, c.tmap, shard)
+func (c *SPMD) runShard(shard core.ShardId, r *run) error {
+	p := c.Plan()
+	local, err := core.LocalGraph(p, c.tmap, shard)
 	if err != nil {
 		return err
 	}
 	// Global level order (level, then id): every shard walks its local
 	// tasks in it, which guarantees progress.
 	sort.Slice(local, func(a, b int) bool {
-		if ha, hb := c.graph.Height(local[a].Id), c.graph.Height(local[b].Id); ha != hb {
+		if ha, hb := p.Height(local[a].Id), p.Height(local[b].Id); ha != hb {
 			return ha < hb
 		}
 		return local[a].Id < local[b].Id
@@ -182,26 +131,20 @@ func (c *SPMD) runShard(shard core.ShardId, store *RegionStore, met *metricsColl
 	for _, t := range local {
 		// Single task launcher: gather region requirements, wait for them,
 		// execute, stage the outputs.
-		met.launch()
-		in, err := c.gatherInputs(t, store, met, initial)
+		r.met.launch()
+		in, err := r.gather(t)
 		if err != nil {
 			return err
 		}
-		out, err := step(c.reg, c.opt.Observer, t, in, shard, met)
+		out, err := r.step(t, in, shard)
 		if err != nil {
 			return err
 		}
-		if err := stageOutputs(t, out, store, met, results, resMu); err != nil {
+		if err := r.stage(t, out); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// gatherInputs assembles a task's input payloads: external slots from the
-// initial inputs, everything else from the region store.
-func (c *SPMD) gatherInputs(t core.Task, store *RegionStore, met *metricsCollector, initial map[core.TaskId][]core.Payload) ([]core.Payload, error) {
-	return gatherInputs(c.graph, t, store, met, initial)
 }
 
 var _ core.Controller = (*SPMD)(nil)

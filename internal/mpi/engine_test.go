@@ -426,28 +426,6 @@ func TestRunRankPreflightFailureUnblocksPeer(t *testing.T) {
 	}
 }
 
-// TestWatchContextStopJoins races cancellation against stop: once stop has
-// returned, abort must never run (nor still be running).
-func TestWatchContextStopJoins(t *testing.T) {
-	for i := 0; i < 2000; i++ {
-		ctx, cancel := context.WithCancel(context.Background())
-		var stopped, late atomic.Bool
-		stop := watchContext(ctx, func(error) {
-			runtime.Gosched()
-			if stopped.Load() {
-				late.Store(true)
-			}
-		})
-		go cancel()
-		stop()
-		stopped.Store(true)
-		runtime.Gosched()
-		if late.Load() {
-			t.Fatalf("iteration %d: abort ran after stop returned", i)
-		}
-	}
-}
-
 // TestSubmitCancelAtCompletionLeavesNoWatcher cancels each submission's
 // context right as the run completes. The context watcher must be retired
 // before Submit returns: afterwards it may neither cancel the released

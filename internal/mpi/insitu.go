@@ -19,9 +19,9 @@ import (
 type Group struct {
 	ctrl *Controller
 	fab  fabric.Transport
+	att  core.Attempt // the group's first failure; cancels fab
 
 	mu        sync.Mutex
-	firstErr  error
 	started   map[int]bool
 	pool      *fabric.Pool
 	completed int
@@ -41,14 +41,15 @@ func NewGroup(g core.TaskGraph, m core.TaskMap, opts ...Option) (*Group, error) 
 		fab = fabric.New(m.ShardCount())
 	}
 	gr := &Group{ctrl: c, fab: fab, started: make(map[int]bool)}
-	c.onFail = gr.abort
+	gr.att.Cancel = fab.Cancel
+	c.onFail = gr.att.Fail
 	return gr, nil
 }
 
 // RegisterCallback binds a task type's implementation for every shard of
 // the group (in situ, every rank runs the same analysis code).
 func (gr *Group) RegisterCallback(cb core.CallbackId, fn core.Callback) error {
-	return gr.ctrl.reg.Register(cb, fn)
+	return gr.ctrl.RegisterCallback(cb, fn)
 }
 
 // Ranks returns the number of shards of the group.
@@ -62,23 +63,8 @@ func (gr *Group) Shard(rank int) (*Shard, error) {
 	return &Shard{group: gr, rank: rank}, nil
 }
 
-// abort records the first failure and cancels the fabric so every shard
-// unwinds.
-func (gr *Group) abort(err error) {
-	gr.mu.Lock()
-	if gr.firstErr == nil {
-		gr.firstErr = err
-	}
-	gr.mu.Unlock()
-	gr.fab.Cancel()
-}
-
 // Err returns the first error any shard hit.
-func (gr *Group) Err() error {
-	gr.mu.Lock()
-	defer gr.mu.Unlock()
-	return gr.firstErr
-}
+func (gr *Group) Err() error { return gr.att.Err() }
 
 // Shard is one rank's view of an in-situ dataflow execution.
 type Shard struct {
@@ -114,7 +100,7 @@ func (s *Shard) RunContext(ctx context.Context, initial map[core.TaskId][]core.P
 	// All shards dispatch into one executor, so an idle rank's worker can
 	// steal a loaded rank's ready tasks (Inline mode needs none).
 	if gr.pool == nil && !gr.ctrl.opt.Inline {
-		gr.pool = gr.ctrl.opt.newPool(gr.ctrl.plan.Size(), gr.fab.Ranks(), allRanks)
+		gr.pool = gr.ctrl.opt.newPool(gr.ctrl.Plan().Size(), gr.fab.Ranks(), allRanks)
 	}
 	pool := gr.pool
 	gr.mu.Unlock()
@@ -133,10 +119,10 @@ func (s *Shard) RunContext(ctx context.Context, initial map[core.TaskId][]core.P
 
 	// One epoch, this rank alone, over the group's fabric and pool. Rank
 	// failures reach the group through the controller's onFail hook before
-	// the fabric is cancelled; abort here covers failures ahead of the epoch.
+	// the fabric is cancelled; Fail here covers failures ahead of the epoch.
 	results, err := gr.ctrl.run(ctx, s.rank, gr.fab, pool, nil, nil, initial)
 	if err != nil {
-		gr.abort(err)
+		gr.att.Fail(err)
 	}
 	if err := gr.Err(); err != nil {
 		return nil, err

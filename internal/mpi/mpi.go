@@ -45,15 +45,14 @@ import (
 // Controller executes task graphs in MPI style. Create one, Initialize it
 // with a graph and task map, register callbacks, then Run.
 type Controller struct {
+	core.Base
 	opt       options
-	plan      *core.Plan
-	place     *placement // Initialize's task map compiled against plan
-	reg       *core.Registry
+	place     *placement // Initialize's task map compiled against the plan
 	schedObs  core.SchedObserver
 	replayObs core.ReplayObserver
 	recObs    core.RecoveryObserver
 
-	// onFail, when set, hears of every rank failure before the failing
+	// onFail hears the first failure of every epoch before the failing
 	// rank's transport is cancelled. An in-situ Group's shards run separate
 	// epochs over one fabric; this is how the group records the cause ahead
 	// of the echoes the cancellation sets off in the other shards.
@@ -193,7 +192,7 @@ func New(opts ...Option) *Controller {
 // internal seam the service uses to stamp per-run controllers from its
 // option template.
 func newFromOptions(opt options) *Controller {
-	c := &Controller{opt: opt, reg: core.NewRegistry()}
+	c := &Controller{opt: opt, onFail: func(error) {}}
 	if so, ok := opt.Observer.(core.SchedObserver); ok {
 		c.schedObs = so
 	}
@@ -214,22 +213,19 @@ func (c *Controller) Initialize(g core.TaskGraph, m core.TaskMap) error {
 	if err := c.opt.validate(); err != nil {
 		return err
 	}
-	if g == nil {
-		return fmt.Errorf("mpi: nil task graph")
-	}
-	if m == nil {
-		return fmt.Errorf("mpi: the MPI controller requires a task map")
-	}
 	p, err := core.Compile(g)
 	if err != nil {
 		return err
+	}
+	if m == nil {
+		return fmt.Errorf("mpi: the MPI controller requires a task map")
 	}
 	pl, err := place(p, m)
 	if err != nil {
 		return err
 	}
-	c.plan, c.place = p, pl
-	return nil
+	c.place = pl
+	return c.Bind(p)
 }
 
 // placement is a task map compiled against the plan, the form an epoch
@@ -257,14 +253,6 @@ func place(p *core.Plan, m core.TaskMap) (*placement, error) {
 		return nil, err
 	}
 	return newPlacement(m.ShardCount(), shardOf), nil
-}
-
-// RegisterCallback implements core.Controller.
-func (c *Controller) RegisterCallback(cb core.CallbackId, fn core.Callback) error {
-	if c.plan == nil {
-		return core.ErrNotInitialized
-	}
-	return c.reg.Register(cb, fn)
 }
 
 // Stats returns the inter-rank traffic of the last Run.
@@ -320,24 +308,17 @@ func (c *Controller) RunMemberContext(ctx context.Context, rank int, tr fabric.T
 // allRanks is run's rank argument for driving every rank of the task map.
 const allRanks = -1
 
-// preflight is the validation every entry point runs before any rank
-// starts: the controller is initialized, every task type has a callback,
-// and the external inputs cover exactly the ExternalInput slots of the
-// whole graph (rank == allRanks) or of rank's local tasks under pl.
+// preflight is core.Base.Preflight for the whole graph (rank == allRanks)
+// or for rank's local tasks under pl. pl is nil only before Initialize,
+// which Preflight reports.
 func (c *Controller) preflight(pl *placement, rank int, initial map[core.TaskId][]core.Payload) error {
-	if c.plan == nil {
-		return core.ErrNotInitialized
-	}
-	if err := c.reg.Covers(c.plan); err != nil {
-		return err
-	}
-	if rank == allRanks {
-		return c.plan.CheckInitial(initial, nil, 0)
+	if rank == allRanks || pl == nil {
+		return c.Preflight(initial, nil, 0)
 	}
 	if n := len(pl.local); rank < 0 || rank >= n {
 		return fmt.Errorf("mpi: rank %d out of range [0,%d)", rank, n)
 	}
-	return c.plan.CheckInitial(initial, pl.shardOf, rank)
+	return c.Preflight(initial, pl.shardOf, rank)
 }
 
 // run is the one gate between the fixed-membership entry points and epoch:
@@ -360,8 +341,8 @@ func (c *Controller) run(ctx context.Context, rank int, tr fabric.Transport, poo
 		}
 	}()
 	pl := c.place
-	if tmap != nil && c.plan != nil {
-		if pl, err = place(c.plan, tmap); err != nil {
+	if tmap != nil && c.Plan() != nil {
+		if pl, err = place(c.Plan(), tmap); err != nil {
 			return nil, err
 		}
 	}
@@ -408,7 +389,7 @@ func (c *Controller) run(ctx context.Context, rank int, tr fabric.Transport, poo
 		}
 	}
 	if pool == nil && !c.opt.Inline {
-		pool = c.opt.newPool(c.plan.Size(), n, rank)
+		pool = c.opt.newPool(c.Plan().Size(), n, rank)
 		defer pool.Close()
 	}
 
@@ -419,42 +400,35 @@ func (c *Controller) run(ctx context.Context, rank int, tr fabric.Transport, poo
 	return sinks, nil
 }
 
-// runEnv is the state one epoch threads through its rank loops: the epoch's
+// runEnv is the state one epoch threads through its rank loops: the
+// attempt (merged sinks and the epoch's first failure), the epoch's
 // placement (a recovery epoch's differs from Initialize's), the transport of
 // every rank driven here (nil for ranks living elsewhere), the executor,
-// the merged sink results and failures, and — for ledgered runs — the
-// per-rank lineage ledgers plus the per-home-rank egress sequence counters
-// that give messages a dedup identity.
+// the per-rank failures and — for ledgered runs — the per-rank lineage
+// ledgers plus the per-home-rank egress sequence counters that give
+// messages a dedup identity.
 type runEnv struct {
+	core.Attempt
 	place *placement
 	trs   []fabric.Transport
 	pool  *fabric.Pool    // nil = inline execution
 	leds  []*core.Ledger  // nil outside ledgered runs
 	seq   []atomic.Uint64 // nil outside ledgered runs
 
-	onFail func(error)    // Controller.onFail
-	ranks  sync.WaitGroup // the rank loops in flight
-
-	mu      sync.Mutex
-	results map[core.TaskId][]core.Payload
-	errs    []error // first failure per rank
-	first   error   // first failure of the epoch
+	mu   sync.Mutex
+	errs []error // first failure per rank: classifyDead's evidence
 }
 
-// fail records a failure of rank and cancels the rank's transport, so the
-// rank's loop and — over a shared fabric or the wire — its peers unwind.
+// fail records a failure of rank and cancels the rank's transport — that
+// rank's alone, a supervised run reads who failed how — so the rank's loop
+// and, over a shared fabric or the wire, its peers unwind.
 func (e *runEnv) fail(rank int, err error) {
 	e.mu.Lock()
 	if e.errs[rank] == nil {
 		e.errs[rank] = err
 	}
-	if e.first == nil {
-		e.first = err
-	}
 	e.mu.Unlock()
-	if e.onFail != nil {
-		e.onFail(err)
-	}
+	e.Fail(err)
 	e.trs[rank].Cancel()
 }
 
@@ -474,69 +448,44 @@ func (e *runEnv) ledger(rank int) *core.Ledger {
 // function under a different supply of arguments; neither transports, pool
 // nor ledgers are owned here — they may outlive the call.
 //
-// epoch alone starts the rank loops, captures failures (per rank, and the
-// first overall — the cause, where later ones are its echoes), cancels a
-// failing rank's transport, watches ctx (a finished context fails every
-// driven rank with core.ErrCancelled), arms sequence stamping and receiver
-// dedup for ledgered runs, and merges the sinks. The sinks are returned
-// even when the epoch failed; callers discard them.
+// epoch alone starts the rank loops, captures failures (per rank here, the
+// first overall — the cause, where later ones are its echoes — in the
+// attempt, which tells onFail), cancels a failing rank's transport, watches
+// ctx (a finished context fails every driven rank with core.ErrCancelled),
+// and arms sequence stamping and receiver dedup for ledgered runs. Once the
+// attempt's Result has joined the watcher, a cancellation racing completion
+// can no longer reach a transport the caller is about to release.
 func (c *Controller) epoch(ctx context.Context, pl *placement, trs []fabric.Transport, pool *fabric.Pool, leds []*core.Ledger, initial map[core.TaskId][]core.Payload) (map[core.TaskId][]core.Payload, []error, error) {
-	env := &runEnv{
-		place:   pl,
-		trs:     trs,
-		pool:    pool,
-		leds:    leds,
-		onFail:  c.onFail,
-		results: make(map[core.TaskId][]core.Payload),
-		errs:    make([]error, len(trs)),
-	}
+	env := &runEnv{place: pl, trs: trs, pool: pool, leds: leds, errs: make([]error, len(trs))}
+	// fail cancels per rank, so all that is left for the attempt's Cancel is
+	// to pass the cause on.
+	env.Cancel = func() { c.onFail(env.Err()) }
 	if leds != nil {
 		env.seq = make([]atomic.Uint64, len(trs))
 	}
-	stop := watchContext(ctx, func(err error) {
+	env.Watch(ctx, func(err error) {
 		for r, tr := range trs {
 			if tr != nil {
 				env.fail(r, err)
 			}
 		}
 	})
+	var ranks sync.WaitGroup
 	for r, tr := range trs {
 		if tr == nil {
 			continue
 		}
-		env.ranks.Add(1)
+		ranks.Add(1)
 		go func(rank int) {
-			defer env.ranks.Done()
+			defer ranks.Done()
 			if err := c.runRank(rank, env, initial); err != nil {
 				env.fail(rank, err)
 			}
 		}(r)
 	}
-	env.ranks.Wait()
-	stop()
-	return env.results, env.errs, env.first
-}
-
-// watchContext aborts the epoch when the context ends. The returned stop
-// function retires the watcher and does not return before the watcher is
-// past its last action: either it never fired, or abort has completed. So
-// once stop returns, a cancellation racing completion can no longer reach
-// a transport the caller is about to release, and the goroutine is gone
-// (stopc is unbuffered; the watcher's final act is the receive).
-func watchContext(ctx context.Context, abort func(error)) (stop func()) {
-	if ctx == nil || ctx.Done() == nil {
-		return func() {}
-	}
-	stopc := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-			abort(core.Cancelled(ctx))
-			<-stopc
-		case <-stopc:
-		}
-	}()
-	return func() { stopc <- struct{}{} }
+	ranks.Wait()
+	sinks, err := env.Result()
+	return sinks, env.errs, err
 }
 
 // Fingerprint returns the canonical fingerprint of the controller's graph
@@ -544,10 +493,10 @@ func watchContext(ctx context.Context, abort func(error)) (stop func()) {
 // rendezvous handshake so mismatched binaries are rejected before any
 // message flows. It is zero before Initialize.
 func (c *Controller) Fingerprint() core.Fingerprint {
-	if c.plan == nil {
+	if c.Plan() == nil {
 		return core.Fingerprint{}
 	}
-	return core.GraphFingerprint(c.plan, c.reg.Ids())
+	return core.GraphFingerprint(c.Plan(), c.Registry().Ids())
 }
 
 // WireOptions returns the wire transport template this controller implies:
@@ -573,7 +522,7 @@ var scratchPool = sync.Pool{New: func() any { return new([]fabric.Message) }}
 // Tasks are dense plan indices throughout: readiness, placement and
 // priority are array reads.
 func (c *Controller) runRank(rank int, env *runEnv, initial map[core.TaskId][]core.Payload) error {
-	p, pl := c.plan, env.place
+	p, pl := c.Plan(), env.place
 	local := pl.local[rank]
 	if len(local) == 0 {
 		return nil // rank with no assigned tasks
@@ -622,7 +571,7 @@ func (c *Controller) runRank(rank int, env *runEnv, initial map[core.TaskId][]co
 				attempt = uint32(led.BeginAttempt(t.Id))
 			}
 			var err error
-			out, _, err = core.Step(c.reg, c.opt.Observer, t, in, core.ShardId(rank))
+			out, _, err = core.Step(c.Registry(), c.opt.Observer, t, in, core.ShardId(rank))
 			if err != nil {
 				env.fail(rank, err)
 				return scratch
@@ -765,19 +714,13 @@ func recordOutputs(led *core.Ledger, t core.Task, out []core.Payload) {
 	led.Record(t.Id, wires)
 }
 
-// route delivers a finished task's outputs: sink slots into the result map,
-// intra-rank single-consumer edges as in-memory messages, everything else
-// as wire forms over the fabric.
-//
-// Copy-on-fan-out: a slot with several wire consumers is serialized exactly
-// once and the immutable wire form is shared between them through a
-// refcounted wrapper (core.SharedPayload); each consumer detaches a private
-// copy at delivery. A slot with a single wire consumer hands the
-// relinquished buffer over without any copy. All of a task's messages are
-// collected into scratch and enqueued with one batched send per destination
-// run, so the whole fan-out costs one serialization and O(destinations)
-// lock acquisitions. The (possibly grown) scratch slice is returned for
-// reuse by the calling worker.
+// route delivers a finished task's outputs: sink slots into the attempt,
+// the last consumer of a slot as an in-memory message when it lives on this
+// rank (§IV-A), everything else as the wire form core.FanOut decides on. All
+// of a task's messages are collected into scratch and enqueued with one
+// batched send per destination run, so a whole fan-out costs one
+// serialization and O(destinations) lock acquisitions. The (possibly grown)
+// scratch slice is returned for reuse by the calling worker.
 //
 // rank is the task's home rank (where its inputs were assembled), not the
 // rank of the stealing worker: the in-memory shortcut and the message From
@@ -789,59 +732,25 @@ func recordOutputs(led *core.Ledger, t core.Task, out []core.Payload) {
 func (c *Controller) route(rank int, env *runEnv, i int, t core.Task, attempt uint32, out []core.Payload, scratch []fabric.Message) ([]fabric.Message, error) {
 	batch := scratch[:0]
 	shardOf := env.place.shardOf
-	dest := c.plan.Consumers(i) // t.Outgoing flattened, as plan indices
+	dest := c.Plan().Consumers(i) // t.Outgoing flattened, as plan indices
 	for slot, consumers := range t.Outgoing {
 		to := dest[:len(consumers)]
 		dest = dest[len(consumers):]
 		if len(consumers) == 0 {
-			// A dead token reaching a sink is a deactivated branch's
-			// non-result; only live payloads leave the dataflow.
-			if core.IsDead(out[slot]) {
-				continue
-			}
-			env.mu.Lock()
-			env.results[t.Id] = append(env.results[t.Id], out[slot])
-			env.mu.Unlock()
+			env.Sink(t.Id, out[slot])
 			continue
 		}
-		p := out[slot]
-		// The last intra-rank consumer receives the payload pointer
-		// in-memory (§IV-A); every other consumer needs the wire form.
-		inMemoryIdx := -1
-		if !c.opt.AlwaysSerialize {
-			last := len(consumers) - 1
-			if int(shardOf[to[last]]) == rank {
-				inMemoryIdx = last
-			}
-		}
-		wireConsumers := len(consumers)
-		if inMemoryIdx >= 0 {
-			wireConsumers--
-		}
-		var wire core.Payload
-		var err error
-		switch {
-		case wireConsumers == 0:
-			// Single local consumer: pure pointer pass.
-		case wireConsumers == 1 && inMemoryIdx < 0:
-			// Single wire consumer and nothing else references the slot:
-			// the producer relinquished the buffer, hand it over as-is.
-			wire, err = p.WireForm()
-		default:
-			// Fan-out: serialize once, share the immutable wire form. If
-			// the raw payload is also pointer-passed locally, the shared
-			// form must not alias it (the local consumer may mutate).
-			wire, err = core.SharedPayload(p, wireConsumers, inMemoryIdx >= 0)
-		}
+		last := len(consumers) - 1
+		lastLocal := !c.opt.AlwaysSerialize && int(shardOf[to[last]]) == rank
+		wire, err := core.FanOut(out[slot], len(consumers), lastLocal)
 		if err != nil {
 			return batch, fmt.Errorf("mpi: task %d output slot %d: %w", t.Id, slot, err)
 		}
 		for k, dest := range consumers {
-			mp := wire
-			if k == inMemoryIdx {
-				mp = p
+			m := fabric.Message{From: rank, To: int(shardOf[to[k]]), Src: t.Id, Dest: dest, Payload: wire, Attempt: attempt}
+			if lastLocal && k == last {
+				m.Payload = out[slot]
 			}
-			m := fabric.Message{From: rank, To: int(shardOf[to[k]]), Src: t.Id, Dest: dest, Payload: mp, Attempt: attempt}
 			if env.seq != nil {
 				m.Seq = env.seq[rank].Add(1)
 			}

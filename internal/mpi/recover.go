@@ -121,7 +121,7 @@ func (c *Controller) supervise(ctx context.Context, ms *Membership, connect Conn
 	// prevOwner tracks each task's owner (member identity, by plan index)
 	// as of the last epoch map, the baseline hand-off diffs against. Before
 	// the first epoch the base map's shard ids ARE member identities.
-	ids := c.plan.TaskIds()
+	ids := c.Plan().TaskIds()
 	prevOwner := make([]core.ShardId, len(ids))
 	for i, r := range c.place.shardOf {
 		prevOwner[i] = core.ShardId(r)
@@ -143,7 +143,7 @@ func (c *Controller) supervise(ctx context.Context, ms *Membership, connect Conn
 		if len(members) == 0 {
 			return nil, rep, fmt.Errorf("mpi: every member lost: %w", core.ErrRetriesExhausted)
 		}
-		dest, err := c.plan.Rebalance(c.place.shardOf, len(c.place.local), members)
+		dest, err := c.Plan().Rebalance(c.place.shardOf, len(c.place.local), members)
 		if err != nil {
 			return nil, rep, err
 		}
@@ -269,7 +269,7 @@ func (s *supervision) attempt(ctx context.Context, epoch int, pl *placement, mem
 	}
 	var pool *fabric.Pool
 	if !c.opt.Inline {
-		pool = c.opt.newPool(c.plan.Size(), ranks, allRanks)
+		pool = c.opt.newPool(c.Plan().Size(), ranks, allRanks)
 		defer pool.Close()
 	}
 

@@ -326,7 +326,10 @@ func (s *Service) Submit(ctx context.Context, sub Submission) (map[core.TaskId][
 		opt.Journal = filepath.Join(opt.Journal, fmt.Sprintf("run-%d", id))
 	}
 	ctrl := newFromOptions(opt)
-	ctrl.plan, ctrl.place = plan, pl
+	ctrl.place = pl
+	if err := ctrl.Bind(plan); err != nil {
+		return nil, JournalStats{}, err
+	}
 	if sub.Register != nil {
 		if err := sub.Register(ctrl); err != nil {
 			return nil, JournalStats{}, err
