@@ -131,10 +131,12 @@ smoke-elastic:
 		-drain 1 -drain-after 400ms -journal $$dir -wire-tier tcp; \
 	rm -rf $$dir
 
-## fuzz-wire: short fuzz smoke of the wire frame decoder (longer runs:
-## go test -fuzz=FuzzFrameDecode ./internal/wire).
+## fuzz-wire: short fuzz smoke of the wire frame decoder and of the
+## handshake body decoders (longer runs: go test -fuzz=FuzzFrameDecode or
+## -fuzz=FuzzHandshakeDecode ./internal/wire).
 fuzz-wire:
 	$(GO) test -run='^$$' -fuzz=FuzzFrameDecode -fuzztime=10s ./internal/wire
+	$(GO) test -run='^$$' -fuzz=FuzzHandshakeDecode -fuzztime=10s ./internal/wire
 
 ## perf-smoke: the CI perf job — every wire benchmark (all transport
 ## tiers), the shm ring benchmarks again under the race detector, and

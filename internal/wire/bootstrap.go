@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -14,441 +15,324 @@ import (
 // bootstrap establishes the full connection mesh for one rank and returns
 // the per-rank connections (nil at the local rank) plus the shared-memory
 // ring regions negotiated for co-located pairs (nil where the pair stays
-// on its socket). Rank 0 plays rendezvous server: it accepts a
-// registration from every other rank, verifies the fingerprint and replies
-// with the endpoint table. The registration connections double as rank 0's
-// data connections (co-located pairs then upgrade them to the unix tier);
-// the remaining pairs are completed by every rank dialing all lower ranks
-// over whichever transport the tier selects. Pairs that end up on a unix
-// socket additionally negotiate a shm ring pair when the tier allows it:
-// the dialer creates and offers a region file, the acceptor maps and acks
-// it, and the dialer unlinks it — leaving both sides with a private
-// mapping and nothing on disk.
+// on its socket). Every rank runs the same three steps: listen opens its
+// data listeners, rendezvous registers with rank 0 and returns the endpoint
+// table, and pairUp links every pair over the transport linkFor picks.
 func bootstrap(opt Options) ([]net.Conn, []*shmRegion, error) {
+	if opt.Listener != nil {
+		defer opt.Listener.Close() // Connect owns it; the rendezvous ends here
+	}
 	conns := make([]net.Conn, opt.Ranks)
 	if opt.Ranks == 1 {
-		if opt.Listener != nil {
-			opt.Listener.Close()
-		}
 		return conns, nil, nil
 	}
-	regs := make([]*shmRegion, opt.Ranks)
 	deadline := time.Now().Add(opt.DialTimeout)
-	var err error
-	if opt.Rank == 0 {
-		err = bootstrapRoot(opt, conns, regs, deadline)
-	} else {
-		err = bootstrapPeer(opt, conns, regs, deadline)
-	}
+	self, lns, cleanup, err := listen(opt, deadline)
 	if err != nil {
-		closeRegions(regs)
 		return nil, nil, err
 	}
-	if opt.Tier == TierShm {
-		for r, c := range conns {
-			if c != nil && regs[r] == nil {
-				closeAll(conns)
-				closeRegions(regs)
-				return nil, nil, fmt.Errorf("%w: rank %d: tier shm: no ring negotiated with rank %d", ErrHandshake, opt.Rank, r)
-			}
-		}
+	defer cleanup()
+	me := hello{Rank: opt.Rank, Ranks: opt.Ranks, Epoch: opt.Epoch, Tier: opt.Tier,
+		Fingerprint: opt.Fingerprint, Endpoint: self}
+	eps, err := rendezvous(opt, me, deadline)
+	if err != nil {
+		return nil, nil, err
+	}
+	regs := make([]*shmRegion, opt.Ranks)
+	if err := pairUp(opt, me, eps, lns, conns, regs, deadline); err != nil {
+		closeAll(conns)
+		closeRegions(regs)
+		return nil, nil, err
 	}
 	return conns, regs, nil
 }
 
-func bootstrapRoot(opt Options, conns []net.Conn, regs []*shmRegion, deadline time.Time) error {
-	ln := opt.Listener
-	if ln == nil {
-		var err error
-		ln, err = net.Listen(rendezvousNetwork(opt.Addr), opt.Addr)
-		if err != nil {
-			return fmt.Errorf("wire: rendezvous listen: %w", err)
-		}
-	}
-	defer ln.Close()
-	setListenerDeadline(ln, deadline)
-
-	// Rank 0's unix data listener: co-located peers re-dial it after the
-	// welcome, upgrading their registration connection off TCP.
-	uln, ucleanup, err := unixDataListener(opt, deadline)
-	if err != nil {
-		return err
-	}
-	if ucleanup != nil {
-		defer ucleanup()
-	}
-	shmDir, scleanup, err := shmSetup(opt)
-	if err != nil {
-		return err
-	}
-	if scleanup != nil {
-		defer scleanup()
-	}
-
-	eps := make([]endpoint, opt.Ranks)
-	eps[0] = endpoint{HostID: opt.HostID, Shm: shmDir, ShmGen: uint64(opt.Epoch)}
-	if uln != nil {
-		eps[0].Unix = uln.Addr().String()
-	}
-	registered := 0
-	for registered < opt.Ranks-1 {
-		c, err := ln.Accept()
-		if err != nil {
-			closeAll(conns)
-			return fmt.Errorf("wire: rendezvous: waiting for %d more rank(s): %w",
-				opt.Ranks-1-registered, err)
-		}
-		h, err := readHello(c, deadline)
-		if err != nil {
-			c.Close()
-			closeAll(conns)
-			return fmt.Errorf("wire: rendezvous: %w", err)
-		}
-		reason := vetHello(opt, h, 1, conns)
-		if reason == "" && opt.Tier.sameHostOnly() && h.Endpoint.HostID != opt.HostID {
-			reason = fmt.Sprintf("tier %v requires co-location, but rank %d is on a different host", opt.Tier, h.Rank)
-		}
-		if reason != "" {
-			writeConn(c, deadline, encodeReject(reason))
-			c.Close()
-			closeAll(conns)
-			return fmt.Errorf("%w: rank %d: %s", ErrHandshake, h.Rank, reason)
-		}
-		conns[h.Rank] = c
-		eps[h.Rank] = h.Endpoint
-		registered++
-	}
-
-	welcome, err := encodeWelcome(eps)
-	if err != nil {
-		closeAll(conns)
-		return err
-	}
-	for r := 1; r < opt.Ranks; r++ {
-		if err := writeConn(conns[r], deadline, welcome); err != nil {
-			closeAll(conns)
-			return fmt.Errorf("wire: rendezvous: welcome to rank %d: %w", r, err)
-		}
-	}
-
-	// Upgrade pass: every co-located peer now re-dials over the unix
-	// listener. The predicate (tier allows, rank 0 has a unix listener,
-	// host identities match) is computed identically on both sides — the
-	// tier itself is vetted during the handshake — so the expected set is
-	// exact.
-	if uln != nil {
-		expect := make(map[int]bool)
-		for r := 1; r < opt.Ranks; r++ {
-			if eps[r].HostID == opt.HostID {
-				expect[r] = true
-			}
-		}
-		for len(expect) > 0 {
-			c, err := uln.Accept()
-			if err != nil {
-				closeAll(conns)
-				return fmt.Errorf("wire: rendezvous: waiting for %d unix upgrade(s): %w", len(expect), err)
-			}
-			h, err := readHello(c, deadline)
-			if err != nil {
-				c.Close()
-				closeAll(conns)
-				return fmt.Errorf("wire: rendezvous: upgrade: %w", err)
-			}
-			reason := vetCommon(opt, h)
-			if reason == "" && !expect[h.Rank] {
-				reason = fmt.Sprintf("unexpected unix upgrade from rank %d", h.Rank)
-			}
-			if reason != "" {
-				writeConn(c, deadline, encodeReject(reason))
-				c.Close()
-				closeAll(conns)
-				return fmt.Errorf("%w: rank %d: %s", ErrHandshake, h.Rank, reason)
-			}
-			if err := writeConn(c, deadline, controlFrame(frameAccept)); err != nil {
-				c.Close()
-				closeAll(conns)
-				return fmt.Errorf("wire: rendezvous: upgrade accept to rank %d: %w", h.Rank, err)
-			}
-			// The upgrading peer is the dialer of this pair: it offers a
-			// ring region next when both sides advertised shm capability.
-			if shmPairWanted(opt, shmDir, h.Endpoint) {
-				reg, err := acceptShmRing(opt, c, deadline)
-				if err != nil {
-					c.Close()
-					closeAll(conns)
-					return fmt.Errorf("wire: rendezvous: shm ring with rank %d: %w", h.Rank, err)
-				}
-				regs[h.Rank] = reg
-			}
-			conns[h.Rank].Close() // retire the TCP registration connection
-			conns[h.Rank] = c
-			delete(expect, h.Rank)
-		}
-	}
-	return nil
-}
-
-func bootstrapPeer(opt Options, conns []net.Conn, regs []*shmRegion, deadline time.Time) error {
-	// The rank's own data listeners, dialed by every higher rank. The TCP
-	// one lives on the same host family as the rendezvous address with an
-	// ephemeral port; the unix one (tier permitting) under a private temp
-	// directory.
+// listen opens this rank's data listeners — TCP on the rendezvous host,
+// plus a unix socket and a shm ring directory where the tier may use them —
+// and returns the endpoint advertising them, the listeners, and a cleanup
+// that removes them. A unix or shm setup failure only leaves that field of
+// the endpoint empty; linkFor then refuses whatever a strict tier cannot
+// serve without it.
+func listen(opt Options, deadline time.Time) (self endpoint, lns []net.Listener, cleanup func(), err error) {
 	host, _, err := net.SplitHostPort(opt.Addr)
 	if err != nil || host == "" {
 		host = "127.0.0.1"
 	}
 	ln, err := net.Listen("tcp", net.JoinHostPort(host, "0"))
 	if err != nil {
-		return fmt.Errorf("wire: rank %d data listen: %w", opt.Rank, err)
+		return self, nil, nil, fmt.Errorf("wire: rank %d data listen: %w", opt.Rank, err)
 	}
-	defer ln.Close()
+	lns = []net.Listener{ln}
+	var dirs []string
+	self = endpoint{TCP: ln.Addr().String(), HostID: opt.HostID, ShmGen: uint64(opt.Epoch)}
+	if opt.Tier != TierTCP {
+		if dir, err := os.MkdirTemp("", "bfwire-"); err == nil {
+			dirs = append(dirs, dir)
+			if uln, err := net.Listen("unix", filepath.Join(dir, fmt.Sprintf("r%d.sock", opt.Rank))); err == nil {
+				lns = append(lns, uln)
+				self.Unix = uln.Addr().String()
+			}
+		}
+	}
+	// The shm doorbell rides the unix socket. Ring files are unlinked as
+	// soon as the peer maps them, so the cleanup leaves nothing behind.
+	if self.Unix != "" && opt.Tier != TierUnix {
+		if dir, err := shmDataDir(); err == nil {
+			dirs = append(dirs, dir)
+			self.Shm = dir
+		}
+	}
+	for _, l := range lns {
+		setListenerDeadline(l, deadline)
+	}
+	return self, lns, func() {
+		for _, l := range lns {
+			l.Close()
+		}
+		for _, d := range dirs {
+			os.RemoveAll(d)
+		}
+	}, nil
+}
+
+// rendezvous registers this rank and returns the endpoint table, indexed by
+// rank. Rank 0 accepts and vets a hello from every other rank, answers each
+// with the table and closes the registration connections; every other rank
+// dials rank 0, registers, reads the table and closes. No data link is
+// made here.
+func rendezvous(opt Options, me hello, deadline time.Time) ([]endpoint, error) {
+	if opt.Rank != 0 {
+		c, err := dialRetry(rendezvousNetwork(opt.Addr), opt.Addr, deadline)
+		if err != nil {
+			return nil, fmt.Errorf("wire: rank %d: rendezvous %s: %w", opt.Rank, opt.Addr, err)
+		}
+		defer c.Close()
+		body, err := greet(c, me, 0, frameWelcome, deadline)
+		if err != nil {
+			return nil, err
+		}
+		eps, err := decodeWelcome(body)
+		if err != nil || len(eps) != opt.Ranks {
+			return nil, fmt.Errorf("wire: rank %d: bad welcome (%d entries): %v", opt.Rank, len(eps), err)
+		}
+		return eps, nil
+	}
+	ln := opt.Listener
+	if ln == nil {
+		var err error
+		if ln, err = net.Listen(rendezvousNetwork(opt.Addr), opt.Addr); err != nil {
+			return nil, fmt.Errorf("wire: rendezvous listen: %w", err)
+		}
+		defer ln.Close()
+	}
 	setListenerDeadline(ln, deadline)
-	uln, ucleanup, err := unixDataListener(opt, deadline)
-	if err != nil {
-		return err
-	}
-	if ucleanup != nil {
-		defer ucleanup()
-	}
-	shmDir, scleanup, err := shmSetup(opt)
-	if err != nil {
-		return err
-	}
-	if scleanup != nil {
-		defer scleanup()
-	}
-
-	self := endpoint{TCP: ln.Addr().String(), HostID: opt.HostID, Shm: shmDir, ShmGen: uint64(opt.Epoch)}
-	if uln != nil {
-		self.Unix = uln.Addr().String()
-	}
-
-	// Register with rank 0 and receive the endpoint table.
-	c0, err := dialRetry(rendezvousNetwork(opt.Addr), opt.Addr, deadline)
-	if err != nil {
-		return fmt.Errorf("wire: rank %d: rendezvous %s: %w", opt.Rank, opt.Addr, err)
-	}
-	h := hello{Rank: opt.Rank, Ranks: opt.Ranks, Epoch: opt.Epoch, Tier: opt.Tier,
-		Fingerprint: opt.Fingerprint, Endpoint: self}
-	if err := writeConn(c0, deadline, encodeHello(h)); err != nil {
-		c0.Close()
-		return fmt.Errorf("wire: rank %d: register: %w", opt.Rank, err)
-	}
-	typ, body, err := readControl(c0, deadline)
-	if err != nil {
-		c0.Close()
-		return fmt.Errorf("wire: rank %d: rendezvous reply: %w", opt.Rank, err)
-	}
-	if typ == frameReject {
-		c0.Close()
-		return fmt.Errorf("%w: %s", ErrHandshake, body)
-	}
-	if typ != frameWelcome {
-		c0.Close()
-		return fmt.Errorf("wire: rank %d: unexpected frame %d from rendezvous", opt.Rank, typ)
-	}
-	eps, err := decodeWelcome(body)
-	if err != nil || len(eps) != opt.Ranks {
-		c0.Close()
-		return fmt.Errorf("wire: rank %d: bad welcome: %v", opt.Rank, err)
-	}
-	conns[0] = c0
-
-	// Upgrade the rank-0 link to the unix tier when co-located (the exact
-	// mirror of rank 0's expectation — see bootstrapRoot). As the dialer of
-	// the upgrade, this rank then offers rank 0 a shm ring when both sides
-	// advertised the capability.
-	if opt.Tier != TierTCP && eps[0].Unix != "" && eps[0].HostID == opt.HostID {
-		uc, err := dialRetry("unix", eps[0].Unix, deadline)
+	regConns := make([]net.Conn, opt.Ranks)
+	defer closeAll(regConns)
+	eps := make([]endpoint, opt.Ranks)
+	eps[0] = me.Endpoint
+	for n := 1; n < opt.Ranks; n++ {
+		c, err := ln.Accept()
 		if err != nil {
-			closeAll(conns)
-			return fmt.Errorf("wire: rank %d: unix upgrade to rank 0: %w", opt.Rank, err)
+			return nil, fmt.Errorf("wire: rendezvous: waiting for %d more rank(s): %w", opt.Ranks-n, err)
 		}
-		if err := shakeHands(opt, uc, 0, self, deadline); err != nil {
-			uc.Close()
-			closeAll(conns)
-			return err
-		}
-		if shmPairWanted(opt, shmDir, eps[0]) {
-			reg, err := offerShmRing(opt, uc, shmDir, deadline)
-			if err != nil {
-				uc.Close()
-				closeAll(conns)
-				return fmt.Errorf("wire: rank %d: shm ring with rank 0: %w", opt.Rank, err)
-			}
-			regs[0] = reg
-		}
-		c0.Close()
-		conns[0] = uc
-	} else if opt.Tier.sameHostOnly() {
-		closeAll(conns)
-		return fmt.Errorf("%w: rank %d: tier %v requires co-location with rank 0", ErrHandshake, opt.Rank, opt.Tier)
-	}
-
-	// Dial every lower rank's data listener; higher ranks dial us.
-	for j := 1; j < opt.Rank; j++ {
-		network, addr, err := pickEndpoint(opt, eps[j], j)
+		h, err := readHello(c, deadline)
 		if err != nil {
-			closeAll(conns)
-			return err
-		}
-		c, err := dialRetry(network, addr, deadline)
-		if err != nil {
-			closeAll(conns)
-			return fmt.Errorf("wire: rank %d: rank %d at %s: %w", opt.Rank, j, addr, err)
-		}
-		if err := shakeHands(opt, c, j, self, deadline); err != nil {
 			c.Close()
-			closeAll(conns)
-			return err
+			return nil, fmt.Errorf("wire: rendezvous: %w", err)
 		}
-		if network == "unix" && shmPairWanted(opt, shmDir, eps[j]) {
-			reg, err := offerShmRing(opt, c, shmDir, deadline)
-			if err != nil {
-				c.Close()
-				closeAll(conns)
-				return fmt.Errorf("wire: rank %d: shm ring with rank %d: %w", opt.Rank, j, err)
-			}
+		if reason := vetHello(me, h, 1, regConns); reason != "" {
+			return nil, refuse(c, h.Rank, reason, deadline)
+		}
+		regConns[h.Rank] = c
+		eps[h.Rank] = h.Endpoint
+	}
+	welcome, err := encodeWelcome(eps)
+	if err != nil {
+		return nil, err
+	}
+	for r := 1; r < opt.Ranks; r++ {
+		if err := writeConn(regConns[r], deadline, welcome); err != nil {
+			return nil, fmt.Errorf("wire: rendezvous: welcome to rank %d: %w", r, err)
+		}
+	}
+	return eps, nil
+}
+
+// linkFor is the tier table: the network a pair's data link uses, the
+// address to dial it at, and whether the pair negotiates a shm ring — or
+// ErrHandshake when the tier cannot serve the pair. Its inputs are the two
+// endpoints and the agreed tier and generation only, and every input is
+// compared symmetrically, so both ends of a pair get the same answer: the
+// dialer offers a ring exactly when the acceptor expects one.
+//
+//	tier  same host, unix on both  ring dir of this generation on both  link
+//	tcp   any                      any                                  tcp
+//	auto  no                       any                                  tcp
+//	auto  yes                      no                                   unix
+//	auto  yes                      yes                                  unix + ring
+//	unix  yes                      any                                  unix
+//	shm   yes                      yes                                  unix + ring
+//	else                                                                ErrHandshake
+func linkFor(opt Options, self, peer endpoint) (network, addr string, ring bool, err error) {
+	tier, gen := opt.Tier, uint64(opt.Epoch)
+	unix := self.HostID == peer.HostID && self.Unix != "" && peer.Unix != ""
+	ring = unix && self.Shm != "" && peer.Shm != "" && self.ShmGen == gen && peer.ShmGen == gen
+	switch {
+	case tier == TierTCP, tier == TierAuto && !unix:
+		return "tcp", peer.TCP, false, nil
+	case tier == TierAuto, tier == TierShm && ring:
+		return "unix", peer.Unix, ring, nil
+	case tier == TierUnix && unix:
+		return "unix", peer.Unix, false, nil
+	case self.HostID != peer.HostID:
+		return "", "", false, fmt.Errorf("%w: tier %v requires co-location, but the pair is on hosts %q and %q",
+			ErrHandshake, tier, self.HostID, peer.HostID)
+	case !unix:
+		return "", "", false, fmt.Errorf("%w: tier %v: no unix socket open on both ends", ErrHandshake, tier)
+	}
+	return "", "", false, fmt.Errorf("%w: tier %v: no ring directory of generation %d on both ends", ErrHandshake, tier, gen)
+}
+
+// pairUp is the pair loop: it dials every lower rank and accepts every
+// higher one, each over the link linkFor picks for the pair, and runs the
+// ring negotiation where linkFor asks for one. The acceptor refuses a
+// dialer arriving over another network than the table gives. This loop is
+// the one place a declined ring becomes an error or a fallback.
+func pairUp(opt Options, me hello, eps []endpoint, lns []net.Listener, conns []net.Conn, regs []*shmRegion, deadline time.Time) error {
+	type link struct {
+		network, addr string
+		ring          bool
+	}
+	links := make([]link, opt.Ranks)
+	for j := range eps {
+		if j == opt.Rank {
+			continue
+		}
+		network, addr, ring, err := linkFor(opt, me.Endpoint, eps[j])
+		if err != nil {
+			return fmt.Errorf("wire: rank %d: link to rank %d: %w", opt.Rank, j, err)
+		}
+		links[j] = link{network, addr, ring}
+	}
+	// settle records a pair's ring outcome. Both offer and accept report a
+	// decline as ErrHandshake with the socket still in step on both ends;
+	// the tier table, asked again without the ring, says whether the pair
+	// may stay on the socket.
+	settle := func(j int, reg *shmRegion, err error) error {
+		if err == nil {
 			regs[j] = reg
+			return nil
+		}
+		if errors.Is(err, ErrHandshake) {
+			noRing := eps[j]
+			noRing.Shm = ""
+			_, _, _, lerr := linkFor(opt, me.Endpoint, noRing)
+			if lerr == nil {
+				return nil
+			}
+			err = fmt.Errorf("%w (%v)", lerr, err)
+		}
+		return fmt.Errorf("wire: rank %d: shm ring with rank %d: %w", opt.Rank, j, err)
+	}
+
+	for j := 0; j < opt.Rank; j++ {
+		c, err := dialRetry(links[j].network, links[j].addr, deadline)
+		if err != nil {
+			return fmt.Errorf("wire: rank %d: rank %d at %s: %w", opt.Rank, j, links[j].addr, err)
 		}
 		conns[j] = c
+		if _, err := greet(c, me, j, frameAccept, deadline); err != nil {
+			return err
+		}
+		if links[j].ring {
+			reg, err := offerShmRing(opt, c, me.Endpoint.Shm, deadline)
+			if err := settle(j, reg, err); err != nil {
+				return err
+			}
+		}
 	}
 
-	// Accept every higher rank, over whichever of the two listeners it
-	// chose to dial. A dialer arriving over the unix listener offers a shm
-	// ring next when both sides advertised the capability.
-	if need := opt.Ranks - 1 - opt.Rank; need > 0 {
-		income := acceptFrom(need+2, ln, uln)
-		for ; need > 0; need-- {
-			in := <-income
-			if in.err != nil {
-				closeAll(conns)
-				return fmt.Errorf("wire: rank %d: waiting for %d higher rank(s): %w", opt.Rank, need, in.err)
+	need := opt.Ranks - 1 - opt.Rank
+	if need == 0 {
+		return nil
+	}
+	income := acceptFrom(need+2, lns...)
+	for ; need > 0; need-- {
+		in := <-income
+		if in.err != nil {
+			return fmt.Errorf("wire: rank %d: waiting for %d higher rank(s): %w", opt.Rank, need, in.err)
+		}
+		c := in.c
+		h, err := readHello(c, deadline)
+		if err != nil {
+			c.Close()
+			return fmt.Errorf("wire: rank %d: %w", opt.Rank, err)
+		}
+		reason := vetHello(me, h, opt.Rank+1, conns)
+		if got := c.LocalAddr().Network(); reason == "" && got != links[h.Rank].network {
+			reason = fmt.Sprintf("rank %d dialed over %s, but the pair links over %s", h.Rank, got, links[h.Rank].network)
+		}
+		if reason != "" {
+			return refuse(c, h.Rank, reason, deadline)
+		}
+		conns[h.Rank] = c
+		if err := writeConn(c, deadline, controlFrame(frameAccept)); err != nil {
+			return fmt.Errorf("wire: rank %d: accept to rank %d: %w", opt.Rank, h.Rank, err)
+		}
+		if links[h.Rank].ring {
+			reg, err := acceptShmRing(opt, c, deadline)
+			if err := settle(h.Rank, reg, err); err != nil {
+				return err
 			}
-			c := in.c
-			h, err := readHello(c, deadline)
-			if err != nil {
-				c.Close()
-				closeAll(conns)
-				return fmt.Errorf("wire: rank %d: %w", opt.Rank, err)
-			}
-			if reason := vetHello(opt, h, opt.Rank+1, conns); reason != "" {
-				writeConn(c, deadline, encodeReject(reason))
-				c.Close()
-				closeAll(conns)
-				return fmt.Errorf("%w: rank %d: %s", ErrHandshake, h.Rank, reason)
-			}
-			if err := writeConn(c, deadline, controlFrame(frameAccept)); err != nil {
-				c.Close()
-				closeAll(conns)
-				return fmt.Errorf("wire: rank %d: accept to rank %d: %w", opt.Rank, h.Rank, err)
-			}
-			if _, isUnix := c.(*net.UnixConn); isUnix && shmPairWanted(opt, shmDir, h.Endpoint) {
-				reg, err := acceptShmRing(opt, c, deadline)
-				if err != nil {
-					c.Close()
-					closeAll(conns)
-					return fmt.Errorf("wire: rank %d: shm ring with rank %d: %w", opt.Rank, h.Rank, err)
-				}
-				regs[h.Rank] = reg
-			}
-			conns[h.Rank] = c
 		}
 	}
 	return nil
 }
 
-// pickEndpoint selects the transport for a pairwise dial to rank j: unix
-// when the tier allows it and both ranks share a host (and j opened a unix
-// listener), TCP otherwise. The same-host-only tiers (unix, shm) turn a
-// TCP fallback into an error.
-func pickEndpoint(opt Options, ep endpoint, j int) (network, addr string, err error) {
-	if opt.Tier != TierTCP && ep.Unix != "" && ep.HostID == opt.HostID {
-		return "unix", ep.Unix, nil
-	}
-	if opt.Tier.sameHostOnly() {
-		return "", "", fmt.Errorf("%w: rank %d: tier %v requires co-location with rank %d", ErrHandshake, opt.Rank, opt.Tier, j)
-	}
-	return "tcp", ep.TCP, nil
-}
-
-// shmSetup creates this rank's private ring-file directory when the tier
-// wants shared memory. A setup failure (or an unsupported platform) is
-// fatal under TierShm and silently degrades to the socket tiers under
-// TierAuto: the rank simply advertises no shm capability.
-func shmSetup(opt Options) (dir string, cleanup func(), err error) {
-	if opt.Tier != TierAuto && opt.Tier != TierShm {
-		return "", nil, nil
-	}
-	dir, err = shmDataDir()
-	if err != nil {
-		if opt.Tier == TierShm {
-			return "", nil, fmt.Errorf("%w: rank %d: tier shm: %v", ErrHandshake, opt.Rank, err)
-		}
-		return "", nil, nil
-	}
-	// Ring files are unlinked as soon as the peer maps them, so removing
-	// the directory after the bootstrap leaves nothing behind.
-	return dir, func() { os.RemoveAll(dir) }, nil
-}
-
-// shmPairWanted reports whether a freshly established unix-socket pair
-// should negotiate a shared-memory ring: the tier allows it and both ends
-// advertised a ring directory for the same generation. Both sides compute
-// it from the same inputs (their own capability plus the peer's hello or
-// welcome entry), so the dialer offers exactly when the acceptor expects.
-func shmPairWanted(opt Options, localDir string, peer endpoint) bool {
-	if opt.Tier != TierAuto && opt.Tier != TierShm {
-		return false
-	}
-	return localDir != "" && peer.Shm != "" && peer.ShmGen == uint64(opt.Epoch) && peer.HostID == opt.HostID
-}
-
-// offerShmRing runs the dialer's half of the ring negotiation on an
-// accepted pair: create a region file, offer its path, await the ack,
-// unlink the file (the mappings outlive the name). A nil region with a nil
-// error means the pair gracefully degraded to the socket (TierAuto only).
+// offerShmRing runs the dialer's half of a pair's ring negotiation: create
+// a region file, offer its path, await the ack, unlink the file (the
+// mappings outlive the name). A region that cannot be created is offered
+// as an empty path so the acceptor stops waiting. Either side declining is
+// reported as ErrHandshake.
 func offerShmRing(opt Options, c net.Conn, dir string, deadline time.Time) (*shmRegion, error) {
-	reg, err := createShmRegion(dir, uint64(opt.Epoch), opt.ShmRingBytes)
+	gen := uint64(opt.Epoch)
+	reg, err := createShmRegion(dir, gen, opt.ShmRingBytes)
 	if err != nil {
-		if opt.Tier == TierShm {
-			return nil, fmt.Errorf("%w: create ring region: %v", ErrHandshake, err)
+		if _, werr := sendOffer(c, "", gen, 0, deadline); werr != nil {
+			return nil, werr
 		}
-		// Withdraw the offer so the acceptor stops waiting.
-		if err := writeConn(c, deadline, encodeShmOffer("", uint64(opt.Epoch), 0)); err != nil {
-			return nil, err
-		}
-		if _, err := readShmAck(c, deadline); err != nil {
-			return nil, err
-		}
-		return nil, nil
+		return nil, fmt.Errorf("%w: create ring region: %v", ErrHandshake, err)
 	}
-	offer := encodeShmOffer(reg.path, uint64(opt.Epoch), uint64(opt.ShmRingBytes))
-	if err := writeConn(c, deadline, offer); err != nil {
-		reg.close()
-		os.Remove(reg.path)
-		return nil, err
-	}
-	ok, err := readShmAck(c, deadline)
+	ok, err := sendOffer(c, reg.path, gen, uint64(opt.ShmRingBytes), deadline)
 	os.Remove(reg.path)
+	if err == nil && !ok {
+		err = fmt.Errorf("%w: peer declined ring region", ErrHandshake)
+	}
 	if err != nil {
 		reg.close()
 		return nil, err
-	}
-	if !ok {
-		reg.close()
-		if opt.Tier == TierShm {
-			return nil, fmt.Errorf("%w: peer declined ring region", ErrHandshake)
-		}
-		return nil, nil
 	}
 	return reg, nil
 }
 
+// sendOffer writes a ring offer and reads the acceptor's 1-byte ack.
+func sendOffer(c net.Conn, path string, gen, ringBytes uint64, deadline time.Time) (bool, error) {
+	if err := writeConn(c, deadline, encodeShmOffer(path, gen, ringBytes)); err != nil {
+		return false, err
+	}
+	typ, body, err := readControl(c, deadline)
+	if err != nil {
+		return false, err
+	}
+	if typ != frameShmAck || len(body) != 1 {
+		return false, fmt.Errorf("wire: expected shm ack, got frame type %d (%d bytes)", typ, len(body))
+	}
+	return body[0] == 1, nil
+}
+
 // acceptShmRing runs the acceptor's half: read the offer, map and validate
-// the region, ack. Declines (withdrawn offer, unmappable region) degrade
-// to the socket under TierAuto and fail the handshake under TierShm.
+// the region, ack. A withdrawn offer or an unmappable region is declined
+// with a negative ack and reported as ErrHandshake.
 func acceptShmRing(opt Options, c net.Conn, deadline time.Time) (*shmRegion, error) {
 	typ, body, err := readControl(c, deadline)
 	if err != nil {
@@ -462,13 +346,10 @@ func acceptShmRing(opt Options, c net.Conn, deadline time.Time) (*shmRegion, err
 		return nil, err
 	}
 	decline := func(why string) (*shmRegion, error) {
-		if werr := writeConn(c, deadline, encodeShmAck(false)); werr != nil {
-			return nil, werr
+		if err := writeConn(c, deadline, encodeShmAck(false)); err != nil {
+			return nil, err
 		}
-		if opt.Tier == TierShm {
-			return nil, fmt.Errorf("%w: ring region: %s", ErrHandshake, why)
-		}
-		return nil, nil
+		return nil, fmt.Errorf("%w: ring region: %s", ErrHandshake, why)
 	}
 	if path == "" {
 		return decline("offer withdrawn by peer")
@@ -491,37 +372,30 @@ func acceptShmRing(opt Options, c net.Conn, deadline time.Time) (*shmRegion, err
 	return reg, nil
 }
 
-// readShmAck reads the acceptor's 1-byte ring ack.
-func readShmAck(c net.Conn, deadline time.Time) (bool, error) {
+// greet sends this rank's hello to rank `to` and reads the reply: the body
+// of a frame of type want, or the peer's refusal as ErrHandshake.
+func greet(c net.Conn, me hello, to int, want byte, deadline time.Time) ([]byte, error) {
+	if err := writeConn(c, deadline, encodeHello(me)); err != nil {
+		return nil, fmt.Errorf("wire: rank %d: hello to rank %d: %w", me.Rank, to, err)
+	}
 	typ, body, err := readControl(c, deadline)
-	if err != nil {
-		return false, err
+	switch {
+	case err != nil:
+		return nil, fmt.Errorf("wire: rank %d: reply from rank %d: %w", me.Rank, to, err)
+	case typ == frameReject:
+		return nil, fmt.Errorf("%w: rank %d: %s", ErrHandshake, to, body)
+	case typ != want:
+		return nil, fmt.Errorf("wire: rank %d: unexpected frame %d from rank %d", me.Rank, typ, to)
 	}
-	if typ != frameShmAck || len(body) != 1 {
-		return false, fmt.Errorf("wire: expected shm ack, got frame type %d (%d bytes)", typ, len(body))
-	}
-	return body[0] == 1, nil
+	return body, nil
 }
 
-// shakeHands runs the dialing side of a pairwise handshake on an
-// established connection: send hello, require accept.
-func shakeHands(opt Options, c net.Conn, j int, self endpoint, deadline time.Time) error {
-	h := hello{Rank: opt.Rank, Ranks: opt.Ranks, Epoch: opt.Epoch, Tier: opt.Tier,
-		Fingerprint: opt.Fingerprint, Endpoint: self}
-	if err := writeConn(c, deadline, encodeHello(h)); err != nil {
-		return fmt.Errorf("wire: rank %d: hello to rank %d: %w", opt.Rank, j, err)
-	}
-	typ, body, err := readControl(c, deadline)
-	if err != nil {
-		return fmt.Errorf("wire: rank %d: reply from rank %d: %w", opt.Rank, j, err)
-	}
-	switch typ {
-	case frameAccept:
-		return nil
-	case frameReject:
-		return fmt.Errorf("%w: rank %d: %s", ErrHandshake, j, body)
-	}
-	return fmt.Errorf("wire: rank %d: unexpected frame %d from rank %d", opt.Rank, typ, j)
+// refuse answers a vetted-out hello with a reject frame, closes the
+// connection and returns the typed refusal.
+func refuse(c net.Conn, rank int, reason string, deadline time.Time) error {
+	writeConn(c, deadline, encodeReject(reason))
+	c.Close()
+	return fmt.Errorf("%w: rank %d: %s", ErrHandshake, rank, reason)
 }
 
 type accepted struct {
@@ -529,16 +403,13 @@ type accepted struct {
 	err error
 }
 
-// acceptFrom multiplexes Accept across the given listeners (nils skipped)
-// onto one channel. The channel is buffered generously so the acceptor
-// goroutines never block after the caller stops reading; each goroutine
-// exits on its listener's first error (deadline or close).
+// acceptFrom multiplexes Accept across the given listeners onto one
+// channel. The channel is buffered generously so the acceptor goroutines
+// never block after the caller stops reading; each goroutine exits on its
+// listener's first error (deadline or close).
 func acceptFrom(buffer int, lns ...net.Listener) <-chan accepted {
 	ch := make(chan accepted, 2*buffer)
 	for _, l := range lns {
-		if l == nil {
-			continue
-		}
 		go func(l net.Listener) {
 			for {
 				c, err := l.Accept()
@@ -552,32 +423,6 @@ func acceptFrom(buffer int, lns ...net.Listener) <-chan accepted {
 	return ch
 }
 
-// unixDataListener opens this rank's unix-domain data listener in a private
-// temp directory, returning (nil, nil, nil) under TierTCP. A listen failure
-// is fatal under the same-host-only tiers (unix, shm — the shm doorbell
-// rides the unix socket) and silently degrades to TCP-only under TierAuto
-// (the rank simply advertises no unix endpoint). The cleanup removes the
-// socket directory; data listeners only live for the bootstrap.
-func unixDataListener(opt Options, deadline time.Time) (net.Listener, func(), error) {
-	if opt.Tier == TierTCP {
-		return nil, nil, nil
-	}
-	dir, err := os.MkdirTemp("", "bfwire-")
-	if err == nil {
-		var ln net.Listener
-		ln, err = net.Listen("unix", filepath.Join(dir, fmt.Sprintf("r%d.sock", opt.Rank)))
-		if err == nil {
-			setListenerDeadline(ln, deadline)
-			return ln, func() { ln.Close(); os.RemoveAll(dir) }, nil
-		}
-		os.RemoveAll(dir)
-	}
-	if opt.Tier.sameHostOnly() {
-		return nil, nil, fmt.Errorf("wire: rank %d: tier %v: data listen: %w", opt.Rank, opt.Tier, err)
-	}
-	return nil, nil, nil
-}
-
 // rendezvousNetwork infers the rendezvous transport from the address form:
 // a filesystem path (or abstract socket name) is a unix listener, anything
 // else is TCP host:port.
@@ -589,44 +434,32 @@ func rendezvousNetwork(addr string) string {
 }
 
 func setListenerDeadline(ln net.Listener, deadline time.Time) {
-	switch l := ln.(type) {
-	case *net.TCPListener:
-		l.SetDeadline(deadline)
-	case *net.UnixListener:
+	if l, ok := ln.(interface{ SetDeadline(time.Time) error }); ok {
 		l.SetDeadline(deadline)
 	}
 }
 
-// vetHello validates a peer's handshake announcement: rank in [minRank,
-// Ranks), not yet connected, and the shared vetCommon checks. It returns a
-// refusal reason, or "" when the peer is sound.
-func vetHello(opt Options, h hello, minRank int, conns []net.Conn) string {
-	if h.Rank < minRank || h.Rank >= opt.Ranks {
-		return fmt.Sprintf("rank %d out of range [%d,%d)", h.Rank, minRank, opt.Ranks)
-	}
-	if conns[h.Rank] != nil {
-		return fmt.Sprintf("rank %d already connected", h.Rank)
-	}
-	return vetCommon(opt, h)
-}
-
-// vetCommon checks the handshake fields every connection must agree on:
-// rank count, recovery epoch, transport tier and graph fingerprint.
-func vetCommon(opt Options, h hello) string {
-	if h.Kind != KindWorker {
+// vetHello validates a peer's hello against this rank's own: a worker
+// hello, rank in [minRank, Ranks) and not yet connected, and the fields
+// every connection must agree on — rank count, recovery epoch, transport
+// tier and graph fingerprint. It returns a refusal reason, or "" when the
+// peer is sound.
+func vetHello(me, h hello, minRank int, conns []net.Conn) string {
+	switch {
+	case h.Kind != KindWorker:
 		return fmt.Sprintf("%v hello on the data plane: membership changes go through the gate", h.Kind)
-	}
-	if h.Ranks != opt.Ranks {
-		return fmt.Sprintf("rank count mismatch: peer says %d, local says %d", h.Ranks, opt.Ranks)
-	}
-	if h.Epoch != opt.Epoch {
-		return fmt.Sprintf("recovery epoch mismatch: peer says %d, local says %d (stale rejoin)", h.Epoch, opt.Epoch)
-	}
-	if h.Tier != opt.Tier {
-		return fmt.Sprintf("transport tier mismatch: peer says %v, local says %v", h.Tier, opt.Tier)
-	}
-	if h.Fingerprint != opt.Fingerprint {
-		return fmt.Sprintf("graph fingerprint mismatch: peer %s, local %s", h.Fingerprint, opt.Fingerprint)
+	case h.Rank < minRank || h.Rank >= me.Ranks:
+		return fmt.Sprintf("rank %d out of range [%d,%d)", h.Rank, minRank, me.Ranks)
+	case conns[h.Rank] != nil:
+		return fmt.Sprintf("rank %d already connected", h.Rank)
+	case h.Ranks != me.Ranks:
+		return fmt.Sprintf("rank count mismatch: peer says %d, local says %d", h.Ranks, me.Ranks)
+	case h.Epoch != me.Epoch:
+		return fmt.Sprintf("recovery epoch mismatch: peer says %d, local says %d (stale rejoin)", h.Epoch, me.Epoch)
+	case h.Tier != me.Tier:
+		return fmt.Sprintf("transport tier mismatch: peer says %v, local says %v", h.Tier, me.Tier)
+	case h.Fingerprint != me.Fingerprint:
+		return fmt.Sprintf("graph fingerprint mismatch: peer %s, local %s", h.Fingerprint, me.Fingerprint)
 	}
 	return ""
 }

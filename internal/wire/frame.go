@@ -261,7 +261,7 @@ type hello struct {
 	Tier        Tier
 	Kind        HelloKind // zero (KindWorker) on all data-plane handshakes
 	Fingerprint core.Fingerprint
-	Endpoint    endpoint // advertised data endpoints (zero on peer dials)
+	Endpoint    endpoint // the sender's advertised data endpoints
 }
 
 func appendString(b []byte, s string) []byte {
@@ -498,6 +498,9 @@ func decodeStatus(body []byte) (Status, error) {
 	var s Status
 	if len(body) < 11 {
 		return s, fmt.Errorf("wire: status frame truncated (%d bytes)", len(body))
+	}
+	if body[8] > 1 {
+		return s, fmt.Errorf("wire: status ok byte %d", body[8])
 	}
 	s.Member = int(binary.LittleEndian.Uint32(body))
 	s.Epoch = int(binary.LittleEndian.Uint32(body[4:]))

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"net"
 	"sync"
-
-	"github.com/babelflow/babelflow-go/internal/core"
 )
 
 // Mesh bootstraps a complete n-rank fabric in-process over a loopback
@@ -53,10 +51,4 @@ func Mesh(n int, template Options) ([]*Fabric, error) {
 		}
 	}
 	return fabrics, nil
-}
-
-// MeshFingerprint is a convenience for harnesses that only have the graph
-// and registry at hand.
-func MeshFingerprint(g core.TaskGraph, cids []core.CallbackId) core.Fingerprint {
-	return core.GraphFingerprint(g, cids)
 }

@@ -2,7 +2,10 @@ package wire
 
 import (
 	"errors"
+	"fmt"
 	"net"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -21,6 +24,13 @@ func connectMeshWith(t *testing.T, n int, adjust func(rank int, o *Options)) ([]
 	if err != nil {
 		t.Fatal(err)
 	}
+	return connectMeshOn(t, ln, n, adjust)
+}
+
+// connectMeshOn is connectMeshWith over a caller-supplied rendezvous
+// listener, which rank 0 takes ownership of.
+func connectMeshOn(t *testing.T, ln net.Listener, n int, adjust func(rank int, o *Options)) ([]*Fabric, []error) {
+	t.Helper()
 	fabrics := make([]*Fabric, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
@@ -106,8 +116,8 @@ func roundTrip(t *testing.T, fabrics []*Fabric) {
 
 func TestTierAutoCoLocatedUsesShm(t *testing.T) {
 	// All ranks share the real host identity, so TierAuto must put every
-	// pair — including rank 0's upgraded registration conns — on the
-	// shared-memory rings (shm > unix > tcp).
+	// pair — rank 0's included — on the shared-memory rings
+	// (shm > unix > tcp).
 	fabrics, errs := connectMeshWith(t, 3, nil)
 	requireMesh(t, fabrics, errs)
 	expectNetworks(t, fabrics, func(i, j int) string { return "shm" })
@@ -139,6 +149,36 @@ func TestTierTCPForcesTCP(t *testing.T) {
 	requireMesh(t, fabrics, errs)
 	expectNetworks(t, fabrics, func(i, j int) string { return "tcp" })
 	roundTrip(t, fabrics)
+}
+
+// TestTierOverUnixRendezvous: the rendezvous network must not leak into
+// the data links. Registration over a unix socket path carries no data, so
+// TierTCP still puts every pair — rank 0's included — on TCP, and TierAuto
+// still puts every co-located pair on shared memory.
+func TestTierOverUnixRendezvous(t *testing.T) {
+	for _, tc := range []struct {
+		tier Tier
+		want string
+	}{{TierTCP, "tcp"}, {TierAuto, "shm"}} {
+		t.Run(tc.tier.String(), func(t *testing.T) {
+			dir, err := os.MkdirTemp("", "bfrdv-")
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { os.RemoveAll(dir) })
+			ln, err := net.Listen("unix", filepath.Join(dir, "rdv.sock"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			fabrics, errs := connectMeshOn(t, ln, 3, func(r int, o *Options) {
+				o.Addr = ln.Addr().String()
+				o.Tier = tc.tier
+			})
+			requireMesh(t, fabrics, errs)
+			expectNetworks(t, fabrics, func(i, j int) string { return tc.want })
+			roundTrip(t, fabrics)
+		})
+	}
 }
 
 func TestTierUnixStrict(t *testing.T) {
@@ -236,5 +276,183 @@ func TestParseTier(t *testing.T) {
 		if err != nil || back != tier {
 			t.Fatalf("round-trip %v: %v, %v", tier, back, err)
 		}
+	}
+}
+
+// TestLinkForTable drives the tier table with zero sockets. It covers every
+// tier × same or different host × unix socket open on each end × ring
+// directory on each end × each end's ring generation current or stale.
+// Every combination must get the link linkFor's doc table gives. Both ends
+// of a pair must get the same network and ring, which is what lets the
+// dialer offer a ring exactly when the acceptor expects one.
+func TestLinkForTable(t *testing.T) {
+	type link struct {
+		network string // "" means refused with ErrHandshake
+		ring    bool
+	}
+	// linkFor's doc table, row for row. The first matching row wins, "*"
+	// matches either answer, and no matching row means refused.
+	table := []struct {
+		tier            Tier
+		colocated, ring string
+		want            link
+	}{
+		{TierTCP, "*", "*", link{"tcp", false}},
+		{TierAuto, "n", "*", link{"tcp", false}},
+		{TierAuto, "y", "n", link{"unix", false}},
+		{TierAuto, "y", "y", link{"unix", true}},
+		{TierUnix, "y", "*", link{"unix", false}},
+		{TierShm, "y", "y", link{"unix", true}},
+	}
+	match := func(col string, v bool) bool { return col == "*" || (col == "y") == v }
+	const epoch = 3
+	side := func(name, host string, unix, shm, stale bool) endpoint {
+		ep := endpoint{TCP: name + ":1", HostID: host, ShmGen: epoch}
+		if unix {
+			ep.Unix = "/tmp/" + name + ".sock"
+		}
+		if shm {
+			ep.Shm = "/dev/shm/" + name
+		}
+		if stale {
+			ep.ShmGen = epoch - 1
+		}
+		return ep
+	}
+	used := make([]int, len(table))
+	refused := 0
+	for _, tier := range []Tier{TierAuto, TierTCP, TierUnix, TierShm} {
+		for bits := 0; bits < 1<<7; bits++ {
+			bit := func(i int) bool { return bits&(1<<i) != 0 }
+			sameHost, unixA, unixB, shmA, shmB, staleA, staleB := bit(0), bit(1), bit(2), bit(3), bit(4), bit(5), bit(6)
+			hostB := "host-b"
+			if sameHost {
+				hostB = "host-a"
+			}
+			a := side("a", "host-a", unixA, shmA, staleA)
+			b := side("b", hostB, unixB, shmB, staleB)
+			colocated := sameHost && unixA && unixB
+			ringDirs := shmA && shmB && !staleA && !staleB
+			var want link
+			row := -1
+			for i, r := range table {
+				if r.tier == tier && match(r.colocated, colocated) && match(r.ring, ringDirs) {
+					want, row = r.want, i
+					break
+				}
+			}
+			if row >= 0 {
+				used[row]++
+			} else {
+				refused++
+			}
+			name := fmt.Sprintf("tier=%v sameHost=%v unix=%v/%v shm=%v/%v stale=%v/%v",
+				tier, sameHost, unixA, unixB, shmA, shmB, staleA, staleB)
+			opt := Options{Tier: tier, Epoch: epoch}
+			network, addr, ring, err := linkFor(opt, a, b)
+			if want.network == "" {
+				if !errors.Is(err, ErrHandshake) || network != "" || ring {
+					t.Errorf("%s: got %q ring=%v err=%v, want ErrHandshake", name, network, ring, err)
+				}
+			} else {
+				wantAddr := b.TCP
+				if want.network == "unix" {
+					wantAddr = b.Unix
+				}
+				if err != nil || network != want.network || ring != want.ring || addr != wantAddr {
+					t.Errorf("%s: got %q %q ring=%v err=%v, want %q %q ring=%v",
+						name, network, addr, ring, err, want.network, wantAddr, want.ring)
+				}
+			}
+			backNet, _, backRing, backErr := linkFor(opt, b, a)
+			if backNet != network || backRing != ring || (backErr == nil) != (err == nil) {
+				t.Errorf("%s: a->b is %q ring=%v err=%v but b->a is %q ring=%v err=%v",
+					name, network, ring, err, backNet, backRing, backErr)
+			}
+		}
+	}
+	for i, n := range used {
+		if n == 0 {
+			t.Errorf("table row %d (%+v) never matched", i, table[i])
+		}
+	}
+	if refused == 0 {
+		t.Error("no combination was refused")
+	}
+}
+
+// TestAcceptorRefusesWrongNetwork: a dialer that arrives over another
+// network than the tier table gives for the pair is refused, on both ends,
+// with ErrHandshake. Rank 1 is driven by hand so it can dial rank 0's TCP
+// listener although the pair's link is a unix socket.
+func TestAcceptorRefusesWrongNetwork(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := make(chan error, 1)
+	go func() {
+		f, err := Connect(Options{Rank: 0, Ranks: 2, Listener: ln, DialTimeout: 5 * time.Second})
+		if f != nil {
+			f.Kill()
+		}
+		root <- err
+	}()
+	opt := Options{Rank: 1, Ranks: 2, Addr: ln.Addr().String(), DialTimeout: 5 * time.Second}
+	if err := opt.setDefaults(); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(opt.DialTimeout)
+	self, _, cleanup, err := listen(opt, deadline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cleanup()
+	me := hello{Rank: 1, Ranks: 2, Endpoint: self}
+	eps, err := rendezvous(opt, me, deadline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if network, _, _, err := linkFor(opt, self, eps[0]); network != "unix" {
+		t.Fatalf("co-located auto pair links over %q (%v), want unix", network, err)
+	}
+	c, err := dialRetry("tcp", eps[0].TCP, deadline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := greet(c, me, 0, frameAccept, deadline); !errors.Is(err, ErrHandshake) {
+		t.Fatalf("dialer over tcp: %v, want ErrHandshake", err)
+	}
+	if err := <-root; !errors.Is(err, ErrHandshake) {
+		t.Fatalf("rank 0: %v, want ErrHandshake", err)
+	}
+}
+
+// TestRingDeclineKeepsSocketInStep: a dialer that cannot create its ring
+// region withdraws the offer, and both halves report the decline as
+// ErrHandshake. The socket stays in step, so a pair whose tier allows it
+// can carry on over the socket: the next frame arrives intact.
+func TestRingDeclineKeepsSocketInStep(t *testing.T) {
+	a, b := net.Pipe()
+	defer a.Close()
+	defer b.Close()
+	opt := Options{ShmRingBytes: minShmRingBytes}
+	deadline := time.Now().Add(5 * time.Second)
+	acceptor := make(chan error, 1)
+	go func() {
+		_, err := acceptShmRing(opt, b, deadline)
+		writeConn(b, deadline, controlFrame(frameAccept))
+		acceptor <- err
+	}()
+	missing := filepath.Join(t.TempDir(), "missing")
+	if _, err := offerShmRing(opt, a, missing, deadline); !errors.Is(err, ErrHandshake) {
+		t.Fatalf("dialer: %v, want ErrHandshake", err)
+	}
+	if typ, _, err := readControl(a, deadline); err != nil || typ != frameAccept {
+		t.Fatalf("frame after the decline: type %d, %v", typ, err)
+	}
+	if err := <-acceptor; !errors.Is(err, ErrHandshake) {
+		t.Fatalf("acceptor: %v, want ErrHandshake", err)
 	}
 }

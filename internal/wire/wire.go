@@ -4,13 +4,14 @@
 // controllers and conformance suite that run over the in-memory fabric run
 // unchanged across machine boundaries.
 //
-// Topology and bootstrap: rank 0 listens on a well-known rendezvous
-// address; every other rank opens its own data listener, dials rank 0 and
-// registers (rank id, rank count, graph fingerprint, data endpoints). Once
-// all ranks have registered, rank 0 answers each with the endpoint table
-// and the peers dial each other — rank i dials every rank j < i —
-// completing one duplex connection per rank pair. Every connection begins
-// with a hello carrying the canonical graph fingerprint
+// Topology and bootstrap: every rank, rank 0 included, opens its data
+// listeners; every other rank then registers with rank 0 on a well-known
+// rendezvous address (rank id, rank count, epoch, tier, graph fingerprint,
+// data endpoints). Rank 0 answers every registration with the endpoint
+// table, and the registration connections close. Every rank then links
+// every pair the same way — rank i dials each j < i and accepts each
+// j > i — over the link one tier table (linkFor) picks for the pair. Every
+// connection begins with a hello carrying the canonical graph fingerprint
 // (core.GraphFingerprint); a mismatch is rejected with ErrHandshake,
 // catching mismatched binaries at connection time instead of as a hang or
 // a corrupted dataflow.
