@@ -139,7 +139,7 @@ fuzz-wire:
 	$(GO) test -run='^$$' -fuzz=FuzzHandshakeDecode -fuzztime=10s ./internal/wire
 
 ## perf-smoke: the CI perf job — every wire benchmark (all transport
-## tiers), the shm ring benchmarks again under the race detector, and
+## tiers), once plain and once under the race detector, and
 ## every journal append benchmark (all fsync policies) at a fixed
 ## iteration count so hot-path regressions fail loudly, then the wire
 ## package under the race detector, then the graph-plan benchmarks
@@ -147,7 +147,7 @@ fuzz-wire:
 ## cannot rot.
 perf-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=100x ./internal/wire
-	$(GO) test -race -run='^$$' -bench=Shm -benchtime=100x ./internal/wire
+	$(GO) test -race -run='^$$' -bench=. -benchtime=100x ./internal/wire
 	$(GO) test -run='^$$' -bench=. -benchtime=100x ./internal/journal
 	$(GO) test -race -count=1 ./internal/wire
 	$(GO) test -run='^$$' -bench='^BenchmarkCompile$$' -benchtime=1x ./internal/core

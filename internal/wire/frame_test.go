@@ -12,8 +12,8 @@ import (
 )
 
 // frameReader wraps encoded frame bytes in the reader the data path uses.
-func frameReader(b []byte) *connReader {
-	return &connReader{bufio.NewReaderSize(bytes.NewReader(b), 64<<10)}
+func frameReader(b []byte) *bufio.Reader {
+	return bufio.NewReaderSize(bytes.NewReader(b), 64<<10)
 }
 
 // decodeFabric is a minimal fabric for exercising readOne without a mesh.

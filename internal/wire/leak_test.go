@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -8,12 +9,13 @@ import (
 	"github.com/babelflow/babelflow-go/internal/fabric"
 )
 
-// quietMesh bootstraps a mesh whose heartbeats are effectively disabled, so
-// the only arena traffic during the test window is the traffic the test
-// itself generates.
-func quietMesh(t *testing.T, n int) []*Fabric {
+// quietMesh bootstraps a mesh on tier whose heartbeats are effectively
+// disabled, so the only arena traffic during the test window is the traffic
+// the test itself generates.
+func quietMesh(t *testing.T, n int, tier Tier) []*Fabric {
 	t.Helper()
 	fabrics, errs := connectMeshWith(t, n, func(rank int, o *Options) {
+		o.Tier = tier
 		o.HeartbeatInterval = time.Minute
 		o.HeartbeatTimeout = 10 * time.Minute
 	})
@@ -39,7 +41,7 @@ func arenaMessage(t *testing.T, from, to int) fabric.Message {
 // strand arena buffers. Regression test for the ownership rule audit — each
 // failure mode below once had to be checked by hand.
 func TestSendErrorPathsReleaseArenaBuffers(t *testing.T) {
-	fabrics := quietMesh(t, 2)
+	fabrics := quietMesh(t, 2, TierAuto)
 
 	core.ArenaAccounting(true)
 	defer core.ArenaAccounting(false)
@@ -97,11 +99,60 @@ func TestSendErrorPathsReleaseArenaBuffers(t *testing.T) {
 	check("sends on cancelled fabric")
 }
 
+// TestFailedBatchReleasesArenaBuffers: when one frame of a drained batch
+// cannot be serialized, the writer fails the fabric and must drop the
+// payload references of the whole batch, the frames ahead of the bad one
+// included, on every tier. The test holds a second reference to each good
+// payload, so its buffer returns to the arena exactly when the test's
+// release is the last one, whatever the receiver did with the frames.
+func TestFailedBatchReleasesArenaBuffers(t *testing.T) {
+	for _, tier := range dataTiers {
+		t.Run(tier.String(), func(t *testing.T) {
+			fabrics := quietMesh(t, 2, tier)
+
+			core.ArenaAccounting(true)
+			defer core.ArenaAccounting(false)
+
+			var held []core.Payload
+			var batch []fabric.Message
+			for i := 0; i < 2; i++ {
+				p, err := core.SharedPayload(core.Buffer([]byte("ahead-of-the-bad-frame")), 2, true)
+				if err != nil {
+					t.Fatal(err)
+				}
+				held = append(held, p)
+				batch = append(batch, fabric.Message{From: 0, To: 1, Src: core.TaskId(i), Payload: p})
+			}
+			batch = append(batch, fabric.Message{From: 0, To: 1, Src: 2, Payload: core.Object(struct{}{})})
+			if err := fabrics[0].SendN(batch); err != nil {
+				t.Fatal(err)
+			}
+			// The bad frame fails rank 0, whose teardown fails rank 1; once
+			// every loop has exited no one else touches the arena.
+			for _, f := range fabrics {
+				f.writers.Wait()
+				f.readers.Wait()
+			}
+			if err := fabrics[0].Err(); !errors.Is(err, core.ErrNotSerializable) {
+				t.Fatalf("rank 0: Err() = %v, want ErrNotSerializable", err)
+			}
+			before := core.ArenaOutstanding()
+			for _, p := range held {
+				p.Release()
+			}
+			if freed := before - core.ArenaOutstanding(); freed != int64(len(held)) {
+				t.Fatalf("releasing the test's references freed %d arena buffers, want %d: the writer stranded the rest",
+					freed, len(held))
+			}
+		})
+	}
+}
+
 // TestCancelReleasesQueuedArenaBuffers proves Cancel drops the payload
 // references of messages still queued in the local mailbox — the abort path
 // must return fan-out buffers to the arena, not strand them.
 func TestCancelReleasesQueuedArenaBuffers(t *testing.T) {
-	fabrics := quietMesh(t, 2)
+	fabrics := quietMesh(t, 2, TierAuto)
 
 	core.ArenaAccounting(true)
 	defer core.ArenaAccounting(false)

@@ -1,19 +1,22 @@
 package wire
 
-// The shared-memory data path of one peer pair. Frames keep the exact
+// The ring medium of one peer pair (medium, wire.go). Frames keep the exact
 // socket encoding but move through the pair's mmap'd SPSC rings
 // (shmring.go); the unix socket underneath carries only control traffic —
-// doorbells, heartbeats and the goodbye. The protocol:
+// doorbells, heartbeats and the goodbye. The writer loop, the reader loop
+// and the inline send are the socket tiers' own; what this file adds is
+// how bytes cross the rings:
 //
-// Producer (shmWriteLoop / sendDirectShm), always under p.wmu:
+// Producer (write / inline), always under p.wmu:
 //   - push the frame into tx; after publishing, if the consumer announced
 //     it is parked (cwait set), clear the flag and write one doorbell
-//     frame on the socket.
-//   - on a full ring, set pwait, then wait (without wmu) for the
-//     consumer's doorbell — relayed by our own read loop through
-//     shm.space — and resume pushing.
+//     frame on the socket. inline admits a frame only when all of it fits
+//     the free space, so the sender never waits.
+//   - on a full ring, spin on free(), then set pwait and wait (without
+//     wmu) for the consumer's doorbell — relayed by our own read loop
+//     through shm.space — and resume pushing.
 //
-// Consumer (shmReadLoop via ringReader):
+// Consumer (next / more, via Read):
 //   - spin briefly on an empty ring (the hot path: a request/response
 //     peer answers well inside the spin window, so the doorbell is never
 //     needed), then set cwait, re-check, and park in a blocking read on
@@ -23,12 +26,12 @@ package wire
 //   - after freeing space, if the remote producer announced it is stalled
 //     (pwait set), clear the flag and doorbell back.
 //
-// Failure semantics match the socket tiers: a decode failure out of the
-// ring (bad length prefix or CRC mismatch — a torn ring) wraps
-// ErrCorruptFrame and declares the peer lost; socket EOF without a
-// goodbye, or heartbeat-timeout silence while parked, is ErrPeerLost. The
-// shm goodbye carries the producer's final tail so the consumer drains
-// the ring completely before treating the departure as clean.
+// Specific to the ring: anything but a CRC-clean data frame out of the
+// ring (bad length prefix, non-data type, CRC mismatch — a torn ring)
+// wraps ErrCorruptFrame; peer death shows as EOF or heartbeat-timeout
+// silence on the socket while parked; and the goodbye carries the
+// producer's final tail, so the consumer drains the ring completely before
+// it reports the departure.
 
 import (
 	"encoding/binary"
@@ -42,8 +45,10 @@ import (
 	"github.com/babelflow/babelflow-go/internal/fabric"
 )
 
-// shmLink is the per-peer shared-memory state riding on top of shmRegion.
+// shmLink is the ring medium of one peer, riding on top of shmRegion.
 type shmLink struct {
+	f      *Fabric
+	p      *peer
 	region *shmRegion
 	tx     *shmRing
 	rx     *shmRing
@@ -61,8 +66,10 @@ type shmLink struct {
 	finalSet  atomic.Bool
 }
 
-func newShmLink(reg *shmRegion) *shmLink {
+func newShmLink(f *Fabric, p *peer, reg *shmRegion) *shmLink {
 	return &shmLink{
+		f:      f,
+		p:      p,
 		region: reg,
 		tx:     reg.tx,
 		rx:     reg.rx,
@@ -98,37 +105,84 @@ var spinYieldFrom = func() int {
 // doorbellFrame is the pre-encoded empty doorbell control frame.
 var doorbellFrame = controlFrame(frameDoorbell)
 
-// ringDoorbell writes one doorbell frame on the pair's socket. It takes
-// wmu itself, so callers must NOT hold it. Doorbells update lastWrite —
-// they are real socket traffic and keep the heartbeat quiet period honest.
-func (f *Fabric) ringDoorbell(p *peer) {
-	now := time.Now()
-	p.wmu.Lock()
-	if !p.saidGoodbye {
-		p.conn.SetWriteDeadline(now.Add(f.opt.HeartbeatTimeout))
-		p.conn.Write(doorbellFrame)
-		p.lastWrite.Store(now.UnixNano())
+// doorbell writes one doorbell frame on the pair's socket; the caller holds
+// p.wmu. Doorbells update lastWrite — they are real socket traffic and keep
+// the heartbeat quiet period honest.
+func (l *shmLink) doorbell() {
+	p := l.p
+	if p.saidGoodbye {
+		return
 	}
-	p.wmu.Unlock()
+	now := time.Now()
+	p.conn.SetWriteDeadline(now.Add(l.f.opt.HeartbeatTimeout))
+	p.conn.Write(doorbellFrame)
+	p.lastWrite.Store(now.UnixNano())
 }
 
-// stampShmHeader encodes the data-frame framing for the shm path,
-// applying the armed corruption injection if any: the CRC is flipped
-// after stamping, so the receiver sees a torn ring.
-func stampShmHeader(p *peer, hdr []byte, m *fabric.Message, payload []byte) {
+// wakeConsumer rings the doorbell if the peer's consumer announced it is
+// parked (cwait); the caller holds p.wmu and has just published a push.
+func (l *shmLink) wakeConsumer() {
+	if l.tx.hdr.cwait.Swap(0) == 1 {
+		l.doorbell()
+	}
+}
+
+// wakeProducer rings the doorbell if the peer's producer announced it is
+// stalled on a full ring (pwait); the caller has just freed space and does
+// not hold p.wmu. The Load screens the common case so the hot path pays one
+// read of an already-local cache line.
+func (l *shmLink) wakeProducer() {
+	if h := l.rx.hdr; h.pwait.Load() != 0 && h.pwait.Swap(0) == 1 {
+		l.p.wmu.Lock()
+		l.doorbell()
+		l.p.wmu.Unlock()
+	}
+}
+
+// stamp encodes a data frame's framing into hdr, applying the armed
+// corruption injection if any: the CRC is flipped after stamping, so the
+// receiver sees a torn ring.
+func (l *shmLink) stamp(hdr []byte, m *fabric.Message, payload []byte) {
 	encodeDataHeader(hdr, m.Src, m.Dest, m.Run, m.Seq, m.Attempt, payload)
-	if p.shm.corrupt.Load() && p.shm.corrupt.Swap(false) {
+	if l.corrupt.Load() && l.corrupt.Swap(false) {
 		hdr[5] ^= 0x01
 	}
 }
 
-// ringWriteFrame pushes one encoded frame (header + payload) into the tx
-// ring, taking p.wmu per attempt and releasing it while waiting for space
-// on a full ring — parked producers must never block heartbeats or
-// doorbells. Returns an error when the fabric is cancelled or the
-// consumer fails to free space within the heartbeat timeout.
-func (f *Fabric) ringWriteFrame(p *peer, hdr, payload []byte) error {
-	l := p.shm
+// write pushes the batch into the tx ring frame by frame: a bounded number
+// of memcpys per frame and no syscall.
+func (l *shmLink) write(batch []fabric.Message, wires [][]byte) (int, error) {
+	var hdr [DataFrameOverhead]byte
+	for i, w := range wires {
+		l.stamp(hdr[:], &batch[i], w)
+		if err := l.pushFrame(hdr[:], w); err != nil {
+			return i, err
+		}
+	}
+	return len(batch), nil
+}
+
+// inline admits a frame whole or not at all: when header and payload fit
+// the ring's free space it is stamped and pushed with no syscall and no
+// clock read. There is no inlineMax or inlineGap because a ring push is a
+// memcpy, cheap at any size and never worth batching against.
+func (l *shmLink) inline(m fabric.Message, w []byte) (bool, error) {
+	if uint64(DataFrameOverhead+len(w)) > l.tx.free() {
+		return false, nil
+	}
+	l.stamp(l.p.ihdr[:], &m, w)
+	l.tx.pushAll(l.p.ihdr[:], w)
+	l.wakeConsumer()
+	return true, nil
+}
+
+// pushFrame pushes one encoded frame (header + payload) into the tx ring,
+// taking p.wmu per attempt and releasing it while waiting for space on a
+// full ring — parked producers must never block heartbeats or doorbells.
+// Returns an error when the fabric is cancelled or the consumer fails to
+// free space within the heartbeat timeout.
+func (l *shmLink) pushFrame(hdr, payload []byte) error {
+	p := l.p
 	segs := [2][]byte{hdr, payload}
 	i := 0
 	var stallStart time.Time
@@ -157,11 +211,10 @@ func (f *Fabric) ringWriteFrame(p *peer, hdr, payload []byte) error {
 			wrote = true
 			segs[i] = segs[i][n:]
 		}
-		bell := wrote && l.tx.hdr.cwait.Swap(0) == 1
-		p.wmu.Unlock()
-		if bell {
-			f.ringDoorbell(p)
+		if wrote {
+			l.wakeConsumer()
 		}
+		p.wmu.Unlock()
 		if i == 2 {
 			return nil
 		}
@@ -186,7 +239,7 @@ func (f *Fabric) ringWriteFrame(p *peer, hdr, payload []byte) error {
 				runtime.Gosched()
 			}
 			spun = l.tx.free() > 0
-			if spin&255 == 0 && f.cancelled.Load() {
+			if spin&255 == 0 && l.f.cancelled.Load() {
 				return errors.New("wire: cancelled")
 			}
 		}
@@ -200,148 +253,38 @@ func (f *Fabric) ringWriteFrame(p *peer, hdr, payload []byte) error {
 		select {
 		case <-l.space:
 		case <-time.After(10 * time.Millisecond):
-			if f.cancelled.Load() {
+			if l.f.cancelled.Load() {
 				return errors.New("wire: cancelled")
 			}
-			if time.Since(stallStart) > f.opt.HeartbeatTimeout {
-				return fmt.Errorf("ring full for %v", f.opt.HeartbeatTimeout)
+			if time.Since(stallStart) > l.f.opt.HeartbeatTimeout {
+				return fmt.Errorf("ring full for %v", l.f.opt.HeartbeatTimeout)
 			}
 		}
 	}
 }
 
-// sendDirectShm is the shm latency fast path: when the peer's writer is
-// parked, its outbox empty and the whole frame fits the ring's free
-// space, the sender stamps and pushes the frame itself — no syscall, no
-// goroutine handoff, no clock read. The quiescence argument is identical
-// to sendDirect; there is no inlineMax or inlineGap because a ring push
-// is a memcpy, cheap at any size and never worth batching against.
-func (f *Fabric) sendDirectShm(p *peer, m fabric.Message) bool {
-	if !p.wmu.TryLock() {
-		return false
-	}
-	// Ordering matters: EmptyOpen before the idle load (see sendDirect).
-	if p.saidGoodbye || !p.outbox.EmptyOpen() || !p.idle.Load() {
-		p.wmu.Unlock()
-		return false
-	}
-	w, err := m.Payload.Wire()
-	if err != nil {
-		// Serialization failures take the writer path so they are reported
-		// identically on both paths.
-		p.wmu.Unlock()
-		return false
-	}
-	l := p.shm
-	if uint64(DataFrameOverhead+len(w)) > l.tx.free() {
-		p.wmu.Unlock()
-		return false
-	}
-	stampShmHeader(p, p.ihdr[:], &m, w)
-	l.tx.pushAll(p.ihdr[:], w)
-	bell := l.tx.hdr.cwait.Swap(0) == 1
-	p.wmu.Unlock()
-	m.Payload.Release()
-	if bell {
-		f.ringDoorbell(p)
-	}
-	f.messages.Add(1)
-	f.bytes.Add(uint64(len(w)))
-	return true
-}
-
-// shmWriteLoop drains one shm peer's outbox into its tx ring. The batch
-// dequeue amortizes mailbox locking exactly like writeLoop; each frame is
-// then a bounded number of memcpys into the ring with no syscall. When
-// the outbox closes the loop publishes a goodbye carrying the final tail
-// so the consumer can drain before treating the EOF as clean.
-func (f *Fabric) shmWriteLoop(p *peer) {
-	defer f.writers.Done()
-	const maxBatch = 64
-	batch := make([]fabric.Message, maxBatch)
-	var hdr [DataFrameOverhead]byte
-	for {
-		n, done := p.outbox.TryGetBatch(batch)
-		if n == 0 {
-			if done {
-				if !f.cancelled.Load() {
-					f.ringGoodbye(p)
-				}
-				return
-			}
-			p.idle.Store(true)
-			<-p.wake
-			p.idle.Store(false)
-			continue
-		}
-		var payloadBytes uint64
-		for i := 0; i < n; i++ {
-			w, err := batch[i].Payload.Wire()
-			if err != nil {
-				f.fail(fmt.Errorf("wire: rank %d -> %d: task %d payload: %w",
-					f.opt.Rank, p.rank, batch[i].Src, err))
-				releaseAll(batch[i:n])
-				clearMessages(batch[:n])
-				return
-			}
-			stampShmHeader(p, hdr[:], &batch[i], w)
-			if werr := f.ringWriteFrame(p, hdr[:], w); werr != nil {
-				undelivered := n - i + p.outbox.Len()
-				f.failPeer(p.rank, fmt.Errorf("wire: rank %d: ring write to rank %d: %d frame(s) undelivered: %w (%v)",
-					f.opt.Rank, p.rank, undelivered, ErrPeerLost, werr))
-				releaseAll(batch[i:n])
-				clearMessages(batch[:n])
-				return
-			}
-			payloadBytes += uint64(len(w))
-		}
-		releaseAll(batch[:n])
-		clearMessages(batch[:n])
-		f.messages.Add(uint64(n))
-		f.bytes.Add(payloadBytes)
-	}
-}
-
-// ringGoodbye sends the shm goodbye: an 8-byte body holding the tx ring's
-// final tail, so the consumer knows exactly how much to drain.
-func (f *Fabric) ringGoodbye(p *peer) {
-	p.wmu.Lock()
-	defer p.wmu.Unlock()
-	if p.saidGoodbye {
-		return
-	}
-	p.saidGoodbye = true
+// goodbye carries the tx ring's final tail as an 8-byte body, so the
+// consumer knows exactly how much to drain.
+func (l *shmLink) goodbye() []byte {
 	var b [frameHeaderSize + 8]byte
-	binary.LittleEndian.PutUint64(b[frameHeaderSize:], p.shm.tx.ptail)
-	p.conn.SetWriteDeadline(time.Now().Add(f.opt.HeartbeatTimeout))
-	p.conn.Write(finishFrame(b[:], frameGoodbye))
+	binary.LittleEndian.PutUint64(b[frameHeaderSize:], l.tx.ptail)
+	return finishFrame(b[:], frameGoodbye)
 }
 
-// ringReader adapts the rx ring to io.Reader with the spin-then-park wait
-// underneath, so readFrame/readDataBody decode ring frames through the
-// exact code path the socket tiers use — same CRC verification, same
-// arena buffers, same run-id demux fields.
-type ringReader struct {
-	f *Fabric
-	p *peer
-}
-
-func (r *ringReader) Read(b []byte) (int, error) {
+// Read adapts the rx ring to io.Reader with the spin-then-park wait
+// underneath, so readFrame/readDataBody decode a frame that straddles the
+// ring edge through the exact code path the socket tiers use — same CRC
+// verification, same arena buffers, same run-id demux fields.
+func (l *shmLink) Read(b []byte) (int, error) {
 	if len(b) == 0 {
 		return 0, nil
 	}
-	l := r.p.shm
 	for {
 		if n := l.rx.pop(b); n > 0 {
-			// If the remote producer stalled on a full ring, tell it space
-			// is free. The Load screens the common case so the hot path
-			// pays one read of an already-local cache line.
-			if l.rx.hdr.pwait.Load() != 0 && l.rx.hdr.pwait.Swap(0) == 1 {
-				r.f.ringDoorbell(r.p)
-			}
+			l.wakeProducer()
 			return n, nil
 		}
-		if err := r.wait(); err != nil {
+		if err := l.wait(); err != nil {
 			return 0, err
 		}
 	}
@@ -350,8 +293,7 @@ func (r *ringReader) Read(b []byte) (int, error) {
 // wait blocks until the rx ring is readable: spin, then park on the
 // doorbell socket. Returns errShmDeparted once the peer's goodbye has
 // been received and the ring drained to its final tail.
-func (r *ringReader) wait() error {
-	l := r.p.shm
+func (l *shmLink) wait() error {
 	for {
 		for spin := 0; spin < spinIters; spin++ {
 			if l.rx.readable() > 0 {
@@ -361,7 +303,7 @@ func (r *ringReader) wait() error {
 				if l.finalSet.Load() && l.rx.chead == l.finalTail.Load() {
 					return errShmDeparted
 				}
-				if r.f.cancelled.Load() {
+				if l.f.cancelled.Load() {
 					return errors.New("wire: cancelled")
 				}
 			}
@@ -376,7 +318,7 @@ func (r *ringReader) wait() error {
 			l.rx.hdr.cwait.Store(0)
 			return nil
 		}
-		if err := r.parkOnSocket(); err != nil {
+		if err := l.parkOnSocket(); err != nil {
 			return err
 		}
 	}
@@ -385,12 +327,11 @@ func (r *ringReader) wait() error {
 // parkOnSocket blocks in a read on the pair's socket until any control
 // frame arrives, handling it: doorbells and heartbeats mean "re-check the
 // rings" (and may be relaying a pwait release for our producer side);
-// goodbye records the peer's final tail. This loop is the only reader of
-// the socket once the data phase starts.
-func (r *ringReader) parkOnSocket() error {
-	c := r.p.conn
-	l := r.p.shm
-	c.SetReadDeadline(time.Now().Add(r.f.opt.HeartbeatTimeout))
+// goodbye records the peer's final tail. The read loop is the only reader
+// of the socket once the data phase starts.
+func (l *shmLink) parkOnSocket() error {
+	c := l.p.conn
+	c.SetReadDeadline(time.Now().Add(l.f.opt.HeartbeatTimeout))
 	typ, n, crc, err := readFrame(c)
 	if err != nil {
 		return err
@@ -430,10 +371,30 @@ func (r *ringReader) parkOnSocket() error {
 	}
 }
 
-// frameBuffered reports whether a complete, well-formed data frame is
-// fully readable from the rx ring right now — the greedy-drain guard, so
-// later frames of a burst are decoded without ever blocking. A malformed
-// length returns false and lets the blocking path surface the corruption.
+// next reads the next frame out of the ring, reporting the drained
+// departure as frameGoodbye. Control frames never ride the ring: their
+// traffic is handled inside the park.
+func (l *shmLink) next() (fabric.Message, byte, error) {
+	m, err := l.readRingFrame()
+	if errors.Is(err, errShmDeparted) {
+		return m, frameGoodbye, nil
+	}
+	return m, frameData, err
+}
+
+// more decodes one more frame only if it is already whole in the ring.
+func (l *shmLink) more() (fabric.Message, bool, error) {
+	if !l.frameBuffered() {
+		return fabric.Message{}, false, nil
+	}
+	m, err := l.readRingFrame()
+	return m, err == nil, err
+}
+
+// frameBuffered reports whether a complete, well-formed frame is fully
+// readable from the rx ring right now — the greedy-drain guard, so later
+// frames of a burst are decoded without ever blocking. A malformed length
+// returns false and lets the blocking path surface the corruption.
 func (l *shmLink) frameBuffered() bool {
 	var hdr [frameHeaderSize]byte
 	if l.rx.peek(hdr[:]) < frameHeaderSize {
@@ -446,35 +407,33 @@ func (l *shmLink) frameBuffered() bool {
 	return l.rx.readable() >= uint64(frameHeaderSize+n-1)
 }
 
-// readRingFrame decodes the next frame out of the ring, blocking through
-// rd. Everything except a CRC-clean data frame is a torn ring and wraps
-// ErrCorruptFrame — control frames never ride the ring.
-func (f *Fabric) readRingFrame(p *peer, rd *ringReader) (fabric.Message, error) {
+// readRingFrame decodes the next frame out of the ring, blocking in wait.
+// Everything except a CRC-clean data frame is a torn ring and wraps
+// ErrCorruptFrame.
+func (l *shmLink) readRingFrame() (fabric.Message, error) {
 	// Fast path: the whole frame sits contiguous at the read cursor — the
 	// overwhelmingly common case, since a frame straddles the ring edge at
 	// most once per ring-size of traffic. Decode it in place. An empty ring
 	// waits here first, so latency-bound traffic (ring drained between
 	// messages) lands on this path too, not just bursts.
 	for {
-		v := p.shm.rx.view()
+		v := l.rx.view()
 		if len(v) >= frameHeaderSize {
-			l := int(binary.LittleEndian.Uint32(v[0:4]))
-			if l < 1 || l > maxFrameSize {
-				return fabric.Message{}, fmt.Errorf("%w: torn ring: %v: %d", ErrCorruptFrame, errFrameLength, l)
+			n := int(binary.LittleEndian.Uint32(v[0:4]))
+			if n < 1 || n > maxFrameSize {
+				return fabric.Message{}, fmt.Errorf("%w: torn ring: %v: %d", ErrCorruptFrame, errFrameLength, n)
 			}
-			if total := frameHeaderSize + l - 1; len(v) >= total {
+			if total := frameHeaderSize + n - 1; len(v) >= total {
 				if v[4] != frameData {
 					return fabric.Message{}, fmt.Errorf("%w: torn ring: frame type %d", ErrCorruptFrame, v[4])
 				}
 				crc := binary.LittleEndian.Uint32(v[5:9])
-				m, err := f.decodeDataBytes(p, v[frameHeaderSize:total], crc)
+				m, err := l.f.decodeDataBytes(l.p, v[frameHeaderSize:total], crc)
 				if err != nil {
 					return fabric.Message{}, err
 				}
-				p.shm.rx.advance(total)
-				if h := p.shm.rx.hdr; h.pwait.Load() != 0 && h.pwait.Swap(0) == 1 {
-					f.ringDoorbell(p)
-				}
+				l.rx.advance(total)
+				l.wakeProducer()
 				return m, nil
 			}
 			break // frame straddles the ring edge or is mid-push: stream it
@@ -482,11 +441,11 @@ func (f *Fabric) readRingFrame(p *peer, rd *ringReader) (fabric.Message, error) 
 		if len(v) > 0 {
 			break // header straddles the ring edge: stream it
 		}
-		if err := rd.wait(); err != nil {
+		if err := l.wait(); err != nil {
 			return fabric.Message{}, err
 		}
 	}
-	typ, n, crc, err := readFrame(rd)
+	typ, n, crc, err := readFrame(l)
 	if err != nil {
 		if errors.Is(err, errFrameLength) {
 			return fabric.Message{}, fmt.Errorf("%w: torn ring: %v", ErrCorruptFrame, err)
@@ -496,60 +455,5 @@ func (f *Fabric) readRingFrame(p *peer, rd *ringReader) (fabric.Message, error) 
 	if typ != frameData {
 		return fabric.Message{}, fmt.Errorf("%w: torn ring: frame type %d", ErrCorruptFrame, typ)
 	}
-	return f.readDataBody(p, rd, n, crc)
-}
-
-// shmReadLoop consumes one shm peer's rx ring: data frames become local
-// mailbox deliveries with arena-backed payloads, drained greedily in
-// batches like the socket read loop. Control traffic is handled inside
-// the ring reader's park path.
-func (f *Fabric) shmReadLoop(p *peer) {
-	defer f.readers.Done()
-	const rxBatch = 64
-	rd := &ringReader{f: f, p: p}
-	batch := make([]fabric.Message, 0, rxBatch)
-	for {
-		m, err := f.readRingFrame(p, rd)
-		if err != nil {
-			if errors.Is(err, errShmDeparted) {
-				p.departed.Store(true)
-				return
-			}
-			if f.cancelled.Load() || p.departed.Load() {
-				return
-			}
-			if f.fenced.Load() && isTimeout(err) {
-				// Epoch fence open: a silent control socket (the peer is
-				// frozen flushing for a membership change) is not death.
-				continue
-			}
-			f.failPeer(p.rank, fmt.Errorf("wire: rank %d: peer %d: %w (%w)", f.opt.Rank, p.rank, ErrPeerLost, err))
-			return
-		}
-		batch = append(batch[:0], m)
-		// Greedy drain: decode every data frame already complete in the
-		// ring — without blocking — so a burst is delivered under one
-		// mailbox lock.
-		var drainErr error
-		for len(batch) < rxBatch && p.shm.frameBuffered() {
-			m, err := f.readRingFrame(p, rd)
-			if err != nil {
-				drainErr = err
-				break
-			}
-			batch = append(batch, m)
-		}
-		if err := f.local.PutN(batch); err != nil {
-			clearMessages(batch)
-			return
-		}
-		clearMessages(batch)
-		if drainErr != nil {
-			if f.cancelled.Load() || p.departed.Load() {
-				return
-			}
-			f.failPeer(p.rank, fmt.Errorf("wire: rank %d: peer %d: %w (%w)", f.opt.Rank, p.rank, ErrPeerLost, drainErr))
-			return
-		}
-	}
+	return l.f.readDataBody(l.p, l, n, crc)
 }

@@ -29,15 +29,18 @@
 //
 // Data path: frames are length-prefixed (frame.go). Each peer has an
 // unbounded outbox (the same pooled ring-buffer mailbox the in-memory
-// fabric uses) drained by one writer goroutine that hands a whole batch to
-// the kernel as one vectored write (writev) of header and payload slices —
-// SendN's fan-out costs one syscall, zero intermediate copy. When the
-// writer is parked and the outbox empty, Send takes an inline fast path
-// and writes the frame from the sender's goroutine, eliminating the
-// writer-goroutine handoff that dominates small-message round-trip
-// latency. Payload bytes are read into arena buffers (core.GrabBuffer) on
-// receive. One outbox + one writer + one reader per pair preserves the
-// in-memory fabric's pairwise FIFO delivery order.
+// fabric uses) drained by one writer goroutine, and one reader goroutine
+// that decodes payloads into arena buffers (core.GrabBuffer) and delivers
+// every frame of a burst under one mailbox lock. When the writer is parked
+// and the outbox empty, Send takes an inline fast path and writes the frame
+// from the sender's goroutine, eliminating the writer-goroutine handoff
+// that dominates small-message round-trip latency. The writer loop, the
+// reader loop and the inline send are written once, over a per-peer medium
+// that only moves the bytes: the socket itself, where a whole batch reaches
+// the kernel as one vectored write (writev) of header and payload slices,
+// or the pair's shared-memory rings (shmpeer.go). One outbox + one writer +
+// one reader per pair preserves the in-memory fabric's pairwise FIFO
+// delivery order.
 //
 // Robustness: per-connection heartbeats bound failure detection — a peer
 // that stops writing for HeartbeatTimeout is declared lost with a typed
@@ -128,9 +131,6 @@ func (t Tier) String() string {
 	}
 	return fmt.Sprintf("tier(%d)", int(t))
 }
-
-// sameHostOnly reports whether the tier refuses cross-host pairs.
-func (t Tier) sameHostOnly() bool { return t == TierUnix || t == TierShm }
 
 // Options configures Connect.
 type Options struct {
@@ -224,18 +224,13 @@ func (o *Options) setDefaults() error {
 	return nil
 }
 
-// peer is one remote rank: its duplex connection, outbound queue and writer
-// state.
+// peer is one remote rank: its duplex connection, outbound queue, writer
+// state and the medium its data frames move through.
 type peer struct {
 	rank   int
 	conn   net.Conn
 	outbox *fabric.Mailbox
-
-	// vectored marks a raw TCP/Unix connection whose batches go to the
-	// kernel as one writev of header and payload slices. Wrapped
-	// connections (fault injectors) instead get the coalesced single-Write
-	// form, preserving their one-Write-per-batch counting contract.
-	vectored bool
+	md     medium
 
 	// wake is the writer's park signal (capacity 1). Senders poke it after
 	// every enqueue; the writer drains the outbox with TryGetBatch and
@@ -245,7 +240,7 @@ type peer struct {
 	wake chan struct{}
 	idle atomic.Bool
 
-	wmu         sync.Mutex // serializes data, heartbeat and goodbye writes
+	wmu         sync.Mutex // serializes data, heartbeat, doorbell and goodbye writes
 	saidGoodbye bool       // guarded by wmu; no writes after goodbye
 	lastWrite   atomic.Int64
 
@@ -254,11 +249,36 @@ type peer struct {
 	ihdr [DataFrameOverhead]byte
 
 	departed atomic.Bool // peer sent goodbye; EOF is now clean
+}
 
-	// shm, when non-nil, is this pair's shared-memory ring link: data
-	// frames move through the mapped rings and the socket above carries
-	// only doorbells, heartbeats and goodbyes.
-	shm *shmLink
+// ring returns the peer's shared-memory ring link, or nil when its data
+// frames ride the socket.
+func (p *peer) ring() *shmLink {
+	l, _ := p.md.(*shmLink)
+	return l
+}
+
+// medium moves one peer's data frames: over the socket itself (sockMedium),
+// or through the pair's shared-memory rings while the socket carries only
+// doorbells, heartbeats and the goodbye (shmLink). writeLoop, readLoop and
+// sendDirect are written once over it; a medium supplies only the steps
+// that differ between the two.
+type medium interface {
+	// write delivers a batch whose payloads are already serialized (wires[i]
+	// is batch[i]'s) and reports how many frames reached the peer before an
+	// error.
+	write(batch []fabric.Message, wires [][]byte) (int, error)
+	// inline writes one frame from the sender's goroutine, with p.wmu held,
+	// if the medium admits it; false leaves the message to the writer.
+	inline(m fabric.Message, w []byte) (bool, error)
+	// goodbye returns the goodbye frame; p.wmu is held.
+	goodbye() []byte
+	// next reads the next frame, blocking: a data frame, a heartbeat, or
+	// frameGoodbye once the peer has departed and all it sent is read.
+	next() (fabric.Message, byte, error)
+	// more decodes one more data frame only if it is already whole; it
+	// never blocks.
+	more() (fabric.Message, bool, error)
 }
 
 // poke wakes the peer's writer if it is parked. The channel has capacity
@@ -285,7 +305,7 @@ type Fabric struct {
 	firstErr  error
 	lost      map[int]bool // ranks observed dead before cancellation
 	cancelled atomic.Bool
-	fenced    atomic.Bool // epoch fence open: liveness timeouts suspended
+	fenced    atomic.Bool   // epoch fence open: liveness timeouts suspended
 	done      chan struct{} // closed on Cancel/Shutdown/Kill: stops heartbeats
 	doneOnce  sync.Once
 
@@ -323,14 +343,12 @@ func Connect(opt Options) (*Fabric, error) {
 			rank: r, conn: c, outbox: fabric.NewMailbox(),
 			wake: make(chan struct{}, 1),
 		}
-		switch c.(type) {
-		case *net.TCPConn, *net.UnixConn:
-			p.vectored = true
-		}
 		p.lastWrite.Store(time.Now().UnixNano())
 		if regs != nil && regs[r] != nil {
-			p.shm = newShmLink(regs[r])
+			p.md = newShmLink(f, p, regs[r])
 			anyShm = true
+		} else {
+			p.md = newSockMedium(f, p)
 		}
 		f.peers[r] = p
 	}
@@ -342,13 +360,8 @@ func Connect(opt Options) (*Fabric, error) {
 		}
 		f.writers.Add(1)
 		f.readers.Add(1)
-		if p.shm != nil {
-			go f.shmWriteLoop(p)
-			go f.shmReadLoop(p)
-		} else {
-			go f.writeLoop(p)
-			go f.readLoop(p)
-		}
+		go f.writeLoop(p)
+		go f.readLoop(p)
 	}
 	go f.heartbeatLoop()
 	if anyShm {
@@ -360,8 +373,8 @@ func Connect(opt Options) (*Fabric, error) {
 			f.readers.Wait()
 			<-f.done
 			for _, p := range f.peers {
-				if p != nil && p.shm != nil {
-					p.shm.region.close()
+				if p != nil && p.ring() != nil {
+					p.ring().region.close()
 				}
 			}
 		}()
@@ -379,7 +392,7 @@ func (f *Fabric) PeerNetwork(rank int) string {
 	if rank < 0 || rank >= f.opt.Ranks || f.peers[rank] == nil {
 		return ""
 	}
-	if f.peers[rank].shm != nil {
+	if f.peers[rank].ring() != nil {
 		return "shm"
 	}
 	return f.peers[rank].conn.LocalAddr().Network()
@@ -392,10 +405,10 @@ func (f *Fabric) PeerNetwork(rank int) string {
 // conformance suite's socket bit-flip injector, which cannot reach ring
 // traffic through WrapConn. Returns false when the pair has no shm link.
 func (f *Fabric) CorruptNextShmFrame(peerRank int) bool {
-	if peerRank < 0 || peerRank >= f.opt.Ranks || f.peers[peerRank] == nil || f.peers[peerRank].shm == nil {
+	if peerRank < 0 || peerRank >= f.opt.Ranks || f.peers[peerRank] == nil || f.peers[peerRank].ring() == nil {
 		return false
 	}
-	f.peers[peerRank].shm.corrupt.Store(true)
+	f.peers[peerRank].ring().corrupt.Store(true)
 	return true
 }
 
@@ -418,11 +431,7 @@ func (f *Fabric) Send(m fabric.Message) error {
 		return nil
 	}
 	p := f.peers[m.To]
-	if p.shm != nil {
-		if f.sendDirectShm(p, m) {
-			return nil
-		}
-	} else if f.sendDirect(p, m) {
+	if f.sendDirect(p, m) {
 		return nil
 	}
 	if err := p.outbox.Put(m); err != nil {
@@ -455,7 +464,7 @@ const (
 
 // sendDirect is the latency fast path: when the peer's writer is parked
 // and its outbox empty, the sender encodes and writes the frame itself
-// under the write lock — the kernel gets the bytes with no goroutine
+// under the write lock — the medium gets the bytes with no goroutine
 // handoff. Pairwise FIFO is preserved because the path is taken only when
 // nothing is queued ahead: the outbox emptiness check acquires the mailbox
 // lock, which synchronizes with the writer's most recent dequeue, so the
@@ -464,10 +473,6 @@ const (
 // consumed (written, or failed with the peer declared lost — matching the
 // asynchronous error surface of the writer path).
 func (f *Fabric) sendDirect(p *peer, m fabric.Message) bool {
-	now := time.Now()
-	if now.UnixNano()-p.lastWrite.Load() < int64(inlineGap) {
-		return false
-	}
 	if !p.wmu.TryLock() {
 		return false
 	}
@@ -476,29 +481,17 @@ func (f *Fabric) sendDirect(p *peer, m fabric.Message) bool {
 		p.wmu.Unlock()
 		return false
 	}
-	w, err := m.Payload.Wire()
-	if err != nil || len(w) > inlineMax {
-		// Serialization failures take the writer path too, so they are
-		// reported identically on both paths.
-		p.wmu.Unlock()
+	// Serialization failures take the writer path too, so they are
+	// reported identically on both paths.
+	w, werr := m.Payload.Wire()
+	ok := werr == nil
+	if ok {
+		ok, werr = p.md.inline(m, w)
+	}
+	p.wmu.Unlock()
+	if !ok {
 		return false
 	}
-	encodeDataHeader(p.ihdr[:], m.Src, m.Dest, m.Run, m.Seq, m.Attempt, w)
-	p.conn.SetWriteDeadline(now.Add(f.opt.HeartbeatTimeout))
-	var werr error
-	if len(w) == 0 {
-		_, werr = p.conn.Write(p.ihdr[:])
-	} else {
-		// Inline payloads are bounded by inlineMax, well under vectorMin:
-		// copying beside the header is cheaper than a second iovec.
-		buf := core.GrabBuffer(DataFrameOverhead + len(w))
-		copy(buf, p.ihdr[:])
-		copy(buf[DataFrameOverhead:], w)
-		_, werr = p.conn.Write(buf)
-		core.ReleaseBuffer(buf)
-	}
-	p.lastWrite.Store(now.UnixNano())
-	p.wmu.Unlock()
 	m.Payload.Release()
 	if werr != nil {
 		f.failPeer(p.rank, fmt.Errorf("wire: rank %d: write to rank %d: 1 frame undelivered: %w (%v)",
@@ -688,19 +681,9 @@ func (f *Fabric) Shutdown(timeout time.Duration) error {
 
 // Kill abruptly severs every connection without goodbye or drain — a test
 // hook simulating the death of this rank's process. Peers observe it as a
-// lost peer within the heartbeat timeout.
-func (f *Fabric) Kill() {
-	f.cancelled.Store(true)
-	f.doneOnce.Do(func() { close(f.done) })
-	f.local.Cancel()
-	for _, p := range f.peers {
-		if p != nil {
-			p.outbox.Cancel()
-			p.conn.Close()
-			p.poke()
-		}
-	}
-}
+// lost peer within the heartbeat timeout. It is Cancel under the name the
+// fault injectors look up (interface{ Kill() }).
+func (f *Fabric) Kill() { f.Cancel() }
 
 // fail records the first transport-level failure and cancels the fabric so
 // the controller unwinds. Failures reported after a deliberate Cancel/Kill
@@ -750,23 +733,23 @@ func (f *Fabric) LostPeers() []int {
 	return out
 }
 
-// writeLoop drains one peer's outbox. A whole batch reaches the kernel as
-// one syscall: headers and small payloads are gathered into a contiguous
-// staging run, payloads of vectorMin and up are referenced zero-copy as
-// their own iovecs, and the resulting vector goes out as one writev (or a
-// plain write when everything staged). Wrapped connections (fault
-// injectors counting Write calls) always stage fully, preserving their
-// one-Write-per-batch counting contract. When the outbox closes (Shutdown
-// or Close of the pair) the loop flushes what remains and says goodbye;
-// when it is cancelled the loop exits immediately (the connections are
-// already being torn down). Between drains the writer parks on p.wake,
-// publishing its quiescence through p.idle so Send may write inline.
+// maxBatch bounds the frames the writer drains, and the reader delivers,
+// in one go.
+const maxBatch = 64
+
+// writeLoop drains one peer's outbox. It serializes the whole drained
+// batch first — a payload that cannot be serialized fails the fabric before
+// any frame of the batch is written — then hands it to the peer's medium.
+// When the outbox closes (Shutdown or Close of the pair) the loop flushes
+// what remains and says goodbye; when it is cancelled the loop exits
+// immediately (the connections are already being torn down). Between
+// drains the writer parks on p.wake, publishing its quiescence through
+// p.idle so Send may write inline. Every exit path drops the payload
+// references of the whole batch.
 func (f *Fabric) writeLoop(p *peer) {
 	defer f.writers.Done()
-	const maxBatch = 64
 	batch := make([]fabric.Message, maxBatch)
 	wires := make([][]byte, maxBatch)
-	vecs := make(net.Buffers, 0, 2*maxBatch)
 	for {
 		n, done := p.outbox.TryGetBatch(batch)
 		if n == 0 {
@@ -776,7 +759,7 @@ func (f *Fabric) writeLoop(p *peer) {
 					if !p.saidGoodbye {
 						p.saidGoodbye = true
 						p.conn.SetWriteDeadline(time.Now().Add(f.opt.HeartbeatTimeout))
-						p.conn.Write(controlFrame(frameGoodbye))
+						p.conn.Write(p.md.goodbye())
 					}
 					p.wmu.Unlock()
 				}
@@ -790,82 +773,28 @@ func (f *Fabric) writeLoop(p *peer) {
 			p.idle.Store(false)
 			continue
 		}
-		// Serialize every payload and size the staging buffer: headers and
-		// small payloads are copied into one contiguous staging run, while
-		// payloads of vectorMin and up stay zero-copy as their own iovecs
-		// (on a wrapped, non-vectored connection everything is staged so the
-		// batch remains exactly one Write call).
 		var payloadBytes uint64
-		stageTotal := 0
-		bad := false
-		for i := 0; i < n; i++ {
-			w, err := batch[i].Payload.Wire()
-			if err != nil {
+		var err error
+		for i := 0; i < n && err == nil; i++ {
+			if wires[i], err = batch[i].Payload.Wire(); err != nil {
 				f.fail(fmt.Errorf("wire: rank %d -> %d: task %d payload: %w",
 					f.opt.Rank, p.rank, batch[i].Src, err))
-				bad = true
-				break
 			}
-			wires[i] = w
-			stageTotal += DataFrameOverhead
-			if len(w) < vectorMin || !p.vectored {
-				stageTotal += len(w)
+			payloadBytes += uint64(len(wires[i]))
+		}
+		if err == nil {
+			var sent int
+			if sent, err = p.md.write(batch[:n], wires[:n]); err != nil {
+				// The failed frames plus whatever is still queued behind them
+				// will never reach the peer; surface the count so partial
+				// delivery is observable instead of silent.
+				f.failPeer(p.rank, fmt.Errorf("wire: rank %d: write to rank %d: %d frame(s) undelivered: %w (%v)",
+					f.opt.Rank, p.rank, n-sent+p.outbox.Len(), ErrPeerLost, err))
 			}
-			payloadBytes += uint64(len(w))
 		}
-		if bad {
-			releaseAll(batch[:n])
-			clearMessages(batch[:n])
-			return
-		}
-		vecs = vecs[:0]
-		stage := core.GrabBuffer(stageTotal)[:0]
-		runStart := 0
-		for i := 0; i < n; i++ {
-			w := wires[i]
-			off := len(stage)
-			stage = stage[:off+DataFrameOverhead]
-			encodeDataHeader(stage[off:], batch[i].Src, batch[i].Dest, batch[i].Run, batch[i].Seq, batch[i].Attempt, w)
-			if len(w) < vectorMin || !p.vectored {
-				stage = append(stage, w...)
-				continue
-			}
-			// Close the current staging run and reference the payload
-			// directly.
-			if len(stage) > runStart {
-				vecs = append(vecs, stage[runStart:len(stage):len(stage)])
-			}
-			vecs = append(vecs, w)
-			runStart = len(stage)
-		}
-		if len(stage) > runStart {
-			vecs = append(vecs, stage[runStart:])
-		}
-		// One clock read serves the write deadline and the heartbeat
-		// bookkeeping for the whole drained batch.
-		now := time.Now()
-		p.wmu.Lock()
-		p.conn.SetWriteDeadline(now.Add(f.opt.HeartbeatTimeout))
-		var err error
-		if len(vecs) == 1 {
-			_, err = p.conn.Write(vecs[0])
-		} else {
-			bufs := vecs // WriteTo consumes its receiver; keep vecs reusable
-			_, err = bufs.WriteTo(p.conn)
-		}
-		p.lastWrite.Store(now.UnixNano())
-		p.wmu.Unlock()
-		clear(vecs)
-		core.ReleaseBuffer(stage)
 		releaseAll(batch[:n])
 		clearMessages(batch[:n])
 		if err != nil {
-			// The failed write plus whatever is still queued behind it will
-			// never reach the peer; surface the count so partial delivery is
-			// observable instead of silent.
-			undelivered := n + p.outbox.Len()
-			f.failPeer(p.rank, fmt.Errorf("wire: rank %d: write to rank %d: %d frame(s) undelivered: %w (%v)",
-				f.opt.Rank, p.rank, undelivered, ErrPeerLost, err))
 			return
 		}
 		f.messages.Add(uint64(n))
@@ -880,89 +809,66 @@ func clearMessages(ms []fabric.Message) {
 }
 
 // readLoop consumes one peer's frames: data frames become local mailbox
-// deliveries with arena-backed payloads, heartbeats refresh the liveness
-// deadline, goodbye marks the peer cleanly departed. Any other end of
-// stream is a lost peer.
+// deliveries with arena-backed payloads, heartbeats are liveness only,
+// goodbye marks the peer cleanly departed. Any other end of stream is a
+// lost peer.
 func (f *Fabric) readLoop(p *peer) {
 	defer f.readers.Done()
-	const rxBatch = 64
-	br := newConnReader(p.conn, 64<<10)
-	batch := make([]fabric.Message, 0, rxBatch)
-	// The read deadline is re-armed lazily: a fresh deadline is only needed
-	// when an armed one has aged enough to bite early, so a busy connection
-	// pays one timer modification per half heartbeat interval instead of
-	// one per frame. Worst case the peer is declared lost half an interval
-	// late, well inside the failure-detection contract.
-	var armed time.Time
+	batch := make([]fabric.Message, 0, maxBatch)
 	for {
-		if now := time.Now(); now.Sub(armed) > f.opt.HeartbeatInterval/2 {
-			armed = now
-			p.conn.SetReadDeadline(now.Add(f.opt.HeartbeatTimeout))
-		}
-		m, typ, err := f.readOne(p, br)
-		if err != nil {
-			if f.cancelled.Load() || p.departed.Load() {
+		m, typ, err := p.md.next()
+		if err == nil {
+			switch typ {
+			case frameGoodbye:
+				p.departed.Store(true)
 				return
-			}
-			if f.fenced.Load() && isTimeout(err) {
-				// An epoch fence is open: the peer may be stalled flushing
-				// journals for a membership change, so a quiet connection is
-				// not evidence of death. Re-arm and keep listening; closures
-				// and corrupt frames still fail below.
-				armed = time.Time{}
+			case frameHeartbeat:
 				continue
 			}
-			// Both sentinels are wrapped: recovery classifies this as peer
-			// loss, while errors.Is(err, ErrCorruptFrame) still identifies
-			// an integrity failure.
-			f.failPeer(p.rank, fmt.Errorf("wire: rank %d: peer %d: %w (%w)", f.opt.Rank, p.rank, ErrPeerLost, err))
+			batch = append(batch[:0], m)
+			// Greedy drain: decode every data frame already buffered —
+			// without blocking — so a burst is delivered under one mailbox
+			// lock. A frame that fails decode (CRC mismatch, bad length)
+			// makes the stream untrustworthy from there on: the intact
+			// prefix is delivered, then the peer is declared lost below.
+			for len(batch) < maxBatch {
+				var ok bool
+				if m, ok, err = p.md.more(); !ok {
+					break
+				}
+				batch = append(batch, m)
+			}
+			perr := f.local.PutN(batch)
+			clearMessages(batch)
+			if perr != nil {
+				return // local mailbox closed or cancelled: the run is over
+			}
+			if err == nil {
+				continue
+			}
+		}
+		if f.cancelled.Load() || p.departed.Load() {
 			return
 		}
-		switch typ {
-		case frameGoodbye:
-			p.departed.Store(true)
-			return
-		case frameHeartbeat:
+		if f.fenced.Load() && isTimeout(err) {
+			// An epoch fence is open: the peer may be stalled flushing
+			// journals for a membership change, so a quiet connection is
+			// not evidence of death. Keep listening; closures and corrupt
+			// frames still fail below.
 			continue
 		}
-		batch = append(batch[:0], m)
-		// Greedy drain: decode every data frame already buffered — without
-		// blocking — so a burst is delivered under one mailbox lock.
-		var drainErr error
-		for len(batch) < rxBatch {
-			m, ok, err := f.tryReadBuffered(p, br)
-			if err != nil {
-				// The frame was consumed but failed decode (CRC mismatch,
-				// bad length): the stream is untrustworthy from here on.
-				// Deliver the intact prefix, then declare the peer lost.
-				drainErr = err
-				break
-			}
-			if !ok {
-				break
-			}
-			batch = append(batch, m)
-		}
-		if err := f.local.PutN(batch); err != nil {
-			// Local mailbox closed or cancelled: the run is over.
-			clearMessages(batch)
-			return
-		}
-		clearMessages(batch)
-		if drainErr != nil {
-			if f.cancelled.Load() || p.departed.Load() {
-				return
-			}
-			f.failPeer(p.rank, fmt.Errorf("wire: rank %d: peer %d: %w (%w)", f.opt.Rank, p.rank, ErrPeerLost, drainErr))
-			return
-		}
+		// Both sentinels are wrapped: recovery classifies this as peer
+		// loss, while errors.Is(err, ErrCorruptFrame) still identifies
+		// an integrity failure.
+		f.failPeer(p.rank, fmt.Errorf("wire: rank %d: peer %d: %w (%w)", f.opt.Rank, p.rank, ErrPeerLost, err))
+		return
 	}
 }
 
 // readOne reads the next frame, blocking, verifying its CRC32C. Data
 // frames return the decoded message; control frames return their type with
 // a zero message.
-func (f *Fabric) readOne(p *peer, br *connReader) (fabric.Message, byte, error) {
+func (f *Fabric) readOne(p *peer, br io.Reader) (fabric.Message, byte, error) {
 	typ, n, crc, err := readFrame(br)
 	if err != nil {
 		return fabric.Message{}, 0, err
@@ -984,6 +890,7 @@ func (f *Fabric) readOne(p *peer, br *connReader) (fabric.Message, byte, error) 
 	}
 }
 
+// readDataBody decodes an n-byte data frame body streamed from br.
 func (f *Fabric) readDataBody(p *peer, br io.Reader, n int, crc uint32) (fabric.Message, error) {
 	if n < dataHeaderSize {
 		return fabric.Message{}, fmt.Errorf("wire: data frame of %d bytes", n)
@@ -992,108 +899,203 @@ func (f *Fabric) readDataBody(p *peer, br io.Reader, n int, crc uint32) (fabric.
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		return fabric.Message{}, err
 	}
-	src := core.TaskId(le64(hdr[0:]))
-	dest := core.TaskId(le64(hdr[8:]))
-	run := le64(hdr[16:])
-	seq := le64(hdr[24:])
-	attempt := le32(hdr[32:])
 	payload := core.GrabBuffer(n - dataHeaderSize)
 	if _, err := io.ReadFull(br, payload); err != nil {
 		core.ReleaseBuffer(payload)
 		return fabric.Message{}, err
 	}
-	got := crc32.Update(0, castagnoli, hdr[:])
-	got = crc32.Update(got, castagnoli, payload)
-	if got != crc {
+	got := crc32.Update(crc32.Update(0, castagnoli, hdr[:]), castagnoli, payload)
+	m, err := f.dataMessage(p, hdr[:], payload, got, crc)
+	if err != nil {
 		core.ReleaseBuffer(payload)
+	}
+	return m, err
+}
+
+// decodeDataBytes is readDataBody over an in-memory body — the shm ring's
+// in-place fast path. It verifies the CRC before taking an arena buffer.
+func (f *Fabric) decodeDataBytes(p *peer, body []byte, crc uint32) (fabric.Message, error) {
+	if len(body) < dataHeaderSize {
+		return fabric.Message{}, fmt.Errorf("wire: data frame of %d bytes", len(body))
+	}
+	got := crc32.Checksum(body, castagnoli)
+	var payload []byte
+	if got == crc {
+		payload = core.GrabBuffer(len(body) - dataHeaderSize)
+		copy(payload, body[dataHeaderSize:])
+	}
+	return f.dataMessage(p, body, payload, got, crc)
+}
+
+// dataMessage is the one data header → message construction under both
+// decoders: got is the CRC32C computed over header and payload, crc the
+// frame's, and payload the arena buffer the message owns.
+func (f *Fabric) dataMessage(p *peer, hdr, payload []byte, got, crc uint32) (fabric.Message, error) {
+	src, dest := core.TaskId(le64(hdr[0:])), core.TaskId(le64(hdr[8:]))
+	if got != crc {
 		return fabric.Message{}, fmt.Errorf("%w: data frame src %d dest %d, crc %08x != header %08x",
 			ErrCorruptFrame, src, dest, got, crc)
 	}
 	return fabric.Message{
 		From: p.rank, To: f.opt.Rank, Src: src, Dest: dest,
-		Run: run, Seq: seq, Attempt: attempt,
+		Run: le64(hdr[16:]), Seq: le64(hdr[24:]), Attempt: le32(hdr[32:]),
 		Payload: core.Buffer(payload),
 	}, nil
 }
 
-// decodeDataBytes is readDataBody over an in-memory body — the shm ring's
-// in-place fast path. Semantics are identical: same CRC coverage, same
-// arena-backed payload, same message fields.
-func (f *Fabric) decodeDataBytes(p *peer, body []byte, crc uint32) (fabric.Message, error) {
-	if len(body) < dataHeaderSize {
-		return fabric.Message{}, fmt.Errorf("wire: data frame of %d bytes", len(body))
-	}
-	if got := crc32.Checksum(body, castagnoli); got != crc {
-		return fabric.Message{}, fmt.Errorf("%w: data frame src %d dest %d, crc %08x != header %08x",
-			ErrCorruptFrame, le64(body[0:]), le64(body[8:]), got, crc)
-	}
-	payload := core.GrabBuffer(len(body) - dataHeaderSize)
-	copy(payload, body[dataHeaderSize:])
-	return fabric.Message{
-		From: p.rank, To: f.opt.Rank,
-		Src: core.TaskId(le64(body[0:])), Dest: core.TaskId(le64(body[8:])),
-		Run: le64(body[16:]), Seq: le64(body[24:]), Attempt: le32(body[32:]),
-		Payload: core.Buffer(payload),
-	}, nil
+// sockMedium moves a peer's data frames over its socket.
+type sockMedium struct {
+	f *Fabric
+	p *peer
+
+	// vectored marks a raw TCP/Unix connection whose batches go to the
+	// kernel as one writev of header and payload slices. Wrapped
+	// connections (fault injectors) instead get the coalesced single-Write
+	// form, preserving their one-Write-per-batch counting contract.
+	vectored bool
+	vecs     net.Buffers // the writer's gather list
+
+	br    *bufio.Reader // the reader's buffered view of the socket
+	armed time.Time     // when the reader last set the read deadline
 }
 
-// tryReadBuffered decodes one more data frame only if it is already fully
-// buffered; it never blocks. Control frames end the greedy drain (they are
-// rare and handled by the blocking path on the next iteration).
-func (f *Fabric) tryReadBuffered(p *peer, br *connReader) (fabric.Message, bool, error) {
-	hdr, ok := br.peek(frameHeaderSize)
-	if !ok {
+func newSockMedium(f *Fabric, p *peer) *sockMedium {
+	s := &sockMedium{
+		f: f, p: p,
+		vecs: make(net.Buffers, 0, 2*maxBatch),
+		br:   bufio.NewReaderSize(p.conn, 64<<10),
+	}
+	switch p.conn.(type) {
+	case *net.TCPConn, *net.UnixConn:
+		s.vectored = true
+	}
+	return s
+}
+
+// write hands a whole batch to the kernel as one syscall: headers and small
+// payloads are gathered into a contiguous staging run, payloads of
+// vectorMin and up are referenced zero-copy as their own iovecs, and the
+// resulting vector goes out as one writev (or a plain write when
+// everything staged). On a wrapped, non-vectored connection everything is
+// staged so the batch remains exactly one Write call.
+func (s *sockMedium) write(batch []fabric.Message, wires [][]byte) (int, error) {
+	p := s.p
+	stageTotal := 0
+	for _, w := range wires {
+		stageTotal += DataFrameOverhead
+		if len(w) < vectorMin || !s.vectored {
+			stageTotal += len(w)
+		}
+	}
+	s.vecs = s.vecs[:0]
+	stage := core.GrabBuffer(stageTotal)[:0]
+	runStart := 0
+	for i, w := range wires {
+		off := len(stage)
+		stage = stage[:off+DataFrameOverhead]
+		encodeDataHeader(stage[off:], batch[i].Src, batch[i].Dest, batch[i].Run, batch[i].Seq, batch[i].Attempt, w)
+		if len(w) < vectorMin || !s.vectored {
+			stage = append(stage, w...)
+			continue
+		}
+		// Close the current staging run and reference the payload
+		// directly.
+		if len(stage) > runStart {
+			s.vecs = append(s.vecs, stage[runStart:len(stage):len(stage)])
+		}
+		s.vecs = append(s.vecs, w)
+		runStart = len(stage)
+	}
+	if len(stage) > runStart {
+		s.vecs = append(s.vecs, stage[runStart:])
+	}
+	// One clock read serves the write deadline and the heartbeat
+	// bookkeeping for the whole batch.
+	now := time.Now()
+	p.wmu.Lock()
+	p.conn.SetWriteDeadline(now.Add(s.f.opt.HeartbeatTimeout))
+	var err error
+	if len(s.vecs) == 1 {
+		_, err = p.conn.Write(s.vecs[0])
+	} else {
+		bufs := s.vecs // WriteTo consumes its receiver; keep vecs reusable
+		_, err = bufs.WriteTo(p.conn)
+	}
+	p.lastWrite.Store(now.UnixNano())
+	p.wmu.Unlock()
+	clear(s.vecs)
+	core.ReleaseBuffer(stage)
+	if err != nil {
+		return 0, err
+	}
+	return len(batch), nil
+}
+
+// inline admits a frame whose payload is at most inlineMax once the
+// connection has been quiet for inlineGap, and writes it as one Write.
+func (s *sockMedium) inline(m fabric.Message, w []byte) (bool, error) {
+	p := s.p
+	now := time.Now()
+	if len(w) > inlineMax || now.UnixNano()-p.lastWrite.Load() < int64(inlineGap) {
+		return false, nil
+	}
+	encodeDataHeader(p.ihdr[:], m.Src, m.Dest, m.Run, m.Seq, m.Attempt, w)
+	p.conn.SetWriteDeadline(now.Add(s.f.opt.HeartbeatTimeout))
+	var err error
+	if len(w) == 0 {
+		_, err = p.conn.Write(p.ihdr[:])
+	} else {
+		// Inline payloads are bounded by inlineMax, well under vectorMin:
+		// copying beside the header is cheaper than a second iovec.
+		buf := core.GrabBuffer(DataFrameOverhead + len(w))
+		copy(buf, p.ihdr[:])
+		copy(buf[DataFrameOverhead:], w)
+		_, err = p.conn.Write(buf)
+		core.ReleaseBuffer(buf)
+	}
+	p.lastWrite.Store(now.UnixNano())
+	return true, err
+}
+
+// goodbye is an empty-body goodbye frame: everything sent before it is
+// already on the socket.
+func (s *sockMedium) goodbye() []byte { return controlFrame(frameGoodbye) }
+
+// next reads the next frame off the socket. The read deadline is re-armed
+// lazily: a fresh deadline is only needed when an armed one has aged
+// enough to bite early, so a busy connection pays one timer modification
+// per half heartbeat interval instead of one per frame. Worst case the
+// peer is declared lost half an interval late, well inside the
+// failure-detection contract.
+func (s *sockMedium) next() (fabric.Message, byte, error) {
+	if now := time.Now(); now.Sub(s.armed) > s.f.opt.HeartbeatInterval/2 {
+		s.armed = now
+		s.p.conn.SetReadDeadline(now.Add(s.f.opt.HeartbeatTimeout))
+	}
+	m, typ, err := s.f.readOne(s.p, s.br)
+	if err != nil {
+		s.armed = time.Time{} // a fenced timeout retries on a fresh deadline
+	}
+	return m, typ, err
+}
+
+// more decodes one more data frame only if it is already fully buffered.
+// Control frames end the greedy drain (they are rare and handled by next).
+func (s *sockMedium) more() (fabric.Message, bool, error) {
+	if s.br.Buffered() < frameHeaderSize {
 		return fabric.Message{}, false, nil
 	}
+	hdr, _ := s.br.Peek(frameHeaderSize) // already buffered: no read, no error
+	// The whole frame on the wire is the header plus the body (the length
+	// counts the type byte, which lives inside the header). A length out of
+	// range is left for next to report.
 	l := int(le32(hdr))
-	if l < 1 || l > maxFrameSize {
-		return fabric.Message{}, false, fmt.Errorf("wire: frame length %d out of range", l)
-	}
-	if hdr[4] != frameData {
+	if hdr[4] != frameData || l < 1 || l > maxFrameSize || s.br.Buffered() < frameHeaderSize+l-1 {
 		return fabric.Message{}, false, nil
 	}
-	// The whole frame on the wire is the header plus the body (l counts the
-	// type byte, which lives inside the header).
-	if !br.buffered(frameHeaderSize + l - 1) {
-		return fabric.Message{}, false, nil
-	}
-	_, _, crc, err := readFrame(br)
-	if err != nil {
-		return fabric.Message{}, false, err
-	}
-	m, err := f.readDataBody(p, br, l-1, crc)
-	if err != nil {
-		return fabric.Message{}, false, err
-	}
-	return m, true, nil
+	m, _, err := s.f.readOne(s.p, s.br)
+	return m, err == nil, err
 }
-
-// connReader is a buffered connection reader that can report whether a
-// whole frame is already buffered, letting the read loop drain bursts
-// without ever blocking mid-batch.
-type connReader struct {
-	*bufio.Reader
-}
-
-func newConnReader(c net.Conn, size int) *connReader {
-	return &connReader{bufio.NewReaderSize(c, size)}
-}
-
-// peek returns the next n bytes without consuming them, but only if they
-// are already buffered — it never reads from the connection.
-func (r *connReader) peek(n int) ([]byte, bool) {
-	if r.Buffered() < n {
-		return nil, false
-	}
-	b, err := r.Peek(n)
-	if err != nil {
-		return nil, false
-	}
-	return b, true
-}
-
-// buffered reports whether at least n bytes are already buffered.
-func (r *connReader) buffered(n int) bool { return r.Buffered() >= n }
 
 func le32(b []byte) uint32 { return binary.LittleEndian.Uint32(b) }
 func le64(b []byte) uint64 { return binary.LittleEndian.Uint64(b) }

@@ -65,9 +65,24 @@ func shutdownAll(t *testing.T, fabrics []*Fabric) {
 	wg.Wait()
 }
 
-func TestMeshRoundTrip(t *testing.T) {
+// dataTiers are the tiers the data-path contract tests run on: the socket
+// medium over TCP and over a unix socket, and the ring medium.
+var dataTiers = []Tier{TierTCP, TierUnix, TierShm}
+
+// eachTier runs test once per data tier, as a subtest named after the tier,
+// with opt's Tier set to it.
+func eachTier(t *testing.T, opt Options, test func(t *testing.T, opt Options)) {
+	for _, tier := range dataTiers {
+		opt.Tier = tier
+		t.Run(tier.String(), func(t *testing.T) { test(t, opt) })
+	}
+}
+
+func TestMeshRoundTrip(t *testing.T) { eachTier(t, Options{}, testMeshRoundTrip) }
+
+func testMeshRoundTrip(t *testing.T, opt Options) {
 	const n = 4
-	fabrics := connectMesh(t, n, Options{})
+	fabrics := connectMesh(t, n, opt)
 	// Every rank sends one message to every other rank; every rank must
 	// receive n-1 messages with intact payloads and peer attribution.
 	for from := 0; from < n; from++ {
@@ -108,8 +123,10 @@ func TestMeshRoundTrip(t *testing.T) {
 	shutdownAll(t, fabrics)
 }
 
-func TestPairwiseFIFOAndBatching(t *testing.T) {
-	fabrics := connectMesh(t, 2, Options{})
+func TestPairwiseFIFOAndBatching(t *testing.T) { eachTier(t, Options{}, testPairwiseFIFOAndBatching) }
+
+func testPairwiseFIFOAndBatching(t *testing.T, opt Options) {
+	fabrics := connectMesh(t, 2, opt)
 	const msgs = 500
 	batch := make([]fabric.Message, 0, 10)
 	seq := 0
@@ -141,8 +158,10 @@ func TestPairwiseFIFOAndBatching(t *testing.T) {
 	shutdownAll(t, fabrics)
 }
 
-func TestShutdownDrainsInFlight(t *testing.T) {
-	fabrics := connectMesh(t, 2, Options{})
+func TestShutdownDrainsInFlight(t *testing.T) { eachTier(t, Options{}, testShutdownDrainsInFlight) }
+
+func testShutdownDrainsInFlight(t *testing.T, opt Options) {
+	fabrics := connectMesh(t, 2, opt)
 	const msgs = 200
 	for i := 0; i < msgs; i++ {
 		if err := fabrics[0].Send(fabric.Message{
@@ -211,7 +230,11 @@ func TestFingerprintMismatchRejected(t *testing.T) {
 }
 
 func TestKilledPeerSurfacesTypedError(t *testing.T) {
-	opt := Options{HeartbeatInterval: 50 * time.Millisecond, HeartbeatTimeout: 250 * time.Millisecond}
+	eachTier(t, Options{HeartbeatInterval: 50 * time.Millisecond, HeartbeatTimeout: 250 * time.Millisecond},
+		testKilledPeerSurfacesTypedError)
+}
+
+func testKilledPeerSurfacesTypedError(t *testing.T, opt Options) {
 	fabrics := connectMesh(t, 3, opt)
 	fabrics[2].Kill()
 	// Ranks 0 and 1 block receiving; the dead peer must unblock them with a
@@ -238,7 +261,11 @@ func TestKilledPeerSurfacesTypedError(t *testing.T) {
 }
 
 func TestSendAfterShutdownErrClosed(t *testing.T) {
-	fabrics := connectMesh(t, 2, Options{})
+	eachTier(t, Options{}, testSendAfterShutdownErrClosed)
+}
+
+func testSendAfterShutdownErrClosed(t *testing.T, opt Options) {
+	fabrics := connectMesh(t, 2, opt)
 	shutdownAll(t, fabrics)
 	err := fabrics[0].Send(fabric.Message{From: 0, To: 1, Payload: core.Buffer([]byte("x"))})
 	if !errors.Is(err, fabric.ErrClosed) {
@@ -262,7 +289,11 @@ func TestCancelLeavesErrNil(t *testing.T) {
 }
 
 func TestObjectPayloadSerializedOnWire(t *testing.T) {
-	fabrics := connectMesh(t, 2, Options{})
+	eachTier(t, Options{}, testObjectPayloadSerializedOnWire)
+}
+
+func testObjectPayloadSerializedOnWire(t *testing.T, opt Options) {
+	fabrics := connectMesh(t, 2, opt)
 	if err := fabrics[0].Send(fabric.Message{
 		From: 0, To: 1, Payload: core.Object(blob("serialized-object")),
 	}); err != nil {
@@ -282,8 +313,10 @@ type blob string
 
 func (b blob) Serialize() []byte { return []byte(b) }
 
-func TestSnapshotCountsEgress(t *testing.T) {
-	fabrics := connectMesh(t, 2, Options{})
+func TestSnapshotCountsEgress(t *testing.T) { eachTier(t, Options{}, testSnapshotCountsEgress) }
+
+func testSnapshotCountsEgress(t *testing.T, opt Options) {
+	fabrics := connectMesh(t, 2, opt)
 	for i := 0; i < 10; i++ {
 		if err := fabrics[0].Send(fabric.Message{
 			From: 0, To: 1, Payload: core.Buffer(make([]byte, 100)),
