@@ -138,17 +138,20 @@ fuzz-wire:
 	$(GO) test -run='^$$' -fuzz=FuzzFrameDecode -fuzztime=10s ./internal/wire
 	$(GO) test -run='^$$' -fuzz=FuzzHandshakeDecode -fuzztime=10s ./internal/wire
 
-## perf-smoke: the CI perf job — every wire benchmark (all transport
-## tiers), once plain and once under the race detector, and
+## perf-smoke: the CI perf job, defined only here — every wire benchmark
+## (all transport tiers), once plain and once under the race detector, and
 ## every journal append benchmark (all fsync policies) at a fixed
 ## iteration count so hot-path regressions fail loudly, then the wire
-## package under the race detector, then the graph-plan benchmarks
-## (compile and cold run of the 16k-task graph) once each so they
-## cannot rot.
+## package and the conformance matrix (tcp, unix, shm) under the race
+## detector, then the graph-plan benchmarks (compile and cold run of the
+## 16k-task graph) once each so they cannot rot, then the allocation pins
+## (plan, cold and warm runs, and what tracing adds per task).
 perf-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=100x ./internal/wire
 	$(GO) test -race -run='^$$' -bench=. -benchtime=100x ./internal/wire
 	$(GO) test -run='^$$' -bench=. -benchtime=100x ./internal/journal
 	$(GO) test -race -count=1 ./internal/wire
+	$(GO) test -race -count=1 ./internal/conformance
 	$(GO) test -run='^$$' -bench='^BenchmarkCompile$$' -benchtime=1x ./internal/core
 	$(GO) test -run='^$$' -bench='^BenchmarkColdRun16k$$' -benchtime=1x ./internal/mpi
+	$(GO) test -count=1 -run='AllocationPins' ./internal/core ./internal/mpi

@@ -78,8 +78,11 @@ type (
 	TaskMap = core.TaskMap
 	// Controller executes a task graph on one runtime.
 	Controller = core.Controller
-	// Observer receives per-task execution notifications.
+	// Observer receives a run's execution events.
 	Observer = core.Observer
+	// Event is one execution event: a task ran, a task replayed from the
+	// lineage ledger, or a fault-tolerant run retried an epoch.
+	Event = core.Event
 )
 
 // ExternalInput marks dataflow inputs provided from outside the graph.
@@ -395,8 +398,8 @@ func NewInSituGroup(g TaskGraph, m TaskMap, opts ...MPIOption) (*InSituGroup, er
 	return mpi.NewGroup(g, m, opts...)
 }
 
-// TraceRecorder records per-task execution spans; wrap callbacks with
-// Wrap and pass the recorder as the controller's Observer.
+// TraceRecorder records per-task execution spans: pass the recorder as the
+// controller's Observer; no Wrap is needed.
 type TraceRecorder = trace.Recorder
 
 // TraceSpan is one recorded task execution.

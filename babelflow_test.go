@@ -154,7 +154,7 @@ func TestFacadeInSituAndTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, cid := range graph.Callbacks() {
-		group.RegisterCallback(cid, rec.Wrap(cid, sum))
+		group.RegisterCallback(cid, sum)
 	}
 
 	// Split the leaf inputs by owning rank and run the two shards

@@ -214,8 +214,8 @@ func controller(runtime string, ranks int, obs core.Observer) (core.Controller, 
 	return nil, usagef("unknown -runtime %q", runtime)
 }
 
-// wrappedRegistrar interposes wrap on every registered callback (the trace
-// recorder's span timing, the elastic pace).
+// wrappedRegistrar interposes wrap on every registered callback (the
+// elastic pace).
 type wrappedRegistrar struct {
 	inner core.CallbackRegistrar
 	wrap  func(core.CallbackId, core.Callback) core.Callback
@@ -245,11 +245,7 @@ func runInMemory(cfg config, stdout io.Writer) error {
 	if err := ctrl.Initialize(c.Graph, c.Map(cfg.ranks)); err != nil {
 		return err
 	}
-	var reg core.CallbackRegistrar = ctrl
-	if rec != nil {
-		reg = wrappedRegistrar{ctrl, rec.Wrap}
-	}
-	if err := c.Register(reg); err != nil {
+	if err := c.Register(ctrl); err != nil {
 		return err
 	}
 	start := time.Now()

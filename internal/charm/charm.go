@@ -38,7 +38,7 @@ type Options struct {
 	// independently, so a type whose tasks cluster in the id space still
 	// spreads evenly over the PEs.
 	ArrayPerType bool
-	// Observer, when non-nil, receives a notification per executed task.
+	// Observer, when non-nil, receives a TaskRan event per executed task.
 	Observer core.Observer
 }
 
@@ -220,7 +220,7 @@ func (r *charmRun) peLoop(pe int) error {
 // core.FanOut decides on.
 func (r *charmRun) execute(pe, i int, in []core.Payload) error {
 	t := r.plan.TaskAt(i)
-	out, _, err := core.Step(r.c.Registry(), r.c.opt.Observer, t, in, core.ShardId(pe))
+	out, _, err := core.Step(r.c.Registry(), r.c.opt.Observer, t, in, core.Event{Shard: core.ShardId(pe)})
 	if err != nil {
 		return fmt.Errorf("charm: chare %d: %w", t.Id, err)
 	}

@@ -4,8 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
+	"time"
 )
 
 // Callback is the implementation of one task type. It receives one payload
@@ -136,10 +136,12 @@ func SafeInvoke(fn Callback, in []Payload, id TaskId) (out []Payload, err error)
 // token per output slot for routing. Otherwise the inputs are detached from
 // any shared fan-out wire form (a callback owns its inputs), the callback
 // is looked up in reg and invoked with panics converted to errors, the
-// output count is checked against the graph's declaration, and obs (nil
-// for none) is told the task executed on shard. Gathering inputs, ledgers
-// and routing stay with the calling runtime.
-func Step(reg *Registry, obs Observer, t Task, in []Payload, shard ShardId) (out []Payload, cancelled bool, err error) {
+// output count is checked against the graph's declaration. With an obs
+// (nil for none) the callback is timed and obs is told in one TaskRan
+// event: ev brings what only the caller knows — Shard, Ready, Attempt (0
+// reports as 1) — and Step adds the task and the instants. Gathering
+// inputs, ledgers and routing stay with the calling runtime.
+func Step(reg *Registry, obs Observer, t Task, in []Payload, ev Event) (out []Payload, cancelled bool, err error) {
 	if out, cancelled = CancelDead(t, in); cancelled {
 		return out, true, nil
 	}
@@ -150,6 +152,9 @@ func Step(reg *Registry, obs Observer, t Task, in []Payload, shard ShardId) (out
 	for i := range in {
 		in[i] = in[i].Own()
 	}
+	if obs != nil {
+		ev.Start = time.Now()
+	}
 	out, err = SafeInvoke(fn, in, t.Id)
 	if err != nil {
 		return nil, false, fmt.Errorf("core: task %d (callback %d): %w", t.Id, t.Callback, err)
@@ -158,7 +163,9 @@ func Step(reg *Registry, obs Observer, t Task, in []Payload, shard ShardId) (out
 		return nil, false, fmt.Errorf("core: task %d produced %d outputs, graph declares %d slots", t.Id, len(out), len(t.Outgoing))
 	}
 	if obs != nil {
-		obs.TaskExecuted(t.Id, shard, t.Callback)
+		ev.End = time.Now()
+		ev.Kind, ev.Task, ev.Callback, ev.Attempt = TaskRan, t.Id, t.Callback, max(ev.Attempt, 1)
+		obs.Observe(ev)
 	}
 	return out, false, nil
 }
@@ -201,15 +208,4 @@ func (p *Plan) CheckInitial(initial map[TaskId][]Payload, shardOf []int32, shard
 		}
 	}
 	return nil
-}
-
-// SortedIds returns the keys of a payload map in ascending order; used by
-// controllers and tests for deterministic iteration.
-func SortedIds(m map[TaskId][]Payload) []TaskId {
-	ids := make([]TaskId, 0, len(m))
-	for id := range m {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestSafeInvokeConvertsPanic(t *testing.T) {
@@ -86,7 +87,7 @@ func TestStep(t *testing.T) {
 			reg.Register(cb, tc.fn)
 		}
 		log := NewExecutionLog()
-		out, cancelled, err := Step(reg, log, task, tc.in, 4)
+		out, cancelled, err := Step(reg, log, task, tc.in, Event{Shard: 4})
 		if tc.wantErr != nil {
 			if err == nil || !tc.wantErr(err) || out != nil || log.Len() != 0 {
 				t.Errorf("%s: out %v, err %v, %d observed", tc.name, out, err, log.Len())
@@ -119,8 +120,28 @@ func TestStep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Step(reg, nil, task, []Payload{shared, Buffer([]byte{2})}, 0); err != nil {
+	if _, _, err := Step(reg, nil, task, []Payload{shared, Buffer([]byte{2})}, Event{}); err != nil {
 		t.Fatal(err)
 	}
 	shared.Release()
+
+	// The one TaskRan event: the caller's shard and ready instant, attempt
+	// 0 reported as 1, and the callback bounded by Start and End.
+	var seen eventList
+	ready := time.Now()
+	if _, _, err := Step(reg, &seen, task, live(), Event{Shard: 4, Ready: ready}); err != nil {
+		t.Fatal(err)
+	}
+	if len(seen) != 1 {
+		t.Fatalf("%d events, want 1", len(seen))
+	}
+	if e := seen[0]; e.Kind != TaskRan || e.Task != 9 || e.Callback != cb || e.Shard != 4 || e.Attempt != 1 ||
+		!e.Ready.Equal(ready) || e.Start.Before(ready) || e.End.Before(e.Start) {
+		t.Errorf("event %+v", e)
+	}
 }
+
+// eventList is a single-goroutine Observer keeping every event.
+type eventList []Event
+
+func (l *eventList) Observe(e Event) { *l = append(*l, e) }

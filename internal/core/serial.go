@@ -7,45 +7,45 @@ import (
 	"time"
 )
 
-// Observer receives execution notifications from controllers. Tests and the
-// tracing tools use it to verify that every logical task executes exactly
-// once and in dependency order, independent of the runtime.
+// Observer receives the execution events of a run. Tests and the tracing
+// tools use it to verify that every logical task executes exactly once and
+// in dependency order, independent of the runtime. Observe may be called
+// from several workers at once.
 type Observer interface {
-	// TaskExecuted is called after a task's callback returns successfully.
-	TaskExecuted(id TaskId, shard ShardId, cb CallbackId)
+	Observe(Event)
 }
 
-// ObserverFunc adapts a function to the Observer interface.
-type ObserverFunc func(id TaskId, shard ShardId, cb CallbackId)
+// EventKind says what an Event reports; each kind has one emission site.
+type EventKind uint8
 
-// TaskExecuted implements Observer.
-func (f ObserverFunc) TaskExecuted(id TaskId, shard ShardId, cb CallbackId) { f(id, shard, cb) }
+const (
+	// TaskRan: a task's callback returned successfully (Step).
+	TaskRan EventKind = iota + 1
+	// TaskReplayed: a task's recorded outputs were re-emitted from the
+	// lineage ledger instead of running its callback (mpi's execute).
+	TaskReplayed
+	// EpochRetried: a fault-tolerant run is about to retry (mpi's
+	// supervise).
+	EpochRetried
+)
 
-// SchedObserver is an Observer that additionally receives scheduling
-// timing: controllers with a dispatch queue report, per task, when the
-// ready task entered the queue and when a worker picked it up. The
-// difference is the task's queue wait — time spent ready but waiting for a
-// worker, the quantity the priority scheduler minimizes for critical tasks.
-// TaskQueued is called on the dispatching worker just before the callback
-// runs; controllers without a queue (serial, inline) never call it.
-type SchedObserver interface {
-	Observer
-	TaskQueued(id TaskId, enqueued, started time.Time)
-}
-
-// ReplayObserver is an Observer extension for fault-tolerant controllers:
-// TaskReplayed is called when a task's recorded outputs were re-emitted
-// from the lineage ledger instead of re-running its callback.
-type ReplayObserver interface {
-	TaskReplayed(id TaskId, shard ShardId, cb CallbackId)
-}
-
-// RecoveryObserver receives recovery-epoch notifications from a
-// fault-tolerant coordinator: epoch is the attempt number about to start
-// (2 = first retry) and lost lists the shards declared dead so far, in the
-// original map's numbering.
-type RecoveryObserver interface {
-	RecoveryStarted(epoch int, lost []ShardId)
+// Event is one execution event. Task events fill Task through End; a retry
+// fills Epoch and Lost.
+type Event struct {
+	Kind     EventKind
+	Task     TaskId
+	Callback CallbackId
+	Shard    ShardId
+	// Attempt is the task's execution attempt: 1 for its first run, higher
+	// after re-execution in a recovery epoch, 0 on a replay.
+	Attempt int
+	// Ready is when the task entered a dispatch queue; zero for runtimes
+	// without one (serial, inline). Start and End bound the callback.
+	Ready, Start, End time.Time
+	// Epoch is the attempt number about to start (2 = first retry) and Lost
+	// the shards declared dead so far, in the original map's numbering.
+	Epoch int
+	Lost  []ShardId
 }
 
 // ExecutionLog is a thread-safe Observer that records the order in which
@@ -62,13 +62,16 @@ func NewExecutionLog() *ExecutionLog {
 	return &ExecutionLog{Shards: make(map[TaskId]ShardId), counter: make(map[TaskId]int)}
 }
 
-// TaskExecuted implements Observer.
-func (l *ExecutionLog) TaskExecuted(id TaskId, shard ShardId, cb CallbackId) {
+// Observe implements Observer: it logs TaskRan events.
+func (l *ExecutionLog) Observe(e Event) {
+	if e.Kind != TaskRan {
+		return
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.Order = append(l.Order, id)
-	l.Shards[id] = shard
-	l.counter[id]++
+	l.Order = append(l.Order, e.Task)
+	l.Shards[e.Task] = e.Shard
+	l.counter[e.Task]++
 }
 
 // Executions returns how many times the given task ran.
@@ -137,7 +140,7 @@ func (s *Serial) RunContext(ctx context.Context, initial map[TaskId][]Payload) (
 			if !ready {
 				return nil, fmt.Errorf("core: task %d reached in dependency order without all inputs", id)
 			}
-			out, _, err := Step(&s.reg, s.Observer, t, in, 0)
+			out, _, err := Step(&s.reg, s.Observer, t, in, Event{})
 			if err != nil {
 				return nil, err
 			}

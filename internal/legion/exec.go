@@ -99,7 +99,7 @@ func (r *run) gather(t core.Task) ([]core.Payload, error) {
 // the call's duration to compute time.
 func (r *run) step(t core.Task, in []core.Payload, shard core.ShardId) ([]core.Payload, error) {
 	start := time.Now()
-	out, _, err := core.Step(r.base.Registry(), r.obs, t, in, shard)
+	out, _, err := core.Step(r.base.Registry(), r.obs, t, in, core.Event{Shard: shard})
 	r.met.computeNS.Add(int64(time.Since(start)))
 	if err != nil {
 		return nil, fmt.Errorf("legion: %w", err)

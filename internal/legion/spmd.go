@@ -15,7 +15,7 @@ type Options struct {
 	// controller only); zero selects 4. The SPMD controller's concurrency
 	// is the shard count of its task map.
 	Workers int
-	// Observer, when non-nil, receives a notification per executed task.
+	// Observer, when non-nil, receives a TaskRan event per executed task.
 	Observer core.Observer
 }
 

@@ -46,11 +46,8 @@ import (
 // with a graph and task map, register callbacks, then Run.
 type Controller struct {
 	core.Base
-	opt       options
-	place     *placement // Initialize's task map compiled against the plan
-	schedObs  core.SchedObserver
-	replayObs core.ReplayObserver
-	recObs    core.RecoveryObserver
+	opt   options
+	place *placement // Initialize's task map compiled against the plan
 
 	// onFail hears the first failure of every epoch before the failing
 	// rank's transport is cancelled. An in-situ Group's shards run separate
@@ -192,17 +189,7 @@ func New(opts ...Option) *Controller {
 // internal seam the service uses to stamp per-run controllers from its
 // option template.
 func newFromOptions(opt options) *Controller {
-	c := &Controller{opt: opt, onFail: func(error) {}}
-	if so, ok := opt.Observer.(core.SchedObserver); ok {
-		c.schedObs = so
-	}
-	if ro, ok := opt.Observer.(core.ReplayObserver); ok {
-		c.replayObs = ro
-	}
-	if ro, ok := opt.Observer.(core.RecoveryObserver); ok {
-		c.recObs = ro
-	}
-	return c
+	return &Controller{opt: opt, onFail: func(error) {}}
 }
 
 // Initialize implements core.Controller. The task map is required: it
@@ -540,8 +527,9 @@ func (c *Controller) runRank(rank int, env *runEnv, initial map[core.TaskId][]co
 	// wire forms are re-routed downstream without re-running the callback —
 	// so a recovery epoch only pays for the undelivered frontier. A task
 	// cancelled by a dead input journals like a normal execution, so a
-	// resumed run replays the cancellation instead of re-deciding it.
-	execute := func(i int, in []core.Payload, scratch []fabric.Message) []fabric.Message {
+	// resumed run replays the cancellation instead of re-deciding it. ready
+	// is when the task entered the deque, stamped only for an Observer.
+	execute := func(i int, ready time.Time, in []core.Payload, scratch []fabric.Message) []fabric.Message {
 		t := p.TaskAt(i)
 		var out []core.Payload
 		var attempt uint32
@@ -563,15 +551,16 @@ func (c *Controller) runRank(rank int, env *runEnv, initial map[core.TaskId][]co
 				out[s] = core.Buffer(cp)
 			}
 			led.CountReplay()
-			if c.replayObs != nil {
-				c.replayObs.TaskReplayed(t.Id, core.ShardId(rank), t.Callback)
+			if obs := c.opt.Observer; obs != nil {
+				now := time.Now()
+				obs.Observe(core.Event{Kind: core.TaskReplayed, Task: t.Id, Callback: t.Callback, Shard: core.ShardId(rank), Start: now, End: now})
 			}
 		} else {
 			if led != nil {
 				attempt = uint32(led.BeginAttempt(t.Id))
 			}
 			var err error
-			out, _, err = core.Step(c.Registry(), c.opt.Observer, t, in, core.ShardId(rank))
+			out, _, err = core.Step(c.Registry(), c.opt.Observer, t, in, core.Event{Shard: core.ShardId(rank), Ready: ready, Attempt: int(attempt)})
 			if err != nil {
 				env.fail(rank, err)
 				return scratch
@@ -600,25 +589,22 @@ func (c *Controller) runRank(rank int, env *runEnv, initial map[core.TaskId][]co
 	dispatch := func(i int, in []core.Payload) {
 		remaining--
 		if c.opt.Inline {
-			inlineScratch = execute(i, in, inlineScratch)
+			inlineScratch = execute(i, time.Time{}, in, inlineScratch)
 			return
 		}
 		// Priority dispatch: the deque hands workers the most critical
 		// ready task — the one with the longest downstream chain — not the
 		// oldest (§IV-A schedules greedily; the priority decides among
 		// simultaneously ready tasks and cannot affect outputs).
-		var enq time.Time
-		if c.schedObs != nil {
-			enq = time.Now()
+		var ready time.Time
+		if c.opt.Observer != nil {
+			ready = time.Now()
 		}
 		pend.Add(1)
 		env.pool.Submit(rank, int64(p.Depth(ids[i])), func() {
 			defer pend.Done()
-			if c.schedObs != nil {
-				c.schedObs.TaskQueued(ids[i], enq, time.Now())
-			}
 			sp := scratchPool.Get().(*[]fabric.Message)
-			*sp = execute(i, in, *sp)
+			*sp = execute(i, ready, in, *sp)
 			scratchPool.Put(sp)
 		})
 	}

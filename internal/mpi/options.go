@@ -126,12 +126,9 @@ func WithWorkers(n int) Option {
 	return optionFunc(func(o *options) { o.Workers = n })
 }
 
-// WithObserver installs the execution observer: it receives a notification
-// per executed task. An Observer that also implements core.SchedObserver
-// additionally receives per-task queue timing (enqueue and dispatch
-// instants); one implementing core.ReplayObserver or core.RecoveryObserver
-// additionally receives fault-tolerance notifications (ledger replays,
-// recovery epochs).
+// WithObserver installs the execution observer: it receives one core.Event
+// per executed task (with its queue entry instant unless inline), per
+// ledger replay, and per retry epoch of a fault-tolerant run.
 func WithObserver(obs core.Observer) Option {
 	return optionFunc(func(o *options) { o.Observer = obs })
 }

@@ -200,8 +200,8 @@ func (c *Controller) supervise(ctx context.Context, ms *Membership, connect Conn
 		if failures >= policy.MaxAttempts {
 			return nil, rep, fmt.Errorf("mpi: %d attempt(s) failed: %w (last: %v)", failures, core.ErrRetriesExhausted, lastErr)
 		}
-		if c.recObs != nil {
-			c.recObs.RecoveryStarted(epoch+1, append([]core.ShardId(nil), rep.LostShards...))
+		if obs := c.opt.Observer; obs != nil {
+			obs.Observe(core.Event{Kind: core.EpochRetried, Epoch: epoch + 1, Lost: append([]core.ShardId(nil), rep.LostShards...)})
 		}
 		if err := policy.Sleep(ctx, failures); err != nil {
 			return nil, rep, err

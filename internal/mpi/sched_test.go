@@ -120,36 +120,28 @@ func TestPriorityAvoidsChainStarvation(t *testing.T) {
 	}
 }
 
-// TestSchedObserverTiming verifies the controller reports queue timing to a
-// SchedObserver: enqueue must not be after start, and every task must be
-// reported exactly once.
-type timingObs struct {
-	mu    sync.Mutex
-	seen  map[core.TaskId]int
-	bad   int
-	tasks int
+// eventLog is a concurrent Observer keeping every event.
+type eventLog struct {
+	mu     sync.Mutex
+	events []core.Event
 }
 
-func (o *timingObs) TaskExecuted(id core.TaskId, shard core.ShardId, cb core.CallbackId) {
+func (o *eventLog) Observe(e core.Event) {
 	o.mu.Lock()
-	o.tasks++
+	o.events = append(o.events, e)
 	o.mu.Unlock()
 }
 
-func (o *timingObs) TaskQueued(id core.TaskId, enqueued, started time.Time) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	o.seen[id]++
-	if started.Before(enqueued) {
-		o.bad++
-	}
-}
-
-func TestSchedObserverTiming(t *testing.T) {
+// TestObserverTiming verifies the controller reports each task as one
+// TaskRan event carrying its queue timing: ready (entering the deque) not
+// after the callback's start, start not after end, and the shard the task
+// map placed the task on.
+func TestObserverTiming(t *testing.T) {
 	g, leaves, chain := chainVsLeaves(8, 4)
-	obs := &timingObs{seen: make(map[core.TaskId]int)}
+	obs := &eventLog{}
+	m := core.NewModuloMap(2, g.Size())
 	ctrl := New(WithWorkers(2), WithObserver(obs))
-	if err := ctrl.Initialize(g, core.NewModuloMap(2, g.Size())); err != nil {
+	if err := ctrl.Initialize(g, m); err != nil {
 		t.Fatal(err)
 	}
 	if err := ctrl.RegisterCallback(0, func(in []core.Payload, id core.TaskId) ([]core.Payload, error) {
@@ -168,18 +160,22 @@ func TestSchedObserverTiming(t *testing.T) {
 	}
 	obs.mu.Lock()
 	defer obs.mu.Unlock()
-	if len(obs.seen) != g.Size() {
-		t.Errorf("TaskQueued reported %d tasks, want %d", len(obs.seen), g.Size())
+	if len(obs.events) != g.Size() {
+		t.Errorf("%d events, want one per task (%d)", len(obs.events), g.Size())
 	}
-	for id, n := range obs.seen {
-		if n != 1 {
-			t.Errorf("task %d queued %d times", id, n)
+	seen := make(map[core.TaskId]int)
+	for _, e := range obs.events {
+		seen[e.Task]++
+		if e.Kind != core.TaskRan || e.Attempt != 1 || e.Shard != m.Shard(e.Task) {
+			t.Errorf("task %d: kind %d, attempt %d, shard %d (placed on %d)", e.Task, e.Kind, e.Attempt, e.Shard, m.Shard(e.Task))
+		}
+		if e.Ready.IsZero() || e.Start.Before(e.Ready) || e.End.Before(e.Start) {
+			t.Errorf("task %d: ready %v, start %v, end %v out of order", e.Task, e.Ready, e.Start, e.End)
 		}
 	}
-	if obs.bad != 0 {
-		t.Errorf("%d tasks started before they were enqueued", obs.bad)
-	}
-	if obs.tasks != g.Size() {
-		t.Errorf("TaskExecuted reported %d tasks, want %d", obs.tasks, g.Size())
+	for id, n := range seen {
+		if n != 1 {
+			t.Errorf("task %d reported %d times", id, n)
+		}
 	}
 }

@@ -24,7 +24,7 @@ func recordedRun(t *testing.T) (*graphs.Reduction, []trace.Span) {
 		return []core.Payload{core.Buffer([]byte{1})}, nil
 	}
 	for _, cb := range g.Callbacks() {
-		c.RegisterCallback(cb, rec.Wrap(cb, fn))
+		c.RegisterCallback(cb, fn)
 	}
 	initial := make(map[core.TaskId][]core.Payload)
 	for _, id := range g.LeafIds() {

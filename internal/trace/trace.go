@@ -1,9 +1,12 @@
 // Package trace records per-task execution spans of a dataflow run and
 // derives the comparison metrics the paper uses BabelFlow as a test bed
 // for: per-shard busy time and utilization, per-task-type cost breakdowns,
-// and the measured critical path of the executed graph. Since the framework
-// guarantees the same tasks execute on every runtime, traces of different
-// controllers are directly comparable.
+// and the measured critical path of the executed graph. A Recorder is the
+// controller's core.Observer: every controller reports each task as one
+// core.Event from the same places (core.Step times a run, the MPI
+// controller reports a ledger replay), and since the framework guarantees
+// the same tasks execute on every runtime, traces of different controllers
+// are directly comparable.
 package trace
 
 import (
@@ -27,8 +30,8 @@ type Span struct {
 	Start    time.Time
 	End      time.Time
 	// QueueWait is the time between the task becoming ready (entering the
-	// dispatch queue) and a worker picking it up. Zero for controllers
-	// without a queue (serial, inline) or without a SchedObserver hookup.
+	// dispatch queue) and the worker that picked it up starting it. Zero for
+	// controllers without a queue (serial, inline, charm, legion).
 	QueueWait time.Duration
 	// Slack is the task's critical-path slack in levels (0 = on a critical
 	// path). Filled by AnnotateSlack; zero until then.
@@ -45,123 +48,41 @@ type Span struct {
 // Duration returns the span's length.
 func (s Span) Duration() time.Duration { return s.End.Sub(s.Start) }
 
-// Recorder collects spans. Wrap the callbacks before registering them and
-// pass the recorder as the controller's Observer so spans learn their
-// shard. Safe for concurrent use.
+// Recorder collects spans: pass it as the controller's Observer. Safe for
+// concurrent use.
 type Recorder struct {
-	mu       sync.Mutex
-	spans    map[core.TaskId]*Span
-	order    []core.TaskId
-	shards   map[core.TaskId]core.ShardId
-	queued   map[core.TaskId]time.Duration
-	attempts map[core.TaskId]int
-	replays  []Span
-	epochs   []RecoveryEvent
-}
-
-// RecoveryEvent is one recovery epoch boundary observed by the recorder.
-type RecoveryEvent struct {
-	// Epoch is the attempt number the run moved to (2 = first retry).
-	Epoch int
-	// Lost lists the shards declared dead before this epoch.
-	Lost []core.ShardId
-	// At is when recovery started.
-	At time.Time
+	mu    sync.Mutex
+	spans []Span
 }
 
 // NewRecorder returns an empty recorder.
-func NewRecorder() *Recorder {
-	return &Recorder{
-		spans:    make(map[core.TaskId]*Span),
-		shards:   make(map[core.TaskId]core.ShardId),
-		queued:   make(map[core.TaskId]time.Duration),
-		attempts: make(map[core.TaskId]int),
+func NewRecorder() *Recorder { return &Recorder{} }
+
+// Observe implements core.Observer: every task event, run or replayed,
+// becomes one span; a retry event names no task and is skipped.
+func (r *Recorder) Observe(e core.Event) {
+	if e.Kind == core.EpochRetried {
+		return
 	}
-}
-
-// Wrap instruments a callback: each execution records its span under the
-// given callback id.
-func (r *Recorder) Wrap(cb core.CallbackId, fn core.Callback) core.Callback {
-	return func(in []core.Payload, id core.TaskId) ([]core.Payload, error) {
-		start := time.Now()
-		out, err := fn(in, id)
-		end := time.Now()
-		if err == nil {
-			r.mu.Lock()
-			r.attempts[id]++
-			r.spans[id] = &Span{Task: id, Callback: cb, Shard: r.shards[id], Start: start, End: end, QueueWait: r.queued[id], Attempt: r.attempts[id]}
-			r.order = append(r.order, id)
-			r.mu.Unlock()
-		}
-		return out, err
+	s := Span{Task: e.Task, Callback: e.Callback, Shard: e.Shard, Start: e.Start, End: e.End,
+		Attempt: e.Attempt, Replayed: e.Kind == core.TaskReplayed}
+	if !e.Ready.IsZero() {
+		s.QueueWait = e.Start.Sub(e.Ready)
 	}
+	r.mu.Lock()
+	r.spans = append(r.spans, s)
+	r.mu.Unlock()
 }
 
-// TaskExecuted implements core.Observer: it attaches the executing shard to
-// the task's span (controllers notify after the callback returns).
-func (r *Recorder) TaskExecuted(id core.TaskId, shard core.ShardId, cb core.CallbackId) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.shards[id] = shard
-	if s, ok := r.spans[id]; ok {
-		s.Shard = shard
-	}
-}
-
-// TaskQueued implements core.SchedObserver: scheduling controllers report
-// when a ready task entered the dispatch queue and when a worker picked it
-// up; the difference becomes the task span's QueueWait. Controllers call it
-// just before the callback runs, so the wait is recorded by the time Wrap
-// stores the span.
-func (r *Recorder) TaskQueued(id core.TaskId, enqueued, started time.Time) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.queued[id] = started.Sub(enqueued)
-	if s, ok := r.spans[id]; ok {
-		s.QueueWait = r.queued[id]
-	}
-}
-
-// TaskReplayed implements core.ReplayObserver: during recovery, a task
-// whose outputs were re-emitted from a lineage ledger records a zero-length
-// span marked Replayed instead of a measured execution.
-func (r *Recorder) TaskReplayed(id core.TaskId, shard core.ShardId, cb core.CallbackId) {
-	now := time.Now()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.replays = append(r.replays, Span{Task: id, Callback: cb, Shard: shard, Start: now, End: now, Replayed: true})
-}
-
-// RecoveryStarted implements core.RecoveryObserver: the fault-tolerant
-// coordinator reports each retry epoch and the shards it lost.
-func (r *Recorder) RecoveryStarted(epoch int, lost []core.ShardId) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.epochs = append(r.epochs, RecoveryEvent{Epoch: epoch, Lost: append([]core.ShardId(nil), lost...), At: time.Now()})
-}
-
-// Recoveries returns the recovery epoch boundaries observed, in order.
-func (r *Recorder) Recoveries() []RecoveryEvent {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]RecoveryEvent(nil), r.epochs...)
-}
-
-// Replays returns the replayed-task spans recorded during recovery.
-func (r *Recorder) Replays() []Span {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]Span(nil), r.replays...)
-}
+// Wrap returns fn unchanged: the controller times every callback for its
+// Observer, so registering the callbacks needs nothing from the recorder.
+func (r *Recorder) Wrap(_ core.CallbackId, fn core.Callback) core.Callback { return fn }
 
 // Spans returns the recorded spans sorted by start time.
 func (r *Recorder) Spans() []Span {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]Span, 0, len(r.spans))
-	for _, s := range r.spans {
-		out = append(out, *s)
-	}
+	out := append([]Span(nil), r.spans...)
 	sort.Slice(out, func(i, j int) bool {
 		if !out[i].Start.Equal(out[j].Start) {
 			return out[i].Start.Before(out[j].Start)
@@ -175,13 +96,7 @@ func (r *Recorder) Spans() []Span {
 func (r *Recorder) Reset() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.spans = make(map[core.TaskId]*Span)
-	r.order = nil
-	r.shards = make(map[core.TaskId]core.ShardId)
-	r.queued = make(map[core.TaskId]time.Duration)
-	r.attempts = make(map[core.TaskId]int)
-	r.replays = nil
-	r.epochs = nil
+	r.spans = r.spans[:0]
 }
 
 // AnnotateSlack fills each span's Slack field from the compiled graph's
@@ -237,7 +152,7 @@ func (s Summary) Utilization() float64 {
 }
 
 // Summarize computes the aggregate metrics of a trace against the graph it
-// executed.
+// executed. Replayed spans are skipped: no callback ran for them.
 func Summarize(g core.TaskGraph, spans []Span) (Summary, error) {
 	sum := Summary{
 		Busy:       make(map[core.ShardId]time.Duration),
@@ -251,8 +166,14 @@ func Summarize(g core.TaskGraph, spans []Span) (Summary, error) {
 		return Summary{}, err
 	}
 	byTask := make(map[core.TaskId]Span, len(spans))
-	first, last := spans[0].Start, spans[0].End
+	var first, last time.Time
 	for _, s := range spans {
+		if s.Replayed {
+			continue
+		}
+		if len(byTask) == 0 {
+			first, last = s.Start, s.End
+		}
 		byTask[s.Task] = s
 		sum.Tasks++
 		sum.Busy[s.Shard] += s.Duration()

@@ -1,12 +1,17 @@
 package trace
 
 import (
+	"context"
 	"runtime"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"github.com/babelflow/babelflow-go/internal/core"
+	"github.com/babelflow/babelflow-go/internal/fabric"
+	"github.com/babelflow/babelflow-go/internal/faultinject"
 	"github.com/babelflow/babelflow-go/internal/graphs"
 	"github.com/babelflow/babelflow-go/internal/mpi"
 )
@@ -24,7 +29,7 @@ func tracedRun(t *testing.T, shards int) (*graphs.Reduction, *Recorder) {
 		return []core.Payload{core.Buffer([]byte{1})}, nil
 	}
 	for _, cb := range g.Callbacks() {
-		c.RegisterCallback(cb, rec.Wrap(cb, work))
+		c.RegisterCallback(cb, work)
 	}
 	initial := make(map[core.TaskId][]core.Payload)
 	for _, id := range g.LeafIds() {
@@ -162,7 +167,7 @@ func TestWriteCSV(t *testing.T) {
 
 // TestQueueWaitRecorded runs 15 sleeping tasks through a single worker: all
 // but the running task wait in the dispatch queue, so the recorder (wired
-// as the controller's SchedObserver) must see positive queue wait. In a
+// as the controller's Observer) must see positive queue wait. In a
 // complete reduction every task lies on a critical path, so the critical
 // queue wait equals the total.
 func TestQueueWaitRecorded(t *testing.T) {
@@ -177,7 +182,7 @@ func TestQueueWaitRecorded(t *testing.T) {
 		return []core.Payload{core.Buffer([]byte{1})}, nil
 	}
 	for _, cb := range g.Callbacks() {
-		c.RegisterCallback(cb, rec.Wrap(cb, work))
+		c.RegisterCallback(cb, work)
 	}
 	initial := make(map[core.TaskId][]core.Payload)
 	for _, id := range g.LeafIds() {
@@ -195,6 +200,107 @@ func TestQueueWaitRecorded(t *testing.T) {
 	}
 	if sum.CriticalQueueWait != sum.QueueWait {
 		t.Errorf("reduction tasks all have zero slack: critical wait %v != total %v", sum.CriticalQueueWait, sum.QueueWait)
+	}
+}
+
+// retryLog is the recorder plus the retry events it skips.
+type retryLog struct {
+	*Recorder
+	mu      sync.Mutex
+	retries []core.Event
+}
+
+func (l *retryLog) Observe(e core.Event) {
+	if e.Kind == core.EpochRetried {
+		l.mu.Lock()
+		l.retries = append(l.retries, e)
+		l.mu.Unlock()
+	}
+	l.Recorder.Observe(e)
+}
+
+// TestRecorderTracesRecovery traces an elastic run over the in-memory
+// fabric whose rank 1 is killed on its second inter-rank send of the first
+// epoch. The trace must hold one replayed span per ledger replay and one
+// executed span per callback execution across both epochs, Summarize must
+// count only the executed ones, and the run must report one retry event
+// naming the lost shard.
+func TestRecorderTracesRecovery(t *testing.T) {
+	g, _ := graphs.NewReduction(16, 2)
+	obs := &retryLog{Recorder: NewRecorder()}
+	c := mpi.New(mpi.WithObserver(obs), mpi.WithRetry(core.RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond}))
+	if err := c.Initialize(g, core.NewModuloMap(2, g.Size())); err != nil {
+		t.Fatal(err)
+	}
+	for _, cb := range g.Callbacks() {
+		c.RegisterCallback(cb, func(in []core.Payload, id core.TaskId) ([]core.Payload, error) {
+			return []core.Payload{core.Buffer([]byte{byte(id)})}, nil
+		})
+	}
+	initial := make(map[core.TaskId][]core.Payload)
+	for _, id := range g.LeafIds() {
+		initial[id] = []core.Payload{core.Buffer([]byte{2})}
+	}
+	ms, err := mpi.NewMembership(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rep, err := c.RunElastic(context.Background(), mpi.ElasticOptions{
+		Connect: func(_, ranks int) ([]fabric.Transport, error) {
+			fab := fabric.New(ranks)
+			trs := make([]fabric.Transport, ranks)
+			for i := range trs {
+				trs[i] = fab
+			}
+			return trs, nil
+		},
+		Inject: func(epoch, rank int, tr fabric.Transport) fabric.Transport {
+			if epoch > 1 {
+				return tr
+			}
+			return faultinject.Wrap(tr, rank, faultinject.Plan{KillRank: 1, KillAfter: 1})
+		},
+		Initial:    initial,
+		Membership: ms,
+	})
+	if err != nil {
+		t.Fatalf("RunElastic: %v (report %+v)", err, rep)
+	}
+	if rep.Epochs != 2 || rep.Fences != 0 || rep.Replayed == 0 {
+		t.Fatalf("want one retry epoch that replays: %+v", rep)
+	}
+
+	spans := obs.Spans()
+	replayed, executed := 0, 0
+	for _, s := range spans {
+		if s.Replayed {
+			replayed++
+		} else {
+			executed++
+		}
+	}
+	// No epoch before the last replays: the ledgers are empty until then.
+	if replayed != rep.Replayed {
+		t.Errorf("%d replayed spans, ledgers replayed %d", replayed, rep.Replayed)
+	}
+	if executed != rep.TotalExecuted {
+		t.Errorf("%d executed spans, %d callback executions", executed, rep.TotalExecuted)
+	}
+	sum, err := Summarize(g, spans)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Tasks != executed {
+		t.Errorf("Summarize counted %d tasks, want the %d executed spans", sum.Tasks, executed)
+	}
+
+	obs.mu.Lock()
+	defer obs.mu.Unlock()
+	if len(obs.retries) != rep.Epochs-1 {
+		t.Fatalf("%d retry events, want %d", len(obs.retries), rep.Epochs-1)
+	}
+	if e := obs.retries[0]; e.Epoch != 2 || !slices.Equal(e.Lost, rep.LostShards) || len(e.Lost) != 1 {
+		t.Errorf("retry event: epoch %d, lost %v; report lost %v", e.Epoch, e.Lost, rep.LostShards)
 	}
 }
 
