@@ -144,8 +144,10 @@ fuzz-wire:
 ## iteration count so hot-path regressions fail loudly, then the wire
 ## package and the conformance matrix (tcp, unix, shm) under the race
 ## detector, then the graph-plan benchmarks (compile and cold run of the
-## 16k-task graph) once each so they cannot rot, then the allocation pins
-## (plan, cold and warm runs, and what tracing adds per task).
+## 16k-task graph) and the data kernels (block extraction of a 256³ field,
+## 256² image encode and decode) once each so they cannot rot, then the
+## allocation pins (plan, cold and warm runs, what tracing adds per task,
+## and block extraction).
 perf-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=100x ./internal/wire
 	$(GO) test -race -run='^$$' -bench=. -benchtime=100x ./internal/wire
@@ -154,4 +156,6 @@ perf-smoke:
 	$(GO) test -race -count=1 ./internal/conformance
 	$(GO) test -run='^$$' -bench='^BenchmarkCompile$$' -benchtime=1x ./internal/core
 	$(GO) test -run='^$$' -bench='^BenchmarkColdRun16k$$' -benchtime=1x ./internal/mpi
-	$(GO) test -count=1 -run='AllocationPins' ./internal/core ./internal/mpi
+	$(GO) test -run='^$$' -bench='^BenchmarkExtract$$' -benchtime=1x ./internal/data
+	$(GO) test -run='^$$' -bench='^BenchmarkImage(Serialize|Deserialize)$$' -benchtime=1x ./internal/render
+	$(GO) test -count=1 -run='AllocationPins' ./internal/core ./internal/mpi ./internal/data

@@ -63,17 +63,11 @@ func Object(obj any) Payload { return Payload{Object: obj} }
 // Empty reports whether the payload carries neither a buffer nor an object.
 func (p Payload) Empty() bool { return p.Data == nil && p.Object == nil }
 
-// Size returns the wire size of the payload in bytes: the length of Data if
-// present, otherwise the serialized length of the object, otherwise 0.
-func (p Payload) Size() int {
-	if p.Data != nil {
-		return len(p.Data)
-	}
-	if s, ok := p.Object.(Serializable); ok {
-		return len(s.Serialize())
-	}
-	return 0
-}
+// Size returns the wire size of the payload in bytes: the length of Data.
+// An object-only payload counts 0 and is not serialized to be counted: no
+// controller hands one to another rank, because routing and FanOut send the
+// wire form, so it only ever travels as a rank-local pointer hand-off.
+func (p Payload) Size() int { return len(p.Data) }
 
 // Wire returns the binary representation of the payload, serializing the
 // object if necessary. It returns an ErrNotSerializable error when the

@@ -121,8 +121,9 @@ func TestPayloadWireSerializesObject(t *testing.T) {
 	if len(w) != 2 || w[0] != 7 {
 		t.Errorf("Wire = %v", w)
 	}
-	if p.Size() != 2 {
-		t.Errorf("Size = %d, want 2", p.Size())
+	// Size counts Data only: an object-only payload is a rank-local hand-off.
+	if p.Size() != 0 {
+		t.Errorf("Size = %d, want 0", p.Size())
 	}
 }
 

@@ -1,7 +1,10 @@
 package data
 
 import (
+	"encoding/hex"
 	"math"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -76,6 +79,115 @@ func TestSubFieldPeriodicWrap(t *testing.T) {
 	if s2.At(0, 0, 0) != f.At(3, 0, 0) {
 		t.Error("negative wrap mismatch")
 	}
+	// Seeded draws: every axis wraps, extents wider than the domain and empty
+	// extents all occur.
+	rng := NewRand(26)
+	for i := 0; i < 3000; i++ {
+		g := rampField(1+rng.Intn(7), 1+rng.Intn(7), 1+rng.Intn(7))
+		x0, y0, z0 := rng.Intn(40)-20, rng.Intn(40)-20, rng.Intn(40)-20
+		sx, sy, sz := rng.Intn(20), rng.Intn(20), rng.Intn(20)
+		if !sameField(g.SubField(x0, y0, z0, sx, sy, sz), subFieldRef(g, x0, y0, z0, sx, sy, sz)) {
+			t.Fatalf("draw %d: SubField(%d,%d,%d, %d,%d,%d) of %dx%dx%d differs from the per-voxel reference",
+				i, x0, y0, z0, sx, sy, sz, g.NX, g.NY, g.NZ)
+		}
+	}
+}
+
+// TestExtractMatchesReference cuts every block of the benchmark shapes and
+// compares each with the per-voxel reference.
+func TestExtractMatchesReference(t *testing.T) {
+	for _, n := range []int{128, 256} {
+		f := rampField(n, n, n)
+		d, err := NewDecomposition(n, n, n, 2, 2, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < d.Blocks(); i++ {
+			got, err := d.Extract(f, i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b := d.Block(i)
+			sx, sy, sz := b.Dims()
+			if !sameField(got, subFieldRef(f, b.X0, b.Y0, b.Z0, sx, sy, sz)) {
+				t.Fatalf("%d³ block %d differs from the per-voxel reference", n, i)
+			}
+		}
+	}
+}
+
+// TestExtractAllocationPins: a block is one Field and its values, at any
+// size.
+func TestExtractAllocationPins(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	for _, n := range []int{8, 64} {
+		f := rampField(n, n, n)
+		d, _ := NewDecomposition(n, n, n, 2, 2, 8)
+		i := 0
+		if a := testing.AllocsPerRun(50, func() {
+			if _, err := d.Extract(f, i%d.Blocks()); err != nil {
+				panic(err)
+			}
+			i++
+		}); a != 2 {
+			t.Errorf("%d³: Extract allocates %v per block, pinned at 2", n, a)
+		}
+	}
+}
+
+// BenchmarkExtract cuts all 32 blocks of a 256³ field split 2×2×8, the
+// render-tcp decomposition; the bytes are the voxels copied.
+func BenchmarkExtract(b *testing.B) {
+	f := rampField(256, 256, 256)
+	d, _ := NewDecomposition(256, 256, 256, 2, 2, 8)
+	var voxels int
+	for i := 0; i < d.Blocks(); i++ {
+		voxels += d.Block(i).Points()
+	}
+	b.SetBytes(4 * int64(voxels))
+	b.ReportAllocs()
+	b.ResetTimer()
+	var err error
+	for n := 0; n < b.N; n++ {
+		for i := 0; i < d.Blocks(); i++ {
+			if blockSink, err = d.Extract(f, i); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// blockSink keeps the compiler from dropping the benchmarked Extract.
+var blockSink *Field
+
+// subFieldRef is the definition SubField implements: every destination
+// voxel reads its periodically wrapped source voxel.
+func subFieldRef(f *Field, x0, y0, z0, sx, sy, sz int) *Field {
+	out := NewField(sx, sy, sz)
+	for z := 0; z < sz; z++ {
+		for y := 0; y < sy; y++ {
+			for x := 0; x < sx; x++ {
+				out.Set(x, y, z, f.At(mod(x0+x, f.NX), mod(y0+y, f.NY), mod(z0+z, f.NZ)))
+			}
+		}
+	}
+	return out
+}
+
+// rampField numbers its voxels 0, 1, 2, ..., so every voxel is distinct
+// (float32 holds the integers exactly up to 2^24 voxels, i.e. 256³).
+func rampField(nx, ny, nz int) *Field {
+	f := NewField(nx, ny, nz)
+	for i := range f.Values {
+		f.Values[i] = float32(i)
+	}
+	return f
+}
+
+func sameField(a, b *Field) bool {
+	return a.NX == b.NX && a.NY == b.NY && a.NZ == b.NZ && slices.Equal(a.Values, b.Values)
 }
 
 func TestFieldSerializeRoundTrip(t *testing.T) {
@@ -92,6 +204,24 @@ func TestFieldSerializeRoundTrip(t *testing.T) {
 		if f.Values[i] != g.Values[i] {
 			t.Fatal("value mismatch after round trip")
 		}
+	}
+}
+
+// TestFieldSerializeGolden pins the field encoding byte for byte: a change
+// of codec must not change what crosses ranks.
+func TestFieldSerializeGolden(t *testing.T) {
+	f := &Field{NX: 3, NY: 2, NZ: 1, Values: []float32{0, 1, -1.5, 2.25, float32(math.Inf(1)), 1e-3}}
+	const want = "030000000200000001000000000000000000803f0000c0bf000010400000807f6f12833a"
+	if got := hex.EncodeToString(f.Serialize()); got != want {
+		t.Fatalf("Serialize = %s, want %s", got, want)
+	}
+	b, _ := hex.DecodeString(want)
+	g, err := DeserializeField(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(f, g) {
+		t.Fatalf("golden bytes decode to %+v, want %+v", g, f)
 	}
 }
 

@@ -11,6 +11,7 @@
 package data
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 )
@@ -118,12 +119,26 @@ func periodicDist(a, b float64) float64 {
 // SubField copies the region [x0,x0+sx) x [y0,y0+sy) x [z0,z0+sz) into a
 // new field. Coordinates wrap periodically, matching the paper's periodic
 // replication of the HCCI data.
+//
+// Rows are contiguous on both sides, so each destination row resolves its
+// source row once and is filled by copying runs of it: one run when
+// [x0,x0+sx) lies inside the domain, as every block of a Decomposition does,
+// and one more per periodic wrap otherwise.
 func (f *Field) SubField(x0, y0, z0, sx, sy, sz int) *Field {
 	out := NewField(sx, sy, sz)
+	if len(out.Values) == 0 {
+		return out
+	}
+	xs := mod(x0, f.NX)
+	dst := out.Values
 	for z := 0; z < sz; z++ {
+		plane := mod(z0+z, f.NZ) * f.NY
 		for y := 0; y < sy; y++ {
-			for x := 0; x < sx; x++ {
-				out.Set(x, y, z, f.At(mod(x0+x, f.NX), mod(y0+y, f.NY), mod(z0+z, f.NZ)))
+			src := f.Values[(plane+mod(y0+y, f.NY))*f.NX:][:f.NX]
+			row := dst[:sx]
+			dst = dst[sx:]
+			for x := xs; len(row) > 0; x = 0 {
+				row = row[copy(row, src[x:]):]
 			}
 		}
 	}
@@ -158,12 +173,13 @@ func (f *Field) MinMax() (lo, hi float32) {
 // Serialize encodes the field: three int32 dimensions followed by the raw
 // float32 values (little endian).
 func (f *Field) Serialize() []byte {
+	le := binary.LittleEndian
 	buf := make([]byte, 12+4*len(f.Values))
-	putU32(buf[0:], uint32(f.NX))
-	putU32(buf[4:], uint32(f.NY))
-	putU32(buf[8:], uint32(f.NZ))
+	le.PutUint32(buf[0:], uint32(f.NX))
+	le.PutUint32(buf[4:], uint32(f.NY))
+	le.PutUint32(buf[8:], uint32(f.NZ))
 	for i, v := range f.Values {
-		putU32(buf[12+4*i:], math.Float32bits(v))
+		le.PutUint32(buf[12+4*i:], math.Float32bits(v))
 	}
 	return buf
 }
@@ -173,27 +189,17 @@ func DeserializeField(b []byte) (*Field, error) {
 	if len(b) < 12 {
 		return nil, fmt.Errorf("data: field buffer too short (%d bytes)", len(b))
 	}
-	nx, ny, nz := int(getU32(b[0:])), int(getU32(b[4:])), int(getU32(b[8:]))
+	le := binary.LittleEndian
+	nx, ny, nz := int(le.Uint32(b[0:])), int(le.Uint32(b[4:])), int(le.Uint32(b[8:]))
 	n := nx * ny * nz
 	if nx < 0 || ny < 0 || nz < 0 || len(b) != 12+4*n {
 		return nil, fmt.Errorf("data: field buffer size %d does not match %dx%dx%d", len(b), nx, ny, nz)
 	}
 	f := NewField(nx, ny, nz)
-	for i := 0; i < n; i++ {
-		f.Values[i] = math.Float32frombits(getU32(b[12+4*i:]))
+	for i := range f.Values {
+		f.Values[i] = math.Float32frombits(le.Uint32(b[12+4*i:]))
 	}
 	return f, nil
-}
-
-func putU32(b []byte, v uint32) {
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
-}
-
-func getU32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
 }
 
 // Rand is a small deterministic PRNG (splitmix64) used for reproducible

@@ -216,8 +216,7 @@ type RunTransport struct {
 	boxes []*Mailbox // indexed by rank; non-nil only at local ranks
 
 	cancelled atomic.Bool
-	messages  atomic.Uint64 // per-run egress traffic
-	bytes     atomic.Uint64
+	traffic   // per-run egress traffic; Snapshot reports it
 }
 
 // ID returns the run id this view stamps onto its messages.
@@ -233,11 +232,10 @@ func (v *RunTransport) Send(m Message) error {
 		return fmt.Errorf("fabric: run %d: %w", v.id, ErrClosed)
 	}
 	m.Run = v.id
-	size := uint64(m.Payload.Size())
 	if err := v.d.tr.Send(m); err != nil {
 		return err
 	}
-	v.account(1, size)
+	v.count(m)
 	return nil
 }
 
@@ -247,21 +245,14 @@ func (v *RunTransport) SendN(ms []Message) error {
 		dropMessages(ms)
 		return fmt.Errorf("fabric: run %d: %w", v.id, ErrClosed)
 	}
-	var bytes uint64
 	for i := range ms {
 		ms[i].Run = v.id
-		bytes += uint64(ms[i].Payload.Size())
 	}
 	if err := v.d.tr.SendN(ms); err != nil {
 		return err
 	}
-	v.account(uint64(len(ms)), bytes)
+	v.count(ms...)
 	return nil
-}
-
-func (v *RunTransport) account(msgs, bytes uint64) {
-	v.messages.Add(msgs)
-	v.bytes.Add(bytes)
 }
 
 // Recv implements Transport for the run's locally receivable ranks.
@@ -306,10 +297,5 @@ func (v *RunTransport) Cancel() {
 // run-level Cancel is controller-initiated and reports nil, exactly like
 // the in-memory fabric.
 func (v *RunTransport) Err() error { return v.d.tr.Err() }
-
-// Snapshot implements Transport with per-run egress traffic totals.
-func (v *RunTransport) Snapshot() Stats {
-	return Stats{Messages: v.messages.Load(), Bytes: v.bytes.Load()}
-}
 
 var _ Transport = (*RunTransport)(nil)

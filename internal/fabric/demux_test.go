@@ -272,3 +272,33 @@ func TestDemuxSnapshotPerRun(t *testing.T) {
 		t.Fatalf("run 2 stats = %+v", s)
 	}
 }
+
+// countingObj counts how often it is serialized.
+type countingObj struct{ calls *int }
+
+func (o countingObj) Serialize() []byte { *o.calls++; return make([]byte, 1<<10) }
+
+// TestDemuxCountsWithoutSerializing: a rank-local object hand-off is not
+// traffic, so counting it must not serialize the object; a cross-rank Data
+// message still counts its bytes.
+func TestDemuxCountsWithoutSerializing(t *testing.T) {
+	d := NewDemux(New(2), 0, 1)
+	v, _ := d.Open(1)
+	calls := 0
+	obj := core.Object(countingObj{&calls})
+	if err := v.Send(Message{From: 0, To: 0, Payload: obj}); err != nil {
+		t.Fatal(err)
+	}
+	if err := v.SendN([]Message{
+		{From: 1, To: 1, Payload: obj},
+		{From: 0, To: 1, Payload: core.Buffer(make([]byte, 6))},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if calls != 0 {
+		t.Errorf("counting traffic serialized the local object %d times", calls)
+	}
+	if s := v.Snapshot(); s.Messages != 1 || s.Bytes != 6 {
+		t.Errorf("stats = %+v, want the one cross-rank message of 6 bytes", s)
+	}
+}

@@ -123,13 +123,33 @@ type Stats struct {
 	Bytes    uint64
 }
 
+// traffic counts the messages that cross ranks and the bytes of their Data.
+// Self-sends are in-memory hand-offs and do not count; an object-only
+// payload is never serialized to be counted (see core.Payload.Size).
+type traffic struct {
+	messages atomic.Uint64
+	bytes    atomic.Uint64
+}
+
+func (t *traffic) count(ms ...Message) {
+	for i := range ms {
+		if ms[i].From != ms[i].To {
+			t.messages.Add(1)
+			t.bytes.Add(uint64(ms[i].Payload.Size()))
+		}
+	}
+}
+
+// Snapshot returns the traffic totals so far.
+func (t *traffic) Snapshot() Stats {
+	return Stats{Messages: t.messages.Load(), Bytes: t.bytes.Load()}
+}
+
 // Fabric connects n ranks with unbounded mailboxes.
 type Fabric struct {
 	boxes    []*Mailbox
 	blocking bool
-
-	messages atomic.Uint64
-	bytes    atomic.Uint64
+	traffic
 }
 
 // New returns a fabric with n ranks and asynchronous sends: Send enqueues
@@ -157,15 +177,6 @@ func NewBlocking(n int) *Fabric {
 // Ranks returns the number of ranks.
 func (f *Fabric) Ranks() int { return len(f.boxes) }
 
-// account records the traffic of one message. Self-sends are in-memory
-// hand-offs and do not count as traffic.
-func (f *Fabric) account(m Message) {
-	if m.From != m.To {
-		f.messages.Add(1)
-		f.bytes.Add(uint64(m.Payload.Size()))
-	}
-}
-
 // Send delivers m to rank m.To. In asynchronous mode it never blocks; in
 // blocking mode it waits for the receiver to dequeue the message. When the
 // destination mailbox is closed or cancelled, Send releases the payload and
@@ -182,14 +193,14 @@ func (f *Fabric) Send(m Message) error {
 		if err := f.boxes[m.To].Put(m); err != nil {
 			return fmt.Errorf("fabric: rank %d: %w", m.To, err)
 		}
-		f.account(m)
+		f.count(m)
 		<-m.done
 		return nil
 	}
 	if err := f.boxes[m.To].Put(m); err != nil {
 		return fmt.Errorf("fabric: rank %d: %w", m.To, err)
 	}
-	f.account(m)
+	f.count(m)
 	return nil
 }
 
@@ -217,7 +228,7 @@ func (f *Fabric) SendN(ms []Message) error {
 					dropMessages(ms[i+1:])
 					return fmt.Errorf("fabric: rank %d: %w", m.To, err)
 				}
-				f.account(m)
+				f.count(m)
 				<-m.done
 				continue
 			}
@@ -237,9 +248,7 @@ func (f *Fabric) SendN(ms []Message) error {
 			dropMessages(ms[j:])
 			return fmt.Errorf("fabric: rank %d: %w", ms[i].To, err)
 		}
-		for k := i; k < j; k++ {
-			f.account(ms[k])
-		}
+		f.count(ms[i:j]...)
 		i = j
 	}
 	return nil
@@ -297,11 +306,6 @@ func (f *Fabric) Cancel() {
 // failure modes, so Err is always nil; controllers track abort causes
 // themselves.
 func (f *Fabric) Err() error { return nil }
-
-// Snapshot returns the traffic totals so far.
-func (f *Fabric) Snapshot() Stats {
-	return Stats{Messages: f.messages.Load(), Bytes: f.bytes.Load()}
-}
 
 var _ Transport = (*Fabric)(nil)
 

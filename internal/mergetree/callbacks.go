@@ -1,6 +1,7 @@
 package mergetree
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -181,13 +182,14 @@ func (s Segmentation) Serialize() []byte {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	le := binary.LittleEndian
 	buf := make([]byte, 16+16*len(ids))
-	putU64(buf[0:], uint64(s.Block))
-	putU64(buf[8:], uint64(len(ids)))
+	le.PutUint64(buf[0:], uint64(s.Block))
+	le.PutUint64(buf[8:], uint64(len(ids)))
 	off := 16
 	for _, id := range ids {
-		putU64(buf[off:], id)
-		putU64(buf[off+8:], s.Labels[id])
+		le.PutUint64(buf[off:], id)
+		le.PutUint64(buf[off+8:], s.Labels[id])
 		off += 16
 	}
 	return buf
@@ -198,15 +200,16 @@ func DeserializeSegmentation(b []byte) (Segmentation, error) {
 	if len(b) < 16 {
 		return Segmentation{}, fmt.Errorf("mergetree: segmentation buffer too short")
 	}
-	blk := int(getU64(b[0:]))
-	n := int(getU64(b[8:]))
+	le := binary.LittleEndian
+	blk := int(le.Uint64(b[0:]))
+	n := int(le.Uint64(b[8:]))
 	if len(b) != 16+16*n {
 		return Segmentation{}, fmt.Errorf("mergetree: segmentation buffer size %d does not match %d entries", len(b), n)
 	}
 	s := Segmentation{Block: blk, Labels: make(map[uint64]uint64, n)}
 	off := 16
 	for i := 0; i < n; i++ {
-		s.Labels[getU64(b[off:])] = getU64(b[off+8:])
+		s.Labels[le.Uint64(b[off:])] = le.Uint64(b[off+8:])
 		off += 16
 	}
 	return s, nil

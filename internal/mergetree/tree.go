@@ -12,6 +12,7 @@
 package mergetree
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"sort"
@@ -336,14 +337,15 @@ func (t *Tree) Features(threshold float32) []uint64 {
 // Serialize encodes the tree deterministically: node count, then per node
 // (ascending id) the id, value bits and parent id (NoNode for roots).
 func (t *Tree) Serialize() []byte {
+	le := binary.LittleEndian
 	ids := t.Ids()
 	buf := make([]byte, 8+20*len(ids))
-	putU64(buf[0:], uint64(len(ids)))
+	le.PutUint64(buf[0:], uint64(len(ids)))
 	off := 8
 	for _, id := range ids {
-		putU64(buf[off:], id)
-		putU32b(buf[off+8:], math.Float32bits(t.value[id]))
-		putU64(buf[off+12:], t.Parent(id))
+		le.PutUint64(buf[off:], id)
+		le.PutUint32(buf[off+8:], math.Float32bits(t.value[id]))
+		le.PutUint64(buf[off+12:], t.Parent(id))
 		off += 20
 	}
 	return buf
@@ -354,16 +356,17 @@ func Deserialize(b []byte) (*Tree, error) {
 	if len(b) < 8 {
 		return nil, fmt.Errorf("mergetree: tree buffer too short (%d bytes)", len(b))
 	}
-	n := int(getU64(b[0:]))
+	le := binary.LittleEndian
+	n := int(le.Uint64(b[0:]))
 	if len(b) != 8+20*n {
 		return nil, fmt.Errorf("mergetree: tree buffer size %d does not match %d nodes", len(b), n)
 	}
 	t := NewTree()
 	off := 8
 	for i := 0; i < n; i++ {
-		id := getU64(b[off:])
-		v := math.Float32frombits(getU32b(b[off+8:]))
-		p := getU64(b[off+12:])
+		id := le.Uint64(b[off:])
+		v := math.Float32frombits(le.Uint32(b[off+8:]))
+		p := le.Uint64(b[off+12:])
 		t.value[id] = v
 		if p != NoNode {
 			t.parent[id] = p
@@ -389,29 +392,4 @@ func (t *Tree) Equal(o *Tree) bool {
 		}
 	}
 	return true
-}
-
-func putU64(b []byte, v uint64) {
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
-}
-
-func getU64(b []byte) uint64 {
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v |= uint64(b[i]) << (8 * i)
-	}
-	return v
-}
-
-func putU32b(b []byte, v uint32) {
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
-}
-
-func getU32b(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
 }

@@ -1,6 +1,8 @@
 package mergetree
 
 import (
+	"encoding/hex"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -167,6 +169,32 @@ func TestSerializeRoundTrip(t *testing.T) {
 	b2 := tr.Serialize()
 	if string(b) != string(b2) {
 		t.Error("Serialize is not deterministic")
+	}
+}
+
+// TestSerializeGolden pins the tree and segmentation encodings byte for
+// byte: ids above 32 bits, a root (NoNode parent) and a negative value.
+func TestSerializeGolden(t *testing.T) {
+	tr := NewTree()
+	tr.value[7], tr.value[1<<40], tr.value[2] = 1.5, -0.25, 3
+	tr.parent[2], tr.parent[1<<40] = 7, 7
+	const wantTree = "0300000000000000020000000000000000004040070000000000000007000000000000000000c03fffffffffffffffff0000000000010000000080be0700000000000000"
+	if got := hex.EncodeToString(tr.Serialize()); got != wantTree {
+		t.Fatalf("Tree.Serialize = %s, want %s", got, wantTree)
+	}
+	b, _ := hex.DecodeString(wantTree)
+	if got, err := Deserialize(b); err != nil || !tr.Equal(got) {
+		t.Fatalf("golden tree bytes decode to %v, %v", got, err)
+	}
+
+	seg := Segmentation{Block: 3, Labels: map[uint64]uint64{5: 9, 2: 9, 1 << 40: 7}}
+	const wantSeg = "03000000000000000300000000000000020000000000000009000000000000000500000000000000090000000000000000000000000100000700000000000000"
+	if got := hex.EncodeToString(seg.Serialize()); got != wantSeg {
+		t.Fatalf("Segmentation.Serialize = %s, want %s", got, wantSeg)
+	}
+	b, _ = hex.DecodeString(wantSeg)
+	if got, err := DeserializeSegmentation(b); err != nil || !reflect.DeepEqual(seg, got) {
+		t.Fatalf("golden segmentation bytes decode to %v, %v", got, err)
 	}
 }
 

@@ -7,6 +7,7 @@
 package render
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 )
@@ -93,20 +94,19 @@ func (im *Image) SplitHorizontal() (*Image, *Image) {
 // Serialize encodes the image: width, height, x0, y0 as int32, then pixels
 // and depth as float32 bits.
 func (im *Image) Serialize() []byte {
+	le := binary.LittleEndian
 	n := im.Width * im.Height
 	buf := make([]byte, 16+4*(4*n+n))
-	putI32(buf[0:], int32(im.Width))
-	putI32(buf[4:], int32(im.Height))
-	putI32(buf[8:], int32(im.X0))
-	putI32(buf[12:], int32(im.Y0))
-	off := 16
-	for _, v := range im.Pixels {
-		putI32(buf[off:], int32(math.Float32bits(v)))
-		off += 4
+	le.PutUint32(buf[0:], uint32(im.Width))
+	le.PutUint32(buf[4:], uint32(im.Height))
+	le.PutUint32(buf[8:], uint32(im.X0))
+	le.PutUint32(buf[12:], uint32(im.Y0))
+	px, depth := buf[16:16+16*n], buf[16+16*n:]
+	for i, v := range im.Pixels {
+		le.PutUint32(px[4*i:], math.Float32bits(v))
 	}
-	for _, v := range im.Depth {
-		putI32(buf[off:], int32(math.Float32bits(v)))
-		off += 4
+	for i, v := range im.Depth {
+		le.PutUint32(depth[4*i:], math.Float32bits(v))
 	}
 	return buf
 }
@@ -116,21 +116,21 @@ func DeserializeImage(b []byte) (*Image, error) {
 	if len(b) < 16 {
 		return nil, fmt.Errorf("render: image buffer too short (%d bytes)", len(b))
 	}
-	w, h := int(getI32(b[0:])), int(getI32(b[4:]))
-	x0, y0 := int(getI32(b[8:])), int(getI32(b[12:]))
+	le := binary.LittleEndian
+	w, h := int(int32(le.Uint32(b[0:]))), int(int32(le.Uint32(b[4:])))
+	x0, y0 := int(int32(le.Uint32(b[8:]))), int(int32(le.Uint32(b[12:])))
 	n := w * h
 	if w < 0 || h < 0 || len(b) != 16+4*(4*n+n) {
 		return nil, fmt.Errorf("render: image buffer size %d does not match %dx%d", len(b), w, h)
 	}
-	im := NewImage(w, h, x0, y0)
-	off := 16
-	for i := 0; i < 4*n; i++ {
-		im.Pixels[i] = math.Float32frombits(uint32(getI32(b[off:])))
-		off += 4
+	im := &Image{Width: w, Height: h, X0: x0, Y0: y0,
+		Pixels: make([]float32, 4*n), Depth: make([]float32, n)}
+	px, depth := b[16:16+16*n], b[16+16*n:]
+	for i := range im.Pixels {
+		im.Pixels[i] = math.Float32frombits(le.Uint32(px[4*i:]))
 	}
-	for i := 0; i < n; i++ {
-		im.Depth[i] = math.Float32frombits(uint32(getI32(b[off:])))
-		off += 4
+	for i := range im.Depth {
+		im.Depth[i] = math.Float32frombits(le.Uint32(depth[4*i:]))
 	}
 	return im, nil
 }
@@ -173,15 +173,4 @@ func (im *Image) WritePPM() []byte {
 		out = append(out, clamp(im.Pixels[4*p]), clamp(im.Pixels[4*p+1]), clamp(im.Pixels[4*p+2]))
 	}
 	return out
-}
-
-func putI32(b []byte, v int32) {
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
-}
-
-func getI32(b []byte) int32 {
-	return int32(uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24)
 }

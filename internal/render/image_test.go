@@ -1,7 +1,9 @@
 package render
 
 import (
+	"encoding/hex"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -101,6 +103,68 @@ func TestImageSerializeRoundTrip(t *testing.T) {
 	}
 	if _, err := DeserializeImage(im.Serialize()[:20]); err == nil {
 		t.Error("truncated buffer should fail")
+	}
+}
+
+// TestImageSerializeGolden pins the image encoding byte for byte, including
+// a negative anchor and an empty (+Inf depth) pixel.
+func TestImageSerializeGolden(t *testing.T) {
+	im := &Image{Width: 2, Height: 1, X0: 3, Y0: -1,
+		Pixels: []float32{0.25, 0.5, 0.75, 1, 0, 0, 0, 0},
+		Depth:  []float32{2.5, float32(math.Inf(1))}}
+	const want = "020000000100000003000000ffffffff0000803e0000003f0000403f0000803f00000000000000000000000000000000000020400000807f"
+	if got := hex.EncodeToString(im.Serialize()); got != want {
+		t.Fatalf("Serialize = %s, want %s", got, want)
+	}
+	b, _ := hex.DecodeString(want)
+	got, err := DeserializeImage(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(im, got) {
+		t.Fatalf("golden bytes decode to %+v, want %+v", got, im)
+	}
+}
+
+// benchImage is a 256² frame, the size render-tcp composites, with every
+// pixel set.
+func benchImage() *Image {
+	im := NewImage(256, 256, 0, 0)
+	for i := range im.Pixels {
+		im.Pixels[i] = float32(i%251) / 251
+	}
+	for i := range im.Depth {
+		im.Depth[i] = float32(i)
+	}
+	return im
+}
+
+// Benchmark results land here so the compiler cannot drop the calls.
+var (
+	wireSink  []byte
+	imageSink *Image
+)
+
+func BenchmarkImageSerialize(b *testing.B) {
+	im := benchImage()
+	b.SetBytes(int64(len(im.Serialize())))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		wireSink = im.Serialize()
+	}
+}
+
+func BenchmarkImageDeserialize(b *testing.B) {
+	buf := benchImage().Serialize()
+	b.SetBytes(int64(len(buf)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	var err error
+	for i := 0; i < b.N; i++ {
+		if imageSink, err = DeserializeImage(buf); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
