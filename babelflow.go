@@ -285,10 +285,6 @@ func WithInline(inline bool) MPIOption { return mpi.WithInline(inline) }
 // WithFIFO selects arrival-order dispatch instead of most-critical-first.
 func WithFIFO(fifo bool) MPIOption { return mpi.WithFIFO(fifo) }
 
-// WithBlocking switches the fabric to rendezvous sends, modeling blocking
-// MPI communication.
-func WithBlocking(blocking bool) MPIOption { return mpi.WithBlocking(blocking) }
-
 // WithNoSteal disables work stealing between ranks.
 func WithNoSteal(noSteal bool) MPIOption { return mpi.WithNoSteal(noSteal) }
 

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -130,7 +132,8 @@ func TestFaultReplayConformance(t *testing.T) {
 // TestFaultDuplicateDelivery redelivers every second inter-rank message
 // with its original sequence number: the receiver-side dedup of the
 // fault-tolerant path must drop the copies, keeping the sinks byte-identical
-// to serial with no retry epoch.
+// to serial with no retry epoch. A counter under the injector checks that
+// copies really reached the wire.
 func TestFaultDuplicateDelivery(t *testing.T) {
 	g, err := graphs.NewKWayMerge(8, 2)
 	if err != nil {
@@ -142,12 +145,13 @@ func TestFaultDuplicateDelivery(t *testing.T) {
 
 	m := core.NewGraphMap(4, g)
 	ctrl, connect := recoverController(t, g, m, cb)
+	var copies atomic.Int64
 	got, rep, err := ctrl.RunRecover(context.Background(), mpi.RecoverOptions{
 		Connect: connect,
-		Inject: injectOnFirstEpoch(faultinject.Plan{
-			KillRank:       -1,
-			DuplicateEvery: 2,
-		}),
+		Inject: func(epoch, rank int, tr fabric.Transport) fabric.Transport {
+			counted := &copyCounter{Transport: tr, seen: make(map[uint64]bool), copies: &copies}
+			return faultinject.Wrap(counted, rank, faultinject.Plan{KillRank: -1, DuplicateEvery: 2})
+		},
 		Initial: initial,
 	})
 	if err != nil {
@@ -156,7 +160,33 @@ func TestFaultDuplicateDelivery(t *testing.T) {
 	if rep.Epochs != 1 {
 		t.Errorf("duplicates alone forced %d epochs, want 1", rep.Epochs)
 	}
+	if copies.Load() == 0 {
+		t.Error("no duplicate reached the wire")
+	}
 	assertSameSinks(t, want, got)
+}
+
+// copyCounter sits under a rank's fault injector and counts the messages
+// whose Seq the rank already sent: the injected copies.
+type copyCounter struct {
+	fabric.Transport
+	mu     sync.Mutex
+	seen   map[uint64]bool
+	copies *atomic.Int64
+}
+
+func (c *copyCounter) Send(m fabric.Message) error { return c.SendN([]fabric.Message{m}) }
+
+func (c *copyCounter) SendN(ms []fabric.Message) error {
+	c.mu.Lock()
+	for _, m := range ms {
+		if m.Seq != 0 && c.seen[m.Seq] {
+			c.copies.Add(1)
+		}
+		c.seen[m.Seq] = true
+	}
+	c.mu.Unlock()
+	return c.Transport.SendN(ms)
 }
 
 // TestFaultDegradeToSingleRank kills a rank on EVERY epoch: the survivor

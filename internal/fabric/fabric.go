@@ -5,9 +5,7 @@
 // The fabric substitutes for the physical network of the paper's testbed.
 // It preserves the properties the controllers rely on — reliable delivery
 // and pairwise FIFO ordering between any sender/receiver pair — while
-// accounting message and byte counts for the performance studies. A
-// blocking (rendezvous) mode models the synchronous communication style of
-// the hand-tuned "Original MPI" baseline of Fig. 6.
+// accounting message and byte counts for the performance studies.
 //
 // Mailboxes are growable ring buffers whose backing arrays are pooled
 // across mailbox lifetimes, and the batch entry points (SendN, RecvBatch)
@@ -112,8 +110,6 @@ type Message struct {
 	// Attempt is the execution attempt of the producing task (1 = first
 	// run, 0 = unknown/replay); carried for tracing and diagnostics.
 	Attempt uint32
-
-	done chan struct{} // rendezvous signal in blocking mode
 }
 
 // Stats aggregates traffic counters. All fields are totals since fabric
@@ -147,8 +143,7 @@ func (t *traffic) Snapshot() Stats {
 
 // Fabric connects n ranks with unbounded mailboxes.
 type Fabric struct {
-	boxes    []*Mailbox
-	blocking bool
+	boxes []*Mailbox
 	traffic
 }
 
@@ -165,37 +160,16 @@ func New(n int) *Fabric {
 	return f
 }
 
-// NewBlocking returns a fabric whose Send performs a rendezvous: the sender
-// blocks until the receiver has dequeued the message, modeling blocking
-// MPI_Send of large messages.
-func NewBlocking(n int) *Fabric {
-	f := New(n)
-	f.blocking = true
-	return f
-}
-
 // Ranks returns the number of ranks.
 func (f *Fabric) Ranks() int { return len(f.boxes) }
 
-// Send delivers m to rank m.To. In asynchronous mode it never blocks; in
-// blocking mode it waits for the receiver to dequeue the message. When the
-// destination mailbox is closed or cancelled, Send releases the payload and
-// returns an error wrapping ErrClosed.
+// Send delivers m to rank m.To without blocking. When the destination
+// mailbox is closed or cancelled, Send releases the payload and returns an
+// error wrapping ErrClosed.
 func (f *Fabric) Send(m Message) error {
 	if m.To < 0 || m.To >= len(f.boxes) {
 		m.Payload.Release()
 		return fmt.Errorf("fabric: send to unknown rank %d", m.To)
-	}
-	if f.blocking && m.From != m.To {
-		// Rendezvous, except for self-sends: local delivery is a memory
-		// hand-off, not a network transfer, even in blocking mode.
-		m.done = make(chan struct{})
-		if err := f.boxes[m.To].Put(m); err != nil {
-			return fmt.Errorf("fabric: rank %d: %w", m.To, err)
-		}
-		f.count(m)
-		<-m.done
-		return nil
 	}
 	if err := f.boxes[m.To].Put(m); err != nil {
 		return fmt.Errorf("fabric: rank %d: %w", m.To, err)
@@ -206,9 +180,7 @@ func (f *Fabric) Send(m Message) error {
 
 // SendN delivers a batch of messages, preserving their relative order for
 // every destination: runs of consecutive messages addressed to the same
-// rank are enqueued under one lock acquisition of that rank's mailbox. In
-// blocking mode each inter-rank message still performs an individual
-// rendezvous, as a real blocking send would.
+// rank are enqueued under one lock acquisition of that rank's mailbox.
 //
 // On error, messages preceding the failure may already have been delivered;
 // the payload references of every undelivered message (including the failed
@@ -219,25 +191,6 @@ func (f *Fabric) SendN(ms []Message) error {
 			dropMessages(ms)
 			return fmt.Errorf("fabric: send to unknown rank %d", ms[i].To)
 		}
-	}
-	if f.blocking {
-		for i, m := range ms {
-			if m.From != m.To {
-				m.done = make(chan struct{})
-				if err := f.boxes[m.To].Put(m); err != nil {
-					dropMessages(ms[i+1:])
-					return fmt.Errorf("fabric: rank %d: %w", m.To, err)
-				}
-				f.count(m)
-				<-m.done
-				continue
-			}
-			if err := f.boxes[m.To].Put(m); err != nil {
-				dropMessages(ms[i+1:])
-				return fmt.Errorf("fabric: rank %d: %w", m.To, err)
-			}
-		}
-		return nil
 	}
 	for i := 0; i < len(ms); {
 		j := i + 1
@@ -256,46 +209,26 @@ func (f *Fabric) SendN(ms []Message) error {
 
 // Recv blocks until a message for the rank arrives or its mailbox is
 // closed; ok is false after close with an empty queue.
-func (f *Fabric) Recv(rank int) (Message, bool) {
-	m, ok := f.boxes[rank].Get()
-	if ok && m.done != nil {
-		close(m.done)
-	}
-	return m, ok
-}
+func (f *Fabric) Recv(rank int) (Message, bool) { return f.boxes[rank].Get() }
 
 // RecvBatch blocks until at least one message for the rank is available (or
 // the mailbox is closed and drained) and dequeues up to len(dst) messages
 // under one lock acquisition. It returns the number dequeued; ok is false
 // after close with an empty queue.
 func (f *Fabric) RecvBatch(rank int, dst []Message) (int, bool) {
-	n, ok := f.boxes[rank].GetBatch(dst)
-	for i := 0; i < n; i++ {
-		if dst[i].done != nil {
-			close(dst[i].done)
-			dst[i].done = nil
-		}
-	}
-	return n, ok
+	return f.boxes[rank].GetBatch(dst)
 }
 
 // TryRecv dequeues a message if one is immediately available.
-func (f *Fabric) TryRecv(rank int) (Message, bool) {
-	m, ok := f.boxes[rank].TryGet()
-	if ok && m.done != nil {
-		close(m.done)
-	}
-	return m, ok
-}
+func (f *Fabric) TryRecv(rank int) (Message, bool) { return f.boxes[rank].TryGet() }
 
 // Close closes the mailbox of a rank, releasing blocked receivers after the
 // queue drains.
 func (f *Fabric) Close(rank int) { f.boxes[rank].Close() }
 
 // Cancel aborts all communication: every mailbox stops accepting and
-// delivering messages, all blocked receivers return !ok and blocked
-// rendezvous senders are released. Controllers call it when a task fails so
-// every rank can unwind.
+// delivering messages and all blocked receivers return !ok. Controllers call
+// it when a task fails so every rank can unwind.
 func (f *Fabric) Cancel() {
 	for _, mb := range f.boxes {
 		mb.Cancel()
@@ -449,8 +382,8 @@ func (mb *Mailbox) spinWait() {
 }
 
 // Put enqueues a message. Put on a closed or cancelled mailbox drops the
-// message — releasing a blocked rendezvous sender and the payload's shared
-// wire reference — and returns ErrClosed.
+// message — releasing the payload's shared wire reference — and returns
+// ErrClosed.
 func (mb *Mailbox) Put(m Message) error {
 	mb.mu.Lock()
 	if mb.closed || mb.cancelled {
@@ -598,9 +531,9 @@ func (mb *Mailbox) Close() {
 	mb.cond.Broadcast()
 }
 
-// Cancel aborts the mailbox: queued messages are dropped (releasing any
-// rendezvous senders and shared payload references), further Puts are
-// dropped, and receivers return !ok.
+// Cancel aborts the mailbox: queued messages are dropped (releasing their
+// shared payload references), further Puts are dropped, and receivers
+// return !ok.
 func (mb *Mailbox) Cancel() {
 	mb.mu.Lock()
 	mb.cancelled = true
@@ -614,15 +547,10 @@ func (mb *Mailbox) Cancel() {
 	mb.cond.Broadcast()
 }
 
-// dropMessage discards an undeliverable message: it releases a blocked
-// rendezvous sender and drops the payload's shared wire reference so pooled
-// fan-out buffers still return to the arena on a cancelled run.
-func dropMessage(m Message) {
-	if m.done != nil {
-		close(m.done)
-	}
-	m.Payload.Release()
-}
+// dropMessage discards an undeliverable message: it drops the payload's
+// shared wire reference so pooled fan-out buffers still return to the arena
+// on a cancelled run.
+func dropMessage(m Message) { m.Payload.Release() }
 
 // dropMessages discards a slice of undeliverable messages.
 func dropMessages(ms []Message) {

@@ -87,43 +87,11 @@ func TestStatsCountMessagesAndBytes(t *testing.T) {
 	f := New(2)
 	f.Send(Message{To: 1, Payload: core.Buffer(make([]byte, 100))})
 	f.Send(Message{To: 1, Payload: core.Buffer(make([]byte, 28))})
+	f.Send(Message{From: 1, To: 1, Payload: core.Buffer(make([]byte, 40))}) // self-send: not traffic
 	s := f.Snapshot()
 	if s.Messages != 2 || s.Bytes != 128 {
 		t.Errorf("stats = %+v", s)
 	}
-}
-
-func TestBlockingSendRendezvous(t *testing.T) {
-	f := NewBlocking(2)
-	var sendDone, recvStarted sync.WaitGroup
-	sendDone.Add(1)
-	recvStarted.Add(1)
-	sent := false
-	var mu sync.Mutex
-	go func() {
-		defer sendDone.Done()
-		f.Send(Message{From: 0, To: 1, Src: 1})
-		mu.Lock()
-		sent = true
-		mu.Unlock()
-	}()
-	time.Sleep(20 * time.Millisecond)
-	mu.Lock()
-	if sent {
-		mu.Unlock()
-		t.Fatal("blocking send completed before receive")
-	}
-	mu.Unlock()
-	if _, ok := f.Recv(1); !ok {
-		t.Fatal("Recv failed")
-	}
-	sendDone.Wait()
-	mu.Lock()
-	defer mu.Unlock()
-	if !sent {
-		t.Error("send did not complete after receive")
-	}
-	recvStarted.Done()
 }
 
 func TestConcurrentSendersAllDelivered(t *testing.T) {
@@ -232,24 +200,6 @@ func TestSendCancelledFabricErrClosed(t *testing.T) {
 	}
 	if err := f.SendN([]Message{{From: 0, To: 1}}); !errors.Is(err, ErrClosed) {
 		t.Errorf("SendN on cancelled fabric = %v, want ErrClosed", err)
-	}
-}
-
-// TestBlockingSendCancelledDoesNotHang: a rendezvous send racing a Cancel
-// must not deadlock — either the message is dropped with ErrClosed before
-// the wait, or the cancel releases the blocked sender.
-func TestBlockingSendCancelledDoesNotHang(t *testing.T) {
-	f := NewBlocking(2)
-	done := make(chan error, 1)
-	go func() {
-		done <- f.Send(Message{From: 0, To: 1})
-	}()
-	time.Sleep(10 * time.Millisecond)
-	f.Cancel()
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("blocking send hung across Cancel")
 	}
 }
 
@@ -384,38 +334,11 @@ func TestRecvBatchBlocksThenDrains(t *testing.T) {
 	}
 }
 
-func TestBlockingSendNRendezvous(t *testing.T) {
-	f := NewBlocking(2)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		f.SendN([]Message{{From: 0, To: 1, Src: 1}, {From: 0, To: 1, Src: 2}})
-	}()
-	time.Sleep(10 * time.Millisecond)
-	select {
-	case <-done:
-		t.Fatal("blocking SendN completed before receive")
-	default:
-	}
-	if m, ok := f.Recv(1); !ok || m.Src != 1 {
-		t.Fatalf("Recv = %v, %v", m, ok)
-	}
-	if m, ok := f.Recv(1); !ok || m.Src != 2 {
-		t.Fatalf("Recv = %v, %v", m, ok)
-	}
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("blocking SendN did not complete after receives")
-	}
-}
-
-// TestBlockingSendNPerDestinationFIFO locks in the ordering contract the
-// TCP transport must reproduce: a blocking SendN interleaving two
-// destinations performs one rendezvous per inter-rank message, and each
-// destination observes its messages in batch order.
-func TestBlockingSendNPerDestinationFIFO(t *testing.T) {
-	f := NewBlocking(3)
+// TestSendNPerDestinationFIFO locks in the ordering contract the TCP
+// transport must reproduce: a SendN interleaving two destinations delivers
+// each destination's messages in batch order.
+func TestSendNPerDestinationFIFO(t *testing.T) {
+	f := New(3)
 	const perDest = 20
 	var ms []Message
 	for i := 0; i < perDest; i++ {
@@ -423,61 +346,19 @@ func TestBlockingSendNPerDestinationFIFO(t *testing.T) {
 			Message{From: 0, To: 1, Src: core.TaskId(i)},
 			Message{From: 0, To: 2, Src: core.TaskId(i)})
 	}
-	done := make(chan error, 1)
-	go func() { done <- f.SendN(ms) }()
-
-	var wg sync.WaitGroup
-	for _, rank := range []int{1, 2} {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			for i := 0; i < perDest; i++ {
-				m, ok := f.Recv(rank)
-				if !ok {
-					t.Errorf("rank %d: mailbox closed at %d", rank, i)
-					return
-				}
-				if m.Src != core.TaskId(i) {
-					t.Errorf("rank %d: message %d out of order: src=%d", rank, i, m.Src)
-					return
-				}
-			}
-		}(rank)
-	}
-	wg.Wait()
-	if err := <-done; err != nil {
+	if err := f.SendN(ms); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// TestBlockingSendNSelfSendNoRendezvous: self-sends are in-memory hand-offs
-// even in blocking mode — a batch of them completes without any concurrent
-// receiver.
-func TestBlockingSendNSelfSendNoRendezvous(t *testing.T) {
-	f := NewBlocking(2)
-	ms := []Message{
-		{From: 0, To: 0, Src: 1},
-		{From: 0, To: 0, Src: 2},
-		{From: 0, To: 0, Src: 3},
-	}
-	done := make(chan error, 1)
-	go func() { done <- f.SendN(ms) }()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
+	for _, rank := range []int{1, 2} {
+		for i := 0; i < perDest; i++ {
+			m, ok := f.TryRecv(rank)
+			if !ok || m.Src != core.TaskId(i) {
+				t.Fatalf("rank %d message %d = %v, %v, want Src=%d", rank, i, m, ok, i)
+			}
 		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("blocking self-send batch rendezvoused: SendN did not return without a receiver")
-	}
-	for _, want := range []core.TaskId{1, 2, 3} {
-		if m, ok := f.TryRecv(0); !ok || m.Src != want {
-			t.Fatalf("self-send delivery = %v, %v, want Src=%d", m, ok, want)
+		if m, ok := f.TryRecv(rank); ok {
+			t.Fatalf("rank %d: extra message %v", rank, m)
 		}
-	}
-	// Self-sends are not traffic.
-	if s := f.Snapshot(); s.Messages != 0 {
-		t.Errorf("self-sends counted as traffic: %+v", s)
 	}
 }
 

@@ -70,10 +70,12 @@ func (t *Transport) Send(m fabric.Message) error {
 	return t.SendN([]fabric.Message{m})
 }
 
-// SendN applies the plan to a batch: inter-rank messages are counted, and
-// if the victim's counter crosses KillAfter inside the batch, the prefix
-// before the crossing message is delivered, the inner transport is killed,
-// and the remaining payload references are released.
+// SendN applies the plan to a batch: inter-rank messages are counted on the
+// wrapper's running counter, so the kill point and the duplicated messages do
+// not depend on how sends are batched. If the victim's counter crosses
+// KillAfter inside the batch, the prefix before the crossing message (and its
+// duplicates) is delivered, the inner transport is killed, and the remaining
+// payload references are released.
 func (t *Transport) SendN(ms []fabric.Message) error {
 	if len(ms) == 0 {
 		return nil
@@ -87,20 +89,28 @@ func (t *Transport) SendN(ms []fabric.Message) error {
 		releaseAll(ms)
 		return err
 	}
-	// Find the position of the message whose send crosses the kill
-	// threshold, counting only inter-rank messages — local loopback
-	// delivery does not touch the network a crash would sever.
+	// Count only inter-rank messages — local loopback delivery does not
+	// touch the network a crash would sever. Duplicates keep the original
+	// Seq so receivers can recognize them.
 	killAt := -1
+	var dup []fabric.Message
 	for i := range ms {
 		if ms[i].From == ms[i].To {
 			continue
 		}
-		if victim && t.sent == t.plan.KillAfter && killAt < 0 {
+		if victim && t.sent == t.plan.KillAfter {
 			killAt = i
+			break
 		}
 		t.sent++
+		if k := t.plan.DuplicateEvery; k > 0 && t.sent%k == 0 {
+			if cp, err := ms[i].Payload.CloneForWire(); err == nil {
+				d := ms[i]
+				d.Payload = cp
+				dup = append(dup, d)
+			}
+		}
 	}
-	dup := t.duplicatesLocked(ms, killAt)
 	if killAt >= 0 {
 		t.killed = true
 		t.kerr = fmt.Errorf("faultinject: rank %d killed after %d message(s): %w",
@@ -113,60 +123,27 @@ func (t *Transport) SendN(ms []fabric.Message) error {
 		time.Sleep(t.plan.Delay)
 	}
 
-	if killAt < 0 {
-		if serr := t.Transport.SendN(ms); serr != nil {
-			releaseAll(dup)
-			return serr
-		}
-		if len(dup) > 0 {
-			if serr := t.Transport.SendN(dup); serr != nil {
-				return serr
-			}
-		}
-		return nil
+	// Deliver what made it out before a crash, then sever.
+	out := ms
+	if killAt >= 0 {
+		out = ms[:killAt]
+		releaseAll(ms[killAt:])
 	}
-
-	// Deliver the prefix that made it out before the crash, then sever.
-	if killAt > 0 {
-		if serr := t.Transport.SendN(ms[:killAt]); serr != nil {
-			releaseAll(ms[killAt:])
+	if len(out) > 0 {
+		if serr := t.Transport.SendN(out); serr != nil {
 			releaseAll(dup)
 			return serr
 		}
 	}
-	releaseAll(ms[killAt:])
-	releaseAll(dup)
-	kill(t.Transport)
+	if len(dup) > 0 {
+		if serr := t.Transport.SendN(dup); serr != nil {
+			return serr
+		}
+	}
+	if killAt >= 0 {
+		kill(t.Transport)
+	}
 	return err
-}
-
-// duplicatesLocked clones every k-th inter-rank message for redelivery.
-// Must be called with t.mu held (it consults t.sent's pre-batch value via
-// the caller's counting); duplicates keep the original Seq so receivers
-// can recognize them.
-func (t *Transport) duplicatesLocked(ms []fabric.Message, killAt int) []fabric.Message {
-	if t.plan.DuplicateEvery <= 0 {
-		return nil
-	}
-	var dup []fabric.Message
-	n := 0
-	for i := range ms {
-		if ms[i].From == ms[i].To || (killAt >= 0 && i >= killAt) {
-			continue
-		}
-		n++
-		if n%t.plan.DuplicateEvery != 0 {
-			continue
-		}
-		cp, err := ms[i].Payload.CloneForWire()
-		if err != nil {
-			continue
-		}
-		d := ms[i]
-		d.Payload = cp
-		dup = append(dup, d)
-	}
-	return dup
 }
 
 // Err surfaces the injected failure once the kill fired, else defers to the

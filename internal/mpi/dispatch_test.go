@@ -11,8 +11,7 @@ import (
 // TestReceiveLoopDrainsWhileWorkersSaturated is the regression test for the
 // dispatch-blocks-receive bug: the old per-rank semaphore made the receive
 // loop block inside dispatch whenever all workers were busy, so the rank
-// stopped dequeuing messages — and in rendezvous (Blocking) mode, remote
-// senders stalled with it. With the persistent worker pool, dispatch only
+// stopped dequeuing messages. With the persistent worker pool, dispatch only
 // enqueues, so the receive loop always keeps draining.
 //
 // The graph is built so that the old scheme deadlocks:
@@ -21,10 +20,10 @@ import (
 //	rank 1: E (external) -> slot 0: C (rank 0), slot 1: F (rank 1)
 //
 // With Workers=2 (one homed worker per rank), A1 occupies one worker until
-// F signals it, leaving a single worker for everything else. F only runs
-// after E's rendezvous send to rank 0 completes, which requires rank 0's
-// receive loop to dequeue while A1 still holds a worker. The old code
-// instead parked the loop dispatching A2, so the signal never came.
+// C runs, leaving a single worker for everything else. C becomes ready only
+// when rank 0's receive loop dequeues E's message while A1 still holds a
+// worker. The old code instead parked the loop dispatching A2, so C never
+// became ready.
 func TestReceiveLoopDrainsWhileWorkersSaturated(t *testing.T) {
 	const (
 		a1 core.TaskId = iota
@@ -37,8 +36,8 @@ func TestReceiveLoopDrainsWhileWorkersSaturated(t *testing.T) {
 		{Id: a1, Callback: 0, Incoming: []core.TaskId{core.ExternalInput}, Outgoing: [][]core.TaskId{{}}},
 		{Id: a2, Callback: 1, Incoming: []core.TaskId{core.ExternalInput}, Outgoing: [][]core.TaskId{{}}},
 		{Id: e, Callback: 1, Incoming: []core.TaskId{core.ExternalInput}, Outgoing: [][]core.TaskId{{c}, {f}}},
-		{Id: f, Callback: 2, Incoming: []core.TaskId{e}, Outgoing: [][]core.TaskId{{}}},
-		{Id: c, Callback: 1, Incoming: []core.TaskId{e}, Outgoing: [][]core.TaskId{{}}},
+		{Id: f, Callback: 1, Incoming: []core.TaskId{e}, Outgoing: [][]core.TaskId{{}}},
+		{Id: c, Callback: 2, Incoming: []core.TaskId{e}, Outgoing: [][]core.TaskId{{}}},
 	})
 	tmap := core.NewFuncMap(2, g.TaskIds(), func(id core.TaskId) core.ShardId {
 		if id == e || id == f {
@@ -47,12 +46,12 @@ func TestReceiveLoopDrainsWhileWorkersSaturated(t *testing.T) {
 		return 0
 	})
 
-	ctrl := New(WithBlocking(true), WithWorkers(2))
+	ctrl := New(WithWorkers(2))
 	if err := ctrl.Initialize(g, tmap); err != nil {
 		t.Fatal(err)
 	}
 	released := make(chan struct{})
-	// Callback 0 (A1): park rank 0's only worker until F runs.
+	// Callback 0 (A1): park one of the two workers until C runs.
 	ctrl.RegisterCallback(0, func(in []core.Payload, id core.TaskId) ([]core.Payload, error) {
 		select {
 		case <-released:
@@ -66,8 +65,8 @@ func TestReceiveLoopDrainsWhileWorkersSaturated(t *testing.T) {
 		tk, _ := g.Task(id)
 		return make([]core.Payload, len(tk.Outgoing)), nil
 	})
-	// Callback 2 (F): runs strictly after E's rendezvous send to rank 0
-	// completed; release A1.
+	// Callback 2 (C): runs only after rank 0's receive loop dequeued E's
+	// message; release A1.
 	ctrl.RegisterCallback(2, func(in []core.Payload, id core.TaskId) ([]core.Payload, error) {
 		close(released)
 		return []core.Payload{{}}, nil

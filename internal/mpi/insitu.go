@@ -34,12 +34,7 @@ func NewGroup(g core.TaskGraph, m core.TaskMap, opts ...Option) (*Group, error) 
 	if err := c.Initialize(g, m); err != nil {
 		return nil, err
 	}
-	var fab fabric.Transport
-	if c.opt.Blocking {
-		fab = fabric.NewBlocking(m.ShardCount())
-	} else {
-		fab = fabric.New(m.ShardCount())
-	}
+	fab := fabric.New(m.ShardCount())
 	gr := &Group{ctrl: c, fab: fab, started: make(map[int]bool)}
 	gr.att.Cancel = fab.Cancel
 	c.onFail = gr.att.Fail

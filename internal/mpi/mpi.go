@@ -338,12 +338,9 @@ func (c *Controller) run(ctx context.Context, rank int, tr fabric.Transport, poo
 	}
 	n := len(pl.local)
 	if tr == nil {
-		switch {
-		case c.opt.Transport != nil:
+		if c.opt.Transport != nil {
 			tr = c.opt.Transport(n)
-		case c.opt.Blocking:
-			tr = fabric.NewBlocking(n)
-		default:
+		} else {
 			tr = fabric.New(n)
 		}
 		defer func() { c.lastStats = tr.Snapshot() }()

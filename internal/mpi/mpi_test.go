@@ -203,7 +203,6 @@ func TestMPIInlineAndBlockModes(t *testing.T) {
 	initial := reductionInputs(g)
 	m := core.NewModuloMap(3, g.Size())
 	runBoth(t, g, m, reg, initial, WithInline(true))
-	runBoth(t, g, m, reg, initial, WithInline(true), WithBlocking(true))
 	runBoth(t, g, m, reg, initial, WithAlwaysSerialize(true))
 	runBoth(t, g, m, reg, initial, WithWorkers(1))
 }

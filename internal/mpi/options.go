@@ -24,7 +24,6 @@ type options struct {
 	FIFO            bool
 	NoSteal         bool
 	Inline          bool
-	Blocking        bool
 	AlwaysSerialize bool
 	Observer        core.Observer
 	Retry           core.RetryPolicy
@@ -158,17 +157,6 @@ func WithInline(inline bool) Option {
 // baseline of the scheduler benches.
 func WithFIFO(fifo bool) Option {
 	return optionFunc(func(o *options) { o.FIFO = fifo })
-}
-
-// WithBlocking switches the fabric to rendezvous sends, modeling blocking
-// MPI_Send of large (rendezvous-protocol) messages. Like real unbuffered
-// blocking sends, it can deadlock on dataflows where two ranks send to each
-// other simultaneously; the safe single-threaded "Original MPI" baseline of
-// Fig. 6 uses WithInline with asynchronous sends, which removes
-// compute/communication overlap (the effect the paper attributes the
-// performance gap to) without the deadlock.
-func WithBlocking(blocking bool) Option {
-	return optionFunc(func(o *options) { o.Blocking = blocking })
 }
 
 // WithNoSteal pins workers to their home rank's deque (ablation). It forces

@@ -86,11 +86,6 @@ func NewService(ranks int, opts ...Option) (*Service, error) {
 	if ranks <= 0 {
 		return nil, fmt.Errorf("mpi: service needs at least one rank, got %d", ranks)
 	}
-	if opt.Blocking {
-		// Rendezvous sends park the sender until the receiver dequeues; with
-		// many runs sharing rank mailboxes that coupling deadlocks.
-		return nil, fmt.Errorf("mpi: service does not support blocking sends")
-	}
 
 	var base fabric.Transport
 	if opt.Transport != nil {

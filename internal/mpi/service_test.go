@@ -295,9 +295,6 @@ func TestServiceRejectsBadOptions(t *testing.T) {
 	if _, err := NewService(0); err == nil {
 		t.Error("zero ranks accepted")
 	}
-	if _, err := NewService(2, WithBlocking(true)); err == nil {
-		t.Error("blocking service accepted")
-	}
 }
 
 // tieredTransport is an in-memory fabric that also reports a negotiated
