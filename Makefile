@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test race deprecations loc bench bench-smoke bench-sched bench-faults bench-iterate figures smoke-wire smoke-faults smoke-resume smoke-serve smoke-iterate smoke-elastic fuzz-wire perf-smoke
+.PHONY: check build vet test race deprecations loc bench bench-smoke bench-sched bench-faults bench-iterate figures smoke-wire smoke-faults smoke-resume smoke-serve smoke-iterate smoke-elastic fuzz perf-smoke
 
 ## check: the CI gate — vet, the deprecation sweep, build, the full test
 ## suite under the race detector, the fault-injection smoke (kill one
@@ -141,12 +141,14 @@ smoke-elastic:
 		-drain 1 -drain-after 400ms -journal $$dir -wire-tier tcp; \
 	rm -rf $$dir
 
-## fuzz-wire: short fuzz smoke of the wire frame decoder and of the
-## handshake body decoders (longer runs: go test -fuzz=FuzzFrameDecode or
-## -fuzz=FuzzHandshakeDecode ./internal/wire).
-fuzz-wire:
+## fuzz: short fuzz smoke of the wire frame decoder, of the handshake body
+## decoders and of the merge-tree decoder (longer runs: go test
+## -fuzz=FuzzFrameDecode or -fuzz=FuzzHandshakeDecode ./internal/wire,
+## go test -fuzz=FuzzTreeDecode ./internal/mergetree).
+fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzFrameDecode -fuzztime=10s ./internal/wire
 	$(GO) test -run='^$$' -fuzz=FuzzHandshakeDecode -fuzztime=10s ./internal/wire
+	$(GO) test -run='^$$' -fuzz=FuzzTreeDecode -fuzztime=10s ./internal/mergetree
 
 ## perf-smoke: the CI perf job, defined only here — every wire benchmark
 ## (all transport tiers), once plain and once under the race detector, and
@@ -155,9 +157,10 @@ fuzz-wire:
 ## package and the conformance matrix (tcp, unix, shm) under the race
 ## detector, then the graph-plan benchmarks (compile and cold run of the
 ## 16k-task graph) and the data kernels (block extraction of a 256³ field,
-## 256² image encode and decode) once each so they cannot rot, then the
-## allocation pins (plan, cold and warm runs, what tracing adds per task,
-## and block extraction).
+## 256² image encode and decode) and the merge-tree kernels (a leaf's local
+## tree, a correction merge, a segmentation) once each so they cannot rot,
+## then the allocation pins (plan, cold and warm runs, what tracing adds per
+## task, block extraction, and the merge-tree kernels).
 perf-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=100x ./internal/wire
 	$(GO) test -race -run='^$$' -bench=. -benchtime=100x ./internal/wire
@@ -168,4 +171,5 @@ perf-smoke:
 	$(GO) test -run='^$$' -bench='^BenchmarkColdRun16k$$' -benchtime=1x ./internal/mpi
 	$(GO) test -run='^$$' -bench='^BenchmarkExtract$$' -benchtime=1x ./internal/data
 	$(GO) test -run='^$$' -bench='^BenchmarkImage(Serialize|Deserialize)$$' -benchtime=1x ./internal/render
-	$(GO) test -count=1 -run='AllocationPins' ./internal/core ./internal/mpi ./internal/data
+	$(GO) test -run='^$$' -bench='^Benchmark(FromField|Merge|Segment)$$' -benchtime=1x ./internal/mergetree
+	$(GO) test -count=1 -run='AllocationPins' ./internal/core ./internal/mpi ./internal/data ./internal/mergetree

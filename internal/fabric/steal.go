@@ -153,16 +153,25 @@ func (p *Pool) Submit(home int, pri int64, run func()) {
 	// item; a worker parked elsewhere only helps when stealing is on.
 	switch {
 	case p.idle[home] > 0:
-		p.conds[home].Signal()
+		p.wakeLocked(home)
 	case p.steal && p.parked > 0:
 		for h := range p.idle {
 			if p.idle[h] > 0 {
-				p.conds[h].Signal()
+				p.wakeLocked(h)
 				break
 			}
 		}
 	}
 	p.mu.Unlock()
+}
+
+// wakeLocked signals one worker parked on home and takes it off the parked
+// counts at once, so the next Submit sees it as taken even before it has
+// re-acquired the lock, and wakes another worker instead.
+func (p *Pool) wakeLocked(home int) {
+	p.idle[home]--
+	p.parked--
+	p.conds[home].Signal()
 }
 
 // popLocked takes the next item for a worker homed at home: its own deque
@@ -199,9 +208,7 @@ func (p *Pool) worker(home int) {
 		}
 		p.idle[home]++
 		p.parked++
-		p.conds[home].Wait()
-		p.idle[home]--
-		p.parked--
+		p.conds[home].Wait() // whoever wakes us has uncounted us
 	}
 	p.mu.Unlock()
 }
@@ -219,6 +226,8 @@ func (p *Pool) Queued() int {
 func (p *Pool) Close() {
 	p.mu.Lock()
 	p.closed = true
+	clear(p.idle)
+	p.parked = 0
 	for _, c := range p.conds {
 		c.Broadcast()
 	}

@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -111,6 +112,33 @@ func TestPoolNoStealPins(t *testing.T) {
 	close(block1)
 	<-ran // home 1's worker picks it up after unblocking
 	p.Close()
+}
+
+// TestPoolBurstWakesParkedStealer submits two items back to back to home 0
+// while the workers of homes 0 and 1 are both parked; the first item blocks
+// until the second has run. The second submit must wake the worker parked
+// on home 1 to steal it: signalling home 0 again would wake nobody, since
+// home 0's only worker is already woken, and the pool would hang.
+func TestPoolBurstWakesParkedStealer(t *testing.T) {
+	for trial := 0; trial < 200; trial++ {
+		p := NewPool(2, []int{0, 1}, PoolOptions{})
+		for parked := 0; parked < 2; {
+			runtime.Gosched()
+			p.mu.Lock()
+			parked = p.parked
+			p.mu.Unlock()
+		}
+		ran := make(chan struct{})
+		done := make(chan struct{})
+		p.Submit(0, 0, func() { <-ran; close(done) })
+		p.Submit(0, 0, func() { close(ran) })
+		select {
+		case <-done:
+		case <-time.After(2 * time.Second):
+			t.Fatalf("trial %d: the second item never ran while a stealer was parked", trial)
+		}
+		p.Close()
+	}
 }
 
 func TestPoolManyItemsAllRun(t *testing.T) {

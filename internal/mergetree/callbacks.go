@@ -3,7 +3,7 @@ package mergetree
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/babelflow/babelflow-go/internal/core"
 	"github.com/babelflow/babelflow-go/internal/data"
@@ -153,16 +153,25 @@ func (cfg Config) segmentationCallback(g *Graph) core.Callback {
 		if err != nil {
 			return nil, err
 		}
-		labels := tree.Segment(cfg.Threshold)
+		labels := tree.labels(cfg.Threshold)
 		b := cfg.Decomp.Block(i)
-		seg := Segmentation{Block: i, Labels: make(map[uint64]uint64)}
-		for vid, rep := range labels {
-			x, y, z := VertexCoords(vid, cfg.Decomp.NX, cfg.Decomp.NY)
-			if x >= b.X0 && x < b.X1 && y >= b.Y0 && y < b.Y1 && z >= b.Z0 && z < b.Z1 {
-				seg.Labels[vid] = rep
+		n := 0
+		for j, r := range labels {
+			x, y, z := VertexCoords(tree.ids[j], cfg.Decomp.NX, cfg.Decomp.NY)
+			if r >= 0 && x >= b.X0 && x < b.X1 && y >= b.Y0 && y < b.Y1 && z >= b.Z0 && z < b.Z1 {
+				n++
+			} else {
+				labels[j] = -1
 			}
 		}
-		return []core.Payload{core.Buffer(seg.Serialize())}, nil
+		// Tree ids ascend, so the pairs come out in encoding order.
+		buf := segmentationBuffer(i, n)
+		for j, r := range labels {
+			if r >= 0 {
+				buf = binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(buf, tree.ids[j]), tree.ids[r])
+			}
+		}
+		return []core.Payload{core.Buffer(buf)}, nil
 	}
 }
 
@@ -181,18 +190,20 @@ func (s Segmentation) Serialize() []byte {
 	for id := range s.Labels {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	le := binary.LittleEndian
-	buf := make([]byte, 16+16*len(ids))
-	le.PutUint64(buf[0:], uint64(s.Block))
-	le.PutUint64(buf[8:], uint64(len(ids)))
-	off := 16
+	slices.Sort(ids)
+	buf := segmentationBuffer(s.Block, len(ids))
 	for _, id := range ids {
-		le.PutUint64(buf[off:], id)
-		le.PutUint64(buf[off+8:], s.Labels[id])
-		off += 16
+		buf = binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(buf, id), s.Labels[id])
 	}
 	return buf
+}
+
+// segmentationBuffer returns a segmentation encoding with its header
+// written and room for n (vertex, label) pairs, which the caller appends in
+// ascending vertex order.
+func segmentationBuffer(block, n int) []byte {
+	buf := binary.LittleEndian.AppendUint64(make([]byte, 0, 16+16*n), uint64(block))
+	return binary.LittleEndian.AppendUint64(buf, uint64(n))
 }
 
 // DeserializeSegmentation decodes a serialized segmentation.

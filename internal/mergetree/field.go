@@ -23,37 +23,59 @@ func VertexCoords(id uint64, nx, ny int) (x, y, z int) {
 // field, restricted to vertices with value >= threshold, using
 // 6-connectivity. Vertices carry global domain ids (the block's origin and
 // the domain dimensions determine them), so trees of adjacent blocks share
-// the ids of their common ghost-layer vertices and can be joined.
+// the ids of their common ghost-layer vertices and can be joined. The block
+// must fit the domain's x and y extent, so that its ids ascend in z-y-x
+// order and a vertex's neighbours lie ±1, ±NX and ±NX·NY voxels away.
 func FromField(block *data.Field, originX, originY, originZ, domainNX, domainNY int, threshold float32) *Tree {
-	values := make(map[uint64]float32)
-	for z := 0; z < block.NZ; z++ {
-		for y := 0; y < block.NY; y++ {
-			for x := 0; x < block.NX; x++ {
-				v := block.At(x, y, z)
-				if v >= threshold {
-					values[VertexId(originX+x, originY+y, originZ+z, domainNX, domainNY)] = v
+	nx, ny, nz := block.NX, block.NY, block.NZ
+	// at maps a block voxel to its node index, or -1 below the threshold.
+	at := make([]int32, len(block.Values))
+	n := int32(0)
+	for i, v := range block.Values {
+		at[i] = -1
+		if v >= threshold {
+			at[i], n = n, n+1
+		}
+	}
+	ids, val := make([]uint64, 0, n), make([]float32, 0, n)
+	off, adj := make([]int32, 1, n+1), make([]int32, 0, 6*n)
+	link := func(j int) {
+		if at[j] >= 0 {
+			adj = append(adj, at[j])
+		}
+	}
+	i := 0
+	for z := 0; z < nz; z++ {
+		for y := 0; y < ny; y++ {
+			id := VertexId(originX, originY+y, originZ+z, domainNX, domainNY)
+			for x := 0; x < nx; x, i, id = x+1, i+1, id+1 {
+				if at[i] < 0 {
+					continue
 				}
+				ids, val = append(ids, id), append(val, block.Values[i])
+				if x > 0 {
+					link(i - 1)
+				}
+				if x < nx-1 {
+					link(i + 1)
+				}
+				if y > 0 {
+					link(i - nx)
+				}
+				if y < ny-1 {
+					link(i + nx)
+				}
+				if z > 0 {
+					link(i - nx*ny)
+				}
+				if z < nz-1 {
+					link(i + nx*ny)
+				}
+				off = append(off, int32(len(adj)))
 			}
 		}
 	}
-	offsets := [6][3]int{{-1, 0, 0}, {1, 0, 0}, {0, -1, 0}, {0, 1, 0}, {0, 0, -1}, {0, 0, 1}}
-	adj := func(id uint64) []uint64 {
-		gx, gy, gz := VertexCoords(id, domainNX, domainNY)
-		x, y, z := gx-originX, gy-originY, gz-originZ
-		var out []uint64
-		for _, o := range offsets {
-			nx, ny, nz := x+o[0], y+o[1], z+o[2]
-			if nx < 0 || nx >= block.NX || ny < 0 || ny >= block.NY || nz < 0 || nz >= block.NZ {
-				continue
-			}
-			nid := VertexId(originX+nx, originY+ny, originZ+nz, domainNX, domainNY)
-			if _, ok := values[nid]; ok {
-				out = append(out, nid)
-			}
-		}
-		return out
-	}
-	return compute(values, adj)
+	return compute(ids, val, off, adj)
 }
 
 // BoundaryKeeper returns a keep-predicate for Tree.Reduce that retains

@@ -42,89 +42,69 @@ func (t *Tree) PersistencePairs() []Pair {
 // segmentation topological analysis is used for.
 func (t *Tree) BranchDecomposition(minPersistence float32) map[uint64]uint64 {
 	labels, _ := t.sweepBranches(minPersistence, true)
-	return labels
+	out := make(map[uint64]uint64, len(labels))
+	for v, m := range labels {
+		out[t.ids[v]] = t.ids[m]
+	}
+	return out
 }
 
 // sweepBranches performs the descending sweep shared by PersistencePairs
 // and BranchDecomposition. It processes nodes from highest to lowest,
-// merging the child components arriving at each node; each node is labeled
-// with the representative maximum of its component at processing time.
-// Dying branches with persistence below minPersistence are remapped into
-// their survivor when simplify is set.
-func (t *Tree) sweepBranches(minPersistence float32, simplify bool) (map[uint64]uint64, []Pair) {
-	// Children lists (inverse parent arcs).
-	children := make(map[uint64][]uint64, len(t.value))
-	for c, p := range t.parent {
-		children[p] = append(children[p], c)
-	}
-	order := make([]uint64, 0, len(t.value))
-	for id := range t.value {
-		order = append(order, id)
-	}
-	sort.Slice(order, func(i, j int) bool {
-		return above(t.value[order[i]], order[i], t.value[order[j]], order[j])
+// merging the child components arriving at each node into the node's own,
+// so a component's union-find root is its lowest node; each node is
+// labeled with the index of its component's representative maximum at
+// processing time. Dying branches with persistence below minPersistence
+// are remapped into their survivor when simplify is set.
+func (t *Tree) sweepBranches(minPersistence float32, simplify bool) ([]int32, []Pair) {
+	off, kids := csr(len(t.ids), func(add func(from, to int32)) {
+		for c, p := range t.par {
+			if p >= 0 {
+				add(p, int32(c))
+			}
+		}
 	})
-
-	uf := newUnionFind()
-	best := make(map[uint64]uint64, len(t.value)) // component root -> branch max
-	labels := make(map[uint64]uint64, len(t.value))
-	remap := make(map[uint64]uint64)
+	n := len(t.ids)
+	uf, best := make([]int32, n), make([]int32, n) // best: root -> branch max
+	labels, remap := make([]int32, n), make([]int32, n)
+	for i := range uf {
+		uf[i], best[i], remap[i] = int32(i), int32(i), -1
+	}
 	var pairs []Pair
-
-	for _, v := range order {
-		uf.makeSet(v)
-		best[v] = v
-		// Merge every already-processed child component into v's.
+	for _, v := range sweepOrder(t.val) {
 		survivor := v
-		var merged []uint64
-		for _, c := range children[v] {
-			rc := uf.find(c)
-			m := best[rc]
-			merged = append(merged, m)
-			if above(t.value[m], m, t.value[survivor], survivor) {
+		for _, c := range kids[off[v]:off[v+1]] {
+			if m := best[find(uf, c)]; t.above(m, survivor) {
 				survivor = m
 			}
 		}
-		for _, c := range children[v] {
-			r := uf.union(uf.find(v), uf.find(c))
-			best[r] = survivor
-		}
 		// Every non-surviving branch dies at v.
-		for _, m := range merged {
-			if m == survivor {
-				continue
-			}
-			pers := t.value[m] - t.value[v]
-			pairs = append(pairs, Pair{Max: m, Saddle: v, Persistence: pers})
-			if simplify && pers < minPersistence {
-				remap[m] = survivor
-			}
-		}
-		labels[v] = survivor
-	}
-
-	// Essential maxima: the best of every final component.
-	roots := make(map[uint64]bool)
-	for id := range t.value {
-		roots[uf.find(id)] = true
-	}
-	for r := range roots {
-		m := best[r]
-		pairs = append(pairs, Pair{Max: m, Persistence: t.value[m], Essential: true})
-	}
-
-	if simplify {
-		resolve := func(m uint64) uint64 {
-			for {
-				next, ok := remap[m]
-				if !ok {
-					return m
+		for _, c := range kids[off[v]:off[v+1]] {
+			r := find(uf, c)
+			if m := best[r]; m != survivor {
+				pers := t.val[m] - t.val[v]
+				pairs = append(pairs, Pair{Max: t.ids[m], Saddle: t.ids[v], Persistence: pers})
+				if simplify && pers < minPersistence {
+					remap[m] = survivor
 				}
-				m = next
 			}
+			uf[r] = v
 		}
+		best[v], labels[v] = survivor, survivor
+	}
+	// Essential maxima: the best of every final component.
+	for r, p := range uf {
+		if int(p) == r {
+			m := best[r]
+			pairs = append(pairs, Pair{Max: t.ids[m], Persistence: t.val[m], Essential: true})
+		}
+	}
+	if simplify {
 		for v, m := range labels {
-			labels[v] = resolve(m)
+			for remap[m] >= 0 {
+				m = remap[m]
+			}
+			labels[v] = m
 		}
 	}
 	return labels, pairs

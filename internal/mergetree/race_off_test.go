@@ -1,0 +1,5 @@
+//go:build !race
+
+package mergetree
+
+const raceEnabled = false

@@ -15,7 +15,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // NoNode marks the absence of a parent (tree roots).
@@ -25,176 +25,153 @@ const NoNode = ^uint64(0)
 // globally unique ids. Every node stores its scalar value and a parent arc
 // toward the next lower node of its component; roots have no parent.
 //
-// The total order used everywhere is (value, id) descending, which breaks
-// ties deterministically across blocks and runtimes.
+// The nodes are three parallel arrays in ascending id order and an arc is
+// an index into them, so every kernel is a sweep over dense indices. The
+// total order used everywhere is (value, id) descending, which breaks ties
+// deterministically across blocks and runtimes; as ids ascend with the
+// index, a tie goes to the higher index.
 type Tree struct {
-	value  map[uint64]float32
-	parent map[uint64]uint64
+	ids []uint64
+	val []float32
+	par []int32 // parent index, -1 for roots
 }
 
 // NewTree returns an empty tree.
-func NewTree() *Tree {
-	return &Tree{value: make(map[uint64]float32), parent: make(map[uint64]uint64)}
-}
+func NewTree() *Tree { return &Tree{} }
 
 // Len returns the number of nodes.
-func (t *Tree) Len() int { return len(t.value) }
+func (t *Tree) Len() int { return len(t.ids) }
+
+// index returns the index of a node id, or -1 when it is not a node.
+func (t *Tree) index(id uint64) int32 {
+	if i, ok := slices.BinarySearch(t.ids, id); ok {
+		return int32(i)
+	}
+	return -1
+}
 
 // Value returns a node's scalar value.
 func (t *Tree) Value(id uint64) (float32, bool) {
-	v, ok := t.value[id]
-	return v, ok
+	if i := t.index(id); i >= 0 {
+		return t.val[i], true
+	}
+	return 0, false
 }
 
 // Parent returns a node's parent, or NoNode for roots and unknown ids.
 func (t *Tree) Parent(id uint64) uint64 {
-	p, ok := t.parent[id]
-	if !ok {
-		return NoNode
+	if i := t.index(id); i >= 0 {
+		return t.parentId(i)
 	}
-	return p
+	return NoNode
+}
+
+// parentId returns the id of node i's parent, or NoNode for a root.
+func (t *Tree) parentId(i int32) uint64 {
+	if p := t.par[i]; p >= 0 {
+		return t.ids[p]
+	}
+	return NoNode
 }
 
 // Ids returns all node ids in ascending order.
-func (t *Tree) Ids() []uint64 {
-	ids := make([]uint64, 0, len(t.value))
-	for id := range t.value {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
+func (t *Tree) Ids() []uint64 { return slices.Clone(t.ids) }
 
-// above reports whether (va, a) comes before (vb, b) in the sweep order:
-// higher value first, ties broken toward higher id.
-func above(va float32, a uint64, vb float32, b uint64) bool {
-	if va != vb {
-		return va > vb
+// above reports whether node a comes before node b in the sweep order:
+// higher value first, ties broken toward the higher id.
+func (t *Tree) above(a, b int32) bool {
+	if t.val[a] != t.val[b] {
+		return t.val[a] > t.val[b]
 	}
 	return a > b
 }
 
-// unionFind is a union-find over node ids with path compression. When the
-// id set is (nearly) contiguous — as vertex ids of a data.Decomposition
-// block are — a dense slice indexed by id-base backs the parent pointers;
-// for sparse id sets (merged boundary trees spanning distant blocks) it
-// falls back to a map. Both representations implement identical semantics;
-// only makeSet ids may be passed to find/union.
-type unionFind struct {
-	base   uint64
-	dense  []uint64          // parent of id (base+i) at dense[i]; nil when map-backed
-	parent map[uint64]uint64 // sparse fallback
-}
-
-// unionFindDenseMax bounds the dense allocation (entries); beyond it even a
-// contiguous id range uses the map to keep the sweep's footprint sane.
-const unionFindDenseMax = 1 << 22
-
-func newUnionFind() *unionFind { return &unionFind{parent: make(map[uint64]uint64)} }
-
-// newUnionFindSpan sizes a union-find for count ids within [lo, hi]: a
-// dense slice when the span wastes at most 4x the occupied entries, the map
-// otherwise.
-func newUnionFindSpan(lo, hi uint64, count int) *unionFind {
-	if count > 0 && hi >= lo {
-		span := hi - lo + 1
-		if span <= uint64(count)*4 && span <= unionFindDenseMax {
-			return &unionFind{base: lo, dense: make([]uint64, span)}
+// sweepOrder returns the node indices in sweep order. It radix-sorts them
+// on their values' bits, mapped so that ascending keys are descending
+// values: one stable pass per key byte, lowest first, skipping a byte all
+// keys share. Starting from descending indices leaves ties in descending
+// index order.
+func sweepOrder(val []float32) []int32 {
+	n := len(val)
+	keys, order, tmp := make([]uint32, n), make([]int32, n), make([]int32, n)
+	for i, v := range val {
+		if v == 0 {
+			v = 0 // -0 ties +0, as in above
 		}
-	}
-	return newUnionFind()
-}
-
-func (u *unionFind) makeSet(x uint64) {
-	if u.dense != nil {
-		// Stored biased by +1 so the zero value means "not in any set".
-		u.dense[x-u.base] = x - u.base + 1
-		return
-	}
-	u.parent[x] = x
-}
-
-func (u *unionFind) find(x uint64) uint64 {
-	if u.dense != nil {
-		i := x - u.base
-		for {
-			p := u.dense[i] - 1
-			if p == i {
-				return i + u.base
-			}
-			g := u.dense[p] // grandparent, biased
-			u.dense[i] = g
-			i = g - 1
+		if b := math.Float32bits(v); b>>31 != 0 {
+			keys[i] = b
+		} else {
+			keys[i] = ^b &^ (1 << 31)
 		}
+		order[n-1-i] = int32(i)
 	}
-	for u.parent[x] != x {
-		u.parent[x] = u.parent[u.parent[x]]
-		x = u.parent[x]
+	for shift := 0; shift < 32 && n > 0; shift += 8 {
+		var at [257]int32 // at[d+1] counts byte d, then at[d] is where it goes
+		for _, k := range keys {
+			at[k>>shift&0xff+1]++
+		}
+		if at[keys[0]>>shift&0xff+1] == int32(n) {
+			continue
+		}
+		for d := 1; d < len(at); d++ {
+			at[d] += at[d-1]
+		}
+		for _, i := range order {
+			d := keys[i] >> shift & 0xff
+			tmp[at[d]], at[d] = i, at[d]+1
+		}
+		order, tmp = tmp, order
+	}
+	return order
+}
+
+// find returns the union-find root of x, halving the path on the way.
+func find(uf []int32, x int32) int32 {
+	for uf[x] != x {
+		uf[x] = uf[uf[x]]
+		x = uf[x]
 	}
 	return x
 }
 
-func (u *unionFind) union(a, b uint64) uint64 {
-	ra, rb := u.find(a), u.find(b)
-	if ra == rb {
-		return ra
+// csr builds a compressed adjacency over n nodes from the arcs that arcs
+// passes to add: node i's targets end up in adj[off[i]:off[i+1]].
+func csr(n int, arcs func(add func(from, to int32))) (off, adj []int32) {
+	off = make([]int32, n+2)
+	arcs(func(a, _ int32) { off[a+2]++ })
+	for i := 2; i < len(off); i++ {
+		off[i] += off[i-1]
 	}
-	if u.dense != nil {
-		u.dense[rb-u.base] = ra - u.base + 1
-	} else {
-		u.parent[rb] = ra
-	}
-	return ra
+	adj = make([]int32, off[n+1])
+	arcs(func(a, b int32) { adj[off[a+1]] = b; off[a+1]++ })
+	return off[:n+1], adj
 }
 
-// compute runs the merge-tree sweep over an arbitrary graph: nodes with
-// values and an adjacency function (returning neighbors restricted to the
-// node set). Vertices are processed in descending (value, id) order; each
-// time a vertex touches existing components, the current lowest node of
-// every touched component gains the vertex as its parent arc, producing the
-// fully augmented merge tree (every vertex appears, with a parent arc to
-// the next lower node of its component).
-func compute(values map[uint64]float32, adj func(uint64) []uint64) *Tree {
-	order := make([]uint64, 0, len(values))
-	for id := range values {
-		order = append(order, id)
+// compute runs the merge-tree sweep over a graph whose nodes are ids (in
+// ascending order) with values val, and whose node i neighbours the indices
+// adj[off[i]:off[i+1]]. Vertices are processed in descending (value, id)
+// order; each time a vertex touches existing components, the current
+// lowest node of every touched component gains the vertex as its parent
+// arc, producing the fully augmented merge tree (every vertex appears, with
+// a parent arc to the next lower node of its component). A component's
+// lowest node is always its union-find root, since each vertex becomes the
+// root of everything it joins.
+func compute(ids []uint64, val []float32, off, adj []int32) *Tree {
+	t := &Tree{ids: ids, val: val, par: make([]int32, len(ids))}
+	uf := make([]int32, len(ids)) // -1 until the node is swept
+	for i := range uf {
+		t.par[i], uf[i] = -1, -1
 	}
-	sort.Slice(order, func(i, j int) bool {
-		return above(values[order[i]], order[i], values[order[j]], order[j])
-	})
-
-	t := NewTree()
-	var lo, hi uint64
-	for i, id := range order {
-		if i == 0 || id < lo {
-			lo = id
-		}
-		if i == 0 || id > hi {
-			hi = id
-		}
-	}
-	uf := newUnionFindSpan(lo, hi, len(order))
-	lowest := make(map[uint64]uint64, len(values)) // component root -> lowest node
-	processed := make(map[uint64]bool, len(values))
-
-	for _, v := range order {
-		t.value[v] = values[v]
-		uf.makeSet(v)
-		lowest[v] = v
-		for _, u := range adj(v) {
-			if !processed[u] {
+	for _, v := range sweepOrder(val) {
+		uf[v] = v
+		for _, u := range adj[off[v]:off[v+1]] {
+			if uf[u] < 0 {
 				continue
 			}
-			ru, rv := uf.find(u), uf.find(v)
-			if ru == rv {
-				continue
+			if r := find(uf, u); r != v {
+				t.par[r], uf[r] = v, v
 			}
-			// The touched component's chain continues at v.
-			t.parent[lowest[ru]] = v
-			r := uf.union(rv, ru)
-			lowest[r] = v
 		}
-		processed[v] = true
 	}
 	return t
 }
@@ -203,32 +180,52 @@ func compute(values map[uint64]float32, adj func(uint64) []uint64) *Tree {
 // Joining boundary trees this way is the paper's join task: the merge tree
 // of a union of domains equals the merge tree computed over the union of
 // the domains' (augmented) merge tree arcs, because merge trees preserve
-// superlevel-set connectivity.
+// superlevel-set connectivity. A vertex in several trees takes the value
+// it has in the last of them.
 func Merge(trees ...*Tree) *Tree {
-	values := make(map[uint64]float32)
-	adj := make(map[uint64][]uint64)
-	addEdge := func(a, b uint64) {
-		adj[a] = append(adj[a], b)
-		adj[b] = append(adj[b], a)
-	}
+	total := 0
 	for _, tr := range trees {
-		for id, v := range tr.value {
-			values[id] = v
+		total += tr.Len()
+	}
+	ids, val := make([]uint64, 0, total), make([]float32, 0, total)
+	// A k-way merge of the sorted id arrays: at[k] is tree k's cursor, and
+	// to maps every input node (trees concatenated) to its merged index.
+	at, to := make([]int, len(trees)), make([]int32, total)
+	for {
+		var next uint64
+		found := false
+		for k, tr := range trees {
+			if at[k] < tr.Len() && (!found || tr.ids[at[k]] < next) {
+				next, found = tr.ids[at[k]], true
+			}
 		}
-		for c, p := range tr.parent {
-			addEdge(c, p)
+		if !found {
+			break
+		}
+		ids, val = append(ids, next), append(val, 0)
+		base := 0
+		for k, tr := range trees {
+			if at[k] < tr.Len() && tr.ids[at[k]] == next {
+				val[len(val)-1], to[base+at[k]] = tr.val[at[k]], int32(len(ids)-1)
+				at[k]++
+			}
+			base += tr.Len()
 		}
 	}
-	return compute(values, func(id uint64) []uint64 { return adj[id] })
-}
-
-// childCounts returns the number of tree children (incoming arcs) per node.
-func (t *Tree) childCounts() map[uint64]int {
-	n := make(map[uint64]int, len(t.value))
-	for _, p := range t.parent {
-		n[p]++
-	}
-	return n
+	off, adj := csr(len(ids), func(add func(from, to int32)) {
+		base := 0
+		for _, tr := range trees {
+			for c, p := range tr.par {
+				if p >= 0 {
+					a, b := to[base+c], to[base+int(p)]
+					add(a, b)
+					add(b, a)
+				}
+			}
+			base += tr.Len()
+		}
+	})
+	return compute(ids, val, off, adj)
 }
 
 // Reduce contracts the tree to its critical nodes — leaves (maxima), merge
@@ -238,33 +235,68 @@ func (t *Tree) childCounts() map[uint64]int {
 // tree restricted to the kept node set; it is what join tasks exchange as
 // "boundary trees".
 func (t *Tree) Reduce(keep func(id uint64) bool) *Tree {
-	children := t.childCounts()
-	kept := make(map[uint64]bool, len(t.value))
-	for id := range t.value {
-		if children[id] == 0 || children[id] >= 2 {
-			kept[id] = true // maximum or saddle
-			continue
-		}
-		if _, hasParent := t.parent[id]; !hasParent {
-			kept[id] = true // root
-			continue
-		}
-		if keep != nil && keep(id) {
-			kept[id] = true
+	// to[i] first counts node i's children, then becomes its index in the
+	// result, or -1 when it is contracted away.
+	to := make([]int32, len(t.ids))
+	for _, p := range t.par {
+		if p >= 0 {
+			to[p]++
 		}
 	}
-	out := NewTree()
-	for id := range kept {
-		out.value[id] = t.value[id]
-		p, ok := t.parent[id]
-		for ok && !kept[p] {
-			p, ok = t.parent[p]
+	m := int32(0)
+	for i, children := range to {
+		to[i] = -1
+		if children != 1 || t.par[i] < 0 || keep != nil && keep(t.ids[i]) {
+			to[i], m = m, m+1
 		}
-		if ok {
-			out.parent[id] = p
+	}
+	out := &Tree{ids: make([]uint64, 0, m), val: make([]float32, 0, m), par: make([]int32, 0, m)}
+	for i, j := range to {
+		if j < 0 {
+			continue
 		}
+		p := t.par[i]
+		for p >= 0 && to[p] < 0 {
+			p = t.par[p]
+		}
+		if p >= 0 {
+			p = to[p]
+		}
+		out.ids, out.val, out.par = append(out.ids, t.ids[i]), append(out.val, t.val[i]), append(out.par, p)
 	}
 	return out
+}
+
+// labels returns, per node with value >= threshold, the index of the
+// representative of its superlevel-set component at that threshold — the
+// component's highest node in sweep order — and -1 for the nodes below.
+func (t *Tree) labels(threshold float32) []int32 {
+	uf, rep := make([]int32, len(t.ids)), make([]int32, len(t.ids))
+	for i := range uf {
+		uf[i], rep[i] = int32(i), -1
+	}
+	for c, p := range t.par {
+		if p >= 0 && t.val[c] >= threshold && t.val[p] >= threshold {
+			uf[find(uf, int32(c))] = find(uf, p)
+		}
+	}
+	for i := range uf {
+		if t.val[i] >= threshold {
+			r := find(uf, int32(i))
+			uf[i] = r
+			if rep[r] < 0 || t.above(int32(i), rep[r]) {
+				rep[r] = int32(i)
+			}
+		}
+	}
+	// uf[i] is now i's root; it becomes the root's representative.
+	for i, r := range uf {
+		uf[i] = -1
+		if t.val[i] >= threshold {
+			uf[i] = rep[r]
+		}
+	}
+	return uf
 }
 
 // Segment labels every node with value >= threshold with the representative
@@ -272,47 +304,10 @@ func (t *Tree) Reduce(keep func(id uint64) bool) *Tree {
 // highest node in sweep order. Nodes below the threshold are absent from
 // the result.
 func (t *Tree) Segment(threshold float32) map[uint64]uint64 {
-	var lo, hi uint64
-	count := 0
-	for id, v := range t.value {
-		if v < threshold {
-			continue
-		}
-		if count == 0 || id < lo {
-			lo = id
-		}
-		if count == 0 || id > hi {
-			hi = id
-		}
-		count++
-	}
-	uf := newUnionFindSpan(lo, hi, count)
-	for id, v := range t.value {
-		if v >= threshold {
-			uf.makeSet(id)
-		}
-	}
-	for c, p := range t.parent {
-		if t.value[c] >= threshold && t.value[p] >= threshold {
-			uf.union(c, p)
-		}
-	}
-	// Representative per component root: the max node.
-	rep := make(map[uint64]uint64)
-	for id, v := range t.value {
-		if v < threshold {
-			continue
-		}
-		r := uf.find(id)
-		cur, ok := rep[r]
-		if !ok || above(v, id, t.value[cur], cur) {
-			rep[r] = id
-		}
-	}
-	labels := make(map[uint64]uint64, count)
-	for id, v := range t.value {
-		if v >= threshold {
-			labels[id] = rep[uf.find(id)]
+	labels := make(map[uint64]uint64)
+	for i, r := range t.labels(threshold) {
+		if r >= 0 {
+			labels[t.ids[i]] = t.ids[r]
 		}
 	}
 	return labels
@@ -321,16 +316,12 @@ func (t *Tree) Segment(threshold float32) map[uint64]uint64 {
 // Features returns the distinct segment representatives at a threshold, in
 // ascending order: one entry per connected feature.
 func (t *Tree) Features(threshold float32) []uint64 {
-	labels := t.Segment(threshold)
-	seen := make(map[uint64]bool)
-	for _, r := range labels {
-		seen[r] = true
+	out := []uint64{}
+	for i, r := range t.labels(threshold) {
+		if int(r) == i { // a representative labels itself
+			out = append(out, t.ids[i])
+		}
 	}
-	out := make([]uint64, 0, len(seen))
-	for r := range seen {
-		out = append(out, r)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
@@ -338,58 +329,47 @@ func (t *Tree) Features(threshold float32) []uint64 {
 // (ascending id) the id, value bits and parent id (NoNode for roots).
 func (t *Tree) Serialize() []byte {
 	le := binary.LittleEndian
-	ids := t.Ids()
-	buf := make([]byte, 8+20*len(ids))
-	le.PutUint64(buf[0:], uint64(len(ids)))
-	off := 8
-	for _, id := range ids {
-		le.PutUint64(buf[off:], id)
-		le.PutUint32(buf[off+8:], math.Float32bits(t.value[id]))
-		le.PutUint64(buf[off+12:], t.Parent(id))
-		off += 20
+	buf := le.AppendUint64(make([]byte, 0, 8+20*len(t.ids)), uint64(len(t.ids)))
+	for i, id := range t.ids {
+		buf = le.AppendUint64(buf, id)
+		buf = le.AppendUint32(buf, math.Float32bits(t.val[i]))
+		buf = le.AppendUint64(buf, t.parentId(int32(i)))
 	}
 	return buf
 }
 
-// Deserialize decodes a tree encoded by Serialize.
+// Deserialize decodes a tree encoded by Serialize. It rejects node ids that
+// are not strictly ascending and parents that are not nodes, neither of
+// which Serialize writes.
 func Deserialize(b []byte) (*Tree, error) {
 	if len(b) < 8 {
 		return nil, fmt.Errorf("mergetree: tree buffer too short (%d bytes)", len(b))
 	}
 	le := binary.LittleEndian
-	n := int(le.Uint64(b[0:]))
-	if len(b) != 8+20*n {
+	n := le.Uint64(b)
+	if (len(b)-8)%20 != 0 || uint64(len(b)-8)/20 != n {
 		return nil, fmt.Errorf("mergetree: tree buffer size %d does not match %d nodes", len(b), n)
 	}
-	t := NewTree()
-	off := 8
-	for i := 0; i < n; i++ {
-		id := le.Uint64(b[off:])
-		v := math.Float32frombits(le.Uint32(b[off+8:]))
-		p := le.Uint64(b[off+12:])
-		t.value[id] = v
-		if p != NoNode {
-			t.parent[id] = p
+	t := &Tree{ids: make([]uint64, n), val: make([]float32, n), par: make([]int32, n)}
+	for i := range t.ids {
+		t.ids[i] = le.Uint64(b[8+20*i:])
+		t.val[i] = math.Float32frombits(le.Uint32(b[16+20*i:]))
+		if i > 0 && t.ids[i] <= t.ids[i-1] {
+			return nil, fmt.Errorf("mergetree: tree node %d id %d does not ascend", i, t.ids[i])
 		}
-		off += 20
+	}
+	for i := range t.par {
+		t.par[i] = -1
+		if p := le.Uint64(b[20+20*i:]); p != NoNode {
+			if t.par[i] = t.index(p); t.par[i] < 0 {
+				return nil, fmt.Errorf("mergetree: tree node %d has parent %d, which is not a node", t.ids[i], p)
+			}
+		}
 	}
 	return t, nil
 }
 
 // Equal reports whether two trees have identical node and arc sets.
 func (t *Tree) Equal(o *Tree) bool {
-	if len(t.value) != len(o.value) || len(t.parent) != len(o.parent) {
-		return false
-	}
-	for id, v := range t.value {
-		if ov, ok := o.value[id]; !ok || ov != v {
-			return false
-		}
-	}
-	for c, p := range t.parent {
-		if op, ok := o.parent[c]; !ok || op != p {
-			return false
-		}
-	}
-	return true
+	return slices.Equal(t.ids, o.ids) && slices.Equal(t.val, o.val) && slices.Equal(t.par, o.par)
 }

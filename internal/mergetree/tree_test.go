@@ -1,8 +1,11 @@
 package mergetree
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -175,9 +178,7 @@ func TestSerializeRoundTrip(t *testing.T) {
 // TestSerializeGolden pins the tree and segmentation encodings byte for
 // byte: ids above 32 bits, a root (NoNode parent) and a negative value.
 func TestSerializeGolden(t *testing.T) {
-	tr := NewTree()
-	tr.value[7], tr.value[1<<40], tr.value[2] = 1.5, -0.25, 3
-	tr.parent[2], tr.parent[1<<40] = 7, 7
+	tr := treeOf(map[uint64]float32{7: 1.5, 1 << 40: -0.25, 2: 3}, map[uint64]uint64{2: 7, 1 << 40: 7})
 	const wantTree = "0300000000000000020000000000000000004040070000000000000007000000000000000000c03fffffffffffffffff0000000000010000000080be0700000000000000"
 	if got := hex.EncodeToString(tr.Serialize()); got != wantTree {
 		t.Fatalf("Tree.Serialize = %s, want %s", got, wantTree)
@@ -202,12 +203,45 @@ func TestDeserializeErrors(t *testing.T) {
 	if _, err := Deserialize([]byte{1}); err == nil {
 		t.Error("short buffer should fail")
 	}
-	tr := NewTree()
-	tr.value[3] = 1
-	b := tr.Serialize()
+	b := treeOf(map[uint64]float32{3: 1, 5: 2}, map[uint64]uint64{5: 3}).Serialize()
 	if _, err := Deserialize(b[:len(b)-1]); err == nil {
 		t.Error("truncated buffer should fail")
 	}
+	// A node count whose 20-byte records wrap the buffer size.
+	wrapped := binary.LittleEndian.AppendUint64(nil, 1<<62)
+	if _, err := Deserialize(wrapped); err == nil {
+		t.Error("node count past the buffer should fail")
+	}
+	// Records: node 3 at bytes 8..28, node 5 at 28..48 with its parent at 40.
+	swapped := slices.Clone(b)
+	copy(swapped[8:16], b[28:36])
+	copy(swapped[28:36], b[8:16])
+	if _, err := Deserialize(swapped); err == nil {
+		t.Error("descending ids should fail")
+	}
+	orphan := slices.Clone(b)
+	binary.LittleEndian.PutUint64(orphan[40:], 4)
+	if _, err := Deserialize(orphan); err == nil {
+		t.Error("a parent that is not a node should fail")
+	}
+}
+
+// FuzzTreeDecode drives the tree decoder with arbitrary bytes: it must
+// never panic, and a buffer it accepts must re-encode to the same bytes.
+func FuzzTreeDecode(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(NewTree().Serialize())
+	f.Add(treeOf(map[uint64]float32{7: 1.5, 1 << 40: -0.25, 2: 3}, map[uint64]uint64{2: 7, 1 << 40: 7}).Serialize())
+	f.Add(FromField(data.SyntheticHCCI(4, 3, 2, 2, 9), 0, 0, 0, 4, 3, 0.1).Serialize())
+	f.Fuzz(func(t *testing.T, b []byte) {
+		tr, err := Deserialize(b)
+		if err != nil {
+			return
+		}
+		if got := tr.Serialize(); !bytes.Equal(got, b) {
+			t.Fatalf("decoded tree re-encodes to %x, not %x", got, b)
+		}
+	})
 }
 
 func TestVertexIdRoundTrip(t *testing.T) {
