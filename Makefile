@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test race deprecations loc bench bench-smoke bench-sched bench-faults bench-iterate figures smoke-wire smoke-faults smoke-resume smoke-serve smoke-iterate smoke-elastic fuzz perf-smoke
+.PHONY: check build vet test race deprecations loc bench bench-smoke figures smoke-wire smoke-faults smoke-resume smoke-serve smoke-iterate smoke-elastic fuzz perf-smoke
 
 ## check: the CI gate — vet, the deprecation sweep, build, the full test
 ## suite under the race detector, the fault-injection smoke (kill one
@@ -63,18 +63,6 @@ test:
 race:
 	$(GO) test -race ./...
 
-## bench-sched: regenerate the scheduler makespan report — FIFO vs
-## critical-path priority vs priority+stealing on a balanced and an
-## imbalanced figure workload (BENCH_sched.json; baseline_seed preserved).
-bench-sched:
-	$(GO) run ./cmd/bfbench -sched
-
-## bench-faults: regenerate the recovery benchmark report — figure
-## workloads on 4 ranks over loopback TCP, failure free vs one peer killed
-## on the first epoch (BENCH_faults.json; baseline_seed preserved).
-bench-faults:
-	$(GO) run ./cmd/bfbench -faults
-
 ## figures: regenerate the paper's evaluation figures.
 figures:
 	$(GO) run ./cmd/bfbench
@@ -123,12 +111,6 @@ smoke-iterate:
 	$(GO) build -o bin/bfrun ./cmd/bfrun
 	./bin/bfrun -case register-iter -runtime mpi -transport tcp -ranks 4 -wire-tier shm
 
-## bench-iterate: regenerate the loop-combinator benchmark report — a
-## K-iteration chain under core.Iterate vs the same chain hand-unrolled
-## into a static DAG (BENCH_iterate.json; baseline_seed preserved).
-bench-iterate:
-	$(GO) run ./cmd/bfbench -iterate
-
 ## smoke-elastic: live membership over real processes — start the merge
 ## tree on 2 workers, fork 2 joiners mid-run, gracefully drain one member
 ## (its journaled lineage is adopted and replayed by the survivors), and
@@ -158,9 +140,12 @@ fuzz:
 ## detector, then the graph-plan benchmarks (compile and cold run of the
 ## 16k-task graph) and the data kernels (block extraction of a 256³ field,
 ## 256² image encode and decode) and the merge-tree kernels (a leaf's local
-## tree, a correction merge, a segmentation) once each so they cannot rot,
-## then the allocation pins (plan, cold and warm runs, what tracing adds per
-## task, block extraction, and the merge-tree kernels).
+## tree, a correction merge, a segmentation) and the engine benchmarks
+## (scheduler makespan per dispatch mode, recovery from a killed peer or a
+## membership change, loop-combinator overhead; each run checked against
+## serial) once each so they cannot rot, then the allocation pins (plan,
+## cold and warm runs, what tracing adds per task, block extraction, and
+## the merge-tree kernels).
 perf-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=100x ./internal/wire
 	$(GO) test -race -run='^$$' -bench=. -benchtime=100x ./internal/wire
@@ -172,4 +157,5 @@ perf-smoke:
 	$(GO) test -run='^$$' -bench='^BenchmarkExtract$$' -benchtime=1x ./internal/data
 	$(GO) test -run='^$$' -bench='^BenchmarkImage(Serialize|Deserialize)$$' -benchtime=1x ./internal/render
 	$(GO) test -run='^$$' -bench='^Benchmark(FromField|Merge|Segment)$$' -benchtime=1x ./internal/mergetree
+	$(GO) test -run='^$$' -bench='SchedulerModes|Recovery|IterateOverhead' -benchtime=1x ./internal/conformance
 	$(GO) test -count=1 -run='AllocationPins' ./internal/core ./internal/mpi ./internal/data ./internal/mergetree

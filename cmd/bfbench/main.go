@@ -8,85 +8,86 @@
 //	bfbench                 # all figures
 //	bfbench -figure fig6    # one figure
 //	bfbench -format csv     # machine-readable output
-//	bfbench -sched          # scheduler makespan benchmarks -> BENCH_sched.json
-//	bfbench -faults         # recovery benchmarks (failure-free vs one peer killed) -> BENCH_faults.json
-//	bfbench -iterate        # core.Iterate vs hand-unrolled DAG -> BENCH_iterate.json
 //
-// The end-to-end benchmark with per-layer attribution is bench/ (make bench).
+// The end-to-end benchmark with per-layer attribution is bench/ (make
+// bench); the scheduler, recovery and loop-combinator measurements are Go
+// benchmarks in internal/conformance (make perf-smoke runs them once).
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
+	"slices"
 	"time"
 
 	"github.com/babelflow/babelflow-go/internal/sim"
 )
 
-// Report paths of the three benchmark modes (each preserves an existing
-// baseline_seed section when it rewrites its file).
-const (
-	schedOut   = "BENCH_sched.json"
-	faultsOut  = "BENCH_faults.json"
-	iterateOut = "BENCH_iterate.json"
-)
-
 func main() {
-	var (
-		figure      = flag.String("figure", "", "regenerate one figure (default: all)")
-		format      = flag.String("format", "table", "table | csv")
-		schedBench  = flag.Bool("sched", false, "run the scheduler makespan benchmarks (FIFO vs priority vs priority+stealing) instead of the figures -> "+schedOut)
-		faultsBench = flag.Bool("faults", false, "run the recovery benchmarks (failure-free vs one peer killed) instead of the figures -> "+faultsOut)
-		iterBench   = flag.Bool("iterate", false, "run the loop-combinator benchmarks (core.Iterate unroll vs hand-unrolled static DAG) instead of the figures -> "+iterateOut)
-	)
-	flag.Parse()
-
-	var mode func(string) error
-	var out string
-	switch {
-	case *schedBench:
-		mode, out = runSched, schedOut
-	case *faultsBench:
-		mode, out = runFaultsBench, faultsOut
-	case *iterBench:
-		mode, out = runIterateBench, iterateOut
-	}
-	if mode != nil {
-		if err := mode(out); err != nil {
-			log.Fatal(err)
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "bfbench:", err)
+		var usage usageError
+		if errors.As(err, &usage) {
+			os.Exit(2)
 		}
-		return
+		os.Exit(1)
 	}
+}
 
+// usageError is a rejected command line: main exits with status 2.
+type usageError string
+
+func (e usageError) Error() string { return string(e) }
+
+// run is bfbench: vet the command line, then print the selected figures'
+// series to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("bfbench", flag.ContinueOnError)
+	fs.SetOutput(io.Discard) // main prints the one-line error; -h prints the flag list below
+	figure := fs.String("figure", "", "regenerate one figure (default: all)")
+	format := fs.String("format", "table", "table | csv")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			fs.SetOutput(stdout)
+			fs.Usage()
+			return nil
+		}
+		return usageError(fmt.Sprintf("%v (see bfbench -h)", err))
+	}
 	names := sim.Figures()
 	if *figure != "" {
+		if !slices.Contains(names, *figure) {
+			return usageError(fmt.Sprintf("unknown figure %q (have %v)", *figure, names))
+		}
 		names = []string{*figure}
 	}
+	if *format != "table" && *format != "csv" {
+		return usageError(fmt.Sprintf("unknown format %q (table | csv)", *format))
+	}
+
 	if *format == "csv" {
-		fmt.Println("figure,series,x,seconds")
+		fmt.Fprintln(stdout, "figure,series,x,seconds")
 	}
 	for _, name := range names {
 		start := time.Now()
 		rows, err := sim.Figure(name)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		switch *format {
-		case "csv":
+		if *format == "csv" {
 			for _, r := range rows {
-				fmt.Printf("%s,%s,%d,%.6f\n", r.Figure, r.Series, r.X, r.Seconds)
+				fmt.Fprintf(stdout, "%s,%s,%d,%.6f\n", r.Figure, r.Series, r.X, r.Seconds)
 			}
-		case "table":
-			fmt.Printf("== %s (%d rows, generated in %v)\n", name, len(rows), time.Since(start).Round(time.Millisecond))
-			fmt.Printf("   %-30s %8s %12s\n", "series", "x", "seconds")
-			for _, r := range rows {
-				fmt.Printf("   %-30s %8d %12.3f\n", r.Series, r.X, r.Seconds)
-			}
-		default:
-			fmt.Fprintf(os.Stderr, "bfbench: unknown format %q\n", *format)
-			os.Exit(2)
+			continue
+		}
+		fmt.Fprintf(stdout, "== %s (%d rows, generated in %v)\n", name, len(rows), time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(stdout, "   %-30s %8s %12s\n", "series", "x", "seconds")
+		for _, r := range rows {
+			fmt.Fprintf(stdout, "   %-30s %8d %12.3f\n", r.Series, r.X, r.Seconds)
 		}
 	}
+	return nil
 }

@@ -94,7 +94,7 @@ func runFaultCase(cfg config, stdout io.Writer) (bool, error) {
 	}
 
 	start := time.Now()
-	out, rep, err := ctrl.RunRecover(context.Background(), mpi.RecoverOptions{
+	out, rep, err := ctrl.RunElastic(context.Background(), mpi.ElasticOptions{
 		Connect: connect,
 		Inject:  inject,
 		Initial: c.Initial,

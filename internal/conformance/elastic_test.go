@@ -21,15 +21,18 @@ import (
 // each must leave the sinks byte-identical to the serial reference, with
 // the final epoch's replayed+executed covering every task exactly once.
 
-// elasticController mirrors recoverController with a pinned transport tier
-// and an optional per-epoch connection-level fault hook (the transport-
-// level faults go through ElasticOptions.Inject instead).
-func elasticController(t *testing.T, g core.TaskGraph, m core.TaskMap, cb core.Callback, tier wire.Tier, wrapFor func(epoch int) func(int, int, net.Conn) net.Conn) (*mpi.Controller, mpi.ConnectFunc) {
+// elasticController builds an MPI controller configured for fault-tolerant
+// runs over real loopback meshes: Connect builds a fresh epoch-stamped wire
+// mesh of the given tier per attempt, with an optional per-epoch
+// connection-level fault hook (the transport-level faults go through
+// ElasticOptions.Inject instead). opts extend or override the default
+// four-attempt retry policy.
+func elasticController(t testing.TB, g core.TaskGraph, m core.TaskMap, cb core.Callback, tier wire.Tier, wrapFor func(epoch int) func(int, int, net.Conn) net.Conn, opts ...mpi.Option) (*mpi.Controller, mpi.ConnectFunc) {
 	t.Helper()
-	ctrl := mpi.New(mpi.WithRetry(core.RetryPolicy{
+	ctrl := mpi.New(append([]mpi.Option{mpi.WithRetry(core.RetryPolicy{
 		MaxAttempts: 4,
 		BaseBackoff: 5 * time.Millisecond,
-	}))
+	})}, opts...)...)
 	if err := ctrl.Initialize(g, m); err != nil {
 		t.Fatal(err)
 	}

@@ -17,44 +17,8 @@ import (
 	"github.com/babelflow/babelflow-go/internal/wire"
 )
 
-// recoverController builds an MPI controller configured for fault-tolerant
-// runs over real loopback TCP meshes: Connect builds a fresh epoch-stamped
-// wire mesh per attempt, Inject arms the plan's faults on the first epoch
-// only (the retry epochs run clean, as a restarted process would).
-func recoverController(t *testing.T, g core.TaskGraph, m core.TaskMap, cb core.Callback) (*mpi.Controller, mpi.ConnectFunc) {
-	t.Helper()
-	ctrl := mpi.New(mpi.WithRetry(core.RetryPolicy{
-		MaxAttempts: 4,
-		BaseBackoff: 5 * time.Millisecond,
-	}))
-	if err := ctrl.Initialize(g, m); err != nil {
-		t.Fatal(err)
-	}
-	for _, cid := range g.Callbacks() {
-		if err := ctrl.RegisterCallback(cid, cb); err != nil {
-			t.Fatal(err)
-		}
-	}
-	fp := ctrl.Fingerprint()
-	connect := func(epoch, ranks int) ([]fabric.Transport, error) {
-		fabs, err := wire.Mesh(ranks, wire.Options{
-			Fingerprint:       fp,
-			Epoch:             epoch,
-			HeartbeatInterval: 50 * time.Millisecond,
-			HeartbeatTimeout:  500 * time.Millisecond,
-		})
-		if err != nil {
-			return nil, err
-		}
-		trs := make([]fabric.Transport, len(fabs))
-		for i, f := range fabs {
-			trs[i] = f
-		}
-		return trs, nil
-	}
-	return ctrl, connect
-}
-
+// injectOnFirstEpoch arms the plan's faults on the first epoch only: the
+// retry epochs run clean, as a restarted process would.
 func injectOnFirstEpoch(plan faultinject.Plan) mpi.InjectFunc {
 	return func(epoch, rank int, tr fabric.Transport) fabric.Transport {
 		if epoch != 1 {
@@ -94,8 +58,8 @@ func TestFaultReplayConformance(t *testing.T) {
 				want := serialReference(t, g, cb, initial)
 
 				m := core.NewGraphMap(ranks, g)
-				ctrl, connect := recoverController(t, g, m, cb)
-				got, rep, err := ctrl.RunRecover(context.Background(), mpi.RecoverOptions{
+				ctrl, connect := elasticController(t, g, m, cb, wire.TierAuto, nil)
+				got, rep, err := ctrl.RunElastic(context.Background(), mpi.ElasticOptions{
 					Connect: connect,
 					Inject: injectOnFirstEpoch(faultinject.Plan{
 						KillRank:  victim,
@@ -105,7 +69,7 @@ func TestFaultReplayConformance(t *testing.T) {
 					Initial: initial,
 				})
 				if err != nil {
-					t.Fatalf("RunRecover: %v (report %+v)", err, rep)
+					t.Fatalf("RunElastic: %v (report %+v)", err, rep)
 				}
 				assertSameSinks(t, want, got)
 				if rep.Epochs > 1 {
@@ -144,9 +108,9 @@ func TestFaultDuplicateDelivery(t *testing.T) {
 	want := serialReference(t, g, cb, initial)
 
 	m := core.NewGraphMap(4, g)
-	ctrl, connect := recoverController(t, g, m, cb)
+	ctrl, connect := elasticController(t, g, m, cb, wire.TierAuto, nil)
 	var copies atomic.Int64
-	got, rep, err := ctrl.RunRecover(context.Background(), mpi.RecoverOptions{
+	got, rep, err := ctrl.RunElastic(context.Background(), mpi.ElasticOptions{
 		Connect: connect,
 		Inject: func(epoch, rank int, tr fabric.Transport) fabric.Transport {
 			counted := &copyCounter{Transport: tr, seen: make(map[uint64]bool), copies: &copies}
@@ -155,7 +119,7 @@ func TestFaultDuplicateDelivery(t *testing.T) {
 		Initial: initial,
 	})
 	if err != nil {
-		t.Fatalf("RunRecover: %v", err)
+		t.Fatalf("RunElastic: %v", err)
 	}
 	if rep.Epochs != 1 {
 		t.Errorf("duplicates alone forced %d epochs, want 1", rep.Epochs)
@@ -204,8 +168,8 @@ func TestFaultDegradeToSingleRank(t *testing.T) {
 	want := serialReference(t, g, cb, initial)
 
 	m := core.NewGraphMap(4, g)
-	ctrl, connect := recoverController(t, g, m, cb)
-	got, rep, err := ctrl.RunRecover(context.Background(), mpi.RecoverOptions{
+	ctrl, connect := elasticController(t, g, m, cb, wire.TierAuto, nil)
+	got, rep, err := ctrl.RunElastic(context.Background(), mpi.ElasticOptions{
 		Connect: connect,
 		Inject: func(epoch, rank int, tr fabric.Transport) fabric.Transport {
 			return faultinject.Wrap(tr, rank, faultinject.Plan{KillRank: 0, KillAfter: 0})
@@ -213,7 +177,7 @@ func TestFaultDegradeToSingleRank(t *testing.T) {
 		Initial: initial,
 	})
 	if err != nil {
-		t.Fatalf("RunRecover: %v (report %+v)", err, rep)
+		t.Fatalf("RunElastic: %v (report %+v)", err, rep)
 	}
 	assertSameSinks(t, want, got)
 	if len(rep.LostShards) == 0 {
@@ -226,7 +190,7 @@ func TestFaultDegradeToSingleRank(t *testing.T) {
 }
 
 // TestFaultRetriesExhausted bounds recovery: with a two-attempt budget and
-// a kill on every epoch, RunRecover must give up with a typed
+// a kill on every epoch, RunElastic must give up with a typed
 // ErrRetriesExhausted rather than hang or mask the failure.
 func TestFaultRetriesExhausted(t *testing.T) {
 	g, err := graphs.NewReduction(8, 2)
@@ -237,33 +201,9 @@ func TestFaultRetriesExhausted(t *testing.T) {
 	initial := externalInputsFor(g)
 
 	m := core.NewGraphMap(4, g)
-	ctrl := mpi.New(mpi.WithRetry(core.RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond}))
-	if err := ctrl.Initialize(g, m); err != nil {
-		t.Fatal(err)
-	}
-	for _, cid := range g.Callbacks() {
-		if err := ctrl.RegisterCallback(cid, cb); err != nil {
-			t.Fatal(err)
-		}
-	}
-	fp := ctrl.Fingerprint()
-	connect := func(epoch, ranks int) ([]fabric.Transport, error) {
-		fabs, err := wire.Mesh(ranks, wire.Options{
-			Fingerprint:       fp,
-			Epoch:             epoch,
-			HeartbeatInterval: 50 * time.Millisecond,
-			HeartbeatTimeout:  500 * time.Millisecond,
-		})
-		if err != nil {
-			return nil, err
-		}
-		trs := make([]fabric.Transport, len(fabs))
-		for i, f := range fabs {
-			trs[i] = f
-		}
-		return trs, nil
-	}
-	_, rep, err := ctrl.RunRecover(context.Background(), mpi.RecoverOptions{
+	ctrl, connect := elasticController(t, g, m, cb, wire.TierAuto, nil,
+		mpi.WithRetry(core.RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond}))
+	_, rep, err := ctrl.RunElastic(context.Background(), mpi.ElasticOptions{
 		Connect: connect,
 		Inject: func(epoch, rank int, tr fabric.Transport) fabric.Transport {
 			return faultinject.Wrap(tr, rank, faultinject.Plan{KillRank: 0, KillAfter: 0})
@@ -271,7 +211,7 @@ func TestFaultRetriesExhausted(t *testing.T) {
 		Initial: initial,
 	})
 	if err == nil {
-		t.Fatal("RunRecover succeeded though every epoch was killed")
+		t.Fatal("RunElastic succeeded though every epoch was killed")
 	}
 	if !errors.Is(err, core.ErrRetriesExhausted) {
 		t.Errorf("error %v does not wrap core.ErrRetriesExhausted", err)

@@ -267,12 +267,12 @@ func corruptFrameRecovery(t *testing.T, tier wire.Tier) {
 		return trs, nil
 	}
 
-	got, rep, err := ctrl.RunRecover(context.Background(), mpi.RecoverOptions{
+	got, rep, err := ctrl.RunElastic(context.Background(), mpi.ElasticOptions{
 		Connect: connect,
 		Initial: initial,
 	})
 	if err != nil {
-		t.Fatalf("RunRecover: %v (report %+v)", err, rep)
+		t.Fatalf("RunElastic: %v (report %+v)", err, rep)
 	}
 	assertSameSinks(t, want, got)
 	if rep.Epochs < 2 {

@@ -30,7 +30,7 @@ type schedWorkload struct {
 }
 
 // figureWorkloads builds the three use cases at test scale.
-func figureWorkloads(t *testing.T) []schedWorkload {
+func figureWorkloads(t testing.TB) []schedWorkload {
 	t.Helper()
 	var out []schedWorkload
 
@@ -121,7 +121,7 @@ func figureWorkloads(t *testing.T) []schedWorkload {
 
 // sinkDigest reduces a run's sink outputs to one hash, ordered by task id
 // and slot so map iteration order cannot matter.
-func sinkDigest(t *testing.T, out map[core.TaskId][]core.Payload) [sha256.Size]byte {
+func sinkDigest(t testing.TB, out map[core.TaskId][]core.Payload) [sha256.Size]byte {
 	t.Helper()
 	ids := make([]core.TaskId, 0, len(out))
 	for id := range out {
@@ -148,22 +148,25 @@ func sinkDigest(t *testing.T, out map[core.TaskId][]core.Payload) [sha256.Size]b
 	return sum
 }
 
+// schedModes are the dispatch disciplines TestSchedulerDeterminism checks
+// and BenchmarkSchedulerModes times: FIFO with workers pinned to their rank
+// (the pre-scheduler engine), critical-path priority with workers pinned,
+// and priority with idle workers stealing across ranks (the default).
+var schedModes = []struct {
+	name string
+	opts []mpi.Option
+}{
+	{"fifo", []mpi.Option{mpi.WithFIFO(true), mpi.WithNoSteal(true)}},
+	{"priority", []mpi.Option{mpi.WithNoSteal(true)}},
+	{"priority_steal", nil},
+}
+
 // TestSchedulerDeterminism is the scheduler determinism suite: the three
 // figure workloads must produce digests byte-identical to the serial
 // reference at every worker budget (1, 2, GOMAXPROCS) and in every
-// scheduling mode (priority, priority+no-steal, FIFO) — scheduling order
-// may change timing, never outputs.
+// scheduling mode — scheduling order may change timing, never outputs.
 func TestSchedulerDeterminism(t *testing.T) {
 	workers := []int{1, 2, runtime.GOMAXPROCS(0)}
-	modes := []struct {
-		name    string
-		fifo    bool
-		noSteal bool
-	}{
-		{"priority", false, false},
-		{"priority-nosteal", false, true},
-		{"fifo", true, false},
-	}
 	for _, w := range figureWorkloads(t) {
 		w := w
 		t.Run(w.name, func(t *testing.T) {
@@ -182,10 +185,10 @@ func TestSchedulerDeterminism(t *testing.T) {
 
 			shards := 3 // uneven split: some ranks get more tasks than others
 			for _, workers := range workers {
-				for _, mode := range modes {
+				for _, mode := range schedModes {
 					name := fmt.Sprintf("w%d/%s", workers, mode.name)
 					t.Run(name, func(t *testing.T) {
-						c := mpi.New(mpi.WithWorkers(workers), mpi.WithFIFO(mode.fifo), mpi.WithNoSteal(mode.noSteal))
+						c := mpi.New(append([]mpi.Option{mpi.WithWorkers(workers)}, mode.opts...)...)
 						if err := c.Initialize(w.graph, core.NewGraphMap(shards, w.graph)); err != nil {
 							t.Fatal(err)
 						}

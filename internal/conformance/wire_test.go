@@ -136,7 +136,7 @@ func runOverWireReg(t *testing.T, g core.TaskGraph, m core.TaskMap, reg func(cor
 	return merged
 }
 
-func assertSameSinks(t *testing.T, want, got map[core.TaskId][]core.Payload) {
+func assertSameSinks(t testing.TB, want, got map[core.TaskId][]core.Payload) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("sink count %d, want %d", len(got), len(want))
@@ -156,12 +156,12 @@ func assertSameSinks(t *testing.T, want, got map[core.TaskId][]core.Payload) {
 	}
 }
 
-func serialReference(t *testing.T, g core.TaskGraph, cb core.Callback, initial map[core.TaskId][]core.Payload) map[core.TaskId][]core.Payload {
+func serialReference(t testing.TB, g core.TaskGraph, cb core.Callback, initial map[core.TaskId][]core.Payload) map[core.TaskId][]core.Payload {
 	t.Helper()
 	return serialReferenceReg(t, g, registerAll(g, cb), initial)
 }
 
-func serialReferenceReg(t *testing.T, g core.TaskGraph, reg func(core.CallbackRegistrar) error, initial map[core.TaskId][]core.Payload) map[core.TaskId][]core.Payload {
+func serialReferenceReg(t testing.TB, g core.TaskGraph, reg func(core.CallbackRegistrar) error, initial map[core.TaskId][]core.Payload) map[core.TaskId][]core.Payload {
 	t.Helper()
 	ser := core.NewSerial()
 	ser.Initialize(g, nil)

@@ -332,7 +332,7 @@ func TestRebalanceShardsLosesHighestRank(t *testing.T) {
 }
 
 // TestRebalanceShardsSuccessiveLosses chains two epochs of loss, 4 → 3 → 2,
-// as RunRecover does: the second reassignment starts from the first's map.
+// as a supervised mpi run does: the second reassignment starts from the first's map.
 func TestRebalanceShardsSuccessiveLosses(t *testing.T) {
 	g := reassignGraph()
 	m0 := NewGraphMap(4, g)

@@ -14,7 +14,7 @@ import (
 )
 
 // Elastic membership: the epoch protocol generalized from loss-only
-// shrinking (RunRecover) to arbitrary membership change. A Membership
+// shrinking to arbitrary membership change. A Membership
 // registry accumulates join and drain requests; the coordinator fences the
 // running epoch at a journal-consistent point (Fabric.Fence suspends
 // liveness timers, group-commit journals are flushed, the epoch collapses),
@@ -199,14 +199,17 @@ func (m *Membership) evict(id core.ShardId) {
 
 // ElasticOptions parameterizes RunElastic.
 type ElasticOptions struct {
-	// Connect builds each epoch's transports (same contract as
-	// RecoverOptions.Connect).
+	// Connect is required: it builds each epoch's transports.
 	Connect ConnectFunc
 	// Inject, when non-nil, wraps each rank's transport (fault injection).
 	Inject InjectFunc
-	// Initial is the dataflow's full set of external inputs.
+	// Initial is the dataflow's full set of external inputs. RunElastic
+	// partitions it per epoch map and clones the payloads per attempt, so
+	// the inputs must be serializable.
 	Initial map[core.TaskId][]core.Payload
 	// Membership is the shared registry join/drain requests flow through.
+	// Nil runs over a private membership of the Initialize map's shards that
+	// nobody joins or drains, so it can only shrink on losses.
 	Membership *Membership
 }
 
@@ -240,15 +243,24 @@ type ElasticReport struct {
 	RecoveryTime time.Duration
 }
 
-// RunElastic executes the dataflow under elastic membership: epochs run
-// until one completes over whatever member set the Membership registry
-// holds, fencing and rebalancing on joins and drains, shrinking on real
-// deaths, and retrying (without eviction) on partitions — the supervise
-// loop over the caller's registry. See DESIGN.md "Execution engine".
+// RunElastic executes the dataflow with replay-based fault tolerance under
+// elastic membership: a rank-0-style coordinator runs epochs until one
+// completes over whatever member set the Membership registry holds,
+// fencing and rebalancing on joins and drains, shrinking on real deaths,
+// and retrying (without eviction) on partitions. Every member keeps a
+// lineage ledger of its completed tasks' serialized outputs across epochs,
+// so a retry epoch replays recorded outputs instead of re-executing them
+// and only the undelivered frontier runs again. No checkpointing:
+// correctness rests on the paper's idempotence contract. See DESIGN.md
+// "Execution engine".
+//
+// The controller's retry policy (WithRetry) bounds the number of failed
+// epochs, the backoff between them and each epoch's wall clock. A
+// non-retryable failure (a callback error on a surviving rank) aborts
+// immediately; exhausting the policy returns an error wrapping
+// core.ErrRetriesExhausted; a finished ctx returns one wrapping
+// core.ErrCancelled.
 func (c *Controller) RunElastic(ctx context.Context, eo ElasticOptions) (map[core.TaskId][]core.Payload, ElasticReport, error) {
-	if eo.Membership == nil {
-		return nil, ElasticReport{}, fmt.Errorf("mpi: RunElastic requires a Membership")
-	}
 	return c.supervise(ctx, eo.Membership, eo.Connect, eo.Inject, eo.Initial)
 }
 

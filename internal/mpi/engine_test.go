@@ -208,20 +208,9 @@ func TestEntriesAgree(t *testing.T) {
 					return c.RunRank(r, fab, local)
 				})
 			}},
-			{"RunRecover", func(t *testing.T, g core.TaskGraph) map[core.TaskId][]core.Payload {
-				got, rep, err := newCtrl(t, g).RunRecover(context.Background(), RecoverOptions{Connect: memConnect, Initial: w.initial()})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if rep.Epochs != 1 || len(rep.LostShards) != 0 {
-					t.Errorf("fault-free run: %+v", rep)
-				}
-				ledgered(t, rep.Replayed, rep.Executed)
-				return got
-			}},
-			{"RunRecover/kill", func(t *testing.T, g core.TaskGraph) map[core.TaskId][]core.Payload {
+			{"RunElastic/kill", func(t *testing.T, g core.TaskGraph) map[core.TaskId][]core.Payload {
 				c := newCtrl(t, g, WithRetry(core.RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond}))
-				got, rep, err := c.RunRecover(context.Background(), RecoverOptions{
+				got, rep, err := c.RunElastic(context.Background(), ElasticOptions{
 					Connect: memConnect,
 					Inject: func(epoch, rank int, tr fabric.Transport) fabric.Transport {
 						if epoch > 1 {
@@ -243,6 +232,17 @@ func TestEntriesAgree(t *testing.T) {
 				ledgered(t, rep.Replayed, rep.Executed)
 				return got
 			}},
+			{"RunElastic/shrink-only", func(t *testing.T, g core.TaskGraph) map[core.TaskId][]core.Payload {
+				got, rep, err := newCtrl(t, g).RunElastic(context.Background(), ElasticOptions{Connect: memConnect, Initial: w.initial()})
+				if err != nil {
+					t.Fatalf("%v (report %+v)", err, rep)
+				}
+				if rep.Epochs != 1 || rep.Fences != 0 || len(rep.LostShards) != 0 || rep.Replayed != 0 {
+					t.Errorf("fault-free run: %+v", rep)
+				}
+				ledgered(t, rep.Replayed, rep.Executed)
+				return got
+			}},
 			{"RunElastic", func(t *testing.T, g core.TaskGraph) map[core.TaskId][]core.Payload {
 				ms, err := NewMembership(ranks)
 				if err != nil {
@@ -252,8 +252,8 @@ func TestEntriesAgree(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if rep.Epochs != 1 || rep.Fences != 0 {
-					t.Errorf("static membership: %+v", rep)
+				if rep.Epochs != 1 || rep.Fences != 0 || len(rep.LostShards) != 0 {
+					t.Errorf("fault-free run: %+v", rep)
 				}
 				ledgered(t, rep.Replayed, rep.Executed)
 				return got

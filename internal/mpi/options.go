@@ -133,7 +133,7 @@ func WithObserver(obs core.Observer) Option {
 }
 
 // WithRetry sets the retry policy governing fault-tolerant execution
-// (RunRecover, RunElastic): attempt count, backoff, per-attempt timeout.
+// (RunElastic): attempt count, backoff, per-attempt timeout.
 // The zero value selects core.DefaultRetryPolicy.
 func WithRetry(p core.RetryPolicy) Option {
 	return optionFunc(func(o *options) { o.Retry = p })
@@ -154,7 +154,7 @@ func WithInline(inline bool) Option {
 
 // WithFIFO dispatches ready tasks in arrival order instead of
 // most-critical-first — the pre-scheduler discipline, kept as the ablation
-// baseline of the scheduler benches.
+// baseline of BenchmarkSchedulerModes.
 func WithFIFO(fifo bool) Option {
 	return optionFunc(func(o *options) { o.FIFO = fifo })
 }
@@ -178,7 +178,7 @@ func WithAlwaysSerialize(always bool) Option {
 // runs resumable: a controller started over an existing journal replays
 // journaled outputs instead of re-executing, so only the un-journaled
 // frontier runs. Journaling implies fault-tolerant bookkeeping
-// (sequence-stamped messages, receiver dedup) even outside RunRecover.
+// (sequence-stamped messages, receiver dedup) even outside RunElastic.
 func WithJournal(dir string) Option {
 	return optionFunc(func(o *options) { o.Journal = dir })
 }

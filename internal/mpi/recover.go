@@ -25,63 +25,6 @@ type ConnectFunc func(epoch, ranks int) ([]fabric.Transport, error)
 // deterministic fault-injection harness (internal/faultinject) plugs into.
 type InjectFunc func(epoch, rank int, tr fabric.Transport) fabric.Transport
 
-// RecoverOptions parameterizes RunRecover.
-type RecoverOptions struct {
-	// Connect is required: it builds each epoch's transports.
-	Connect ConnectFunc
-	// Inject, when non-nil, wraps each rank's transport (fault injection).
-	Inject InjectFunc
-	// Initial is the dataflow's full set of external inputs. RunRecover
-	// partitions it per epoch map and clones the payloads per attempt, so
-	// the inputs must be serializable.
-	Initial map[core.TaskId][]core.Payload
-}
-
-// RecoveryReport summarizes a fault-tolerant run.
-type RecoveryReport struct {
-	// Epochs is the number of execution attempts, counting the first.
-	Epochs int
-	// LostShards lists the shards (original map numbering) declared dead.
-	LostShards []core.ShardId
-	// Replayed and Executed count the FINAL epoch only: tasks whose outputs
-	// were re-emitted from a lineage ledger, and tasks that ran. On success
-	// Replayed+Executed equals the task count.
-	Replayed int
-	Executed int
-	// RecoveryTime is the wall clock spent after the first failure.
-	RecoveryTime time.Duration
-}
-
-// RunRecover executes the dataflow with replay-based fault tolerance: a
-// rank-0-style coordinator runs epochs until one completes. Every rank
-// keeps a lineage ledger of its completed tasks' serialized outputs across
-// epochs; when a peer is lost (wire failure or fault injection), the
-// coordinator drops the dead shard from the task map via
-// core.RebalanceShards — survivors keep their own tasks, the dead shard's
-// tasks round-robin over them — and the next epoch replays recorded
-// outputs instead of re-executing them, so only the undelivered frontier
-// (the dead rank's unrecorded work) runs again. No checkpointing:
-// correctness rests on the paper's idempotence contract.
-//
-// It is the supervise loop of RunElastic over a private membership that
-// nobody joins or drains, so it can only shrink.
-//
-// The controller's retry policy (WithRetry) bounds the number of epochs,
-// the backoff between them and each epoch's wall clock. A non-retryable
-// failure (a callback error on a surviving rank) aborts immediately;
-// exhausting the policy returns an error wrapping core.ErrRetriesExhausted;
-// a finished ctx returns one wrapping core.ErrCancelled.
-func (c *Controller) RunRecover(ctx context.Context, ro RecoverOptions) (map[core.TaskId][]core.Payload, RecoveryReport, error) {
-	sinks, rep, err := c.supervise(ctx, nil, ro.Connect, ro.Inject, ro.Initial)
-	return sinks, RecoveryReport{
-		Epochs:       rep.Epochs,
-		LostShards:   rep.LostShards,
-		Replayed:     rep.Replayed,
-		Executed:     rep.Executed,
-		RecoveryTime: rep.RecoveryTime,
-	}, err
-}
-
 // maxFences bounds membership-fence rebuilds of one supervised run. Fenced
 // epochs do not consume the retry budget — a retry is a failure, a fence is
 // a request — but runaway churn must still terminate.
