@@ -33,9 +33,10 @@ deprecations:
 
 ## loc: non-blank, non-comment, non-test Go lines per package under
 ## internal/ and cmd/, and their total — the code-size figure simplicity
-## PRs quote — then the surface counts: exported mpi.With* options, facade
-## exports in babelflow.go, time.Sleep lines in _test.go files, and call
-## sites of the standard log package (informational; nothing gates on it).
+## PRs quote — then the surface counts: exported mpi.With* options,
+## serve.Config fields, facade exports in babelflow.go, time.Sleep lines in
+## _test.go files, and call sites of the standard log package
+## (informational; nothing gates on it).
 loc:
 	@total=0; for d in internal/*/ cmd/*/; do \
 		n=$$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | \
@@ -44,6 +45,8 @@ loc:
 	done; printf '%6d  total\n' $$total
 	@printf '%6d  exported mpi.With*\n' $$(find internal/mpi -maxdepth 1 -name '*.go' ! -name '*_test.go' \
 		-exec cat {} + | grep -c '^func With')
+	@printf '%6d  serve.Config fields\n' \
+		$$(awk '/^type Config struct/{f=1; next} f && /^}/{f=0} f && /^	[A-Z]/{n++} END{print n}' internal/serve/serve.go)
 	@printf '%6d  facade exports (babelflow.go)\n' \
 		$$(grep -cE '^(func|type|const|var) [A-Z]|^	[A-Z][A-Za-z0-9_]* +=' babelflow.go)
 	@printf '%6d  time.Sleep in _test.go files\n' \

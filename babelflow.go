@@ -52,7 +52,6 @@ import (
 	"github.com/babelflow/babelflow-go/internal/legion"
 	"github.com/babelflow/babelflow-go/internal/mpi"
 	"github.com/babelflow/babelflow-go/internal/trace"
-	"github.com/babelflow/babelflow-go/internal/wire"
 )
 
 // Core EDSL types, re-exported from the internal core package.
@@ -320,29 +319,6 @@ func WithJournalSync(p SyncPolicy) MPIOption { return mpi.WithJournalSync(p) }
 // resume re-executes.
 func WithJournalGroupCommit(interval time.Duration, records int) MPIOption {
 	return mpi.WithJournalGroupCommit(interval, records)
-}
-
-// WireTier selects the transport between rank pairs of a wire mesh:
-// TierAuto (default) uses shared-memory rings between co-located ranks and
-// TCP across hosts; TierTCP, TierUnix and TierShm force one transport.
-type WireTier = wire.Tier
-
-// Wire transport tiers; see WireTier.
-const (
-	TierAuto = wire.TierAuto
-	TierTCP  = wire.TierTCP
-	TierUnix = wire.TierUnix
-	TierShm  = wire.TierShm
-)
-
-// WithWireTier sets the wire transport tier for meshes built from the
-// controller's WireOptions template.
-func WithWireTier(t WireTier) MPIOption { return mpi.WithWireTier(t) }
-
-// WithHeartbeat tunes the wire transport's peer-liveness probes: interval
-// between heartbeats and the silence after which a peer is declared lost.
-func WithHeartbeat(interval, timeout time.Duration) MPIOption {
-	return mpi.WithHeartbeat(interval, timeout)
 }
 
 // CharmOptions configures the Charm++ controller.

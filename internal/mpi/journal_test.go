@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"github.com/babelflow/babelflow-go/internal/core"
 	"github.com/babelflow/babelflow-go/internal/fabric"
@@ -171,12 +170,12 @@ func TestJournaledRunRankResumes(t *testing.T) {
 	compareResults(t, want, got)
 }
 
-// TestWireOptionsCarriesHeartbeatAndFingerprint checks the controller's
-// wire template plumbs WithHeartbeat tuning and the graph fingerprint.
-func TestWireOptionsCarriesHeartbeatAndFingerprint(t *testing.T) {
+// TestWireOptionsCarriesFingerprint checks the controller's wire template
+// carries the graph fingerprint.
+func TestWireOptionsCarriesFingerprint(t *testing.T) {
 	g, _ := graphs.NewReduction(4, 2)
 	m := core.NewModuloMap(2, g.Size())
-	c := New(WithHeartbeat(50*time.Millisecond, 250*time.Millisecond))
+	c := New()
 	if err := c.Initialize(g, m); err != nil {
 		t.Fatal(err)
 	}
@@ -186,9 +185,6 @@ func TestWireOptionsCarriesHeartbeatAndFingerprint(t *testing.T) {
 		}
 	}
 	wo := c.WireOptions()
-	if wo.HeartbeatInterval != 50*time.Millisecond || wo.HeartbeatTimeout != 250*time.Millisecond {
-		t.Fatalf("heartbeat tuning not plumbed: %+v", wo)
-	}
 	if wo.Fingerprint != c.Fingerprint() || wo.Fingerprint == (core.Fingerprint{}) {
 		t.Fatalf("fingerprint not plumbed: %+v", wo.Fingerprint)
 	}

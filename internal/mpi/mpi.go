@@ -484,15 +484,10 @@ func (c *Controller) Fingerprint() core.Fingerprint {
 }
 
 // WireOptions returns the wire transport template this controller implies:
-// its graph fingerprint plus any heartbeat tuning (WithHeartbeat). Callers
-// building a mesh fill in Rank/Ranks/Addr (wire.Mesh does so itself).
+// its graph fingerprint. Callers building a mesh fill in the rest
+// (Rank/Ranks/Addr, tier, heartbeat tuning); wire.Mesh does so itself.
 func (c *Controller) WireOptions() wire.Options {
-	return wire.Options{
-		Fingerprint:       c.Fingerprint(),
-		HeartbeatInterval: c.opt.HeartbeatInterval,
-		HeartbeatTimeout:  c.opt.HeartbeatTimeout,
-		Tier:              c.opt.WireTier,
-	}
+	return wire.Options{Fingerprint: c.Fingerprint()}
 }
 
 // scratchPool recycles the per-execution message scratch slices the workers

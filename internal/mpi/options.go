@@ -8,7 +8,6 @@ import (
 	"github.com/babelflow/babelflow-go/internal/core"
 	"github.com/babelflow/babelflow-go/internal/fabric"
 	"github.com/babelflow/babelflow-go/internal/journal"
-	"github.com/babelflow/babelflow-go/internal/wire"
 )
 
 // TransportFactory builds the transport an in-process Run executes over —
@@ -33,10 +32,6 @@ type options struct {
 	// Group-commit window; zero keeps the journal defaults (2ms, 64 records).
 	JournalCommitInterval time.Duration
 	JournalCommitRecords  int
-	// Wire failure-detector tuning; zero keeps the wire defaults.
-	HeartbeatInterval time.Duration
-	HeartbeatTimeout  time.Duration
-	WireTier          wire.Tier
 
 	// Validation bookkeeping stamped by the options so conflicting
 	// combinations surface as errors at Initialize instead of silently
@@ -212,24 +207,5 @@ func WithJournalGroupCommit(interval time.Duration, records int) Option {
 		if interval <= 0 || records <= 0 {
 			o.optErr = fmt.Errorf("mpi: WithJournalGroupCommit window must be positive, got interval %v, records %d", interval, records)
 		}
-	})
-}
-
-// WithWireTier selects the wire transport tier for meshes built from the
-// controller's WireOptions template: wire.TierAuto (default) picks the
-// fastest tier two ranks share (shm, then unix sockets, then TCP); the
-// other values force one transport.
-func WithWireTier(t wire.Tier) Option {
-	return optionFunc(func(o *options) { o.WireTier = t })
-}
-
-// WithHeartbeat tunes the wire failure detector for meshes built from the
-// controller's WireOptions template: how often idle connections heartbeat
-// and how long silence may last before a peer is declared lost. Zero keeps
-// the wire defaults (1s interval, 4x timeout).
-func WithHeartbeat(interval, timeout time.Duration) Option {
-	return optionFunc(func(o *options) {
-		o.HeartbeatInterval = interval
-		o.HeartbeatTimeout = timeout
 	})
 }

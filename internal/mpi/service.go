@@ -123,36 +123,6 @@ func (s *Service) Runs() int { return s.demux.Runs() }
 // cancel, or traffic from a misbehaving peer.
 func (s *Service) Stray() uint64 { return s.demux.Stray() }
 
-// wireTierer is the optional interface a warm transport implements to
-// report the negotiated data path per peer; wire.Fabric does.
-type wireTierer interface {
-	LocalRank() int
-	PeerNetwork(int) string
-}
-
-// WireTiers reports the negotiated transport tier per rank pair, keyed
-// "i-j". A wire-backed transport reports what each pair actually
-// negotiated ("tcp", "unix" or "shm"); the default in-memory fabric
-// reports "mem" for every pair.
-func (s *Service) WireTiers() map[string]string {
-	out := make(map[string]string)
-	if wt, ok := s.base.(wireTierer); ok {
-		local := wt.LocalRank()
-		for r := 0; r < s.ranks; r++ {
-			if r != local {
-				out[fmt.Sprintf("%d-%d", local, r)] = wt.PeerNetwork(r)
-			}
-		}
-		return out
-	}
-	for i := 0; i < s.ranks; i++ {
-		for j := i + 1; j < s.ranks; j++ {
-			out[fmt.Sprintf("%d-%d", i, j)] = "mem"
-		}
-	}
-	return out
-}
-
 // Drain marks a rank draining: new submissions stop placing tasks on it
 // (default-mapped submissions are transparently remapped — the hand-off —
 // while submissions pinning tasks there are refused with ErrDraining), and
@@ -222,27 +192,31 @@ func (s *Service) drainingSnapshot() map[int]bool {
 	return maps.Clone(s.draining)
 }
 
-// avoidDraining rebuilds a placement with every task on a draining rank
-// moved round-robin onto the undrained ranks, and reports how many moved.
-// The rank count is unchanged (the fabric still spans all ranks; draining
-// ranks just own no tasks).
-func avoidDraining(pl *placement, draining map[int]bool) (*placement, int) {
-	var healthy []int32
+// avoidDraining re-places every task on a draining rank onto the undrained
+// ranks and reports how many moved. The rule is Plan.Rebalance's with the
+// undrained ranks as members: they keep their own tasks and the orphans are
+// dealt round-robin in plan order. The rank count is unchanged (the fabric
+// still spans all ranks; draining ranks just own no tasks).
+func avoidDraining(p *core.Plan, pl *placement, draining map[int]bool) (*placement, int, error) {
+	var healthy []core.ShardId
 	for r := range pl.local {
 		if !draining[r] {
-			healthy = append(healthy, int32(r))
+			healthy = append(healthy, core.ShardId(r))
 		}
 	}
-	shardOf := make([]int32, len(pl.shardOf))
+	dest, err := p.Rebalance(pl.shardOf, len(pl.local), healthy)
+	if err != nil {
+		return nil, 0, err
+	}
 	moved := 0
-	for i, r := range pl.shardOf {
-		if draining[int(r)] {
-			r = healthy[moved%len(healthy)]
+	for i, l := range dest {
+		// Map the member's logical rank back to its physical rank.
+		dest[i] = int32(healthy[l])
+		if dest[i] != pl.shardOf[i] {
 			moved++
 		}
-		shardOf[i] = r
 	}
-	return newPlacement(len(pl.local), shardOf), moved
+	return newPlacement(len(pl.local), dest), moved, nil
 }
 
 // Submit executes one graph instance over the warm fabric and pool,
@@ -297,7 +271,9 @@ func (s *Service) Submit(ctx context.Context, sub Submission) (map[core.TaskId][
 			// Default placement: hand the draining ranks' shards off to the
 			// remaining ranks transparently.
 			var moved int
-			pl, moved = avoidDraining(pl, draining)
+			if pl, moved, err = avoidDraining(plan, pl, draining); err != nil {
+				return nil, JournalStats{}, err
+			}
 			if moved > 0 {
 				s.handoffRuns.Add(1)
 				s.handoffTasks.Add(uint64(moved))

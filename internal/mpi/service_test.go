@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"github.com/babelflow/babelflow-go/internal/core"
-	"github.com/babelflow/babelflow-go/internal/fabric"
 	"github.com/babelflow/babelflow-go/internal/graphs"
 	"github.com/babelflow/babelflow-go/internal/journal"
 )
@@ -297,53 +296,56 @@ func TestServiceRejectsBadOptions(t *testing.T) {
 	}
 }
 
-// tieredTransport is an in-memory fabric that also reports a negotiated
-// wire tier per peer, the optional probe WireTiers uses to describe a
-// wire-backed service.
-type tieredTransport struct {
-	fabric.Transport
-}
+// TestServiceDrainPlacement drains two of four ranks and runs a
+// default-mapped 16-leaf reduction: the undrained ranks keep every task the
+// map gave them, the drained ranks' tasks are dealt round-robin over ranks
+// 0 and 2 in plan order, nothing runs on a drained rank, and the sinks
+// match serial.
+func TestServiceDrainPlacement(t *testing.T) {
+	g, _ := graphs.NewReduction(16, 2)
+	initial := reductionInputs(g)
+	want := serialReduction(t, g, initial)
 
-func (tieredTransport) LocalRank() int         { return 0 }
-func (tieredTransport) PeerNetwork(int) string { return "shm" }
-
-// TestServiceWireTiers checks the /metrics tier report for both transport
-// shapes: the default in-memory fabric labels every pair "mem", and a
-// transport exposing the wireTierer probe reports its negotiated tiers
-// keyed from the local rank.
-func TestServiceWireTiers(t *testing.T) {
-	s, err := NewService(3)
+	execs := core.NewExecutionLog()
+	s, err := NewService(4, WithObserver(execs))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	tiers := s.WireTiers()
-	if len(tiers) != 3 {
-		t.Fatalf("in-memory tiers = %v, want 3 pairs", tiers)
-	}
-	for _, pair := range []string{"0-1", "0-2", "1-2"} {
-		if tiers[pair] != "mem" {
-			t.Errorf("pair %s = %q, want \"mem\"", pair, tiers[pair])
+	for _, r := range []int{1, 3} {
+		if err := s.Drain(r); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if s.Stray() != 0 {
-		t.Errorf("fresh service counted %d stray frames", s.Stray())
-	}
-
-	w, err := NewService(3, WithTransport(func(n int) fabric.Transport {
-		return tieredTransport{fabric.New(n)}
-	}))
+	got, _, err := s.Submit(context.Background(), reductionSubmission(g, cloneInitial(initial)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer w.Close()
-	tiers = w.WireTiers()
-	if len(tiers) != 2 {
-		t.Fatalf("wire-backed tiers = %v, want 2 pairs from local rank", tiers)
-	}
-	for _, pair := range []string{"0-1", "0-2"} {
-		if tiers[pair] != "shm" {
-			t.Errorf("pair %s = %q, want \"shm\"", pair, tiers[pair])
+	compareResults(t, want, got)
+
+	m := core.NewGraphMap(4, g)
+	orphans := 0
+	for _, id := range g.TaskIds() {
+		ran := execs.Shards[id]
+		switch base := m.Shard(id); base {
+		case 0, 2:
+			if ran != base {
+				t.Errorf("task %d: mapped to undrained rank %d, ran on %d", id, base, ran)
+			}
+		default:
+			if dst := core.ShardId(2 * (orphans % 2)); ran != dst {
+				t.Errorf("task %d: orphan %d of drained rank %d ran on %d, want %d", id, orphans, base, ran, dst)
+			}
+			orphans++
 		}
+		if n := execs.Executions(id); n != 1 {
+			t.Errorf("task %d ran %d times", id, n)
+		}
+	}
+	if runs, tasks := s.HandoffCounts(); runs != 1 || tasks != uint64(orphans) {
+		t.Errorf("HandoffCounts = %d run(s), %d task(s); want 1, %d", runs, tasks, orphans)
+	}
+	if s.Stray() != 0 {
+		t.Errorf("drained run left %d stray frames", s.Stray())
 	}
 }

@@ -2,8 +2,8 @@
 // bfserve. One mpi.Service keeps a rank fabric, a warm worker pool and a
 // journal root resident; this package adds the multi-tenant front: an
 // admission queue with bounded depth and typed load-shedding, a dispatcher
-// that batches small submissions before releasing them onto the warm
-// fabric, per-run lifecycle records (queued → running → done/failed/
+// that starts each queued run as soon as an execution slot is free,
+// per-run lifecycle records (queued → running → done/failed/
 // cancelled) with queue-wait/makespan/journal metrics, and aggregate
 // service counters with latency percentiles.
 package serve
@@ -65,20 +65,14 @@ type Config struct {
 	Ranks int
 	// Workers sizes the shared executor pool (default GOMAXPROCS).
 	Workers int
-	// QueueDepth bounds the admission queue; a full queue sheds with
-	// ErrOverloaded (default 256).
+	// QueueDepth bounds the runs waiting in the admission queue; a full
+	// queue sheds with ErrOverloaded (default 256). The dispatcher holds at
+	// most one more run, taken off the queue, while it waits for a slot.
 	QueueDepth int
 	// MaxInflight bounds concurrently executing runs; the dispatcher blocks
 	// (backpressure into the queue) once the bound is reached (default =
 	// Ranks).
 	MaxInflight int
-	// BatchWindow is how long the dispatcher lingers collecting further
-	// queued submissions after the first before releasing the batch
-	// (default 2ms). Batching amortizes dispatcher wakeups under streams of
-	// small runs, file.d-style.
-	BatchWindow time.Duration
-	// MaxBatch caps a dispatch batch (default 16).
-	MaxBatch int
 	// History bounds how many finished run records the server retains for
 	// status queries (default 1024). Live runs are never evicted.
 	History int
@@ -99,12 +93,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxInflight <= 0 {
 		c.MaxInflight = c.Ranks
-	}
-	if c.BatchWindow <= 0 {
-		c.BatchWindow = 2 * time.Millisecond
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 16
 	}
 	if c.History <= 0 {
 		c.History = 1024
@@ -149,10 +137,6 @@ type Metrics struct {
 	// MakespanP50Ms/P99Ms are percentiles over recent runs' makespans.
 	MakespanP50Ms float64 `json:"makespan_p50_ms"`
 	MakespanP99Ms float64 `json:"makespan_p99_ms"`
-	// WireTiers is the negotiated transport per rank pair, keyed "i-j":
-	// "mem" on the default in-memory fabric, "tcp"/"unix"/"shm" when the
-	// warm service rides a wire mesh.
-	WireTiers map[string]string `json:"wire_tiers"`
 	// StrayFrames counts messages the run demultiplexer dropped because
 	// they addressed an unknown or released run — late arrivals racing a
 	// cancel. A steadily climbing value under normal load is a bug signal.
@@ -388,54 +372,21 @@ func (s *Server) evictLocked() {
 	}
 }
 
-// dispatch is the admission loop: it blocks for the first queued run, then
-// lingers up to BatchWindow collecting up to MaxBatch further runs, and
-// releases the whole batch onto the warm fabric — bounded by MaxInflight,
-// whose backpressure propagates into the queue and from there into
-// ErrOverloaded shedding.
+// dispatch is the admission loop: it takes one queued run at a time, waits
+// for a MaxInflight slot and starts the run on the warm fabric. Acquiring
+// the slot here (not in the run's goroutine) is the backpressure bound: a
+// saturated service parks the dispatcher, the queue fills, and Submit
+// sheds with ErrOverloaded.
 func (s *Server) dispatch() {
 	defer s.dispatchWG.Done()
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	for {
-		r, ok := <-s.queue
-		if !ok {
-			return
-		}
-		batch := append(make([]*run, 0, s.cfg.MaxBatch), r)
-		timer.Reset(s.cfg.BatchWindow)
-	gather:
-		for len(batch) < s.cfg.MaxBatch {
-			select {
-			case r2, ok := <-s.queue:
-				if !ok {
-					break gather
-				}
-				batch = append(batch, r2)
-			case <-timer.C:
-				break gather
-			}
-		}
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-		for _, r := range batch {
-			// Acquiring a MaxInflight slot here (not in the goroutine) is
-			// the backpressure bound: a saturated service parks the
-			// dispatcher, the queue fills, and Submit sheds.
-			s.sem <- struct{}{}
-			s.execWG.Add(1)
-			go func(r *run) {
-				defer s.execWG.Done()
-				defer func() { <-s.sem }()
-				s.execute(r)
-			}(r)
-		}
+	for r := range s.queue {
+		s.sem <- struct{}{}
+		s.execWG.Add(1)
+		go func() {
+			defer s.execWG.Done()
+			defer func() { <-s.sem }()
+			s.execute(r)
+		}()
 	}
 }
 
@@ -496,9 +447,9 @@ func (s *Server) finish(r *run, digest string, js mpi.JournalStats, err error) {
 	state := r.state
 	wait, span := r.started.Sub(r.submitted), now.Sub(r.started)
 	r.mu.Unlock()
-	close(r.done)
-	r.cancel()
 
+	// Count the run before releasing its waiters, so Metrics read after
+	// Wait returns includes it.
 	s.mu.Lock()
 	switch state {
 	case StateDone:
@@ -511,6 +462,8 @@ func (s *Server) finish(r *run, digest string, js mpi.JournalStats, err error) {
 	s.queueWait.add(wait)
 	s.makespan.add(span)
 	s.mu.Unlock()
+	close(r.done)
+	r.cancel()
 }
 
 // Get returns the run's current status.
@@ -557,10 +510,10 @@ func (s *Server) Cancel(id uint64) (RunStatus, error) {
 		r.finished = time.Now()
 		r.mu.Unlock()
 		r.cancel()
-		close(r.done)
 		s.mu.Lock()
 		s.cancelled++
 		s.mu.Unlock()
+		close(r.done)
 		return r.snapshot(), nil
 	}
 	r.mu.Unlock()
@@ -601,7 +554,6 @@ func (s *Server) Metrics() Metrics {
 		QueueWaitP99Ms: ms(s.queueWait.percentile(0.99)),
 		MakespanP50Ms:  ms(s.makespan.percentile(0.50)),
 		MakespanP99Ms:  ms(s.makespan.percentile(0.99)),
-		WireTiers:      s.svc.WireTiers(),
 		StrayFrames:    s.svc.Stray(),
 		DrainingRanks:  s.svc.Draining(),
 		DrainFences:    int(s.fences.Load()),

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -169,6 +170,33 @@ func TestServerUseCaseDigests(t *testing.T) {
 	}
 }
 
+// TestServerStartsIdleRunAtOnce checks that an idle server starts a lone
+// submission straight away instead of holding it back: over 20 sequential
+// submit-and-wait round trips the median queue wait stays under 1 ms. Each
+// run is already counted in Metrics when its Wait returns.
+func TestServerStartsIdleRunAtOnce(t *testing.T) {
+	s, err := NewServer(Config{Ranks: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	waits := make([]float64, 20)
+	for i := range waits {
+		st := submitAndWait(t, s, "reduction", Params{"blocks": 4, "payload": 32})
+		if st.State != StateDone {
+			t.Fatalf("run %d: state %s, err %q", st.ID, st.State, st.Error)
+		}
+		if m := s.Metrics(); m.Completed != uint64(i+1) {
+			t.Fatalf("after %d waited runs Metrics counts %d completed", i+1, m.Completed)
+		}
+		waits[i] = st.QueueWaitMs
+	}
+	sort.Float64s(waits)
+	if median := (waits[9] + waits[10]) / 2; median >= 1 {
+		t.Fatalf("median queue wait %.3f ms on an idle server, want < 1 ms (sorted: %v)", median, waits)
+	}
+}
+
 // TestServerShedsWhenOverloaded fills a tiny admission queue behind a slow
 // run and checks overflow is shed with ErrOverloaded — and that the server
 // then drains cleanly with no deadlock.
@@ -178,7 +206,6 @@ func TestServerShedsWhenOverloaded(t *testing.T) {
 		QueueDepth:  2,
 		MaxInflight: 1,
 		Registry:    slowRegistry(),
-		BatchWindow: time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -225,7 +252,6 @@ func TestServerCancel(t *testing.T) {
 		QueueDepth:  8,
 		MaxInflight: 1,
 		Registry:    slowRegistry(),
-		BatchWindow: time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -428,7 +454,6 @@ func TestServerHTTP(t *testing.T) {
 		QueueDepth:  2,
 		MaxInflight: 1,
 		Registry:    reg,
-		BatchWindow: time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -495,15 +520,7 @@ func TestServerHTTP(t *testing.T) {
 	if m.Shed == 0 || m.Completed == 0 || m.MakespanP50Ms <= 0 {
 		t.Fatalf("metrics incomplete: %+v", m)
 	}
-	// The wire-tier map covers every rank pair of the warm fabric — "mem"
-	// on the default in-memory transport — and the stray counter is
-	// exposed (and zero: nothing raced a cancel here).
-	if len(m.WireTiers) != 1 { // C(2,2) pairs for this 2-rank server
-		t.Fatalf("wire_tiers = %v, want one pair", m.WireTiers)
-	}
-	if tier, ok := m.WireTiers["0-1"]; !ok || tier != "mem" {
-		t.Fatalf("wire_tiers = %v, want 0-1 => mem", m.WireTiers)
-	}
+	// The stray counter is exposed (and zero: nothing raced a cancel here).
 	if m.StrayFrames != 0 {
 		t.Fatalf("stray_frames = %d on an orderly server", m.StrayFrames)
 	}

@@ -135,12 +135,8 @@ func TestGateJoinDrainRoundTrip(t *testing.T) {
 		t.Fatalf("exit ticket %+v, err %v", exit, err)
 	}
 	sess.Close()
-	deadline := time.Now().Add(5 * time.Second)
-	for g.Alive(2) {
-		if time.Now().After(deadline) {
-			t.Fatal("gate never noticed the member leaving")
-		}
-		time.Sleep(5 * time.Millisecond)
+	if _, err := g.AwaitStatus(2, 5*time.Second); !errors.Is(err, ErrMemberGone) {
+		t.Fatalf("status after the member left: %v, want ErrMemberGone", err)
 	}
 }
 

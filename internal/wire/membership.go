@@ -254,14 +254,6 @@ func (g *Gate) AwaitStatus(member int, timeout time.Duration) (Status, error) {
 	}
 }
 
-// Alive reports whether the member's gate session is still connected.
-func (g *Gate) Alive(member int) bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	_, ok := g.sess[member]
-	return ok
-}
-
 // Close shuts the gate down: the listener stops, every session connection
 // is closed (members see ErrMemberGone-style EOFs) and the accept/reader
 // goroutines drain.

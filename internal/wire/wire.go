@@ -387,7 +387,7 @@ func (f *Fabric) Ranks() int { return f.opt.Ranks }
 
 // PeerNetwork reports the network ("tcp", "unix", "shm") carrying data
 // frames to rank, or "" for the local rank — the observable outcome of the
-// tier selection, for tests, benchmarks and the serve metrics endpoint.
+// tier selection, which the tier tests check.
 func (f *Fabric) PeerNetwork(rank int) string {
 	if rank < 0 || rank >= f.opt.Ranks || f.peers[rank] == nil {
 		return ""
@@ -411,9 +411,6 @@ func (f *Fabric) CorruptNextShmFrame(peerRank int) bool {
 	f.peers[peerRank].ring().corrupt.Store(true)
 	return true
 }
-
-// LocalRank returns the rank this fabric instance serves.
-func (f *Fabric) LocalRank() int { return f.opt.Rank }
 
 // Send implements fabric.Transport. Messages to the local rank are
 // in-memory hand-offs. Remote messages take the inline fast path when the
