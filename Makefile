@@ -57,8 +57,10 @@ loc:
 build:
 	$(GO) build ./...
 
+## vet: go vet, then the format gate — fails when gofmt -l lists a file.
 vet:
 	$(GO) vet ./...
+	@out=$$(gofmt -l .); test -z "$$out" || { echo "gofmt: unformatted files:"; echo "$$out"; exit 1; }
 
 test:
 	$(GO) test ./...
@@ -143,12 +145,13 @@ fuzz:
 ## detector, then the graph-plan benchmarks (compile and cold run of the
 ## 16k-task graph) and the data kernels (block extraction of a 256³ field,
 ## 256² image encode and decode) and the merge-tree kernels (a leaf's local
-## tree, a correction merge, a segmentation) and the engine benchmarks
+## tree, a correction merge, a segmentation) and the registration search (a
+## full NCC window, East and South) and the engine benchmarks
 ## (scheduler makespan per dispatch mode, recovery from a killed peer or a
 ## membership change, loop-combinator overhead; each run checked against
 ## serial) once each so they cannot rot, then the allocation pins (plan,
-## cold and warm runs, what tracing adds per task, block extraction, and
-## the merge-tree kernels).
+## cold and warm runs, what tracing adds per task, block extraction, the
+## merge-tree kernels, and the registration search and process task).
 perf-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=100x ./internal/wire
 	$(GO) test -race -run='^$$' -bench=. -benchtime=100x ./internal/wire
@@ -160,5 +163,6 @@ perf-smoke:
 	$(GO) test -run='^$$' -bench='^BenchmarkExtract$$' -benchtime=1x ./internal/data
 	$(GO) test -run='^$$' -bench='^BenchmarkImage(Serialize|Deserialize)$$' -benchtime=1x ./internal/render
 	$(GO) test -run='^$$' -bench='^Benchmark(FromField|Merge|Segment)$$' -benchtime=1x ./internal/mergetree
+	$(GO) test -run='^$$' -bench='^BenchmarkCorrelate$$' -benchtime=1x ./internal/register
 	$(GO) test -run='^$$' -bench='SchedulerModes|Recovery|IterateOverhead' -benchtime=1x ./internal/conformance
-	$(GO) test -count=1 -run='AllocationPins' ./internal/core ./internal/mpi ./internal/data ./internal/mergetree
+	$(GO) test -count=1 -run='AllocationPins' ./internal/core ./internal/mpi ./internal/data ./internal/mergetree ./internal/register

@@ -5,8 +5,10 @@
 // task re-emits the tile and its facing strips (the tile itself is carried
 // between iterations), a process task correlates the tile against the
 // neighbors' strips over a search window that expands by one voxel per
-// iteration, and a root task aggregates the per-cell estimates into one
-// blob that records how many estimates changed. The loop gates on the
+// iteration (scanning only the ring the expansion adds, seeded with the
+// estimate the previous root blob carries), and a root task aggregates
+// the per-cell estimates into one blob that records how many estimates
+// changed. The loop gates on the
 // root blob: the convergence predicate stops the flow once no estimate
 // moved — which happens as soon as the window covers the correlation
 // peak, so the converged estimates equal the static pipeline's full-window
@@ -18,7 +20,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"math"
 
 	"github.com/babelflow/babelflow-go/internal/core"
 	"github.com/babelflow/babelflow-go/internal/data"
@@ -83,11 +84,8 @@ func neighborCell(x, y int, d graphs.Direction) (int, int) {
 //	root (id 2n):       in [estimate per cell, prev blob (gated)]
 //	                    out [blob sink (gate source)]
 func (cfg Config) IterBody() (*core.ExplicitGraph, error) {
-	if cfg.GridW < 1 || cfg.GridH < 1 {
-		return nil, fmt.Errorf("register: invalid grid %dx%d", cfg.GridW, cfg.GridH)
-	}
-	if cfg.Tile < 2 || cfg.Jitter < 0 {
-		return nil, fmt.Errorf("register: invalid tile size %d or jitter %d", cfg.Tile, cfg.Jitter)
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	n := cfg.cells()
 	root := cfg.IterRootId()
@@ -231,25 +229,9 @@ func (cfg Config) iterExtract(in []core.Payload, id core.TaskId) ([]core.Payload
 		return nil, err
 	}
 	i := int(core.BodyId(id))
-	x, y := i%cfg.GridW, i/cfg.GridW
-	dirs := cfg.neighborDirs(x, y)
+	dirs := cfg.neighborDirs(i%cfg.GridW, i/cfg.GridW)
 	out := make([]core.Payload, 2+len(dirs))
-	out[0] = core.Object(tile)
-	w := cfg.stripWidth()
-	for s, d := range dirs {
-		var strip *data.Field
-		switch d {
-		case graphs.West:
-			strip = tile.SubField(0, 0, 0, w, tile.NY, tile.NZ)
-		case graphs.East:
-			strip = tile.SubField(tile.NX-w, 0, 0, w, tile.NY, tile.NZ)
-		case graphs.North:
-			strip = tile.SubField(0, 0, 0, tile.NX, w, tile.NZ)
-		case graphs.South:
-			strip = tile.SubField(0, tile.NY-w, 0, tile.NX, w, tile.NZ)
-		}
-		out[1+s] = core.Object(strip)
-	}
+	cfg.strips(tile, dirs, out)
 	out[len(out)-1] = core.Object(tile)
 	return out, nil
 }
@@ -260,60 +242,27 @@ func (cfg Config) iterExtract(in []core.Payload, id core.TaskId) ([]core.Payload
 // uncovers better displacements and reach a fixpoint — the full-window
 // optimum the static pipeline computes in one (more expensive) pass —
 // once the window covers the correlation peak. The gated previous blob
-// (the last input) is what sequences iteration k after decision k-1; the
-// refinement state it carries is consumed by the root's change count.
+// (the last input) sequences iteration k after decision k-1 and carries
+// this cell's optimum over the previous window, so from iteration 1 on
+// only the ring the window adds is searched, and nothing once the radius
+// is clamped.
 func (cfg Config) iterProcess(in []core.Payload, id core.TaskId) ([]core.Payload, error) {
-	tile, err := asField(in[0])
-	if err != nil {
-		return nil, err
-	}
 	i := int(core.BodyId(id)) - cfg.cells()
 	x, y := i%cfg.GridW, i/cfg.GridW
-	dirs := cfg.neighborDirs(x, y)
-
-	stride, j := cfg.Stride(), 2*cfg.Jitter
-	r := 1 + core.IterOf(id)
-	if r > j {
-		r = j
-	}
-	est := Estimate{X: x, Y: y}
-	for di, d := range dirs {
-		if d != graphs.East && d != graphs.South {
-			continue
-		}
-		strip, err := asField(in[1+di])
-		if err != nil {
+	k, j := core.IterOf(id), 2*cfg.Jitter
+	r, inner := min(1+k, j), -1
+	var carried Estimate
+	if k > 0 {
+		var err error
+		if carried, err = cfg.blobEstimate(in[len(in)-1].Data, i); err != nil {
 			return nil, err
 		}
-		var dx, dy int
-		var score float64
-		if d == graphs.East {
-			dx, dy, score = cfg.correlateWindow(tile, strip, stride-r, stride+r, -r, r)
-		} else {
-			dx, dy, score = cfg.correlateWindow(tile, strip, -r, r, stride-r, stride+r)
+		if carried.X != x || carried.Y != y {
+			return nil, fmt.Errorf("register: carried estimate is cell (%d,%d)'s, want (%d,%d)", carried.X, carried.Y, x, y)
 		}
-		if d == graphs.East {
-			est.HasEast, est.EastDx, est.EastDy, est.EastScore = true, dx, dy, score
-		} else {
-			est.HasSouth, est.SouthDx, est.SouthDy, est.SouthScore = true, dx, dy, score
-		}
+		inner = min(k, j)
 	}
-	return []core.Payload{core.Buffer(est.Serialize())}, nil
-}
-
-// correlateWindow scans the displacement window for the NCC-maximizing
-// offset; ties resolve to the lexicographically smallest displacement,
-// like the static correlate.
-func (cfg Config) correlateWindow(tile, strip *data.Field, dxLo, dxHi, dyLo, dyHi int) (bestDx, bestDy int, bestScore float64) {
-	bestScore = math.Inf(-1)
-	for dy := dyLo; dy <= dyHi; dy++ {
-		for dx := dxLo; dx <= dxHi; dx++ {
-			if score := ncc(tile, strip, dx, dy); score > bestScore {
-				bestScore, bestDx, bestDy = score, dx, dy
-			}
-		}
-	}
-	return bestDx, bestDy, bestScore
+	return cfg.estimate(in, x, y, cfg.neighborDirs(x, y), r, inner, carried)
 }
 
 // iterRoot aggregates the per-cell estimates into the gate blob and counts

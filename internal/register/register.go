@@ -72,14 +72,40 @@ func (cfg Config) InitialInputs(g *graphs.Neighbor2D, tiles []data.BrainTile) (m
 	return initial, nil
 }
 
+// MaxGrid is the widest and tallest grid registration accepts: an
+// Estimate's wire form stores each cell coordinate in one byte.
+const MaxGrid = 256
+
+// ConfigError reports a Config that registration cannot run.
+type ConfigError struct{ Reason string }
+
+func (e *ConfigError) Error() string { return "register: invalid config: " + e.Reason }
+
+// Validate reports, as a *ConfigError, a grid outside 1..MaxGrid on either
+// axis, a tile edge below 2 or a negative jitter.
+func (cfg Config) Validate() error {
+	var reason string
+	switch {
+	case cfg.GridW < 1 || cfg.GridH < 1 || cfg.GridW > MaxGrid || cfg.GridH > MaxGrid:
+		reason = fmt.Sprintf("grid %dx%d outside 1..%d per axis", cfg.GridW, cfg.GridH, MaxGrid)
+	case cfg.Tile < 2:
+		reason = fmt.Sprintf("tile size %d below 2", cfg.Tile)
+	case cfg.Jitter < 0:
+		reason = fmt.Sprintf("negative jitter %d", cfg.Jitter)
+	default:
+		return nil
+	}
+	return &ConfigError{Reason: reason}
+}
+
 // Register binds the extract and process callbacks to a controller
 // initialized with the neighbor graph.
 func (cfg Config) Register(c core.CallbackRegistrar, g *graphs.Neighbor2D) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
 	if cfg.GridW != g.Width() || cfg.GridH != g.Height() {
 		return fmt.Errorf("register: config grid %dx%d does not match graph %dx%d", cfg.GridW, cfg.GridH, g.Width(), g.Height())
-	}
-	if cfg.Tile < 2 || cfg.Jitter < 0 {
-		return fmt.Errorf("register: invalid tile size %d or jitter %d", cfg.Tile, cfg.Jitter)
 	}
 	if err := c.RegisterCallback(graphs.NeighborExtractCB, cfg.extractCallback(g)); err != nil {
 		return err
@@ -110,118 +136,146 @@ func (cfg Config) extractCallback(g *graphs.Neighbor2D) core.Callback {
 		x, y, _ := g.CellOf(id)
 		dirs := g.NeighborDirs(x, y)
 		out := make([]core.Payload, 1+len(dirs))
-		out[0] = core.Object(tile)
-		w := cfg.stripWidth()
-		for i, d := range dirs {
-			var strip *data.Field
-			switch d {
-			case graphs.West:
-				strip = tile.SubField(0, 0, 0, w, tile.NY, tile.NZ)
-			case graphs.East:
-				strip = tile.SubField(tile.NX-w, 0, 0, w, tile.NY, tile.NZ)
-			case graphs.North:
-				strip = tile.SubField(0, 0, 0, tile.NX, w, tile.NZ)
-			case graphs.South:
-				strip = tile.SubField(0, tile.NY-w, 0, tile.NX, w, tile.NZ)
-			}
-			out[i+1] = core.Object(strip)
-		}
+		cfg.strips(tile, dirs, out)
 		return out, nil
+	}
+}
+
+// strips fills out[0] with the tile and out[1+s] with the strip facing the
+// neighbor in direction dirs[s].
+func (cfg Config) strips(tile *data.Field, dirs []graphs.Direction, out []core.Payload) {
+	out[0] = core.Object(tile)
+	w := cfg.stripWidth()
+	for s, d := range dirs {
+		var strip *data.Field
+		switch d {
+		case graphs.West:
+			strip = tile.SubField(0, 0, 0, w, tile.NY, tile.NZ)
+		case graphs.East:
+			strip = tile.SubField(tile.NX-w, 0, 0, w, tile.NY, tile.NZ)
+		case graphs.North:
+			strip = tile.SubField(0, 0, 0, tile.NX, w, tile.NZ)
+		case graphs.South:
+			strip = tile.SubField(0, tile.NY-w, 0, tile.NX, w, tile.NZ)
+		}
+		out[1+s] = core.Object(strip)
 	}
 }
 
 // processCallback correlates the tile against the facing strips of its
 // East and South neighbors (West/North estimates are the mirror image and
-// therefore redundant) and emits the estimates as the sink output.
+// therefore redundant) over the full jitter window and emits the estimates
+// as the sink output.
 func (cfg Config) processCallback(g *graphs.Neighbor2D) core.Callback {
 	return func(in []core.Payload, id core.TaskId) ([]core.Payload, error) {
-		tile, err := asField(in[0])
-		if err != nil {
-			return nil, err
-		}
 		x, y, _ := g.CellOf(id)
-		dirs := g.NeighborDirs(x, y)
-		est := Estimate{X: x, Y: y}
-		for i, d := range dirs {
-			if d != graphs.East && d != graphs.South {
-				continue
-			}
-			strip, err := asField(in[i+1])
-			if err != nil {
-				return nil, err
-			}
-			dx, dy, score := cfg.correlate(tile, strip, d)
-			switch d {
-			case graphs.East:
-				est.HasEast, est.EastDx, est.EastDy, est.EastScore = true, dx, dy, score
-			case graphs.South:
-				est.HasSouth, est.SouthDx, est.SouthDy, est.SouthScore = true, dx, dy, score
-			}
-		}
-		return []core.Payload{core.Buffer(est.Serialize())}, nil
+		return cfg.estimate(in, x, y, g.NeighborDirs(x, y), 2*cfg.Jitter, -1, Estimate{})
 	}
 }
 
-// correlate searches the displacement of a neighbor relative to the tile
-// that maximizes normalized cross-correlation between the tile and the
-// neighbor's facing strip. For an East neighbor the displacement is
-// (stride±J, ±J); for a South neighbor (±J, stride±J). Ties resolve to the
-// lexicographically smallest displacement, keeping results deterministic.
-func (cfg Config) correlate(tile, strip *data.Field, dir graphs.Direction) (bestDx, bestDy int, bestScore float64) {
-	// Both tiles jitter independently, so the relative displacement can
-	// deviate from the nominal stride by up to twice the jitter bound.
-	stride, j := cfg.Stride(), 2*cfg.Jitter
-	bestScore = math.Inf(-1)
-	var dxLo, dxHi, dyLo, dyHi int
-	if dir == graphs.East {
-		dxLo, dxHi, dyLo, dyHi = stride-j, stride+j, -j, j
-	} else {
-		dxLo, dxHi, dyLo, dyHi = -j, j, stride-j, stride+j
+// estimate correlates the tile (in[0]) against the East and South strips
+// (in[1+s] for dirs[s]) over the window of radius r and emits cell (x, y)'s
+// serialized Estimate. With inner ≥ 0 it searches only the ring outside the
+// window of radius inner, whose optimum carried holds.
+func (cfg Config) estimate(in []core.Payload, x, y int, dirs []graphs.Direction, r, inner int, carried Estimate) ([]core.Payload, error) {
+	tile, err := asField(in[0])
+	if err != nil {
+		return nil, err
 	}
-	for dy := dyLo; dy <= dyHi; dy++ {
-		for dx := dxLo; dx <= dxHi; dx++ {
-			score := ncc(tile, strip, dx, dy)
-			if score > bestScore {
-				bestScore, bestDx, bestDy = score, dx, dy
-			}
+	est := Estimate{X: x, Y: y}
+	for s, d := range dirs {
+		if d != graphs.East && d != graphs.South {
+			continue
+		}
+		strip, err := asField(in[1+s])
+		if err != nil {
+			return nil, err
+		}
+		if d == graphs.East {
+			m := cfg.search(tile, strip, d, r, inner, match{carried.EastDx, carried.EastDy, carried.EastScore})
+			est.HasEast, est.EastDx, est.EastDy, est.EastScore = true, m.dx, m.dy, m.score
+		} else {
+			m := cfg.search(tile, strip, d, r, inner, match{carried.SouthDx, carried.SouthDy, carried.SouthScore})
+			est.HasSouth, est.SouthDx, est.SouthDy, est.SouthScore = true, m.dx, m.dy, m.score
 		}
 	}
-	return bestDx, bestDy, bestScore
+	return []core.Payload{core.Buffer(est.Serialize())}, nil
+}
+
+// match is one displacement hypothesis and its NCC score.
+type match struct {
+	dx, dy int
+	score  float64
+}
+
+// merge returns whichever of the best so far m and the candidate c a
+// strict-'>' scan in (dy, dx) order keeps: c if it scores higher, or if it
+// ties and comes first in scan order. A −Inf tie keeps m, so the
+// (0, 0, −Inf) start survives a window where nothing scores.
+func (m match) merge(c match) match {
+	if c.score > m.score || c.score == m.score && !math.IsInf(m.score, -1) && (c.dy < m.dy || c.dy == m.dy && c.dx < m.dx) {
+		return c
+	}
+	return m
+}
+
+// search returns the first NCC maximum, in (dy, dx) order, over the
+// displacements within radius r (Chebyshev) of the nominal displacement
+// toward an East neighbor (stride, 0) or a South one (0, stride). Both
+// tiles jitter independently, so the full window has radius 2·Jitter.
+// With inner < 0 it scans the whole window from (0, 0, −Inf). With
+// inner ≥ 0, seed must be the first maximum of the window of radius inner;
+// only the ring outside it is scanned, and merge gives the same
+// displacement and score bits as the whole scan.
+func (cfg Config) search(tile, strip *data.Field, dir graphs.Direction, r, inner int, seed match) match {
+	cx, cy := cfg.Stride(), 0
+	if dir == graphs.South {
+		cx, cy = 0, cx
+	}
+	best := match{score: math.Inf(-1)}
+	if inner >= 0 {
+		best = seed
+	}
+	for dy := cy - r; dy <= cy+r; dy++ {
+		for dx := cx - r; dx <= cx+r; dx++ {
+			if dx == cx-inner && dy >= cy-inner && dy <= cy+inner {
+				dx = cx + inner // skip the inner window's span of this row
+				continue
+			}
+			best = best.merge(match{dx, dy, ncc(tile, strip, dx, dy)})
+		}
+	}
+	return best
 }
 
 // ncc computes normalized cross-correlation between the tile and a
 // neighbor strip under the hypothesis that strip voxel (i, j, k)
 // corresponds to tile voxel (i+dx, j+dy, k). Only in-bounds voxels
-// contribute; fewer than 8 valid voxels scores -Inf.
+// contribute, summed in (k, j, i) order along contiguous rows; fewer than
+// 8 valid voxels scores -Inf.
 func ncc(tile, strip *data.Field, dx, dy int) float64 {
+	i0, i1 := max(0, -dx), min(strip.NX, tile.NX-dx)
+	j0, j1 := max(0, -dy), min(strip.NY, tile.NY-dy)
+	if i1-i0 <= 0 || j1-j0 <= 0 || strip.NZ*(j1-j0)*(i1-i0) < 8 {
+		return math.Inf(-1)
+	}
 	var sa, sb, saa, sbb, sab float64
-	n := 0
 	for k := 0; k < strip.NZ; k++ {
-		for j := 0; j < strip.NY; j++ {
-			tj := j + dy
-			if tj < 0 || tj >= tile.NY {
-				continue
-			}
-			for i := 0; i < strip.NX; i++ {
-				ti := i + dx
-				if ti < 0 || ti >= tile.NX {
-					continue
-				}
-				a := float64(tile.At(ti, tj, k))
-				b := float64(strip.At(i, j, k))
+		for j := j0; j < j1; j++ {
+			ta := tile.Values[tile.Index(i0+dx, j+dy, k):][:i1-i0]
+			sr := strip.Values[strip.Index(i0, j, k):][:len(ta)]
+			for i, v := range ta {
+				a := float64(v)
+				b := float64(sr[i])
 				sa += a
 				sb += b
 				saa += a * a
 				sbb += b * b
 				sab += a * b
-				n++
 			}
 		}
 	}
-	if n < 8 {
-		return math.Inf(-1)
-	}
-	fn := float64(n)
+	fn := float64(strip.NZ * (j1 - j0) * (i1 - i0))
 	cov := sab - sa*sb/fn
 	va := saa - sa*sa/fn
 	vb := sbb - sb*sb/fn

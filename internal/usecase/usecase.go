@@ -62,6 +62,9 @@ func Build(name string, p Params) (Case, error) {
 			Overlap: 0.2,
 			Jitter:  2,
 		}
+		if err := cfg.Validate(); err != nil {
+			return Case{}, err
+		}
 		tiles := data.BrainSpecimen(cfg.GridW, cfg.GridH, cfg.Tile, cfg.Overlap, cfg.Jitter, 5)
 		if name == "register" {
 			return buildRegister(cfg, tiles)

@@ -2,9 +2,11 @@ package usecase
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"github.com/babelflow/babelflow-go/internal/mpi"
+	"github.com/babelflow/babelflow-go/internal/register"
 )
 
 // TestCasesMatchReferenceOnMPI runs every catalog case on the MPI
@@ -84,5 +86,16 @@ func TestCheckFlagsWrongSinks(t *testing.T) {
 	}
 	if summary, ok, err := full.Check(out); ok && err == nil {
 		t.Errorf("3x3 check accepted 2x2 sinks: %q", summary)
+	}
+}
+
+// TestRegisterGridBound: a registration grid past register.MaxGrid is
+// refused with the typed error before any tile is generated.
+func TestRegisterGridBound(t *testing.T) {
+	var ce *register.ConfigError
+	for _, name := range []string{"register", "register-iter"} {
+		if _, err := Build(name, Params{"grid": register.MaxGrid + 1}); !errors.As(err, &ce) {
+			t.Errorf("%s with grid %d: %v, want a *register.ConfigError", name, register.MaxGrid+1, err)
+		}
 	}
 }

@@ -70,8 +70,10 @@ func TestStalledPeerDetectedByTightenedTimeout(t *testing.T) {
 	opt := Options{
 		HeartbeatInterval: 50 * time.Millisecond,
 		HeartbeatTimeout:  timeout,
-		Tier:              TierUnix, // WrapConn intercepts socket writes, not rings
-		WrapConn:          faultinject.StallAfterWrites(0, 1, 0), // mute from the first data-phase write
+		// WrapConn intercepts socket writes, not rings; the peer goes
+		// mute from its first data-phase write.
+		Tier:     TierUnix,
+		WrapConn: faultinject.StallAfterWrites(0, 1, 0),
 	}
 	fabrics := connectMesh(t, 2, opt)
 	start := time.Now()
