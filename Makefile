@@ -129,13 +129,15 @@ smoke-elastic:
 	rm -rf $$dir
 
 ## fuzz: short fuzz smoke of the wire frame decoder, of the handshake body
-## decoders and of the merge-tree decoder (longer runs: go test
-## -fuzz=FuzzFrameDecode or -fuzz=FuzzHandshakeDecode ./internal/wire,
-## go test -fuzz=FuzzTreeDecode ./internal/mergetree).
+## decoders, of the merge-tree decoder and of the image decoder (longer
+## runs: go test -fuzz=FuzzFrameDecode or -fuzz=FuzzHandshakeDecode
+## ./internal/wire, go test -fuzz=FuzzTreeDecode ./internal/mergetree,
+## go test -fuzz=FuzzImageDecode ./internal/render).
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzFrameDecode -fuzztime=10s ./internal/wire
 	$(GO) test -run='^$$' -fuzz=FuzzHandshakeDecode -fuzztime=10s ./internal/wire
 	$(GO) test -run='^$$' -fuzz=FuzzTreeDecode -fuzztime=10s ./internal/mergetree
+	$(GO) test -run='^$$' -fuzz=FuzzImageDecode -fuzztime=10s ./internal/render
 
 ## perf-smoke: the CI perf job, defined only here — every wire benchmark
 ## (all transport tiers), once plain and once under the race detector, and
@@ -144,14 +146,16 @@ fuzz:
 ## package and the conformance matrix (tcp, unix, shm) under the race
 ## detector, then the graph-plan benchmarks (compile and cold run of the
 ## 16k-task graph) and the data kernels (block extraction of a 256³ field,
-## 256² image encode and decode) and the merge-tree kernels (a leaf's local
-## tree, a correction merge, a segmentation) and the registration search (a
-## full NCC window, East and South) and the engine benchmarks
-## (scheduler makespan per dispatch mode, recovery from a killed peer or a
-## membership change, loop-combinator overhead; each run checked against
-## serial) once each so they cannot rot, then the allocation pins (plan,
-## cold and warm runs, what tracing adds per task, block extraction, the
-## merge-tree kernels, and the registration search and process task).
+## 256² image encode and decode, a render leaf of a 256³ field in 32
+## blocks) and the merge-tree kernels (a leaf's local tree, a correction
+## merge, a segmentation) and the registration search (a full NCC window,
+## East and South) and the engine benchmarks (scheduler makespan per
+## dispatch mode, recovery from a killed peer or a membership change,
+## loop-combinator overhead; each run checked against serial) once each so
+## they cannot rot, then the allocation pins (plan, cold and warm runs, what
+## tracing adds per task, block extraction, the render leaf and the image
+## codec, the merge-tree kernels, and the registration search and process
+## task).
 perf-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=100x ./internal/wire
 	$(GO) test -race -run='^$$' -bench=. -benchtime=100x ./internal/wire
@@ -161,8 +165,8 @@ perf-smoke:
 	$(GO) test -run='^$$' -bench='^BenchmarkCompile$$' -benchtime=1x ./internal/core
 	$(GO) test -run='^$$' -bench='^BenchmarkColdRun16k$$' -benchtime=1x ./internal/mpi
 	$(GO) test -run='^$$' -bench='^BenchmarkExtract$$' -benchtime=1x ./internal/data
-	$(GO) test -run='^$$' -bench='^BenchmarkImage(Serialize|Deserialize)$$' -benchtime=1x ./internal/render
+	$(GO) test -run='^$$' -bench='^Benchmark(Image(Serialize|Deserialize)|RenderBlock)$$' -benchtime=1x ./internal/render
 	$(GO) test -run='^$$' -bench='^Benchmark(FromField|Merge|Segment)$$' -benchtime=1x ./internal/mergetree
 	$(GO) test -run='^$$' -bench='^BenchmarkCorrelate$$' -benchtime=1x ./internal/register
 	$(GO) test -run='^$$' -bench='SchedulerModes|Recovery|IterateOverhead' -benchtime=1x ./internal/conformance
-	$(GO) test -count=1 -run='AllocationPins' ./internal/core ./internal/mpi ./internal/data ./internal/mergetree ./internal/register
+	$(GO) test -count=1 -run='AllocationPins' ./internal/core ./internal/mpi ./internal/data ./internal/render ./internal/mergetree ./internal/register

@@ -234,6 +234,41 @@ func TestDeserializeFieldErrors(t *testing.T) {
 	if _, err := DeserializeField(b[:len(b)-4]); err == nil {
 		t.Error("truncated buffer should fail")
 	}
+	// 2²² voxels on each axis: nx*ny*nz wraps to 0 in 64 bits, which
+	// matched the 12-byte buffer's 0 values.
+	wrapped := []byte{0, 0, 0x40, 0, 0, 0, 0x40, 0, 0, 0, 0x40, 0}
+	if g, err := DeserializeField(wrapped); err == nil {
+		t.Errorf("a %dx%dx%d field with %d values should fail", g.NX, g.NY, g.NZ, len(g.Values))
+	}
+}
+
+// TestFloat32sCodecPaths: the bulk copy and the per-value loop write and
+// read the same bytes, signed zeros, infinities and NaN payloads included.
+func TestFloat32sCodecPaths(t *testing.T) {
+	if !littleEndian {
+		t.Skip("the bulk path runs only on little-endian hosts")
+	}
+	vals := []float32{0, float32(math.Copysign(0, -1)), 1, -2.5, 1e-42,
+		float32(math.Inf(1)), float32(math.Inf(-1)), math.Float32frombits(0x7fc00001), math.Float32frombits(0xffa00000)}
+	bulk := make([]byte, 4*len(vals))
+	EncodeFloat32s(bulk, vals)
+	bulkBack := make([]float32, len(vals))
+	DecodeFloat32s(bulkBack, bulk)
+	littleEndian = false
+	defer func() { littleEndian = true }()
+	loop := make([]byte, 4*len(vals))
+	EncodeFloat32s(loop, vals)
+	loopBack := make([]float32, len(vals))
+	DecodeFloat32s(loopBack, loop)
+	if hex.EncodeToString(bulk) != hex.EncodeToString(loop) {
+		t.Errorf("bulk encoding %x, per-value %x", bulk, loop)
+	}
+	for i, v := range vals {
+		if w := math.Float32bits(v); math.Float32bits(bulkBack[i]) != w || math.Float32bits(loopBack[i]) != w {
+			t.Errorf("value %d: decoded %08x (bulk) and %08x (per value), want %08x",
+				i, math.Float32bits(bulkBack[i]), math.Float32bits(loopBack[i]), w)
+		}
+	}
 }
 
 func TestDecomposition(t *testing.T) {

@@ -14,6 +14,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"unsafe"
 )
 
 // Field is a dense 3-D scalar field stored in x-fastest order.
@@ -178,9 +179,7 @@ func (f *Field) Serialize() []byte {
 	le.PutUint32(buf[0:], uint32(f.NX))
 	le.PutUint32(buf[4:], uint32(f.NY))
 	le.PutUint32(buf[8:], uint32(f.NZ))
-	for i, v := range f.Values {
-		le.PutUint32(buf[12+4*i:], math.Float32bits(v))
-	}
+	EncodeFloat32s(buf[12:], f.Values)
 	return buf
 }
 
@@ -191,15 +190,49 @@ func DeserializeField(b []byte) (*Field, error) {
 	}
 	le := binary.LittleEndian
 	nx, ny, nz := int(le.Uint32(b[0:])), int(le.Uint32(b[4:])), int(le.Uint32(b[8:]))
-	n := nx * ny * nz
-	if nx < 0 || ny < 0 || nz < 0 || len(b) != 12+4*n {
+	// The buffer holds at most held values; bounding each partial product
+	// by it before multiplying keeps nx*ny*nz from wrapping.
+	held := (len(b) - 12) / 4
+	if nx < 0 || ny < 0 || nz < 0 || (ny > 0 && nx > held/ny) || (nz > 0 && nx*ny > held/nz) ||
+		len(b) != 12+4*nx*ny*nz {
 		return nil, fmt.Errorf("data: field buffer size %d does not match %dx%dx%d", len(b), nx, ny, nz)
 	}
 	f := NewField(nx, ny, nz)
-	for i := range f.Values {
-		f.Values[i] = math.Float32frombits(le.Uint32(b[12+4*i:]))
-	}
+	DecodeFloat32s(f.Values, b[12:])
 	return f, nil
+}
+
+// littleEndian reports whether this host stores a float32 in the byte order
+// of the wire encoding, so that EncodeFloat32s and DecodeFloat32s may copy
+// memory directly.
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// EncodeFloat32s writes the IEEE-754 bits of src into dst as little-endian
+// uint32s; dst must hold 4*len(src) bytes. Field and render.Image
+// serialization share it: one bulk copy on little-endian hosts, one value
+// at a time elsewhere.
+func EncodeFloat32s(dst []byte, src []float32) {
+	dst = dst[:4*len(src)]
+	if littleEndian {
+		copy(dst, unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(src))), len(dst)))
+		return
+	}
+	for i, v := range src {
+		binary.LittleEndian.PutUint32(dst[4*i:], math.Float32bits(v))
+	}
+}
+
+// DecodeFloat32s fills dst from the first 4*len(dst) bytes of src, written
+// by EncodeFloat32s.
+func DecodeFloat32s(dst []float32, src []byte) {
+	src = src[:4*len(dst)]
+	if littleEndian {
+		copy(unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(dst))), len(src)), src)
+		return
+	}
+	for i := range dst {
+		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:]))
+	}
 }
 
 // Rand is a small deterministic PRNG (splitmix64) used for reproducible

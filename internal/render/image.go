@@ -10,6 +10,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+
+	"github.com/babelflow/babelflow-go/internal/data"
 )
 
 // Image is an RGBA + depth image. Compositing uses the alpha channel
@@ -101,13 +103,8 @@ func (im *Image) Serialize() []byte {
 	le.PutUint32(buf[4:], uint32(im.Height))
 	le.PutUint32(buf[8:], uint32(im.X0))
 	le.PutUint32(buf[12:], uint32(im.Y0))
-	px, depth := buf[16:16+16*n], buf[16+16*n:]
-	for i, v := range im.Pixels {
-		le.PutUint32(px[4*i:], math.Float32bits(v))
-	}
-	for i, v := range im.Depth {
-		le.PutUint32(depth[4*i:], math.Float32bits(v))
-	}
+	data.EncodeFloat32s(buf[16:16+16*n], im.Pixels)
+	data.EncodeFloat32s(buf[16+16*n:], im.Depth)
 	return buf
 }
 
@@ -119,19 +116,16 @@ func DeserializeImage(b []byte) (*Image, error) {
 	le := binary.LittleEndian
 	w, h := int(int32(le.Uint32(b[0:]))), int(int32(le.Uint32(b[4:])))
 	x0, y0 := int(int32(le.Uint32(b[8:]))), int(int32(le.Uint32(b[12:])))
-	n := w * h
-	if w < 0 || h < 0 || len(b) != 16+4*(4*n+n) {
+	// A pixel takes 20 bytes; bounding w by the pixels the buffer holds
+	// before multiplying keeps w*h from wrapping.
+	if w < 0 || h < 0 || (h > 0 && w > (len(b)-16)/20/h) || len(b) != 16+20*w*h {
 		return nil, fmt.Errorf("render: image buffer size %d does not match %dx%d", len(b), w, h)
 	}
+	n := w * h
 	im := &Image{Width: w, Height: h, X0: x0, Y0: y0,
 		Pixels: make([]float32, 4*n), Depth: make([]float32, n)}
-	px, depth := b[16:16+16*n], b[16+16*n:]
-	for i := range im.Pixels {
-		im.Pixels[i] = math.Float32frombits(le.Uint32(px[4*i:]))
-	}
-	for i := range im.Depth {
-		im.Depth[i] = math.Float32frombits(le.Uint32(depth[4*i:]))
-	}
+	data.DecodeFloat32s(im.Pixels, b[16:16+16*n])
+	data.DecodeFloat32s(im.Depth, b[16+16*n:])
 	return im, nil
 }
 

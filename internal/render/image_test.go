@@ -1,6 +1,8 @@
 package render
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"math"
 	"reflect"
@@ -104,6 +106,39 @@ func TestImageSerializeRoundTrip(t *testing.T) {
 	if _, err := DeserializeImage(im.Serialize()[:20]); err == nil {
 		t.Error("truncated buffer should fail")
 	}
+}
+
+// TestDeserializeImageWrappedHeader: the header of this 20-byte buffer
+// names 2147418113×429509837 pixels of 20 bytes each; with the 16-byte
+// header that length wraps to exactly 20 in 64 bits.
+func TestDeserializeImageWrappedHeader(t *testing.T) {
+	b := make([]byte, 20)
+	binary.LittleEndian.PutUint32(b[0:], 2147418113)
+	binary.LittleEndian.PutUint32(b[4:], 429509837)
+	if im, err := DeserializeImage(b); err == nil {
+		t.Errorf("a %dx%d image from %d bytes should fail", im.Width, im.Height, len(b))
+	}
+}
+
+// FuzzImageDecode: the decoder never panics, and an input it accepts
+// re-encodes to the same bytes.
+func FuzzImageDecode(f *testing.F) {
+	golden, _ := hex.DecodeString("020000000100000003000000ffffffff0000803e0000003f0000403f0000803f00000000000000000000000000000000000020400000807f")
+	f.Add(golden)
+	f.Add(NewImage(0, 0, 0, 0).Serialize())
+	one := NewImage(3, 1, -2, 7)
+	one.SetPixel(1, 0, 0.1, 0.2, 0.3, 0.4, 5)
+	f.Add(one.Serialize())
+	f.Add([]byte{0x01, 0x00, 0xff, 0x7f, 0xcd, 0xcc, 0x99, 0x19, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		im, err := DeserializeImage(b)
+		if err != nil {
+			return
+		}
+		if got := im.Serialize(); !bytes.Equal(got, b) {
+			t.Fatalf("decoded %dx%d@%d,%d re-encodes to %x, want %x", im.Width, im.Height, im.X0, im.Y0, got, b)
+		}
+	})
 }
 
 // TestImageSerializeGolden pins the image encoding byte for byte, including

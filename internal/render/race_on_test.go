@@ -1,0 +1,5 @@
+//go:build race
+
+package render
+
+const raceEnabled = true

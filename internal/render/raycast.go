@@ -45,9 +45,26 @@ type Camera struct {
 	Width, Height int
 }
 
-// column maps a pixel to its voxel column in an nx*ny domain.
-func (c Camera) column(px, py, nx, ny int) (x, y int) {
-	return px * nx / c.Width, py * ny / c.Height
+// footprint returns the run of pixels along one image axis of w pixels
+// whose voxel column p*n/w falls in [lo, hi): its first pixel p0 and, for
+// each pixel of the run, its column relative to lo. The mapping is
+// monotone in p, so those pixels are contiguous.
+func footprint(w, n, lo, hi int) (p0 int, cols []int) {
+	for p0 < w && p0*n/w < lo {
+		p0++
+	}
+	p1 := p0
+	for p1 < w && p1*n/w < hi {
+		p1++
+	}
+	if p1 == p0 {
+		return p0, nil
+	}
+	cols = make([]int, p1-p0)
+	for i := range cols {
+		cols[i] = (p0+i)*n/w - lo
+	}
+	return p0, cols
 }
 
 // RenderBlock volume-renders the core region of one decomposition block
@@ -55,63 +72,64 @@ func (c Camera) column(px, py, nx, ny int) (x, y int) {
 // block's core stay transparent. The block field includes the ghost layer;
 // samples are taken at the core's integer z planes, so compositing all
 // blocks reproduces the full-domain integral exactly.
+//
+// The rays of the block's pixel rectangle advance together, one z plane at
+// a time, reading each plane's rows in memory order and accumulating
+// front-to-back in the image itself. A sample below tf.Lo is skipped: its
+// premultiplied contribution is zero, and adding zero leaves an
+// accumulator as it was (a NaN stays a NaN). Every other sample goes
+// through tf.Sample and the same OVER step, in the same order, as a single
+// ray would take it.
 func RenderBlock(cam Camera, tf TransferFunction, d *data.Decomposition, blockIndex int, block *data.Field) *Image {
 	img := NewImage(cam.Width, cam.Height, 0, 0)
+	if tf.Hi <= tf.Lo {
+		return img
+	}
 	b := d.Block(blockIndex)
 	sx, sy, sz := d.NX/d.BXN, d.NY/d.BYN, d.NZ/d.BZN
 	// Core region: the ghost-free partition cell [b.X0, b.X0+sx) x ... ;
 	// the z sweep covers exactly the core planes, so compositing all
 	// blocks integrates every domain plane once.
-	coreX1, coreY1 := b.X0+sx, b.Y0+sy
-	zEnd := b.Z0 + sz
-	for py := 0; py < cam.Height; py++ {
-		for px := 0; px < cam.Width; px++ {
-			gx, gy := cam.column(px, py, d.NX, d.NY)
-			if gx < b.X0 || gx >= coreX1 || gy < b.Y0 || gy >= coreY1 {
-				continue
-			}
-			var cr, cg, cb, ca float32
-			depth := float32(math.Inf(1))
-			for z := b.Z0; z < zEnd; z++ {
-				v := block.At(gx-b.X0, gy-b.Y0, z-b.Z0)
+	px0, xs := footprint(cam.Width, d.NX, b.X0, b.X0+sx)
+	py0, ys := footprint(cam.Height, d.NY, b.Y0, b.Y0+sy)
+	if len(xs) == 0 || len(ys) == 0 {
+		return img
+	}
+	plane := block.NX * block.NY
+	for z := 0; z < sz; z++ {
+		vals := block.Values[z*plane : (z+1)*plane]
+		depth := float32(b.Z0 + z)
+		for j, ly := range ys {
+			row := vals[ly*block.NX : (ly+1)*block.NX]
+			p := (py0+j)*cam.Width + px0
+			pixels := img.Pixels[4*p : 4*(p+len(xs))]
+			depths := img.Depth[p : p+len(xs)]
+			for i, lx := range xs {
+				v := row[lx]
+				if v < tf.Lo {
+					continue
+				}
 				sr, sg, sb, sa := tf.Sample(v)
-				if sa > 0 && math.IsInf(float64(depth), 1) {
-					depth = float32(z)
+				if sa > 0 && math.IsInf(float64(depths[i]), 1) {
+					depths[i] = depth
 				}
 				// Front-to-back OVER accumulation.
-				cr += (1 - ca) * sr
-				cg += (1 - ca) * sg
-				cb += (1 - ca) * sb
-				ca += (1 - ca) * sa
+				c := pixels[4*i : 4*i+4]
+				ca := c[3]
+				c[0] += (1 - ca) * sr
+				c[1] += (1 - ca) * sg
+				c[2] += (1 - ca) * sb
+				c[3] += (1 - ca) * sa
 			}
-			img.SetPixel(px, py, cr, cg, cb, ca, depth)
 		}
 	}
 	return img
 }
 
 // RenderFull volume-renders the whole domain serially: the reference result
-// the distributed pipeline must reproduce.
+// the distributed pipeline must reproduce. It is RenderBlock over the
+// domain as a single block, which has no ghost layer.
 func RenderFull(cam Camera, tf TransferFunction, f *data.Field) *Image {
-	img := NewImage(cam.Width, cam.Height, 0, 0)
-	for py := 0; py < cam.Height; py++ {
-		for px := 0; px < cam.Width; px++ {
-			gx, gy := cam.column(px, py, f.NX, f.NY)
-			var cr, cg, cb, ca float32
-			depth := float32(math.Inf(1))
-			for z := 0; z < f.NZ; z++ {
-				v := f.At(gx, gy, z)
-				sr, sg, sb, sa := tf.Sample(v)
-				if sa > 0 && math.IsInf(float64(depth), 1) {
-					depth = float32(z)
-				}
-				cr += (1 - ca) * sr
-				cg += (1 - ca) * sg
-				cb += (1 - ca) * sb
-				ca += (1 - ca) * sa
-			}
-			img.SetPixel(px, py, cr, cg, cb, ca, depth)
-		}
-	}
-	return img
+	whole := &data.Decomposition{NX: f.NX, NY: f.NY, NZ: f.NZ, BXN: 1, BYN: 1, BZN: 1}
+	return RenderBlock(cam, tf, whole, 0, f)
 }
