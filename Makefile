@@ -3,8 +3,10 @@ GO ?= go
 .PHONY: check build vet test race deprecations loc bench bench-smoke figures smoke-wire smoke-faults smoke-resume smoke-serve smoke-iterate smoke-elastic fuzz perf-smoke
 
 ## check: the CI gate — vet, the deprecation sweep, build, the full test
-## suite under the race detector, the fault-injection smoke (kill one
-## peer, recover, verify the sinks against serial), the resume smoke
+## suite under the race detector, the multi-process smoke (every use case
+## over 4 real worker processes, sinks verified against serial), the
+## fault-injection smoke (kill one peer, recover, verify the sinks against
+## serial), the resume smoke
 ## (kill every rank, restart from the journals, verify the sinks against
 ## serial), the service smoke (bfserve on a loopback port, the use cases
 ## submitted over HTTP, digests verified, drained) and the iterative-loop
@@ -13,7 +15,7 @@ GO ?= go
 ## drained, digests verified against serial) and the benchmark smoke (every
 ## BENCHMARK.json workload once on tiny inputs, sink digests checked
 ## against serial).
-check: vet deprecations build race smoke-faults smoke-resume smoke-serve smoke-iterate smoke-elastic bench-smoke
+check: vet deprecations build race smoke-wire smoke-faults smoke-resume smoke-serve smoke-iterate smoke-elastic bench-smoke
 
 ## bench: the repository benchmark (BENCHMARK.json) — the whole suite with
 ## its closing layer report; see bench/README.md.
@@ -34,9 +36,10 @@ deprecations:
 ## loc: non-blank, non-comment, non-test Go lines per package under
 ## internal/ and cmd/, and their total — the code-size figure simplicity
 ## PRs quote — then the surface counts: exported mpi.With* options,
-## serve.Config fields, facade exports in babelflow.go, time.Sleep lines in
-## _test.go files, and call sites of the standard log package
-## (informational; nothing gates on it).
+## serve.Config fields, facade exports in babelflow.go, bfrun flags (the
+## fs.*Var lines in cmd/bfrun/main.go), time.Sleep lines in _test.go files,
+## and call sites of the standard log package (informational; nothing
+## gates on it).
 loc:
 	@total=0; for d in internal/*/ cmd/*/; do \
 		n=$$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | \
@@ -49,6 +52,7 @@ loc:
 		$$(awk '/^type Config struct/{f=1; next} f && /^}/{f=0} f && /^	[A-Z]/{n++} END{print n}' internal/serve/serve.go)
 	@printf '%6d  facade exports (babelflow.go)\n' \
 		$$(grep -cE '^(func|type|const|var) [A-Z]|^	[A-Z][A-Za-z0-9_]* +=' babelflow.go)
+	@printf '%6d  bfrun flags\n' $$(grep -c 'fs\.[A-Za-z]*Var(' cmd/bfrun/main.go)
 	@printf '%6d  time.Sleep in _test.go files\n' \
 		$$(grep -r --include='*_test.go' 'time\.Sleep' . | wc -l)
 	@printf '%6d  log.* call sites\n' $$(grep -rlE --include='*.go' '^(import )?[[:space:]]*"log"$$' . | \
@@ -73,7 +77,8 @@ figures:
 	$(GO) run ./cmd/bfbench
 
 ## smoke-wire: run every use case across 4 real worker processes over the
-## TCP transport and verify the sinks against the serial reference.
+## TCP transport — a static run, the one-epoch case of a membership-gate
+## session — and verify the sinks against the serial reference.
 smoke-wire:
 	$(GO) build -o bin/bfrun ./cmd/bfrun
 	./bin/bfrun -case mergetree -runtime mpi -transport tcp -ranks 4

@@ -1,8 +1,8 @@
-// The fleet helper: everything the multi-process parents (-transport tcp,
-// -resume, -elastic) and the fault-injected runs share — the wanted digest
-// set from the serial reference, a reserved loopback address, forking a
-// worker, collecting the workers' BFWIRE lines, and the one rule that says
-// whether the collected sinks match the reference.
+// The fleet helper: everything the gate parent (every multi-process mode)
+// and the fault-injected runs share — the wanted digest set from the serial
+// reference, a reserved loopback address, forking a worker, collecting the
+// workers' BFWIRE lines, and the one rule that says whether the collected
+// sinks match the reference.
 package main
 
 import (
@@ -80,7 +80,7 @@ func judge(want, got map[string]bool, failed int) (matches int, ok bool) {
 }
 
 // reserveLoopbackAddr binds an ephemeral loopback port and releases it for
-// a worker (rank 0 of a rendezvous) to rebind.
+// a worker (rank 0 of an epoch's rendezvous) to rebind.
 func reserveLoopbackAddr() (string, error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

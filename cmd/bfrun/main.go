@@ -10,8 +10,9 @@
 //	bfrun -case register -runtime legion-spmd
 //	bfrun -case register-iter -runtime mpi -ranks 4
 //
-// The multi-process modes (-transport tcp, -journal/-resume, -elastic) and
-// -faults are described in wire.go, elastic.go and faults.go.
+// The multi-process modes (-transport tcp, -journal/-resume, -elastic) are
+// all one membership-gate session, described in elastic.go; -faults is
+// described in faults.go.
 package main
 
 import (
@@ -72,8 +73,6 @@ type config struct {
 	transport string
 	tierName  string
 	tier      wire.Tier
-	wireRank  int
-	wireAddr  string
 	wireGate  string
 
 	faults    bool
@@ -92,8 +91,8 @@ type config struct {
 	pace       time.Duration
 }
 
-// forked reports whether the command line asks for one worker process per
-// rank over the TCP fabric.
+// forked reports whether the command line asks for a static run with one
+// worker process per rank over the TCP fabric.
 func (cfg config) forked() bool {
 	return cfg.transport == "tcp" || cfg.journal != "" || cfg.resume != ""
 }
@@ -117,8 +116,6 @@ func run(args []string, stdout io.Writer) error {
 	fs.StringVar(&cfg.traceTo, "trace", "", "write a per-task execution trace (CSV) here (in-memory runs)")
 	fs.IntVar(&cfg.whatIf, "whatif", 0, "with -trace: replay the measured trace on all simulated runtime models at this core count")
 	fs.StringVar(&cfg.transport, "transport", "mem", "mem | tcp (tcp forks one worker process per rank)")
-	fs.IntVar(&cfg.wireRank, "wire-rank", -1, "internal: run as TCP worker for this rank")
-	fs.StringVar(&cfg.wireAddr, "wire-addr", "", "internal: rendezvous address for -wire-rank")
 	fs.BoolVar(&cfg.faults, "faults", false, "run under fault injection: kill one peer, recover via replay, verify against serial")
 	fs.IntVar(&cfg.killRank, "kill-rank", 1, "with -faults: the rank to kill")
 	fs.IntVar(&cfg.killAfter, "kill-after", 0, "with -faults: inter-rank messages the victim sends before dying")
@@ -132,7 +129,7 @@ func run(args []string, stdout io.Writer) error {
 	fs.IntVar(&cfg.drain, "drain", -1, "with -elastic: member to gracefully drain mid-run (-1 none)")
 	fs.DurationVar(&cfg.drainAfter, "drain-after", 400*time.Millisecond, "with -elastic: when the drain request is sent")
 	fs.DurationVar(&cfg.pace, "elastic-pace", 20*time.Millisecond, "with -elastic: per-task delay so membership events land mid-run")
-	fs.StringVar(&cfg.wireGate, "wire-gate", "", "internal: run as elastic worker against this membership gate")
+	fs.StringVar(&cfg.wireGate, "wire-gate", "", "internal: run as a worker process joining this membership gate")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			fs.SetOutput(stdout)
@@ -152,15 +149,13 @@ func run(args []string, stdout io.Writer) error {
 
 	switch {
 	case cfg.wireGate != "":
-		return runElasticWorker(cfg, stdout)
+		return runGateWorker(cfg, stdout)
 	case cfg.elastic:
-		return runElasticParent(cfg, stdout)
-	case cfg.wireRank >= 0:
-		return runWireWorker(cfg, stdout)
+		return runGateParent(cfg, stdout)
 	case cfg.faults:
 		return runFaults(cfg, stdout)
 	case cfg.forked():
-		return runWireParent(cfg, stdout)
+		return runGateParent(cfg, stdout)
 	}
 	return runInMemory(cfg, stdout)
 }

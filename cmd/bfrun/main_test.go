@@ -103,6 +103,7 @@ func TestBadCommandLinesAreUsageErrors(t *testing.T) {
 		{"-kill-all-after", "1"},
 		{"-elastic", "-ranks", "2", "-join", "1", "-drain", "3"},
 		{"-shards", "4"},
+		{"-wire-rank", "0"},
 	} {
 		out, err := bfrun(t, args...)
 		var usage usageError
@@ -178,7 +179,7 @@ func TestJudge(t *testing.T) {
 	}
 	lines, _ := digestLines(sinks)
 	report := func(lines []string) string {
-		return "noise\nBFWIRE done rank=0\n" + strings.Join(lines, "\n") + "\n"
+		return "noise\nBFWIRE member=0 epochs=1\n" + strings.Join(lines, "\n") + "\n"
 	}
 	tampered := append([]string(nil), lines...)
 	tampered[1] = tampered[1][:len(tampered[1])-1] + "0"
@@ -209,26 +210,26 @@ func TestJudge(t *testing.T) {
 			t.Errorf("%s: judge = (%d, %v), want (%d, %v)", tc.name, matches, ok, tc.matches, tc.ok)
 		}
 		if len(got.records) != len(tc.stdout) {
-			t.Errorf("%s: %d tagged records, want one BFWIRE done per worker", tc.name, len(got.records))
+			t.Errorf("%s: %d tagged records, want one BFWIRE member line per worker", tc.name, len(got.records))
 		}
 	}
 }
 
-// TestFleetKillLeavesNoChild closes a fleet whose workers are still blocked
-// in a rendezvous nobody will ever host — the state a parent's error path
-// leaves them in — and checks every child is gone and reaped.
+// TestFleetKillLeavesNoChild closes a fleet whose workers are still dialing
+// a gate nobody will ever serve — the state a parent's error path leaves
+// them in — and checks every child is gone and reaped.
 func TestFleetKillLeavesNoChild(t *testing.T) {
 	addr, err := reserveLoopbackAddr()
 	if err != nil {
 		t.Fatal(err)
 	}
 	var f fleet
-	for rank := 1; rank <= 2; rank++ {
-		if err := f.fork("-case", "register", "-ranks", "3", "-wire-rank", strconv.Itoa(rank), "-wire-addr", addr); err != nil {
+	for i := 0; i < 2; i++ {
+		if err := f.fork("-case", "register", "-ranks", "3", "-wire-gate", addr); err != nil {
 			t.Fatal(err)
 		}
 	}
-	time.Sleep(100 * time.Millisecond) // let them reach the rendezvous
+	time.Sleep(100 * time.Millisecond) // let them reach the gate
 	for _, w := range f.workers {
 		if err := w.cmd.Process.Signal(syscall.Signal(0)); err != nil {
 			t.Fatalf("worker %d exited on its own before the fleet was closed: %v", w.cmd.Process.Pid, err)
@@ -247,4 +248,72 @@ func TestFleetKillLeavesNoChild(t *testing.T) {
 		t.Error("a closed fleet still forks")
 	}
 	f.kill() // idempotent
+}
+
+// TestElasticDeadMemberFailsRun SIGKILLs the only worker of an elastic run
+// mid-epoch. No survivor is left to report a failure, so the coordinator
+// must act on the gate's gone event and fail the run, naming the member,
+// instead of waiting forever for a status that will never come.
+func TestElasticDeadMemberFailsRun(t *testing.T) {
+	if _, err := os.Stat("/proc/self/stat"); err != nil {
+		t.Skip("finding the forked worker needs /proc")
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := bfrun(t, "-case", "mergetree", "-elastic", "-ranks", "1", "-elastic-pace", "1s")
+		done <- err
+	}()
+	pid := joinedWorker(t)
+	if err := syscall.Kill(pid, syscall.SIGKILL); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "member 0") {
+			t.Fatalf("run after its only member died: %v, want an error naming member 0", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the coordinator outlived its only member by 10 s")
+	}
+}
+
+// joinedWorker waits for a -wire-gate child of this process to hold a
+// socket (its gate session) and returns its pid once the join has had time
+// to be admitted. Nothing outside the two processes shows the admission
+// itself, which follows the dial within milliseconds, so it gets 300 ms;
+// the paced epoch the worker then runs lasts seconds.
+func joinedWorker(t *testing.T) int {
+	t.Helper()
+	tick := time.NewTicker(20 * time.Millisecond)
+	defer tick.Stop()
+	deadline := time.After(10 * time.Second)
+	for {
+		select {
+		case <-deadline:
+			t.Fatal("no -wire-gate worker joined within 10 s")
+		case <-tick.C:
+		}
+		procs, _ := filepath.Glob("/proc/[0-9]*")
+		for _, p := range procs {
+			stat, err := os.ReadFile(p + "/stat")
+			cmd, _ := os.ReadFile(p + "/cmdline")
+			// The parent pid is the second field after the parenthesized
+			// command name.
+			end := bytes.LastIndexByte(stat, ')')
+			if err != nil || end < 0 || !bytes.Contains(cmd, []byte("-wire-gate")) {
+				continue
+			}
+			if f := strings.Fields(string(stat[end+1:])); len(f) < 2 || f[1] != strconv.Itoa(os.Getpid()) {
+				continue
+			}
+			fds, _ := filepath.Glob(p + "/fd/*")
+			for _, fd := range fds {
+				if link, _ := os.Readlink(fd); strings.HasPrefix(link, "socket:") {
+					<-time.After(300 * time.Millisecond)
+					pid, _ := strconv.Atoi(filepath.Base(p))
+					return pid
+				}
+			}
+		}
+	}
 }

@@ -439,13 +439,18 @@ func setListenerDeadline(ln net.Listener, deadline time.Time) {
 	}
 }
 
-// vetHello validates a peer's hello against this rank's own: a worker
-// hello, rank in [minRank, Ranks) and not yet connected, and the fields
-// every connection must agree on — rank count, recovery epoch, transport
-// tier and graph fingerprint. It returns a refusal reason, or "" when the
-// peer is sound.
+// vetHello validates a peer's hello against this side's own. The
+// membership gate (conns == nil) serves join and drain hellos only. The
+// data plane serves worker hellos with a rank in [minRank, Ranks) not yet
+// connected that agree on rank count, recovery epoch and transport tier.
+// Both demand the same graph fingerprint. It returns a refusal reason, or
+// "" when the peer is sound.
 func vetHello(me, h hello, minRank int, conns []net.Conn) string {
+	gate := conns == nil
 	switch {
+	case gate && h.Kind != KindJoin && h.Kind != KindDrain:
+		return fmt.Sprintf("%v hello on the membership gate: dial the epoch rendezvous", h.Kind)
+	case gate: // no ranks to vet
 	case h.Kind != KindWorker:
 		return fmt.Sprintf("%v hello on the data plane: membership changes go through the gate", h.Kind)
 	case h.Rank < minRank || h.Rank >= me.Ranks:
@@ -458,7 +463,8 @@ func vetHello(me, h hello, minRank int, conns []net.Conn) string {
 		return fmt.Sprintf("recovery epoch mismatch: peer says %d, local says %d (stale rejoin)", h.Epoch, me.Epoch)
 	case h.Tier != me.Tier:
 		return fmt.Sprintf("transport tier mismatch: peer says %v, local says %v", h.Tier, me.Tier)
-	case h.Fingerprint != me.Fingerprint:
+	}
+	if h.Fingerprint != me.Fingerprint {
 		return fmt.Sprintf("graph fingerprint mismatch: peer %s, local %s", h.Fingerprint, me.Fingerprint)
 	}
 	return ""

@@ -76,8 +76,8 @@ func TestGateJoinDrainRoundTrip(t *testing.T) {
 		t.Fatalf("assigned member %d, want 2 (firstMember)", sess.Member())
 	}
 	ev := nextEvent(t, g)
-	if ev.Kind != KindJoin || ev.Member != 2 {
-		t.Fatalf("join event %+v, want {KindJoin 2}", ev)
+	if ev.Kind != EventJoin || ev.Member != 2 {
+		t.Fatalf("join event %+v, want a join of member 2", ev)
 	}
 
 	want := Ticket{Action: ActionRun, Member: 2, Epoch: 3, Rank: 1, Ranks: 4,
@@ -105,26 +105,33 @@ func TestGateJoinDrainRoundTrip(t *testing.T) {
 	if err := sess.Report(Status{Epoch: 3, OK: true, Detail: "epoch done"}); err != nil {
 		t.Fatal(err)
 	}
-	st, err := g.AwaitStatus(2, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Member != 2 || st.Epoch != 3 || !st.OK || st.Detail != "epoch done" {
-		t.Fatalf("status %+v", st)
+	ev = nextEvent(t, g)
+	if st := ev.Status; ev.Kind != EventStatus || ev.Member != 2 ||
+		st.Member != 2 || st.Epoch != 3 || !st.OK || st.Detail != "epoch done" {
+		t.Fatalf("status event %+v", ev)
 	}
 
 	if err := RequestDrain(g.Addr(), 1, fp, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	ev = nextEvent(t, g)
-	if ev.Kind != KindDrain || ev.Member != 1 {
-		t.Fatalf("drain event %+v, want {KindDrain 1}", ev)
+	if ev.Kind != EventDrain || ev.Member != 1 {
+		t.Fatalf("drain event %+v, want a drain of member 1", ev)
 	}
 
 	// A mismatched fingerprint is refused at the door.
 	var bad core.Fingerprint
 	if _, err := JoinGate(g.Addr(), bad, 5*time.Second); !errors.Is(err, ErrHandshake) {
 		t.Fatalf("bad-fingerprint join: %v, want ErrHandshake", err)
+	}
+	// So is a data-plane worker hello.
+	c, err := dialRetry("tcp", g.Addr(), time.Now().Add(5*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := gateReply(c, hello{Kind: KindWorker, Fingerprint: fp}, time.Now().Add(5*time.Second)); !errors.Is(err, ErrHandshake) {
+		t.Fatalf("worker hello on the gate: %v, want ErrHandshake", err)
 	}
 
 	if err := g.SendTicket(2, Ticket{Action: ActionExit}); err != nil {
@@ -135,8 +142,77 @@ func TestGateJoinDrainRoundTrip(t *testing.T) {
 		t.Fatalf("exit ticket %+v, err %v", exit, err)
 	}
 	sess.Close()
-	if _, err := g.AwaitStatus(2, 5*time.Second); !errors.Is(err, ErrMemberGone) {
-		t.Fatalf("status after the member left: %v, want ErrMemberGone", err)
+	if ev := nextEvent(t, g); ev.Kind != EventGone || ev.Member != 2 {
+		t.Fatalf("event after the member left: %+v, want member 2 gone", ev)
+	}
+}
+
+// TestGateGoneFollowsStatuses drops a member's session after three status
+// reports: the coordinator reads the join, the three statuses in order,
+// then exactly one gone event — the loss can neither overtake a report nor
+// be reported twice, even when a ticket send also trips over it.
+func TestGateGoneFollowsStatuses(t *testing.T) {
+	var fp core.Fingerprint
+	g, err := NewGate("127.0.0.1:0", 0, fp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	sess, err := JoinGate(g.Addr(), fp, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for epoch := 1; epoch <= 3; epoch++ {
+		if err := sess.Report(Status{Epoch: epoch, OK: true}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sess.Close()
+
+	if ev := nextEvent(t, g); ev.Kind != EventJoin || ev.Member != 0 {
+		t.Fatalf("first event %+v, want the join", ev)
+	}
+	for epoch := 1; epoch <= 3; epoch++ {
+		if ev := nextEvent(t, g); ev.Kind != EventStatus || ev.Status.Epoch != epoch {
+			t.Fatalf("event %+v, want the epoch %d status", ev, epoch)
+		}
+	}
+	if ev := nextEvent(t, g); ev.Kind != EventGone || ev.Member != 0 {
+		t.Fatalf("event %+v, want member 0 gone", ev)
+	}
+	if err := g.SendTicket(0, Ticket{Action: ActionExit}); !errors.Is(err, ErrMemberGone) {
+		t.Fatalf("ticket to a gone member: %v, want ErrMemberGone", err)
+	}
+	select {
+	case ev := <-g.Events():
+		t.Fatalf("event %+v after the gone event", ev)
+	case <-time.After(200 * time.Millisecond):
+	}
+}
+
+// TestGateCloseWithUnreadEvents is the regression test for Close waiting
+// forever on an admission parked in a send to a full event buffer: 65
+// joins nobody reads overflow the 64-slot stream, and Close must still
+// return.
+func TestGateCloseWithUnreadEvents(t *testing.T) {
+	var fp core.Fingerprint
+	g, err := NewGate("127.0.0.1:0", 0, fp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 65; i++ {
+		sess, err := JoinGate(g.Addr(), fp, 5*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sess.Close()
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- g.Close() }()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close blocked with unread events")
 	}
 }
 

@@ -10,10 +10,11 @@ import (
 	"github.com/babelflow/babelflow-go/internal/core"
 )
 
-// Membership gate: rank 0's standing control listener for elastic
-// membership. The data-plane rendezvous of an epoch is ephemeral — it
-// exists only while that epoch bootstraps, and it rejects hellos whose
-// epoch or rank count disagree. The gate is the long-lived complement: a
+// Membership gate: the coordinator's standing control listener for a
+// multi-process run, whether its membership changes or not (a static run
+// is the one-epoch case). The data-plane rendezvous of an epoch is
+// ephemeral — it exists only while that epoch bootstraps, and it rejects
+// hellos whose epoch or rank count disagree. The gate is the long-lived complement: a
 // process that wants to JOIN the computation dials the gate with a join
 // hello (same frame format, Kind=KindJoin), is admitted with a member
 // identity, and then follows the coordinator's per-epoch tickets; a drain
@@ -30,6 +31,9 @@ import (
 //	           → status{ok}
 //	           ← ticket{ActionExit}           close and terminate
 //
+// Coordinator side (Gate): one stream, Events, carries every join, drain
+// request, status and lost session; SendTicket answers.
+//
 // A fence is not a frame: the coordinator tears down the current epoch's
 // data plane (after Fabric.Fence suspends liveness timers and journals are
 // flushed) and every member observes the collapse, reports status, and
@@ -42,10 +46,26 @@ var ErrGateClosed = errors.New("wire: membership gate closed")
 // process died or walked away; the coordinator should treat it as dead.
 var ErrMemberGone = errors.New("wire: gate member gone")
 
-// Event is one membership request observed by the gate.
+// EventKind says what a gate Event reports.
+type EventKind byte
+
+const (
+	// EventJoin: a joiner was admitted as Member.
+	EventJoin EventKind = iota + 1
+	// EventDrain: an operator asked for Member to be retired.
+	EventDrain
+	// EventStatus: Member reported Status.
+	EventStatus
+	// EventGone: Member's session dropped; it reports nothing more.
+	EventGone
+)
+
+// Event is one thing the gate observed. A member's events arrive in the
+// order the gate read them: its join, its statuses, then exactly one gone.
 type Event struct {
-	Kind   HelloKind // KindJoin or KindDrain
-	Member int       // assigned identity (join) or target member (drain)
+	Kind   EventKind
+	Member int    // admitted identity (join), drain target, or reporter
+	Status Status // EventStatus only
 }
 
 // Gate is the coordinator's side of the membership protocol.
@@ -53,6 +73,7 @@ type Gate struct {
 	ln     net.Listener
 	fp     core.Fingerprint
 	events chan Event
+	done   chan struct{} // closed by Close: releases a blocked emit
 
 	mu     sync.Mutex
 	next   int
@@ -62,14 +83,9 @@ type Gate struct {
 }
 
 type gateSession struct {
-	c      net.Conn
-	wmu    sync.Mutex
-	status chan Status
-	dead   chan struct{}
-	once   sync.Once
+	c   net.Conn
+	wmu sync.Mutex
 }
-
-func (gs *gateSession) fail() { gs.once.Do(func() { close(gs.dead); gs.c.Close() }) }
 
 // NewGate opens the membership gate on addr (host:port, port 0 for
 // ephemeral). firstMember is the identity assigned to the first joiner;
@@ -84,6 +100,7 @@ func NewGate(addr string, firstMember int, fp core.Fingerprint) (*Gate, error) {
 		ln:     ln,
 		fp:     fp,
 		events: make(chan Event, 64),
+		done:   make(chan struct{}),
 		next:   firstMember,
 		sess:   make(map[int]*gateSession),
 	}
@@ -95,9 +112,10 @@ func NewGate(addr string, firstMember int, fp core.Fingerprint) (*Gate, error) {
 // Addr returns the gate's listen address.
 func (g *Gate) Addr() string { return g.ln.Addr().String() }
 
-// Events is the stream of membership requests. The channel is buffered;
-// the coordinator must drain it (a full buffer stalls admissions, never
-// drops them).
+// Events is the gate's one report stream: joins, drain requests, statuses
+// and lost members. The channel is buffered; a coordinator that stops
+// reading stalls the gate (admissions and status reads wait, nothing is
+// dropped) until Close.
 func (g *Gate) Events() <-chan Event { return g.events }
 
 func (g *Gate) acceptLoop() {
@@ -121,25 +139,20 @@ func (g *Gate) admit(c net.Conn) {
 		c.Close()
 		return
 	}
-	if h.Fingerprint != g.fp {
-		writeConn(c, deadline, encodeReject(fmt.Sprintf("graph fingerprint mismatch: peer %s, gate %s", h.Fingerprint, g.fp)))
-		c.Close()
+	if reason := vetHello(hello{Fingerprint: g.fp}, h, 0, nil); reason != "" {
+		refuse(c, h.Rank, reason, deadline)
 		return
 	}
-	switch h.Kind {
-	case KindJoin:
+	if h.Kind == KindJoin {
 		g.admitJoin(c, deadline)
-	case KindDrain:
-		// h.Rank names the member to retire. Ack, emit, close: drain dials
-		// are one-shot control requests, not sessions.
-		if writeConn(c, deadline, encodeTicket(Ticket{Action: ActionAdmit, Member: h.Rank})) == nil {
-			g.emit(Event{Kind: KindDrain, Member: h.Rank})
-		}
-		c.Close()
-	default:
-		writeConn(c, deadline, encodeReject("worker hello on the membership gate: dial the epoch rendezvous"))
-		c.Close()
+		return
 	}
+	// A drain: h.Rank names the member to retire. Ack, emit, close: drain
+	// dials are one-shot control requests, not sessions.
+	if writeConn(c, deadline, encodeTicket(Ticket{Action: ActionAdmit, Member: h.Rank})) == nil {
+		g.emit(Event{Kind: EventDrain, Member: h.Rank})
+	}
+	c.Close()
 }
 
 func (g *Gate) admitJoin(c net.Conn, deadline time.Time) {
@@ -151,50 +164,42 @@ func (g *Gate) admitJoin(c net.Conn, deadline time.Time) {
 	}
 	member := g.next
 	g.next++
-	gs := &gateSession{c: c, status: make(chan Status, 16), dead: make(chan struct{})}
-	g.sess[member] = gs
+	g.sess[member] = &gateSession{c: c}
 	g.mu.Unlock()
 
 	if err := writeConn(c, deadline, encodeTicket(Ticket{Action: ActionAdmit, Member: member})); err != nil {
 		g.drop(member)
 		return
 	}
-	g.emit(Event{Kind: KindJoin, Member: member})
-	g.wg.Add(1)
-	go g.readStatuses(member, gs)
+	g.emit(Event{Kind: EventJoin, Member: member})
+	g.readStatuses(member, c)
 }
 
-// emit delivers a membership event. The send blocks when the buffer is
-// full — a dropped event would strand the member forever, so a coordinator
-// that stops draining stalls admissions instead.
+// emit delivers an event. The send blocks while the buffer is full — a
+// dropped event would strand a member or hide its loss — until Close.
 func (g *Gate) emit(e Event) {
-	g.events <- e
+	select {
+	case g.events <- e:
+	case <-g.done:
+	}
 }
 
 // readStatuses is the per-session reader: status frames flow to the
-// coordinator, anything else (or a broken conn) kills the session.
-func (g *Gate) readStatuses(member int, gs *gateSession) {
-	defer g.wg.Done()
+// coordinator; anything else, or a broken conn, ends the session with its
+// one gone event.
+func (g *Gate) readStatuses(member int, c net.Conn) {
 	for {
-		typ, body, err := readControl(gs.c, time.Time{})
-		if err != nil {
+		typ, body, err := readControl(c, time.Time{})
+		var st Status
+		if err == nil && typ == frameStatus {
+			st, err = decodeStatus(body)
+		}
+		if err != nil || typ != frameStatus {
 			g.drop(member)
+			g.emit(Event{Kind: EventGone, Member: member})
 			return
 		}
-		if typ != frameStatus {
-			g.drop(member)
-			return
-		}
-		st, err := decodeStatus(body)
-		if err != nil {
-			g.drop(member)
-			return
-		}
-		select {
-		case gs.status <- st:
-		case <-gs.dead:
-			return
-		}
+		g.emit(Event{Kind: EventStatus, Member: member, Status: st})
 	}
 }
 
@@ -204,7 +209,7 @@ func (g *Gate) drop(member int) {
 	delete(g.sess, member)
 	g.mu.Unlock()
 	if gs != nil {
-		gs.fail()
+		gs.c.Close()
 	}
 }
 
@@ -236,27 +241,9 @@ func (g *Gate) SendTicket(member int, t Ticket) error {
 	return nil
 }
 
-// AwaitStatus blocks for the member's next status report.
-func (g *Gate) AwaitStatus(member int, timeout time.Duration) (Status, error) {
-	gs, err := g.session(member)
-	if err != nil {
-		return Status{}, err
-	}
-	t := time.NewTimer(timeout)
-	defer t.Stop()
-	select {
-	case st := <-gs.status:
-		return st, nil
-	case <-gs.dead:
-		return Status{}, fmt.Errorf("%w: member %d", ErrMemberGone, member)
-	case <-t.C:
-		return Status{}, fmt.Errorf("wire: gate: member %d status timeout after %v", member, timeout)
-	}
-}
-
 // Close shuts the gate down: the listener stops, every session connection
-// is closed (members see ErrMemberGone-style EOFs) and the accept/reader
-// goroutines drain.
+// is closed (members see EOF), events nobody read are abandoned and the
+// accept/reader goroutines drain.
 func (g *Gate) Close() error {
 	g.mu.Lock()
 	if g.closed {
@@ -264,15 +251,13 @@ func (g *Gate) Close() error {
 		return nil
 	}
 	g.closed = true
-	sessions := make([]*gateSession, 0, len(g.sess))
-	for _, gs := range g.sess {
-		sessions = append(sessions, gs)
-	}
+	sessions := g.sess
 	g.sess = map[int]*gateSession{}
 	g.mu.Unlock()
+	close(g.done)
 	err := g.ln.Close()
 	for _, gs := range sessions {
-		gs.fail()
+		gs.c.Close()
 	}
 	g.wg.Wait()
 	return err
@@ -292,12 +277,7 @@ func JoinGate(addr string, fp core.Fingerprint, timeout time.Duration) (*Session
 	if err != nil {
 		return nil, fmt.Errorf("wire: join gate: %w", err)
 	}
-	h := hello{Kind: KindJoin, Fingerprint: fp}
-	if err := writeConn(c, deadline, encodeHello(h)); err != nil {
-		c.Close()
-		return nil, fmt.Errorf("wire: join gate: hello: %w", err)
-	}
-	t, err := awaitTicket(c, deadline)
+	t, err := gateReply(c, hello{Kind: KindJoin, Fingerprint: fp}, deadline)
 	if err != nil {
 		c.Close()
 		return nil, err
@@ -319,7 +299,14 @@ func (s *Session) NextTicket(timeout time.Duration) (Ticket, error) {
 	if timeout > 0 {
 		deadline = time.Now().Add(timeout)
 	}
-	return awaitTicket(s.c, deadline)
+	typ, body, err := readControl(s.c, deadline)
+	switch {
+	case err != nil:
+		return Ticket{}, fmt.Errorf("wire: gate ticket: %w", err)
+	case typ != frameTicket:
+		return Ticket{}, fmt.Errorf("wire: expected ticket, got frame type %d", typ)
+	}
+	return decodeTicket(body)
 }
 
 // Report sends a status frame for the member's current epoch.
@@ -331,19 +318,14 @@ func (s *Session) Report(st Status) error {
 // Close tears the session down.
 func (s *Session) Close() error { return s.c.Close() }
 
-func awaitTicket(c net.Conn, deadline time.Time) (Ticket, error) {
-	typ, body, err := readControl(c, deadline)
+// gateReply sends a join or drain hello to the gate and decodes its ticket
+// reply; a refusal comes back as ErrHandshake.
+func gateReply(c net.Conn, h hello, deadline time.Time) (Ticket, error) {
+	body, err := greet(c, h, 0, frameTicket, deadline)
 	if err != nil {
-		return Ticket{}, fmt.Errorf("wire: gate ticket: %w", err)
+		return Ticket{}, err
 	}
-	switch typ {
-	case frameTicket:
-		return decodeTicket(body)
-	case frameReject:
-		return Ticket{}, fmt.Errorf("%w: gate refused: %s", ErrHandshake, string(body))
-	default:
-		return Ticket{}, fmt.Errorf("wire: expected ticket, got frame type %d", typ)
-	}
+	return decodeTicket(body)
 }
 
 // RequestDrain dials the gate and asks for member to be gracefully
@@ -356,11 +338,7 @@ func RequestDrain(addr string, member int, fp core.Fingerprint, timeout time.Dur
 		return fmt.Errorf("wire: drain request: %w", err)
 	}
 	defer c.Close()
-	h := hello{Kind: KindDrain, Rank: member, Fingerprint: fp}
-	if err := writeConn(c, deadline, encodeHello(h)); err != nil {
-		return fmt.Errorf("wire: drain request: hello: %w", err)
-	}
-	t, err := awaitTicket(c, deadline)
+	t, err := gateReply(c, hello{Kind: KindDrain, Rank: member, Fingerprint: fp}, deadline)
 	if err != nil {
 		return err
 	}
