@@ -125,13 +125,16 @@ smoke-iterate:
 ## tree on 2 workers, fork 2 joiners mid-run, gracefully drain one member
 ## (its journaled lineage is adopted and replayed by the survivors), and
 ## verify the final sink digests byte-for-byte against the serial
-## reference.
+## reference. The run is paced so the drain lands mid-run; the target fails
+## unless the summary reports the drain (drain=1).
 smoke-elastic:
 	$(GO) build -o bin/bfrun ./cmd/bfrun
-	@set -e; dir=$$(mktemp -d); \
-	./bin/bfrun -case mergetree -elastic -ranks 2 -join 2 -join-after 150ms \
-		-drain 1 -drain-after 400ms -journal $$dir -wire-tier tcp; \
-	rm -rf $$dir
+	@dir=$$(mktemp -d); \
+	out=$$(./bin/bfrun -case mergetree -elastic -ranks 2 -join 2 -join-after 150ms \
+		-drain 1 -drain-after 400ms -elastic-pace 60ms -journal $$dir -wire-tier tcp); \
+	status=$$?; rm -rf $$dir; echo "$$out"; \
+	test $$status -eq 0 || exit $$status; \
+	echo "$$out" | grep -q ' drain=1 ' || { echo "smoke-elastic: the run drained nothing (want drain=1)"; exit 1; }
 
 ## fuzz: short fuzz smoke of the wire frame decoder, of the handshake body
 ## decoders, of the merge-tree decoder and of the image decoder (longer

@@ -33,6 +33,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"slices"
 	"strconv"
 	"time"
@@ -332,6 +334,14 @@ func runGateParent(cfg config, stdout io.Writer) error {
 		return err
 	}
 	defer gate.Close()
+	// Each epoch's rendezvous is a unix socket in a directory only this
+	// parent names, so no other bind can take the address between the
+	// ticket and logical rank 0's listen.
+	rdvDir, err := os.MkdirTemp("", "bfrun-rdv-")
+	if err != nil {
+		return err
+	}
+	defer os.RemoveAll(rdvDir)
 
 	var workers fleet
 	defer workers.kill()
@@ -415,10 +425,7 @@ func runGateParent(cfg config, stdout io.Writer) error {
 			return errors.New("every member drained; nothing left to run the epoch")
 		}
 		epoch++
-		addr, err := reserveLoopbackAddr()
-		if err != nil {
-			return err
-		}
+		addr := filepath.Join(rdvDir, fmt.Sprintf("e%d.sock", epoch))
 		for l, m := range members {
 			t := wire.Ticket{Action: wire.ActionRun, Member: m, Epoch: epoch, Rank: l,
 				Ranks: len(members), Addr: addr, Members: members, Retired: retired}

@@ -1,8 +1,7 @@
 // The fleet helper: everything the gate parent (every multi-process mode)
 // and the fault-injected runs share — the wanted digest set from the serial
-// reference, a reserved loopback address, forking a worker, collecting the
-// workers' BFWIRE lines, and the one rule that says whether the collected
-// sinks match the reference.
+// reference, forking a worker, collecting the workers' BFWIRE lines, and the
+// one rule that says whether the collected sinks match the reference.
 package main
 
 import (
@@ -11,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"os"
 	"os/exec"
 	"sort"
@@ -77,17 +75,6 @@ func judge(want, got map[string]bool, failed int) (matches int, ok bool) {
 		}
 	}
 	return matches, matches == len(want) && len(got) == len(want) && failed == 0
-}
-
-// reserveLoopbackAddr binds an ephemeral loopback port and releases it for
-// a worker (rank 0 of an epoch's rendezvous) to rebind.
-func reserveLoopbackAddr() (string, error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return "", err
-	}
-	defer ln.Close()
-	return ln.Addr().String(), nil
 }
 
 // fleet is the set of worker processes a parent forked. The zero value is

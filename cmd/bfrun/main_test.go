@@ -5,6 +5,7 @@ import (
 	"encoding/csv"
 	"errors"
 	"fmt"
+	"net"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -131,6 +132,16 @@ func TestRegisterOverTwoProcesses(t *testing.T) {
 }
 
 func TestKillAllThenResume(t *testing.T) {
+	// The parent names every epoch's rendezvous socket in a directory of
+	// its own under TMPDIR; crashed members leave their sockets in it, and
+	// the parent must still remove it on the way out.
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	defer func() {
+		if left, _ := filepath.Glob(filepath.Join(tmp, "bfrun-rdv-*")); len(left) != 0 {
+			t.Errorf("the parent left its rendezvous directory behind: %v", left)
+		}
+	}()
 	dir := t.TempDir()
 	out, err := bfrun(t, "-case", "register", "-journal", dir, "-kill-all-after", "1", "-ranks", "4")
 	if err != nil {
@@ -219,10 +230,12 @@ func TestJudge(t *testing.T) {
 // a gate nobody will ever serve — the state a parent's error path leaves
 // them in — and checks every child is gone and reaped.
 func TestFleetKillLeavesNoChild(t *testing.T) {
-	addr, err := reserveLoopbackAddr()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	addr := ln.Addr().String()
+	ln.Close()
 	var f fleet
 	for i := 0; i < 2; i++ {
 		if err := f.fork("-case", "register", "-ranks", "3", "-wire-gate", addr); err != nil {

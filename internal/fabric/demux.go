@@ -272,15 +272,6 @@ func (v *RunTransport) box(rank int) *Mailbox {
 	return v.boxes[rank]
 }
 
-// Close implements Transport: it closes the run's mailbox at rank (queued
-// messages remain receivable). Non-local ranks are a no-op — their
-// mailboxes live behind the shared transport in another process.
-func (v *RunTransport) Close(rank int) {
-	if rank >= 0 && rank < len(v.boxes) && v.boxes[rank] != nil {
-		v.boxes[rank].Close()
-	}
-}
-
 // Cancel implements Transport — for this run only. The shared transport
 // and every other run stay live; the run's own receivers unwind, and its
 // subsequent sends fail with ErrClosed.

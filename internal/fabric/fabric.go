@@ -79,9 +79,6 @@ type Transport interface {
 	// RecvBatch blocks for the first message, then dequeues up to len(dst)
 	// messages, returning the number dequeued.
 	RecvBatch(rank int, dst []Message) (int, bool)
-	// Close marks the rank's mailbox closed; queued messages remain
-	// receivable, further sends to it fail with ErrClosed.
-	Close(rank int)
 	// Cancel aborts all communication.
 	Cancel()
 	// Err returns the first transport-level failure, if any.
@@ -487,18 +484,6 @@ func (mb *Mailbox) TryGetBatch(dst []Message) (n int, done bool) {
 		dst[i] = mb.popLocked()
 	}
 	return n, false
-}
-
-// EmptyOpen reports, under the mailbox lock, that the queue is empty and
-// still accepting messages. The wire transport's inline-send fast path uses
-// it as an ordering guard: acquiring the lock here synchronizes with the
-// consumer's most recent dequeue, so a caller that observes EmptyOpen and
-// then observes the consumer parked knows no dequeued-but-unprocessed
-// message can exist.
-func (mb *Mailbox) EmptyOpen() bool {
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	return mb.count == 0 && !mb.closed && !mb.cancelled
 }
 
 // TryGet dequeues a message if one is immediately available.

@@ -42,11 +42,12 @@ func measureRoundTrip(t *testing.T, fabrics []*Fabric) float64 {
 			t.Error("lost pong")
 		}
 	}
-	// Warm the arena and the inline path before measuring.
+	// Warm the arena and the writers before measuring.
 	for i := 0; i < 64; i++ {
 		roundTrip()
 	}
 	avg := testing.AllocsPerRun(512, roundTrip)
+	t.Logf("AVG %.2f", avg)
 	fabrics[1].Cancel()
 	<-done
 	return avg
@@ -79,10 +80,12 @@ func TestRoundTripAllocsShm(t *testing.T) {
 		o.Tier = TierShm
 	})
 	requireMesh(t, fabrics, errs)
-	// The ring path allocates nothing of its own: the same mailbox
-	// hand-offs and arena wrapper as the socket tiers, minus the kernel.
-	if avg := measureRoundTrip(t, fabrics); avg > 8 {
-		t.Errorf("shm round trip averaged %.1f allocs, want <= 8", avg)
+	// Measured 2 allocs per round trip (the receive-side arena wrapper on
+	// each side): the ring path allocates nothing of its own. The bound
+	// fails a per-batch allocation in the writer — a frame header on the
+	// heap costs one per direction, 4 in all.
+	if avg := measureRoundTrip(t, fabrics); avg > 3 {
+		t.Errorf("shm round trip averaged %.1f allocs, want <= 3", avg)
 	}
 }
 

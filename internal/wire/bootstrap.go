@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -194,10 +193,10 @@ func linkFor(opt Options, self, peer endpoint) (network, addr string, ring bool,
 }
 
 // pairUp is the pair loop: it dials every lower rank and accepts every
-// higher one, each over the link linkFor picks for the pair, and runs the
-// ring negotiation where linkFor asks for one. The acceptor refuses a
-// dialer arriving over another network than the table gives. This loop is
-// the one place a declined ring becomes an error or a fallback.
+// higher one, each over the link linkFor picks for the pair, in one hello →
+// accept exchange per pair; where linkFor asks for a ring, the dialer's
+// hello offers it and the accept says whether it was mapped. The acceptor
+// refuses a dialer arriving over another network than the table gives.
 func pairUp(opt Options, me hello, eps []endpoint, lns []net.Listener, conns []net.Conn, regs []*shmRegion, deadline time.Time) error {
 	type link struct {
 		network, addr string
@@ -214,26 +213,6 @@ func pairUp(opt Options, me hello, eps []endpoint, lns []net.Listener, conns []n
 		}
 		links[j] = link{network, addr, ring}
 	}
-	// settle records a pair's ring outcome. Both offer and accept report a
-	// decline as ErrHandshake with the socket still in step on both ends;
-	// the tier table, asked again without the ring, says whether the pair
-	// may stay on the socket.
-	settle := func(j int, reg *shmRegion, err error) error {
-		if err == nil {
-			regs[j] = reg
-			return nil
-		}
-		if errors.Is(err, ErrHandshake) {
-			noRing := eps[j]
-			noRing.Shm = ""
-			_, _, _, lerr := linkFor(opt, me.Endpoint, noRing)
-			if lerr == nil {
-				return nil
-			}
-			err = fmt.Errorf("%w (%v)", lerr, err)
-		}
-		return fmt.Errorf("wire: rank %d: shm ring with rank %d: %w", opt.Rank, j, err)
-	}
 
 	for j := 0; j < opt.Rank; j++ {
 		c, err := dialRetry(links[j].network, links[j].addr, deadline)
@@ -241,14 +220,8 @@ func pairUp(opt Options, me hello, eps []endpoint, lns []net.Listener, conns []n
 			return fmt.Errorf("wire: rank %d: rank %d at %s: %w", opt.Rank, j, links[j].addr, err)
 		}
 		conns[j] = c
-		if _, err := greet(c, me, j, frameAccept, deadline); err != nil {
+		if regs[j], err = dialPair(opt, me, eps[j], links[j].ring, c, j, deadline); err != nil {
 			return err
-		}
-		if links[j].ring {
-			reg, err := offerShmRing(opt, c, me.Endpoint.Shm, deadline)
-			if err := settle(j, reg, err); err != nil {
-				return err
-			}
 		}
 	}
 
@@ -276,100 +249,104 @@ func pairUp(opt Options, me hello, eps []endpoint, lns []net.Listener, conns []n
 			return refuse(c, h.Rank, reason, deadline)
 		}
 		conns[h.Rank] = c
-		if err := writeConn(c, deadline, controlFrame(frameAccept)); err != nil {
-			return fmt.Errorf("wire: rank %d: accept to rank %d: %w", opt.Rank, h.Rank, err)
-		}
-		if links[h.Rank].ring {
-			reg, err := acceptShmRing(opt, c, deadline)
-			if err := settle(h.Rank, reg, err); err != nil {
-				return err
-			}
+		if regs[h.Rank], err = acceptPair(opt, me, h, eps[h.Rank], links[h.Rank].ring, c, deadline); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// offerShmRing runs the dialer's half of a pair's ring negotiation: create
-// a region file, offer its path, await the ack, unlink the file (the
-// mappings outlive the name). A region that cannot be created is offered
-// as an empty path so the acceptor stops waiting. Either side declining is
-// reported as ErrHandshake.
-func offerShmRing(opt Options, c net.Conn, dir string, deadline time.Time) (*shmRegion, error) {
-	gen := uint64(opt.Epoch)
-	reg, err := createShmRegion(dir, gen, opt.ShmRingBytes)
-	if err != nil {
-		if _, werr := sendOffer(c, "", gen, 0, deadline); werr != nil {
-			return nil, werr
+// dialPair is the dialer's half of a pair handshake over c: when the pair
+// links with a ring it creates the region first and names it in its hello
+// (an empty path when it cannot), then reads the accept and unlinks the
+// file, whose mappings outlive the name. It returns the region the pair
+// settled on, nil when the pair stays on its socket.
+func dialPair(opt Options, me hello, peer endpoint, ring bool, c net.Conn, to int, deadline time.Time) (*shmRegion, error) {
+	var reg *shmRegion
+	var declined error
+	if ring {
+		var err error
+		if reg, err = createShmRegion(me.Endpoint.Shm, uint64(opt.Epoch), opt.ShmRingBytes); err != nil {
+			declined = fmt.Errorf("%w: create ring region: %v", ErrHandshake, err)
+		} else {
+			me.Ring, me.RingBytes = reg.path, uint64(opt.ShmRingBytes)
+			defer os.Remove(reg.path)
 		}
-		return nil, fmt.Errorf("%w: create ring region: %v", ErrHandshake, err)
 	}
-	ok, err := sendOffer(c, reg.path, gen, uint64(opt.ShmRingBytes), deadline)
-	os.Remove(reg.path)
-	if err == nil && !ok {
-		err = fmt.Errorf("%w: peer declined ring region", ErrHandshake)
+	body, err := greet(c, me, to, frameAccept, deadline)
+	var mapped bool
+	if err == nil {
+		mapped, err = decodeAccept(body)
 	}
-	if err != nil {
+	if err == nil && mapped {
+		return reg, nil
+	}
+	if reg != nil {
 		reg.close()
+		declined = fmt.Errorf("%w: peer declined ring region", ErrHandshake)
+	}
+	if err != nil {
 		return nil, err
 	}
-	return reg, nil
+	return nil, settle(opt, me, peer, to, declined)
 }
 
-// sendOffer writes a ring offer and reads the acceptor's 1-byte ack.
-func sendOffer(c net.Conn, path string, gen, ringBytes uint64, deadline time.Time) (bool, error) {
-	if err := writeConn(c, deadline, encodeShmOffer(path, gen, ringBytes)); err != nil {
-		return false, err
+// acceptPair is the acceptor's half, after h is vetted: it maps the ring
+// region h names when the pair links with one, confirms with the accept
+// frame, and returns the region the pair settled on.
+func acceptPair(opt Options, me, h hello, peer endpoint, ring bool, c net.Conn, deadline time.Time) (*shmRegion, error) {
+	var reg *shmRegion
+	var declined error
+	if ring {
+		reg, declined = mapRing(opt, h)
 	}
-	typ, body, err := readControl(c, deadline)
-	if err != nil {
-		return false, err
-	}
-	if typ != frameShmAck || len(body) != 1 {
-		return false, fmt.Errorf("wire: expected shm ack, got frame type %d (%d bytes)", typ, len(body))
-	}
-	return body[0] == 1, nil
-}
-
-// acceptShmRing runs the acceptor's half: read the offer, map and validate
-// the region, ack. A withdrawn offer or an unmappable region is declined
-// with a negative ack and reported as ErrHandshake.
-func acceptShmRing(opt Options, c net.Conn, deadline time.Time) (*shmRegion, error) {
-	typ, body, err := readControl(c, deadline)
-	if err != nil {
-		return nil, err
-	}
-	if typ != frameShmOffer {
-		return nil, fmt.Errorf("wire: expected shm offer, got frame type %d", typ)
-	}
-	path, gen, ringBytes, err := decodeShmOffer(body)
-	if err != nil {
-		return nil, err
-	}
-	decline := func(why string) (*shmRegion, error) {
-		if err := writeConn(c, deadline, encodeShmAck(false)); err != nil {
-			return nil, err
+	if err := writeConn(c, deadline, encodeAccept(reg != nil)); err != nil {
+		if reg != nil {
+			reg.close()
 		}
+		return nil, fmt.Errorf("wire: rank %d: accept to rank %d: %w", opt.Rank, h.Rank, err)
+	}
+	return reg, settle(opt, me, peer, h.Rank, declined)
+}
+
+// mapRing maps and validates the ring region a dialer's hello names. A
+// withdrawn offer, a foreign generation, an unmappable file or a size other
+// than the hello declares is a decline, reported as ErrHandshake.
+func mapRing(opt Options, h hello) (*shmRegion, error) {
+	gen := uint64(opt.Epoch)
+	decline := func(why string) (*shmRegion, error) {
 		return nil, fmt.Errorf("%w: ring region: %s", ErrHandshake, why)
 	}
-	if path == "" {
+	if h.Ring == "" {
 		return decline("offer withdrawn by peer")
 	}
-	if gen != uint64(opt.Epoch) {
-		return decline(fmt.Sprintf("generation %d, want %d", gen, opt.Epoch))
+	if h.Endpoint.ShmGen != gen {
+		return decline(fmt.Sprintf("generation %d, want %d", h.Endpoint.ShmGen, gen))
 	}
-	reg, err := openShmRegion(path, gen)
+	reg, err := openShmRegion(h.Ring, gen)
 	if err != nil {
 		return decline(err.Error())
 	}
-	if uint64(reg.tx.size) != ringBytes {
+	if reg.tx.size != h.RingBytes {
 		reg.close()
-		return decline(fmt.Sprintf("ring size %d, offered %d", reg.tx.size, ringBytes))
-	}
-	if err := writeConn(c, deadline, encodeShmAck(true)); err != nil {
-		reg.close()
-		return nil, err
+		return decline(fmt.Sprintf("ring size %d, offered %d", reg.tx.size, h.RingBytes))
 	}
 	return reg, nil
+}
+
+// settle is the one place a declined ring becomes an error or a fallback.
+// Both ends see a decline with the socket in step; the tier table, asked
+// again without the ring, says whether the pair may stay on the socket.
+func settle(opt Options, me hello, peer endpoint, rank int, declined error) error {
+	if declined == nil {
+		return nil
+	}
+	noRing := peer
+	noRing.Shm = ""
+	if _, _, _, err := linkFor(opt, me.Endpoint, noRing); err != nil {
+		return fmt.Errorf("wire: rank %d: shm ring with rank %d: %w (%v)", opt.Rank, rank, err, declined)
+	}
+	return nil
 }
 
 // greet sends this rank's hello to rank `to` and reads the reply: the body

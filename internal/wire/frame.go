@@ -29,24 +29,30 @@ import (
 //	frameHello:     u32 rank | u32 ranks | u32 epoch | u8 tier | u8 kind |
 //	                32-byte fingerprint | u16+tcp data address |
 //	                u16+unix data address | u16+host id |
-//	                u16+shm dir | u64 shm generation; kind distinguishes a
+//	                u16+shm dir | u64 shm generation |
+//	                u16+ring path | u64 ring bytes; kind distinguishes a
 //	                data-plane worker (KindWorker) from a membership-gate
 //	                dial (KindJoin / KindDrain) — the data-plane rendezvous
-//	                rejects the latter
+//	                rejects the latter. A pair hello whose link carries a
+//	                shm ring names the dialer's region file and its
+//	                per-direction ring bytes; an empty path withdraws the
+//	                offer (the dialer cannot shm). Every other hello
+//	                carries an empty ring
 //	frameWelcome:   u32 n | n × (u16+tcp addr | u16+unix addr | u16+host
 //	                id | u16+shm dir | u64 shm gen), the endpoint table
 //	                indexed by rank (rendezvous reply); co-located ranks
 //	                use the unix endpoints and, when both advertise a shm
 //	                dir, a shared-memory ring pair
 //	frameReject:    reason string (handshake refusal)
-//	frameAccept:    empty (handshake confirmation)
+//	frameAccept:    u8 mapped (pair handshake confirmation: 1 = the
+//	                hello's ring region is mapped, 0 = no ring, or the
+//	                offer declined)
 //	frameDoorbell:  empty — a shm-ring wakeup: "check your rings". Sent
 //	                when the remote consumer parked (cwait) before a
 //	                publish, or the remote producer stalled full (pwait)
 //	                before space was freed
-//	frameShmOffer:  u64 generation | u64 ring bytes | u16+region path;
-//	                an empty path withdraws the offer (dialer cannot shm)
-//	frameShmAck:    u8 ok (1 = region mapped, 0 = declined)
+//	frameTicket:    membership-gate ticket (encodeTicket)
+//	frameStatus:    membership-gate status report (encodeStatus)
 //
 // All integers are little-endian. The length prefix never exceeds
 // maxFrameSize; larger frames poison the connection. A frame whose body
@@ -63,8 +69,8 @@ const (
 	frameReject
 	frameAccept
 	frameDoorbell
-	frameShmOffer
-	frameShmAck
+	_ // 9 and 10 are unused: the types after them keep their values,
+	_ // which the committed fuzz corpus names
 	frameTicket
 	frameStatus
 )
@@ -262,6 +268,11 @@ type hello struct {
 	Kind        HelloKind // zero (KindWorker) on all data-plane handshakes
 	Fingerprint core.Fingerprint
 	Endpoint    endpoint // the sender's advertised data endpoints
+	// Ring and RingBytes are a dialer's shm ring offer: the path of the
+	// region file it created and the per-direction ring bytes. Empty when
+	// the pair links without a ring or the dialer could not create one.
+	Ring      string
+	RingBytes uint64
 }
 
 func appendString(b []byte, s string) []byte {
@@ -284,7 +295,7 @@ func takeString(body []byte, off int) (string, int) {
 }
 
 func encodeHello(h hello) []byte {
-	body := 4 + 4 + 4 + 2 + fingerprintSize + endpointWireSize(h.Endpoint)
+	body := 4 + 4 + 4 + 2 + fingerprintSize + endpointWireSize(h.Endpoint) + 10 + len(h.Ring)
 	b := make([]byte, frameHeaderSize, frameHeaderSize+body)
 	b = binary.LittleEndian.AppendUint32(b, uint32(h.Rank))
 	b = binary.LittleEndian.AppendUint32(b, uint32(h.Ranks))
@@ -293,12 +304,14 @@ func encodeHello(h hello) []byte {
 	b = append(b, byte(h.Kind))
 	b = append(b, h.Fingerprint[:]...)
 	b = appendEndpoint(b, h.Endpoint)
+	b = appendString(b, h.Ring)
+	b = binary.LittleEndian.AppendUint64(b, h.RingBytes)
 	return finishFrame(b, frameHello)
 }
 
 func decodeHello(body []byte) (hello, error) {
 	var h hello
-	if len(body) < 4+4+4+2+fingerprintSize+16 {
+	if len(body) < 4+4+4+2+fingerprintSize+16+10 {
 		return h, fmt.Errorf("wire: hello frame truncated (%d bytes)", len(body))
 	}
 	h.Rank = int(binary.LittleEndian.Uint32(body))
@@ -309,9 +322,13 @@ func decodeHello(body []byte) (hello, error) {
 	copy(h.Fingerprint[:], body[14:14+fingerprintSize])
 	var off int
 	h.Endpoint, off = takeEndpoint(body, 14+fingerprintSize)
-	if off != len(body) {
+	if off >= 0 {
+		h.Ring, off = takeString(body, off)
+	}
+	if off < 0 || len(body) != off+8 {
 		return h, fmt.Errorf("wire: hello frame length mismatch")
 	}
+	h.RingBytes = binary.LittleEndian.Uint64(body[off:])
 	return h, nil
 }
 
@@ -361,25 +378,25 @@ func encodeReject(reason string) []byte {
 	return finishFrame(b, frameReject)
 }
 
-func encodeShmOffer(path string, gen, ringBytes uint64) []byte {
-	b := make([]byte, frameHeaderSize, frameHeaderSize+18+len(path))
-	b = binary.LittleEndian.AppendUint64(b, gen)
-	b = binary.LittleEndian.AppendUint64(b, ringBytes)
-	b = appendString(b, path)
-	return finishFrame(b, frameShmOffer)
+// encodeAccept is the pair handshake's confirmation; mapped says the
+// acceptor mapped the ring region the dialer's hello named.
+func encodeAccept(mapped bool) []byte {
+	b := make([]byte, frameHeaderSize, frameHeaderSize+1)
+	return finishFrame(append(b, boolByte(mapped)), frameAccept)
 }
 
-func decodeShmOffer(body []byte) (path string, gen, ringBytes uint64, err error) {
-	if len(body) < 18 {
-		return "", 0, 0, fmt.Errorf("wire: shm offer truncated (%d bytes)", len(body))
+func decodeAccept(body []byte) (mapped bool, err error) {
+	if len(body) != 1 || body[0] > 1 {
+		return false, fmt.Errorf("wire: accept frame body %x", body)
 	}
-	gen = binary.LittleEndian.Uint64(body)
-	ringBytes = binary.LittleEndian.Uint64(body[8:])
-	path, off := takeString(body, 16)
-	if off != len(body) {
-		return "", 0, 0, fmt.Errorf("wire: shm offer length mismatch")
+	return body[0] == 1, nil
+}
+
+func boolByte(v bool) byte {
+	if v {
+		return 1
 	}
-	return path, gen, ringBytes, nil
+	return 0
 }
 
 // TicketAction tells a gate session what to do with the epoch described by
@@ -485,11 +502,7 @@ func encodeStatus(s Status) []byte {
 	b := make([]byte, frameHeaderSize, frameHeaderSize+11+len(s.Detail))
 	b = binary.LittleEndian.AppendUint32(b, uint32(s.Member))
 	b = binary.LittleEndian.AppendUint32(b, uint32(s.Epoch))
-	if s.OK {
-		b = append(b, 1)
-	} else {
-		b = append(b, 0)
-	}
+	b = append(b, boolByte(s.OK))
 	b = appendString(b, s.Detail)
 	return finishFrame(b, frameStatus)
 }
@@ -511,14 +524,4 @@ func decodeStatus(body []byte) (Status, error) {
 	}
 	s.Detail = detail
 	return s, nil
-}
-
-func encodeShmAck(ok bool) []byte {
-	b := make([]byte, frameHeaderSize, frameHeaderSize+1)
-	if ok {
-		b = append(b, 1)
-	} else {
-		b = append(b, 0)
-	}
-	return finishFrame(b, frameShmAck)
 }

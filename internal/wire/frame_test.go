@@ -22,7 +22,7 @@ func decodeFabric() (*Fabric, *peer) {
 }
 
 func TestControlFrameRoundTrip(t *testing.T) {
-	for _, typ := range []byte{frameHeartbeat, frameGoodbye, frameAccept} {
+	for _, typ := range []byte{frameHeartbeat, frameGoodbye, frameDoorbell} {
 		enc := controlFrame(typ)
 		if len(enc) != frameHeaderSize {
 			t.Fatalf("control frame of %d bytes", len(enc))
@@ -122,7 +122,8 @@ func TestOversizedDeclaredLength(t *testing.T) {
 
 func TestHandshakeFramesChecksummed(t *testing.T) {
 	h := hello{Rank: 2, Ranks: 4, Epoch: 1, Tier: TierAuto,
-		Endpoint: endpoint{TCP: "127.0.0.1:9999", Unix: "/tmp/r2.sock", HostID: "host-a/boot"}}
+		Endpoint: endpoint{TCP: "127.0.0.1:9999", Unix: "/tmp/r2.sock", HostID: "host-a/boot"},
+		Ring:     "/dev/shm/bfshm-1/ring-2.shm", RingBytes: 1 << 20}
 	enc := encodeHello(h)
 	typ, n, crc, err := readFrame(bytes.NewReader(enc))
 	if err != nil || typ != frameHello {
@@ -220,12 +221,12 @@ func FuzzHandshakeDecode(f *testing.F) {
 			}
 			return encodeWelcome(eps)
 		},
-		frameShmOffer: func(b []byte) ([]byte, error) {
-			path, gen, ringBytes, err := decodeShmOffer(b)
+		frameAccept: func(b []byte) ([]byte, error) {
+			mapped, err := decodeAccept(b)
 			if err != nil {
 				return nil, err
 			}
-			return encodeShmOffer(path, gen, ringBytes), nil
+			return encodeAccept(mapped), nil
 		},
 		frameTicket: func(b []byte) ([]byte, error) {
 			tk, err := decodeTicket(b)
@@ -247,8 +248,11 @@ func FuzzHandshakeDecode(f *testing.F) {
 		Fingerprint: core.Fingerprint{7}, Endpoint: endpoint{TCP: "a:1", Unix: "/tmp/a.sock", HostID: "h", Shm: "/dev/shm/a", ShmGen: 1}})))
 	w, _ := encodeWelcome([]endpoint{{TCP: "x:1", HostID: "h"}, {TCP: "y:2", Unix: "/tmp/y.sock", HostID: "h", Shm: "/dev/shm/y", ShmGen: 3}})
 	f.Add(frameWelcome, body(w))
-	f.Add(frameShmOffer, body(encodeShmOffer("/dev/shm/bfshm-1/ring", 3, 1<<20)))
-	f.Add(frameShmOffer, body(encodeShmOffer("", 3, 0)))
+	f.Add(frameHello, body(encodeHello(hello{Rank: 1, Ranks: 2, Epoch: 3, Tier: TierAuto, Fingerprint: core.Fingerprint{7},
+		Endpoint: endpoint{TCP: "a:1", Unix: "/tmp/a.sock", HostID: "h", Shm: "/dev/shm/a", ShmGen: 3},
+		Ring:     "/dev/shm/bfshm-1/ring-1.shm", RingBytes: 1 << 20})))
+	f.Add(frameAccept, body(encodeAccept(true)))
+	f.Add(frameAccept, body(encodeAccept(false)))
 	f.Add(frameTicket, body(encodeTicket(Ticket{Action: ActionRun, Member: 5, Epoch: 2, Rank: 1, Ranks: 3,
 		Addr: "127.0.0.1:7000", Members: []int{0, 5, 2}, Retired: []int{4}})))
 	f.Add(frameStatus, body(encodeStatus(Status{Member: 5, Epoch: 2, OK: true, Detail: "replayed=3"})))

@@ -3,15 +3,14 @@ package wire
 // The ring medium of one peer pair (medium, wire.go). Frames keep the exact
 // socket encoding but move through the pair's mmap'd SPSC rings
 // (shmring.go); the unix socket underneath carries only control traffic —
-// doorbells, heartbeats and the goodbye. The writer loop, the reader loop
-// and the inline send are the socket tiers' own; what this file adds is
-// how bytes cross the rings:
+// doorbells, heartbeats and the goodbye. The writer loop and the reader
+// loop are the socket tiers' own; what this file adds is how bytes cross
+// the rings:
 //
-// Producer (write / inline), always under p.wmu:
+// Producer (write, from the writer loop), pushing under p.wmu:
 //   - push the frame into tx; after publishing, if the consumer announced
 //     it is parked (cwait set), clear the flag and write one doorbell
-//     frame on the socket. inline admits a frame only when all of it fits
-//     the free space, so the sender never waits.
+//     frame on the socket.
 //   - on a full ring, spin on free(), then set pwait and wait (without
 //     wmu) for the consumer's doorbell — relayed by our own read loop
 //     through shm.space — and resume pushing.
@@ -56,6 +55,10 @@ type shmLink struct {
 	// space relays the peer consumer's "I freed space" doorbell from this
 	// side's read loop to its producer (capacity 1, non-blocking sends).
 	space chan struct{}
+
+	// hdr is the writer's frame-header scratch; only writeLoop (through
+	// write) touches it, so it needs no lock and costs no allocation.
+	hdr [DataFrameOverhead]byte
 
 	// corrupt arms the one-shot CRC fault injection (CorruptNextShmFrame).
 	corrupt atomic.Bool
@@ -152,28 +155,13 @@ func (l *shmLink) stamp(hdr []byte, m *fabric.Message, payload []byte) {
 // write pushes the batch into the tx ring frame by frame: a bounded number
 // of memcpys per frame and no syscall.
 func (l *shmLink) write(batch []fabric.Message, wires [][]byte) (int, error) {
-	var hdr [DataFrameOverhead]byte
 	for i, w := range wires {
-		l.stamp(hdr[:], &batch[i], w)
-		if err := l.pushFrame(hdr[:], w); err != nil {
+		l.stamp(l.hdr[:], &batch[i], w)
+		if err := l.pushFrame(l.hdr[:], w); err != nil {
 			return i, err
 		}
 	}
 	return len(batch), nil
-}
-
-// inline admits a frame whole or not at all: when header and payload fit
-// the ring's free space it is stamped and pushed with no syscall and no
-// clock read. There is no inlineMax or inlineGap because a ring push is a
-// memcpy, cheap at any size and never worth batching against.
-func (l *shmLink) inline(m fabric.Message, w []byte) (bool, error) {
-	if uint64(DataFrameOverhead+len(w)) > l.tx.free() {
-		return false, nil
-	}
-	l.stamp(l.p.ihdr[:], &m, w)
-	l.tx.pushAll(l.p.ihdr[:], w)
-	l.wakeConsumer()
-	return true, nil
 }
 
 // pushFrame pushes one encoded frame (header + payload) into the tx ring,

@@ -3,8 +3,8 @@ package wire
 // Shared-memory ring regions: the TierShm data path. Each co-located rank
 // pair maps one file holding a pair of lock-free SPSC byte rings (one per
 // direction). The dialer of the pair's unix socket creates the file,
-// offers its path over the socket, and unlinks it once the acceptor has
-// mapped it — the mappings outlive the name, so nothing is left on disk
+// names it in its pair hello, and unlinks it once the acceptor's accept
+// has answered — the mappings outlive the name, so nothing is left on disk
 // even after a kill -9.
 //
 // The ring is a byte pipe, not a slot queue: frames are written with the

@@ -429,30 +429,137 @@ func TestAcceptorRefusesWrongNetwork(t *testing.T) {
 	}
 }
 
-// TestRingDeclineKeepsSocketInStep: a dialer that cannot create its ring
-// region withdraws the offer, and both halves report the decline as
-// ErrHandshake. The socket stays in step, so a pair whose tier allows it
-// can carry on over the socket: the next frame arrives intact.
-func TestRingDeclineKeepsSocketInStep(t *testing.T) {
-	a, b := net.Pipe()
-	defer a.Close()
-	defer b.Close()
-	opt := Options{ShmRingBytes: minShmRingBytes}
-	deadline := time.Now().Add(5 * time.Second)
-	acceptor := make(chan error, 1)
-	go func() {
-		_, err := acceptShmRing(opt, b, deadline)
-		writeConn(b, deadline, controlFrame(frameAccept))
-		acceptor <- err
-	}()
-	missing := filepath.Join(t.TempDir(), "missing")
-	if _, err := offerShmRing(opt, a, missing, deadline); !errors.Is(err, ErrHandshake) {
-		t.Fatalf("dialer: %v, want ErrHandshake", err)
+// helloTamper rewrites the first frame written through it, a hello, before
+// passing it on: the dialer runs its real code while the acceptor sees the
+// offer a broken or foreign peer would make.
+type helloTamper struct {
+	net.Conn
+	mutate func(*hello)
+}
+
+func (c *helloTamper) Write(b []byte) (int, error) {
+	if c.mutate == nil {
+		return c.Conn.Write(b)
 	}
-	if typ, _, err := readControl(a, deadline); err != nil || typ != frameAccept {
-		t.Fatalf("frame after the decline: type %d, %v", typ, err)
+	h, err := decodeHello(b[frameHeaderSize:])
+	if err != nil {
+		return 0, err
 	}
-	if err := <-acceptor; !errors.Is(err, ErrHandshake) {
-		t.Fatalf("acceptor: %v, want ErrHandshake", err)
+	c.mutate(&h)
+	c.mutate = nil
+	if _, err := c.Conn.Write(encodeHello(h)); err != nil {
+		return 0, err
+	}
+	return len(b), nil
+}
+
+// TestPairHandshakeRingOffers drives both halves of one pair handshake over
+// net.Pipe: the dialer's hello carries the ring offer and the acceptor's
+// accept answers it, one exchange. A declined offer falls back to the
+// socket under auto, where the next frames cross intact both ways, and is
+// ErrHandshake on both ends under shm. The dialer's region file is gone
+// once it returns, whatever the outcome.
+func TestPairHandshakeRingOffers(t *testing.T) {
+	cases := []struct {
+		name     string
+		withdraw bool // the dialer cannot create its region
+		mutate   func(*hello)
+		mapped   bool
+	}{
+		{name: "mapped", mapped: true},
+		{name: "withdrawn", withdraw: true},
+		{name: "unmappable", mutate: func(h *hello) { h.Ring += ".missing" }},
+		{name: "generation", mutate: func(h *hello) { h.Endpoint.ShmGen++ }},
+		{name: "size", mutate: func(h *hello) { h.RingBytes *= 2 }},
+	}
+	for _, tier := range []Tier{TierAuto, TierShm} {
+		for _, tc := range cases {
+			t.Run(tier.String()+"/"+tc.name, func(t *testing.T) {
+				dir := t.TempDir()
+				ep := func(rank int) endpoint {
+					return endpoint{Unix: fmt.Sprintf("/r%d.sock", rank), HostID: "h", Shm: dir}
+				}
+				opt := func(rank int) Options {
+					return Options{Rank: rank, Ranks: 2, Tier: tier, ShmRingBytes: minShmRingBytes}
+				}
+				dialer := hello{Rank: 1, Ranks: 2, Tier: tier, Endpoint: ep(1)}
+				acceptor := hello{Rank: 0, Ranks: 2, Tier: tier, Endpoint: ep(0)}
+				if tc.withdraw {
+					dialer.Endpoint.Shm = filepath.Join(dir, "missing")
+				}
+				if _, _, ring, err := linkFor(opt(1), dialer.Endpoint, acceptor.Endpoint); !ring || err != nil {
+					t.Fatalf("the pair does not link with a ring: %v", err)
+				}
+				a, b := net.Pipe()
+				defer a.Close()
+				defer b.Close()
+				deadline := time.Now().Add(5 * time.Second)
+				frame := encodeDataFrame(nil, 1, 2, 0, 3, 4, []byte("after the handshake"))
+				// After a fallback the pair's next frames must cross the
+				// socket intact: the acceptor sends first, the dialer answers
+				// (net.Pipe is unbuffered, so the two ends alternate).
+				send := func(c net.Conn) error { return writeConn(c, deadline, frame) }
+				recv := func(c net.Conn) error {
+					typ, body, err := readControl(c, deadline)
+					if err != nil || typ != frameData || string(body) != string(frame[frameHeaderSize:]) {
+						return fmt.Errorf("frame after the handshake: type %d, %v", typ, err)
+					}
+					return nil
+				}
+				type result struct {
+					reg *shmRegion
+					err error
+				}
+				accepted := make(chan result, 1)
+				go func() {
+					h, err := readHello(b, deadline)
+					if err != nil {
+						accepted <- result{nil, err}
+						return
+					}
+					reg, err := acceptPair(opt(0), acceptor, h, dialer.Endpoint, true, b, deadline)
+					if err == nil && reg == nil {
+						if err = send(b); err == nil {
+							err = recv(b)
+						}
+					}
+					accepted <- result{reg, err}
+				}()
+				dreg, derr := dialPair(opt(1), dialer, acceptor.Endpoint, true, &helloTamper{a, tc.mutate}, 0, deadline)
+				if derr == nil && dreg == nil {
+					if derr = recv(a); derr == nil {
+						derr = send(a)
+					}
+				}
+				acc := <-accepted
+				for _, r := range []*shmRegion{dreg, acc.reg} {
+					if r != nil {
+						defer r.close()
+					}
+				}
+				if left, _ := os.ReadDir(dir); len(left) != 0 {
+					t.Errorf("the dialer left %d file(s) behind, want its region unlinked", len(left))
+				}
+				switch {
+				case tc.mapped:
+					if derr != nil || acc.err != nil || dreg == nil || acc.reg == nil {
+						t.Fatalf("dialer %v (ring %v), acceptor %v (ring %v): want both mapped", derr, dreg != nil, acc.err, acc.reg != nil)
+					}
+					dreg.tx.pushAll([]byte("ring"))
+					got := make([]byte, 8)
+					if n := acc.reg.rx.pop(got); string(got[:n]) != "ring" {
+						t.Fatalf("the acceptor's rx ring read %q, want the dialer's push", got[:n])
+					}
+				case tier == TierAuto:
+					if derr != nil || acc.err != nil || dreg != nil || acc.reg != nil {
+						t.Fatalf("dialer %v, acceptor %v: want both settled on the socket", derr, acc.err)
+					}
+				default:
+					if !errors.Is(derr, ErrHandshake) || !errors.Is(acc.err, ErrHandshake) {
+						t.Fatalf("dialer %v, acceptor %v: want ErrHandshake on both ends", derr, acc.err)
+					}
+				}
+			})
+		}
 	}
 }

@@ -27,20 +27,17 @@
 // TCP everywhere; TierUnix and TierShm require every pair to be co-located
 // and fail the bootstrap otherwise.
 //
-// Data path: frames are length-prefixed (frame.go). Each peer has an
-// unbounded outbox (the same pooled ring-buffer mailbox the in-memory
-// fabric uses) drained by one writer goroutine, and one reader goroutine
-// that decodes payloads into arena buffers (core.GrabBuffer) and delivers
-// every frame of a burst under one mailbox lock. When the writer is parked
-// and the outbox empty, Send takes an inline fast path and writes the frame
-// from the sender's goroutine, eliminating the writer-goroutine handoff
-// that dominates small-message round-trip latency. The writer loop, the
-// reader loop and the inline send are written once, over a per-peer medium
-// that only moves the bytes: the socket itself, where a whole batch reaches
-// the kernel as one vectored write (writev) of header and payload slices,
-// or the pair's shared-memory rings (shmpeer.go). One outbox + one writer +
-// one reader per pair preserves the in-memory fabric's pairwise FIFO
-// delivery order.
+// Data path: frames are length-prefixed (frame.go). Every send, one
+// message or many, enqueues on the destination peer's unbounded outbox (the
+// same pooled ring-buffer mailbox the in-memory fabric uses), drained by
+// one writer goroutine; one reader goroutine decodes payloads into arena
+// buffers (core.GrabBuffer) and delivers every frame of a burst under one
+// mailbox lock. The writer loop and the reader loop are written once, over
+// a per-peer medium that only moves the bytes: the socket itself, where a
+// whole batch reaches the kernel as one vectored write (writev) of header
+// and payload slices, or the pair's shared-memory rings (shmpeer.go). One
+// outbox + one writer + one reader per pair preserves the in-memory
+// fabric's pairwise FIFO delivery order.
 //
 // Robustness: per-connection heartbeats bound failure detection — a peer
 // that stops writing for HeartbeatTimeout is declared lost with a typed
@@ -202,8 +199,8 @@ func (o *Options) setDefaults() error {
 	if o.ShmRingBytes <= 0 {
 		o.ShmRingBytes = defaultShmRingBytes
 	}
-	// Round up to a power of two (the ring masks cursors), at least the
-	// minimum that fits one maximum inline frame.
+	// Round up to a power of two (the ring masks cursors), at least
+	// minShmRingBytes.
 	n := minShmRingBytes
 	for n < o.ShmRingBytes {
 		n <<= 1
@@ -234,19 +231,12 @@ type peer struct {
 
 	// wake is the writer's park signal (capacity 1). Senders poke it after
 	// every enqueue; the writer drains the outbox with TryGetBatch and
-	// blocks here when it runs dry. idle is true only while the writer is
-	// parked — the window in which it provably holds no dequeued frames —
-	// which is what licenses the inline-send fast path.
+	// blocks here when it runs dry.
 	wake chan struct{}
-	idle atomic.Bool
 
 	wmu         sync.Mutex // serializes data, heartbeat, doorbell and goodbye writes
 	saidGoodbye bool       // guarded by wmu; no writes after goodbye
 	lastWrite   atomic.Int64
-
-	// ihdr is the inline-send header scratch, guarded by wmu, so the fast
-	// path performs zero allocations.
-	ihdr [DataFrameOverhead]byte
 
 	departed atomic.Bool // peer sent goodbye; EOF is now clean
 }
@@ -260,17 +250,14 @@ func (p *peer) ring() *shmLink {
 
 // medium moves one peer's data frames: over the socket itself (sockMedium),
 // or through the pair's shared-memory rings while the socket carries only
-// doorbells, heartbeats and the goodbye (shmLink). writeLoop, readLoop and
-// sendDirect are written once over it; a medium supplies only the steps
-// that differ between the two.
+// doorbells, heartbeats and the goodbye (shmLink). writeLoop and readLoop
+// are written once over it; a medium supplies only the steps that differ
+// between the two.
 type medium interface {
 	// write delivers a batch whose payloads are already serialized (wires[i]
 	// is batch[i]'s) and reports how many frames reached the peer before an
 	// error.
 	write(batch []fabric.Message, wires [][]byte) (int, error)
-	// inline writes one frame from the sender's goroutine, with p.wmu held,
-	// if the medium admits it; false leaves the message to the writer.
-	inline(m fabric.Message, w []byte) (bool, error)
 	// goodbye returns the goodbye frame; p.wmu is held.
 	goodbye() []byte
 	// next reads the next frame, blocking: a data frame, a heartbeat, or
@@ -412,97 +399,23 @@ func (f *Fabric) CorruptNextShmFrame(peerRank int) bool {
 	return true
 }
 
-// Send implements fabric.Transport. Messages to the local rank are
-// in-memory hand-offs. Remote messages take the inline fast path when the
-// peer's writer is provably quiescent (see sendDirect); otherwise they are
-// enqueued on the destination peer's outbox for the writer to flush.
+// Send implements fabric.Transport: SendN of one message.
 func (f *Fabric) Send(m fabric.Message) error {
-	if m.To < 0 || m.To >= f.opt.Ranks {
-		m.Payload.Release()
-		return fmt.Errorf("wire: send to unknown rank %d", m.To)
-	}
-	if m.To == f.opt.Rank {
-		if err := f.local.Put(m); err != nil {
-			return fmt.Errorf("wire: rank %d: %w", m.To, err)
-		}
-		return nil
-	}
-	p := f.peers[m.To]
-	if f.sendDirect(p, m) {
-		return nil
-	}
-	if err := p.outbox.Put(m); err != nil {
-		return fmt.Errorf("wire: rank %d: %w", m.To, err)
-	}
-	p.poke()
-	return nil
+	return f.SendN([]fabric.Message{m})
 }
 
-const (
-	// inlineMax bounds the payload size the inline path will write from the
-	// sender's goroutine. Larger frames go through the writer so the sender
-	// overlaps serialization with its own work instead of blocking on the
-	// kernel.
-	inlineMax = 8 << 10
-	// inlineGap is the minimum quiet time on the connection before a send
-	// is written inline. Request-response traffic (one message per round
-	// trip) clears it and saves the writer-goroutine handoff; back-to-back
-	// streaming stays under it and keeps the writer's batched writev
-	// amortization.
-	inlineGap = 2 * time.Microsecond
-	// vectorMin is the smallest payload handed to the kernel as its own
-	// iovec. Measured on loopback: per-iovec kernel cost beats the memcpy
-	// only from the mid-KiB range up (~1.3x at 16 KiB, ~2x at 64 KiB),
-	// while for small frames a coalesced copy wins by >2x — so a batch is
-	// gathered as staging-buffer runs of headers + small payloads,
-	// interleaved with large payloads referenced zero-copy.
-	vectorMin = 16 << 10
-)
+// vectorMin is the smallest payload handed to the kernel as its own iovec.
+// Measured on loopback: per-iovec kernel cost beats the memcpy only from the
+// mid-KiB range up (~1.3x at 16 KiB, ~2x at 64 KiB), while for small frames
+// a coalesced copy wins by >2x — so a batch is gathered as staging-buffer
+// runs of headers + small payloads, interleaved with large payloads
+// referenced zero-copy.
+const vectorMin = 16 << 10
 
-// sendDirect is the latency fast path: when the peer's writer is parked
-// and its outbox empty, the sender encodes and writes the frame itself
-// under the write lock — the medium gets the bytes with no goroutine
-// handoff. Pairwise FIFO is preserved because the path is taken only when
-// nothing is queued ahead: the outbox emptiness check acquires the mailbox
-// lock, which synchronizes with the writer's most recent dequeue, so the
-// subsequent idle load cannot observe a stale "parked" while the writer
-// still holds undelivered frames. It returns true when the message was
-// consumed (written, or failed with the peer declared lost — matching the
-// asynchronous error surface of the writer path).
-func (f *Fabric) sendDirect(p *peer, m fabric.Message) bool {
-	if !p.wmu.TryLock() {
-		return false
-	}
-	// Ordering matters: EmptyOpen before the idle load (see above).
-	if p.saidGoodbye || !p.outbox.EmptyOpen() || !p.idle.Load() {
-		p.wmu.Unlock()
-		return false
-	}
-	// Serialization failures take the writer path too, so they are
-	// reported identically on both paths.
-	w, werr := m.Payload.Wire()
-	ok := werr == nil
-	if ok {
-		ok, werr = p.md.inline(m, w)
-	}
-	p.wmu.Unlock()
-	if !ok {
-		return false
-	}
-	m.Payload.Release()
-	if werr != nil {
-		f.failPeer(p.rank, fmt.Errorf("wire: rank %d: write to rank %d: 1 frame undelivered: %w (%v)",
-			f.opt.Rank, p.rank, ErrPeerLost, werr))
-		return true
-	}
-	f.messages.Add(1)
-	f.bytes.Add(uint64(len(w)))
-	return true
-}
-
-// SendN implements fabric.Transport: runs of consecutive messages to the
-// same rank are enqueued under one lock acquisition and flushed by the
-// destination's writer as one coalesced write.
+// SendN implements fabric.Transport. Messages to the local rank are
+// in-memory hand-offs; runs of consecutive messages to the same remote rank
+// are enqueued on its outbox under one lock acquisition and flushed by its
+// writer as one coalesced write.
 func (f *Fabric) SendN(ms []fabric.Message) error {
 	for i := range ms {
 		if ms[i].To < 0 || ms[i].To >= f.opt.Ranks {
@@ -553,30 +466,9 @@ func (f *Fabric) RecvBatch(rank int, dst []fabric.Message) (int, bool) {
 	return f.local.GetBatch(dst)
 }
 
-// TryRecv dequeues a local message if one is immediately available.
-func (f *Fabric) TryRecv(rank int) (fabric.Message, bool) {
-	f.mustBeLocal(rank)
-	return f.local.TryGet()
-}
-
 func (f *Fabric) mustBeLocal(rank int) {
 	if rank != f.opt.Rank {
 		panic(fmt.Sprintf("wire: receive on rank %d, but this fabric serves rank %d", rank, f.opt.Rank))
-	}
-}
-
-// Close implements fabric.Transport. Closing the local rank closes its
-// mailbox (queued messages remain receivable). Closing a remote rank
-// half-closes the pair: the outbox stops accepting, the writer drains it,
-// says goodbye and stops.
-func (f *Fabric) Close(rank int) {
-	if rank == f.opt.Rank {
-		f.local.Close()
-		return
-	}
-	if rank >= 0 && rank < f.opt.Ranks {
-		f.peers[rank].outbox.Close()
-		f.peers[rank].poke()
 	}
 }
 
@@ -737,12 +629,10 @@ const maxBatch = 64
 // writeLoop drains one peer's outbox. It serializes the whole drained
 // batch first — a payload that cannot be serialized fails the fabric before
 // any frame of the batch is written — then hands it to the peer's medium.
-// When the outbox closes (Shutdown or Close of the pair) the loop flushes
-// what remains and says goodbye; when it is cancelled the loop exits
-// immediately (the connections are already being torn down). Between
-// drains the writer parks on p.wake, publishing its quiescence through
-// p.idle so Send may write inline. Every exit path drops the payload
-// references of the whole batch.
+// When the outbox closes (Shutdown) the loop flushes what remains and says
+// goodbye; when it is cancelled the loop exits immediately (the connections
+// are already being torn down). Between drains the writer parks on p.wake.
+// Every exit path drops the payload references of the whole batch.
 func (f *Fabric) writeLoop(p *peer) {
 	defer f.writers.Done()
 	batch := make([]fabric.Message, maxBatch)
@@ -762,12 +652,9 @@ func (f *Fabric) writeLoop(p *peer) {
 				}
 				return
 			}
-			// Publish quiescence, then park. Senders poke after every
-			// enqueue (the channel holds one token), so no wakeup is lost;
-			// while idle is set, sendDirect may write frames itself.
-			p.idle.Store(true)
+			// Park. Senders poke after every enqueue (the channel holds one
+			// token), so no wakeup is lost.
 			<-p.wake
-			p.idle.Store(false)
 			continue
 		}
 		var payloadBytes uint64
@@ -1026,32 +913,6 @@ func (s *sockMedium) write(batch []fabric.Message, wires [][]byte) (int, error) 
 		return 0, err
 	}
 	return len(batch), nil
-}
-
-// inline admits a frame whose payload is at most inlineMax once the
-// connection has been quiet for inlineGap, and writes it as one Write.
-func (s *sockMedium) inline(m fabric.Message, w []byte) (bool, error) {
-	p := s.p
-	now := time.Now()
-	if len(w) > inlineMax || now.UnixNano()-p.lastWrite.Load() < int64(inlineGap) {
-		return false, nil
-	}
-	encodeDataHeader(p.ihdr[:], m.Src, m.Dest, m.Run, m.Seq, m.Attempt, w)
-	p.conn.SetWriteDeadline(now.Add(s.f.opt.HeartbeatTimeout))
-	var err error
-	if len(w) == 0 {
-		_, err = p.conn.Write(p.ihdr[:])
-	} else {
-		// Inline payloads are bounded by inlineMax, well under vectorMin:
-		// copying beside the header is cheaper than a second iovec.
-		buf := core.GrabBuffer(DataFrameOverhead + len(w))
-		copy(buf, p.ihdr[:])
-		copy(buf[DataFrameOverhead:], w)
-		_, err = p.conn.Write(buf)
-		core.ReleaseBuffer(buf)
-	}
-	p.lastWrite.Store(now.UnixNano())
-	return true, err
 }
 
 // goodbye is an empty-body goodbye frame: everything sent before it is
