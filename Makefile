@@ -137,15 +137,17 @@ smoke-elastic:
 	echo "$$out" | grep -q ' drain=1 ' || { echo "smoke-elastic: the run drained nothing (want drain=1)"; exit 1; }
 
 ## fuzz: short fuzz smoke of the wire frame decoder, of the handshake body
-## decoders, of the merge-tree decoder and of the image decoder (longer
-## runs: go test -fuzz=FuzzFrameDecode or -fuzz=FuzzHandshakeDecode
-## ./internal/wire, go test -fuzz=FuzzTreeDecode ./internal/mergetree,
-## go test -fuzz=FuzzImageDecode ./internal/render).
+## decoders, of the merge-tree decoder, of the image decoder and of the
+## sparse compositor against the dense one (longer runs: go test
+## -fuzz=FuzzFrameDecode or -fuzz=FuzzHandshakeDecode ./internal/wire, go
+## test -fuzz=FuzzTreeDecode ./internal/mergetree, go test
+## -fuzz=FuzzImageDecode or -fuzz=FuzzComposite ./internal/render).
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzFrameDecode -fuzztime=10s ./internal/wire
 	$(GO) test -run='^$$' -fuzz=FuzzHandshakeDecode -fuzztime=10s ./internal/wire
 	$(GO) test -run='^$$' -fuzz=FuzzTreeDecode -fuzztime=10s ./internal/mergetree
 	$(GO) test -run='^$$' -fuzz=FuzzImageDecode -fuzztime=10s ./internal/render
+	$(GO) test -run='^$$' -fuzz=FuzzComposite -fuzztime=10s ./internal/render
 
 ## perf-smoke: the CI perf job, defined only here — every wire benchmark
 ## (all transport tiers), once plain and once under the race detector, and
@@ -155,8 +157,9 @@ fuzz:
 ## detector, then the graph-plan benchmarks (compile and cold run of the
 ## 16k-task graph) and the data kernels (block extraction of a 256³ field,
 ## 256² image encode and decode, a render leaf of a 256³ field in 32
-## blocks) and the merge-tree kernels (a leaf's local tree, a correction
-## merge, a segmentation) and the registration search (a full NCC window,
+## blocks, one internal compositing node of that render) and the
+## merge-tree kernels (a leaf's local tree, a correction merge, a
+## segmentation) and the registration search (a full NCC window,
 ## East and South) and the engine benchmarks (scheduler makespan per
 ## dispatch mode, recovery from a killed peer or a membership change,
 ## loop-combinator overhead; each run checked against serial) once each so
@@ -173,7 +176,7 @@ perf-smoke:
 	$(GO) test -run='^$$' -bench='^BenchmarkCompile$$' -benchtime=1x ./internal/core
 	$(GO) test -run='^$$' -bench='^BenchmarkColdRun16k$$' -benchtime=1x ./internal/mpi
 	$(GO) test -run='^$$' -bench='^BenchmarkExtract$$' -benchtime=1x ./internal/data
-	$(GO) test -run='^$$' -bench='^Benchmark(Image(Serialize|Deserialize)|RenderBlock)$$' -benchtime=1x ./internal/render
+	$(GO) test -run='^$$' -bench='^Benchmark(Image(Serialize|Deserialize)|RenderBlock|Composite)$$' -benchtime=1x ./internal/render
 	$(GO) test -run='^$$' -bench='^Benchmark(FromField|Merge|Segment)$$' -benchtime=1x ./internal/mergetree
 	$(GO) test -run='^$$' -bench='^BenchmarkCorrelate$$' -benchtime=1x ./internal/register
 	$(GO) test -run='^$$' -bench='SchedulerModes|Recovery|IterateOverhead' -benchtime=1x ./internal/conformance

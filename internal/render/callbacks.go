@@ -16,16 +16,39 @@ type Config struct {
 	TF     TransferFunction
 }
 
-// asImage extracts an image from a payload.
-func asImage(p core.Payload) (*Image, error) {
-	if p.Object != nil {
-		im, ok := p.Object.(*Image)
-		if !ok {
-			return nil, fmt.Errorf("render: payload object is %T, want *Image", p.Object)
-		}
-		return im, nil
+// asImage extracts an image from a payload and checks that it lies inside
+// the camera frame: its rectangle sizes the composites it enters.
+func (cfg Config) asImage(p core.Payload) (*Image, error) {
+	im, ok := p.Object.(*Image)
+	if p.Object != nil && !ok {
+		return nil, fmt.Errorf("render: payload object is %T, want *Image", p.Object)
 	}
-	return DeserializeImage(p.Data)
+	if !ok {
+		var err error
+		if im, err = DeserializeImage(p.Data); err != nil {
+			return nil, err
+		}
+	}
+	if err := cfg.Camera.holds(im); err != nil {
+		return nil, err
+	}
+	return im, nil
+}
+
+// composite folds every input image over the first, in input order.
+func (cfg Config) composite(in []core.Payload) (*Image, error) {
+	acc, err := cfg.asImage(in[0])
+	if err != nil {
+		return nil, err
+	}
+	for _, p := range in[1:] {
+		im, err := cfg.asImage(p)
+		if err != nil {
+			return nil, err
+		}
+		acc = acc.Over(im)
+	}
+	return acc, nil
 }
 
 // asField extracts a field from a payload.
@@ -61,62 +84,70 @@ func (cfg Config) InitialInputs(f *data.Field, leafIds []core.TaskId) (map[core.
 // RegisterReduction binds the volume-rendering + reduction-compositing
 // callbacks (Listing 1 of the paper: volume_render at the leaves, composite
 // at internal nodes, write_image — here: emit the final image — at the
-// root) to a controller initialized with the reduction graph.
+// root) to a controller initialized with the reduction graph. The root
+// emits the dense camera frame; every other image carries only its active
+// rectangle.
 func (cfg Config) RegisterReduction(c core.CallbackRegistrar, g *graphs.Reduction) error {
 	if err := cfg.check(g.Leafs()); err != nil {
 		return err
 	}
 	first := g.FirstLeaf()
-	leaf := func(in []core.Payload, id core.TaskId) ([]core.Payload, error) {
+	render := func(in []core.Payload, id core.TaskId) (*Image, error) {
 		blk, err := asField(in[0])
 		if err != nil {
 			return nil, err
 		}
-		img := RenderBlock(cfg.Camera, cfg.TF, cfg.Decomp, int(id-first), blk)
+		return RenderBlock(cfg.Camera, cfg.TF, cfg.Decomp, int(id-first), blk), nil
+	}
+	emit := func(img *Image, err error) ([]core.Payload, error) {
+		if err != nil {
+			return nil, err
+		}
 		return []core.Payload{core.Object(img)}, nil
+	}
+	leaf := func(in []core.Payload, id core.TaskId) ([]core.Payload, error) { return emit(render(in, id)) }
+	mid := func(in []core.Payload, id core.TaskId) ([]core.Payload, error) { return emit(cfg.composite(in)) }
+	root := func(in []core.Payload, id core.TaskId) ([]core.Payload, error) {
+		var img *Image
+		var err error
+		if g.Leafs() == 1 {
+			// Degenerate single-block graph: the root is the leaf, and its
+			// input is the block's field.
+			img, err = render(in, id)
+		} else {
+			img, err = cfg.composite(in)
+		}
+		if err != nil {
+			return nil, err
+		}
+		return emit(img.window(cfg.Camera.frame()), nil)
 	}
 	if err := c.RegisterCallback(graphs.ReduceLeafCB, leaf); err != nil {
 		return err
 	}
-	composite := func(in []core.Payload, id core.TaskId) ([]core.Payload, error) {
-		acc, err := asImage(in[0])
-		if err != nil {
-			return nil, err
-		}
-		for _, p := range in[1:] {
-			im, err := asImage(p)
-			if err != nil {
-				return nil, err
-			}
-			if err := acc.Over(im); err != nil {
-				return nil, err
-			}
-		}
-		return []core.Payload{core.Object(acc)}, nil
-	}
-	if err := c.RegisterCallback(graphs.ReduceMidCB, composite); err != nil {
+	if err := c.RegisterCallback(graphs.ReduceMidCB, mid); err != nil {
 		return err
 	}
-	return c.RegisterCallback(graphs.ReduceRootCB, composite)
+	return c.RegisterCallback(graphs.ReduceRootCB, root)
 }
 
 // RegisterBinarySwap binds the volume-rendering + binary-swap-compositing
 // callbacks (Fig. 7) to a controller initialized with the binary-swap
-// graph. After log2(n) exchange rounds, each final task emits one tile of
-// the frame.
+// graph. After log2(n) exchange rounds, each final task emits one dense
+// tile of the frame. The split is of the frame, not of the image: after
+// round r each task keeps the half of its frame region that swapRegion
+// assigns it, and the images exchanged are clipped to those halves.
 func (cfg Config) RegisterBinarySwap(c core.CallbackRegistrar, g *graphs.BinarySwap) error {
 	if err := cfg.check(g.Participants()); err != nil {
 		return err
 	}
 
-	// keepSend splits an image for the exchange after round r: the task
-	// whose bit r is 0 keeps the top half, its partner the bottom half.
-	keepSend := func(im *Image, round, index int) (keep, send *Image) {
-		a, b := im.SplitHorizontal()
-		if (index>>round)&1 == 0 {
-			return a, b
-		}
-		return b, a
+	// keepSend clips an image for the exchange after round r into the half
+	// participant index keeps and the half its partner keeps.
+	keepSend := func(im *Image, round, index int) []core.Payload {
+		keep := im.crop(cfg.Camera.swapRegion(round+1, index))
+		send := im.crop(cfg.Camera.swapRegion(round+1, index^1<<round))
+		return []core.Payload{core.Object(keep), core.Object(send)}
 	}
 
 	leaf := func(in []core.Payload, id core.TaskId) ([]core.Payload, error) {
@@ -127,44 +158,29 @@ func (cfg Config) RegisterBinarySwap(c core.CallbackRegistrar, g *graphs.BinaryS
 		_, i := g.RoundOf(id)
 		img := RenderBlock(cfg.Camera, cfg.TF, cfg.Decomp, i, blk)
 		if g.Rounds() == 0 {
-			return []core.Payload{core.Object(img)}, nil
+			return []core.Payload{core.Object(img.window(cfg.Camera.frame()))}, nil
 		}
-		keep, send := keepSend(img, 0, i)
-		return []core.Payload{core.Object(keep), core.Object(send)}, nil
+		return keepSend(img, 0, i), nil
 	}
 	mid := func(in []core.Payload, id core.TaskId) ([]core.Payload, error) {
 		r, i := g.RoundOf(id)
-		acc, err := asImage(in[0])
+		acc, err := cfg.composite(in)
 		if err != nil {
 			return nil, err
 		}
-		other, err := asImage(in[1])
-		if err != nil {
-			return nil, err
-		}
-		if err := acc.Over(other); err != nil {
-			return nil, err
-		}
-		keep, send := keepSend(acc, r, i)
-		return []core.Payload{core.Object(keep), core.Object(send)}, nil
+		return keepSend(acc, r, i), nil
 	}
 	final := func(in []core.Payload, id core.TaskId) ([]core.Payload, error) {
 		if len(in) == 1 {
 			// Degenerate single-participant graph: render directly.
 			return leaf(in, id)
 		}
-		acc, err := asImage(in[0])
+		r, i := g.RoundOf(id)
+		acc, err := cfg.composite(in)
 		if err != nil {
 			return nil, err
 		}
-		other, err := asImage(in[1])
-		if err != nil {
-			return nil, err
-		}
-		if err := acc.Over(other); err != nil {
-			return nil, err
-		}
-		return []core.Payload{core.Object(acc)}, nil
+		return []core.Payload{core.Object(acc.window(cfg.Camera.swapRegion(r, i)))}, nil
 	}
 	if err := c.RegisterCallback(graphs.SwapLeafCB, leaf); err != nil {
 		return err

@@ -10,8 +10,10 @@ import (
 // IceT is the specialized sort-last compositing baseline of §V-B: a direct,
 // hand-coded compositor without the generic framework's task abstraction,
 // de/serialization or thread hand-off. To provide a fair comparison the
-// paper disabled IceT's interlacing and background filtering; likewise this
-// baseline exchanges dense images.
+// paper disabled IceT's interlacing and background filtering. Here both the
+// dataflows and this baseline exchange the same active-rectangle images and
+// densify only the final frame or tiles, so the comparison stays
+// like-for-like.
 //
 // IceT here composites with the same binary tree or binary-swap schedule as
 // the dataflows, but executed directly over in-memory images.
@@ -29,7 +31,7 @@ func (i *IceT) RenderAndCompositeTree(f *data.Field) (*Image, error) {
 	if err != nil {
 		return nil, err
 	}
-	return CompositeTree(images)
+	return CompositeTree(i.cfg.Camera, images)
 }
 
 // RenderAndCompositeSwap renders every block and composites them with the
@@ -39,7 +41,7 @@ func (i *IceT) RenderAndCompositeSwap(f *data.Field) ([]*Image, error) {
 	if err != nil {
 		return nil, err
 	}
-	return CompositeSwap(images)
+	return CompositeSwap(i.cfg.Camera, images)
 }
 
 func (i *IceT) renderAll(f *data.Field) ([]*Image, error) {
@@ -57,8 +59,9 @@ func (i *IceT) renderAll(f *data.Field) ([]*Image, error) {
 
 // CompositeTree composites images pairwise along a binary tree over the
 // input order (adjacent ranges first), the schedule of the reduction
-// dataflow.
-func CompositeTree(images []*Image) (*Image, error) {
+// dataflow, and returns the dense camera frame. It may composite into the
+// input images.
+func CompositeTree(cam Camera, images []*Image) (*Image, error) {
 	if len(images) == 0 {
 		return nil, fmt.Errorf("render: no images to composite")
 	}
@@ -70,47 +73,36 @@ func CompositeTree(images []*Image) (*Image, error) {
 				next = append(next, level[j])
 				continue
 			}
-			if err := level[j].Over(level[j+1]); err != nil {
-				return nil, err
-			}
-			next = append(next, level[j])
+			next = append(next, level[j].Over(level[j+1]))
 		}
 		level = next
 	}
-	return level[0], nil
+	return level[0].window(cam.frame()), nil
 }
 
 // CompositeSwap runs the binary-swap schedule directly: log2(n) rounds of
-// pairwise split-and-exchange. It returns one tile per participant,
-// ordered by participant index. The participant count must be a power of
-// two.
-func CompositeSwap(images []*Image) ([]*Image, error) {
+// pairwise split-and-exchange over the frame regions of swapRegion. It
+// returns one dense tile per participant, ordered by frame position. The
+// participant count must be a power of two.
+func CompositeSwap(cam Camera, images []*Image) ([]*Image, error) {
 	n := len(images)
 	if n == 0 || n&(n-1) != 0 {
 		return nil, fmt.Errorf("render: binary swap needs a power-of-two image count, got %d", n)
 	}
 	cur := make([]*Image, n)
 	copy(cur, images)
-	for bit := 1; bit < n; bit <<= 1 {
+	rounds := 0
+	for ; 1<<rounds < n; rounds++ {
 		next := make([]*Image, n)
-		halves := make([][2]*Image, n) // keep, send per participant
-		for i := 0; i < n; i++ {
-			a, b := cur[i].SplitHorizontal()
-			if i&bit == 0 {
-				halves[i] = [2]*Image{a, b}
-			} else {
-				halves[i] = [2]*Image{b, a}
-			}
-		}
-		for i := 0; i < n; i++ {
-			keep := halves[i][0]
-			recv := halves[i^bit][1]
-			if err := keep.Over(recv); err != nil {
-				return nil, err
-			}
-			next[i] = keep
+		for i := range next {
+			keep := cur[i].crop(cam.swapRegion(rounds+1, i))
+			recv := cur[i^1<<rounds].crop(cam.swapRegion(rounds+1, i))
+			next[i] = keep.Over(recv)
 		}
 		cur = next
+	}
+	for i, im := range cur {
+		cur[i] = im.window(cam.swapRegion(rounds, i))
 	}
 	sort.SliceStable(cur, func(a, b int) bool {
 		if cur[a].Y0 != cur[b].Y0 {
@@ -121,21 +113,16 @@ func CompositeSwap(images []*Image) ([]*Image, error) {
 	return cur, nil
 }
 
-// AssembleTiles pastes binary-swap tiles back into one frame.
+// AssembleTiles pastes binary-swap tiles back into one frame. Every tile
+// must lie inside the frame.
 func AssembleTiles(tiles []*Image, width, height int) (*Image, error) {
+	cam := Camera{Width: width, Height: height}
 	out := NewImage(width, height, 0, 0)
 	for _, t := range tiles {
-		for y := 0; y < t.Height; y++ {
-			gy := t.Y0 + y
-			if gy < 0 || gy >= height {
-				return nil, fmt.Errorf("render: tile row %d outside frame", gy)
-			}
-			for x := 0; x < t.Width; x++ {
-				gx := t.X0 + x
-				r, g, b, a := t.At(x, y)
-				out.SetPixel(gx, gy, r, g, b, a, t.Depth[y*t.Width+x])
-			}
+		if err := cam.holds(t); err != nil {
+			return nil, err
 		}
+		out.paste(t)
 	}
 	return out, nil
 }

@@ -35,14 +35,10 @@ func TestOverDepthOrdering(t *testing.T) {
 
 	a := NewImage(1, 1, 0, 0)
 	a.SetPixel(0, 0, 0.6, 0, 0, 0.6, 1)
-	if err := a.Over(back); err != nil {
-		t.Fatal(err)
-	}
+	a = a.Over(back)
 	b := NewImage(1, 1, 0, 0)
 	b.SetPixel(0, 0, 0, 0, 0.8, 0.8, 5)
-	if err := b.Over(front); err != nil {
-		t.Fatal(err)
-	}
+	b = b.Over(front)
 	if !a.Equal(b) {
 		t.Errorf("Over is not order-independent under depth sorting: %v vs %v", a.Pixels, b.Pixels)
 	}
@@ -58,47 +54,86 @@ func TestOverDepthOrdering(t *testing.T) {
 	}
 }
 
-func TestOverGeometryMismatch(t *testing.T) {
-	a := NewImage(2, 2, 0, 0)
-	b := NewImage(2, 2, 0, 2)
-	if err := a.Over(b); err == nil {
-		t.Error("mismatched anchors should fail")
+// TestOverUnion: the composite covers the union of the two rectangles. A
+// dst that covers it is composited in place; otherwise a new image is
+// made and both operands are left as they were.
+func TestOverUnion(t *testing.T) {
+	a := NewImage(2, 1, 0, 0)
+	a.SetPixel(0, 0, 0.5, 0, 0, 0.5, 1)
+	b := NewImage(1, 2, 3, 1)
+	b.SetPixel(0, 1, 0, 0.5, 0, 0.5, 2)
+	aBefore := a.window(a.bounds())
+	u := a.Over(b)
+	if u == a || u.bounds() != (rect{0, 0, 4, 3}) {
+		t.Fatalf("union %+v (in place %v), want 4x3 at 0,0 in a new image", u.bounds(), u == a)
 	}
-	c := NewImage(3, 2, 0, 0)
-	if err := a.Over(c); err == nil {
-		t.Error("mismatched sizes should fail")
+	if !a.Equal(aBefore) {
+		t.Error("Over changed a dst that does not cover the union")
+	}
+	if r, _, _, _ := u.At(0, 0); r != 0.5 {
+		t.Errorf("dst pixel = %v", r)
+	}
+	if _, g, _, _ := u.At(3, 2); g != 0.5 || u.Depth[2*4+3] != 2 {
+		t.Errorf("src pixel = %v at depth %v", g, u.Depth[2*4+3])
+	}
+	if !u.transparent(1*4 + 1) {
+		t.Error("a pixel neither operand covers is not transparent")
+	}
+	if got := u.Over(b); got != u {
+		t.Error("a dst covering the union was not composited in place")
+	}
+	if got := u.Over(NewImage(0, 0, 9, 9)); got != u || got.bounds() != (rect{0, 0, 4, 3}) {
+		t.Error("an empty src changed the union")
 	}
 }
 
-func TestSplitHorizontal(t *testing.T) {
-	im := NewImage(2, 5, 0, 4)
-	for y := 0; y < 5; y++ {
-		im.SetPixel(0, y, float32(y), 0, 0, 1, float32(y))
+// TestSwapRegion: binary swap halves the frame region along y each round,
+// the extra row of an odd height to the top half, and a participant keeps
+// the top half of round r when its bit r is 0.
+func TestSwapRegion(t *testing.T) {
+	cam := Camera{Width: 2, Height: 5}
+	for _, c := range []struct {
+		rounds, index int
+		want          rect
+	}{
+		{0, 3, rect{0, 0, 2, 5}},
+		{1, 0, rect{0, 0, 2, 3}},
+		{1, 1, rect{0, 3, 2, 2}},
+		{2, 1, rect{0, 3, 2, 1}},
+		{2, 3, rect{0, 4, 2, 1}},
+		{3, 7, rect{0, 5, 2, 0}},
+	} {
+		if got := cam.swapRegion(c.rounds, c.index); got != c.want {
+			t.Errorf("swapRegion(%d, %d) = %+v, want %+v", c.rounds, c.index, got, c.want)
+		}
 	}
-	a, b := im.SplitHorizontal()
-	if a.Height != 3 || b.Height != 2 {
-		t.Fatalf("split heights = %d, %d", a.Height, b.Height)
+	// A crop holds the part of the image inside the region; a region the
+	// image does not reach gives a 0x0 image inside the frame.
+	im := NewImage(2, 2, 0, 2)
+	im.SetPixel(1, 1, 1, 0, 0, 1, 0)
+	if got := im.crop(cam.swapRegion(1, 1)); got.bounds() != (rect{0, 3, 2, 1}) || got.Pixels[4] != 1 {
+		t.Errorf("bottom crop %+v, pixels %v", got.bounds(), got.Pixels)
 	}
-	if a.Y0 != 4 || b.Y0 != 7 {
-		t.Errorf("anchors = %d, %d", a.Y0, b.Y0)
-	}
-	if r, _, _, _ := a.At(0, 2); r != 2 {
-		t.Error("first half content wrong")
-	}
-	if r, _, _, _ := b.At(0, 0); r != 3 {
-		t.Error("second half content wrong")
+	if got := im.crop(cam.swapRegion(2, 3)); !got.bounds().empty() || cam.holds(got) != nil {
+		t.Errorf("crop outside the image %+v", got.bounds())
 	}
 }
 
 func TestImageSerializeRoundTrip(t *testing.T) {
 	im := NewImage(3, 2, 1, 5)
 	im.SetPixel(2, 1, 0.1, 0.2, 0.3, 0.4, 9)
+	nan := float32(math.NaN())
+	im.SetPixel(0, 0, nan, 0, float32(math.Copysign(0, -1)), nan, float32(math.Inf(-1)))
 	got, err := DeserializeImage(im.Serialize())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !im.Equal(got) {
 		t.Error("round trip changed the image")
+	}
+	got.Pixels[2] = 0 // +0 where im holds -0
+	if im.Equal(got) {
+		t.Error("Equal ignores the sign of a zero")
 	}
 	if _, err := DeserializeImage([]byte{1, 2, 3}); err == nil {
 		t.Error("short buffer should fail")
@@ -137,6 +172,59 @@ func FuzzImageDecode(f *testing.F) {
 		}
 		if got := im.Serialize(); !bytes.Equal(got, b) {
 			t.Fatalf("decoded %dx%d@%d,%d re-encodes to %x, want %x", im.Width, im.Height, im.X0, im.Y0, got, b)
+		}
+	})
+}
+
+// FuzzComposite: two images decoded inside a small frame composite, once
+// made dense, to the bytes refOver gives for their dense frames. Over may
+// composite into its dst, so the dense operands are made first.
+//
+// Every NaN of the inputs is given the payload the host's arithmetic gives
+// 0·Inf, the one any NaN the compositing creates carries: where NaNs of two
+// payloads meet, which one survives follows the operand order the compiler
+// emits for each of the two compositors, which neither controls.
+func FuzzComposite(f *testing.F) {
+	cam := Camera{Width: 6, Height: 5}
+	inf, zero := float32(math.Inf(1)), float32(0)
+	a := NewImage(3, 2, 1, 1)
+	a.SetPixel(0, 0, 0.25, 0.5, 0, 0.75, 2)
+	a.SetPixel(2, 1, zero*inf, 0, 0, zero*inf, inf)
+	b := NewImage(2, 3, 3, 2)
+	b.SetPixel(0, 0, float32(math.Copysign(0, -1)), 0, 0, 0, 1)
+	b.SetPixel(1, 2, 0.5, 0.5, 0.5, inf, 0)
+	f.Add(a.Serialize(), b.Serialize())
+	f.Add(b.Serialize(), a.Serialize())
+	f.Add(a.Serialize(), NewImage(0, 0, 6, 0).Serialize())
+	f.Add(NewImage(6, 5, 0, 0).Serialize(), a.Serialize())
+	payload := NewImage(1, 1, 4, 3)
+	payload.SetPixel(0, 0, math.Float32frombits(0x7fc0abcd), 0, math.Float32frombits(0xff800001), 0.5, 1)
+	f.Add(payload.Serialize(), b.Serialize())
+	nan := zero * inf
+	canonical := func(vs []float32) {
+		for i, v := range vs {
+			if v != v {
+				vs[i] = nan
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, ab, bb []byte) {
+		a, err := DeserializeImage(ab)
+		if err != nil || cam.holds(a) != nil {
+			return
+		}
+		b, err := DeserializeImage(bb)
+		if err != nil || cam.holds(b) != nil {
+			return
+		}
+		for _, vs := range [][]float32{a.Pixels, a.Depth, b.Pixels, b.Depth} {
+			canonical(vs)
+		}
+		want := a.window(cam.frame())
+		refOver(want, b.window(cam.frame()))
+		got := a.Over(b).window(cam.frame())
+		if !bytes.Equal(got.Serialize(), want.Serialize()) {
+			t.Fatalf("%+v over %+v: sparse composite differs from the dense one", a.bounds(), b.bounds())
 		}
 	})
 }

@@ -45,6 +45,41 @@ func BenchmarkRenderBlock(b *testing.B) {
 	}
 }
 
+// BenchmarkComposite measures one internal node of render-tcp's reduction
+// (256³ in 2×2×8 blocks, 256² camera, valence 2): the root's first child,
+// which composites leaves 8–15 over leaves 0–7. Over composites into a dst
+// that covers the union, so each iteration starts from a fresh copy.
+func BenchmarkComposite(b *testing.B) {
+	cam, tf, d, _, _ := leafShape(b)
+	field := data.SyntheticHCCI(256, 256, 256, 6, 7)
+	var leaves []*Image
+	for i := 0; i < 16; i++ {
+		blk, err := d.Extract(field, i)
+		if err != nil {
+			b.Fatal(err)
+		}
+		leaves = append(leaves, RenderBlock(cam, tf, d, i, blk))
+	}
+	// fold composites a power-of-two run of leaves pairwise, as the
+	// reduction's internal nodes below the measured one do.
+	var fold func(ims []*Image) *Image
+	fold = func(ims []*Image) *Image {
+		if len(ims) == 1 {
+			return ims[0]
+		}
+		return fold(ims[:len(ims)/2]).Over(fold(ims[len(ims)/2:]))
+	}
+	left, right := fold(leaves[:8]), fold(leaves[8:])
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		b.StopTimer()
+		dst := left.window(left.bounds())
+		b.StartTimer()
+		imageSink = dst.Over(right)
+	}
+}
+
 // TestRenderAllocationPins pins the allocations of a leaf and of the image
 // codec: RenderBlock makes the image (struct, pixels, depth) and its two
 // column tables, Serialize the buffer, DeserializeImage the image.

@@ -246,15 +246,33 @@ func TestConfigChecks(t *testing.T) {
 }
 
 func TestCompositeErrors(t *testing.T) {
-	if _, err := CompositeTree(nil); err == nil {
+	cam := Camera{Width: 4, Height: 4}
+	if _, err := CompositeTree(cam, nil); err == nil {
 		t.Error("empty composite should fail")
 	}
-	if _, err := CompositeSwap(make([]*Image, 3)); err == nil {
+	if _, err := CompositeSwap(cam, make([]*Image, 3)); err == nil {
 		t.Error("non-power-of-two swap should fail")
 	}
-	tiles := []*Image{NewImage(2, 2, 0, 9)}
-	if _, err := AssembleTiles(tiles, 4, 4); err == nil {
-		t.Error("out-of-frame tile should fail")
+	for _, tile := range []*Image{
+		NewImage(2, 2, 0, 9),  // rows below the frame
+		NewImage(2, 2, 3, 0),  // columns past the right edge
+		NewImage(2, 2, 3, 2),  // ... on the last rows
+		NewImage(2, 2, -1, 1), // a column left of the frame
+	} {
+		if _, err := AssembleTiles([]*Image{tile}, 4, 4); err == nil {
+			t.Errorf("out-of-frame tile %+v should fail", tile.bounds())
+		}
+	}
+	// A composite callback rejects an image outside the camera frame, in
+	// memory or on the wire, before its rectangle can size anything.
+	cfg := Config{Camera: cam}
+	inside := core.Object(NewImage(1, 1, 3, 3))
+	for _, bad := range []*Image{NewImage(1, 1, 4, 0), NewImage(1, 1, 0, -1), NewImage(5, 1, 0, 0)} {
+		for _, p := range []core.Payload{core.Object(bad), core.Buffer(bad.Serialize())} {
+			if _, err := cfg.composite([]core.Payload{inside, p}); err == nil {
+				t.Errorf("composite accepted a %+v image", bad.bounds())
+			}
+		}
 	}
 }
 
@@ -265,12 +283,57 @@ func TestCompositeTreeOddCount(t *testing.T) {
 		imgs[i] = NewImage(1, 1, 0, 0)
 		imgs[i].SetPixel(0, 0, 0.1, 0.1, 0.1, 0.2, float32(i))
 	}
-	out, err := CompositeTree(imgs)
+	out, err := CompositeTree(Camera{Width: 1, Height: 1}, imgs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, _, _, a := out.At(0, 0); a <= 0.2 || a > 1 {
 		t.Errorf("alpha = %f", a)
+	}
+}
+
+// TestOneBlockDataflows: with a single block, the reduction's root and the
+// binary swap's one tile are also the leaf; both render the block and emit
+// the dense frame RenderFull gives.
+func TestOneBlockDataflows(t *testing.T) {
+	cfg, f := testConfig(t, 1, 1, 1)
+	want := RenderFull(cfg.Camera, cfg.TF, f)
+	red, err := graphs.NewReduction(1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	swap, err := graphs.NewBinarySwap(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []struct {
+		name     string
+		g        core.TaskGraph
+		leafs    []core.TaskId
+		register func(core.CallbackRegistrar) error
+		sink     core.TaskId
+	}{
+		{"reduction", red, red.LeafIds(), func(r core.CallbackRegistrar) error { return cfg.RegisterReduction(r, red) }, red.Root()},
+		{"binary-swap", swap, swap.LeafIds(), func(r core.CallbackRegistrar) error { return cfg.RegisterBinarySwap(r, swap) }, swap.TileIds()[0]},
+	} {
+		s := core.NewSerial()
+		if err := s.Initialize(p.g, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.register(s); err != nil {
+			t.Fatal(err)
+		}
+		initial, err := cfg.InitialInputs(f, p.leafs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := s.Run(initial)
+		if err != nil {
+			t.Fatalf("%s: %v", p.name, err)
+		}
+		if got, ok := out[p.sink][0].Object.(*Image); !ok || !got.Equal(want) {
+			t.Errorf("%s: the one-block frame differs from RenderFull", p.name)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package render
 
 import (
+	"fmt"
 	"math"
 
 	"github.com/babelflow/babelflow-go/internal/data"
@@ -67,11 +68,12 @@ func footprint(w, n, lo, hi int) (p0 int, cols []int) {
 	return p0, cols
 }
 
-// RenderBlock volume-renders the core region of one decomposition block
-// into a full-frame image: pixels whose voxel column falls outside the
-// block's core stay transparent. The block field includes the ghost layer;
-// samples are taken at the core's integer z planes, so compositing all
-// blocks reproduces the full-domain integral exactly.
+// RenderBlock volume-renders the core region of one decomposition block.
+// The image is anchored at the block's footprint in the camera frame and
+// trimmed to the bounding rectangle of the pixels that are not transparent;
+// a block that paints nothing gives a 0×0 image. The block field includes
+// the ghost layer; samples are taken at the core's integer z planes, so
+// compositing all blocks reproduces the full-domain integral exactly.
 //
 // The rays of the block's pixel rectangle advance together, one z plane at
 // a time, reading each plane's rows in memory order and accumulating
@@ -81,10 +83,6 @@ func footprint(w, n, lo, hi int) (p0 int, cols []int) {
 // through tf.Sample and the same OVER step, in the same order, as a single
 // ray would take it.
 func RenderBlock(cam Camera, tf TransferFunction, d *data.Decomposition, blockIndex int, block *data.Field) *Image {
-	img := NewImage(cam.Width, cam.Height, 0, 0)
-	if tf.Hi <= tf.Lo {
-		return img
-	}
 	b := d.Block(blockIndex)
 	sx, sy, sz := d.NX/d.BXN, d.NY/d.BYN, d.NZ/d.BZN
 	// Core region: the ghost-free partition cell [b.X0, b.X0+sx) x ... ;
@@ -92,18 +90,19 @@ func RenderBlock(cam Camera, tf TransferFunction, d *data.Decomposition, blockIn
 	// blocks integrates every domain plane once.
 	px0, xs := footprint(cam.Width, d.NX, b.X0, b.X0+sx)
 	py0, ys := footprint(cam.Height, d.NY, b.Y0, b.Y0+sy)
-	if len(xs) == 0 || len(ys) == 0 {
-		return img
+	if tf.Hi <= tf.Lo {
+		return NewImage(0, 0, px0, py0) // every sample is transparent
 	}
+	w := len(xs)
+	img := NewImage(w, len(ys), px0, py0)
 	plane := block.NX * block.NY
 	for z := 0; z < sz; z++ {
 		vals := block.Values[z*plane : (z+1)*plane]
 		depth := float32(b.Z0 + z)
 		for j, ly := range ys {
 			row := vals[ly*block.NX : (ly+1)*block.NX]
-			p := (py0+j)*cam.Width + px0
-			pixels := img.Pixels[4*p : 4*(p+len(xs))]
-			depths := img.Depth[p : p+len(xs)]
+			pixels := img.Pixels[4*j*w : 4*(j+1)*w]
+			depths := img.Depth[j*w : (j+1)*w]
 			for i, lx := range xs {
 				v := row[lx]
 				if v < tf.Lo {
@@ -123,13 +122,45 @@ func RenderBlock(cam Camera, tf TransferFunction, d *data.Decomposition, blockIn
 			}
 		}
 	}
+	img.trim()
 	return img
 }
 
-// RenderFull volume-renders the whole domain serially: the reference result
-// the distributed pipeline must reproduce. It is RenderBlock over the
-// domain as a single block, which has no ghost layer.
+// RenderFull volume-renders the whole domain serially into the dense
+// camera frame: the reference result the distributed pipeline must
+// reproduce. It is RenderBlock over the domain as a single block, which has
+// no ghost layer.
 func RenderFull(cam Camera, tf TransferFunction, f *data.Field) *Image {
 	whole := &data.Decomposition{NX: f.NX, NY: f.NY, NZ: f.NZ, BXN: 1, BYN: 1, BZN: 1}
-	return RenderBlock(cam, tf, whole, 0, f)
+	return RenderBlock(cam, tf, whole, 0, f).window(cam.frame())
+}
+
+// frame is the whole camera frame.
+func (cam Camera) frame() rect { return rect{0, 0, cam.Width, cam.Height} }
+
+// swapRegion is the frame region participant index holds after rounds
+// binary-swap splits: each split halves the region along y (the extra row
+// of an odd height to the top half), and the participant whose bit r is 0
+// keeps the top half of split r.
+func (cam Camera) swapRegion(rounds, index int) rect {
+	r := cam.frame()
+	for b := 0; b < rounds; b++ {
+		top := (r.h + 1) / 2
+		if index>>b&1 == 0 {
+			r.h = top
+		} else {
+			r.y0, r.h = r.y0+top, r.h-top
+		}
+	}
+	return r
+}
+
+// holds checks that an image lies inside the camera frame.
+func (cam Camera) holds(im *Image) error {
+	if im.Width < 0 || im.Height < 0 || im.X0 < 0 || im.Y0 < 0 ||
+		im.X0 > cam.Width-im.Width || im.Y0 > cam.Height-im.Height {
+		return fmt.Errorf("render: %dx%d image at %d,%d outside the %dx%d frame",
+			im.Width, im.Height, im.X0, im.Y0, cam.Width, cam.Height)
+	}
+	return nil
 }

@@ -3,10 +3,87 @@ package render
 import (
 	"bytes"
 	"math"
+	"sort"
 	"testing"
 
 	"github.com/babelflow/babelflow-go/internal/data"
 )
+
+// refOver is the dense compositing step that the sparse Over replaced,
+// kept as its oracle: both images cover the same rectangle, and src is
+// composited over dst in place, pixel by pixel, front OVER back in depth
+// order.
+func refOver(dst, src *Image) {
+	if dst.bounds() != src.bounds() {
+		panic("refOver: geometry mismatch")
+	}
+	for p := 0; p < dst.Width*dst.Height; p++ {
+		df, db := dst.Depth[p], src.Depth[p]
+		i := 4 * p
+		fr, fg, fb, fa := dst.Pixels[i], dst.Pixels[i+1], dst.Pixels[i+2], dst.Pixels[i+3]
+		br, bg, bb, ba := src.Pixels[i], src.Pixels[i+1], src.Pixels[i+2], src.Pixels[i+3]
+		if db < df {
+			fr, fg, fb, fa, br, bg, bb, ba = br, bg, bb, ba, fr, fg, fb, fa
+			dst.Depth[p] = db
+		}
+		dst.Pixels[i] = fr + (1-fa)*br
+		dst.Pixels[i+1] = fg + (1-fa)*bg
+		dst.Pixels[i+2] = fb + (1-fa)*bb
+		dst.Pixels[i+3] = fa + (1-fa)*ba
+	}
+}
+
+// refSplit cuts a dense image into its top and bottom halves along y, the
+// extra row of an odd height to the top: the split the dense binary swap
+// made.
+func refSplit(im *Image) (top, bottom *Image) {
+	h := (im.Height + 1) / 2
+	top, bottom = NewImage(im.Width, h, im.X0, im.Y0), NewImage(im.Width, im.Height-h, im.X0, im.Y0+h)
+	copy(top.Pixels, im.Pixels)
+	copy(top.Depth, im.Depth)
+	copy(bottom.Pixels, im.Pixels[4*im.Width*h:])
+	copy(bottom.Depth, im.Depth[im.Width*h:])
+	return top, bottom
+}
+
+// refCompositeTree and refCompositeSwap are the dense compositing
+// schedules CompositeTree and CompositeSwap replaced, over dense frames;
+// they overwrite their inputs.
+func refCompositeTree(frames []*Image) *Image {
+	for len(frames) > 1 {
+		var next []*Image
+		for j := 0; j < len(frames); j += 2 {
+			if j+1 < len(frames) {
+				refOver(frames[j], frames[j+1])
+			}
+			next = append(next, frames[j])
+		}
+		frames = next
+	}
+	return frames[0]
+}
+
+func refCompositeSwap(frames []*Image) []*Image {
+	n := len(frames)
+	cur := append([]*Image(nil), frames...)
+	for bit := 1; bit < n; bit <<= 1 {
+		halves := make([][2]*Image, n) // keep, send
+		for i := range cur {
+			top, bottom := refSplit(cur[i])
+			if i&bit == 0 {
+				halves[i] = [2]*Image{top, bottom}
+			} else {
+				halves[i] = [2]*Image{bottom, top}
+			}
+		}
+		for i := range cur {
+			refOver(halves[i][0], halves[i^bit][1])
+			cur[i] = halves[i][0]
+		}
+	}
+	sort.SliceStable(cur, func(a, b int) bool { return cur[a].Y0 < cur[b].Y0 })
+	return cur
+}
 
 // refRenderBlock is the per-ray kernel that the plane-by-plane RenderBlock
 // replaced, kept as the reference it is checked against: every pixel maps
@@ -44,8 +121,13 @@ func refRenderBlock(cam Camera, tf TransferFunction, d *data.Decomposition, bloc
 }
 
 // TestKernelMatchesReference renders seeded random volumes with both
-// kernels and compares the encoded images byte for byte, NaN payloads and
-// signed zeros included. The draws vary the domain and its block grid
+// kernels and compares the encoded images, made dense, byte for byte, NaN
+// payloads and signed zeros included; each sparse image must be trimmed
+// tight (a pixel that is not transparent on every border row and column).
+// Each draw's blocks are then composited through both paths — the sparse
+// CompositeTree and CompositeSwap against the dense refCompositeTree and
+// refCompositeSwap over the reference frames — byte for byte. The draws
+// vary the domain and its block grid
 // (ghost layers included), cameras wider, narrower and not divisible
 // against the domain, transfer functions with Lo below every voxel, with
 // Hi <= Lo and with Opacity > 1, and volumes holding NaN, ±Inf, −0 and
@@ -91,17 +173,49 @@ func TestKernelMatchesReference(t *testing.T) {
 				f.Values[i] = float32(2*rng.Float64() - 0.5)
 			}
 		}
+		var sparse, dense []*Image
 		for i := 0; i < d.Blocks(); i++ {
 			blk, err := d.Extract(f, i)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := refRenderBlock(cam, tf, d, i, blk).Serialize()
-			if got := RenderBlock(cam, tf, d, i, blk).Serialize(); !bytes.Equal(got, want) {
+			ref := refRenderBlock(cam, tf, d, i, blk)
+			img := RenderBlock(cam, tf, d, i, blk)
+			if !bytes.Equal(img.window(cam.frame()).Serialize(), ref.Serialize()) {
 				t.Fatalf("draw %d: %dx%dx%d in %dx%dx%d blocks, %dx%d camera, %+v: block %d differs from the reference",
 					draws, nx, ny, nz, bx, by, bz, cam.Width, cam.Height, tf, i)
 			}
+			if !tight(img) {
+				t.Fatalf("draw %d: block %d's %+v is not the tight rectangle of its pixels", draws, i, img.bounds())
+			}
+			sparse, dense = append(sparse, img), append(dense, ref)
 			blocks++
+		}
+		clone := func(ims []*Image) []*Image {
+			out := make([]*Image, len(ims))
+			for i, im := range ims {
+				out[i] = im.window(im.bounds())
+			}
+			return out
+		}
+		swapSparse, swapDense := clone(sparse), clone(dense)
+		tree, err := CompositeTree(cam, sparse)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(tree.Serialize(), refCompositeTree(dense).Serialize()) {
+			t.Fatalf("draw %d: CompositeTree differs from the dense reference", draws)
+		}
+		if n := len(swapSparse); n&(n-1) == 0 {
+			tiles, err := CompositeSwap(cam, swapSparse)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j, want := range refCompositeSwap(swapDense) {
+				if !bytes.Equal(tiles[j].Serialize(), want.Serialize()) {
+					t.Fatalf("draw %d: CompositeSwap tile %d differs from the dense reference", draws, j)
+				}
+			}
 		}
 		whole, _ := data.NewDecomposition(nx, ny, nz, 1, 1, 1)
 		if got, want := RenderFull(cam, tf, f).Serialize(), refRenderBlock(cam, tf, whole, 0, f).Serialize(); !bytes.Equal(got, want) {
@@ -109,4 +223,22 @@ func TestKernelMatchesReference(t *testing.T) {
 		}
 	}
 	t.Logf("%d draws, %d blocks", draws, blocks)
+}
+
+// tight reports whether every border row and border column of the image
+// holds a pixel that is not transparent.
+func tight(im *Image) bool {
+	w, h := im.Width, im.Height
+	if w == 0 || h == 0 {
+		return w == h
+	}
+	line := func(p0, step, n int) bool {
+		for k := 0; k < n; k++ {
+			if !im.transparent(p0 + k*step) {
+				return true
+			}
+		}
+		return false
+	}
+	return line(0, 1, w) && line((h-1)*w, 1, w) && line(0, w, h) && line(w-1, w, h)
 }

@@ -58,10 +58,12 @@ func TestRoundTripAllocsTCP(t *testing.T) {
 		o.Tier = TierTCP
 	})
 	requireMesh(t, fabrics, errs)
-	// Measured 6 allocs per round trip (two mailbox hand-offs plus the
-	// receive-side arena wrapper on each side).
-	if avg := measureRoundTrip(t, fabrics); avg > 8 {
-		t.Errorf("TCP round trip averaged %.1f allocs, want <= 8", avg)
+	// Measured 2 allocs per round trip (the receive-side arena wrapper on
+	// each side): each peer's reader reads frame and data headers into its
+	// own scratch. A header back on the heap costs one more per received
+	// frame, 4 per round trip in all, which the bound fails.
+	if avg := measureRoundTrip(t, fabrics); avg > 3 {
+		t.Errorf("TCP round trip averaged %.1f allocs, want <= 3", avg)
 	}
 }
 
@@ -70,8 +72,9 @@ func TestRoundTripAllocsUnix(t *testing.T) {
 		o.Tier = TierUnix
 	})
 	requireMesh(t, fabrics, errs)
-	if avg := measureRoundTrip(t, fabrics); avg > 8 {
-		t.Errorf("unix round trip averaged %.1f allocs, want <= 8", avg)
+	// Measured 2, as over TCP.
+	if avg := measureRoundTrip(t, fabrics); avg > 3 {
+		t.Errorf("unix round trip averaged %.1f allocs, want <= 3", avg)
 	}
 }
 

@@ -175,18 +175,21 @@ func controlFrame(typ byte) []byte {
 }
 
 // readFrame reads one frame header and returns its type, body length and
-// the body's expected CRC32C. The caller reads the body and verifies.
+// the body's expected CRC32C. The caller reads the body and verifies. It
+// reads into a header of its own; a peer's reader uses peer.readFrame.
 func readFrame(r io.Reader) (typ byte, n int, crc uint32, err error) {
-	return readFrameLimit(r, maxFrameSize)
+	var hdr [frameHeaderSize]byte
+	return readFrameLimit(r, hdr[:], maxFrameSize)
 }
 
-// readFrameLimit is readFrame with an explicit frame-size ceiling: the
+// readFrameLimit is readFrame into the caller's header scratch hdr (at
+// least frameHeaderSize bytes) with an explicit frame-size ceiling: the
 // declared length is validated before any body allocation, so a hostile or
 // corrupt length prefix costs nothing. (The fuzz harness uses a small
 // limit; production paths use maxFrameSize.)
-func readFrameLimit(r io.Reader, max int) (typ byte, n int, crc uint32, err error) {
-	var hdr [frameHeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+func readFrameLimit(r io.Reader, hdr []byte, max int) (typ byte, n int, crc uint32, err error) {
+	hdr = hdr[:frameHeaderSize]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return 0, 0, 0, err
 	}
 	l := binary.LittleEndian.Uint32(hdr[0:4])

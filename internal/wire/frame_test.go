@@ -115,7 +115,7 @@ func TestOversizedDeclaredLength(t *testing.T) {
 	}
 	// The parameterized limit rejects lengths the production ceiling allows.
 	binary.LittleEndian.PutUint32(hdr[0:4], 1<<20)
-	if _, _, _, err := readFrameLimit(bytes.NewReader(hdr[:]), 1<<10); err == nil {
+	if _, _, _, err := readFrameLimit(bytes.NewReader(hdr[:]), hdr[:], 1<<10); err == nil {
 		t.Fatal("readFrameLimit ignored its ceiling")
 	}
 }
@@ -168,8 +168,9 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const max = 1 << 16
 		r := bytes.NewReader(data)
+		var hdr [frameHeaderSize]byte
 		for {
-			typ, n, crc, err := readFrameLimit(r, max)
+			typ, n, crc, err := readFrameLimit(r, hdr[:], max)
 			if err != nil {
 				return
 			}

@@ -239,3 +239,41 @@ func TestShmCorruptRingDeclaresPeerLost(t *testing.T) {
 		t.Fatal("shm link vanished from the sender side")
 	}
 }
+
+// TestShmStreamParksMidFrame streams 1 MiB messages, each allocated and
+// filled by the sender as it goes, so the consumer drains the ring faster
+// than the producer fills it and parks on the doorbell socket in the middle
+// of a frame. The park must not disturb the frame or data header being
+// read: every message arrives intact and in order.
+func TestShmStreamParksMidFrame(t *testing.T) {
+	fabrics, errs := connectMeshWith(t, 2, func(r int, o *Options) { o.Tier = TierShm })
+	requireMesh(t, fabrics, errs)
+	const msgs, size = 32, 1 << 20
+	fill := func(i int) []byte {
+		b := make([]byte, size)
+		for j := range b {
+			b[j] = byte(i + j*7)
+		}
+		return b
+	}
+	go func() {
+		for i := 0; i < msgs; i++ {
+			if err := fabrics[0].Send(fabric.Message{From: 0, To: 1, Src: 3, Dest: 4, Seq: uint64(i), Payload: core.Buffer(fill(i))}); err != nil {
+				return
+			}
+		}
+	}()
+	for i := 0; i < msgs; i++ {
+		m, ok := fabrics[1].Recv(1)
+		if !ok {
+			t.Fatalf("mesh closed after %d of %d messages", i, msgs)
+		}
+		if m.Seq != uint64(i) || m.Src != 3 || m.Dest != 4 {
+			t.Fatalf("message %d arrived as seq %d, %d -> %d", i, m.Seq, m.Src, m.Dest)
+		}
+		if !bytes.Equal(m.Payload.Data, fill(i)) {
+			t.Fatalf("message %d corrupted through the ring", i)
+		}
+		m.Payload.Release()
+	}
+}

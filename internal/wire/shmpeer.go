@@ -320,6 +320,8 @@ func (l *shmLink) wait() error {
 func (l *shmLink) parkOnSocket() error {
 	c := l.p.conn
 	c.SetReadDeadline(time.Now().Add(l.f.opt.HeartbeatTimeout))
+	// Not the peer's header scratch: a park can interrupt a frame or data
+	// header being read into it through Read.
 	typ, n, crc, err := readFrame(c)
 	if err != nil {
 		return err
@@ -433,7 +435,7 @@ func (l *shmLink) readRingFrame() (fabric.Message, error) {
 			return fabric.Message{}, err
 		}
 	}
-	typ, n, crc, err := readFrame(l)
+	typ, n, crc, err := l.p.readFrame(l)
 	if err != nil {
 		if errors.Is(err, errFrameLength) {
 			return fabric.Message{}, fmt.Errorf("%w: torn ring: %v", ErrCorruptFrame, err)

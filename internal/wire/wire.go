@@ -239,6 +239,18 @@ type peer struct {
 	lastWrite   atomic.Int64
 
 	departed atomic.Bool // peer sent goodbye; EOF is now clean
+
+	// rhdr is the scratch the peer's reader goroutine, and only it, reads
+	// frame and data headers into, so a received frame allocates none. A
+	// data header is the larger of the two.
+	rhdr [dataHeaderSize]byte
+}
+
+// readFrame is readFrame into the peer's header scratch: only the peer's
+// reader goroutine may call it, and not while a header is being read into
+// the scratch (the shm doorbell park reads with readFrame).
+func (p *peer) readFrame(r io.Reader) (typ byte, n int, crc uint32, err error) {
+	return readFrameLimit(r, p.rhdr[:], maxFrameSize)
 }
 
 // ring returns the peer's shared-memory ring link, or nil when its data
@@ -753,7 +765,7 @@ func (f *Fabric) readLoop(p *peer) {
 // frames return the decoded message; control frames return their type with
 // a zero message.
 func (f *Fabric) readOne(p *peer, br io.Reader) (fabric.Message, byte, error) {
-	typ, n, crc, err := readFrame(br)
+	typ, n, crc, err := p.readFrame(br)
 	if err != nil {
 		return fabric.Message{}, 0, err
 	}
@@ -779,8 +791,8 @@ func (f *Fabric) readDataBody(p *peer, br io.Reader, n int, crc uint32) (fabric.
 	if n < dataHeaderSize {
 		return fabric.Message{}, fmt.Errorf("wire: data frame of %d bytes", n)
 	}
-	var hdr [dataHeaderSize]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+	hdr := p.rhdr[:dataHeaderSize]
+	if _, err := io.ReadFull(br, hdr); err != nil {
 		return fabric.Message{}, err
 	}
 	payload := core.GrabBuffer(n - dataHeaderSize)
@@ -788,8 +800,8 @@ func (f *Fabric) readDataBody(p *peer, br io.Reader, n int, crc uint32) (fabric.
 		core.ReleaseBuffer(payload)
 		return fabric.Message{}, err
 	}
-	got := crc32.Update(crc32.Update(0, castagnoli, hdr[:]), castagnoli, payload)
-	m, err := f.dataMessage(p, hdr[:], payload, got, crc)
+	got := crc32.Update(crc32.Update(0, castagnoli, hdr), castagnoli, payload)
+	m, err := f.dataMessage(p, hdr, payload, got, crc)
 	if err != nil {
 		core.ReleaseBuffer(payload)
 	}
