@@ -157,16 +157,17 @@ fuzz:
 ## detector, then the graph-plan benchmarks (compile and cold run of the
 ## 16k-task graph) and the data kernels (block extraction of a 256³ field,
 ## 256² image encode and decode, a render leaf of a 256³ field in 32
-## blocks, one internal compositing node of that render) and the
+## blocks from its extracted block and in place, the leaf inputs of that
+## render, one internal compositing node of that render) and the
 ## merge-tree kernels (a leaf's local tree, a correction merge, a
 ## segmentation) and the registration search (a full NCC window,
 ## East and South) and the engine benchmarks (scheduler makespan per
 ## dispatch mode, recovery from a killed peer or a membership change,
 ## loop-combinator overhead; each run checked against serial) once each so
 ## they cannot rot, then the allocation pins (plan, cold and warm runs, what
-## tracing adds per task, block extraction, the render leaf and the image
-## codec, the merge-tree kernels, and the registration search and process
-## task).
+## tracing adds per task, block extraction, the render leaf, its inputs
+## and the image codec, the merge-tree kernels, and the registration
+## search and process task).
 perf-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=100x ./internal/wire
 	$(GO) test -race -run='^$$' -bench=. -benchtime=100x ./internal/wire
@@ -176,7 +177,7 @@ perf-smoke:
 	$(GO) test -run='^$$' -bench='^BenchmarkCompile$$' -benchtime=1x ./internal/core
 	$(GO) test -run='^$$' -bench='^BenchmarkColdRun16k$$' -benchtime=1x ./internal/mpi
 	$(GO) test -run='^$$' -bench='^BenchmarkExtract$$' -benchtime=1x ./internal/data
-	$(GO) test -run='^$$' -bench='^Benchmark(Image(Serialize|Deserialize)|RenderBlock|Composite)$$' -benchtime=1x ./internal/render
+	$(GO) test -run='^$$' -bench='^Benchmark(Image(Serialize|Deserialize)|RenderBlock|Composite|InitialInputs)$$' -benchtime=1x ./internal/render
 	$(GO) test -run='^$$' -bench='^Benchmark(FromField|Merge|Segment)$$' -benchtime=1x ./internal/mergetree
 	$(GO) test -run='^$$' -bench='^BenchmarkCorrelate$$' -benchtime=1x ./internal/register
 	$(GO) test -run='^$$' -bench='SchedulerModes|Recovery|IterateOverhead' -benchtime=1x ./internal/conformance

@@ -82,12 +82,20 @@ func (d *Decomposition) Block(i int) Block {
 	return b
 }
 
+// Holds checks that a field's dimensions are the decomposition's domain.
+func (d *Decomposition) Holds(f *Field) error {
+	if f.NX != d.NX || f.NY != d.NY || f.NZ != d.NZ {
+		return fmt.Errorf("data: field %dx%dx%d does not match decomposition domain %dx%dx%d",
+			f.NX, f.NY, f.NZ, d.NX, d.NY, d.NZ)
+	}
+	return nil
+}
+
 // Extract copies the i-th block (with ghost layer) out of a field whose
 // dimensions match the decomposition's domain.
 func (d *Decomposition) Extract(f *Field, i int) (*Field, error) {
-	if f.NX != d.NX || f.NY != d.NY || f.NZ != d.NZ {
-		return nil, fmt.Errorf("data: field %dx%dx%d does not match decomposition domain %dx%dx%d",
-			f.NX, f.NY, f.NZ, d.NX, d.NY, d.NZ)
+	if err := d.Holds(f); err != nil {
+		return nil, err
 	}
 	b := d.Block(i)
 	sx, sy, sz := b.Dims()

@@ -63,20 +63,74 @@ func asField(p core.Payload) (*data.Field, error) {
 	return data.DeserializeField(p.Data)
 }
 
-// InitialInputs extracts every block of the volume and addresses it to the
-// corresponding leaf task of a reduction or binary-swap dataflow whose leaf
-// i has task id leafIds[i].
+// blockView is one leaf's input as InitialInputs hands it out: block i of
+// decomposition d, read in place from the volume f, which d.Holds. Its
+// wire form is the extracted block, so every path that serializes an
+// input (another rank, a fault-tolerant run's input clone, a Legion
+// region) carries the bytes of Decomposition.Extract.
+type blockView struct {
+	f *data.Field
+	d *data.Decomposition
+	i int
+}
+
+// Serialize encodes the extracted block (core.Serializable).
+func (v *blockView) Serialize() []byte {
+	blk, err := v.d.Extract(v.f, v.i)
+	if err != nil {
+		panic(err) // InitialInputs checked d.Holds(f)
+	}
+	return blk.Serialize()
+}
+
+// render ray-casts the view's block straight from the volume.
+func (v *blockView) render(cam Camera, tf TransferFunction) *Image {
+	b := v.d.Block(v.i)
+	return castCore(cam, tf, v.d, v.i, v.f.Values, v.f.Index(b.X0, b.Y0, b.Z0), v.f.NX, v.f.NX*v.f.NY)
+}
+
+// leafImage renders the input of leaf task id, which holds block i: a view
+// in place, a block in memory or on the wire through RenderBlock. An input
+// that is not block i of cfg.Decomp is an error, not a wrong image.
+func (cfg Config) leafImage(p core.Payload, id core.TaskId, i int) (*Image, error) {
+	if v, ok := p.Object.(*blockView); ok {
+		if v.i != i || *v.d != *cfg.Decomp {
+			return nil, fmt.Errorf("render: task %d renders block %d but got a view of block %d of a %dx%dx%d grid",
+				id, i, v.i, v.d.BXN, v.d.BYN, v.d.BZN)
+		}
+		return v.render(cfg.Camera, cfg.TF), nil
+	}
+	blk, err := asField(p)
+	if err != nil {
+		return nil, err
+	}
+	if sx, sy, sz := cfg.Decomp.Block(i).Dims(); blk.NX != sx || blk.NY != sy || blk.NZ != sz {
+		return nil, fmt.Errorf("render: task %d renders block %d (%dx%dx%d) but got a %dx%dx%d field",
+			id, i, sx, sy, sz, blk.NX, blk.NY, blk.NZ)
+	}
+	return RenderBlock(cfg.Camera, cfg.TF, cfg.Decomp, i, blk), nil
+}
+
+// InitialInputs addresses block i of the volume to the leaf task
+// leafIds[i] of a reduction or binary-swap dataflow. It copies nothing:
+// each payload is a read-only window of f that the leaf ray-casts in place,
+// so f must not change until the run has finished. Where a payload is
+// serialized, its wire form is the extracted block, byte for byte what
+// Decomposition.Extract gives.
 func (cfg Config) InitialInputs(f *data.Field, leafIds []core.TaskId) (map[core.TaskId][]core.Payload, error) {
 	if len(leafIds) != cfg.Decomp.Blocks() {
 		return nil, fmt.Errorf("render: %d leaf tasks for %d blocks", len(leafIds), cfg.Decomp.Blocks())
 	}
+	if err := cfg.Decomp.Holds(f); err != nil {
+		return nil, err
+	}
+	views := make([]blockView, len(leafIds))
+	payloads := make([]core.Payload, len(leafIds))
 	initial := make(map[core.TaskId][]core.Payload, len(leafIds))
 	for i, id := range leafIds {
-		blk, err := cfg.Decomp.Extract(f, i)
-		if err != nil {
-			return nil, err
-		}
-		initial[id] = []core.Payload{core.Object(blk)}
+		views[i] = blockView{f: f, d: cfg.Decomp, i: i}
+		payloads[i] = core.Object(&views[i])
+		initial[id] = payloads[i : i+1 : i+1]
 	}
 	return initial, nil
 }
@@ -93,11 +147,7 @@ func (cfg Config) RegisterReduction(c core.CallbackRegistrar, g *graphs.Reductio
 	}
 	first := g.FirstLeaf()
 	render := func(in []core.Payload, id core.TaskId) (*Image, error) {
-		blk, err := asField(in[0])
-		if err != nil {
-			return nil, err
-		}
-		return RenderBlock(cfg.Camera, cfg.TF, cfg.Decomp, int(id-first), blk), nil
+		return cfg.leafImage(in[0], id, int(id-first))
 	}
 	emit := func(img *Image, err error) ([]core.Payload, error) {
 		if err != nil {
@@ -151,12 +201,11 @@ func (cfg Config) RegisterBinarySwap(c core.CallbackRegistrar, g *graphs.BinaryS
 	}
 
 	leaf := func(in []core.Payload, id core.TaskId) ([]core.Payload, error) {
-		blk, err := asField(in[0])
+		_, i := g.RoundOf(id)
+		img, err := cfg.leafImage(in[0], id, i)
 		if err != nil {
 			return nil, err
 		}
-		_, i := g.RoundOf(id)
-		img := RenderBlock(cfg.Camera, cfg.TF, cfg.Decomp, i, blk)
 		if g.Rounds() == 0 {
 			return []core.Payload{core.Object(img.window(cfg.Camera.frame()))}, nil
 		}

@@ -44,15 +44,15 @@ func (i *IceT) RenderAndCompositeSwap(f *data.Field) ([]*Image, error) {
 	return CompositeSwap(i.cfg.Camera, images)
 }
 
+// renderAll renders every block in place, as the dataflows' leaves do.
 func (i *IceT) renderAll(f *data.Field) ([]*Image, error) {
-	n := i.cfg.Decomp.Blocks()
-	images := make([]*Image, n)
-	for b := 0; b < n; b++ {
-		blk, err := i.cfg.Decomp.Extract(f, b)
-		if err != nil {
-			return nil, err
-		}
-		images[b] = RenderBlock(i.cfg.Camera, i.cfg.TF, i.cfg.Decomp, b, blk)
+	if err := i.cfg.Decomp.Holds(f); err != nil {
+		return nil, err
+	}
+	images := make([]*Image, i.cfg.Decomp.Blocks())
+	for b := range images {
+		v := blockView{f: f, d: i.cfg.Decomp, i: b}
+		images[b] = v.render(i.cfg.Camera, i.cfg.TF)
 	}
 	return images, nil
 }

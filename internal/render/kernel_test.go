@@ -1,18 +1,21 @@
 package render
 
 import (
+	"runtime"
 	"testing"
 
+	"github.com/babelflow/babelflow-go/internal/core"
 	"github.com/babelflow/babelflow-go/internal/data"
 )
 
 // leafShape builds the input of one render-tcp leaf task: 256³ in 2×2×8
 // blocks, the block with the most samples at or above the transfer
-// function's Lo, the use case's 256² camera and transfer function.
-func leafShape(tb testing.TB) (cam Camera, tf TransferFunction, d *data.Decomposition, index int, blk *data.Field) {
+// function's Lo, the use case's 256² camera and transfer function. It
+// returns the volume and that block both as its view and extracted.
+func leafShape(tb testing.TB) (cam Camera, tf TransferFunction, field *data.Field, view *blockView, blk *data.Field) {
 	tb.Helper()
 	const n = 256
-	field := data.SyntheticHCCI(n, n, n, 6, 7)
+	field = data.SyntheticHCCI(n, n, n, 6, 7)
 	d, err := data.NewDecomposition(n, n, n, 2, 2, 8)
 	if err != nil {
 		tb.Fatal(err)
@@ -28,21 +31,59 @@ func leafShape(tb testing.TB) (cam Camera, tf TransferFunction, d *data.Decompos
 			}
 		}
 		if visible > most {
-			most, index, blk = visible, i, b
+			most, view, blk = visible, &blockView{f: field, d: d, i: i}, b
 		}
 	}
-	return cam, tf, d, index, blk
+	return cam, tf, field, view, blk
 }
 
-// BenchmarkRenderBlock measures one leaf task of render-tcp: a 128×128×32
-// block (ghost layer included) cast into a 256² frame.
+// BenchmarkRenderBlock measures one leaf task of render-tcp, a 128×128×32
+// block (ghost layer included) cast into a 256² frame, from the extracted
+// block and in place from the volume, as the leaves do. Both read a warm
+// cache, so a difference between the two is the cost of the volume's
+// strides to the kernel, not cache warmth.
 func BenchmarkRenderBlock(b *testing.B) {
-	cam, tf, d, i, blk := leafShape(b)
+	cam, tf, _, view, blk := leafShape(b)
+	b.Run("extracted", func(b *testing.B) {
+		b.ReportAllocs()
+		for n := 0; n < b.N; n++ {
+			imageSink = RenderBlock(cam, tf, view.d, view.i, blk)
+		}
+	})
+	b.Run("view", func(b *testing.B) {
+		b.ReportAllocs()
+		for n := 0; n < b.N; n++ {
+			imageSink = view.render(cam, tf)
+		}
+	})
+}
+
+// BenchmarkInitialInputs measures render-tcp's leaf inputs: the 32 blocks
+// of a 256³ volume addressed to their leaves.
+func BenchmarkInitialInputs(b *testing.B) {
+	cfg, f, ids := inputsShape(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
-		imageSink = RenderBlock(cam, tf, d, i, blk)
+		if _, err := cfg.InitialInputs(f, ids); err != nil {
+			b.Fatal(err)
+		}
 	}
+}
+
+// inputsShape is render-tcp's decomposition of a 256³ volume into 32
+// blocks, with a leaf id per block.
+func inputsShape(tb testing.TB) (Config, *data.Field, []core.TaskId) {
+	tb.Helper()
+	d, err := data.NewDecomposition(256, 256, 256, 2, 2, 8)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ids := make([]core.TaskId, d.Blocks())
+	for i := range ids {
+		ids[i] = core.TaskId(i)
+	}
+	return Config{Decomp: d}, data.NewField(256, 256, 256), ids
 }
 
 // BenchmarkComposite measures one internal node of render-tcp's reduction
@@ -50,15 +91,11 @@ func BenchmarkRenderBlock(b *testing.B) {
 // which composites leaves 8–15 over leaves 0–7. Over composites into a dst
 // that covers the union, so each iteration starts from a fresh copy.
 func BenchmarkComposite(b *testing.B) {
-	cam, tf, d, _, _ := leafShape(b)
-	field := data.SyntheticHCCI(256, 256, 256, 6, 7)
+	cam, tf, field, view, _ := leafShape(b)
 	var leaves []*Image
 	for i := 0; i < 16; i++ {
-		blk, err := d.Extract(field, i)
-		if err != nil {
-			b.Fatal(err)
-		}
-		leaves = append(leaves, RenderBlock(cam, tf, d, i, blk))
+		v := blockView{f: field, d: view.d, i: i}
+		leaves = append(leaves, v.render(cam, tf))
 	}
 	// fold composites a power-of-two run of leaves pairwise, as the
 	// reduction's internal nodes below the measured one do.
@@ -80,9 +117,12 @@ func BenchmarkComposite(b *testing.B) {
 	}
 }
 
-// TestRenderAllocationPins pins the allocations of a leaf and of the image
-// codec: RenderBlock makes the image (struct, pixels, depth) and its two
-// column tables, Serialize the buffer, DeserializeImage the image.
+// TestRenderAllocationPins pins the allocations of a leaf, of its inputs
+// and of the image codec: RenderBlock, and the render of a view, make the
+// image (struct, pixels, depth) and its two column tables, Serialize the
+// buffer, DeserializeImage the image. InitialInputs makes no per-block
+// allocation beyond two and copies no voxel: render-tcp's 32 blocks of 256³
+// take well under 64 KiB, where extracting them took 72 MB.
 func TestRenderAllocationPins(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -91,6 +131,7 @@ func TestRenderAllocationPins(t *testing.T) {
 	field := data.SyntheticHCCI(n, n, n, 6, 7)
 	d, _ := data.NewDecomposition(n, n, n, 2, 2, 2)
 	blk, _ := d.Extract(field, 0)
+	view := &blockView{f: field, d: d, i: 0}
 	cam, tf := Camera{Width: 48, Height: 24}, TransferFunction{Lo: 0.25, Hi: 1.5, Opacity: 0.4}
 	im := RenderBlock(cam, tf, d, 0, blk)
 	wire := im.Serialize()
@@ -100,11 +141,32 @@ func TestRenderAllocationPins(t *testing.T) {
 		f    func()
 	}{
 		{"RenderBlock", 5, func() { imageSink = RenderBlock(cam, tf, d, 0, blk) }},
+		{"render from a view", 5, func() { imageSink = view.render(cam, tf) }},
 		{"Serialize", 1, func() { wireSink = im.Serialize() }},
 		{"DeserializeImage", 3, func() { imageSink, _ = DeserializeImage(wire) }},
 	} {
 		if a := testing.AllocsPerRun(20, c.f); a > c.max {
 			t.Errorf("%s allocates %v per call, pinned at %v", c.name, a, c.max)
 		}
+	}
+
+	cfg, f, ids := inputsShape(t)
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs := testing.AllocsPerRun(runs, func() {
+		if _, err := cfg.InitialInputs(f, ids); err != nil {
+			t.Fatal(err)
+		}
+	})
+	runtime.ReadMemStats(&after)
+	// AllocsPerRun makes one warm-up call beyond runs.
+	perCall := (after.TotalAlloc - before.TotalAlloc) / (runs + 1)
+	t.Logf("InitialInputs, %d blocks: %v allocs, %d B per call", len(ids), allocs, perCall)
+	if perBlock := allocs / float64(len(ids)); perBlock > 2 {
+		t.Errorf("InitialInputs allocates %v per block, pinned at 2", perBlock)
+	}
+	if perCall >= 64<<10 {
+		t.Errorf("InitialInputs allocates %d B per call of %d blocks, pinned below 64 KiB", perCall, len(ids))
 	}
 }

@@ -1,6 +1,8 @@
 package render
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -358,5 +360,102 @@ func TestFig10dImage(t *testing.T) {
 	}
 	if nonzero == 0 {
 		t.Error("composited image is entirely black")
+	}
+}
+
+// TestBlockViewMatchesExtract checks the leaf inputs InitialInputs hands
+// out against the blocks they replaced, over one block, a non-cubic grid
+// and 2×2×8, with cameras narrower than, as wide as and wider than the
+// domain: a view serializes to the extracted block's bytes, and the leaf
+// renders it, and its wire form after CloneForWire, to the image of the
+// extracted block, which made dense is refRenderBlock's.
+func TestBlockViewMatchesExtract(t *testing.T) {
+	tf := TransferFunction{Lo: 0.25, Hi: 1.5, Opacity: 0.4}
+	rng := data.NewRand(37)
+	for _, g := range []struct{ nx, ny, nz, bx, by, bz int }{
+		{12, 10, 8, 1, 1, 1},
+		{12, 18, 10, 3, 2, 2},
+		{16, 16, 32, 2, 2, 8},
+	} {
+		d, err := data.NewDecomposition(g.nx, g.ny, g.nz, g.bx, g.by, g.bz)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := data.NewField(g.nx, g.ny, g.nz)
+		for i := range f.Values {
+			f.Values[i] = float32(2*rng.Float64() - 0.5)
+		}
+		ids := make([]core.TaskId, d.Blocks())
+		for i := range ids {
+			ids[i] = core.TaskId(100 + i)
+		}
+		for _, cam := range []Camera{
+			{Width: g.nx / 2, Height: g.ny/2 + 1},
+			{Width: g.nx, Height: g.ny},
+			{Width: 2*g.nx + 3, Height: 3 * g.ny},
+		} {
+			cfg := Config{Decomp: d, Camera: cam, TF: tf}
+			initial, err := cfg.InitialInputs(f, ids)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, id := range ids {
+				where := fmt.Sprintf("%dx%dx%d in %dx%dx%d, %dx%d camera, block %d",
+					g.nx, g.ny, g.nz, g.bx, g.by, g.bz, cam.Width, cam.Height, i)
+				p := initial[id][0]
+				blk, err := d.Extract(f, i)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, err := p.Wire(); err != nil || !bytes.Equal(got, blk.Serialize()) {
+					t.Fatalf("%s: the view's wire form is not the extracted block (%v)", where, err)
+				}
+				want := RenderBlock(cam, tf, d, i, blk)
+				if !bytes.Equal(want.window(cam.frame()).Serialize(), refRenderBlock(cam, tf, d, i, blk).Serialize()) {
+					t.Fatalf("%s: the extracted block's image differs from the reference", where)
+				}
+				cloned, err := p.CloneForWire()
+				if err != nil {
+					t.Fatal(err)
+				}
+				for name, in := range map[string]core.Payload{"view": p, "cloned": cloned} {
+					img, err := cfg.leafImage(in, id, i)
+					if err != nil {
+						t.Fatalf("%s, %s: %v", where, name, err)
+					}
+					if !bytes.Equal(img.Serialize(), want.Serialize()) {
+						t.Errorf("%s, %s: the leaf's image differs from the extracted block's", where, name)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestLeafInputErrors: a leaf given an input that is not its block fails
+// with an error naming the task and the block, where it used to panic on a
+// block smaller than the core or silently render another block's view.
+func TestLeafInputErrors(t *testing.T) {
+	cfg, f := testConfig(t, 2, 2, 2)
+	other, err := data.NewDecomposition(16, 16, 16, 1, 1, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	small := data.NewField(2, 2, 2)
+	for _, c := range []struct {
+		name string
+		in   core.Payload
+		want string
+	}{
+		{"wire-form block smaller than the core", core.Buffer(small.Serialize()), "task 7 renders block 0 (9x9x9) but got a 2x2x2 field"},
+		{"in-memory block smaller than the core", core.Object(small), "task 7 renders block 0 (9x9x9) but got a 2x2x2 field"},
+		{"view of another block", core.Object(&blockView{f: f, d: cfg.Decomp, i: 1}), "task 7 renders block 0 but got a view of block 1"},
+		{"view of another decomposition", core.Object(&blockView{f: f, d: other, i: 0}), "task 7 renders block 0 but got a view of block 0 of a 1x1x8 grid"},
+		{"an image", core.Object(NewImage(1, 1, 0, 0)), "payload object is *render.Image"},
+	} {
+		_, err := cfg.leafImage(c.in, 7, 0)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %v, want one containing %q", c.name, err, c.want)
+		}
 	}
 }

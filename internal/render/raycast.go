@@ -72,8 +72,19 @@ func footprint(w, n, lo, hi int) (p0 int, cols []int) {
 // The image is anchored at the block's footprint in the camera frame and
 // trimmed to the bounding rectangle of the pixels that are not transparent;
 // a block that paints nothing gives a 0×0 image. The block field includes
-// the ghost layer; samples are taken at the core's integer z planes, so
-// compositing all blocks reproduces the full-domain integral exactly.
+// the ghost layer, as Decomposition.Extract gives it; samples are taken at
+// the core's integer z planes, so compositing all blocks reproduces the
+// full-domain integral exactly.
+func RenderBlock(cam Camera, tf TransferFunction, d *data.Decomposition, blockIndex int, block *data.Field) *Image {
+	return castCore(cam, tf, d, blockIndex, block.Values, 0, block.NX, block.NX*block.NY)
+}
+
+// castCore is the one ray-casting kernel, behind RenderBlock and the
+// in-place render of a blockView. It reads block blockIndex's core from
+// vals: the core's origin voxel is vals[origin], and rows and z planes lie
+// rowStride and planeStride values apart, so an extracted block and the
+// whole volume are read alike. Only the core is read, never the ghost
+// layer.
 //
 // The rays of the block's pixel rectangle advance together, one z plane at
 // a time, reading each plane's rows in memory order and accumulating
@@ -82,7 +93,7 @@ func footprint(w, n, lo, hi int) (p0 int, cols []int) {
 // accumulator as it was (a NaN stays a NaN). Every other sample goes
 // through tf.Sample and the same OVER step, in the same order, as a single
 // ray would take it.
-func RenderBlock(cam Camera, tf TransferFunction, d *data.Decomposition, blockIndex int, block *data.Field) *Image {
+func castCore(cam Camera, tf TransferFunction, d *data.Decomposition, blockIndex int, vals []float32, origin, rowStride, planeStride int) *Image {
 	b := d.Block(blockIndex)
 	sx, sy, sz := d.NX/d.BXN, d.NY/d.BYN, d.NZ/d.BZN
 	// Core region: the ghost-free partition cell [b.X0, b.X0+sx) x ... ;
@@ -95,12 +106,11 @@ func RenderBlock(cam Camera, tf TransferFunction, d *data.Decomposition, blockIn
 	}
 	w := len(xs)
 	img := NewImage(w, len(ys), px0, py0)
-	plane := block.NX * block.NY
 	for z := 0; z < sz; z++ {
-		vals := block.Values[z*plane : (z+1)*plane]
+		plane := origin + z*planeStride
 		depth := float32(b.Z0 + z)
 		for j, ly := range ys {
-			row := vals[ly*block.NX : (ly+1)*block.NX]
+			row := vals[plane+ly*rowStride:][:sx]
 			pixels := img.Pixels[4*j*w : 4*(j+1)*w]
 			depths := img.Depth[j*w : (j+1)*w]
 			for i, lx := range xs {

@@ -122,7 +122,9 @@ func refRenderBlock(cam Camera, tf TransferFunction, d *data.Decomposition, bloc
 
 // TestKernelMatchesReference renders seeded random volumes with both
 // kernels and compares the encoded images, made dense, byte for byte, NaN
-// payloads and signed zeros included; each sparse image must be trimmed
+// payloads and signed zeros included; each block is rendered both from its
+// extracted field and in place from the volume, and the two sparse images
+// must be the same bytes. Each sparse image must be trimmed
 // tight (a pixel that is not transparent on every border row and column).
 // Each draw's blocks are then composited through both paths — the sparse
 // CompositeTree and CompositeSwap against the dense refCompositeTree and
@@ -184,6 +186,10 @@ func TestKernelMatchesReference(t *testing.T) {
 			if !bytes.Equal(img.window(cam.frame()).Serialize(), ref.Serialize()) {
 				t.Fatalf("draw %d: %dx%dx%d in %dx%dx%d blocks, %dx%d camera, %+v: block %d differs from the reference",
 					draws, nx, ny, nz, bx, by, bz, cam.Width, cam.Height, tf, i)
+			}
+			view := blockView{f: f, d: d, i: i}
+			if !bytes.Equal(view.render(cam, tf).Serialize(), img.Serialize()) {
+				t.Fatalf("draw %d: block %d rendered in place differs from the extracted block", draws, i)
 			}
 			if !tight(img) {
 				t.Fatalf("draw %d: block %d's %+v is not the tight rectangle of its pixels", draws, i, img.bounds())
