@@ -147,8 +147,10 @@ func NewBlockMap(shardCount, taskCount int) TaskMap {
 	return core.NewBlockMap(shardCount, taskCount)
 }
 
-// NewGraphMap distributes a graph's (possibly non-contiguous) ids
-// round-robin over shards.
+// NewGraphMap is the default placement of a graph: each dependency level
+// is cut into shardCount runs of ascending ids, so heap-numbered trees keep
+// whole subtrees on one shard and every level is balanced to within one
+// task.
 func NewGraphMap(shardCount int, g TaskGraph) TaskMap {
 	return core.NewGraphMap(shardCount, g)
 }

@@ -28,7 +28,7 @@ func main() {
 		valence = flag.Int("valence", 2, "tree fan-in/out")
 		width   = flag.Int("width", 3, "neighbor grid width")
 		height  = flag.Int("height", 2, "neighbor grid height")
-		shards  = flag.Int("shards", 0, "restrict to one shard of a modulo map over this many shards (0 = whole graph)")
+		shards  = flag.Int("shards", 0, "restrict to one shard of the default placement (NewGraphMap) over this many shards (0 = whole graph)")
 		shard   = flag.Int("shard", 0, "which shard to draw when -shards > 0")
 		outPath = flag.String("o", "", "output file (default stdout)")
 	)

@@ -156,7 +156,7 @@ func BenchmarkRecovery(b *testing.B) {
 					if ms, err = mpi.NewMembership(row.ranks); err != nil {
 						b.Fatal(err)
 					}
-					faulty = row.event(cb, core.NewGraphMap(row.ranks, row.g), ms)
+					faulty = row.event(cb, pinnedMap(row.ranks, row.g), ms)
 				}
 				d, reps[i] = runRecovery(b, row.g, row.ranks, faulty, want, ms, row.inject)
 				fault += d
@@ -174,12 +174,12 @@ func BenchmarkRecovery(b *testing.B) {
 	}
 }
 
-// runRecovery runs g once under RunElastic on ranks loopback-TCP ranks and
-// checks it: sinks equal to want, every task replayed or executed exactly
+// runRecovery runs g once under RunElastic on ranks loopback-TCP ranks,
+// placed by pinnedMap so the kill point fires, and checks it: sinks equal to want, every task replayed or executed exactly
 // once in the final epoch.
 func runRecovery(b *testing.B, g core.TaskGraph, ranks int, cb core.Callback, want map[core.TaskId][]core.Payload, ms *mpi.Membership, inject mpi.InjectFunc) (time.Duration, mpi.ElasticReport) {
 	b.Helper()
-	ctrl, connect := elasticController(b, g, core.NewGraphMap(ranks, g), cb, wire.TierTCP, nil)
+	ctrl, connect := elasticController(b, g, pinnedMap(ranks, g), cb, wire.TierTCP, nil)
 	eo := mpi.ElasticOptions{Connect: connect, Inject: inject, Initial: externalInputsFor(g), Membership: ms}
 	start := time.Now()
 	out, rep, err := ctrl.RunElastic(context.Background(), eo)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -26,6 +27,42 @@ func injectOnFirstEpoch(plan faultinject.Plan) mpi.InjectFunc {
 		}
 		return faultinject.Wrap(tr, rank, plan)
 	}
+}
+
+// pinnedMap is the placement the message-indexed fault tests run on: ids
+// dealt round-robin, which sends every other tree edge across ranks. The
+// injector counts inter-rank messages only, so a kill point is pinned to a
+// placement; the default GraphMap keeps subtrees whole and leaves a rank
+// few messages to count.
+func pinnedMap(ranks int, g core.TaskGraph) core.TaskMap {
+	return core.NewListMap(ranks, g.TaskIds())
+}
+
+// interRankSends counts the messages rank sends to other ranks under m in
+// one clean epoch: one per consumer of each output slot placed elsewhere.
+// A kill after k messages fires exactly when this exceeds k.
+func interRankSends(t *testing.T, g core.TaskGraph, m core.TaskMap, rank int) int {
+	t.Helper()
+	p, err := core.Compile(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shardOf, err := p.Place(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for i, s := range shardOf {
+		if int(s) != rank {
+			continue
+		}
+		for _, c := range p.Consumers(i) {
+			if shardOf[c] != s {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // TestFaultReplayConformance is the recovery conformance sweep of the
@@ -57,7 +94,8 @@ func TestFaultReplayConformance(t *testing.T) {
 				initial := externalInputsFor(g)
 				want := serialReference(t, g, cb, initial)
 
-				m := core.NewGraphMap(ranks, g)
+				m := pinnedMap(ranks, g)
+				fires := interRankSends(t, g, m, victim) > killAfter
 				ctrl, connect := elasticController(t, g, m, cb, wire.TierAuto, nil)
 				got, rep, err := ctrl.RunElastic(context.Background(), mpi.ElasticOptions{
 					Connect: connect,
@@ -72,7 +110,10 @@ func TestFaultReplayConformance(t *testing.T) {
 					t.Fatalf("RunElastic: %v (report %+v)", err, rep)
 				}
 				assertSameSinks(t, want, got)
-				if rep.Epochs > 1 {
+				if fired := rep.Epochs > 1; fired != fires {
+					t.Fatalf("kill fired=%v, want %v: rank %d sends %d inter-rank message(s)", fired, fires, victim, interRankSends(t, g, m, victim))
+				}
+				if fires {
 					// The kill fired: the victim must be on the casualty list
 					// and recovery must have replayed from the ledgers rather
 					// than recomputing everything from scratch.
@@ -93,6 +134,38 @@ func TestFaultReplayConformance(t *testing.T) {
 	}
 }
 
+// TestFaultOnDefaultPlacement kills a rank under the default GraphMap,
+// where same-rank edges never reach the transport: rank 1 of a 4-rank
+// k-way merge dies on its first inter-rank send, and the recovery epoch
+// must still deliver sinks identical to serial.
+func TestFaultOnDefaultPlacement(t *testing.T) {
+	g, err := graphs.NewKWayMerge(8, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cb := mixCallback(g)
+	initial := externalInputsFor(g)
+	want := serialReference(t, g, cb, initial)
+
+	m := core.NewGraphMap(4, g)
+	if n := interRankSends(t, g, m, 1); n == 0 {
+		t.Fatal("rank 1 sends no inter-rank message: nothing to kill")
+	}
+	ctrl, connect := elasticController(t, g, m, cb, wire.TierAuto, nil)
+	got, rep, err := ctrl.RunElastic(context.Background(), mpi.ElasticOptions{
+		Connect: connect,
+		Inject:  injectOnFirstEpoch(faultinject.Plan{KillRank: 1, KillAfter: 0, Delay: time.Millisecond}),
+		Initial: initial,
+	})
+	if err != nil {
+		t.Fatalf("RunElastic: %v (report %+v)", err, rep)
+	}
+	assertSameSinks(t, want, got)
+	if rep.Epochs != 2 || !slices.Contains(rep.LostShards, 1) {
+		t.Errorf("one kill of rank 1: epochs=%d lost=%v", rep.Epochs, rep.LostShards)
+	}
+}
+
 // TestFaultDuplicateDelivery redelivers every second inter-rank message
 // with its original sequence number: the receiver-side dedup of the
 // fault-tolerant path must drop the copies, keeping the sinks byte-identical
@@ -107,7 +180,7 @@ func TestFaultDuplicateDelivery(t *testing.T) {
 	initial := externalInputsFor(g)
 	want := serialReference(t, g, cb, initial)
 
-	m := core.NewGraphMap(4, g)
+	m := pinnedMap(4, g)
 	ctrl, connect := elasticController(t, g, m, cb, wire.TierAuto, nil)
 	var copies atomic.Int64
 	got, rep, err := ctrl.RunElastic(context.Background(), mpi.ElasticOptions{
@@ -167,7 +240,7 @@ func TestFaultDegradeToSingleRank(t *testing.T) {
 	initial := externalInputsFor(g)
 	want := serialReference(t, g, cb, initial)
 
-	m := core.NewGraphMap(4, g)
+	m := pinnedMap(4, g)
 	ctrl, connect := elasticController(t, g, m, cb, wire.TierAuto, nil)
 	got, rep, err := ctrl.RunElastic(context.Background(), mpi.ElasticOptions{
 		Connect: connect,
@@ -200,7 +273,7 @@ func TestFaultRetriesExhausted(t *testing.T) {
 	cb := mixCallback(g)
 	initial := externalInputsFor(g)
 
-	m := core.NewGraphMap(4, g)
+	m := pinnedMap(4, g)
 	ctrl, connect := elasticController(t, g, m, cb, wire.TierAuto, nil,
 		mpi.WithRetry(core.RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond}))
 	_, rep, err := ctrl.RunElastic(context.Background(), mpi.ElasticOptions{

@@ -138,7 +138,7 @@ func TestResumeAfterKillingAllRanks(t *testing.T) {
 					cb := mixCallback(g)
 					initial := externalInputsFor(g)
 					want := serialReference(t, g, cb, initial)
-					m := core.NewGraphMap(ranks, g)
+					m := pinnedMap(ranks, g)
 					dir := t.TempDir()
 
 					// Seed run: every rank is its own victim, so the whole job

@@ -317,8 +317,13 @@ func (p *Plan) Levels() [][]TaskId {
 
 // Place compiles a task map against the plan — the shard of every task, by
 // dense index — and is the map's validation: every task is assigned to
-// exactly one shard of the map, and Ids and Shard agree.
+// exactly one shard of the map, and Ids and Shard agree. A GraphMap of a
+// graph the plan's size is the plan's Spread: its rule is read off this
+// plan, not off a second compile of the map's graph.
 func (p *Plan) Place(m TaskMap) ([]int32, error) {
+	if gm, ok := m.(*GraphMap); ok && gm.g != nil && gm.g.Size() == len(p.ids) {
+		return p.Spread(gm.shards), nil
+	}
 	shardOf := make([]int32, len(p.ids))
 	for i := range shardOf {
 		shardOf[i] = -1

@@ -1,5 +1,7 @@
 package core
 
+import "sync"
+
 // TaskMap assigns tasks to shards. The MPI controller and the Legion SPMD
 // controller use it for static placement; the Charm++ controller ignores it
 // and lets the runtime place (and migrate) tasks.
@@ -112,8 +114,8 @@ func (m *BlockMap) Ids(shard ShardId) []TaskId {
 func (m *BlockMap) ShardCount() int { return m.shards }
 
 // ListMap maps an explicit, possibly non-contiguous id enumeration onto
-// shards in round robin over the enumeration order. Composite graphs whose
-// id spaces carry prefixes use it as their default placement.
+// shards in round robin over the enumeration order: the i-th id lives on
+// shard i mod shards.
 type ListMap struct {
 	shards int
 	byTask map[TaskId]ShardId
@@ -132,32 +134,12 @@ func NewListMap(shardCount int, ids []TaskId) *ListMap {
 		byShrd: make([][]TaskId, shardCount),
 	}
 	for i, id := range ids {
-		s := roundRobin(i, shardCount)
+		s := ShardId(i % shardCount)
 		m.byTask[id] = s
 		m.byShrd[s] = append(m.byShrd[s], id)
 	}
 	return m
 }
-
-// NewGraphMap distributes all tasks of a graph round-robin over shardCount
-// shards, in TaskIds order.
-func NewGraphMap(shardCount int, g TaskGraph) *ListMap {
-	return NewListMap(shardCount, g.TaskIds())
-}
-
-// RoundRobin is Place(NewGraphMap(shards, p)) without the map: the default
-// placement, by dense index.
-func (p *Plan) RoundRobin(shards int) []int32 {
-	shardOf := make([]int32, len(p.ids))
-	for i := range shardOf {
-		shardOf[i] = int32(roundRobin(i, shards))
-	}
-	return shardOf
-}
-
-// roundRobin is the default placement rule: the i-th id of an enumeration
-// lives on shard i mod shards.
-func roundRobin(i, shards int) ShardId { return ShardId(i % shards) }
 
 // Shard implements TaskMap. Unknown tasks map to shard 0.
 func (m *ListMap) Shard(id TaskId) ShardId { return m.byTask[id] }
@@ -172,6 +154,88 @@ func (m *ListMap) Ids(shard ShardId) []TaskId {
 
 // ShardCount implements TaskMap.
 func (m *ListMap) ShardCount() int { return m.shards }
+
+// GraphMap is the default placement of a graph: Plan.Spread's rule, which
+// reads the graph's structure. Plan.Place resolves a GraphMap against the
+// plan it places, so Initialize compiles the graph once; Shard and Ids,
+// called standalone, compile the graph on first use.
+type GraphMap struct {
+	shards int
+	g      TaskGraph
+
+	once    sync.Once
+	plan    *Plan // nil when g does not compile
+	shardOf []int32
+	byShard [][]TaskId
+}
+
+// NewGraphMap returns the default placement of g over shardCount shards:
+// each dependency level (Height-1) is cut into shardCount runs of ascending
+// ids, so heap-numbered trees keep whole subtrees on one shard and every
+// level is balanced to within one task.
+func NewGraphMap(shardCount int, g TaskGraph) *GraphMap {
+	if shardCount <= 0 {
+		panic("core: GraphMap requires at least one shard")
+	}
+	return &GraphMap{shards: shardCount, g: g}
+}
+
+// resolve compiles the graph and places it, once.
+func (m *GraphMap) resolve() {
+	m.once.Do(func() {
+		p, err := Compile(m.g)
+		if err != nil {
+			return
+		}
+		m.plan, m.shardOf = p, p.Spread(m.shards)
+		m.byShard = make([][]TaskId, m.shards)
+		for i, s := range m.shardOf {
+			m.byShard[s] = append(m.byShard[s], p.ids[i])
+		}
+	})
+}
+
+// Shard implements TaskMap. Unknown tasks, and every task of a graph that
+// does not compile, map to shard 0.
+func (m *GraphMap) Shard(id TaskId) ShardId {
+	m.resolve()
+	if m.plan != nil {
+		if i, ok := m.plan.Index(id); ok {
+			return ShardId(m.shardOf[i])
+		}
+	}
+	return 0
+}
+
+// Ids implements TaskMap; nil for every shard of a graph that does not
+// compile.
+func (m *GraphMap) Ids(shard ShardId) []TaskId {
+	m.resolve()
+	if m.plan == nil || shard < 0 || int(shard) >= m.shards {
+		return nil
+	}
+	return append([]TaskId(nil), m.byShard[shard]...)
+}
+
+// ShardCount implements TaskMap.
+func (m *GraphMap) ShardCount() int { return m.shards }
+
+// Spread is Place(NewGraphMap(shards, p)) without the map: the default
+// placement, by dense index. Within each level, ids ascending, the k-th of
+// the level's n tasks goes to shard k*shards/n.
+func (p *Plan) Spread(shards int) []int32 {
+	size := make([]int, p.max)
+	for _, h := range p.height {
+		size[h-1]++
+	}
+	seen := make([]int, p.max)
+	shardOf := make([]int32, len(p.ids))
+	for i, h := range p.height {
+		shardOf[i] = int32(seen[h-1] * shards / size[h-1])
+		seen[h-1]++
+	}
+	return shardOf
+}
 
 // FuncMap adapts a placement function to the TaskMap interface. The id
 // enumeration must cover every task the function will be asked about.

@@ -89,26 +89,57 @@ func TestListMapNonContiguousIds(t *testing.T) {
 	}
 }
 
-// The default placement has one rule in two forms: NewGraphMap for users,
-// Plan.RoundRobin for controllers that place by dense index.
-func TestPlanRoundRobinIsGraphMap(t *testing.T) {
+// The default placement has one rule in three forms: Plan.Spread for
+// controllers that place by dense index, Place(NewGraphMap) resolved against
+// the plan, and a standalone GraphMap's Ids and Shard.
+func TestPlanSpreadIsGraphMap(t *testing.T) {
 	g := NewExplicitGraph([]Task{
-		{Id: 3, Callback: 0, Incoming: []TaskId{ExternalInput}, Outgoing: [][]TaskId{{7}}},
-		{Id: 7, Callback: 0, Incoming: []TaskId{3}, Outgoing: [][]TaskId{{100}}},
-		{Id: 100, Callback: 0, Incoming: []TaskId{7}, Outgoing: [][]TaskId{{2000}}},
-		{Id: 2000, Callback: 0, Incoming: []TaskId{100}, Outgoing: [][]TaskId{nil}},
+		{Id: 3, Callback: 0, Incoming: []TaskId{ExternalInput}, Outgoing: [][]TaskId{{100}}},
+		{Id: 5, Callback: 0, Incoming: []TaskId{ExternalInput}, Outgoing: [][]TaskId{{100}}},
+		{Id: 7, Callback: 0, Incoming: []TaskId{ExternalInput}, Outgoing: [][]TaskId{{2000}}},
+		{Id: 9, Callback: 0, Incoming: []TaskId{ExternalInput}, Outgoing: [][]TaskId{{2000}}},
+		{Id: 100, Callback: 0, Incoming: []TaskId{3, 5}, Outgoing: [][]TaskId{{4000}}},
+		{Id: 2000, Callback: 0, Incoming: []TaskId{7, 9}, Outgoing: [][]TaskId{{4000}}},
+		{Id: 4000, Callback: 0, Incoming: []TaskId{100, 2000}, Outgoing: [][]TaskId{nil}},
 	})
 	p, err := Compile(g)
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := map[int][]int32{
+		1: {0, 0, 0, 0, 0, 0, 0},
+		2: {0, 0, 1, 1, 0, 1, 0},
+		3: {0, 0, 1, 2, 0, 1, 0},
+		5: {0, 1, 2, 3, 0, 2, 0},
+	}
 	for shards := 1; shards <= 5; shards++ {
-		want, err := p.Place(NewGraphMap(shards, p))
+		got := p.Spread(shards)
+		if w, ok := want[shards]; ok && !slices.Equal(got, w) {
+			t.Errorf("%d shards: Spread = %v, want %v", shards, got, w)
+		}
+		placed, err := p.Place(NewGraphMap(shards, g))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := p.RoundRobin(shards); !slices.Equal(got, want) {
-			t.Errorf("%d shards: RoundRobin = %v, Place(NewGraphMap) = %v", shards, got, want)
+		if !slices.Equal(got, placed) {
+			t.Errorf("%d shards: Spread = %v, Place(NewGraphMap) = %v", shards, got, placed)
+		}
+		// Standalone: the map compiles g itself; a FuncMap over it takes
+		// Place's generic path.
+		m := NewGraphMap(shards, g)
+		generic, err := p.Place(NewFuncMap(shards, g.TaskIds(), m.Shard))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, generic) {
+			t.Errorf("%d shards: Spread = %v, GraphMap.Shard = %v", shards, got, generic)
+		}
+		for s := ShardId(0); int(s) < shards; s++ {
+			for _, id := range m.Ids(s) {
+				if m.Shard(id) != s {
+					t.Errorf("%d shards: task %d listed on shard %d, Shard says %d", shards, id, s, m.Shard(id))
+				}
+			}
 		}
 	}
 }

@@ -4,17 +4,21 @@
 // as their inputs arrive.
 //
 // Each rank instantiates a separate controller loop that owns the local
-// sub-graph, posts receives, tracks input readiness and hands ready tasks to
-// background workers. Intra-rank messages skip serialization and pass the
-// payload pointer directly; inter-rank messages (and fan-out copies) are
-// serialized. A task assumes ownership of its inputs and relinquishes
-// ownership of its outputs, so no data races occur on payloads.
+// sub-graph's input readiness, feeds the external inputs and receives the
+// messages other ranks send it — known statically, one per input slot fed
+// from another rank. Same-rank edges never touch the transport or the loop:
+// the worker that finished the producer delivers the payload into the
+// rank's readiness state under the rank's mutex (the pointer itself for a
+// slot's last local consumer, §IV-A) and dispatches any task that became
+// ready. Inter-rank messages (and fan-out copies) are serialized. A task
+// assumes ownership of its inputs and relinquishes ownership of its
+// outputs, so no data races occur on payloads.
 //
 // Scheduling is graph-aware: Initialize compiles the graph once into a flat
 // core.Plan (validation, dense task arrays, critical-path depths) and the
-// task map into a placement table, and the receive loop dispatches ready
-// tasks into per-rank priority deques ordered by downstream depth, so the
-// most critical ready task runs first instead of the oldest. The deques are
+// task map into a placement table, and ready tasks enter per-rank priority
+// deques ordered by downstream depth, so the most critical ready task runs
+// first instead of the oldest. The deques are
 // drained by a shared work-stealing executor (fabric.Pool): a global budget
 // of workers — defaulting to GOMAXPROCS, not a fixed per-rank pool — is
 // homed round-robin over the ranks, and an idle worker whose home rank has
@@ -398,9 +402,32 @@ type runEnv struct {
 	pool  *fabric.Pool    // nil = inline execution
 	leds  []*core.Ledger  // nil outside ledgered runs
 	seq   []atomic.Uint64 // nil outside ledgered runs
+	ranks []rankState     // by rank; set up by the rank's own loop
 
-	mu   sync.Mutex
-	errs []error // first failure per rank: classifyDead's evidence
+	stopped atomic.Bool // a rank failed: no task starts any more
+	mu      sync.Mutex
+	errs    []error // first failure per rank: classifyDead's evidence
+}
+
+// rankState is one rank's input readiness, shared by the rank loop and by
+// every worker finishing one of the rank's tasks: whoever delivers a task's
+// last input dispatches it. mu guards st; lock order is mu, then the pool's.
+type rankState struct {
+	mu       sync.Mutex
+	st       *core.DataflowState
+	dispatch func(i int, in []core.Payload)
+}
+
+// deliver fills one input slot of the rank's task i and dispatches the task
+// once it is ready. rs.mu must be held.
+func (rs *rankState) deliver(i int, from core.TaskId, pay core.Payload) error {
+	if err := rs.st.Deliver(i, from, pay); err != nil {
+		return err
+	}
+	if in, ok := rs.st.Take(i); ok {
+		rs.dispatch(i, in)
+	}
+	return nil
 }
 
 // fail records a failure of rank and cancels the rank's transport — that
@@ -412,6 +439,7 @@ func (e *runEnv) fail(rank int, err error) {
 		e.errs[rank] = err
 	}
 	e.mu.Unlock()
+	e.stopped.Store(true)
 	e.Fail(err)
 	e.trs[rank].Cancel()
 }
@@ -440,7 +468,7 @@ func (e *runEnv) ledger(rank int) *core.Ledger {
 // attempt's Result has joined the watcher, a cancellation racing completion
 // can no longer reach a transport the caller is about to release.
 func (c *Controller) epoch(ctx context.Context, pl *placement, trs []fabric.Transport, pool *fabric.Pool, leds []*core.Ledger, initial map[core.TaskId][]core.Payload) (map[core.TaskId][]core.Payload, []error, error) {
-	env := &runEnv{place: pl, trs: trs, pool: pool, leds: leds, errs: make([]error, len(trs))}
+	env := &runEnv{place: pl, trs: trs, pool: pool, leds: leds, ranks: make([]rankState, len(trs)), errs: make([]error, len(trs))}
 	// fail cancels per rank, so all that is left for the attempt's Cancel is
 	// to pass the cause on.
 	env.Cancel = func() { c.onFail(env.Err()) }
@@ -495,11 +523,15 @@ func (c *Controller) WireOptions() wire.Options {
 // longer rank-scoped, so scratch lives in a pool instead of a worker local.
 var scratchPool = sync.Pool{New: func() any { return new([]fabric.Message) }}
 
-// runRank is the per-rank controller loop: it drains the rank's mailbox,
-// tracks input readiness and dispatches ready tasks into the rank's
-// priority deque on the shared executor (pool is nil only in Inline mode).
-// Tasks are dense plan indices throughout: readiness, placement and
-// priority are array reads.
+// runRank is the per-rank controller loop: it feeds the rank's external
+// inputs, dispatches the tasks ready from the start and then receives the
+// messages other ranks send here — known statically, one per input slot fed
+// from another rank, live or dead. Same-rank edges never reach the loop:
+// route delivers them, and whoever delivers a task's last input dispatches
+// it into the rank's priority deque on the shared executor (pool is nil
+// only in Inline mode, where this loop runs the ready tasks itself). Tasks
+// are dense plan indices throughout: readiness, placement and priority are
+// array reads.
 func (c *Controller) runRank(rank int, env *runEnv, initial map[core.TaskId][]core.Payload) error {
 	p, pl := c.Plan(), env.place
 	local := pl.local[rank]
@@ -507,14 +539,15 @@ func (c *Controller) runRank(rank int, env *runEnv, initial map[core.TaskId][]co
 		return nil // rank with no assigned tasks
 	}
 	ids := p.TaskIds()
-	st := core.NewDataflowState(p, local)
-	remaining := len(local)
+	rs := &env.ranks[rank]
+	rs.st = core.NewDataflowState(p, local)
 	led := env.ledger(rank)
 	tr := env.trs[rank]
 
 	// execute runs one ready task on whichever worker picked it up and
 	// routes its outputs. A failing task fails the rank, which cancels its
-	// transport so every rank unwinds. In a ledgered run, a task whose
+	// transport so every rank unwinds; once a rank failed, no task starts
+	// and its inputs are released. In a ledgered run, a task whose
 	// outputs are already in the lineage ledger is replayed — its recorded
 	// wire forms are re-routed downstream without re-running the callback —
 	// so a recovery epoch only pays for the undelivered frontier. A task
@@ -522,6 +555,13 @@ func (c *Controller) runRank(rank int, env *runEnv, initial map[core.TaskId][]co
 	// resumed run replays the cancellation instead of re-deciding it. ready
 	// is when the task entered the deque, stamped only for an Observer.
 	execute := func(i int, ready time.Time, in []core.Payload, scratch []fabric.Message) []fabric.Message {
+		if env.stopped.Load() {
+			for k := range in {
+				in[k].Release()
+			}
+			clear(in)
+			return scratch
+		}
 		t := p.TaskAt(i)
 		var out []core.Payload
 		var attempt uint32
@@ -577,53 +617,68 @@ func (c *Controller) runRank(rank int, env *runEnv, initial map[core.TaskId][]co
 	var pend sync.WaitGroup
 	defer pend.Wait()
 
-	var inlineScratch []fabric.Message
-	dispatch := func(i int, in []core.Payload) {
-		remaining--
+	// ready holds Inline mode's ready tasks; only this loop touches it, as
+	// inline tasks route on this goroutine.
+	type readyTask struct {
+		i  int
+		in []core.Payload
+	}
+	var ready []readyTask
+	rs.dispatch = func(i int, in []core.Payload) {
 		if c.opt.Inline {
-			inlineScratch = execute(i, time.Time{}, in, inlineScratch)
+			ready = append(ready, readyTask{i, in})
 			return
 		}
 		// Priority dispatch: the deque hands workers the most critical
 		// ready task — the one with the longest downstream chain — not the
 		// oldest (§IV-A schedules greedily; the priority decides among
 		// simultaneously ready tasks and cannot affect outputs).
-		var ready time.Time
+		var readyAt time.Time
 		if c.opt.Observer != nil {
-			ready = time.Now()
+			readyAt = time.Now()
 		}
 		pend.Add(1)
 		env.pool.Submit(rank, int64(p.Depth(ids[i])), func() {
 			defer pend.Done()
 			sp := scratchPool.Get().(*[]fabric.Message)
-			*sp = execute(i, ready, in, *sp)
+			*sp = execute(i, readyAt, in, *sp)
 			scratchPool.Put(sp)
 		})
 	}
 
-	// Feed external inputs for local leaf tasks, then dispatch tasks that
-	// are immediately ready.
+	// Feed external inputs for local leaf tasks and count the input slots
+	// other ranks feed — nothing runs yet, so without the lock — then
+	// dispatch tasks that are immediately ready.
+	remote := 0
 	for _, i := range local {
+		for _, src := range p.TaskAt(int(i)).Incoming {
+			if j, ok := p.Index(src); ok && pl.shardOf[j] != int32(rank) {
+				remote++
+			}
+		}
 		if p.Externals(int(i)) == 0 {
 			continue
 		}
 		for _, pay := range initial[ids[i]] {
-			if err := st.Deliver(int(i), core.ExternalInput, pay); err != nil {
+			if err := rs.st.Deliver(int(i), core.ExternalInput, pay); err != nil {
 				return err
 			}
 		}
 	}
+	rs.mu.Lock()
 	for _, i := range local {
-		if in, ok := st.Take(int(i)); ok {
-			dispatch(int(i), in)
+		if in, ok := rs.st.Take(int(i)); ok {
+			rs.dispatch(int(i), in)
 		}
 	}
+	rs.mu.Unlock()
 
-	// Receive loop: every arriving message targets a local task. Tasks
-	// become ready in the order their last input arrives and enter the
-	// priority deque; messages are drained in batches so a burst costs one
-	// mailbox lock, not one per message. Dispatch never blocks, so the loop
-	// keeps draining and accounting inputs while every worker is busy.
+	// Receive loop, until the last expected message arrived. Messages are
+	// drained in batches so a burst costs one mailbox lock and one rank
+	// lock, not one per message. Dispatch never blocks, so the loop keeps
+	// draining and accounting inputs while every worker is busy. In Inline
+	// mode the loop first runs every ready task, and the tasks those make
+	// ready, without recursion.
 	//
 	// Fault-tolerant runs additionally dedup by message sequence id: a
 	// redelivered duplicate (injected or transport-retried) would otherwise
@@ -633,7 +688,16 @@ func (c *Controller) runRank(rank int, env *runEnv, initial map[core.TaskId][]co
 	if led != nil {
 		seen = make([]map[uint64]struct{}, len(env.trs))
 	}
-	for remaining > 0 {
+	var inlineScratch []fabric.Message
+	for {
+		for len(ready) > 0 {
+			r := ready[len(ready)-1]
+			ready = ready[:len(ready)-1]
+			inlineScratch = execute(r.i, time.Time{}, r.in, inlineScratch)
+		}
+		if remote == 0 {
+			return nil
+		}
 		n, ok := tr.RecvBatch(rank, batch)
 		if !ok {
 			// Delivery became impossible. A transport-level failure (lost
@@ -643,8 +707,9 @@ func (c *Controller) runRank(rank int, env *runEnv, initial map[core.TaskId][]co
 			if err := tr.Err(); err != nil {
 				return err
 			}
-			return fmt.Errorf("mpi: rank %d aborted with %d task(s) pending: %w", rank, remaining, fabric.ErrClosed)
+			return fmt.Errorf("mpi: rank %d aborted with %d message(s) pending: %w", rank, remote, fabric.ErrClosed)
 		}
+		rs.mu.Lock()
 		for k := 0; k < n; k++ {
 			m := batch[k]
 			batch[k] = fabric.Message{} // drop the payload reference
@@ -662,17 +727,17 @@ func (c *Controller) runRank(rank int, env *runEnv, initial map[core.TaskId][]co
 			}
 			i, ok := p.Index(m.Dest)
 			if !ok || pl.shardOf[i] != int32(rank) {
+				rs.mu.Unlock()
 				return fmt.Errorf("mpi: rank %d received message for non-local task %d", rank, m.Dest)
 			}
-			if err := st.Deliver(i, m.Src, m.Payload); err != nil {
+			remote--
+			if err := rs.deliver(i, m.Src, m.Payload); err != nil {
+				rs.mu.Unlock()
 				return err
 			}
-			if in, ok := st.Take(i); ok {
-				dispatch(i, in)
-			}
 		}
+		rs.mu.Unlock()
 	}
-	return nil
 }
 
 // recordOutputs retains a completed task's serialized outputs in the
@@ -693,23 +758,25 @@ func recordOutputs(led *core.Ledger, t core.Task, out []core.Payload) {
 }
 
 // route delivers a finished task's outputs: sink slots into the attempt,
-// the last consumer of a slot as an in-memory message when it lives on this
-// rank (§IV-A), everything else as the wire form core.FanOut decides on. All
-// of a task's messages are collected into scratch and enqueued with one
-// batched send per destination run, so a whole fan-out costs one
-// serialization and O(destinations) lock acquisitions. The (possibly grown)
-// scratch slice is returned for reuse by the calling worker.
+// consumers on this rank straight into its readiness state (the last
+// consumer of a slot by pointer, §IV-A), everything else as the wire form
+// core.FanOut decides on. The off-rank messages are collected into scratch
+// and enqueued with one batched send per destination run, so a whole
+// fan-out costs one serialization and O(destinations) lock acquisitions.
+// The (possibly grown) scratch slice is returned for reuse by the calling
+// worker.
 //
 // rank is the task's home rank (where its inputs were assembled), not the
-// rank of the stealing worker: the in-memory shortcut and the message From
-// field must follow placement, or outputs would change with the schedule.
+// rank of the stealing worker: the pointer pass and the message From field
+// must follow placement, or outputs would change with the schedule.
 //
-// In fault-tolerant runs every message is stamped with a per-home-rank
-// sequence id (the receiver's dedup identity) and the producing task's
-// attempt number.
+// In fault-tolerant runs every off-rank message is stamped with a
+// per-home-rank sequence id (the receiver's dedup identity) and the
+// producing task's attempt number.
 func (c *Controller) route(rank int, env *runEnv, i int, t core.Task, attempt uint32, out []core.Payload, scratch []fabric.Message) ([]fabric.Message, error) {
 	batch := scratch[:0]
 	shardOf := env.place.shardOf
+	rs := &env.ranks[rank]
 	dest := c.Plan().Consumers(i) // t.Outgoing flattened, as plan indices
 	for slot, consumers := range t.Outgoing {
 		to := dest[:len(consumers)]
@@ -729,11 +796,23 @@ func (c *Controller) route(rank int, env *runEnv, i int, t core.Task, attempt ui
 			if lastLocal && k == last {
 				m.Payload = out[slot]
 			}
+			if m.To == rank {
+				rs.mu.Lock()
+				err = rs.deliver(int(to[k]), t.Id, m.Payload)
+				rs.mu.Unlock()
+				if err != nil {
+					return batch, err
+				}
+				continue
+			}
 			if env.seq != nil {
 				m.Seq = env.seq[rank].Add(1)
 			}
 			batch = append(batch, m)
 		}
+	}
+	if len(batch) == 0 {
+		return batch, nil
 	}
 	tr := env.trs[rank]
 	err := tr.SendN(batch)

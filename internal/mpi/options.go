@@ -161,9 +161,9 @@ func WithNoSteal(noSteal bool) Option {
 }
 
 // WithAlwaysSerialize disables the in-memory message optimization, forcing
-// every payload through its wire form even for rank-local deliveries — the
-// configuration conformance tests use to prove serialization round-trips
-// are lossless.
+// every payload through its wire form even for rank-local deliveries (which
+// still bypass the transport) — the configuration conformance tests use to
+// prove serialization round-trips are lossless.
 func WithAlwaysSerialize(always bool) Option {
 	return optionFunc(func(o *options) { o.AlwaysSerialize = always })
 }

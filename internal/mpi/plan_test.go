@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/babelflow/babelflow-go/internal/core"
+	"github.com/babelflow/babelflow-go/internal/fabric"
 	"github.com/babelflow/babelflow-go/internal/graphs"
 	"github.com/babelflow/babelflow-go/internal/trace"
 )
@@ -40,8 +41,9 @@ func emptyInputs(leaves []core.TaskId) map[core.TaskId][]core.Payload {
 }
 
 // coldRun is what a one-shot user pays per graph instance: a fresh
-// controller, Initialize (the compile), registration and Run.
-func coldRun(t testing.TB, g core.TaskGraph, tmap core.TaskMap, register func(core.CallbackRegistrar) error, initial map[core.TaskId][]core.Payload) {
+// controller, Initialize (the compile), registration and Run. It returns
+// the run's inter-rank traffic.
+func coldRun(t testing.TB, g core.TaskGraph, tmap core.TaskMap, register func(core.CallbackRegistrar) error, initial map[core.TaskId][]core.Payload) fabric.Stats {
 	c := New(WithWorkers(2))
 	if err := c.Initialize(g, tmap); err != nil {
 		t.Fatal(err)
@@ -52,6 +54,7 @@ func coldRun(t testing.TB, g core.TaskGraph, tmap core.TaskMap, register func(co
 	if _, err := c.Run(initial); err != nil {
 		t.Fatal(err)
 	}
+	return c.Stats()
 }
 
 // TestRunAllocationPins pins the allocation counts of the cold and warm
@@ -155,13 +158,26 @@ func TestTracedRunAllocationPins(t *testing.T) {
 
 // BenchmarkColdRun16k is the graph-scale workload without its harness: a
 // cold Initialize+Run of the 16 382-task k-way merge on 2 ranks, callbacks
-// costing nothing.
+// costing nothing — on the default GraphMap, which keeps subtrees on one
+// rank, and on ids dealt round-robin. Each reports the inter-rank messages
+// of one run (msgs/op), the cross-rank edge share beside the time.
 func BenchmarkColdRun16k(b *testing.B) {
 	g, _ := graphs.NewKWayMerge(4096, 2)
-	tmap := core.NewGraphMap(2, g)
 	register := emptyOutputs(b, g)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		coldRun(b, g, tmap, register, emptyInputs(g.UpLeafIds()))
+	for _, bc := range []struct {
+		name string
+		tmap core.TaskMap
+	}{
+		{"default", core.NewGraphMap(2, g)},
+		{"roundrobin", core.NewListMap(2, g.TaskIds())},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var msgs uint64
+			for i := 0; i < b.N; i++ {
+				msgs += coldRun(b, g, bc.tmap, register, emptyInputs(g.UpLeafIds())).Messages
+			}
+			b.ReportMetric(float64(msgs)/float64(b.N), "msgs/op")
+		})
 	}
 }

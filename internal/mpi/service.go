@@ -21,8 +21,8 @@ import (
 var ErrDraining = errors.New("mpi: rank is draining")
 
 // Submission is one graph instance handed to a resident Service: the graph,
-// an optional task map (nil places tasks contiguously with
-// core.NewGraphMap), a callback registration hook and the dataflow's
+// an optional task map (nil places tasks by core.NewGraphMap's rule), a
+// callback registration hook and the dataflow's
 // external inputs.
 type Submission struct {
 	Graph core.TaskGraph
@@ -249,7 +249,7 @@ func (s *Service) Submit(ctx context.Context, sub Submission) (map[core.TaskId][
 	}
 	var pl *placement
 	if sub.Map == nil {
-		pl = newPlacement(s.ranks, plan.RoundRobin(s.ranks))
+		pl = newPlacement(s.ranks, plan.Spread(s.ranks))
 	} else {
 		if got := sub.Map.ShardCount(); got != s.ranks {
 			return nil, JournalStats{}, fmt.Errorf("mpi: submission map shards over %d ranks, service has %d", got, s.ranks)

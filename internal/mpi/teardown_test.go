@@ -4,7 +4,10 @@ import (
 	"context"
 	"errors"
 	"os"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/babelflow/babelflow-go/internal/core"
 	"github.com/babelflow/babelflow-go/internal/fabric"
@@ -167,5 +170,67 @@ func TestRunRankJournalClosedOnError(t *testing.T) {
 		if after := openFDs(); after > base {
 			t.Fatalf("failed RunRank leaked %d fds (%d -> %d)", after-base, base, after)
 		}
+	}
+}
+
+// TestFailedRankStopsLocalChain: workers deliver same-rank edges and
+// dispatch what becomes ready, so nothing but the failure check stands
+// between a failed epoch and the rest of its local subgraph. One early
+// callback of a 16 382-task k-way merge fails; after it, at most the
+// callbacks the other workers already picked up may start (each callback
+// spins 1 ms, far longer than the failure takes to record), every arena
+// buffer is back and no goroutine is left behind.
+func TestFailedRankStopsLocalChain(t *testing.T) {
+	g, _ := graphs.NewKWayMerge(4096, 2)
+	const workers = 2
+	c := New(WithWorkers(workers))
+	if err := c.Initialize(g, core.NewGraphMap(2, g)); err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("boom")
+	var started, after atomic.Int64
+	var failed atomic.Bool
+	for _, cb := range g.Callbacks() {
+		c.RegisterCallback(cb, func(in []core.Payload, id core.TaskId) ([]core.Payload, error) {
+			if failed.Load() {
+				after.Add(1)
+			}
+			for t0 := time.Now(); time.Since(t0) < time.Millisecond; {
+			}
+			if started.Add(1) == 4 {
+				failed.Store(true)
+				return nil, boom
+			}
+			task, _ := c.Plan().Task(id)
+			out := make([]core.Payload, len(task.Outgoing))
+			for s := range out {
+				out[s] = u64(uint64(id))
+			}
+			return out, nil
+		})
+	}
+	initial := make(map[core.TaskId][]core.Payload)
+	for _, id := range g.UpLeafIds() {
+		initial[id] = []core.Payload{u64(uint64(id))}
+	}
+
+	baseline := runtime.NumGoroutine()
+	core.ArenaAccounting(true)
+	defer core.ArenaAccounting(false)
+	if _, err := c.Run(initial); !errors.Is(err, boom) {
+		t.Fatalf("Run: %v, want boom", err)
+	}
+	if n := after.Load(); n > workers {
+		t.Errorf("%d callbacks started after the failure, want at most %d (the worker count)", n, workers)
+	}
+	if n := core.ArenaOutstanding(); n != 0 {
+		t.Errorf("%d arena buffer(s) outstanding after the failed run", n)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines 2 s after the failed run, %d before it", runtime.NumGoroutine(), baseline)
+		}
+		runtime.Gosched()
 	}
 }

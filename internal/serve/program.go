@@ -159,27 +159,38 @@ func DefaultRegistry() *Registry {
 
 // prototypeSubmission wires a figure graph with the deterministic hash-mix
 // callback on every task type and synthesized external inputs of `payload`
-// bytes per slot.
+// bytes per slot. The graph is compiled here, once: the plan is the
+// submission's graph, so neither the callback, the input synthesis nor the
+// run's Initialize walks the procedural graph again. A graph that does not
+// compile is passed on as is, for Submit to report.
 func prototypeSubmission(g core.TaskGraph, p Params) mpi.Submission {
-	mix := mixCallback(g)
+	plan, err := core.Compile(g)
+	if err != nil {
+		return mpi.Submission{Graph: g}
+	}
+	mix := mixCallback(plan)
 	return mpi.Submission{
-		Graph: g,
+		Graph: plan,
 		Register: func(c core.CallbackRegistrar) error {
-			for _, cb := range g.Callbacks() {
+			for _, cb := range plan.Callbacks() {
 				if err := c.RegisterCallback(cb, mix); err != nil {
 					return err
 				}
 			}
 			return nil
 		},
-		Initial: externalInputsFor(g, p.Get("payload", 64)),
+		Initial: externalInputsFor(plan, p.Get("payload", 64)),
 	}
 }
 
 // mixCallback returns a deterministic callback hashing the task id and all
 // input bytes into each output slot — the same shape the conformance suite
 // uses, so any routing, interleaving or isolation defect flips the digest.
+// It counts output slots on g's plan (g itself when it is one).
 func mixCallback(g core.TaskGraph) core.Callback {
+	if plan, err := core.Compile(g); err == nil {
+		g = plan
+	}
 	return func(in []core.Payload, id core.TaskId) ([]core.Payload, error) {
 		h := sha256.New()
 		var idb [8]byte
@@ -207,20 +218,13 @@ func mixCallback(g core.TaskGraph) core.Callback {
 
 // externalInputsFor synthesizes one deterministic payload of size bytes per
 // ExternalInput slot.
-func externalInputsFor(g core.TaskGraph, size int) map[core.TaskId][]core.Payload {
+func externalInputsFor(p *core.Plan, size int) map[core.TaskId][]core.Payload {
 	if size < 8 {
 		size = 8
 	}
 	initial := make(map[core.TaskId][]core.Payload)
-	for _, id := range g.TaskIds() {
-		t, _ := g.Task(id)
-		n := 0
-		for _, in := range t.Incoming {
-			if in == core.ExternalInput {
-				n++
-			}
-		}
-		for j := 0; j < n; j++ {
+	for i, id := range p.TaskIds() {
+		for j := 0; j < p.Externals(i); j++ {
 			b := make([]byte, size)
 			binary.LittleEndian.PutUint64(b, uint64(id)*31+uint64(j))
 			for off := 8; off < size; off++ {
