@@ -154,7 +154,10 @@ fuzz:
 ## every journal append benchmark (all fsync policies) at a fixed
 ## iteration count so hot-path regressions fail loudly, then the wire
 ## package and the conformance matrix (tcp, unix, shm) under the race
-## detector, then the graph-plan benchmarks (compile and cold run of the
+## detector, then the seeded executor pool tests (pop order against a
+## reference model, cross-home wake-ups, pinned homes) 50 times under the
+## race detector and the pool benchmark (ns per item on two homes against
+## one), then the graph-plan benchmarks (compile and cold run of the
 ## 16k-task graph) and the data kernels (block extraction of a 256³ field,
 ## 256² image encode and decode, a render leaf of a 256³ field in 32
 ## blocks from its extracted block and in place, the leaf inputs of that
@@ -174,6 +177,8 @@ perf-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=100x ./internal/journal
 	$(GO) test -race -count=1 ./internal/wire
 	$(GO) test -race -count=1 ./internal/conformance
+	$(GO) test -race -count=50 -run='^TestPool(OrderMatchesReference|NoLostWakeups|NoStealStaysHome)$$' ./internal/fabric
+	$(GO) test -run='^$$' -bench='^BenchmarkPool$$' -benchtime=100000x ./internal/fabric
 	$(GO) test -run='^$$' -bench='^BenchmarkCompile$$' -benchtime=1x ./internal/core
 	$(GO) test -run='^$$' -bench='^BenchmarkColdRun16k$$' -benchtime=1x ./internal/mpi
 	$(GO) test -run='^$$' -bench='^BenchmarkExtract$$' -benchtime=1x ./internal/data

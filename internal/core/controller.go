@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -74,11 +76,12 @@ func (e *MapError) Error() string {
 }
 
 // Registry stores the callback implementations registered with a controller.
-// The zero value is an empty registry. It is safe for concurrent lookup after
-// registration completes.
+// The zero value is an empty registry. It is copy-on-write: Register
+// publishes a new map, so lookups — one per task, from every worker — take
+// no lock and are safe concurrently with registration.
 type Registry struct {
-	mu  sync.RWMutex
-	fns map[CallbackId]Callback
+	mu  sync.Mutex   // serializes Register
+	fns atomic.Value // map[CallbackId]Callback, never mutated once stored
 }
 
 // Register binds fn to cb, replacing any previous binding.
@@ -88,27 +91,31 @@ func (r *Registry) Register(cb CallbackId, fn Callback) error {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.fns == nil {
-		r.fns = make(map[CallbackId]Callback)
-	}
-	r.fns[cb] = fn
+	old := r.load()
+	fns := make(map[CallbackId]Callback, len(old)+1)
+	maps.Copy(fns, old)
+	fns[cb] = fn
+	r.fns.Store(fns)
 	return nil
+}
+
+// load returns the current bindings; nil before the first Register.
+func (r *Registry) load() map[CallbackId]Callback {
+	fns, _ := r.fns.Load().(map[CallbackId]Callback)
+	return fns
 }
 
 // Lookup returns the implementation of cb.
 func (r *Registry) Lookup(cb CallbackId) (Callback, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	fn, ok := r.fns[cb]
+	fn, ok := r.load()[cb]
 	return fn, ok
 }
 
 // Covers checks that every task type of the graph has an implementation.
 func (r *Registry) Covers(g TaskGraph) error {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
+	fns := r.load()
 	for _, cb := range g.Callbacks() {
-		if _, ok := r.fns[cb]; !ok {
+		if _, ok := fns[cb]; !ok {
 			return fmt.Errorf("%w: callback %d", ErrUnregisteredCallback, cb)
 		}
 	}

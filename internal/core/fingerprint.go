@@ -101,10 +101,9 @@ func GraphFingerprint(g TaskGraph, registered []CallbackId) Fingerprint {
 // Ids returns the sorted callback ids currently registered — the registry's
 // contribution to a graph fingerprint.
 func (r *Registry) Ids() []CallbackId {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	ids := make([]CallbackId, 0, len(r.fns))
-	for cb := range r.fns {
+	fns := r.load()
+	ids := make([]CallbackId, 0, len(fns))
+	for cb := range fns {
 		ids = append(ids, cb)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })

@@ -256,9 +256,16 @@ func (st *DataflowState) Take(i int) ([]Payload, bool) {
 		return nil, false
 	}
 	st.missing[i] = -1
+	return st.Inputs(i), true
+}
+
+// Inputs returns the window of the arena holding task i's input slots —
+// the slice Take hands out, nil for a task without inputs. Reading it after
+// Take needs no lock: no later call touches a retired task's window.
+func (st *DataflowState) Inputs(i int) []Payload {
 	b, n := int(st.base[i]), len(st.plan.tasks[i].Incoming)
 	if n == 0 {
-		return nil, true
+		return nil
 	}
-	return st.slots[b : b+n : b+n], true
+	return st.slots[b : b+n : b+n]
 }

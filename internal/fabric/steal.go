@@ -1,14 +1,29 @@
 // Work-stealing executor: the shared worker pool the MPI controller's
-// ranks dispatch ready tasks into. Each rank owns a local priority deque;
-// a fixed budget of workers is homed round-robin over the ranks, and an
-// idle worker whose home deque is empty steals the most critical item from
-// another rank's deque. Wakeups are steal-aware: a submit first wakes a
-// worker parked on the item's home rank, and only if none is parked there
-// (and stealing is enabled) wakes a worker parked elsewhere — so a wakeup
-// is never wasted on a worker that cannot reach the item.
+// ranks dispatch ready tasks into. Each home (a rank) owns a priority deque
+// behind its own lock, padded off its neighbours' cache lines, so a worker
+// running its home's tasks takes no lock and writes no counter that another
+// home's workers take or write. A fixed budget of workers is homed
+// round-robin over the homes; a worker pops its home deque first and, when
+// it is dry and stealing is on, steals the most critical item of another
+// home, locking one victim at a time (scanning from home+1).
+//
+// Wake-ups cross homes without a shared lock. A submit first wakes a worker
+// parked on the item's home (under that home's lock), and only if none is
+// parked there (and stealing is enabled) wakes a worker parked elsewhere —
+// so a wake-up is never wasted on a worker that cannot reach the item.
+// Parking is a check-after-publish handshake on atomic counters: a worker
+// about to park counts itself in parked, then re-reads its own deque and
+// (when it steals) every home's queued count; a submitter counts the item
+// in its home's queued, then reads parked. The atomics are sequentially
+// consistent, so at least one side sees the other and no wake-up is lost.
 package fabric
 
-import "sync"
+import (
+	"slices"
+	"sort"
+	"sync"
+	"sync/atomic"
+)
 
 // PoolOptions configures a work-stealing pool.
 type PoolOptions struct {
@@ -21,68 +36,107 @@ type PoolOptions struct {
 	NoSteal bool
 }
 
-// poolItem is one queued unit of work.
+// poolItem is one queued unit of work, run(arg). Items carry no per-task
+// closure: a caller submits one shared runner with a task index.
 type poolItem struct {
-	pri int64  // larger runs first
-	seq uint64 // submission order; tie-break and FIFO order
-	run func()
+	run func(int)
+	arg int
 }
 
-// itemQueue is a deterministic priority deque: max-priority first, ties in
-// submission order. In FIFO mode priority is ignored and items pop in
-// submission order.
-type itemQueue struct {
+// level is the FIFO of one priority: items[head:] in submission order. It
+// is padded to a cache line and its buffer starts at four items (64 bytes):
+// the allocator keeps 64-byte multiples 64-byte aligned, so no two homes'
+// levels or buffers share a line.
+type level struct {
+	pri   int64
 	items []poolItem
-	fifo  bool
+	head  int
+	_     [24]byte
 }
 
-func (q *itemQueue) less(i, j int) bool {
-	if !q.fifo && q.items[i].pri != q.items[j].pri {
-		return q.items[i].pri > q.items[j].pri
+// itemQueue is a deterministic priority deque: one FIFO per distinct
+// priority, the levels sorted by ascending priority, so items pop highest
+// priority first and, within a priority, in submission order. In FIFO mode
+// every item joins one level and items pop in submission order. A push at
+// the top's priority is O(1); a new priority costs a binary search and a
+// shift of the (few) levels above it. Emptied levels keep their buffers in
+// the slice's spare capacity for the next new priority.
+type itemQueue struct {
+	levels []level
+	fifo   bool
+}
+
+func (q *itemQueue) push(pri int64, it poolItem) {
+	if q.fifo {
+		pri = 0
 	}
-	return q.items[i].seq < q.items[j].seq
-}
-
-func (q *itemQueue) push(it poolItem) {
-	q.items = append(q.items, it)
-	i := len(q.items) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !q.less(i, parent) {
-			break
+	n := len(q.levels)
+	k := n - 1
+	if n == 0 || q.levels[k].pri != pri {
+		k = sort.Search(n, func(i int) bool { return q.levels[i].pri >= pri })
+		if k == n || q.levels[k].pri != pri {
+			var buf []poolItem // a retired level's, from the spare capacity
+			if n < cap(q.levels) {
+				buf = q.levels[:n+1][n].items[:0]
+			}
+			q.levels = slices.Insert(q.levels, k, level{pri: pri, items: buf})
 		}
-		q.items[i], q.items[parent] = q.items[parent], q.items[i]
-		i = parent
 	}
+	l := &q.levels[k]
+	switch {
+	case l.items == nil:
+		l.items = make([]poolItem, 0, 4)
+	case len(l.items) == cap(l.items) && l.head > 0:
+		// Compact instead of growing: the popped prefix is dead.
+		m := copy(l.items, l.items[l.head:])
+		clear(l.items[m:])
+		l.items, l.head = l.items[:m], 0
+	}
+	l.items = append(l.items, it)
 }
 
 func (q *itemQueue) pop() (poolItem, bool) {
-	n := len(q.items)
+	n := len(q.levels)
 	if n == 0 {
 		return poolItem{}, false
 	}
-	top := q.items[0]
-	q.items[0] = q.items[n-1]
-	q.items[n-1] = poolItem{} // drop the closure reference
-	q.items = q.items[:n-1]
-	n--
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		best := i
-		if l < n && q.less(l, best) {
-			best = l
-		}
-		if r < n && q.less(r, best) {
-			best = r
-		}
-		if best == i {
-			break
-		}
-		q.items[i], q.items[best] = q.items[best], q.items[i]
-		i = best
+	top := &q.levels[n-1]
+	it := top.items[top.head]
+	top.items[top.head] = poolItem{} // drop the runner reference
+	top.head++
+	if top.head == len(top.items) {
+		// Retire the emptied level; its buffer stays in the spare capacity.
+		top.items, top.head = top.items[:0], 0
+		q.levels = q.levels[:n-1]
 	}
-	return top, true
+	return it, true
+}
+
+// home is one home's deque and parking spot. mu guards q and the writes of
+// queued and idle, which other homes' workers read without it; the
+// trailing pad keeps the next home off this one's cache lines.
+type home struct {
+	mu     sync.Mutex
+	wake   sync.Cond // L is &mu; the home's parked workers wait here
+	q      itemQueue
+	queued atomic.Int64 // items in q
+	idle   atomic.Int32 // workers parked here and not yet woken
+	_      [64]byte
+}
+
+// pop takes the home's most critical item, passing over an empty home
+// without taking its lock.
+func (h *home) pop() (poolItem, bool) {
+	if h.queued.Load() == 0 {
+		return poolItem{}, false
+	}
+	h.mu.Lock()
+	it, ok := h.q.pop()
+	if ok {
+		h.queued.Add(-1)
+	}
+	h.mu.Unlock()
+	return it, ok
 }
 
 // Pool executes submitted work on a fixed set of worker goroutines over
@@ -90,15 +144,10 @@ func (q *itemQueue) pop() (poolItem, bool) {
 // controller's scheduler; the deques hold ready tasks, homes correspond to
 // ranks.
 type Pool struct {
-	mu     sync.Mutex
-	queues []itemQueue
-	conds  []*sync.Cond // one per home; workers park on their home's cond
-	idle   []int        // parked workers per home
-	parked int          // total parked workers
-	queued int          // items queued across all homes
-	seq    uint64
+	homes  []home
+	parked atomic.Int32 // workers parked in any home and not yet woken
 	steal  bool
-	closed bool
+	closed atomic.Bool
 	wg     sync.WaitGroup
 }
 
@@ -108,15 +157,10 @@ func NewPool(homeCount int, homes []int, opt PoolOptions) *Pool {
 	if homeCount < 1 {
 		panic("fabric: pool needs at least one home")
 	}
-	p := &Pool{
-		queues: make([]itemQueue, homeCount),
-		conds:  make([]*sync.Cond, homeCount),
-		idle:   make([]int, homeCount),
-		steal:  !opt.NoSteal,
-	}
-	for i := range p.queues {
-		p.queues[i].fifo = opt.FIFO
-		p.conds[i] = sync.NewCond(&p.mu)
+	p := &Pool{homes: make([]home, homeCount), steal: !opt.NoSteal}
+	for i := range p.homes {
+		p.homes[i].q.fifo = opt.FIFO
+		p.homes[i].wake.L = &p.homes[i].mu
 	}
 	p.wg.Add(len(homes))
 	for _, h := range homes {
@@ -139,52 +183,60 @@ func RoundRobinHomes(n, homeCount int) []int {
 	return homes
 }
 
-// Submit enqueues work on a home's deque. Larger pri runs first (ignored in
-// FIFO mode); equal priorities run in submission order. Submit never
-// blocks. Submitting to a closed pool still runs the item (the pool drains
-// before its workers exit), but new submissions racing Close are the
-// caller's responsibility to avoid.
-func (p *Pool) Submit(home int, pri int64, run func()) {
-	p.mu.Lock()
-	p.seq++
-	p.queues[home].push(poolItem{pri: pri, seq: p.seq, run: run})
-	p.queued++
-	// Steal-aware wakeup: a worker parked on this home can always take the
-	// item; a worker parked elsewhere only helps when stealing is on.
-	switch {
-	case p.idle[home] > 0:
-		p.wakeLocked(home)
-	case p.steal && p.parked > 0:
-		for h := range p.idle {
-			if p.idle[h] > 0 {
-				p.wakeLocked(h)
-				break
-			}
+// Submit enqueues run(arg) on a home's deque. Larger pri runs first
+// (ignored in FIFO mode); equal priorities run in submission order. Submit
+// never blocks; it locks the item's home, and the home of a parked worker
+// it wakes — the item's own, or with stealing the first other one.
+// Submitting to a closed pool still runs the item (the pool drains before
+// its workers exit), but new submissions racing Close are the caller's
+// responsibility to avoid.
+func (p *Pool) Submit(home int, pri int64, run func(int), arg int) {
+	h := &p.homes[home]
+	h.mu.Lock()
+	h.q.push(pri, poolItem{run: run, arg: arg})
+	h.queued.Add(1)
+	h.mu.Unlock()
+	// The item is published in queued, so a worker parking from here on
+	// sees it; one parked already is counted in idle and parked.
+	if p.wake(h) || !p.steal || p.parked.Load() == 0 {
+		return
+	}
+	for d := 1; d < len(p.homes); d++ {
+		if p.wake(&p.homes[(home+d)%len(p.homes)]) {
+			return
 		}
 	}
-	p.mu.Unlock()
 }
 
-// wakeLocked signals one worker parked on home and takes it off the parked
-// counts at once, so the next Submit sees it as taken even before it has
-// re-acquired the lock, and wakes another worker instead.
-func (p *Pool) wakeLocked(home int) {
-	p.idle[home]--
-	p.parked--
-	p.conds[home].Signal()
+// wake signals one worker parked on h, if there is one, and takes it off
+// the parked counts at once, so the next Submit sees it as taken even
+// before it has re-acquired the lock, and wakes another worker instead.
+func (p *Pool) wake(h *home) bool {
+	if h.idle.Load() == 0 {
+		return false // passed over without taking the lock
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.idle.Load() == 0 {
+		return false
+	}
+	h.idle.Add(-1)
+	p.parked.Add(-1)
+	h.wake.Signal()
+	return true
 }
 
-// popLocked takes the next item for a worker homed at home: its own deque
-// first, then (with stealing) the most critical item of the first non-empty
-// deque scanning from home+1.
-func (p *Pool) popLocked(home int) (poolItem, bool) {
-	if it, ok := p.queues[home].pop(); ok {
+// take pops the next item for a worker homed at me: its own deque first,
+// then (with stealing) the most critical item of the first non-empty deque
+// scanning from me+1.
+func (p *Pool) take(me int) (poolItem, bool) {
+	if it, ok := p.homes[me].pop(); ok {
 		return it, true
 	}
 	if p.steal {
-		n := len(p.queues)
+		n := len(p.homes)
 		for d := 1; d < n; d++ {
-			if it, ok := p.queues[(home+d)%n].pop(); ok {
+			if it, ok := p.homes[(me+d)%n].pop(); ok {
 				return it, true
 			}
 		}
@@ -192,45 +244,71 @@ func (p *Pool) popLocked(home int) (poolItem, bool) {
 	return poolItem{}, false
 }
 
-func (p *Pool) worker(home int) {
-	defer p.wg.Done()
-	p.mu.Lock()
-	for {
-		if it, ok := p.popLocked(home); ok {
-			p.queued--
-			p.mu.Unlock()
-			it.run()
-			p.mu.Lock()
-			continue
-		}
-		if p.closed {
-			break
-		}
-		p.idle[home]++
-		p.parked++
-		p.conds[home].Wait() // whoever wakes us has uncounted us
+// reachable reports whether an item the worker homed at me may take is
+// queued.
+func (p *Pool) reachable(me int) bool {
+	if !p.steal {
+		return p.homes[me].queued.Load() > 0
 	}
-	p.mu.Unlock()
+	for i := range p.homes {
+		if p.homes[i].queued.Load() > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// park blocks the worker homed at me until there may be work for it. It
+// counts the worker as parked before re-checking for work (the handshake
+// with Submit), and returns false once the pool is closed and nothing the
+// worker can reach is queued.
+func (p *Pool) park(me int) bool {
+	h := &p.homes[me]
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.idle.Add(1)
+	p.parked.Add(1)
+	work := p.reachable(me)
+	if !work && !p.closed.Load() {
+		h.wake.Wait() // whoever wakes us has uncounted us
+		return true
+	}
+	h.idle.Add(-1)
+	p.parked.Add(-1)
+	return work
+}
+
+func (p *Pool) worker(me int) {
+	defer p.wg.Done()
+	for {
+		if it, ok := p.take(me); ok {
+			it.run(it.arg)
+		} else if !p.park(me) {
+			return
+		}
+	}
 }
 
 // Queued returns the number of items currently waiting in the deques.
 func (p *Pool) Queued() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.queued
+	n := 0
+	for i := range p.homes {
+		n += int(p.homes[i].queued.Load())
+	}
+	return n
 }
 
 // Close stops the pool: workers drain the work they can reach (their home
 // deque, plus anything stealable) and exit. Close blocks until every worker
 // has exited; it is safe to call once, from a non-worker goroutine.
 func (p *Pool) Close() {
-	p.mu.Lock()
-	p.closed = true
-	clear(p.idle)
-	p.parked = 0
-	for _, c := range p.conds {
-		c.Broadcast()
+	p.closed.Store(true)
+	for i := range p.homes {
+		h := &p.homes[i]
+		h.mu.Lock()
+		p.parked.Add(-h.idle.Swap(0))
+		h.wake.Broadcast()
+		h.mu.Unlock()
 	}
-	p.mu.Unlock()
 	p.wg.Wait()
 }

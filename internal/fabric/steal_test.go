@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -10,13 +11,13 @@ import (
 
 // runOrder submits items while the pool's single worker is held at a
 // barrier, then releases it and returns the order the items ran in.
-func runOrder(t *testing.T, opt PoolOptions, submit func(p *Pool, record func(v int) func())) []int {
+func runOrder(t *testing.T, opt PoolOptions, submit func(p *Pool, record func(v int) func(int))) []int {
 	t.Helper()
 	p := NewPool(1, []int{0}, opt)
 	var mu sync.Mutex
 	var order []int
-	record := func(v int) func() {
-		return func() {
+	record := func(v int) func(int) {
+		return func(int) {
 			mu.Lock()
 			order = append(order, v)
 			mu.Unlock()
@@ -26,7 +27,7 @@ func runOrder(t *testing.T, opt PoolOptions, submit func(p *Pool, record func(v 
 	// order is decided by the queue, not by submission racing execution.
 	hold := make(chan struct{})
 	started := make(chan struct{})
-	p.Submit(0, 1<<40, func() { close(started); <-hold })
+	p.Submit(0, 1<<40, func(int) { close(started); <-hold }, 0)
 	<-started
 
 	submit(p, record)
@@ -42,11 +43,11 @@ func runOrder(t *testing.T, opt PoolOptions, submit func(p *Pool, record func(v 
 }
 
 func TestPoolPriorityOrder(t *testing.T) {
-	order := runOrder(t, PoolOptions{}, func(p *Pool, record func(int) func()) {
-		p.Submit(0, 1, record(1))
-		p.Submit(0, 3, record(3))
-		p.Submit(0, 2, record(2))
-		p.Submit(0, 3, record(30)) // same priority: after the first 3
+	order := runOrder(t, PoolOptions{}, func(p *Pool, record func(int) func(int)) {
+		p.Submit(0, 1, record(1), 0)
+		p.Submit(0, 3, record(3), 0)
+		p.Submit(0, 2, record(2), 0)
+		p.Submit(0, 3, record(30), 0) // same priority: after the first 3
 	})
 	want := []int{3, 30, 2, 1}
 	if len(order) != len(want) {
@@ -60,10 +61,10 @@ func TestPoolPriorityOrder(t *testing.T) {
 }
 
 func TestPoolFIFOOrder(t *testing.T) {
-	order := runOrder(t, PoolOptions{FIFO: true}, func(p *Pool, record func(int) func()) {
-		p.Submit(0, 1, record(1))
-		p.Submit(0, 3, record(3))
-		p.Submit(0, 2, record(2))
+	order := runOrder(t, PoolOptions{FIFO: true}, func(p *Pool, record func(int) func(int)) {
+		p.Submit(0, 1, record(1), 0)
+		p.Submit(0, 3, record(3), 0)
+		p.Submit(0, 2, record(2), 0)
 	})
 	want := []int{1, 3, 2}
 	for i := range want {
@@ -79,7 +80,7 @@ func TestPoolStealing(t *testing.T) {
 	p := NewPool(2, []int{0}, PoolOptions{}) // one worker, homed at 0
 	var ran atomic.Bool
 	done := make(chan struct{})
-	p.Submit(1, 0, func() { ran.Store(true); close(done) })
+	p.Submit(1, 0, func(int) { ran.Store(true); close(done) }, 0)
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
@@ -99,11 +100,11 @@ func TestPoolNoStealPins(t *testing.T) {
 	block1 := make(chan struct{})
 	started1 := make(chan struct{})
 	// Occupy home 1's worker.
-	p.Submit(1, 0, func() { close(started1); <-block1 })
+	p.Submit(1, 0, func(int) { close(started1); <-block1 }, 0)
 	<-started1
 	// Queue another item on home 1: home 0's idle worker must leave it.
 	ran := make(chan struct{})
-	p.Submit(1, 0, func() { home0Worker.Store(false); close(ran) })
+	p.Submit(1, 0, func(int) { home0Worker.Store(false); close(ran) }, 0)
 	select {
 	case <-ran:
 		t.Fatal("home-1 item ran while home 1's worker was blocked: stealing not disabled")
@@ -124,14 +125,12 @@ func TestPoolBurstWakesParkedStealer(t *testing.T) {
 		p := NewPool(2, []int{0, 1}, PoolOptions{})
 		for parked := 0; parked < 2; {
 			runtime.Gosched()
-			p.mu.Lock()
-			parked = p.parked
-			p.mu.Unlock()
+			parked = int(p.parked.Load())
 		}
 		ran := make(chan struct{})
 		done := make(chan struct{})
-		p.Submit(0, 0, func() { <-ran; close(done) })
-		p.Submit(0, 0, func() { close(ran) })
+		p.Submit(0, 0, func(int) { <-ran; close(done) }, 0)
+		p.Submit(0, 0, func(int) { close(ran) }, 0)
 		select {
 		case <-done:
 		case <-time.After(2 * time.Second):
@@ -148,7 +147,7 @@ func TestPoolManyItemsAllRun(t *testing.T) {
 	var wg sync.WaitGroup
 	wg.Add(items)
 	for i := 0; i < items; i++ {
-		p.Submit(i%4, int64(i%7), func() { count.Add(1); wg.Done() })
+		p.Submit(i%4, int64(i%7), func(int) { count.Add(1); wg.Done() }, i)
 	}
 	wg.Wait()
 	p.Close()
@@ -164,7 +163,7 @@ func TestPoolCloseDrains(t *testing.T) {
 	p := NewPool(1, []int{0}, PoolOptions{})
 	var count atomic.Int64
 	for i := 0; i < 100; i++ {
-		p.Submit(0, 0, func() { count.Add(1) })
+		p.Submit(0, 0, func(int) { count.Add(1) }, i)
 	}
 	p.Close() // workers drain reachable work before exiting
 	if count.Load() != 100 {
@@ -179,5 +178,208 @@ func TestRoundRobinHomes(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("homes = %v, want %v", got, want)
 		}
+	}
+}
+
+// TestPoolOrderMatchesReference runs seeded random workloads on one worker
+// and checks the run order against a reference model: the next item is the
+// queued one with the largest priority (FIFO mode: none), then the earliest
+// submitted. Items submit seeded children when they run, so levels empty,
+// refill and interleave pushes with pops; priorities reach 1<<40.
+func TestPoolOrderMatchesReference(t *testing.T) {
+	for _, fifo := range []bool{false, true} {
+		for seed := int64(1); seed <= 20; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			pris := make([]int64, 1+rng.Intn(8)) // few values, so ties are common
+			for i := range pris {
+				pris[i] = rng.Int63n(1<<41) - 1<<40
+			}
+			const items = 400
+			pri := make([]int64, items)
+			children := make([][]int, items)
+			for i := range pri {
+				pri[i] = pris[rng.Intn(len(pris))]
+			}
+			initial := 1 + rng.Intn(items/4)
+			for c := initial; c < items; c++ {
+				parent := rng.Intn(c) // every child has an earlier parent
+				children[parent] = append(children[parent], c)
+			}
+
+			// Reference: simulate one worker over a (priority, sequence) list.
+			var want []int
+			type queued struct{ id, seq int }
+			var q []queued
+			seq := 0
+			push := func(id int) { q = append(q, queued{id, seq}); seq++ }
+			for id := 0; id < initial; id++ {
+				push(id)
+			}
+			for len(q) > 0 {
+				best := 0
+				for k := range q {
+					if !fifo && pri[q[k].id] > pri[q[best].id] {
+						best = k
+					}
+				}
+				id := q[best].id
+				q = append(q[:best], q[best+1:]...)
+				want = append(want, id)
+				for _, c := range children[id] {
+					push(c)
+				}
+			}
+
+			p := NewPool(1, []int{0}, PoolOptions{FIFO: fifo})
+			var got []int // only the single worker appends
+			var run func(int)
+			run = func(id int) {
+				got = append(got, id)
+				for _, c := range children[id] {
+					p.Submit(0, pri[c], run, c)
+				}
+			}
+			hold, started := make(chan struct{}), make(chan struct{})
+			p.Submit(0, 0, func(int) { close(started); <-hold }, 0)
+			<-started
+			for id := 0; id < initial; id++ {
+				p.Submit(0, pri[id], run, id)
+			}
+			close(hold)
+			p.Close()
+			if len(got) != len(want) {
+				t.Fatalf("fifo=%v seed %d: ran %d items, want %d", fifo, seed, len(got), len(want))
+			}
+			for k := range want {
+				if got[k] != want[k] {
+					t.Fatalf("fifo=%v seed %d: item %d ran %d, reference runs %d", fifo, seed, k, got[k], want[k])
+				}
+			}
+		}
+	}
+}
+
+// TestPoolNoLostWakeups has one worker, homed at 0, and several goroutines
+// submitting only to home 1, so every item reaches the worker through the
+// cross-home wake-up alone. Each submitter waits for its item to run before
+// submitting the next, so its submit races the worker going to park. Each
+// item must run exactly once, and nothing may stay queued after Close.
+func TestPoolNoLostWakeups(t *testing.T) {
+	const submitters, perSubmitter = 4, 2000
+	rng := rand.New(rand.NewSource(7))
+	p := NewPool(2, []int{0}, PoolOptions{})
+	runs := make([]atomic.Int32, submitters*perSubmitter)
+	ran := make([]chan struct{}, submitters)
+	run := func(id int) {
+		runs[id].Add(1)
+		ran[id/perSubmitter] <- struct{}{}
+	}
+	var wg sync.WaitGroup
+	for s := range ran {
+		ran[s] = make(chan struct{}, 1)
+		pri := rng.Int63n(4)
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			for k := 0; k < perSubmitter; k++ {
+				p.Submit(1, pri, run, s*perSubmitter+k)
+				<-ran[s]
+			}
+		}(s)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(20 * time.Second):
+		t.Fatalf("%d items still queued with the worker parked: a wake-up was lost", p.Queued())
+	}
+	p.Close()
+	for id := range runs {
+		if n := runs[id].Load(); n != 1 {
+			t.Fatalf("item %d ran %d times", id, n)
+		}
+	}
+	if q := p.Queued(); q != 0 {
+		t.Fatalf("%d items queued after Close", q)
+	}
+}
+
+// TestPoolNoStealStaysHome blocks home 1's only worker, queues seeded work
+// on both homes and waits until home 0's worker has drained its own deque
+// and parked. With stealing off it must have left every home-1 item alone:
+// those run only once home 1's worker is released.
+func TestPoolNoStealStaysHome(t *testing.T) {
+	for seed := int64(1); seed <= 10; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		p := NewPool(2, []int{0, 1}, PoolOptions{NoSteal: true})
+		hold, started := make(chan struct{}), make(chan struct{})
+		p.Submit(1, 0, func(int) { close(started); <-hold }, 0)
+		<-started
+		var held atomic.Bool
+		held.Store(true)
+		var offHome atomic.Int32
+		var home0, home1 sync.WaitGroup
+		n0, n1 := 1+rng.Intn(50), 1+rng.Intn(50)
+		home0.Add(n0)
+		home1.Add(n1)
+		for k := 0; k < n1; k++ {
+			p.Submit(1, rng.Int63n(8), func(int) {
+				if held.Load() {
+					offHome.Add(1)
+				}
+				home1.Done()
+			}, k)
+		}
+		for k := 0; k < n0; k++ {
+			p.Submit(0, rng.Int63n(8), func(int) { home0.Done() }, k)
+		}
+		home0.Wait()
+		for p.parked.Load() != 1 { // home 0's worker parks; home 1's is held
+			runtime.Gosched()
+		}
+		if n := offHome.Load(); n != 0 {
+			t.Fatalf("seed %d: %d home-1 items ran while home 1's worker was held", seed, n)
+		}
+		held.Store(false)
+		close(hold)
+		home1.Wait()
+		p.Close()
+	}
+}
+
+// BenchmarkPool measures the executor's per-item cost with two workers on
+// two chains of items, each item submitting its successor: homed on two
+// homes, one chain and one worker each, the two sides share no lock; on
+// one home both chains and both workers contend for its lock.
+func BenchmarkPool(b *testing.B) {
+	for _, bc := range []struct {
+		name  string
+		homes int
+	}{{"two-homes", 2}, {"one-home", 1}} {
+		b.Run(bc.name, func(b *testing.B) {
+			p := NewPool(bc.homes, RoundRobinHomes(2, bc.homes), PoolOptions{})
+			defer p.Close()
+			var done sync.WaitGroup
+			chain := func(h int) func(int) {
+				var run func(int)
+				run = func(left int) {
+					if left == 0 {
+						done.Done()
+						return
+					}
+					p.Submit(h, 0, run, left-1)
+				}
+				return run
+			}
+			b.ResetTimer()
+			done.Add(2)
+			for c := 0; c < 2; c++ {
+				h := c % bc.homes
+				p.Submit(h, 0, chain(h), b.N/2)
+			}
+			done.Wait()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(max(b.N, 1)), "ns/item")
+		})
 	}
 }

@@ -18,12 +18,16 @@
 // core.Plan (validation, dense task arrays, critical-path depths) and the
 // task map into a placement table, and ready tasks enter per-rank priority
 // deques ordered by downstream depth, so the most critical ready task runs
-// first instead of the oldest. The deques are
-// drained by a shared work-stealing executor (fabric.Pool): a global budget
-// of workers — defaulting to GOMAXPROCS, not a fixed per-rank pool — is
-// homed round-robin over the ranks, and an idle worker whose home rank has
-// no ready work steals the most critical task of a loaded rank. Scheduling
-// order never changes outputs: tasks still run only when every input has
+// first instead of the oldest. The deques are drained by a shared
+// work-stealing executor (fabric.Pool): a global budget of workers —
+// defaulting to GOMAXPROCS, not a fixed per-rank pool — is homed
+// round-robin over the ranks, and an idle worker whose home rank has no
+// ready work steals the most critical task of a loaded rank. The executor
+// is sharded by rank: each deque has its own lock, a rank submits one
+// runner with a plan index per task, and sinks collect per rank, so a
+// worker on its home rank shares no lock with another rank's workers. Lock
+// order is the rank mutex, then the rank's home deque. Scheduling order
+// never changes outputs: tasks still run only when every input has
 // arrived, and routing depends only on the graph and the task map.
 //
 // In this reproduction "ranks" are goroutine groups connected by the
@@ -397,25 +401,36 @@ func (c *Controller) run(ctx context.Context, rank int, tr fabric.Transport, poo
 // messages a dedup identity.
 type runEnv struct {
 	core.Attempt
-	place *placement
-	trs   []fabric.Transport
-	pool  *fabric.Pool    // nil = inline execution
-	leds  []*core.Ledger  // nil outside ledgered runs
-	seq   []atomic.Uint64 // nil outside ledgered runs
-	ranks []rankState     // by rank; set up by the rank's own loop
+	place   *placement
+	trs     []fabric.Transport
+	pool    *fabric.Pool    // nil = inline execution
+	leds    []*core.Ledger  // nil outside ledgered runs
+	seq     []atomic.Uint64 // nil outside ledgered runs
+	ranks   []rankState     // by rank; set up by the rank's own loop
+	readyAt []time.Time     // dispatch instants by plan index; only for an Observer
 
 	stopped atomic.Bool // a rank failed: no task starts any more
 	mu      sync.Mutex
 	errs    []error // first failure per rank: classifyDead's evidence
 }
 
-// rankState is one rank's input readiness, shared by the rank loop and by
-// every worker finishing one of the rank's tasks: whoever delivers a task's
-// last input dispatches it. mu guards st; lock order is mu, then the pool's.
+// rankState is one rank's input readiness and sink outputs, shared by the
+// rank loop and by every worker finishing one of the rank's tasks: whoever
+// delivers a task's last input dispatches it. mu guards st and sinks; lock
+// order is mu, then the pool's home deque of the rank. The pad keeps
+// neighbouring ranks off each other's cache lines.
 type rankState struct {
 	mu       sync.Mutex
 	st       *core.DataflowState
-	dispatch func(i int, in []core.Payload)
+	dispatch func(i int) // Take has retired the task; its inputs stay in st
+	sinks    []sinkOut   // handed to the attempt once every rank returned
+	_        [64]byte
+}
+
+// sinkOut is one payload a task of the rank put on a sink slot.
+type sinkOut struct {
+	id  core.TaskId
+	pay core.Payload
 }
 
 // deliver fills one input slot of the rank's task i and dispatches the task
@@ -424,8 +439,8 @@ func (rs *rankState) deliver(i int, from core.TaskId, pay core.Payload) error {
 	if err := rs.st.Deliver(i, from, pay); err != nil {
 		return err
 	}
-	if in, ok := rs.st.Take(i); ok {
-		rs.dispatch(i, in)
+	if _, ok := rs.st.Take(i); ok {
+		rs.dispatch(i)
 	}
 	return nil
 }
@@ -475,6 +490,9 @@ func (c *Controller) epoch(ctx context.Context, pl *placement, trs []fabric.Tran
 	if leds != nil {
 		env.seq = make([]atomic.Uint64, len(trs))
 	}
+	if c.opt.Observer != nil && pool != nil {
+		env.readyAt = make([]time.Time, c.Plan().Size())
+	}
 	env.Watch(ctx, func(err error) {
 		for r, tr := range trs {
 			if tr != nil {
@@ -496,6 +514,12 @@ func (c *Controller) epoch(ctx context.Context, pl *placement, trs []fabric.Tran
 		}(r)
 	}
 	ranks.Wait()
+	// A task's sinks all come from its home rank, in slot order.
+	for r := range env.ranks {
+		for _, s := range env.ranks[r].sinks {
+			env.Sink(s.id, s.pay)
+		}
+	}
 	sinks, err := env.Result()
 	return sinks, env.errs, err
 }
@@ -552,9 +576,12 @@ func (c *Controller) runRank(rank int, env *runEnv, initial map[core.TaskId][]co
 	// wire forms are re-routed downstream without re-running the callback —
 	// so a recovery epoch only pays for the undelivered frontier. A task
 	// cancelled by a dead input journals like a normal execution, so a
-	// resumed run replays the cancellation instead of re-deciding it. ready
-	// is when the task entered the deque, stamped only for an Observer.
-	execute := func(i int, ready time.Time, in []core.Payload, scratch []fabric.Message) []fabric.Message {
+	// resumed run replays the cancellation instead of re-deciding it. The
+	// Observer hears when the task entered the deque (env.readyAt). The
+	// task's inputs are its window of st, which Take retired before
+	// dispatch, so reading them needs no lock.
+	execute := func(i int, scratch []fabric.Message) []fabric.Message {
+		in := rs.st.Inputs(i)
 		if env.stopped.Load() {
 			for k := range in {
 				in[k].Release()
@@ -591,6 +618,10 @@ func (c *Controller) runRank(rank int, env *runEnv, initial map[core.TaskId][]co
 			if led != nil {
 				attempt = uint32(led.BeginAttempt(t.Id))
 			}
+			var ready time.Time
+			if env.readyAt != nil {
+				ready = env.readyAt[i]
+			}
 			var err error
 			out, _, err = core.Step(c.Registry(), c.opt.Observer, t, in, core.Event{Shard: core.ShardId(rank), Ready: ready, Attempt: int(attempt)})
 			if err != nil {
@@ -617,33 +648,31 @@ func (c *Controller) runRank(rank int, env *runEnv, initial map[core.TaskId][]co
 	var pend sync.WaitGroup
 	defer pend.Wait()
 
+	// run is the rank's one runner on the executor: an item is run plus a
+	// plan index, with no closure per task.
+	run := func(i int) {
+		defer pend.Done()
+		sp := scratchPool.Get().(*[]fabric.Message)
+		*sp = execute(i, *sp)
+		scratchPool.Put(sp)
+	}
 	// ready holds Inline mode's ready tasks; only this loop touches it, as
 	// inline tasks route on this goroutine.
-	type readyTask struct {
-		i  int
-		in []core.Payload
-	}
-	var ready []readyTask
-	rs.dispatch = func(i int, in []core.Payload) {
+	var ready []int
+	rs.dispatch = func(i int) {
 		if c.opt.Inline {
-			ready = append(ready, readyTask{i, in})
+			ready = append(ready, i)
 			return
 		}
 		// Priority dispatch: the deque hands workers the most critical
 		// ready task — the one with the longest downstream chain — not the
 		// oldest (§IV-A schedules greedily; the priority decides among
 		// simultaneously ready tasks and cannot affect outputs).
-		var readyAt time.Time
-		if c.opt.Observer != nil {
-			readyAt = time.Now()
+		if env.readyAt != nil {
+			env.readyAt[i] = time.Now()
 		}
 		pend.Add(1)
-		env.pool.Submit(rank, int64(p.Depth(ids[i])), func() {
-			defer pend.Done()
-			sp := scratchPool.Get().(*[]fabric.Message)
-			*sp = execute(i, readyAt, in, *sp)
-			scratchPool.Put(sp)
-		})
+		env.pool.Submit(rank, int64(p.Depth(ids[i])), run, i)
 	}
 
 	// Feed external inputs for local leaf tasks and count the input slots
@@ -667,8 +696,8 @@ func (c *Controller) runRank(rank int, env *runEnv, initial map[core.TaskId][]co
 	}
 	rs.mu.Lock()
 	for _, i := range local {
-		if in, ok := rs.st.Take(int(i)); ok {
-			rs.dispatch(int(i), in)
+		if _, ok := rs.st.Take(int(i)); ok {
+			rs.dispatch(int(i))
 		}
 	}
 	rs.mu.Unlock()
@@ -691,9 +720,9 @@ func (c *Controller) runRank(rank int, env *runEnv, initial map[core.TaskId][]co
 	var inlineScratch []fabric.Message
 	for {
 		for len(ready) > 0 {
-			r := ready[len(ready)-1]
+			i := ready[len(ready)-1]
 			ready = ready[:len(ready)-1]
-			inlineScratch = execute(r.i, time.Time{}, r.in, inlineScratch)
+			inlineScratch = execute(i, inlineScratch)
 		}
 		if remote == 0 {
 			return nil
@@ -782,14 +811,16 @@ func (c *Controller) route(rank int, env *runEnv, i int, t core.Task, attempt ui
 		to := dest[:len(consumers)]
 		dest = dest[len(consumers):]
 		if len(consumers) == 0 {
-			env.Sink(t.Id, out[slot])
+			rs.mu.Lock()
+			rs.sinks = append(rs.sinks, sinkOut{t.Id, out[slot]})
+			rs.mu.Unlock()
 			continue
 		}
 		last := len(consumers) - 1
 		lastLocal := !c.opt.AlwaysSerialize && int(shardOf[to[last]]) == rank
 		wire, err := core.FanOut(out[slot], len(consumers), lastLocal)
 		if err != nil {
-			return batch, fmt.Errorf("mpi: task %d output slot %d: %w", t.Id, slot, err)
+			return abandon(batch, out[slot:]), fmt.Errorf("mpi: task %d output slot %d: %w", t.Id, slot, err)
 		}
 		for k, dest := range consumers {
 			m := fabric.Message{From: rank, To: int(shardOf[to[k]]), Src: t.Id, Dest: dest, Payload: wire, Attempt: attempt}
@@ -801,7 +832,13 @@ func (c *Controller) route(rank int, env *runEnv, i int, t core.Task, attempt ui
 				err = rs.deliver(int(to[k]), t.Id, m.Payload)
 				rs.mu.Unlock()
 				if err != nil {
-					return batch, err
+					// This consumer's wire reference and those of the
+					// consumers not reached yet (but the pointer pass) were
+					// never handed out.
+					for j := k; j < last || j == last && !lastLocal; j++ {
+						wire.Release()
+					}
+					return abandon(batch, out[slot+1:]), err
 				}
 				continue
 			}
@@ -826,6 +863,20 @@ func (c *Controller) route(rank int, env *runEnv, i int, t core.Task, attempt ui
 	}
 	clear(batch) // drop payload references until the next task reuses it
 	return batch, err
+}
+
+// abandon releases what a failed route never handed on — the messages
+// batched for sending and the outputs of the slots not routed yet — and
+// returns the emptied batch.
+func abandon(batch []fabric.Message, unrouted []core.Payload) []fabric.Message {
+	for k := range batch {
+		batch[k].Payload.Release()
+	}
+	for k := range unrouted {
+		unrouted[k].Release()
+	}
+	clear(batch)
+	return batch[:0]
 }
 
 var _ core.Controller = (*Controller)(nil)

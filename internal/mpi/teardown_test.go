@@ -234,3 +234,36 @@ func TestFailedRankStopsLocalChain(t *testing.T) {
 		runtime.Gosched()
 	}
 }
+
+// TestFailedRouteReleasesUnsentBatch is the regression test for a route
+// that fails part-way: task 0's slot 0 fans out to task 1 (rank 1) and to
+// task 2 (rank 0, which gets the pointer), so task 1's message carries an
+// arena copy of the wire form; slot 1 is an object that cannot serialize,
+// bound for task 3 on rank 1. The run must fail, and the batched message
+// that was never sent must give its arena buffer back.
+func TestFailedRouteReleasesUnsentBatch(t *testing.T) {
+	g := core.NewExplicitGraph([]core.Task{
+		{Id: 0, Callback: 0, Incoming: []core.TaskId{core.ExternalInput}, Outgoing: [][]core.TaskId{{1, 2}, {3}}},
+		{Id: 1, Callback: 1, Incoming: []core.TaskId{0}, Outgoing: [][]core.TaskId{{}}},
+		{Id: 2, Callback: 1, Incoming: []core.TaskId{0}, Outgoing: [][]core.TaskId{{}}},
+		{Id: 3, Callback: 1, Incoming: []core.TaskId{0}, Outgoing: [][]core.TaskId{{}}},
+	})
+	c := New(WithWorkers(2))
+	if err := c.Initialize(g, core.NewListMap(2, g.TaskIds())); err != nil {
+		t.Fatal(err)
+	}
+	c.RegisterCallback(0, func([]core.Payload, core.TaskId) ([]core.Payload, error) {
+		return []core.Payload{core.Buffer(make([]byte, 256)), core.Object(struct{}{})}, nil
+	})
+	c.RegisterCallback(1, func([]core.Payload, core.TaskId) ([]core.Payload, error) {
+		return []core.Payload{{}}, nil
+	})
+	core.ArenaAccounting(true)
+	defer core.ArenaAccounting(false)
+	if _, err := c.Run(map[core.TaskId][]core.Payload{0: {{}}}); !errors.Is(err, core.ErrNotSerializable) {
+		t.Fatalf("Run: %v, want %v", err, core.ErrNotSerializable)
+	}
+	if n := core.ArenaOutstanding(); n != 0 {
+		t.Errorf("%d arena buffer(s) outstanding after the failed route", n)
+	}
+}
