@@ -35,7 +35,9 @@ deprecations:
 
 ## loc: non-blank, non-comment, non-test Go lines per package under
 ## internal/ and cmd/, and their total — the code-size figure simplicity
-## PRs quote — then the surface counts: exported mpi.With* options,
+## PRs quote — then the test code (non-blank, non-comment lines of every
+## _test.go file plus the internal/check helper package, which the total
+## also counts), then the surface counts: exported mpi.With* options,
 ## serve.Config fields, facade exports in babelflow.go, bfrun flags (the
 ## fs.*Var lines in cmd/bfrun/main.go), time.Sleep lines in _test.go files,
 ## and call sites of the standard log package (informational; nothing
@@ -46,6 +48,9 @@ loc:
 			grep -cv -e '^[[:space:]]*$$' -e '^[[:space:]]*//'); \
 		printf '%6d  %s\n' $$n $$d; total=$$((total + n)); \
 	done; printf '%6d  total\n' $$total
+	@printf '%6d  test code (_test.go + internal/check)\n' \
+		$$(find . \( -name '*_test.go' -o -path './internal/check/*.go' \) -exec cat {} + | \
+			grep -cv -e '^[[:space:]]*$$' -e '^[[:space:]]*//')
 	@printf '%6d  exported mpi.With*\n' $$(find internal/mpi -maxdepth 1 -name '*.go' ! -name '*_test.go' \
 		-exec cat {} + | grep -c '^func With')
 	@printf '%6d  serve.Config fields\n' \

@@ -283,12 +283,6 @@ func WithObserver(obs Observer) MPIOption { return mpi.WithObserver(obs) }
 // WithInline selects inline (single-threaded, no worker pool) execution.
 func WithInline(inline bool) MPIOption { return mpi.WithInline(inline) }
 
-// WithFIFO selects arrival-order dispatch instead of most-critical-first.
-func WithFIFO(fifo bool) MPIOption { return mpi.WithFIFO(fifo) }
-
-// WithNoSteal disables work stealing between ranks.
-func WithNoSteal(noSteal bool) MPIOption { return mpi.WithNoSteal(noSteal) }
-
 // WithAlwaysSerialize forces every payload through its wire form even for
 // rank-local deliveries, proving serialization round-trips are lossless.
 func WithAlwaysSerialize(always bool) MPIOption { return mpi.WithAlwaysSerialize(always) }

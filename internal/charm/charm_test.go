@@ -1,13 +1,13 @@
 package charm
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"strings"
 	"testing"
 
+	"github.com/babelflow/babelflow-go/internal/check"
 	"github.com/babelflow/babelflow-go/internal/core"
 	"github.com/babelflow/babelflow-go/internal/graphs"
 )
@@ -59,22 +59,7 @@ func runBoth(t *testing.T, g core.TaskGraph, reg map[core.CallbackId]core.Callba
 	if err != nil {
 		t.Fatalf("charm: %v", err)
 	}
-	if len(want) != len(got) {
-		t.Fatalf("sink count: got %d, want %d", len(got), len(want))
-	}
-	for id, ws := range want {
-		gs := got[id]
-		if len(ws) != len(gs) {
-			t.Fatalf("task %d: %d sinks, want %d", id, len(gs), len(ws))
-		}
-		for i := range ws {
-			wb, _ := ws[i].Wire()
-			gb, _ := gs[i].Wire()
-			if !bytes.Equal(wb, gb) {
-				t.Errorf("task %d sink %d: got %v, want %v", id, i, gb, wb)
-			}
-		}
-	}
+	check.Sinks(t, want, got)
 	return cc
 }
 
@@ -145,20 +130,6 @@ func TestCharmMatchesSerialOnBinarySwap(t *testing.T) {
 		initial[id] = []core.Payload{u64(uint64(i))}
 	}
 	runBoth(t, g, reg, initial, Options{PEs: 5, LBPeriod: 2})
-}
-
-func TestCharmObserverSeesEachTaskOnce(t *testing.T) {
-	g, reg, initial := reductionSetup(16, 4)
-	log := core.NewExecutionLog()
-	runBoth(t, g, reg, initial, Options{PEs: 3, LBPeriod: 2, Observer: log})
-	if log.Len() != g.Size() {
-		t.Fatalf("observer saw %d executions, want %d", log.Len(), g.Size())
-	}
-	for _, id := range g.TaskIds() {
-		if n := log.Executions(id); n != 1 {
-			t.Errorf("task %d executed %d times", id, n)
-		}
-	}
 }
 
 func TestCharmCallbackErrorPropagates(t *testing.T) {

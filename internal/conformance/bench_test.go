@@ -1,12 +1,12 @@
 package conformance
 
 import (
-	"context"
 	"fmt"
 	"slices"
 	"testing"
 	"time"
 
+	"github.com/babelflow/babelflow-go/internal/check"
 	"github.com/babelflow/babelflow-go/internal/core"
 	"github.com/babelflow/babelflow-go/internal/faultinject"
 	"github.com/babelflow/babelflow-go/internal/graphs"
@@ -59,7 +59,7 @@ func BenchmarkSchedulerModes(b *testing.B) {
 	}{{"balanced_compositing", comp}, {"imbalanced_mergetree", mt}} {
 		b.Run(wl.name, func(b *testing.B) {
 			g, mix := wl.w.Graph, mixCallback(wl.w.Graph)
-			want := sinkDigest(b, serialReference(b, g, mix, externalInputsFor(g)))
+			ref := serialReference(b, g, mix)
 			sleepy := func(in []core.Payload, id core.TaskId) ([]core.Payload, error) {
 				t, _ := g.Task(id)
 				time.Sleep(time.Duration(wl.w.TaskCost(t) * float64(time.Second)))
@@ -84,9 +84,7 @@ func BenchmarkSchedulerModes(b *testing.B) {
 					if err != nil {
 						b.Fatalf("%s: %v", mode.name, err)
 					}
-					if sinkDigest(b, out) != want {
-						b.Fatalf("%s: sinks differ from serial", mode.name)
-					}
+					check.Sinks(b, ref.Sinks, out)
 				}
 			}
 			for k, mode := range schedModes {
@@ -103,9 +101,9 @@ func BenchmarkSchedulerModes(b *testing.B) {
 // (fault_ms), recovered by lineage-ledger replay. The elastic rows replace
 // the kill with a membership event fired from inside a running task: two
 // ranks joining a 2-rank mesh, or member 3 of 4 draining with its lineage
-// handed off. Every run must match serial and account each task exactly
-// once in its final epoch; a kill must evict its victim, a drain must hand
-// lineage off.
+// handed off. Every run must pass the checker's elastic invariants (the
+// timed wall clock includes that check); a kill must evict its victim, a
+// drain must hand lineage off.
 func BenchmarkRecovery(b *testing.B) {
 	red, err := graphs.NewReduction(64, 2)
 	if err != nil {
@@ -143,12 +141,12 @@ func BenchmarkRecovery(b *testing.B) {
 	} {
 		b.Run(row.name, func(b *testing.B) {
 			cb := mixCallback(row.g)
-			want := serialReference(b, row.g, cb, externalInputsFor(row.g))
+			ref := serialReference(b, row.g, cb)
 			var clean, fault time.Duration
 			reps := make([]mpi.ElasticReport, b.N)
 			b.ResetTimer()
 			for i := range reps {
-				d, _ := runRecovery(b, row.g, row.ranks, cb, want, nil, nil)
+				d, _ := runRecovery(b, row.g, row.ranks, cb, ref, nil, nil)
 				clean += d
 				faulty, ms := cb, (*mpi.Membership)(nil)
 				if row.event != nil {
@@ -158,7 +156,7 @@ func BenchmarkRecovery(b *testing.B) {
 					}
 					faulty = row.event(cb, pinnedMap(row.ranks, row.g), ms)
 				}
-				d, reps[i] = runRecovery(b, row.g, row.ranks, faulty, want, ms, row.inject)
+				d, reps[i] = runRecovery(b, row.g, row.ranks, faulty, ref, ms, row.inject)
 				fault += d
 				switch rep := reps[i]; {
 				case row.inject != nil && !slices.Contains(rep.LostShards, victim):
@@ -175,23 +173,14 @@ func BenchmarkRecovery(b *testing.B) {
 }
 
 // runRecovery runs g once under RunElastic on ranks loopback-TCP ranks,
-// placed by pinnedMap so the kill point fires, and checks it: sinks equal to want, every task replayed or executed exactly
-// once in the final epoch.
-func runRecovery(b *testing.B, g core.TaskGraph, ranks int, cb core.Callback, want map[core.TaskId][]core.Payload, ms *mpi.Membership, inject mpi.InjectFunc) (time.Duration, mpi.ElasticReport) {
+// placed by pinnedMap so the kill point fires, and checks it against ref
+// on the elastic invariants.
+func runRecovery(b *testing.B, g core.TaskGraph, ranks int, cb core.Callback, ref check.Reference, ms *mpi.Membership, inject mpi.InjectFunc) (time.Duration, mpi.ElasticReport) {
 	b.Helper()
-	ctrl, connect := elasticController(b, g, pinnedMap(ranks, g), cb, wire.TierTCP, nil)
-	eo := mpi.ElasticOptions{Connect: connect, Inject: inject, Initial: externalInputsFor(g), Membership: ms}
+	e := elasticController(b, g, pinnedMap(ranks, g), cb, wire.TierTCP, nil)
 	start := time.Now()
-	out, rep, err := ctrl.RunElastic(context.Background(), eo)
-	elapsed := time.Since(start)
-	if err != nil {
-		b.Fatalf("RunElastic: %v (report %+v)", err, rep)
-	}
-	assertSameSinks(b, want, out)
-	if rep.Replayed+rep.Executed != g.Size() {
-		b.Fatalf("final epoch replayed %d + executed %d, want task count %d", rep.Replayed, rep.Executed, g.Size())
-	}
-	return elapsed, rep
+	rep := e.run(b, ref, mpi.ElasticOptions{Inject: inject, Initial: externalInputsFor(g), Membership: ms})
+	return time.Since(start), rep
 }
 
 // reportRecovery reports one row's means over b.N: the clean and the
@@ -290,9 +279,9 @@ func BenchmarkIterateOverhead(b *testing.B) {
 				return map[core.TaskId][]core.Payload{0: {core.Buffer(make([]byte, 64))}}
 			}
 			spent := make([]time.Duration, len(variants))
-			wants := make([][32]byte, len(variants))
+			refs := make([]check.Reference, len(variants))
 			for k, v := range variants {
-				wants[k] = sinkDigest(b, serialReferenceReg(b, v.g, v.reg, input()))
+				refs[k] = check.Serial(b, v.g, v.reg, input())
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -310,9 +299,7 @@ func BenchmarkIterateOverhead(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					if sinkDigest(b, out) != wants[k] {
-						b.Fatalf("variant %d: sinks differ from serial", k)
-					}
+					check.Sinks(b, refs[k].Sinks, out)
 				}
 			}
 			iter, stat := millis(spent[0])/float64(b.N), millis(spent[1])/float64(b.N)

@@ -4,74 +4,24 @@
 // at any shard count. Random DAGs are generated with mixed fan-in/fan-out,
 // multi-slot outputs, multicast edges and external inputs, and executed on
 // serial, MPI (all modes), Charm++ (with aggressive load balancing) and
-// both Legion controllers.
+// both Legion controllers. Every run compared with serial goes through the
+// invariant checker of internal/check.
 package conformance
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"os"
+	"runtime"
 	"testing"
 
 	"github.com/babelflow/babelflow-go/internal/charm"
+	"github.com/babelflow/babelflow-go/internal/check"
 	"github.com/babelflow/babelflow-go/internal/core"
-	"github.com/babelflow/babelflow-go/internal/data"
 	"github.com/babelflow/babelflow-go/internal/legion"
 	"github.com/babelflow/babelflow-go/internal/mpi"
 )
-
-// randomDAG builds a pseudo-random valid task graph over n tasks with the
-// given seed: task i may consume from up to 3 earlier tasks; producers
-// partition their consumers into 1-2 output slots; tasks without producers
-// take an external input; tasks without consumers get a sink slot.
-func randomDAG(n int, seed uint64) *core.ExplicitGraph {
-	rng := data.NewRand(seed)
-	producers := make([][]core.TaskId, n) // per task: its producer list
-	consumers := make([][]core.TaskId, n) // per task: its consumer list
-	for i := 1; i < n; i++ {
-		d := rng.Intn(4) // 0..3 inputs from earlier tasks
-		if d > i {
-			d = i
-		}
-		seen := map[int]bool{}
-		for j := 0; j < d; j++ {
-			p := rng.Intn(i)
-			if seen[p] {
-				continue
-			}
-			seen[p] = true
-			producers[i] = append(producers[i], core.TaskId(p))
-			consumers[p] = append(consumers[p], core.TaskId(i))
-		}
-	}
-
-	tasks := make([]core.Task, n)
-	for i := 0; i < n; i++ {
-		t := core.Task{Id: core.TaskId(i), Callback: core.CallbackId(i % 3)}
-		// Inputs: external if no producers (plus a 25% chance of an extra
-		// external input for any task).
-		if len(producers[i]) == 0 {
-			t.Incoming = append(t.Incoming, core.ExternalInput)
-		} else if rng.Intn(4) == 0 {
-			t.Incoming = append(t.Incoming, core.ExternalInput)
-		}
-		t.Incoming = append(t.Incoming, producers[i]...)
-
-		// Outputs: split consumers into 1-2 slots; a slot may multicast.
-		cs := consumers[i]
-		if len(cs) == 0 {
-			t.Outgoing = [][]core.TaskId{{}}
-		} else if len(cs) == 1 || rng.Intn(2) == 0 {
-			t.Outgoing = [][]core.TaskId{cs}
-		} else {
-			cut := 1 + rng.Intn(len(cs)-1)
-			t.Outgoing = [][]core.TaskId{cs[:cut], cs[cut:]}
-		}
-		tasks[i] = t
-	}
-	return core.NewExplicitGraph(tasks)
-}
 
 // mixCallback hashes the inputs together with the task id and emits one
 // deterministic digest per output slot.
@@ -121,55 +71,82 @@ func externalInputsFor(g core.TaskGraph) map[core.TaskId][]core.Payload {
 	return initial
 }
 
-// allControllers instantiates the full suite for a graph and shard count.
-func allControllers(g core.TaskGraph, shards int) map[string]core.Controller {
+// config is one controller configuration of the matrix and the checker
+// observing it.
+type config struct {
+	name string
+	ctrl core.Controller
+	chk  *check.Checker
+}
+
+// allControllers instantiates the full suite for a graph and shard count,
+// each controller observed by a checker of its own.
+func allControllers(g core.TaskGraph, shards int) []config {
 	m := core.NewGraphMap(shards, g)
-	out := make(map[string]core.Controller)
-
-	ser := core.NewSerial()
-	ser.Initialize(g, nil)
-	out["serial"] = ser
-
-	mc := mpi.New()
-	mc.Initialize(g, m)
-	out["mpi"] = mc
-
-	inline := mpi.New(mpi.WithInline(true))
-	inline.Initialize(g, m)
-	out["mpi-inline"] = inline
-
-	alws := mpi.New(mpi.WithAlwaysSerialize(true), mpi.WithWorkers(2))
-	alws.Initialize(g, m)
-	out["mpi-serialize"] = alws
-
-	fifo := mpi.New(mpi.WithFIFO(true), mpi.WithWorkers(2))
-	fifo.Initialize(g, m)
-	out["mpi-fifo"] = fifo
-
-	nosteal := mpi.New(mpi.WithNoSteal(true))
-	nosteal.Initialize(g, m)
-	out["mpi-nosteal"] = nosteal
-
-	w1 := mpi.New(mpi.WithWorkers(1))
-	w1.Initialize(g, m)
-	out["mpi-w1"] = w1
-
-	cc := charm.New(charm.Options{PEs: shards, LBPeriod: 1})
-	cc.Initialize(g, nil)
-	out["charm-lb1"] = cc
-
-	cc2 := charm.New(charm.Options{PEs: shards})
-	cc2.Initialize(g, nil)
-	out["charm-nolb"] = cc2
-
-	sp := legion.NewSPMD(legion.Options{})
-	sp.Initialize(g, m)
-	out["legion-spmd"] = sp
-
-	il := legion.NewIndexLaunch(legion.Options{Workers: 2})
-	il.Initialize(g, nil)
-	out["legion-il"] = il
+	var out []config
+	add := func(name string, tmap core.TaskMap, build func(core.Observer) core.Controller) {
+		chk := new(check.Checker)
+		c := build(chk)
+		c.Initialize(g, tmap)
+		out = append(out, config{name, c, chk})
+	}
+	add("serial", nil, func(obs core.Observer) core.Controller {
+		s := core.NewSerial()
+		s.Observer = obs
+		return s
+	})
+	for _, v := range []struct {
+		name string
+		opts []mpi.Option
+	}{
+		{"mpi", nil},
+		{"mpi-inline", []mpi.Option{mpi.WithInline(true)}},
+		{"mpi-serialize", []mpi.Option{mpi.WithAlwaysSerialize(true), mpi.WithWorkers(2)}},
+		{"mpi-fifo", []mpi.Option{mpi.WithFIFO(true), mpi.WithWorkers(2)}},
+		{"mpi-nosteal", []mpi.Option{mpi.WithNoSteal(true)}},
+		{"mpi-w1", []mpi.Option{mpi.WithWorkers(1)}},
+	} {
+		add(v.name, m, func(obs core.Observer) core.Controller {
+			return mpi.New(append([]mpi.Option{mpi.WithObserver(obs)}, v.opts...)...)
+		})
+	}
+	add("charm-lb1", nil, func(obs core.Observer) core.Controller {
+		return charm.New(charm.Options{PEs: shards, LBPeriod: 1, Observer: obs})
+	})
+	add("charm-nolb", nil, func(obs core.Observer) core.Controller {
+		return charm.New(charm.Options{PEs: shards, Observer: obs})
+	})
+	add("legion-spmd", m, func(obs core.Observer) core.Controller {
+		return legion.NewSPMD(legion.Options{Observer: obs})
+	})
+	add("legion-il", nil, func(obs core.Observer) core.Controller {
+		return legion.NewIndexLaunch(legion.Options{Workers: 2, Observer: obs})
+	})
 	return out
+}
+
+// checkMatrix runs g on every configuration of allControllers at shards,
+// one subtest each named prefix/configuration, with cb bound to every
+// callback id and fresh inputs per run (a run consumes its inputs). Each
+// run must match serial with every task observed once and leave no
+// goroutine behind. It returns the serial reference.
+func checkMatrix(t *testing.T, prefix string, g core.TaskGraph, shards int, cb core.Callback, inputs func() map[core.TaskId][]core.Payload) check.Reference {
+	t.Helper()
+	ref := check.Serial(t, g, registerAll(g, cb), inputs())
+	for _, c := range allControllers(g, shards) {
+		t.Run(prefix+"/"+c.name, func(t *testing.T) {
+			check.NoLeak(t)
+			if err := registerAll(g, cb)(c.ctrl); err != nil {
+				t.Fatal(err)
+			}
+			got, err := c.ctrl.Run(inputs())
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.chk.Run(t, ref, got)
+		})
+	}
+	return ref
 }
 
 // TestRandomDAGConformance is the cross-controller fuzz: 20 random DAGs of
@@ -179,74 +156,23 @@ func allControllers(g core.TaskGraph, shards int) map[string]core.Controller {
 // serial reference.
 func TestRandomDAGConformance(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
-		seed := uint64(1000 + trial)
-		n := 5 + trial*4
-		g := randomDAG(n, seed)
+		g := check.RandomDAG(5+trial*4, int64(1000+trial))
 		if err := core.Validate(g); err != nil {
 			t.Fatalf("trial %d: generated invalid graph: %v", trial, err)
 		}
-		cb := mixCallback(g)
-		initial := externalInputsFor(g)
-
-		// Serial reference.
-		ser := core.NewSerial()
-		ser.Initialize(g, nil)
-		for _, cid := range g.Callbacks() {
-			ser.RegisterCallback(cid, cb)
-		}
-		want, err := ser.Run(initial)
-		if err != nil {
-			t.Fatalf("trial %d serial: %v", trial, err)
-		}
-
-		shards := 1 + trial%5
-		for name, c := range allControllers(g, shards) {
-			if name == "serial" {
-				continue
-			}
-			t.Run(fmt.Sprintf("trial%d/%s", trial, name), func(t *testing.T) {
-				for _, cid := range g.Callbacks() {
-					if err := c.RegisterCallback(cid, cb); err != nil {
-						t.Fatal(err)
-					}
-				}
-				got, err := c.Run(initial)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(got) != len(want) {
-					t.Fatalf("sink count %d, want %d", len(got), len(want))
-				}
-				for id, ws := range want {
-					gs := got[id]
-					if len(gs) != len(ws) {
-						t.Fatalf("task %d: %d payloads, want %d", id, len(gs), len(ws))
-					}
-					for i := range ws {
-						wb, _ := ws[i].Wire()
-						gb, _ := gs[i].Wire()
-						if !bytes.Equal(wb, gb) {
-							t.Errorf("task %d sink %d differs", id, i)
-						}
-					}
-				}
-			})
-		}
+		checkMatrix(t, fmt.Sprintf("trial%d", trial), g, 1+trial%5, mixCallback(g),
+			func() map[core.TaskId][]core.Payload { return externalInputsFor(g) })
 	}
 }
 
-// TestRandomDAGStructure sanity-checks the generator itself.
-func TestRandomDAGStructure(t *testing.T) {
-	for seed := uint64(0); seed < 50; seed++ {
-		g := randomDAG(30, seed)
-		if err := core.Validate(g); err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if len(core.Leaves(g)) == 0 {
-			t.Fatalf("seed %d: no leaves", seed)
-		}
-		if len(core.Roots(g)) == 0 {
-			t.Fatalf("seed %d: no sinks", seed)
-		}
+// TestMain checks that the suite as a whole leaves no goroutine behind:
+// its parallel tests share the process, so per-run counts are not exact.
+func TestMain(m *testing.M) {
+	baseline := runtime.NumGoroutine()
+	code := m.Run()
+	if err := check.Settle(baseline); err != nil && code == 0 {
+		fmt.Fprintln(os.Stderr, err)
+		code = 1
 	}
+	os.Exit(code)
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/babelflow/babelflow-go/internal/check"
 	"github.com/babelflow/babelflow-go/internal/core"
 	"github.com/babelflow/babelflow-go/internal/fabric"
 	"github.com/babelflow/babelflow-go/internal/faultinject"
@@ -18,28 +19,36 @@ import (
 
 // Elastic-membership conformance: live joins, graceful drains, the two
 // interleaved, a joiner killed mid-hand-off, and an asymmetric partition —
-// each must leave the sinks byte-identical to the serial reference, with
-// the final epoch's replayed+executed covering every task exactly once.
+// each must pass the checker's elastic invariants: sinks byte-identical to
+// the serial reference, the final epoch's replayed+executed covering every
+// task exactly once, and the epoch arithmetic.
 
-// elasticController builds an MPI controller configured for fault-tolerant
-// runs over real loopback meshes: Connect builds a fresh epoch-stamped wire
-// mesh of the given tier per attempt, with an optional per-epoch
-// connection-level fault hook (the transport-level faults go through
-// ElasticOptions.Inject instead). opts extend or override the default
-// four-attempt retry policy.
-func elasticController(t testing.TB, g core.TaskGraph, m core.TaskMap, cb core.Callback, tier wire.Tier, wrapFor func(epoch int) func(int, int, net.Conn) net.Conn, opts ...mpi.Option) (*mpi.Controller, mpi.ConnectFunc) {
+// elasticRun is an MPI controller configured for fault-tolerant runs over
+// real loopback meshes, the Connect function its runs use and the checker
+// observing it.
+type elasticRun struct {
+	ctrl    *mpi.Controller
+	connect mpi.ConnectFunc
+	chk     *check.Checker
+}
+
+// elasticController builds an elasticRun: Connect builds a fresh
+// epoch-stamped wire mesh of the given tier per attempt, with an optional
+// per-epoch connection-level fault hook (the transport-level faults go
+// through ElasticOptions.Inject instead). opts extend or override the
+// default four-attempt retry policy.
+func elasticController(t testing.TB, g core.TaskGraph, m core.TaskMap, cb core.Callback, tier wire.Tier, wrapFor func(epoch int) func(int, int, net.Conn) net.Conn, opts ...mpi.Option) elasticRun {
 	t.Helper()
-	ctrl := mpi.New(append([]mpi.Option{mpi.WithRetry(core.RetryPolicy{
+	chk := new(check.Checker)
+	ctrl := mpi.New(append([]mpi.Option{mpi.WithObserver(chk), mpi.WithRetry(core.RetryPolicy{
 		MaxAttempts: 4,
 		BaseBackoff: 5 * time.Millisecond,
 	})}, opts...)...)
 	if err := ctrl.Initialize(g, m); err != nil {
 		t.Fatal(err)
 	}
-	for _, cid := range g.Callbacks() {
-		if err := ctrl.RegisterCallback(cid, cb); err != nil {
-			t.Fatal(err)
-		}
+	if err := registerAll(g, cb)(ctrl); err != nil {
+		t.Fatal(err)
 	}
 	fp := ctrl.Fingerprint()
 	connect := func(epoch, ranks int) ([]fabric.Transport, error) {
@@ -63,7 +72,27 @@ func elasticController(t testing.TB, g core.TaskGraph, m core.TaskMap, cb core.C
 		}
 		return trs, nil
 	}
-	return ctrl, connect
+	return elasticRun{ctrl, connect, chk}
+}
+
+// run runs RunElastic under eo over e's Connect, fails t unless the run
+// succeeds, and checks it against ref: sinks, each task once per epoch and
+// once in the final epoch, and the epoch arithmetic.
+func (e elasticRun) run(t testing.TB, ref check.Reference, eo mpi.ElasticOptions) mpi.ElasticReport {
+	t.Helper()
+	eo.Connect = e.connect
+	got, rep, err := e.ctrl.RunElastic(context.Background(), eo)
+	if err != nil {
+		t.Fatalf("RunElastic: %v (report %+v)", err, rep)
+	}
+	e.chk.Elastic(t, ref, got, epochsOf(rep))
+	return rep
+}
+
+// epochsOf is the part of an elastic report the checker checks.
+func epochsOf(rep mpi.ElasticReport) check.Epochs {
+	return check.Epochs{Epochs: rep.Epochs, Fences: rep.Fences, Memberships: len(rep.Joined) + len(rep.Drained),
+		Replayed: rep.Replayed, Executed: rep.Executed}
 }
 
 // triggerAfter invokes fire exactly once, from inside the nth callback
@@ -122,7 +151,6 @@ func assertMembers(t *testing.T, ms *mpi.Membership, want ...core.ShardId) {
 // 4-member epoch finishes with sinks byte-identical to serial.
 func TestElasticJoinMidWorkload(t *testing.T) {
 	for _, tc := range conformanceTiers {
-		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
 			g, err := graphs.NewKWayMerge(8, 2)
@@ -130,25 +158,15 @@ func TestElasticJoinMidWorkload(t *testing.T) {
 				t.Fatal(err)
 			}
 			cb := mixCallback(g)
-			initial := externalInputsFor(g)
-			want := serialReference(t, g, cb, initial)
+			ref := serialReference(t, g, cb)
 
 			ms, err := mpi.NewMembership(2)
 			if err != nil {
 				t.Fatal(err)
 			}
 			trigger := triggerAfter(cb, 2, func() { ms.Join(); ms.Join() })
-			m := core.NewGraphMap(2, g)
-			ctrl, connect := elasticController(t, g, m, trigger, tc.tier, nil)
-			got, rep, err := ctrl.RunElastic(context.Background(), mpi.ElasticOptions{
-				Connect:    connect,
-				Initial:    initial,
-				Membership: ms,
-			})
-			if err != nil {
-				t.Fatalf("RunElastic: %v (report %+v)", err, rep)
-			}
-			assertSameSinks(t, want, got)
+			rep := elasticController(t, g, core.NewGraphMap(2, g), trigger, tc.tier, nil).run(t, ref,
+				mpi.ElasticOptions{Initial: externalInputsFor(g), Membership: ms})
 			if len(rep.Joined) != 2 {
 				t.Fatalf("joined %v, want two members", rep.Joined)
 			}
@@ -156,10 +174,6 @@ func TestElasticJoinMidWorkload(t *testing.T) {
 				t.Fatalf("mid-workload join did not fence the epoch (report %+v)", rep)
 			}
 			assertMembers(t, ms, 0, 1, 2, 3)
-			if total := rep.Replayed + rep.Executed; total != g.Size() {
-				t.Fatalf("final epoch replayed %d + executed %d = %d, want task count %d",
-					rep.Replayed, rep.Executed, total, g.Size())
-			}
 			if rep.JoinLatency <= 0 {
 				t.Fatal("join latency not recorded")
 			}
@@ -175,7 +189,6 @@ func TestElasticJoinMidWorkload(t *testing.T) {
 // byte-identical to serial — member 3 leaves without being declared lost.
 func TestElasticDrainMidWorkload(t *testing.T) {
 	for _, tc := range conformanceTiers {
-		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
 			g, err := graphs.NewKWayMerge(8, 2)
@@ -183,8 +196,7 @@ func TestElasticDrainMidWorkload(t *testing.T) {
 				t.Fatal(err)
 			}
 			cb := mixCallback(g)
-			initial := externalInputsFor(g)
-			want := serialReference(t, g, cb, initial)
+			ref := serialReference(t, g, cb)
 
 			ms, err := mpi.NewMembership(4)
 			if err != nil {
@@ -196,16 +208,8 @@ func TestElasticDrainMidWorkload(t *testing.T) {
 					t.Errorf("drain: %v", err)
 				}
 			})
-			ctrl, connect := elasticController(t, g, m, trigger, tc.tier, nil)
-			got, rep, err := ctrl.RunElastic(context.Background(), mpi.ElasticOptions{
-				Connect:    connect,
-				Initial:    initial,
-				Membership: ms,
-			})
-			if err != nil {
-				t.Fatalf("RunElastic: %v (report %+v)", err, rep)
-			}
-			assertSameSinks(t, want, got)
+			rep := elasticController(t, g, m, trigger, tc.tier, nil).run(t, ref,
+				mpi.ElasticOptions{Initial: externalInputsFor(g), Membership: ms})
 			if len(rep.Drained) != 1 || rep.Drained[0] != 3 {
 				t.Fatalf("drained %v, want [3]", rep.Drained)
 			}
@@ -216,10 +220,6 @@ func TestElasticDrainMidWorkload(t *testing.T) {
 				t.Fatalf("drain handed off no lineage (report %+v)", rep)
 			}
 			assertMembers(t, ms, 0, 1, 2)
-			if total := rep.Replayed + rep.Executed; total != g.Size() {
-				t.Fatalf("final epoch replayed %d + executed %d = %d, want task count %d",
-					rep.Replayed, rep.Executed, total, g.Size())
-			}
 			if rep.DrainLatency <= 0 {
 				t.Fatal("drain latency not recorded")
 			}
@@ -234,7 +234,6 @@ func TestElasticDrainMidWorkload(t *testing.T) {
 // the drained member hands its lineage off, and the sinks stay serial.
 func TestElasticJoinDrainInterleaved(t *testing.T) {
 	for _, tc := range conformanceTiers {
-		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
 			g, err := graphs.NewKWayMerge(8, 2)
@@ -242,8 +241,7 @@ func TestElasticJoinDrainInterleaved(t *testing.T) {
 				t.Fatal(err)
 			}
 			cb := mixCallback(g)
-			initial := externalInputsFor(g)
-			want := serialReference(t, g, cb, initial)
+			ref := serialReference(t, g, cb)
 
 			ms, err := mpi.NewMembership(2)
 			if err != nil {
@@ -255,17 +253,8 @@ func TestElasticJoinDrainInterleaved(t *testing.T) {
 					t.Errorf("drain: %v", err)
 				}
 			})
-			m := core.NewGraphMap(2, g)
-			ctrl, connect := elasticController(t, g, m, trigger, tc.tier, nil)
-			got, rep, err := ctrl.RunElastic(context.Background(), mpi.ElasticOptions{
-				Connect:    connect,
-				Initial:    initial,
-				Membership: ms,
-			})
-			if err != nil {
-				t.Fatalf("RunElastic: %v (report %+v)", err, rep)
-			}
-			assertSameSinks(t, want, got)
+			rep := elasticController(t, g, core.NewGraphMap(2, g), trigger, tc.tier, nil).run(t, ref,
+				mpi.ElasticOptions{Initial: externalInputsFor(g), Membership: ms})
 			if len(rep.Joined) != 1 || rep.Joined[0] != 2 {
 				t.Fatalf("joined %v, want [2]", rep.Joined)
 			}
@@ -276,10 +265,6 @@ func TestElasticJoinDrainInterleaved(t *testing.T) {
 				t.Fatalf("interleaved join+drain cost %d fences, want exactly 1 (coalesced)", rep.Fences)
 			}
 			assertMembers(t, ms, 0, 2)
-			if total := rep.Replayed + rep.Executed; total != g.Size() {
-				t.Fatalf("final epoch replayed %d + executed %d = %d, want task count %d",
-					rep.Replayed, rep.Executed, total, g.Size())
-			}
 		})
 	}
 }
@@ -293,21 +278,20 @@ func TestElasticJoinDrainInterleaved(t *testing.T) {
 // joiner provably makes the inter-rank send the kill plan arms on (a
 // k-way merge's movable tail is all shard-internal and would never send).
 func TestElasticJoinerKilledDuringHandoff(t *testing.T) {
+	check.NoLeak(t)
 	g, err := graphs.NewReduction(8, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cb := mixCallback(g)
-	initial := externalInputsFor(g)
-	want := serialReference(t, g, cb, initial)
+	ref := serialReference(t, g, cb)
 
 	ms, err := mpi.NewMembership(2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	trigger := triggerAfter(cb, 2, func() { ms.Join() })
-	m := core.NewGraphMap(2, g)
-	ctrl, connect := elasticController(t, g, m, trigger, wire.TierTCP, nil)
+	e := elasticController(t, g, core.NewGraphMap(2, g), trigger, wire.TierTCP, nil)
 	// The joiner (member 2) sits at logical rank 2 of the 3-member epoch;
 	// kill its transport on its first send there.
 	inject := func(epoch, rank int, tr fabric.Transport) fabric.Transport {
@@ -316,16 +300,7 @@ func TestElasticJoinerKilledDuringHandoff(t *testing.T) {
 		}
 		return faultinject.Wrap(tr, rank, faultinject.Plan{KillRank: 2, Delay: time.Millisecond})
 	}
-	got, rep, err := ctrl.RunElastic(context.Background(), mpi.ElasticOptions{
-		Connect:    connect,
-		Inject:     inject,
-		Initial:    initial,
-		Membership: ms,
-	})
-	if err != nil {
-		t.Fatalf("RunElastic: %v (report %+v)", err, rep)
-	}
-	assertSameSinks(t, want, got)
+	rep := e.run(t, ref, mpi.ElasticOptions{Inject: inject, Initial: externalInputsFor(g), Membership: ms})
 	if len(rep.Joined) != 1 || rep.Joined[0] != 2 {
 		t.Fatalf("joined %v, want [2]", rep.Joined)
 	}
@@ -333,10 +308,6 @@ func TestElasticJoinerKilledDuringHandoff(t *testing.T) {
 		t.Fatalf("lost %v, want the killed joiner [2] (report %+v)", rep.LostShards, rep)
 	}
 	assertMembers(t, ms, 0, 1)
-	if total := rep.Replayed + rep.Executed; total != g.Size() {
-		t.Fatalf("final epoch replayed %d + executed %d = %d, want task count %d",
-			rep.Replayed, rep.Executed, total, g.Size())
-	}
 	t.Logf("epochs=%d fences=%d lost=%v replayed=%d executed=%d",
 		rep.Epochs, rep.Fences, rep.LostShards, rep.Replayed, rep.Executed)
 }
@@ -351,19 +322,18 @@ func TestElasticJoinerKilledDuringHandoff(t *testing.T) {
 // graph finishes inside the detection window and the dead link goes
 // unnoticed.
 func TestElasticAsymmetricPartitionKeepsMembership(t *testing.T) {
+	check.NoLeak(t)
 	g, err := graphs.NewKWayMerge(8, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cb := mixCallback(g)
-	initial := externalInputsFor(g)
-	want := serialReference(t, g, cb, initial)
+	ref := serialReference(t, g, cb)
 
 	ms, err := mpi.NewMembership(3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := core.NewGraphMap(3, g)
 	wrapFor := func(epoch int) func(int, int, net.Conn) net.Conn {
 		if epoch != 1 {
 			return nil
@@ -374,26 +344,14 @@ func TestElasticAsymmetricPartitionKeepsMembership(t *testing.T) {
 		time.Sleep(100 * time.Millisecond)
 		return cb(in, id)
 	}
-	ctrl, connect := elasticController(t, g, m, paced, wire.TierTCP, wrapFor)
-	got, rep, err := ctrl.RunElastic(context.Background(), mpi.ElasticOptions{
-		Connect:    connect,
-		Initial:    initial,
-		Membership: ms,
-	})
-	if err != nil {
-		t.Fatalf("RunElastic: %v (report %+v)", err, rep)
-	}
-	assertSameSinks(t, want, got)
+	rep := elasticController(t, g, core.NewGraphMap(3, g), paced, wire.TierTCP, wrapFor).run(t, ref,
+		mpi.ElasticOptions{Initial: externalInputsFor(g), Membership: ms})
 	if len(rep.LostShards) != 0 {
 		t.Fatalf("partition evicted members %v; a partitioned-but-alive rank must not be declared dead", rep.LostShards)
 	}
 	assertMembers(t, ms, 0, 1, 2)
 	if rep.Epochs != 2 {
 		t.Fatalf("partition cost %d epochs, want exactly 2 (one bump)", rep.Epochs)
-	}
-	if total := rep.Replayed + rep.Executed; total != g.Size() {
-		t.Fatalf("final epoch replayed %d + executed %d = %d, want task count %d",
-			rep.Replayed, rep.Executed, total, g.Size())
 	}
 	t.Logf("epochs=%d lost=%v replayed=%d executed=%d recovery=%v",
 		rep.Epochs, rep.LostShards, rep.Replayed, rep.Executed, rep.RecoveryTime)

@@ -5,37 +5,21 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
 	"strings"
 	"testing"
-	"time"
 
+	"github.com/babelflow/babelflow-go/internal/check"
 	"github.com/babelflow/babelflow-go/internal/core"
 	"github.com/babelflow/babelflow-go/internal/graphs"
 )
-
-// settled waits up to 2 s for the goroutine count to return to baseline.
-func settled(baseline int) (int, bool) {
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		n := runtime.NumGoroutine()
-		if n <= baseline {
-			return n, true
-		}
-		if time.Now().After(deadline) {
-			return n, false
-		}
-		runtime.Gosched()
-	}
-}
 
 // TestFailurePaths is the failure-path table of the controller chassis: on
 // every controller, every way a run can fail — a callback error, a callback
 // panic, a wrong output count, a context cancelled mid-run and one cancelled
 // from inside the last task (the completion race) — must yield a typed
-// error and no sinks, return every arena buffer, leave no goroutine behind,
-// and leave the SAME controller value able to complete a clean run whose
-// sinks equal serial's.
+// error and no sinks, observe no task twice, return every arena buffer,
+// leave no goroutine behind, and leave the SAME controller value able to
+// complete a clean run whose sinks equal serial's.
 //
 // It runs on a reduction, whose single root makes "the last task" the same
 // task on every controller and whose lack of fan-out makes the arena count
@@ -48,7 +32,7 @@ func TestFailurePaths(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Run("reduction", func(t *testing.T) { failurePaths(t, red, true) })
-	t.Run("random-dag", func(t *testing.T) { failurePaths(t, randomDAG(40, 77), false) })
+	t.Run("random-dag", func(t *testing.T) { failurePaths(t, check.RandomDAG(40, 77), false) })
 }
 
 func failurePaths(t *testing.T, g core.TaskGraph, arenaExact bool) {
@@ -70,7 +54,7 @@ func failurePaths(t *testing.T, g core.TaskGraph, arenaExact bool) {
 	lastLevel := levels[len(levels)-1]
 	last := lastLevel[len(lastLevel)-1]
 
-	want := serialReference(t, g, good, externalInputsFor(g))
+	ref := serialReference(t, g, good)
 
 	type row struct {
 		name string
@@ -97,26 +81,29 @@ func failurePaths(t *testing.T, g core.TaskGraph, arenaExact bool) {
 		{name: "cancel-in-last-task", at: last, cancels: true},
 	}
 
-	ctrls := allControllers(g, 4)
-	names := make([]string, 0, len(ctrls))
-	for name := range ctrls {
-		names = append(names, name)
+	// run runs c on fresh inputs, under the arena check where it is exact.
+	run := func(ctx context.Context, t *testing.T, c config) (got map[core.TaskId][]core.Payload, err error) {
+		fn := func() { got, err = c.ctrl.RunContext(ctx, externalInputsFor(g)) }
+		if arenaExact {
+			check.Arena(t, fn)
+		} else {
+			fn()
+		}
+		return got, err
 	}
-	sort.Strings(names)
-
-	for _, name := range names {
-		ctrl := ctrls[name]
+	for _, c := range allControllers(g, 4) {
 		// cb is swapped per row; the controller keeps one registration.
 		var cb core.Callback
 		for _, cid := range g.Callbacks() {
-			if err := ctrl.RegisterCallback(cid, func(in []core.Payload, id core.TaskId) ([]core.Payload, error) {
+			if err := c.ctrl.RegisterCallback(cid, func(in []core.Payload, id core.TaskId) ([]core.Payload, error) {
 				return cb(in, id)
 			}); err != nil {
 				t.Fatal(err)
 			}
 		}
 		for _, r := range rows {
-			t.Run(name+"/"+r.name, func(t *testing.T) {
+			t.Run(c.name+"/"+r.name, func(t *testing.T) {
+				check.NoLeak(t)
 				ctx, cancel := context.WithCancel(context.Background())
 				defer cancel()
 				cb = func(in []core.Payload, id core.TaskId) ([]core.Payload, error) {
@@ -132,23 +119,20 @@ func failurePaths(t *testing.T, g core.TaskGraph, arenaExact bool) {
 					}
 					return r.fail(in, id)
 				}
-				baseline := runtime.NumGoroutine()
-				core.ArenaAccounting(true)
-				got, err := ctrl.RunContext(ctx, externalInputsFor(g))
-				out := core.ArenaOutstanding()
-				core.ArenaAccounting(false)
+				got, err := run(ctx, t, c)
 
 				switch {
 				case err == nil && r.cancels:
 					// A watcher acts asynchronously: the run may outrun its
 					// cancellation, and must then be complete.
-					assertSameSinks(t, want, got)
+					c.chk.Run(t, ref, got)
 				case err == nil:
 					t.Fatal("run succeeded")
 				case got != nil:
 					t.Errorf("failed run returned sinks: %v", got)
 				}
 				if err != nil {
+					c.chk.Aborted(t, check.Epochs{})
 					if r.cancels && !errors.Is(err, core.ErrCancelled) {
 						t.Errorf("error %v does not wrap core.ErrCancelled", err)
 					}
@@ -159,20 +143,13 @@ func failurePaths(t *testing.T, g core.TaskGraph, arenaExact bool) {
 						t.Errorf("error %v does not wrap the callback's", err)
 					}
 				}
-				if arenaExact && out != 0 {
-					t.Errorf("%d arena buffer(s) outstanding after the run", out)
-				}
-				if n, ok := settled(baseline); !ok {
-					t.Errorf("%d goroutines 2s after the run, %d before it", n, baseline)
-				}
 
 				// The same controller value runs clean afterwards.
 				cb = good
-				got, err = ctrl.Run(externalInputsFor(g))
-				if err != nil {
+				if got, err = run(context.Background(), t, c); err != nil {
 					t.Fatalf("clean run after the failure: %v", err)
 				}
-				assertSameSinks(t, want, got)
+				c.chk.Run(t, ref, got)
 			})
 		}
 	}
@@ -181,7 +158,7 @@ func failurePaths(t *testing.T, g core.TaskGraph, arenaExact bool) {
 // TestRelayCallbacksKeepPayloads runs a graph whose callbacks return their
 // input slice as their output on every controller: the inputs are a window
 // of the controller's slot arena, which may be recycled only after the
-// outputs were routed.
+// outputs were routed, so every sink must still say "hello".
 func TestRelayCallbacksKeepPayloads(t *testing.T) {
 	// 0 -> 1 -> {2, 3} -> sinks: a relay chain ending in a fan-out.
 	g := core.NewExplicitGraph([]core.Task{
@@ -191,19 +168,12 @@ func TestRelayCallbacksKeepPayloads(t *testing.T) {
 		{Id: 3, Callback: 0, Incoming: []core.TaskId{1}, Outgoing: [][]core.TaskId{nil}},
 	})
 	relay := func(in []core.Payload, _ core.TaskId) ([]core.Payload, error) { return in, nil }
-	for name, c := range allControllers(g, 2) {
-		if err := c.RegisterCallback(0, relay); err != nil {
-			t.Fatal(err)
-		}
-		out, err := c.Run(map[core.TaskId][]core.Payload{0: {core.Buffer([]byte("hello"))}})
-		if err != nil {
-			t.Errorf("%s: %v", name, err)
-			continue
-		}
-		for _, id := range []core.TaskId{2, 3} {
-			if len(out[id]) != 1 || string(out[id][0].Data) != "hello" {
-				t.Errorf("%s: sink %d = %v, want one payload \"hello\"", name, id, out[id])
-			}
+	ref := checkMatrix(t, "relay", g, 2, relay, func() map[core.TaskId][]core.Payload {
+		return map[core.TaskId][]core.Payload{0: {core.Buffer([]byte("hello"))}}
+	})
+	for _, id := range []core.TaskId{2, 3} {
+		if out := ref.Sinks[id]; len(out) != 1 || string(out[0].Data) != "hello" {
+			t.Errorf("serial sink %d = %v, want one payload \"hello\"", id, out)
 		}
 	}
 }

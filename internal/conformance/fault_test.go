@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/babelflow/babelflow-go/internal/check"
 	"github.com/babelflow/babelflow-go/internal/core"
 	"github.com/babelflow/babelflow-go/internal/fabric"
 	"github.com/babelflow/babelflow-go/internal/faultinject"
@@ -68,8 +69,8 @@ func interRankSends(t *testing.T, g core.TaskGraph, m core.TaskMap, rank int) in
 // TestFaultReplayConformance is the recovery conformance sweep of the
 // acceptance criteria: each figure workload runs on 4 ranks over loopback
 // TCP with one peer killed deterministically — the kill point sweeping the
-// victim's outbound message indices — and the recovered sinks must be
-// byte-identical to the serial reference.
+// victim's outbound message indices — and the recovered run must pass the
+// checker's elastic invariants.
 func TestFaultReplayConformance(t *testing.T) {
 	mk := func(g core.TaskGraph, err error) core.TaskGraph {
 		t.Helper()
@@ -86,46 +87,26 @@ func TestFaultReplayConformance(t *testing.T) {
 	const ranks = 4
 	for name, g := range cases {
 		for killAfter := 0; killAfter < 3; killAfter++ {
-			name, g, killAfter := name, g, killAfter
 			victim := 1 + killAfter%(ranks-1) // never rank 0, varies with the kill point
 			t.Run(fmt.Sprintf("%s/kill_rank%d_after%d", name, victim, killAfter), func(t *testing.T) {
 				t.Parallel()
 				cb := mixCallback(g)
-				initial := externalInputsFor(g)
-				want := serialReference(t, g, cb, initial)
-
 				m := pinnedMap(ranks, g)
 				fires := interRankSends(t, g, m, victim) > killAfter
-				ctrl, connect := elasticController(t, g, m, cb, wire.TierAuto, nil)
-				got, rep, err := ctrl.RunElastic(context.Background(), mpi.ElasticOptions{
-					Connect: connect,
+				rep := elasticController(t, g, m, cb, wire.TierAuto, nil).run(t, serialReference(t, g, cb), mpi.ElasticOptions{
 					Inject: injectOnFirstEpoch(faultinject.Plan{
 						KillRank:  victim,
 						KillAfter: killAfter,
 						Delay:     time.Millisecond,
 					}),
-					Initial: initial,
+					Initial: externalInputsFor(g),
 				})
-				if err != nil {
-					t.Fatalf("RunElastic: %v (report %+v)", err, rep)
-				}
-				assertSameSinks(t, want, got)
 				if fired := rep.Epochs > 1; fired != fires {
 					t.Fatalf("kill fired=%v, want %v: rank %d sends %d inter-rank message(s)", fired, fires, victim, interRankSends(t, g, m, victim))
 				}
-				if fires {
-					// The kill fired: the victim must be on the casualty list
-					// and recovery must have replayed from the ledgers rather
-					// than recomputing everything from scratch.
-					found := false
-					for _, s := range rep.LostShards {
-						if s == core.ShardId(victim) {
-							found = true
-						}
-					}
-					if !found {
-						t.Errorf("lost shards %v do not include killed rank %d", rep.LostShards, victim)
-					}
+				// A kill that fired must put the victim on the casualty list.
+				if fires && !slices.Contains(rep.LostShards, core.ShardId(victim)) {
+					t.Errorf("lost shards %v do not include killed rank %d", rep.LostShards, victim)
 				}
 				t.Logf("epochs=%d lost=%v replayed=%d executed=%d recovery=%v",
 					rep.Epochs, rep.LostShards, rep.Replayed, rep.Executed, rep.RecoveryTime)
@@ -139,28 +120,20 @@ func TestFaultReplayConformance(t *testing.T) {
 // k-way merge dies on its first inter-rank send, and the recovery epoch
 // must still deliver sinks identical to serial.
 func TestFaultOnDefaultPlacement(t *testing.T) {
+	check.NoLeak(t)
 	g, err := graphs.NewKWayMerge(8, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cb := mixCallback(g)
-	initial := externalInputsFor(g)
-	want := serialReference(t, g, cb, initial)
-
 	m := core.NewGraphMap(4, g)
 	if n := interRankSends(t, g, m, 1); n == 0 {
 		t.Fatal("rank 1 sends no inter-rank message: nothing to kill")
 	}
-	ctrl, connect := elasticController(t, g, m, cb, wire.TierAuto, nil)
-	got, rep, err := ctrl.RunElastic(context.Background(), mpi.ElasticOptions{
-		Connect: connect,
+	rep := elasticController(t, g, m, cb, wire.TierAuto, nil).run(t, serialReference(t, g, cb), mpi.ElasticOptions{
 		Inject:  injectOnFirstEpoch(faultinject.Plan{KillRank: 1, KillAfter: 0, Delay: time.Millisecond}),
-		Initial: initial,
+		Initial: externalInputsFor(g),
 	})
-	if err != nil {
-		t.Fatalf("RunElastic: %v (report %+v)", err, rep)
-	}
-	assertSameSinks(t, want, got)
 	if rep.Epochs != 2 || !slices.Contains(rep.LostShards, 1) {
 		t.Errorf("one kill of rank 1: epochs=%d lost=%v", rep.Epochs, rep.LostShards)
 	}
@@ -172,35 +145,26 @@ func TestFaultOnDefaultPlacement(t *testing.T) {
 // to serial with no retry epoch. A counter under the injector checks that
 // copies really reached the wire.
 func TestFaultDuplicateDelivery(t *testing.T) {
+	check.NoLeak(t)
 	g, err := graphs.NewKWayMerge(8, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cb := mixCallback(g)
-	initial := externalInputsFor(g)
-	want := serialReference(t, g, cb, initial)
-
-	m := pinnedMap(4, g)
-	ctrl, connect := elasticController(t, g, m, cb, wire.TierAuto, nil)
 	var copies atomic.Int64
-	got, rep, err := ctrl.RunElastic(context.Background(), mpi.ElasticOptions{
-		Connect: connect,
+	rep := elasticController(t, g, pinnedMap(4, g), cb, wire.TierAuto, nil).run(t, serialReference(t, g, cb), mpi.ElasticOptions{
 		Inject: func(epoch, rank int, tr fabric.Transport) fabric.Transport {
 			counted := &copyCounter{Transport: tr, seen: make(map[uint64]bool), copies: &copies}
 			return faultinject.Wrap(counted, rank, faultinject.Plan{KillRank: -1, DuplicateEvery: 2})
 		},
-		Initial: initial,
+		Initial: externalInputsFor(g),
 	})
-	if err != nil {
-		t.Fatalf("RunElastic: %v", err)
-	}
 	if rep.Epochs != 1 {
 		t.Errorf("duplicates alone forced %d epochs, want 1", rep.Epochs)
 	}
 	if copies.Load() == 0 {
 		t.Error("no duplicate reached the wire")
 	}
-	assertSameSinks(t, want, got)
 }
 
 // copyCounter sits under a rank's fault injector and counts the messages
@@ -232,27 +196,18 @@ func (c *copyCounter) SendN(ms []fabric.Message) error {
 // sinks byte-identical to serial, accelerated by three epochs of ledger
 // replay.
 func TestFaultDegradeToSingleRank(t *testing.T) {
+	check.NoLeak(t)
 	g, err := graphs.NewReduction(8, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cb := mixCallback(g)
-	initial := externalInputsFor(g)
-	want := serialReference(t, g, cb, initial)
-
-	m := pinnedMap(4, g)
-	ctrl, connect := elasticController(t, g, m, cb, wire.TierAuto, nil)
-	got, rep, err := ctrl.RunElastic(context.Background(), mpi.ElasticOptions{
-		Connect: connect,
+	rep := elasticController(t, g, pinnedMap(4, g), cb, wire.TierAuto, nil).run(t, serialReference(t, g, cb), mpi.ElasticOptions{
 		Inject: func(epoch, rank int, tr fabric.Transport) fabric.Transport {
 			return faultinject.Wrap(tr, rank, faultinject.Plan{KillRank: 0, KillAfter: 0})
 		},
-		Initial: initial,
+		Initial: externalInputsFor(g),
 	})
-	if err != nil {
-		t.Fatalf("RunElastic: %v (report %+v)", err, rep)
-	}
-	assertSameSinks(t, want, got)
 	if len(rep.LostShards) == 0 {
 		t.Error("no shards reported lost")
 	}
@@ -266,23 +221,21 @@ func TestFaultDegradeToSingleRank(t *testing.T) {
 // a kill on every epoch, RunElastic must give up with a typed
 // ErrRetriesExhausted rather than hang or mask the failure.
 func TestFaultRetriesExhausted(t *testing.T) {
+	check.NoLeak(t)
 	g, err := graphs.NewReduction(8, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cb := mixCallback(g)
-	initial := externalInputsFor(g)
-
-	m := pinnedMap(4, g)
-	ctrl, connect := elasticController(t, g, m, cb, wire.TierAuto, nil,
+	e := elasticController(t, g, pinnedMap(4, g), mixCallback(g), wire.TierAuto, nil,
 		mpi.WithRetry(core.RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond}))
-	_, rep, err := ctrl.RunElastic(context.Background(), mpi.ElasticOptions{
-		Connect: connect,
+	_, rep, err := e.ctrl.RunElastic(context.Background(), mpi.ElasticOptions{
+		Connect: e.connect,
 		Inject: func(epoch, rank int, tr fabric.Transport) fabric.Transport {
 			return faultinject.Wrap(tr, rank, faultinject.Plan{KillRank: 0, KillAfter: 0})
 		},
-		Initial: initial,
+		Initial: externalInputsFor(g),
 	})
+	e.chk.Aborted(t, epochsOf(rep))
 	if err == nil {
 		t.Fatal("RunElastic succeeded though every epoch was killed")
 	}
@@ -299,7 +252,7 @@ func TestFaultRetriesExhausted(t *testing.T) {
 // wrapping core.ErrCancelled, on every controller that executes
 // concurrently.
 func TestRunContextCancellation(t *testing.T) {
-	g := randomDAG(40, 77)
+	g := check.RandomDAG(40, 77)
 	if err := core.Validate(g); err != nil {
 		t.Fatal(err)
 	}
@@ -307,24 +260,21 @@ func TestRunContextCancellation(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 		return mixCallback(g)(in, id)
 	}
-	initial := externalInputsFor(g)
-	for name, ctrl := range allControllers(g, 4) {
-		if name == "serial" {
+	for _, c := range allControllers(g, 4) {
+		if c.name == "serial" {
 			continue
 		}
-		name, ctrl := name, ctrl
-		t.Run(name, func(t *testing.T) {
+		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
-			for _, cid := range g.Callbacks() {
-				if err := ctrl.RegisterCallback(cid, slow); err != nil {
-					t.Fatal(err)
-				}
+			if err := registerAll(g, slow)(c.ctrl); err != nil {
+				t.Fatal(err)
 			}
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 			defer cancel()
 			start := time.Now()
-			_, err := ctrl.RunContext(ctx, initial)
+			_, err := c.ctrl.RunContext(ctx, externalInputsFor(g))
 			elapsed := time.Since(start)
+			c.chk.Aborted(t, check.Epochs{})
 			if err == nil {
 				t.Fatal("RunContext returned nil error under a 10ms deadline")
 			}
@@ -342,7 +292,8 @@ func TestRunContextCancellation(t *testing.T) {
 // it observes the context between tasks, so a pre-cancelled context must
 // fail fast.
 func TestSerialRunContextCancellation(t *testing.T) {
-	g := randomDAG(10, 7)
+	check.NoLeak(t)
+	g := check.RandomDAG(10, 7)
 	cb := mixCallback(g)
 	ser := core.NewSerial()
 	ser.Initialize(g, nil)

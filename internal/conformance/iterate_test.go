@@ -5,10 +5,12 @@ import (
 	"testing"
 	"time"
 
+	"github.com/babelflow/babelflow-go/internal/check"
 	"github.com/babelflow/babelflow-go/internal/core"
 	"github.com/babelflow/babelflow-go/internal/data"
 	"github.com/babelflow/babelflow-go/internal/fabric"
 	"github.com/babelflow/babelflow-go/internal/faultinject"
+	"github.com/babelflow/babelflow-go/internal/mpi"
 	"github.com/babelflow/babelflow-go/internal/register"
 )
 
@@ -64,15 +66,13 @@ func assertIterConverged(t *testing.T, cfg register.Config, ig *core.IterativeGr
 // payload bytes.
 func TestIterateWireConformance(t *testing.T) {
 	cfg, ig, reg, initial := iterRegCase(t)
-	want := serialReferenceReg(t, ig, reg, initial())
-	wantIter := assertIterConverged(t, cfg, ig, want)
+	ref := check.Serial(t, ig, reg, initial())
+	wantIter := assertIterConverged(t, cfg, ig, ref.Sinks)
 
 	for _, tc := range conformanceTiers {
-		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			got := runOverWireReg(t, ig, core.NewIterativeMap(4, ig), reg, initial(), tc.tier)
-			assertSameSinks(t, want, got)
+			got := runOverWire(t, ig, core.NewIterativeMap(4, ig), reg, ref, initial(), tc.tier)
 			if iter := assertIterConverged(t, cfg, ig, got); iter != wantIter {
 				t.Errorf("converged at iteration %d over %s, serial at %d", iter, tc.name, wantIter)
 			}
@@ -91,18 +91,17 @@ func TestIterateWireConformance(t *testing.T) {
 func TestIterateResumeAfterKillingAllRanks(t *testing.T) {
 	const ranks = 4
 	cfg, ig, reg, initial := iterRegCase(t)
-	want := serialReferenceReg(t, ig, reg, initial())
-	wantIter := assertIterConverged(t, cfg, ig, want)
+	ref := check.Serial(t, ig, reg, initial())
+	wantIter := assertIterConverged(t, cfg, ig, ref.Sinks)
 
 	for _, tc := range conformanceTiers {
 		for _, killAfter := range []int{0, 6} {
-			tc, killAfter := tc, killAfter
 			t.Run(fmt.Sprintf("%s/killall_after%d", tc.name, killAfter), func(t *testing.T) {
 				t.Parallel()
 				m := core.NewIterativeMap(ranks, ig)
 				dir := t.TempDir()
 
-				_, errs, _ := journaledWireRunReg(t, ig, m, reg, initial(), dir, tc.tier, nil,
+				_, errs, _ := journaledWireRun(t, ig, m, reg, initial(), dir, tc.tier, nil,
 					func(rank int, tr fabric.Transport) fabric.Transport {
 						return faultinject.Wrap(tr, rank, faultinject.Plan{
 							KillRank:  rank,
@@ -120,13 +119,14 @@ func TestIterateResumeAfterKillingAllRanks(t *testing.T) {
 					t.Fatal("kill-all seed run completed without a single failure")
 				}
 
-				got, errs, js := journaledWireRunReg(t, ig, m, reg, initial(), dir, tc.tier, nil, nil)
+				chk := new(check.Checker)
+				got, errs, js := journaledWireRun(t, ig, m, reg, initial(), dir, tc.tier, []mpi.Option{mpi.WithObserver(chk)}, nil)
 				for r, err := range errs {
 					if err != nil {
 						t.Fatalf("resume rank %d: %v", r, err)
 					}
 				}
-				assertSameSinks(t, want, got)
+				chk.Run(t, ref, got)
 				if iter := assertIterConverged(t, cfg, ig, got); iter != wantIter {
 					t.Errorf("resume converged at iteration %d, serial at %d", iter, wantIter)
 				}

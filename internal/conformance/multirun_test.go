@@ -1,12 +1,12 @@
 package conformance
 
 import (
-	"bytes"
 	"fmt"
 	"sync"
 	"testing"
 	"time"
 
+	"github.com/babelflow/babelflow-go/internal/check"
 	"github.com/babelflow/babelflow-go/internal/core"
 	"github.com/babelflow/babelflow-go/internal/fabric"
 	"github.com/babelflow/babelflow-go/internal/graphs"
@@ -22,18 +22,17 @@ import (
 // cross-run message leak, misrouted frame or demux teardown bug flips a
 // digest or wedges a run.
 
-// warmMeshRun executes one graph instance over the resident mesh through
-// fresh per-rank demux views for run id, merging the per-rank sinks.
-func warmMeshRun(g core.TaskGraph, m core.TaskMap, cb core.Callback, initial map[core.TaskId][]core.Payload, demuxes []*fabric.Demux, id uint64) (map[core.TaskId][]core.Payload, error) {
+// warmMeshRun executes one graph instance, observed by obs, over the
+// resident mesh through fresh per-rank demux views for run id, merging the
+// per-rank sinks.
+func warmMeshRun(g core.TaskGraph, m core.TaskMap, cb core.Callback, obs core.Observer, demuxes []*fabric.Demux, id uint64) (map[core.TaskId][]core.Payload, error) {
 	ranks := m.ShardCount()
-	ctrl := mpi.New()
+	ctrl := mpi.New(mpi.WithObserver(obs))
 	if err := ctrl.Initialize(g, m); err != nil {
 		return nil, err
 	}
-	for _, cid := range g.Callbacks() {
-		if err := ctrl.RegisterCallback(cid, cb); err != nil {
-			return nil, err
-		}
+	if err := registerAll(g, cb)(ctrl); err != nil {
+		return nil, err
 	}
 	views := make([]fabric.Transport, ranks)
 	for r := 0; r < ranks; r++ {
@@ -48,7 +47,7 @@ func warmMeshRun(g core.TaskGraph, m core.TaskMap, cb core.Callback, initial map
 			demuxes[r].Release(id)
 		}
 	}()
-	parts := partitionInitial(m, initial)
+	parts := partitionInitial(m, externalInputsFor(g))
 
 	results := make([]map[core.TaskId][]core.Payload, ranks)
 	errs := make([]error, ranks)
@@ -76,8 +75,10 @@ func warmMeshRun(g core.TaskGraph, m core.TaskMap, cb core.Callback, initial map
 }
 
 // multiRunOverTier interleaves N graph instances over one warm mesh at the
-// given tier and checks every instance against its serial reference.
+// given tier and checks every instance against its serial reference, each
+// with a checker of its own.
 func multiRunOverTier(t *testing.T, tier wire.Tier) {
+	check.NoLeak(t)
 	const ranks, runs = 4, 8
 
 	// Two different graph shapes interleave over the same mesh, so runs
@@ -94,21 +95,17 @@ func multiRunOverTier(t *testing.T, tier wire.Tier) {
 	shapes = append(shapes, kwm, bsw)
 
 	type instance struct {
-		g    core.TaskGraph
-		m    core.TaskMap
-		cb   core.Callback
-		want map[core.TaskId][]core.Payload
+		g   core.TaskGraph
+		m   core.TaskMap
+		cb  core.Callback
+		ref check.Reference
+		chk *check.Checker
 	}
 	insts := make([]instance, runs)
 	for i := range insts {
 		g := shapes[i%len(shapes)]
 		cb := mixCallback(g)
-		insts[i] = instance{
-			g:    g,
-			m:    core.NewModuloMap(ranks, g.Size()),
-			cb:   cb,
-			want: serialReference(t, g, cb, externalInputsFor(g)),
-		}
+		insts[i] = instance{g, core.NewModuloMap(ranks, g.Size()), cb, serialReference(t, g, cb), new(check.Checker)}
 	}
 
 	// One warm mesh for everything. The fingerprint pin only guards
@@ -131,7 +128,7 @@ func multiRunOverTier(t *testing.T, tier wire.Tier) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			got[i], errs[i] = warmMeshRun(insts[i].g, insts[i].m, insts[i].cb, externalInputsFor(insts[i].g), demuxes, uint64(i+1))
+			got[i], errs[i] = warmMeshRun(insts[i].g, insts[i].m, insts[i].cb, insts[i].chk, demuxes, uint64(i+1))
 		}(i)
 	}
 	wg.Wait()
@@ -140,8 +137,8 @@ func multiRunOverTier(t *testing.T, tier wire.Tier) {
 			t.Fatalf("instance %d: %v", i, err)
 		}
 	}
-	for i := range insts {
-		assertRunMatches(t, i, insts[i].want, got[i])
+	for i, in := range insts {
+		in.chk.Run(t, in.ref, got[i])
 	}
 
 	// Clean teardown: demuxes first (runs are all released), then the
@@ -171,27 +168,6 @@ func multiRunOverTier(t *testing.T, tier wire.Tier) {
 	}
 }
 
-// assertRunMatches compares one instance's merged sinks byte for byte.
-func assertRunMatches(t *testing.T, run int, want, got map[core.TaskId][]core.Payload) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("instance %d: %d sinks, want %d", run, len(got), len(want))
-	}
-	for id, ws := range want {
-		gs := got[id]
-		if len(gs) != len(ws) {
-			t.Fatalf("instance %d task %d: %d payloads, want %d", run, id, len(gs), len(ws))
-		}
-		for i := range ws {
-			wb, _ := ws[i].Wire()
-			gb, _ := gs[i].Wire()
-			if !bytes.Equal(wb, gb) {
-				t.Fatalf("instance %d task %d payload %d: %d bytes vs %d, not byte-identical", run, id, i, len(gb), len(wb))
-			}
-		}
-	}
-}
-
 func TestMultiRunWarmMeshTCP(t *testing.T) {
 	multiRunOverTier(t, wire.TierTCP)
 }
@@ -208,6 +184,7 @@ func TestMultiRunWarmMeshShm(t *testing.T) {
 // runs — run ids strictly increasing, mailboxes built and torn down per
 // run — and checks the last run is as byte-exact as the first.
 func TestMultiRunSequentialReuse(t *testing.T) {
+	check.NoLeak(t)
 	const ranks, runs = 3, 12
 	g, err := graphs.NewReduction(16, 2)
 	if err != nil {
@@ -215,7 +192,8 @@ func TestMultiRunSequentialReuse(t *testing.T) {
 	}
 	m := core.NewModuloMap(ranks, g.Size())
 	cb := mixCallback(g)
-	want := serialReference(t, g, cb, externalInputsFor(g))
+	ref := serialReference(t, g, cb)
+	chk := new(check.Checker)
 
 	fpCtrl := mpi.New()
 	if err := fpCtrl.Initialize(g, m); err != nil {
@@ -228,11 +206,11 @@ func TestMultiRunSequentialReuse(t *testing.T) {
 	}
 
 	for i := 0; i < runs; i++ {
-		got, err := warmMeshRun(g, m, cb, externalInputsFor(g), demuxes, uint64(i+1))
+		got, err := warmMeshRun(g, m, cb, chk, demuxes, uint64(i+1))
 		if err != nil {
 			t.Fatalf("sequential run %d: %v", i, err)
 		}
-		assertRunMatches(t, i, want, got)
+		chk.Run(t, ref, got)
 	}
 
 	for _, d := range demuxes {

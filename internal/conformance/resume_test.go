@@ -1,8 +1,8 @@
 package conformance
 
 import (
-	"context"
 	"fmt"
+	"net"
 	"os"
 	"path/filepath"
 	"sync"
@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/babelflow/babelflow-go/internal/check"
 	"github.com/babelflow/babelflow-go/internal/core"
 	"github.com/babelflow/babelflow-go/internal/fabric"
 	"github.com/babelflow/babelflow-go/internal/faultinject"
@@ -28,19 +29,13 @@ func countingCallback(cb core.Callback, execs *atomic.Int64) core.Callback {
 }
 
 // journaledWireRun drives one journaled multi-process-shaped run: one
-// controller per rank (as separate OS processes would have), each RunRank
-// on its own loopback fabric at the given transport tier, optionally
-// wrapped with fault injection. journalOpts extends the per-rank controller
-// configuration (journal sync policy, commit window). It returns the merged
-// sink results, the per-rank errors, and the summed journal stats.
-func journaledWireRun(t *testing.T, g core.TaskGraph, m core.TaskMap, cb core.Callback, initial map[core.TaskId][]core.Payload, dir string, tier wire.Tier, journalOpts []mpi.Option, inject func(rank int, tr fabric.Transport) fabric.Transport) (map[core.TaskId][]core.Payload, []error, mpi.JournalStats) {
-	t.Helper()
-	return journaledWireRunReg(t, g, m, registerAll(g, cb), initial, dir, tier, journalOpts, inject)
-}
-
-// journaledWireRunReg is journaledWireRun with an explicit
-// callback-registration function instead of one callback for every id.
-func journaledWireRunReg(t *testing.T, g core.TaskGraph, m core.TaskMap, reg func(core.CallbackRegistrar) error, initial map[core.TaskId][]core.Payload, dir string, tier wire.Tier, journalOpts []mpi.Option, inject func(rank int, tr fabric.Transport) fabric.Transport) (map[core.TaskId][]core.Payload, []error, mpi.JournalStats) {
+// controller per rank (as separate OS processes would have), each with the
+// callbacks reg binds and each RunRank on its own loopback fabric at the
+// given transport tier, optionally wrapped with fault injection.
+// journalOpts extends the per-rank controller configuration (journal sync
+// policy, commit window, an observer). It returns the merged sink results,
+// the per-rank errors, and the summed journal stats.
+func journaledWireRun(t *testing.T, g core.TaskGraph, m core.TaskMap, reg func(core.CallbackRegistrar) error, initial map[core.TaskId][]core.Payload, dir string, tier wire.Tier, journalOpts []mpi.Option, inject func(rank int, tr fabric.Transport) fabric.Transport) (map[core.TaskId][]core.Payload, []error, mpi.JournalStats) {
 	t.Helper()
 	ranks := m.ShardCount()
 	ctrls := make([]*mpi.Controller, ranks)
@@ -132,19 +127,16 @@ func TestResumeAfterKillingAllRanks(t *testing.T) {
 	for name, g := range cases {
 		for _, cfg := range configs {
 			for _, killAfter := range []int{0, 2} {
-				name, g, cfg, killAfter := name, g, cfg, killAfter
 				t.Run(fmt.Sprintf("%s/%s/killall_after%d", name, cfg.name, killAfter), func(t *testing.T) {
 					t.Parallel()
 					cb := mixCallback(g)
-					initial := externalInputsFor(g)
-					want := serialReference(t, g, cb, initial)
 					m := pinnedMap(ranks, g)
 					dir := t.TempDir()
 
 					// Seed run: every rank is its own victim, so the whole job
 					// dies mid-flight — the all-processes-crashed scenario.
 					var seedExecs atomic.Int64
-					_, errs, _ := journaledWireRun(t, g, m, countingCallback(cb, &seedExecs), initial, dir, cfg.tier, cfg.opts,
+					_, errs, _ := journaledWireRun(t, g, m, registerAll(g, countingCallback(cb, &seedExecs)), externalInputsFor(g), dir, cfg.tier, cfg.opts,
 						func(rank int, tr fabric.Transport) fabric.Transport {
 							return faultinject.Wrap(tr, rank, faultinject.Plan{
 								KillRank:  rank,
@@ -165,13 +157,15 @@ func TestResumeAfterKillingAllRanks(t *testing.T) {
 					// Resume: a fresh mesh and fresh controllers over the same
 					// journal directory.
 					var resExecs atomic.Int64
-					got, errs, js := journaledWireRun(t, g, m, countingCallback(cb, &resExecs), initial, dir, cfg.tier, cfg.opts, nil)
+					chk := new(check.Checker)
+					got, errs, js := journaledWireRun(t, g, m, registerAll(g, countingCallback(cb, &resExecs)), externalInputsFor(g), dir, cfg.tier,
+						append([]mpi.Option{mpi.WithObserver(chk)}, cfg.opts...), nil)
 					for r, err := range errs {
 						if err != nil {
 							t.Fatalf("resume rank %d: %v", r, err)
 						}
 					}
-					assertSameSinks(t, want, got)
+					chk.Run(t, serialReference(t, g, cb), got)
 					if js.Restored == 0 {
 						t.Error("resume restored nothing: seed run journaled no progress")
 					}
@@ -214,67 +208,34 @@ func corruptFrameRecovery(t *testing.T, tier wire.Tier) {
 		t.Fatal(err)
 	}
 	cb := mixCallback(g)
-	initial := externalInputsFor(g)
-	want := serialReference(t, g, cb, initial)
-
-	m := core.NewGraphMap(4, g)
-	ctrl := mpi.New(mpi.WithRetry(core.RetryPolicy{
-		MaxAttempts: 4,
-		BaseBackoff: 5 * time.Millisecond,
-	}))
-	if err := ctrl.Initialize(g, m); err != nil {
-		t.Fatal(err)
+	wrapFor := func(epoch int) func(int, int, net.Conn) net.Conn {
+		if epoch != 1 || tier == wire.TierShm {
+			return nil
+		}
+		// Corrupt the first payload byte of the first data frame rank 1
+		// sends to rank 0 (writes smaller than a one-byte data frame are
+		// control traffic).
+		return faultinject.CorruptNthWrite(1, 0, 1, wire.DataFrameOverhead+1, wire.DataFrameOverhead)
 	}
-	for _, cid := range g.Callbacks() {
-		if err := ctrl.RegisterCallback(cid, cb); err != nil {
-			t.Fatal(err)
+	e := elasticController(t, g, core.NewGraphMap(4, g), cb, tier, wrapFor)
+	mesh := e.connect
+	e.connect = func(epoch, ranks int) ([]fabric.Transport, error) {
+		trs, err := mesh(epoch, ranks)
+		if err != nil || epoch != 1 || tier != wire.TierShm {
+			return trs, err
 		}
-	}
-	fp := ctrl.Fingerprint()
-	connect := func(epoch, ranks int) ([]fabric.Transport, error) {
-		opt := wire.Options{
-			Fingerprint:       fp,
-			Epoch:             epoch,
-			Tier:              tier,
-			HeartbeatInterval: 50 * time.Millisecond,
-			HeartbeatTimeout:  500 * time.Millisecond,
-		}
-		if epoch == 1 && tier != wire.TierShm {
-			// Corrupt the first payload byte of the first data frame rank 1
-			// sends to rank 0 (writes smaller than a one-byte data frame are
-			// control traffic).
-			opt.WrapConn = faultinject.CorruptNthWrite(1, 0, 1, wire.DataFrameOverhead+1, wire.DataFrameOverhead)
-		}
-		fabs, err := wire.Mesh(ranks, opt)
-		if err != nil {
-			return nil, err
-		}
-		if epoch == 1 && tier == wire.TierShm {
-			// Ring frames never cross a conn, so WrapConn cannot reach them:
-			// flip a header CRC bit on the first data frame rank 1 pushes
-			// into its ring to rank 0 instead.
-			if !fabs[1].CorruptNextShmFrame(0) {
-				for _, f := range fabs {
-					f.Kill()
-				}
-				return nil, fmt.Errorf("no shm link from rank 1 to rank 0 to corrupt")
+		// Ring frames never cross a conn, so WrapConn cannot reach them:
+		// flip a header CRC bit on the first data frame rank 1 pushes into
+		// its ring to rank 0 instead.
+		if !trs[1].(*wire.Fabric).CorruptNextShmFrame(0) {
+			for _, tr := range trs {
+				tr.(*wire.Fabric).Kill()
 			}
-		}
-		trs := make([]fabric.Transport, len(fabs))
-		for i, f := range fabs {
-			trs[i] = f
+			return nil, fmt.Errorf("no shm link from rank 1 to rank 0 to corrupt")
 		}
 		return trs, nil
 	}
-
-	got, rep, err := ctrl.RunElastic(context.Background(), mpi.ElasticOptions{
-		Connect: connect,
-		Initial: initial,
-	})
-	if err != nil {
-		t.Fatalf("RunElastic: %v (report %+v)", err, rep)
-	}
-	assertSameSinks(t, want, got)
+	rep := e.run(t, serialReference(t, g, cb), mpi.ElasticOptions{Initial: externalInputsFor(g)})
 	if rep.Epochs < 2 {
 		t.Errorf("corrupt frame did not force a recovery epoch (epochs=%d)", rep.Epochs)
 	}
@@ -283,35 +244,37 @@ func corruptFrameRecovery(t *testing.T, tier wire.Tier) {
 
 // resumeDamagedJournal journals a full in-process run (seedOpts extends the
 // seed controller's journal configuration), damages rank 0's first journal
-// segment with damage, then resumes with a fresh controller: the sinks must
-// match and only the tasks whose records were lost may re-execute.
+// segment with damage, then resumes with a fresh controller: both runs must
+// pass the checker and only the tasks whose records were lost may
+// re-execute.
 func resumeDamagedJournal(t *testing.T, damage func(segment string) error, seedOpts ...mpi.Option) {
+	check.NoLeak(t)
 	g, err := graphs.NewReduction(16, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cb := mixCallback(g)
-	initial := externalInputsFor(g)
-	want := serialReference(t, g, cb, initial)
+	ref := serialReference(t, g, cb)
 	m := core.NewGraphMap(4, g)
 	dir := t.TempDir()
 
-	run := func(execs *atomic.Int64, opts ...mpi.Option) (map[core.TaskId][]core.Payload, mpi.JournalStats) {
+	// run journals one checked run into dir.
+	run := func(execs *atomic.Int64, opts ...mpi.Option) mpi.JournalStats {
 		t.Helper()
-		c := mpi.New(append([]mpi.Option{mpi.WithJournal(dir)}, opts...)...)
+		chk := new(check.Checker)
+		c := mpi.New(append([]mpi.Option{mpi.WithJournal(dir), mpi.WithObserver(chk)}, opts...)...)
 		if err := c.Initialize(g, m); err != nil {
 			t.Fatal(err)
 		}
-		for _, cid := range g.Callbacks() {
-			if err := c.RegisterCallback(cid, countingCallback(cb, execs)); err != nil {
-				t.Fatal(err)
-			}
+		if err := registerAll(g, countingCallback(cb, execs))(c); err != nil {
+			t.Fatal(err)
 		}
-		got, err := c.Run(cloneInputs(t, initial))
+		got, err := c.Run(externalInputsFor(g))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return got, c.JournalStats()
+		chk.Run(t, ref, got)
+		return c.JournalStats()
 	}
 
 	var execs atomic.Int64
@@ -329,8 +292,7 @@ func resumeDamagedJournal(t *testing.T, damage func(segment string) error, seedO
 	}
 
 	execs.Store(0)
-	got, js := run(&execs)
-	assertSameSinks(t, want, got)
+	js := run(&execs)
 	reexecuted := int(execs.Load())
 	if reexecuted == 0 {
 		t.Fatal("journal damage destroyed no record — the test exercised nothing")
@@ -342,25 +304,6 @@ func resumeDamagedJournal(t *testing.T, damage func(segment string) error, seedO
 		t.Errorf("replayed %d + executed %d != %d tasks", js.Replayed, js.Executed, g.Size())
 	}
 	t.Logf("damage cost %d re-executions, %d replays", reexecuted, js.Replayed)
-}
-
-// cloneInputs deep-copies external inputs so successive runs in one test
-// cannot alias each other's consumed payloads.
-func cloneInputs(t *testing.T, in map[core.TaskId][]core.Payload) map[core.TaskId][]core.Payload {
-	t.Helper()
-	out := make(map[core.TaskId][]core.Payload, len(in))
-	for id, ps := range in {
-		cp := make([]core.Payload, len(ps))
-		for i, p := range ps {
-			c, err := p.CloneForWire()
-			if err != nil {
-				t.Fatal(err)
-			}
-			cp[i] = c
-		}
-		out[id] = cp
-	}
-	return out
 }
 
 // TestResumeWithTornJournalTail resumes over a journal whose last record

@@ -1,7 +1,6 @@
 package conformance
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -9,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/babelflow/babelflow-go/internal/check"
 	"github.com/babelflow/babelflow-go/internal/core"
 	"github.com/babelflow/babelflow-go/internal/fabric"
 	"github.com/babelflow/babelflow-go/internal/graphs"
@@ -72,8 +72,8 @@ func partitionInitial(m core.TaskMap, initial map[core.TaskId][]core.Payload) []
 // registerAll binds cb to every callback id the graph declares — the
 // uniform-callback shape most conformance workloads use. Workloads with
 // heterogeneous callbacks (the iterative registration loop binds a body
-// callback plus the decision callback) pass their own register function to
-// the *Reg runner variants instead.
+// callback plus the decision callback) pass their own register function
+// instead.
 func registerAll(g core.TaskGraph, cb core.Callback) func(core.CallbackRegistrar) error {
 	return func(c core.CallbackRegistrar) error {
 		for _, cid := range g.Callbacks() {
@@ -86,19 +86,14 @@ func registerAll(g core.TaskGraph, cb core.Callback) func(core.CallbackRegistrar
 }
 
 // runOverWire executes the graph on the MPI controller with every rank on
-// its own loopback fabric at the given transport tier and merges the
-// per-rank sink outputs.
-func runOverWire(t *testing.T, g core.TaskGraph, m core.TaskMap, cb core.Callback, initial map[core.TaskId][]core.Payload, tier wire.Tier) map[core.TaskId][]core.Payload {
-	t.Helper()
-	return runOverWireReg(t, g, m, registerAll(g, cb), initial, tier)
-}
-
-// runOverWireReg is runOverWire with an explicit callback-registration
-// function instead of one callback for every id.
-func runOverWireReg(t *testing.T, g core.TaskGraph, m core.TaskMap, reg func(core.CallbackRegistrar) error, initial map[core.TaskId][]core.Payload, tier wire.Tier) map[core.TaskId][]core.Payload {
+// its own loopback fabric at the given transport tier, with the callbacks
+// reg binds, checks the merged per-rank sinks against ref and returns
+// them.
+func runOverWire(t *testing.T, g core.TaskGraph, m core.TaskMap, reg func(core.CallbackRegistrar) error, ref check.Reference, initial map[core.TaskId][]core.Payload, tier wire.Tier) map[core.TaskId][]core.Payload {
 	t.Helper()
 	ranks := m.ShardCount()
-	ctrl := mpi.New()
+	chk := new(check.Checker)
+	ctrl := mpi.New(mpi.WithObserver(chk))
 	if err := ctrl.Initialize(g, m); err != nil {
 		t.Fatal(err)
 	}
@@ -133,46 +128,15 @@ func runOverWireReg(t *testing.T, g core.TaskGraph, m core.TaskMap, reg func(cor
 			merged[id] = ps
 		}
 	}
+	chk.Run(t, ref, merged)
 	return merged
 }
 
-func assertSameSinks(t testing.TB, want, got map[core.TaskId][]core.Payload) {
+// serialReference is the serial run of g with cb bound to every callback
+// id, on fresh external inputs.
+func serialReference(t testing.TB, g core.TaskGraph, cb core.Callback) check.Reference {
 	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("sink count %d, want %d", len(got), len(want))
-	}
-	for id, ws := range want {
-		gs := got[id]
-		if len(gs) != len(ws) {
-			t.Fatalf("task %d: %d payloads, want %d", id, len(gs), len(ws))
-		}
-		for i := range ws {
-			wb, _ := ws[i].Wire()
-			gb, _ := gs[i].Wire()
-			if !bytes.Equal(wb, gb) {
-				t.Errorf("task %d sink %d differs", id, i)
-			}
-		}
-	}
-}
-
-func serialReference(t testing.TB, g core.TaskGraph, cb core.Callback, initial map[core.TaskId][]core.Payload) map[core.TaskId][]core.Payload {
-	t.Helper()
-	return serialReferenceReg(t, g, registerAll(g, cb), initial)
-}
-
-func serialReferenceReg(t testing.TB, g core.TaskGraph, reg func(core.CallbackRegistrar) error, initial map[core.TaskId][]core.Payload) map[core.TaskId][]core.Payload {
-	t.Helper()
-	ser := core.NewSerial()
-	ser.Initialize(g, nil)
-	if err := reg(ser); err != nil {
-		t.Fatal(err)
-	}
-	want, err := ser.Run(initial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return want
+	return check.Serial(t, g, registerAll(g, cb), externalInputsFor(g))
 }
 
 // conformanceTiers enumerates the transport tiers every wire conformance
@@ -211,14 +175,10 @@ func TestWireFigureWorkloads(t *testing.T) {
 	}
 	for name, g := range cases {
 		for _, tc := range conformanceTiers {
-			name, g, tc := name, g, tc
 			t.Run(name+"/"+tc.name, func(t *testing.T) {
 				t.Parallel()
 				cb := mixCallback(g)
-				initial := externalInputsFor(g)
-				want := serialReference(t, g, cb, initial)
-				got := runOverWire(t, g, core.NewGraphMap(4, g), cb, initial, tc.tier)
-				assertSameSinks(t, want, got)
+				runOverWire(t, g, core.NewGraphMap(4, g), registerAll(g, cb), serialReference(t, g, cb), externalInputsFor(g), tc.tier)
 			})
 		}
 	}
@@ -236,22 +196,18 @@ func graphAsTaskGraph[G core.TaskGraph](g G, err error) (core.TaskGraph, error) 
 // cross-host framing path.
 func TestWireRandomDAGConformance(t *testing.T) {
 	for trial := 0; trial < 6; trial++ {
-		trial := trial
 		tier := wire.TierAuto
 		if trial%2 == 1 {
 			tier = wire.TierTCP
 		}
 		t.Run(fmt.Sprintf("trial%d_%s", trial, tier), func(t *testing.T) {
 			t.Parallel()
-			g := randomDAG(6+trial*7, uint64(4000+trial))
+			g := check.RandomDAG(6+trial*7, int64(4000+trial))
 			if err := core.Validate(g); err != nil {
 				t.Fatal(err)
 			}
 			cb := mixCallback(g)
-			initial := externalInputsFor(g)
-			want := serialReference(t, g, cb, initial)
-			got := runOverWire(t, g, core.NewGraphMap(4, g), cb, initial, tier)
-			assertSameSinks(t, want, got)
+			runOverWire(t, g, core.NewGraphMap(4, g), registerAll(g, cb), serialReference(t, g, cb), externalInputsFor(g), tier)
 		})
 	}
 }
@@ -261,6 +217,7 @@ func TestWireRandomDAGConformance(t *testing.T) {
 // typed peer-loss error well within the heartbeat budget — no hang, no
 // panic, no partial success.
 func TestWireKilledRankFailsTyped(t *testing.T) {
+	check.NoLeak(t)
 	g, err := graphs.NewReduction(8, 2)
 	if err != nil {
 		t.Fatal(err)

@@ -2,11 +2,11 @@ package core_test
 
 import (
 	"fmt"
-	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
 
+	"github.com/babelflow/babelflow-go/internal/check"
 	"github.com/babelflow/babelflow-go/internal/core"
 	"github.com/babelflow/babelflow-go/internal/graphs"
 )
@@ -36,63 +36,6 @@ func prototypes() []named {
 		{"neighbor3d-3x4x2", must(graphs.NewNeighbor3D(3, 4, 2))},
 		{"reduction-64-2", must(graphs.NewReduction(64, 2))},
 	}
-}
-
-// randomDAG builds a seeded random valid graph: edges only run from lower
-// to higher ids, consumers are grouped into fan-out slots at random, ids are
-// dense or gapped, and some multi-slot tasks declare two branches.
-func randomDAG(seed int64) core.TaskGraph {
-	r := rand.New(rand.NewSource(seed))
-	n := 1 + r.Intn(40)
-	ids := make([]core.TaskId, n)
-	next := core.TaskId(0)
-	gapped := r.Intn(2) == 0
-	for i := range ids {
-		if gapped {
-			next += core.TaskId(r.Intn(1000))
-		}
-		ids[i] = next
-		next++
-	}
-	consumers := make([][]int, n)
-	tasks := make([]core.Task, n)
-	for j := range tasks {
-		tasks[j] = core.Task{Id: ids[j], Callback: core.CallbackId(r.Intn(4))}
-		if j == 0 || r.Intn(4) == 0 {
-			tasks[j].Incoming = append(tasks[j].Incoming, core.ExternalInput)
-		}
-		for i := 0; i < j; i++ {
-			if r.Intn(j+1) < 2 {
-				tasks[j].Incoming = append(tasks[j].Incoming, ids[i])
-				consumers[i] = append(consumers[i], j)
-			}
-		}
-		if len(tasks[j].Incoming) == 0 {
-			tasks[j].Incoming = []core.TaskId{core.ExternalInput}
-		}
-	}
-	for i := range tasks {
-		t := &tasks[i]
-		for _, c := range consumers[i] {
-			if len(t.Outgoing) == 0 || r.Intn(2) == 0 {
-				t.Outgoing = append(t.Outgoing, nil)
-			}
-			last := len(t.Outgoing) - 1
-			t.Outgoing[last] = append(t.Outgoing[last], ids[c])
-		}
-		if len(consumers[i]) == 0 || r.Intn(5) == 0 {
-			t.Outgoing = append(t.Outgoing, []core.TaskId{}) // sink slot
-		}
-		if len(t.Outgoing) >= 2 && r.Intn(3) == 0 {
-			t.Branches = 2
-			t.Cond = make([]int, len(t.Outgoing))
-			for s := range t.Cond {
-				t.Cond[s] = s%3 - 1 // -1, 0, 1, ...: both branches own a slot from 3 slots up
-			}
-			t.Cond[0], t.Cond[1] = 0, 1
-		}
-	}
-	return core.NewExplicitGraph(tasks)
 }
 
 func suite(t *testing.T) []named {
@@ -132,7 +75,7 @@ func suite(t *testing.T) []named {
 	all = append(all, named{"iterate-4", loop})
 
 	for seed := int64(1); seed <= 240; seed++ {
-		all = append(all, named{fmt.Sprintf("random-%d", seed), randomDAG(seed)})
+		all = append(all, named{fmt.Sprintf("random-%d", seed), check.RandomDAG(1+int(seed%40), seed)})
 	}
 	return all
 }
@@ -333,7 +276,7 @@ func TestPlanAllocationPins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sparse, err := core.Compile(randomDAG(2)) // gapped ids: Index is a binary search
+	sparse, err := core.Compile(check.RandomDAG(40, 2)) // gapped ids: Index is a binary search
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,8 +29,8 @@ const (
 	EpochRetried
 )
 
-// Event is one execution event. Task events fill Task through End; a retry
-// fills Epoch and Lost.
+// Event is one execution event. Task events fill Task through End and
+// Epoch; a retry fills Epoch and Lost.
 type Event struct {
 	Kind     EventKind
 	Task     TaskId
@@ -42,8 +42,10 @@ type Event struct {
 	// Ready is when the task entered a dispatch queue; zero for runtimes
 	// without one (serial, inline). Start and End bound the callback.
 	Ready, Start, End time.Time
-	// Epoch is the attempt number about to start (2 = first retry) and Lost
-	// the shards declared dead so far, in the original map's numbering.
+	// Epoch is, on a task event, the supervised epoch the task ran in (1 =
+	// first; 0 outside mpi's RunElastic) and, on a retry, the epoch about to
+	// start (2 = first retry). Lost lists the shards declared dead so far,
+	// in the original map's numbering.
 	Epoch int
 	Lost  []ShardId
 }

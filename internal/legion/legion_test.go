@@ -1,7 +1,6 @@
 package legion
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -9,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/babelflow/babelflow-go/internal/check"
 	"github.com/babelflow/babelflow-go/internal/core"
 	"github.com/babelflow/babelflow-go/internal/graphs"
 )
@@ -69,22 +69,7 @@ func runAll(t *testing.T, g core.TaskGraph, shards int, reg map[core.CallbackId]
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(got) != len(want) {
-				t.Fatalf("sink count: got %d, want %d", len(got), len(want))
-			}
-			for id, ws := range want {
-				gs := got[id]
-				if len(gs) != len(ws) {
-					t.Fatalf("task %d: %d sinks, want %d", id, len(gs), len(ws))
-				}
-				for i := range ws {
-					wb, _ := ws[i].Wire()
-					gb, _ := gs[i].Wire()
-					if !bytes.Equal(wb, gb) {
-						t.Errorf("task %d sink %d: got %v, want %v", id, i, gb, wb)
-					}
-				}
-			}
+			check.Sinks(t, want, got)
 		})
 	}
 }
@@ -194,32 +179,6 @@ func TestLegionMetricsPopulated(t *testing.T) {
 	}
 }
 
-func TestLegionObserverSeesEachTaskOnce(t *testing.T) {
-	g, reg, initial := reductionSetup(8, 2)
-	for name := range map[string]bool{"spmd": true, "indexlaunch": true} {
-		log := core.NewExecutionLog()
-		var c core.Controller
-		if name == "spmd" {
-			s := NewSPMD(Options{Observer: log})
-			s.Initialize(g, core.NewModuloMap(3, g.Size()))
-			c = s
-		} else {
-			i := NewIndexLaunch(Options{Observer: log})
-			i.Initialize(g, nil)
-			c = i
-		}
-		for cb, fn := range reg {
-			c.RegisterCallback(cb, fn)
-		}
-		if _, err := c.Run(initial); err != nil {
-			t.Fatal(err)
-		}
-		if log.Len() != g.Size() {
-			t.Errorf("%s: observer saw %d, want %d", name, log.Len(), g.Size())
-		}
-	}
-}
-
 func TestLegionErrorPropagation(t *testing.T) {
 	g, reg, initial := reductionSetup(8, 2)
 	boom := errors.New("boom")
@@ -247,22 +206,19 @@ func TestLegionFailureReleasesRegions(t *testing.T) {
 		return nil, boom
 	}
 	for name, c := range controllers(g, 4, Options{}) {
-		for cb, fn := range reg {
-			c.RegisterCallback(cb, fn)
-		}
-		core.ArenaAccounting(true)
-		_, err := c.Run(initial)
-		out := core.ArenaOutstanding()
-		core.ArenaAccounting(false)
-		if !errors.Is(err, boom) {
-			t.Errorf("%s: err = %v, want boom", name, err)
-		}
-		if out != 0 {
-			t.Errorf("%s: %d region buffer(s) still grabbed after the failed run", name, out)
-		}
-		if tasks := c.(interface{ Metrics() Metrics }).Metrics().Tasks; tasks != 14 {
-			t.Errorf("%s: Metrics().Tasks = %d after the failed run, want 14", name, tasks)
-		}
+		t.Run(name, func(t *testing.T) {
+			for cb, fn := range reg {
+				c.RegisterCallback(cb, fn)
+			}
+			check.Arena(t, func() {
+				if _, err := c.Run(initial); !errors.Is(err, boom) {
+					t.Errorf("err = %v, want boom", err)
+				}
+			})
+			if tasks := c.(interface{ Metrics() Metrics }).Metrics().Tasks; tasks != 14 {
+				t.Errorf("Metrics().Tasks = %d after the failed run, want 14", tasks)
+			}
+		})
 	}
 }
 

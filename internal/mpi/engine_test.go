@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/babelflow/babelflow-go/internal/check"
 	"github.com/babelflow/babelflow-go/internal/core"
 	"github.com/babelflow/babelflow-go/internal/fabric"
 	"github.com/babelflow/babelflow-go/internal/faultinject"
@@ -327,13 +328,8 @@ func TestEntriesAgree(t *testing.T) {
 		for _, e := range entries {
 			e := e
 			t.Run(w.name+"/"+e.name, func(t *testing.T) {
-				core.ArenaAccounting(true)
-				defer core.ArenaAccounting(false)
 				g := &askCounter{TaskGraph: w.graph}
-				compareResults(t, want, e.run(t, g))
-				if n := core.ArenaOutstanding(); n != 0 {
-					t.Errorf("%d arena buffer(s) outstanding after the run", n)
-				}
+				check.Arena(t, func() { check.Sinks(t, want, e.run(t, g)) })
 				if n := g.asked.Load(); n != int64(tasks) {
 					t.Errorf("the runtime asked the graph for a task %d times, want once per task (%d)", n, tasks)
 				}
@@ -442,7 +438,7 @@ func TestSubmitCancelAtCompletionLeavesNoWatcher(t *testing.T) {
 		t.Helper()
 		got, _, err := svc.Submit(ctx, sub)
 		if err == nil {
-			compareResults(t, want, got)
+			check.Sinks(t, want, got)
 		} else if !errors.Is(err, core.ErrCancelled) {
 			t.Fatalf("submit: %v", err)
 		}
@@ -469,12 +465,8 @@ func TestSubmitCancelAtCompletionLeavesNoWatcher(t *testing.T) {
 		cancel()
 	}
 
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > baseline {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines, baseline %d: context watchers outlived their submissions", runtime.NumGoroutine(), baseline)
-		}
-		time.Sleep(time.Millisecond)
+	if err := check.Settle(baseline); err != nil {
+		t.Fatalf("context watchers outlived their submissions: %v", err)
 	}
 	if svc.Runs() != 0 {
 		t.Errorf("%d runs still attached", svc.Runs())

@@ -1,12 +1,12 @@
 package mpi
 
 import (
-	"bytes"
 	"errors"
 	"sync"
 	"testing"
 	"time"
 
+	"github.com/babelflow/babelflow-go/internal/check"
 	"github.com/babelflow/babelflow-go/internal/core"
 	"github.com/babelflow/babelflow-go/internal/graphs"
 )
@@ -83,19 +83,7 @@ func TestInSituMatchesMonolithicRun(t *testing.T) {
 	}
 	wg.Wait()
 
-	if len(combined) != len(want) {
-		t.Fatalf("combined sinks = %d, want %d", len(combined), len(want))
-	}
-	for id, ws := range want {
-		gs := combined[id]
-		for i := range ws {
-			wb, _ := ws[i].Wire()
-			gb, _ := gs[i].Wire()
-			if !bytes.Equal(wb, gb) {
-				t.Errorf("sink %d payload %d differs", id, i)
-			}
-		}
-	}
+	check.Sinks(t, want, combined)
 }
 
 // TestInSituSinkLocality: each shard's Run returns only the sinks of its

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"github.com/babelflow/babelflow-go/internal/check"
 	"github.com/babelflow/babelflow-go/internal/core"
 	"github.com/babelflow/babelflow-go/internal/fabric"
 	"github.com/babelflow/babelflow-go/internal/graphs"
@@ -72,7 +73,7 @@ func TestJournaledRunResumes(t *testing.T) {
 	if js.Restored != g.Size() || js.Replayed != g.Size() || js.Executed != 0 {
 		t.Fatalf("resumed run stats %+v", js)
 	}
-	compareResults(t, want, got)
+	check.Sinks(t, want, got)
 }
 
 // TestJournaledRunPartialResume deletes one rank's journal between runs:
@@ -108,7 +109,7 @@ func TestJournaledRunPartialResume(t *testing.T) {
 	if js.Executed != wantExecs || js.Replayed != g.Size()-wantExecs {
 		t.Fatalf("partial resume stats %+v, want executed=%d replayed=%d", js, wantExecs, g.Size()-wantExecs)
 	}
-	compareResults(t, want, got)
+	check.Sinks(t, want, got)
 }
 
 // TestJournaledRunRankResumes drives the single-rank entry point (the
@@ -167,7 +168,7 @@ func TestJournaledRunRankResumes(t *testing.T) {
 	if n := execs.Load(); n != 0 {
 		t.Fatalf("resumed RunRank executed %d callbacks, want 0", n)
 	}
-	compareResults(t, want, got)
+	check.Sinks(t, want, got)
 }
 
 // TestWireOptionsCarriesFingerprint checks the controller's wire template

@@ -385,7 +385,7 @@ func (c *Controller) run(ctx context.Context, rank int, tr fabric.Transport, poo
 		defer pool.Close()
 	}
 
-	sinks, _, err = c.epoch(ctx, pl, trs, pool, leds, initial)
+	sinks, _, err = c.epoch(ctx, 0, pl, trs, pool, leds, initial)
 	if err != nil {
 		return nil, err
 	}
@@ -393,7 +393,8 @@ func (c *Controller) run(ctx context.Context, rank int, tr fabric.Transport, poo
 }
 
 // runEnv is the state one epoch threads through its rank loops: the
-// attempt (merged sinks and the epoch's first failure), the epoch's
+// attempt (merged sinks and the epoch's first failure), its number (stamped
+// on task events; 0 outside a supervised run), the epoch's
 // placement (a recovery epoch's differs from Initialize's), the transport of
 // every rank driven here (nil for ranks living elsewhere), the executor,
 // the per-rank failures and — for ledgered runs — the per-rank lineage
@@ -401,6 +402,7 @@ func (c *Controller) run(ctx context.Context, rank int, tr fabric.Transport, poo
 // messages a dedup identity.
 type runEnv struct {
 	core.Attempt
+	num     int
 	place   *placement
 	trs     []fabric.Transport
 	pool    *fabric.Pool    // nil = inline execution
@@ -467,7 +469,7 @@ func (e *runEnv) ledger(rank int) *core.Ledger {
 	return e.leds[rank]
 }
 
-// epoch is the execution engine: one attempt of the dataflow placed by pl,
+// epoch is the execution engine: attempt num of the dataflow placed by pl,
 // driving every logical rank r with a transport in trs[r] (ranks with a nil
 // entry live behind the others' transports), executing on pool (nil =
 // inline in the rank loops), recording into and replaying from leds[r]
@@ -482,8 +484,8 @@ func (e *runEnv) ledger(rank int) *core.Ledger {
 // and arms sequence stamping and receiver dedup for ledgered runs. Once the
 // attempt's Result has joined the watcher, a cancellation racing completion
 // can no longer reach a transport the caller is about to release.
-func (c *Controller) epoch(ctx context.Context, pl *placement, trs []fabric.Transport, pool *fabric.Pool, leds []*core.Ledger, initial map[core.TaskId][]core.Payload) (map[core.TaskId][]core.Payload, []error, error) {
-	env := &runEnv{place: pl, trs: trs, pool: pool, leds: leds, ranks: make([]rankState, len(trs)), errs: make([]error, len(trs))}
+func (c *Controller) epoch(ctx context.Context, num int, pl *placement, trs []fabric.Transport, pool *fabric.Pool, leds []*core.Ledger, initial map[core.TaskId][]core.Payload) (map[core.TaskId][]core.Payload, []error, error) {
+	env := &runEnv{num: num, place: pl, trs: trs, pool: pool, leds: leds, ranks: make([]rankState, len(trs)), errs: make([]error, len(trs))}
 	// fail cancels per rank, so all that is left for the attempt's Cancel is
 	// to pass the cause on.
 	env.Cancel = func() { c.onFail(env.Err()) }
@@ -612,7 +614,7 @@ func (c *Controller) runRank(rank int, env *runEnv, initial map[core.TaskId][]co
 			led.CountReplay()
 			if obs := c.opt.Observer; obs != nil {
 				now := time.Now()
-				obs.Observe(core.Event{Kind: core.TaskReplayed, Task: t.Id, Callback: t.Callback, Shard: core.ShardId(rank), Start: now, End: now})
+				obs.Observe(core.Event{Kind: core.TaskReplayed, Task: t.Id, Callback: t.Callback, Shard: core.ShardId(rank), Start: now, End: now, Epoch: env.num})
 			}
 		} else {
 			if led != nil {
@@ -623,7 +625,7 @@ func (c *Controller) runRank(rank int, env *runEnv, initial map[core.TaskId][]co
 				ready = env.readyAt[i]
 			}
 			var err error
-			out, _, err = core.Step(c.Registry(), c.opt.Observer, t, in, core.Event{Shard: core.ShardId(rank), Ready: ready, Attempt: int(attempt)})
+			out, _, err = core.Step(c.Registry(), c.opt.Observer, t, in, core.Event{Shard: core.ShardId(rank), Ready: ready, Attempt: int(attempt), Epoch: env.num})
 			if err != nil {
 				env.fail(rank, err)
 				return scratch

@@ -1,13 +1,13 @@
 package mpi
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"strings"
 	"testing"
 
+	"github.com/babelflow/babelflow-go/internal/check"
 	"github.com/babelflow/babelflow-go/internal/core"
 	"github.com/babelflow/babelflow-go/internal/graphs"
 )
@@ -61,7 +61,7 @@ func runBoth(t *testing.T, g core.TaskGraph, m core.TaskMap, reg map[core.Callba
 	if err != nil {
 		t.Fatalf("mpi run: %v", err)
 	}
-	compareResults(t, want, got)
+	check.Sinks(t, want, got)
 	return got
 }
 
@@ -76,29 +76,6 @@ func cloneInitial(in map[core.TaskId][]core.Payload) map[core.TaskId][]core.Payl
 		out[id] = cp
 	}
 	return out
-}
-
-func compareResults(t *testing.T, want, got map[core.TaskId][]core.Payload) {
-	t.Helper()
-	if len(want) != len(got) {
-		t.Fatalf("sink task count: got %d, want %d", len(got), len(want))
-	}
-	for id, ws := range want {
-		gs, ok := got[id]
-		if !ok {
-			t.Fatalf("missing sink outputs for task %d", id)
-		}
-		if len(ws) != len(gs) {
-			t.Fatalf("task %d sink payload count: got %d, want %d", id, len(gs), len(ws))
-		}
-		for i := range ws {
-			wb, _ := ws[i].Wire()
-			gb, _ := gs[i].Wire()
-			if !bytes.Equal(wb, gb) {
-				t.Errorf("task %d sink %d: got %v, want %v", id, i, gb, wb)
-			}
-		}
-	}
 }
 
 func reductionInputs(g *graphs.Reduction) map[core.TaskId][]core.Payload {

@@ -243,7 +243,7 @@ func (s *supervision) attempt(ctx context.Context, epoch int, pl *placement, mem
 	}()
 
 	preReplay, preExec := s.ledgers.counts()
-	sinks, errs, _ := c.epoch(ectx, pl, wrapped, pool, leds, inputs)
+	sinks, errs, _ := c.epoch(ectx, epoch, pl, wrapped, pool, leds, inputs)
 	ecancel()
 	<-fenceDone
 	postReplay, postExec := s.ledgers.counts()

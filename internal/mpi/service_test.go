@@ -3,14 +3,13 @@ package mpi
 import (
 	"context"
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
 
+	"github.com/babelflow/babelflow-go/internal/check"
 	"github.com/babelflow/babelflow-go/internal/core"
 	"github.com/babelflow/babelflow-go/internal/graphs"
 	"github.com/babelflow/babelflow-go/internal/journal"
@@ -73,7 +72,7 @@ func TestServiceSubmitMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
-		compareResults(t, want, got)
+		check.Sinks(t, want, got)
 	}
 	if s.Runs() != 0 {
 		t.Fatalf("runs still attached after drain: %d", s.Runs())
@@ -107,28 +106,7 @@ func TestServiceConcurrentSubmissions(t *testing.T) {
 					errs <- err
 					return
 				}
-				for id, ps := range want {
-					if len(got[id]) != len(ps) {
-						errs <- fmt.Errorf("sink %d: %d payloads, want %d", id, len(got[id]), len(ps))
-						return
-					}
-				}
-				compareOne := func() error {
-					for id, ws := range want {
-						for j := range ws {
-							wb, _ := ws[j].Wire()
-							gb, _ := got[id][j].Wire()
-							if string(wb) != string(gb) {
-								return fmt.Errorf("sink %d slot %d mismatch", id, j)
-							}
-						}
-					}
-					return nil
-				}
-				if err := compareOne(); err != nil {
-					errs <- err
-					return
-				}
+				check.Sinks(t, want, got)
 			}
 		}()
 	}
@@ -159,12 +137,12 @@ func TestServiceMixedGraphs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		compareResults(t, wantSmall, gotS)
+		check.Sinks(t, wantSmall, gotS)
 		gotB, _, err := s.Submit(context.Background(), reductionSubmission(big, cloneInitial(bigIn)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		compareResults(t, wantBig, gotB)
+		check.Sinks(t, wantBig, gotB)
 	}
 }
 
@@ -190,7 +168,7 @@ func TestServiceCancelIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("submit after a cancelled run: %v", err)
 	}
-	compareResults(t, want, got)
+	check.Sinks(t, want, got)
 }
 
 // TestServiceCallbackErrorIsolation checks a failing run surfaces its error
@@ -222,7 +200,7 @@ func TestServiceCallbackErrorIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("submit after a failed run: %v", err)
 	}
-	compareResults(t, want, got)
+	check.Sinks(t, want, got)
 }
 
 // TestServiceCloseDrains checks Close waits for active runs, rejects late
@@ -231,7 +209,7 @@ func TestServiceCloseDrains(t *testing.T) {
 	g, _ := graphs.NewReduction(16, 2)
 	initial := reductionInputs(g)
 
-	before := runtime.NumGoroutine()
+	check.NoLeak(t)
 	s, err := NewService(4)
 	if err != nil {
 		t.Fatal(err)
@@ -247,13 +225,6 @@ func TestServiceCloseDrains(t *testing.T) {
 	}
 	if _, _, err := s.Submit(context.Background(), reductionSubmission(g, cloneInitial(initial))); err == nil {
 		t.Fatal("submit on a closed service should fail")
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if n := runtime.NumGoroutine(); n > before+2 {
-		t.Fatalf("goroutines leaked across service lifecycle: %d before, %d after", before, n)
 	}
 }
 
@@ -321,7 +292,7 @@ func TestServiceDrainPlacement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	compareResults(t, want, got)
+	check.Sinks(t, want, got)
 
 	m := core.NewGraphMap(4, g)
 	orphans := 0

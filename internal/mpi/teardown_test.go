@@ -4,11 +4,11 @@ import (
 	"context"
 	"errors"
 	"os"
-	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"github.com/babelflow/babelflow-go/internal/check"
 	"github.com/babelflow/babelflow-go/internal/core"
 	"github.com/babelflow/babelflow-go/internal/fabric"
 	"github.com/babelflow/babelflow-go/internal/graphs"
@@ -99,7 +99,7 @@ func TestJournalClosedOnError(t *testing.T) {
 	if err != nil {
 		t.Fatalf("resumed run: %v", err)
 	}
-	compareResults(t, want, got)
+	check.Sinks(t, want, got)
 	js := resume.JournalStats()
 	if js.Restored == 0 || js.Replayed == 0 {
 		t.Fatalf("resume did not replay the journaled prefix: %+v", js)
@@ -214,24 +214,14 @@ func TestFailedRankStopsLocalChain(t *testing.T) {
 		initial[id] = []core.Payload{u64(uint64(id))}
 	}
 
-	baseline := runtime.NumGoroutine()
-	core.ArenaAccounting(true)
-	defer core.ArenaAccounting(false)
-	if _, err := c.Run(initial); !errors.Is(err, boom) {
-		t.Fatalf("Run: %v, want boom", err)
-	}
+	check.NoLeak(t)
+	check.Arena(t, func() {
+		if _, err := c.Run(initial); !errors.Is(err, boom) {
+			t.Fatalf("Run: %v, want boom", err)
+		}
+	})
 	if n := after.Load(); n > workers {
 		t.Errorf("%d callbacks started after the failure, want at most %d (the worker count)", n, workers)
-	}
-	if n := core.ArenaOutstanding(); n != 0 {
-		t.Errorf("%d arena buffer(s) outstanding after the failed run", n)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > baseline {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines 2 s after the failed run, %d before it", runtime.NumGoroutine(), baseline)
-		}
-		runtime.Gosched()
 	}
 }
 
@@ -258,12 +248,9 @@ func TestFailedRouteReleasesUnsentBatch(t *testing.T) {
 	c.RegisterCallback(1, func([]core.Payload, core.TaskId) ([]core.Payload, error) {
 		return []core.Payload{{}}, nil
 	})
-	core.ArenaAccounting(true)
-	defer core.ArenaAccounting(false)
-	if _, err := c.Run(map[core.TaskId][]core.Payload{0: {{}}}); !errors.Is(err, core.ErrNotSerializable) {
-		t.Fatalf("Run: %v, want %v", err, core.ErrNotSerializable)
-	}
-	if n := core.ArenaOutstanding(); n != 0 {
-		t.Errorf("%d arena buffer(s) outstanding after the failed route", n)
-	}
+	check.Arena(t, func() {
+		if _, err := c.Run(map[core.TaskId][]core.Payload{0: {{}}}); !errors.Is(err, core.ErrNotSerializable) {
+			t.Fatalf("Run: %v, want %v", err, core.ErrNotSerializable)
+		}
+	})
 }

@@ -8,12 +8,12 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"runtime"
 	"sort"
 	"sync"
 	"testing"
 	"time"
 
+	"github.com/babelflow/babelflow-go/internal/check"
 	"github.com/babelflow/babelflow-go/internal/core"
 	"github.com/babelflow/babelflow-go/internal/graphs"
 	"github.com/babelflow/babelflow-go/internal/mpi"
@@ -354,7 +354,7 @@ func TestServerFailedRunIsolated(t *testing.T) {
 // submissions, shedding, cancels, close — and checks the goroutine count
 // returns to its baseline. Run with -race.
 func TestServerLifecycleNoGoroutineLeak(t *testing.T) {
-	before := runtime.NumGoroutine()
+	check.NoLeak(t)
 	s, err := NewServer(Config{Ranks: 2, QueueDepth: 4, MaxInflight: 2, Registry: slowRegistry()})
 	if err != nil {
 		t.Fatal(err)
@@ -381,13 +381,6 @@ func TestServerLifecycleNoGoroutineLeak(t *testing.T) {
 	}
 	if _, err := s.Submit("reduction", nil); !errors.Is(err, ErrClosed) {
 		t.Fatalf("submit after close: err=%v, want ErrClosed", err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if n := runtime.NumGoroutine(); n > before+2 {
-		t.Fatalf("goroutines leaked: %d before, %d after close", before, n)
 	}
 }
 
