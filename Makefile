@@ -142,17 +142,20 @@ smoke-elastic:
 	echo "$$out" | grep -q ' drain=1 ' || { echo "smoke-elastic: the run drained nothing (want drain=1)"; exit 1; }
 
 ## fuzz: short fuzz smoke of the wire frame decoder, of the handshake body
-## decoders, of the merge-tree decoder, of the image decoder and of the
-## sparse compositor against the dense one (longer runs: go test
-## -fuzz=FuzzFrameDecode or -fuzz=FuzzHandshakeDecode ./internal/wire, go
-## test -fuzz=FuzzTreeDecode ./internal/mergetree, go test
-## -fuzz=FuzzImageDecode or -fuzz=FuzzComposite ./internal/render).
+## decoders, of the merge-tree decoder, of the image decoder, of the
+## sparse compositor against the dense one and of the MPI rank kernel's
+## interleavings (longer runs: go test -fuzz=FuzzFrameDecode or
+## -fuzz=FuzzHandshakeDecode ./internal/wire, go test -fuzz=FuzzTreeDecode
+## ./internal/mergetree, go test -fuzz=FuzzImageDecode or
+## -fuzz=FuzzComposite ./internal/render, go test -fuzz=FuzzRankKernel
+## ./internal/mpi).
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzFrameDecode -fuzztime=10s ./internal/wire
 	$(GO) test -run='^$$' -fuzz=FuzzHandshakeDecode -fuzztime=10s ./internal/wire
 	$(GO) test -run='^$$' -fuzz=FuzzTreeDecode -fuzztime=10s ./internal/mergetree
 	$(GO) test -run='^$$' -fuzz=FuzzImageDecode -fuzztime=10s ./internal/render
 	$(GO) test -run='^$$' -fuzz=FuzzComposite -fuzztime=10s ./internal/render
+	$(GO) test -run='^$$' -fuzz=FuzzRankKernel -fuzztime=10s ./internal/mpi
 
 ## perf-smoke: the CI perf job, defined only here — every wire benchmark
 ## (all transport tiers), once plain and once under the race detector, and

@@ -17,7 +17,6 @@ package fabric
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -266,13 +265,6 @@ type Mailbox struct {
 	count     int       // queued messages
 	closed    bool
 	cancelled bool
-
-	// ready mirrors "a receiver would not block" (count > 0, closed or
-	// cancelled) so blocking receivers can probe it lock-free before parking
-	// on the condition variable. Parking and waking a goroutine through the
-	// cond costs microseconds; a latency-bound ping-pong whose reply is
-	// already in flight is served out of a brief spin instead.
-	ready atomic.Int32
 }
 
 // NewMailbox returns an empty, open mailbox.
@@ -328,7 +320,6 @@ func (mb *Mailbox) releaseRing() {
 func (mb *Mailbox) pushLocked(m Message) {
 	mb.buf[(mb.head+mb.count)%len(mb.buf)] = m
 	mb.count++
-	mb.ready.Store(1)
 }
 
 func (mb *Mailbox) popLocked() Message {
@@ -341,41 +332,9 @@ func (mb *Mailbox) popLocked() Message {
 		if mb.closed {
 			// Terminal drain: no further Put is legal, recycle the ring.
 			mb.releaseRing()
-		} else {
-			mb.ready.Store(0)
 		}
 	}
 	return m
-}
-
-// mailboxSpin bounds the lock-free probes a blocking receiver makes before
-// parking. Each probe is one atomic load plus a scheduler yield, so the
-// budget costs at most a few microseconds of one core — cheaper than a
-// single park/unpark round trip when the next message is already on its
-// way, and negligible when the receiver genuinely has to wait. On a
-// single-P runtime the yields would instead starve the netpoller (the
-// producer may be a socket read that never gets scheduled), so spinning is
-// disabled there.
-var mailboxSpin = func() int {
-	if runtime.GOMAXPROCS(0) > 1 {
-		return 256
-	}
-	return 0
-}()
-
-// spinWait probes the ready hint briefly before the caller falls back to
-// the lock + condition variable. It never consumes a message; it only makes
-// the subsequent lock acquisition likely to find one.
-func (mb *Mailbox) spinWait() {
-	if mb.ready.Load() != 0 {
-		return
-	}
-	for i := 0; i < mailboxSpin; i++ {
-		runtime.Gosched()
-		if mb.ready.Load() != 0 {
-			return
-		}
-	}
 }
 
 // Put enqueues a message. Put on a closed or cancelled mailbox drops the
@@ -424,7 +383,6 @@ func (mb *Mailbox) PutN(ms []Message) error {
 // Get blocks until a message is available or the mailbox is closed and
 // drained.
 func (mb *Mailbox) Get() (Message, bool) {
-	mb.spinWait()
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
 	for mb.count == 0 && !mb.closed && !mb.cancelled {
@@ -443,7 +401,6 @@ func (mb *Mailbox) GetBatch(dst []Message) (int, bool) {
 	if len(dst) == 0 {
 		return 0, true
 	}
-	mb.spinWait()
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
 	for mb.count == 0 && !mb.closed && !mb.cancelled {
@@ -508,7 +465,6 @@ func (mb *Mailbox) Len() int {
 func (mb *Mailbox) Close() {
 	mb.mu.Lock()
 	mb.closed = true
-	mb.ready.Store(1)
 	if mb.count == 0 {
 		mb.releaseRing()
 	}
@@ -522,7 +478,6 @@ func (mb *Mailbox) Close() {
 func (mb *Mailbox) Cancel() {
 	mb.mu.Lock()
 	mb.cancelled = true
-	mb.ready.Store(1)
 	for i := 0; i < mb.count; i++ {
 		dropMessage(mb.buf[(mb.head+i)%len(mb.buf)])
 	}

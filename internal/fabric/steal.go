@@ -300,8 +300,12 @@ func (p *Pool) Queued() int {
 
 // Close stops the pool: workers drain the work they can reach (their home
 // deque, plus anything stealable) and exit. Close blocks until every worker
-// has exited; it is safe to call once, from a non-worker goroutine.
+// has exited; it is safe to call once, from a non-worker goroutine. A nil
+// pool — an inline run's — has nothing to stop.
 func (p *Pool) Close() {
+	if p == nil {
+		return
+	}
 	p.closed.Store(true)
 	for i := range p.homes {
 		h := &p.homes[i]

@@ -71,7 +71,7 @@ func relayWorkload(t *testing.T) workload {
 // add one to their input and feed a root that sums them; the root's two
 // outputs gate back into the leaves until the sum reaches 20 (iteration 3
 // of at most 6), so later iterations are cancelled by dead tokens.
-func loopWorkload(t *testing.T) workload {
+func loopWorkload(t testing.TB) workload {
 	const cbLeaf, cbRoot core.CallbackId = 1, 2
 	body := core.NewExplicitGraph([]core.Task{
 		{Id: 0, Callback: cbLeaf, Incoming: []core.TaskId{core.ExternalInput}, Outgoing: [][]core.TaskId{{2}}},

@@ -93,8 +93,8 @@ func (s *Shard) RunContext(ctx context.Context, initial map[core.TaskId][]core.P
 	}
 	gr.started[s.rank] = true
 	// All shards dispatch into one executor, so an idle rank's worker can
-	// steal a loaded rank's ready tasks (Inline mode needs none).
-	if gr.pool == nil && !gr.ctrl.opt.Inline {
+	// steal a loaded rank's ready tasks.
+	if gr.pool == nil {
 		gr.pool = gr.ctrl.opt.newPool(gr.ctrl.Plan().Size(), gr.fab.Ranks(), allRanks)
 	}
 	pool := gr.pool
@@ -102,14 +102,11 @@ func (s *Shard) RunContext(ctx context.Context, initial map[core.TaskId][]core.P
 	defer func() {
 		gr.mu.Lock()
 		gr.completed++
-		if gr.completed == gr.fab.Ranks() && gr.pool != nil {
-			done := gr.pool
-			gr.pool = nil
-			gr.mu.Unlock()
-			done.Close()
-			return
-		}
+		last := gr.completed == gr.fab.Ranks()
 		gr.mu.Unlock()
+		if last {
+			pool.Close()
+		}
 	}()
 
 	// One epoch, this rank alone, over the group's fabric and pool. Rank

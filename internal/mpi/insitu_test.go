@@ -4,7 +4,6 @@ import (
 	"errors"
 	"sync"
 	"testing"
-	"time"
 
 	"github.com/babelflow/babelflow-go/internal/check"
 	"github.com/babelflow/babelflow-go/internal/core"
@@ -43,14 +42,22 @@ func TestInSituMatchesMonolithicRun(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// In-situ group: ranks start concurrently, some delayed like a real
-	// simulation reaching the analysis phase at different times.
+	// In-situ group: ranks reach the analysis phase at different times,
+	// like a real simulation's. The odd ranks join only once an even
+	// rank's first callback ran, so the group is already executing when
+	// they do.
 	group, err := NewGroup(g, m)
 	if err != nil {
 		t.Fatal(err)
 	}
+	running := make(chan struct{})
+	var once sync.Once
 	for _, cb := range g.Callbacks() {
-		group.RegisterCallback(cb, sumCB(1))
+		sum := sumCB(1)
+		group.RegisterCallback(cb, func(in []core.Payload, id core.TaskId) ([]core.Payload, error) {
+			once.Do(func() { close(running) })
+			return sum(in, id)
+		})
 	}
 	perRank := splitInitial(m, cloneInitial(initial))
 
@@ -62,7 +69,7 @@ func TestInSituMatchesMonolithicRun(t *testing.T) {
 		go func(rank int) {
 			defer wg.Done()
 			if rank%2 == 1 {
-				time.Sleep(10 * time.Millisecond)
+				<-running
 			}
 			shard, err := group.Shard(rank)
 			if err != nil {

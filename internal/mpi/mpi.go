@@ -4,15 +4,26 @@
 // as their inputs arrive.
 //
 // Each rank instantiates a separate controller loop that owns the local
-// sub-graph's input readiness, feeds the external inputs and receives the
-// messages other ranks send it — known statically, one per input slot fed
-// from another rank. Same-rank edges never touch the transport or the loop:
-// the worker that finished the producer delivers the payload into the
-// rank's readiness state under the rank's mutex (the pointer itself for a
-// slot's last local consumer, §IV-A) and dispatches any task that became
-// ready. Inter-rank messages (and fan-out copies) are serialized. A task
-// assumes ownership of its inputs and relinquishes ownership of its
-// outputs, so no data races occur on payloads.
+// sub-graph's input readiness. The loop is a rank kernel and a driver. The
+// kernel (rankKernel) makes every decision and does no I/O: it feeds the
+// external inputs and counts the messages other ranks owe the rank — known
+// statically, one per input slot fed from another rank — drops duplicate
+// ledgered messages by sequence id and rejects messages for tasks placed
+// elsewhere, fills input slots and takes a task the moment its last one
+// arrives, stops starting tasks once a rank failed, replays a task whose
+// outputs the lineage ledger holds instead of running it, and decides
+// where each output goes: a sink, a same-rank consumer (the slot's last one
+// by pointer, §IV-A) or a message for another rank. Its calls append newly
+// ready tasks and outgoing messages to scratch the caller owns. The driver
+// moves the data: runRank, the one production driver, receives messages,
+// hands ready tasks to the executor and sends what the tasks route off the
+// rank. Same-rank edges never touch the transport: the worker that
+// finished the producer fills the consumers' slots under the kernel's
+// mutex and then dispatches what became ready. Inter-rank messages (and
+// fan-out copies) are serialized outside the mutex. A task assumes
+// ownership of its inputs and relinquishes ownership of its outputs, so no
+// data races occur on payloads. A test-only driver runs every rank of a
+// graph on one goroutine under seeded schedules.
 //
 // Scheduling is graph-aware: Initialize compiles the graph once into a flat
 // core.Plan (validation, dense task arrays, critical-path depths) and the
@@ -25,10 +36,12 @@
 // ready work steals the most critical task of a loaded rank. The executor
 // is sharded by rank: each deque has its own lock, a rank submits one
 // runner with a plan index per task, and sinks collect per rank, so a
-// worker on its home rank shares no lock with another rank's workers. Lock
-// order is the rank mutex, then the rank's home deque. Scheduling order
-// never changes outputs: tasks still run only when every input has
-// arrived, and routing depends only on the graph and the task map.
+// worker on its home rank shares no lock with another rank's workers. No
+// goroutine holds a kernel's mutex and a deque's lock at once. Under
+// WithInline the driver runs ready tasks on the rank's own goroutine
+// instead — the hand-tuned baseline. Scheduling order never changes
+// outputs: tasks still run only when every input has arrived, and routing
+// depends only on the graph and the task map.
 //
 // In this reproduction "ranks" are goroutine groups connected by the
 // in-process fabric rather than OS processes on a Cray; the control
@@ -37,6 +50,7 @@
 package mpi
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"path/filepath"
@@ -321,11 +335,11 @@ func (c *Controller) preflight(pl *placement, rank int, initial map[core.TaskId]
 // epoch. rank selects the ranks driven here (allRanks, or one logical rank
 // whose peers live behind tr). Everything passed as nil is run-scoped and
 // owned by run: a nil tr is a fresh in-process fabric (whose traffic becomes
-// Stats), a nil pool a fresh executor unless the controller runs inline, a
-// nil tmap the Initialize map, and a nil led the rank's journal-backed
-// ledger when the controller journals (a fresh directory journals progress,
-// an existing one resumes from it) — opened here, and closed with the
-// journal counters published on every exit path.
+// Stats), a nil pool a fresh executor, a nil tmap the Initialize map, and
+// a nil led the rank's journal-backed ledger when the controller journals
+// (a fresh directory journals progress, an existing one resumes from it) —
+// opened here, and closed with the journal counters published on every
+// exit path.
 //
 // Any failure once tr is in hand cancels it: a peer blocked in a receive
 // on a shared transport must not outwait a run that never started.
@@ -380,7 +394,7 @@ func (c *Controller) run(ctx context.Context, rank int, tr fabric.Transport, poo
 			}
 		}
 	}
-	if pool == nil && !c.opt.Inline {
+	if pool == nil {
 		pool = c.opt.newPool(c.Plan().Size(), n, rank)
 		defer pool.Close()
 	}
@@ -396,55 +410,34 @@ func (c *Controller) run(ctx context.Context, rank int, tr fabric.Transport, poo
 // attempt (merged sinks and the epoch's first failure), its number (stamped
 // on task events; 0 outside a supervised run), the epoch's
 // placement (a recovery epoch's differs from Initialize's), the transport of
-// every rank driven here (nil for ranks living elsewhere), the executor,
-// the per-rank failures and — for ledgered runs — the per-rank lineage
-// ledgers plus the per-home-rank egress sequence counters that give
-// messages a dedup identity.
+// every rank driven here (nil for ranks living elsewhere), the executor
+// (nil inline), the per-rank failures and — for ledgered runs — the
+// per-rank lineage ledgers.
 type runEnv struct {
 	core.Attempt
 	num     int
 	place   *placement
 	trs     []fabric.Transport
-	pool    *fabric.Pool    // nil = inline execution
-	leds    []*core.Ledger  // nil outside ledgered runs
-	seq     []atomic.Uint64 // nil outside ledgered runs
-	ranks   []rankState     // by rank; set up by the rank's own loop
-	readyAt []time.Time     // dispatch instants by plan index; only for an Observer
+	pool    *fabric.Pool
+	leds    []*core.Ledger // nil outside ledgered runs
+	ranks   []rankState    // by rank; set up by the rank's own loop
+	readyAt []time.Time    // dispatch instants by plan index; only for an Observer
 
 	stopped atomic.Bool // a rank failed: no task starts any more
 	mu      sync.Mutex
 	errs    []error // first failure per rank: classifyDead's evidence
 }
 
-// rankState is one rank's input readiness and sink outputs, shared by the
-// rank loop and by every worker finishing one of the rank's tasks: whoever
-// delivers a task's last input dispatches it. mu guards st and sinks; lock
-// order is mu, then the pool's home deque of the rank. The pad keeps
-// neighbouring ranks off each other's cache lines.
+// rankState is one rank's kernel, shared by the rank loop and by every
+// worker finishing one of the rank's tasks. run is the rank's one runner
+// on the pool (an item is run plus a plan index, with no closure per task)
+// and pend counts its items, as the pool outlives the rank loop. The pad
+// keeps neighbouring ranks off each other's cache lines.
 type rankState struct {
-	mu       sync.Mutex
-	st       *core.DataflowState
-	dispatch func(i int) // Take has retired the task; its inputs stay in st
-	sinks    []sinkOut   // handed to the attempt once every rank returned
-	_        [64]byte
-}
-
-// sinkOut is one payload a task of the rank put on a sink slot.
-type sinkOut struct {
-	id  core.TaskId
-	pay core.Payload
-}
-
-// deliver fills one input slot of the rank's task i and dispatches the task
-// once it is ready. rs.mu must be held.
-func (rs *rankState) deliver(i int, from core.TaskId, pay core.Payload) error {
-	if err := rs.st.Deliver(i, from, pay); err != nil {
-		return err
-	}
-	if _, ok := rs.st.Take(i); ok {
-		rs.dispatch(i)
-	}
-	return nil
+	k    rankKernel
+	run  func(int)
+	pend sync.WaitGroup
+	_    [64]byte
 }
 
 // fail records a failure of rank and cancels the rank's transport — that
@@ -461,18 +454,10 @@ func (e *runEnv) fail(rank int, err error) {
 	e.trs[rank].Cancel()
 }
 
-// ledger returns rank's lineage ledger, or nil when the run keeps none.
-func (e *runEnv) ledger(rank int) *core.Ledger {
-	if e.leds == nil {
-		return nil
-	}
-	return e.leds[rank]
-}
-
 // epoch is the execution engine: attempt num of the dataflow placed by pl,
 // driving every logical rank r with a transport in trs[r] (ranks with a nil
-// entry live behind the others' transports), executing on pool (nil =
-// inline in the rank loops), recording into and replaying from leds[r]
+// entry live behind the others' transports), executing on pool (nil:
+// inline, on the rank loops), recording into and replaying from leds[r]
 // when leds is non-nil. Every way of running the controller is this
 // function under a different supply of arguments; neither transports, pool
 // nor ledgers are owned here — they may outlive the call.
@@ -481,17 +466,15 @@ func (e *runEnv) ledger(rank int) *core.Ledger {
 // first overall — the cause, where later ones are its echoes — in the
 // attempt, which tells onFail), cancels a failing rank's transport, watches
 // ctx (a finished context fails every driven rank with core.ErrCancelled),
-// and arms sequence stamping and receiver dedup for ledgered runs. Once the
-// attempt's Result has joined the watcher, a cancellation racing completion
-// can no longer reach a transport the caller is about to release.
+// and hands the kernels their ledgers, which arms sequence stamping and
+// receiver dedup. Once the attempt's Result has joined the watcher, a
+// cancellation racing completion can no longer reach a transport the
+// caller is about to release.
 func (c *Controller) epoch(ctx context.Context, num int, pl *placement, trs []fabric.Transport, pool *fabric.Pool, leds []*core.Ledger, initial map[core.TaskId][]core.Payload) (map[core.TaskId][]core.Payload, []error, error) {
 	env := &runEnv{num: num, place: pl, trs: trs, pool: pool, leds: leds, ranks: make([]rankState, len(trs)), errs: make([]error, len(trs))}
 	// fail cancels per rank, so all that is left for the attempt's Cancel is
 	// to pass the cause on.
 	env.Cancel = func() { c.onFail(env.Err()) }
-	if leds != nil {
-		env.seq = make([]atomic.Uint64, len(trs))
-	}
 	if c.opt.Observer != nil && pool != nil {
 		env.readyAt = make([]time.Time, c.Plan().Size())
 	}
@@ -510,15 +493,13 @@ func (c *Controller) epoch(ctx context.Context, num int, pl *placement, trs []fa
 		ranks.Add(1)
 		go func(rank int) {
 			defer ranks.Done()
-			if err := c.runRank(rank, env, initial); err != nil {
-				env.fail(rank, err)
-			}
+			c.runRank(rank, env, initial)
 		}(r)
 	}
 	ranks.Wait()
 	// A task's sinks all come from its home rank, in slot order.
 	for r := range env.ranks {
-		for _, s := range env.ranks[r].sinks {
+		for _, s := range env.ranks[r].k.sinks {
 			env.Sink(s.id, s.pay)
 		}
 	}
@@ -544,190 +525,84 @@ func (c *Controller) WireOptions() wire.Options {
 	return wire.Options{Fingerprint: c.Fingerprint()}
 }
 
-// scratchPool recycles the per-execution message scratch slices the workers
-// batch a task's outputs into; with the shared executor workers are no
-// longer rank-scoped, so scratch lives in a pool instead of a worker local.
-var scratchPool = sync.Pool{New: func() any { return new([]fabric.Message) }}
+// scratchPool recycles the kernel scratch of the workers, which are not
+// rank-scoped, and of the rank loops, whose ready list holds every task
+// ready from the start — a large allocation per run on a big graph.
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
-// runRank is the per-rank controller loop: it feeds the rank's external
-// inputs, dispatches the tasks ready from the start and then receives the
-// messages other ranks send here — known statically, one per input slot fed
-// from another rank, live or dead. Same-rank edges never reach the loop:
-// route delivers them, and whoever delivers a task's last input dispatches
-// it into the rank's priority deque on the shared executor (pool is nil
-// only in Inline mode, where this loop runs the ready tasks itself). Tasks
-// are dense plan indices throughout: readiness, placement and priority are
-// array reads.
-func (c *Controller) runRank(rank int, env *runEnv, initial map[core.TaskId][]core.Payload) error {
-	p, pl := c.Plan(), env.place
-	local := pl.local[rank]
-	if len(local) == 0 {
-		return nil // rank with no assigned tasks
+// runRank is the rank loop, the one production driver of the rank's
+// kernel: it starts the kernel, then receives the messages other ranks
+// send here until none is due, hands every task the kernel makes ready to
+// the executor and sends what the tasks route off the rank. The executor
+// is the one choice it makes: the rank's priority deque on the shared
+// work-stealing pool — the most critical ready task first, the one with
+// the longest downstream chain (§IV-A schedules greedily; the priority
+// decides among simultaneously ready tasks and cannot affect outputs) —
+// or, with no pool (WithInline), this goroutine. Receiving in batches
+// costs one mailbox lock and one rank lock per burst, and dispatch never
+// blocks, so the loop keeps draining while every worker is busy. A
+// failure fails the rank. runRank returns once its tasks finished; after
+// a failure of the epoch it releases what the rank still holds.
+func (c *Controller) runRank(rank int, env *runEnv, initial map[core.TaskId][]core.Payload) {
+	if len(env.place.local[rank]) == 0 {
+		return // rank with no assigned tasks
 	}
-	ids := p.TaskIds()
-	rs := &env.ranks[rank]
-	rs.st = core.NewDataflowState(p, local)
-	led := env.ledger(rank)
-	tr := env.trs[rank]
+	p, rs, tr := c.Plan(), &env.ranks[rank], env.trs[rank]
 
-	// execute runs one ready task on whichever worker picked it up and
-	// routes its outputs. A failing task fails the rank, which cancels its
-	// transport so every rank unwinds; once a rank failed, no task starts
-	// and its inputs are released. In a ledgered run, a task whose
-	// outputs are already in the lineage ledger is replayed — its recorded
-	// wire forms are re-routed downstream without re-running the callback —
-	// so a recovery epoch only pays for the undelivered frontier. A task
-	// cancelled by a dead input journals like a normal execution, so a
-	// resumed run replays the cancellation instead of re-deciding it. The
-	// Observer hears when the task entered the deque (env.readyAt). The
-	// task's inputs are its window of st, which Take retired before
-	// dispatch, so reading them needs no lock.
-	execute := func(i int, scratch []fabric.Message) []fabric.Message {
-		in := rs.st.Inputs(i)
-		if env.stopped.Load() {
-			for k := range in {
-				in[k].Release()
-			}
-			clear(in)
-			return scratch
+	// dispatch hands the ready tasks to the pool. Without one — the
+	// controller runs inline — they stay for this goroutine to run.
+	dispatch := func(sc *scratch) {
+		if env.pool == nil {
+			return
 		}
-		t := p.TaskAt(i)
-		var out []core.Payload
-		var attempt uint32
-		var rec [][]byte
-		replay := false
-		if led != nil {
-			rec, replay = led.Outputs(t.Id)
-		}
-		if replay {
-			// The inputs were assembled only to satisfy readiness; the
-			// replayed outputs come from the ledger.
-			for k := range in {
-				in[k].Release()
-			}
-			out = make([]core.Payload, len(rec))
-			for s, b := range rec {
-				cp := make([]byte, len(b))
-				copy(cp, b)
-				out[s] = core.Buffer(cp)
-			}
-			led.CountReplay()
-			if obs := c.opt.Observer; obs != nil {
-				now := time.Now()
-				obs.Observe(core.Event{Kind: core.TaskReplayed, Task: t.Id, Callback: t.Callback, Shard: core.ShardId(rank), Start: now, End: now, Epoch: env.num})
-			}
-		} else {
-			if led != nil {
-				attempt = uint32(led.BeginAttempt(t.Id))
-			}
-			var ready time.Time
+		for _, i := range sc.ready {
 			if env.readyAt != nil {
-				ready = env.readyAt[i]
+				env.readyAt[i] = time.Now()
 			}
-			var err error
-			out, _, err = core.Step(c.Registry(), c.opt.Observer, t, in, core.Event{Shard: core.ShardId(rank), Ready: ready, Attempt: int(attempt), Epoch: env.num})
-			if err != nil {
-				env.fail(rank, err)
-				return scratch
-			}
-			if led != nil {
-				recordOutputs(led, t, out)
-			}
+			rs.pend.Add(1)
+			env.pool.Submit(rank, int64(p.Depth(p.TaskIds()[i])), rs.run, i)
 		}
-		scratch, err := c.route(rank, env, i, t, attempt, out, scratch)
-		// in is a window of st's arena, which outlives the task; it is
-		// cleared only now because a relay callback may return it as out.
-		clear(in)
+		sc.ready = sc.ready[:0]
+	}
+	// step runs task i and routes its outputs. A failure fails the rank,
+	// which cancels its transport so every rank unwinds, before the tasks
+	// the call made ready are dispatched: the stop rule drops them. A send
+	// refused by a transport that has already failed is an echo of that
+	// failure (a lost peer closes the mailboxes); the typed cause is
+	// reported.
+	step := func(i int, sc *scratch) {
+		err := rs.k.execute(i, sc)
 		if err != nil {
 			env.fail(rank, err)
 		}
-		return scratch
-	}
-
-	// pend tracks this rank's dispatched-but-unfinished tasks; runRank only
-	// returns once its routes completed. The executor itself is shared and
-	// outlives the rank loop.
-	var pend sync.WaitGroup
-	defer pend.Wait()
-
-	// run is the rank's one runner on the executor: an item is run plus a
-	// plan index, with no closure per task.
-	run := func(i int) {
-		defer pend.Done()
-		sp := scratchPool.Get().(*[]fabric.Message)
-		*sp = execute(i, *sp)
-		scratchPool.Put(sp)
-	}
-	// ready holds Inline mode's ready tasks; only this loop touches it, as
-	// inline tasks route on this goroutine.
-	var ready []int
-	rs.dispatch = func(i int) {
-		if c.opt.Inline {
-			ready = append(ready, i)
-			return
-		}
-		// Priority dispatch: the deque hands workers the most critical
-		// ready task — the one with the longest downstream chain — not the
-		// oldest (§IV-A schedules greedily; the priority decides among
-		// simultaneously ready tasks and cannot affect outputs).
-		if env.readyAt != nil {
-			env.readyAt[i] = time.Now()
-		}
-		pend.Add(1)
-		env.pool.Submit(rank, int64(p.Depth(ids[i])), run, i)
-	}
-
-	// Feed external inputs for local leaf tasks and count the input slots
-	// other ranks feed — nothing runs yet, so without the lock — then
-	// dispatch tasks that are immediately ready.
-	remote := 0
-	for _, i := range local {
-		for _, src := range p.TaskAt(int(i)).Incoming {
-			if j, ok := p.Index(src); ok && pl.shardOf[j] != int32(rank) {
-				remote++
+		dispatch(sc)
+		if err == nil && len(sc.msgs) > 0 {
+			if err = tr.SendN(sc.msgs); err != nil {
+				env.fail(rank, cmp.Or(tr.Err(), err))
 			}
 		}
-		if p.Externals(int(i)) == 0 {
-			continue
-		}
-		for _, pay := range initial[ids[i]] {
-			if err := rs.st.Deliver(int(i), core.ExternalInput, pay); err != nil {
-				return err
-			}
-		}
+		clear(sc.msgs)
+		sc.msgs = sc.msgs[:0]
 	}
-	rs.mu.Lock()
-	for _, i := range local {
-		if _, ok := rs.st.Take(int(i)); ok {
-			rs.dispatch(int(i))
-		}
+	rs.run = func(i int) {
+		defer rs.pend.Done()
+		sc := scratchPool.Get().(*scratch)
+		step(i, sc)
+		scratchPool.Put(sc)
 	}
-	rs.mu.Unlock()
 
-	// Receive loop, until the last expected message arrived. Messages are
-	// drained in batches so a burst costs one mailbox lock and one rank
-	// lock, not one per message. Dispatch never blocks, so the loop keeps
-	// draining and accounting inputs while every worker is busy. In Inline
-	// mode the loop first runs every ready task, and the tasks those make
-	// ready, without recursion.
-	//
-	// Fault-tolerant runs additionally dedup by message sequence id: a
-	// redelivered duplicate (injected or transport-retried) would otherwise
-	// fill a second input slot and corrupt readiness accounting.
+	sc := scratchPool.Get().(*scratch)
 	batch := make([]fabric.Message, 64)
-	var seen []map[uint64]struct{}
-	if led != nil {
-		seen = make([]map[uint64]struct{}, len(env.trs))
-	}
-	var inlineScratch []fabric.Message
-	for {
-		for len(ready) > 0 {
-			i := ready[len(ready)-1]
-			ready = ready[:len(ready)-1]
-			inlineScratch = execute(i, inlineScratch)
+	err := rs.k.start(c, env, rank, initial, sc)
+	for err == nil {
+		dispatch(sc)
+		for len(sc.ready) > 0 { // inline: this goroutine runs them
+			i := sc.ready[len(sc.ready)-1]
+			sc.ready = sc.ready[:len(sc.ready)-1]
+			step(i, sc)
 		}
-		if remote == 0 {
-			return nil
+		if rs.k.done() {
+			break
 		}
 		n, ok := tr.RecvBatch(rank, batch)
 		if !ok {
@@ -735,39 +610,22 @@ func (c *Controller) runRank(rank int, env *runEnv, initial map[core.TaskId][]co
 			// peer, broken wire) surfaces as the typed transport error; a
 			// controller-initiated abort leaves Err() nil, and whoever
 			// aborted already recorded the cause ahead of this echo.
-			if err := tr.Err(); err != nil {
-				return err
-			}
-			return fmt.Errorf("mpi: rank %d aborted with %d message(s) pending: %w", rank, remote, fabric.ErrClosed)
+			err = cmp.Or(tr.Err(), fmt.Errorf("mpi: rank %d aborted with %d message(s) pending: %w", rank, rs.k.remote, fabric.ErrClosed))
+			break
 		}
-		rs.mu.Lock()
-		for k := 0; k < n; k++ {
-			m := batch[k]
-			batch[k] = fabric.Message{} // drop the payload reference
-			if seen != nil && m.Seq != 0 {
-				s := seen[m.From]
-				if s == nil {
-					s = make(map[uint64]struct{})
-					seen[m.From] = s
-				}
-				if _, dup := s[m.Seq]; dup {
-					m.Payload.Release()
-					continue
-				}
-				s[m.Seq] = struct{}{}
-			}
-			i, ok := p.Index(m.Dest)
-			if !ok || pl.shardOf[i] != int32(rank) {
-				rs.mu.Unlock()
-				return fmt.Errorf("mpi: rank %d received message for non-local task %d", rank, m.Dest)
-			}
-			remote--
-			if err := rs.deliver(i, m.Src, m.Payload); err != nil {
-				rs.mu.Unlock()
-				return err
-			}
-		}
-		rs.mu.Unlock()
+		err = rs.k.receive(batch[:n], sc)
+	}
+	// A failed start or receive leaves the tasks it made ready undispatched;
+	// they never start. The scratch goes back empty: any rank's worker or
+	// loop may get it next.
+	sc.ready = sc.ready[:0]
+	scratchPool.Put(sc)
+	if err != nil {
+		env.fail(rank, err)
+	}
+	rs.pend.Wait()
+	if env.stopped.Load() {
+		rs.k.abort()
 	}
 }
 
@@ -786,99 +644,6 @@ func recordOutputs(led *core.Ledger, t core.Task, out []core.Payload) {
 		wires[i] = cp.Data
 	}
 	led.Record(t.Id, wires)
-}
-
-// route delivers a finished task's outputs: sink slots into the attempt,
-// consumers on this rank straight into its readiness state (the last
-// consumer of a slot by pointer, §IV-A), everything else as the wire form
-// core.FanOut decides on. The off-rank messages are collected into scratch
-// and enqueued with one batched send per destination run, so a whole
-// fan-out costs one serialization and O(destinations) lock acquisitions.
-// The (possibly grown) scratch slice is returned for reuse by the calling
-// worker.
-//
-// rank is the task's home rank (where its inputs were assembled), not the
-// rank of the stealing worker: the pointer pass and the message From field
-// must follow placement, or outputs would change with the schedule.
-//
-// In fault-tolerant runs every off-rank message is stamped with a
-// per-home-rank sequence id (the receiver's dedup identity) and the
-// producing task's attempt number.
-func (c *Controller) route(rank int, env *runEnv, i int, t core.Task, attempt uint32, out []core.Payload, scratch []fabric.Message) ([]fabric.Message, error) {
-	batch := scratch[:0]
-	shardOf := env.place.shardOf
-	rs := &env.ranks[rank]
-	dest := c.Plan().Consumers(i) // t.Outgoing flattened, as plan indices
-	for slot, consumers := range t.Outgoing {
-		to := dest[:len(consumers)]
-		dest = dest[len(consumers):]
-		if len(consumers) == 0 {
-			rs.mu.Lock()
-			rs.sinks = append(rs.sinks, sinkOut{t.Id, out[slot]})
-			rs.mu.Unlock()
-			continue
-		}
-		last := len(consumers) - 1
-		lastLocal := !c.opt.AlwaysSerialize && int(shardOf[to[last]]) == rank
-		wire, err := core.FanOut(out[slot], len(consumers), lastLocal)
-		if err != nil {
-			return abandon(batch, out[slot:]), fmt.Errorf("mpi: task %d output slot %d: %w", t.Id, slot, err)
-		}
-		for k, dest := range consumers {
-			m := fabric.Message{From: rank, To: int(shardOf[to[k]]), Src: t.Id, Dest: dest, Payload: wire, Attempt: attempt}
-			if lastLocal && k == last {
-				m.Payload = out[slot]
-			}
-			if m.To == rank {
-				rs.mu.Lock()
-				err = rs.deliver(int(to[k]), t.Id, m.Payload)
-				rs.mu.Unlock()
-				if err != nil {
-					// This consumer's wire reference and those of the
-					// consumers not reached yet (but the pointer pass) were
-					// never handed out.
-					for j := k; j < last || j == last && !lastLocal; j++ {
-						wire.Release()
-					}
-					return abandon(batch, out[slot+1:]), err
-				}
-				continue
-			}
-			if env.seq != nil {
-				m.Seq = env.seq[rank].Add(1)
-			}
-			batch = append(batch, m)
-		}
-	}
-	if len(batch) == 0 {
-		return batch, nil
-	}
-	tr := env.trs[rank]
-	err := tr.SendN(batch)
-	if err != nil {
-		// A send refused by a transport that has already failed is an echo
-		// of that failure (a lost peer closes the mailboxes); report the
-		// typed cause.
-		if cause := tr.Err(); cause != nil {
-			err = cause
-		}
-	}
-	clear(batch) // drop payload references until the next task reuses it
-	return batch, err
-}
-
-// abandon releases what a failed route never handed on — the messages
-// batched for sending and the outputs of the slots not routed yet — and
-// returns the emptied batch.
-func abandon(batch []fabric.Message, unrouted []core.Payload) []fabric.Message {
-	for k := range batch {
-		batch[k].Payload.Release()
-	}
-	for k := range unrouted {
-		unrouted[k].Release()
-	}
-	clear(batch)
-	return batch[:0]
 }
 
 var _ core.Controller = (*Controller)(nil)

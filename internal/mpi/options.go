@@ -80,14 +80,15 @@ func resolve(opts []Option) options {
 // service passes the budget itself), homed round-robin over the ranks. A
 // run that drives a single rank (only >= 0) homes every worker there — its
 // peers live behind the transport, so the budget applies per process.
-// Without stealing every homed rank needs a worker of its own.
+// Without stealing every homed rank needs a worker of its own. Inline runs
+// have none: the rank loops run their tasks.
 func (o *options) newPool(limit, ranks, only int) *fabric.Pool {
-	n, homed := max(min(o.Workers, limit), 1), ranks
-	if only >= 0 {
-		homed = 1
+	if o.Inline {
+		return nil
 	}
-	if o.NoSteal {
-		n = max(n, homed)
+	n := max(min(o.Workers, limit), 1)
+	if o.NoSteal && only < 0 {
+		n = max(n, ranks)
 	}
 	homes := fabric.RoundRobinHomes(n, ranks)
 	if only >= 0 {

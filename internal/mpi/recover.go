@@ -210,11 +210,8 @@ func (s *supervision) attempt(ctx context.Context, epoch int, pl *placement, mem
 	if err != nil {
 		return nil, nil, err
 	}
-	var pool *fabric.Pool
-	if !c.opt.Inline {
-		pool = c.opt.newPool(c.Plan().Size(), ranks, allRanks)
-		defer pool.Close()
-	}
+	pool := c.opt.newPool(c.Plan().Size(), ranks, allRanks)
+	defer pool.Close()
 
 	// The fence watcher: a membership event arriving mid-epoch freezes the
 	// mesh at a journal-consistent point and collapses the epoch. Ordering

@@ -104,9 +104,7 @@ func NewService(ranks int, opts ...Option) (*Service, error) {
 		demux:    fabric.NewDemux(base, local...),
 		rankRuns: make([]atomic.Int64, ranks),
 		draining: make(map[int]bool),
-	}
-	if !opt.Inline {
-		s.pool = opt.newPool(opt.Workers, ranks, allRanks)
+		pool:     opt.newPool(opt.Workers, ranks, allRanks),
 	}
 	return s, nil
 }
@@ -333,9 +331,7 @@ func (s *Service) Close() error {
 	s.mu.Unlock()
 
 	s.active.Wait()
-	if s.pool != nil {
-		s.pool.Close()
-	}
+	s.pool.Close()
 	s.demux.Close()
 	closeEpoch([]fabric.Transport{s.base}, true)
 	s.demux.Wait()

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"os"
+	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -253,4 +255,115 @@ func TestFailedRouteReleasesUnsentBatch(t *testing.T) {
 			t.Fatalf("Run: %v, want %v", err, core.ErrNotSerializable)
 		}
 	})
+}
+
+// TestFailedReceiveReleasesBatch is the regression test for a receive loop
+// that fails part-way through a batch: P on rank 1 fans out to X on rank 0
+// and to Y on rank 1 (which gets the pointer), so X's message carries an
+// arena copy of the wire form. A bad message reaches rank 0's mailbox
+// first — one for a task placed nowhere, or one from a producer X does not
+// consume — so rank 0 fails with P's message still in its batch, and that
+// message must give its arena buffer back.
+func TestFailedReceiveReleasesBatch(t *testing.T) {
+	const p, x, y core.TaskId = 0, 1, 2
+	g := core.NewExplicitGraph([]core.Task{
+		{Id: p, Callback: 0, Incoming: []core.TaskId{core.ExternalInput}, Outgoing: [][]core.TaskId{{x, y}}},
+		{Id: x, Callback: 1, Incoming: []core.TaskId{p}, Outgoing: [][]core.TaskId{{}}},
+		{Id: y, Callback: 1, Incoming: []core.TaskId{p}, Outgoing: [][]core.TaskId{{}}},
+	})
+	tmap := core.NewFuncMap(2, g.TaskIds(), func(id core.TaskId) core.ShardId {
+		if id == x {
+			return 0
+		}
+		return 1
+	})
+	for _, tc := range []struct {
+		name     string
+		bad      fabric.Message
+		contains string
+	}{
+		{"non-local", fabric.Message{From: 1, To: 0, Src: p, Dest: 99}, "non-local task 99"},
+		{"no-slot", fabric.Message{From: 1, To: 0, Src: y, Dest: x}, "no open input slot"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := New(WithWorkers(1))
+			if err := c.Initialize(g, tmap); err != nil {
+				t.Fatal(err)
+			}
+			c.RegisterCallback(0, func([]core.Payload, core.TaskId) ([]core.Payload, error) {
+				return []core.Payload{core.Buffer(make([]byte, 256))}, nil
+			})
+			c.RegisterCallback(1, func([]core.Payload, core.TaskId) ([]core.Payload, error) {
+				return []core.Payload{{}}, nil
+			})
+			check.Arena(t, func() {
+				fab := fabric.New(2)
+				if err := fab.Send(tc.bad); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := c.RunRank(1, fab, map[core.TaskId][]core.Payload{p: {{}}}); err != nil {
+					t.Fatalf("rank 1: %v", err)
+				}
+				_, err := c.RunRank(0, fab, nil)
+				if err == nil || !strings.Contains(err.Error(), tc.contains) {
+					t.Fatalf("rank 0: %v, want an error naming %q", err, tc.contains)
+				}
+			})
+		})
+	}
+}
+
+// TestInlineFailedReceiveLeavesNoReadyTask is the regression test for an
+// inline rank loop that fails part-way through a batch after an earlier
+// message made a task ready: the task must not stay in the loop's scratch,
+// which goes back to the pool every rank loop and worker draws from. On
+// one P the next run draws that very scratch, and it must match serial.
+func TestInlineFailedReceiveLeavesNoReadyTask(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const p, x, y core.TaskId = 0, 1, 2
+	g := core.NewExplicitGraph([]core.Task{
+		{Id: p, Callback: 0, Incoming: []core.TaskId{core.ExternalInput}, Outgoing: [][]core.TaskId{{x, y}}},
+		{Id: x, Callback: 1, Incoming: []core.TaskId{p}, Outgoing: [][]core.TaskId{{}}},
+		{Id: y, Callback: 1, Incoming: []core.TaskId{p}, Outgoing: [][]core.TaskId{{}}},
+	})
+	tmap := core.NewFuncMap(2, g.TaskIds(), func(id core.TaskId) core.ShardId {
+		if id == x {
+			return 0
+		}
+		return 1
+	})
+	reg := func(r core.CallbackRegistrar) error {
+		r.RegisterCallback(0, func([]core.Payload, core.TaskId) ([]core.Payload, error) {
+			return []core.Payload{core.Buffer([]byte("p"))}, nil
+		})
+		r.RegisterCallback(1, func(in []core.Payload, id core.TaskId) ([]core.Payload, error) {
+			return []core.Payload{core.Buffer(append([]byte{byte(id)}, in[0].Data...))}, nil
+		})
+		return nil
+	}
+	c := New(WithInline(true))
+	if err := c.Initialize(g, tmap); err != nil {
+		t.Fatal(err)
+	}
+	if err := reg(c); err != nil {
+		t.Fatal(err)
+	}
+	fab := fabric.New(2)
+	for _, m := range []fabric.Message{
+		{From: 1, To: 0, Src: p, Dest: x, Payload: core.Buffer([]byte("p"))},
+		{From: 1, To: 0, Src: p, Dest: 99},
+	} {
+		if err := fab.Send(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := c.RunRank(0, fab, nil); err == nil || !strings.Contains(err.Error(), "non-local task 99") {
+		t.Fatalf("rank 0: %v, want an error naming task 99", err)
+	}
+	ref := check.Serial(t, g, reg, map[core.TaskId][]core.Payload{p: {{}}})
+	got, err := c.Run(map[core.TaskId][]core.Payload{p: {{}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check.Sinks(t, ref.Sinks, got)
 }
