@@ -172,13 +172,14 @@ fuzz:
 ## render, one internal compositing node of that render) and the
 ## merge-tree kernels (a leaf's local tree, a correction merge, a
 ## segmentation) and the registration search (a full NCC window,
-## East and South) and the engine benchmarks (scheduler makespan per
-## dispatch mode, recovery from a killed peer or a membership change,
+## East and South) and set-up (the 6×6 refinement loop built, placed,
+## initialized and seeded) and the engine benchmarks (scheduler makespan
+## per dispatch mode, recovery from a killed peer or a membership change,
 ## loop-combinator overhead; each run checked against serial) once each so
 ## they cannot rot, then the allocation pins (plan, cold and warm runs, what
 ## tracing adds per task, block extraction, the render leaf, its inputs
 ## and the image codec, the merge-tree kernels, and the registration
-## search and process task).
+## search, process task and set-up).
 perf-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=100x ./internal/wire
 	$(GO) test -race -run='^$$' -bench=. -benchtime=100x ./internal/wire
@@ -192,6 +193,6 @@ perf-smoke:
 	$(GO) test -run='^$$' -bench='^BenchmarkExtract$$' -benchtime=1x ./internal/data
 	$(GO) test -run='^$$' -bench='^Benchmark(Image(Serialize|Deserialize)|RenderBlock|Composite|InitialInputs)$$' -benchtime=1x ./internal/render
 	$(GO) test -run='^$$' -bench='^Benchmark(FromField|Merge|Segment)$$' -benchtime=1x ./internal/mergetree
-	$(GO) test -run='^$$' -bench='^BenchmarkCorrelate$$' -benchtime=1x ./internal/register
+	$(GO) test -run='^$$' -bench='^Benchmark(Correlate|IterativeSetup)$$' -benchtime=1x ./internal/register
 	$(GO) test -run='^$$' -bench='SchedulerModes|Recovery|IterateOverhead' -benchtime=1x ./internal/conformance
 	$(GO) test -count=1 -run='AllocationPins' ./internal/core ./internal/mpi ./internal/data ./internal/render ./internal/mergetree ./internal/register

@@ -105,11 +105,18 @@ type ExplicitGraph struct {
 
 // NewExplicitGraph builds an explicit graph from tasks. The callback list is
 // derived from the tasks in ascending order.
-func NewExplicitGraph(tasks []Task) *ExplicitGraph {
+func NewExplicitGraph(tasks []Task) *ExplicitGraph { return explicitGraph(tasks, true) }
+
+// explicitGraph is NewExplicitGraph; without clone it keeps the tasks'
+// slices, for a caller that built them and never touches them again.
+func explicitGraph(tasks []Task, clone bool) *ExplicitGraph {
 	g := &ExplicitGraph{tasks: make(map[TaskId]Task, len(tasks))}
 	cbset := make(map[CallbackId]bool)
 	for _, t := range tasks {
-		g.tasks[t.Id] = t.Clone()
+		if clone {
+			t = t.Clone()
+		}
+		g.tasks[t.Id] = t
 		g.ids = append(g.ids, t.Id)
 		cbset[t.Callback] = true
 	}

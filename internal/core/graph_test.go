@@ -243,3 +243,31 @@ func TestLevelsRespectDependenciesProperty(t *testing.T) {
 		}
 	}
 }
+
+// TestNewExplicitGraphIsolatesCaller: NewExplicitGraph copies the tasks it
+// is given, so mutating the caller's Incoming and Outgoing slices after
+// construction changes neither the graph nor its compiled plan.
+func TestNewExplicitGraphIsolatesCaller(t *testing.T) {
+	tasks := []Task{
+		{Id: 0, Callback: 0, Incoming: []TaskId{ExternalInput}, Outgoing: [][]TaskId{{1}}},
+		{Id: 1, Callback: 0, Incoming: []TaskId{0}, Outgoing: [][]TaskId{nil}},
+	}
+	g := NewExplicitGraph(tasks)
+	p, err := Compile(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tasks[0].Outgoing[0][0] = 7
+	tasks[0].Outgoing[0] = nil
+	tasks[1].Incoming[0] = 7
+	for _, h := range []TaskGraph{g, p} {
+		a, _ := h.Task(0)
+		b, _ := h.Task(1)
+		if a.Outgoing[0][0] != 1 || b.Incoming[0] != 0 {
+			t.Errorf("%T changed with the caller's slices: %v, %v", h, a, b)
+		}
+	}
+	if err := Validate(g); err != nil {
+		t.Errorf("graph invalid after the caller's edit: %v", err)
+	}
+}

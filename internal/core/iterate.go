@@ -144,6 +144,7 @@ type iterSource struct {
 // can register the synthetic decision callback and decode the final sinks.
 type IterativeGraph struct {
 	*ExplicitGraph
+	plan    *Plan // Iterate's validation; Compile returns it
 	body    TaskGraph
 	pred    ConvergencePredicate
 	maxIter int
@@ -443,7 +444,7 @@ func Iterate(body TaskGraph, pred ConvergencePredicate, opts ...IterOption) (*It
 	}
 
 	g := &IterativeGraph{
-		ExplicitGraph: NewExplicitGraph(tasks),
+		ExplicitGraph: explicitGraph(tasks, false), // tasks are fresh clones
 		body:          body,
 		pred:          pred,
 		maxIter:       cfg.maxIter,
@@ -451,7 +452,8 @@ func Iterate(body TaskGraph, pred ConvergencePredicate, opts ...IterOption) (*It
 		carries:       carries,
 		lastGateIdx:   lastGateIdx,
 	}
-	if err := Validate(g); err != nil {
+	var err error
+	if g.plan, err = Compile(g.ExplicitGraph); err != nil {
 		return nil, fmt.Errorf("core: Iterate produced an invalid graph: %w", err)
 	}
 	return g, nil

@@ -444,3 +444,32 @@ func TestValidateCondErrors(t *testing.T) {
 		t.Fatalf("well-formed conditional rejected: %v", err)
 	}
 }
+
+// TestCompileReturnsIteratePlan: Iterate compiles the unrolled graph once
+// and Compile hands that plan back, pointer-identical, every time; it
+// describes the same graph a fresh compile of the unrolled tasks does.
+func TestCompileReturnsIteratePlan(t *testing.T) {
+	never := func(int, map[TaskId][]Payload) (bool, error) { return false, nil }
+	ig, err := Iterate(counterBody(t), never, MaxIterations(4), Gate(0, 0, 0, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := Compile(ig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p != ig.plan {
+		t.Fatal("Compile(ig) is not the plan Iterate built")
+	}
+	if again, _ := Compile(ig); again != p {
+		t.Fatal("a second Compile(ig) returned another plan")
+	}
+	fresh, err := Compile(Materialize(ig))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cbs := ig.Callbacks()
+	if GraphFingerprint(p, cbs) != GraphFingerprint(fresh, cbs) || p.Max() != fresh.Max() {
+		t.Error("Iterate's plan differs from a fresh compile of its tasks")
+	}
+}

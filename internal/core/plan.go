@@ -59,13 +59,16 @@ type Plan struct {
 //
 // All controllers accept only graphs that compile; the serial executor is
 // the reference for what a valid graph computes. Compile of a *Plan returns
-// it.
+// it, and of an *IterativeGraph the plan Iterate compiled.
 func Compile(g TaskGraph) (*Plan, error) {
 	if g == nil {
 		return nil, fmt.Errorf("core: nil task graph")
 	}
-	if p, ok := g.(*Plan); ok {
-		return p, nil
+	switch g := g.(type) {
+	case *Plan:
+		return g, nil
+	case *IterativeGraph:
+		return g.plan, nil
 	}
 	ids := g.TaskIds()
 	n := len(ids)
@@ -81,7 +84,10 @@ func Compile(g TaskGraph) (*Plan, error) {
 	}
 	p.dense = n == 0 || p.ids[n-1] == TaskId(n-1)
 
-	// The traversal: collect every task and size the backing arrays.
+	// The traversal: collect every task and size the backing arrays. An
+	// ExplicitGraph's tasks are read without Task's defensive clone: every
+	// slice is copied below.
+	eg, _ := g.(*ExplicitGraph)
 	var ins, slots, conds int
 	for i, id := range p.ids {
 		if i > 0 && p.ids[i-1] >= id {
@@ -90,7 +96,13 @@ func Compile(g TaskGraph) (*Plan, error) {
 		if id == ExternalInput {
 			return nil, fmt.Errorf("core: graph uses the reserved ExternalInput id")
 		}
-		t, ok := g.Task(id)
+		var t Task
+		var ok bool
+		if eg != nil {
+			t, ok = eg.tasks[id]
+		} else {
+			t, ok = g.Task(id)
+		}
 		if !ok {
 			return nil, fmt.Errorf("core: graph enumerates task %d but Task() does not return it", id)
 		}

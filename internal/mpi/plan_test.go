@@ -122,6 +122,36 @@ func TestRunAllocationPins(t *testing.T) {
 	}
 }
 
+// TestIterativeInitializeAllocationPins: Initialize binds the plan Iterate
+// compiled, pointer-identical, and compiles nothing itself. On the 24-task
+// loop workload it allocates 24 times (parent 133, which compiled the
+// unrolled graph again); one more compile adds 14 arrays.
+func TestIterativeInitializeAllocationPins(t *testing.T) {
+	ig := loopWorkload(t).graph.(*core.IterativeGraph)
+	p, err := core.Compile(ig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := core.NewIterativeMap(2, ig)
+	c := New(WithWorkers(2))
+	if err := c.Initialize(ig, m); err != nil {
+		t.Fatal(err)
+	}
+	if c.Plan() != p {
+		t.Fatal("Initialize compiled the iterative graph again")
+	}
+	if raceEnabled {
+		return
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		if err := New(WithWorkers(2)).Initialize(ig, m); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 30 {
+		t.Errorf("Initialize of a %d-task iterative graph: %v allocations, pinned at 30 (parent 133)", ig.Size(), n)
+	}
+}
+
 // TestTracedRunAllocationPins pins what tracing adds per task: the same
 // reduction-64 Run on 2 ranks on an initialized controller, once plain and
 // once with a trace.Recorder as the Observer (reset before each run). With

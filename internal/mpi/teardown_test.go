@@ -178,10 +178,13 @@ func TestRunRankJournalClosedOnError(t *testing.T) {
 // TestFailedRankStopsLocalChain: workers deliver same-rank edges and
 // dispatch what becomes ready, so nothing but the failure check stands
 // between a failed epoch and the rest of its local subgraph. One early
-// callback of a 16 382-task k-way merge fails; after it, at most the
-// callbacks the other workers already picked up may start (each callback
-// spins 1 ms, far longer than the failure takes to record), every arena
-// buffer is back and no goroutine is left behind.
+// callback of a 16 382-task k-way merge fails; once the rank has recorded
+// the failure (the controller's onFail hook, which runs after the stop
+// flag is set), at most the callbacks the workers had already passed the
+// check for may start, every arena buffer is back and no goroutine is left
+// behind. Counting from the failed callback's return instead would also
+// count what the other worker starts while the failing one is descheduled
+// before it records the failure.
 func TestFailedRankStopsLocalChain(t *testing.T) {
 	g, _ := graphs.NewKWayMerge(4096, 2)
 	const workers = 2
@@ -191,16 +194,16 @@ func TestFailedRankStopsLocalChain(t *testing.T) {
 	}
 	boom := errors.New("boom")
 	var started, after atomic.Int64
-	var failed atomic.Bool
+	var recorded atomic.Bool
+	c.onFail = func(error) { recorded.Store(true) }
 	for _, cb := range g.Callbacks() {
 		c.RegisterCallback(cb, func(in []core.Payload, id core.TaskId) ([]core.Payload, error) {
-			if failed.Load() {
+			if recorded.Load() {
 				after.Add(1)
 			}
 			for t0 := time.Now(); time.Since(t0) < time.Millisecond; {
 			}
 			if started.Add(1) == 4 {
-				failed.Store(true)
 				return nil, boom
 			}
 			task, _ := c.Plan().Task(id)

@@ -2,18 +2,19 @@
 // under core.Iterate until the pairwise estimates stop moving.
 //
 // The loop body is a widened neighbor dataflow. Per grid cell an extract
-// task re-emits the tile and its facing strips (the tile itself is carried
-// between iterations), a process task correlates the tile against the
-// neighbors' strips over a search window that expands by one voxel per
-// iteration (scanning only the ring the expansion adds, seeded with the
-// estimate the previous root blob carries), and a root task aggregates
-// the per-cell estimates into one blob that records how many estimates
-// changed. The loop gates on the
-// root blob: the convergence predicate stops the flow once no estimate
-// moved — which happens as soon as the window covers the correlation
-// peak, so the converged estimates equal the static pipeline's full-window
-// optimum — and the converged blob feeds Solve exactly like the static
-// pipeline's sink outputs.
+// task passes the tile on (it is carried between iterations) and, in
+// iteration 0 only, cuts the strips its West and North neighbors read; a
+// process task correlates the tile against its East and South neighbors'
+// strips, which it carries into every later iteration, over a search
+// window that expands by one voxel per iteration (scanning only the ring
+// the expansion adds, seeded with the estimate the previous root blob
+// carries), and a root task aggregates the per-cell estimates into one
+// blob that records how many estimates changed. The loop gates on the root
+// blob: the convergence predicate stops the flow once no estimate moved —
+// which happens as soon as the window covers the correlation peak, so the
+// converged estimates equal the static pipeline's full-window optimum —
+// and the converged blob feeds Solve exactly like the static pipeline's
+// sink outputs.
 package register
 
 import (
@@ -75,12 +76,26 @@ func neighborCell(x, y int, d graphs.Direction) (int, int) {
 	return x, y + 1
 }
 
-// IterBody builds the loop body graph. Per cell i (row-major):
+// carriedDirs lists the neighbors, East then South, whose strips cell
+// (x, y)'s process task reads and carries.
+func (cfg Config) carriedDirs(x, y int) []graphs.Direction {
+	dirs := []graphs.Direction{graphs.East, graphs.South}
+	if y == cfg.GridH-1 {
+		dirs = dirs[:1]
+	}
+	if x == cfg.GridW-1 {
+		dirs = dirs[1:]
+	}
+	return dirs
+}
+
+// IterBody builds the loop body graph. Per cell i (row-major), with nd
+// neighbors of which nc lie East or South:
 //
 //	extract_i (id i):   in [tile (carried)]
 //	                    out [own process, strip per neighbor, tile sink (carry source)]
-//	process_i (id n+i): in [own tile, strip per neighbor, prev blob (gated)]
-//	                    out [estimate -> root]
+//	process_i (id n+i): in [own tile, strip per neighbor, prev blob (gated), nc carried strips]
+//	                    out [estimate -> root, nc strip sinks (carry sources)]
 //	root (id 2n):       in [estimate per cell, prev blob (gated)]
 //	                    out [blob sink (gate source)]
 func (cfg Config) IterBody() (*core.ExplicitGraph, error) {
@@ -93,6 +108,7 @@ func (cfg Config) IterBody() (*core.ExplicitGraph, error) {
 	for i := 0; i < n; i++ {
 		x, y := i%cfg.GridW, i/cfg.GridW
 		dirs := cfg.neighborDirs(x, y)
+		nc := len(cfg.carriedDirs(x, y))
 
 		ex := core.Task{
 			Id:       core.TaskId(i),
@@ -111,15 +127,17 @@ func (cfg Config) IterBody() (*core.ExplicitGraph, error) {
 		pr := core.Task{
 			Id:       core.TaskId(n + i),
 			Callback: IterRegCB,
-			Incoming: make([]core.TaskId, 0, 2+len(dirs)),
-			Outgoing: [][]core.TaskId{{root}},
+			Incoming: make([]core.TaskId, 0, 2+len(dirs)+nc),
+			Outgoing: append([][]core.TaskId{{root}}, make([][]core.TaskId, nc)...), // strip sinks: carried
 		}
 		pr.Incoming = append(pr.Incoming, core.TaskId(i))
 		for _, d := range dirs {
 			nx, ny := neighborCell(x, y, d)
 			pr.Incoming = append(pr.Incoming, core.TaskId(ny*cfg.GridW+nx))
 		}
-		pr.Incoming = append(pr.Incoming, core.ExternalInput) // gated prev blob
+		for range 1 + nc { // the gated prev blob, then the carried strips
+			pr.Incoming = append(pr.Incoming, core.ExternalInput)
+		}
 
 		tasks = append(tasks, ex, pr)
 	}
@@ -138,8 +156,8 @@ func (cfg Config) IterBody() (*core.ExplicitGraph, error) {
 }
 
 // Iterative unrolls the registration refinement loop: the root blob gates
-// every estimate consumer of the next iteration, and each extract carries
-// its tile forward.
+// every estimate consumer of the next iteration, each extract carries its
+// tile forward and each process task the strips it correlates.
 func (cfg Config) Iterative(maxIter int) (*core.IterativeGraph, error) {
 	body, err := cfg.IterBody()
 	if err != nil {
@@ -147,7 +165,7 @@ func (cfg Config) Iterative(maxIter int) (*core.IterativeGraph, error) {
 	}
 	n := cfg.cells()
 	root := cfg.IterRootId()
-	opts := make([]core.IterOption, 0, 2*n+2)
+	opts := make([]core.IterOption, 0, 4*n+2)
 	opts = append(opts, core.MaxIterations(maxIter), core.Gate(root, 0, root, n))
 	for i := 0; i < n; i++ {
 		x, y := i%cfg.GridW, i/cfg.GridW
@@ -155,6 +173,9 @@ func (cfg Config) Iterative(maxIter int) (*core.IterativeGraph, error) {
 		opts = append(opts,
 			core.Gate(root, 0, core.TaskId(n+i), 1+nd),
 			core.Carry(core.TaskId(i), 1+nd, core.TaskId(i), 0))
+		for c := range cfg.carriedDirs(x, y) {
+			opts = append(opts, core.Carry(core.TaskId(n+i), 1+c, core.TaskId(n+i), 2+nd+c))
+		}
 	}
 	return core.Iterate(body, cfg.converged, opts...)
 }
@@ -177,9 +198,9 @@ func (cfg Config) seedBlob() []byte {
 	return b
 }
 
-// IterInitial seeds iteration 0: each extract gets its tile and every
-// gated estimate slot gets the seed blob. Tiles must cover the grid, as
-// produced by data.BrainSpecimen.
+// IterInitial seeds iteration 0: each extract gets its tile, every gated
+// estimate slot gets the seed blob and every carried strip slot an empty
+// payload. Tiles must cover the grid, as produced by data.BrainSpecimen.
 func (cfg Config) IterInitial(tiles []data.BrainTile) (map[core.TaskId][]core.Payload, error) {
 	n := cfg.cells()
 	if len(tiles) != n {
@@ -190,7 +211,8 @@ func (cfg Config) IterInitial(tiles []data.BrainTile) (map[core.TaskId][]core.Pa
 		initial[core.TaskId(tl.GY*cfg.GridW+tl.GX)] = []core.Payload{core.Object(tl.Volume)}
 	}
 	for i := 0; i < n; i++ {
-		initial[core.TaskId(n+i)] = []core.Payload{core.Buffer(cfg.seedBlob())}
+		empty := make([]core.Payload, len(cfg.carriedDirs(i%cfg.GridW, i/cfg.GridW)))
+		initial[core.TaskId(n+i)] = append([]core.Payload{core.Buffer(cfg.seedBlob())}, empty...)
 	}
 	initial[cfg.IterRootId()] = []core.Payload{core.Buffer(cfg.seedBlob())}
 	return initial, nil
@@ -222,7 +244,8 @@ func (cfg Config) IterCallback() core.Callback {
 }
 
 // iterExtract mirrors the static extract callback plus the carried tile on
-// the last output slot.
+// the last output slot. The strips are loop-invariant and the process tasks
+// carry what they read, so from iteration 1 on every strip is empty.
 func (cfg Config) iterExtract(in []core.Payload, id core.TaskId) ([]core.Payload, error) {
 	tile, err := asField(in[0])
 	if err != nil {
@@ -231,6 +254,9 @@ func (cfg Config) iterExtract(in []core.Payload, id core.TaskId) ([]core.Payload
 	i := int(core.BodyId(id))
 	dirs := cfg.neighborDirs(i%cfg.GridW, i/cfg.GridW)
 	out := make([]core.Payload, 2+len(dirs))
+	if core.IterOf(id) > 0 {
+		dirs = nil // leaves every strip empty
+	}
 	cfg.strips(tile, dirs, out)
 	out[len(out)-1] = core.Object(tile)
 	return out, nil
@@ -242,27 +268,31 @@ func (cfg Config) iterExtract(in []core.Payload, id core.TaskId) ([]core.Payload
 // uncovers better displacements and reach a fixpoint — the full-window
 // optimum the static pipeline computes in one (more expensive) pass —
 // once the window covers the correlation peak. The gated previous blob
-// (the last input) sequences iteration k after decision k-1 and carries
-// this cell's optimum over the previous window, so from iteration 1 on
-// only the ring the window adds is searched, and nothing once the radius
-// is clamped.
+// sequences iteration k after decision k-1 and carries this cell's
+// optimum over the previous window, so from iteration 1 on only the ring
+// the window adds is searched, and nothing once the radius is clamped.
+// Iteration 0 reads the East and South strips its neighbors cut; it and
+// every later iteration pass them, decoded, to the next along the
+// carried slots, where iteration k ≥ 1 reads them.
 func (cfg Config) iterProcess(in []core.Payload, id core.TaskId) ([]core.Payload, error) {
 	i := int(core.BodyId(id)) - cfg.cells()
 	x, y := i%cfg.GridW, i/cfg.GridW
-	k, j := core.IterOf(id), 2*cfg.Jitter
-	r, inner := min(1+k, j), -1
+	dirs := cfg.neighborDirs(x, y)
+	k, j, nd := core.IterOf(id), 2*cfg.Jitter, len(dirs)
+	r, inner, strips := min(1+k, j), -1, in[1:]
 	var carried Estimate
 	if k > 0 {
 		var err error
-		if carried, err = cfg.blobEstimate(in[len(in)-1].Data, i); err != nil {
+		if carried, err = cfg.blobEstimate(in[1+nd].Data, i); err != nil {
 			return nil, err
 		}
 		if carried.X != x || carried.Y != y {
 			return nil, fmt.Errorf("register: carried estimate is cell (%d,%d)'s, want (%d,%d)", carried.X, carried.Y, x, y)
 		}
 		inner = min(k, j)
+		strips, dirs = in[2+nd:], cfg.carriedDirs(x, y)
 	}
-	return cfg.estimate(in, x, y, cfg.neighborDirs(x, y), r, inner, carried)
+	return cfg.estimate(in, strips, dirs, x, y, r, inner, carried)
 }
 
 // iterRoot aggregates the per-cell estimates into the gate blob and counts

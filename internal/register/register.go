@@ -6,9 +6,12 @@
 // solves for the absolute position of each volume.
 //
 // The dataflow is the Neighbor2D graph: per grid cell, an extract task
-// reads the tile and emits the overlap strips facing each neighbor; a
-// process task correlates the tile against the neighbors' facing strips
-// and emits the estimated pairwise offsets as its sink output. The final
+// reads the tile and sends each neighbor a message, the overlap strip
+// facing it toward West and North and an empty payload toward East and
+// South; a process task correlates the tile against its East and South
+// neighbors' strips and emits the estimated pairwise offsets as its sink
+// output. West and North estimates are the mirror image, so no task
+// reads the strips an extract would cut toward East and South. The final
 // placement (the paper's sort/evaluate stage) is a deterministic
 // propagation over the estimated offsets.
 package register
@@ -142,23 +145,19 @@ func (cfg Config) extractCallback(g *graphs.Neighbor2D) core.Callback {
 }
 
 // strips fills out[0] with the tile and out[1+s] with the strip facing the
-// neighbor in direction dirs[s].
+// neighbor in direction dirs[s] if it lies West or North, whose estimate
+// correlates it. Toward East and South out stays empty: those estimates
+// read only their own East and South neighbors.
 func (cfg Config) strips(tile *data.Field, dirs []graphs.Direction, out []core.Payload) {
 	out[0] = core.Object(tile)
 	w := cfg.stripWidth()
 	for s, d := range dirs {
-		var strip *data.Field
 		switch d {
 		case graphs.West:
-			strip = tile.SubField(0, 0, 0, w, tile.NY, tile.NZ)
-		case graphs.East:
-			strip = tile.SubField(tile.NX-w, 0, 0, w, tile.NY, tile.NZ)
+			out[1+s] = core.Object(tile.SubField(0, 0, 0, w, tile.NY, tile.NZ))
 		case graphs.North:
-			strip = tile.SubField(0, 0, 0, tile.NX, w, tile.NZ)
-		case graphs.South:
-			strip = tile.SubField(0, tile.NY-w, 0, tile.NX, w, tile.NZ)
+			out[1+s] = core.Object(tile.SubField(0, 0, 0, tile.NX, w, tile.NZ))
 		}
-		out[1+s] = core.Object(strip)
 	}
 }
 
@@ -169,25 +168,32 @@ func (cfg Config) strips(tile *data.Field, dirs []graphs.Direction, out []core.P
 func (cfg Config) processCallback(g *graphs.Neighbor2D) core.Callback {
 	return func(in []core.Payload, id core.TaskId) ([]core.Payload, error) {
 		x, y, _ := g.CellOf(id)
-		return cfg.estimate(in, x, y, g.NeighborDirs(x, y), 2*cfg.Jitter, -1, Estimate{})
+		out, err := cfg.estimate(in, in[1:], g.NeighborDirs(x, y), x, y, 2*cfg.Jitter, -1, Estimate{})
+		if err != nil {
+			return nil, err
+		}
+		return out[:1], nil
 	}
 }
 
 // estimate correlates the tile (in[0]) against the East and South strips
-// (in[1+s] for dirs[s]) over the window of radius r and emits cell (x, y)'s
-// serialized Estimate. With inner ≥ 0 it searches only the ring outside the
-// window of radius inner, whose optimum carried holds.
-func (cfg Config) estimate(in []core.Payload, x, y int, dirs []graphs.Direction, r, inner int, carried Estimate) ([]core.Payload, error) {
+// (strips[s] for dirs[s]) over the window of radius r. It returns cell
+// (x, y)'s serialized Estimate followed by the strips it read, decoded,
+// East first: the outputs of an iterative process task, in one
+// allocation. With inner ≥ 0 it searches only the ring outside the window
+// of radius inner, whose optimum carried holds.
+func (cfg Config) estimate(in, strips []core.Payload, dirs []graphs.Direction, x, y, r, inner int, carried Estimate) ([]core.Payload, error) {
 	tile, err := asField(in[0])
 	if err != nil {
 		return nil, err
 	}
 	est := Estimate{X: x, Y: y}
+	out := make([]core.Payload, 1, 3)
 	for s, d := range dirs {
 		if d != graphs.East && d != graphs.South {
 			continue
 		}
-		strip, err := asField(in[1+s])
+		strip, err := asField(strips[s])
 		if err != nil {
 			return nil, err
 		}
@@ -198,8 +204,10 @@ func (cfg Config) estimate(in []core.Payload, x, y int, dirs []graphs.Direction,
 			m := cfg.search(tile, strip, d, r, inner, match{carried.SouthDx, carried.SouthDy, carried.SouthScore})
 			est.HasSouth, est.SouthDx, est.SouthDy, est.SouthScore = true, m.dx, m.dy, m.score
 		}
+		out = append(out, core.Object(strip))
 	}
-	return []core.Payload{core.Buffer(est.Serialize())}, nil
+	out[0] = core.Buffer(est.Serialize())
+	return out, nil
 }
 
 // match is one displacement hypothesis and its NCC score.

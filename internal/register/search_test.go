@@ -201,13 +201,29 @@ func TestValidateRejectsWideGrids(t *testing.T) {
 }
 
 // processInputs builds process task (cell)'s inputs on the benchmark's 6×6
-// grid: its tile, the strips its neighbors' extracts send it, and the
-// root blob of iteration 0 as the carried estimate.
+// grid: its tile, the strips its neighbors' extracts send it in iteration
+// 0, the root blob of iteration 0 as the carried estimate, and the strips
+// iteration 0 carries on.
 func processInputs(tb testing.TB) (Config, []core.Payload, int) {
 	tb.Helper()
-	cfg := Config{GridW: 6, GridH: 6, Tile: 24, Overlap: 0.2, Jitter: 2}
-	tiles := data.BrainSpecimen(cfg.GridW, cfg.GridH, cfg.Tile, cfg.Overlap, cfg.Jitter, 5)
+	cfg, tiles := benchGrid()
 	cell := 7
+	in := iterInputs(tb, cfg, tiles, cell)
+	out, err := cfg.iterProcess(in, core.TaskId(cfg.cells()+cell))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	blob := cfg.seedBlob()
+	copy(blob[iterHdr+52*cell:], out[0].Data)
+	in[len(in)-len(out)] = core.Buffer(blob)
+	copy(in[len(in)-len(out)+1:], out[1:])
+	return cfg, in, cell
+}
+
+// iterInputs builds process task (cell)'s iteration-0 inputs out of the
+// iteration-0 outputs of its neighbors' extract tasks.
+func iterInputs(tb testing.TB, cfg Config, tiles []data.BrainTile, cell int) []core.Payload {
+	tb.Helper()
 	x, y := cell%cfg.GridW, cell/cfg.GridW
 	in := []core.Payload{core.Object(tiles[cell].Volume)}
 	for _, d := range cfg.neighborDirs(x, y) {
@@ -223,14 +239,7 @@ func processInputs(tb testing.TB) (Config, []core.Payload, int) {
 		}
 	}
 	in = append(in, core.Buffer(cfg.seedBlob()))
-	est, err := cfg.iterProcess(in, core.TaskId(cfg.cells()+cell))
-	if err != nil {
-		tb.Fatal(err)
-	}
-	blob := cfg.seedBlob()
-	copy(blob[iterHdr+52*cell:], est[0].Data)
-	in[len(in)-1] = core.Buffer(blob)
-	return cfg, in, cell
+	return append(in, make([]core.Payload, len(cfg.carriedDirs(x, y)))...)
 }
 
 // BenchmarkCorrelate measures the full-window search (J = 2, 81
