@@ -141,8 +141,10 @@ smoke-elastic:
 	test $$status -eq 0 || exit $$status; \
 	echo "$$out" | grep -q ' drain=1 ' || { echo "smoke-elastic: the run drained nothing (want drain=1)"; exit 1; }
 
-## fuzz: short fuzz smoke of the wire frame decoder, of the handshake body
-## decoders, of the merge-tree decoder, of the image decoder, of the
+## fuzz: short fuzz smoke of the wire frame decoder, of the control-frame
+## codec (every accepted body must re-encode byte for byte; seeded from the
+## golden control frames TestControlFramesGolden pins), of the merge-tree
+## decoder, of the image decoder, of the
 ## sparse compositor against the dense one and of the MPI rank kernel's
 ## interleavings (longer runs: go test -fuzz=FuzzFrameDecode or
 ## -fuzz=FuzzHandshakeDecode ./internal/wire, go test -fuzz=FuzzTreeDecode
@@ -163,7 +165,7 @@ fuzz:
 ## iteration count so hot-path regressions fail loudly, then the wire
 ## package and the conformance matrix (tcp, unix, shm) under the race
 ## detector, then the seeded executor pool tests (pop order against a
-## reference model, cross-home wake-ups, pinned homes) 50 times under the
+## reference model, cross-home wake-ups) 50 times under the
 ## race detector and the pool benchmark (ns per item on two homes against
 ## one), then the graph-plan benchmarks (compile and cold run of the
 ## 16k-task graph) and the data kernels (block extraction of a 256³ field,
@@ -173,9 +175,9 @@ fuzz:
 ## merge-tree kernels (a leaf's local tree, a correction merge, a
 ## segmentation) and the registration search (a full NCC window,
 ## East and South) and set-up (the 6×6 refinement loop built, placed,
-## initialized and seeded) and the engine benchmarks (scheduler makespan
-## per dispatch mode, recovery from a killed peer or a membership change,
-## loop-combinator overhead; each run checked against serial) once each so
+## initialized and seeded) and the engine benchmarks (recovery from a
+## killed peer or a membership change, loop-combinator overhead; each run
+## checked against serial) once each so
 ## they cannot rot, then the allocation pins (plan, cold and warm runs, what
 ## tracing adds per task, block extraction, the render leaf, its inputs
 ## and the image codec, the merge-tree kernels, and the registration
@@ -186,7 +188,7 @@ perf-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=100x ./internal/journal
 	$(GO) test -race -count=1 ./internal/wire
 	$(GO) test -race -count=1 ./internal/conformance
-	$(GO) test -race -count=50 -run='^TestPool(OrderMatchesReference|NoLostWakeups|NoStealStaysHome)$$' ./internal/fabric
+	$(GO) test -race -count=50 -run='^TestPool(OrderMatchesReference|NoLostWakeups)$$' ./internal/fabric
 	$(GO) test -run='^$$' -bench='^BenchmarkPool$$' -benchtime=100000x ./internal/fabric
 	$(GO) test -run='^$$' -bench='^BenchmarkCompile$$' -benchtime=1x ./internal/core
 	$(GO) test -run='^$$' -bench='^BenchmarkColdRun16k$$' -benchtime=1x ./internal/mpi
@@ -194,5 +196,5 @@ perf-smoke:
 	$(GO) test -run='^$$' -bench='^Benchmark(Image(Serialize|Deserialize)|RenderBlock|Composite|InitialInputs)$$' -benchtime=1x ./internal/render
 	$(GO) test -run='^$$' -bench='^Benchmark(FromField|Merge|Segment)$$' -benchtime=1x ./internal/mergetree
 	$(GO) test -run='^$$' -bench='^Benchmark(Correlate|IterativeSetup)$$' -benchtime=1x ./internal/register
-	$(GO) test -run='^$$' -bench='SchedulerModes|Recovery|IterateOverhead' -benchtime=1x ./internal/conformance
+	$(GO) test -run='^$$' -bench='Recovery|IterateOverhead' -benchtime=1x ./internal/conformance
 	$(GO) test -count=1 -run='AllocationPins' ./internal/core ./internal/mpi ./internal/data ./internal/render ./internal/mergetree ./internal/register

@@ -221,12 +221,12 @@ func runGateWorker(cfg config, stdout io.Writer) error {
 		case wire.ActionRun:
 			fence()
 			// The epoch's task map: the base map rebalanced over the ticket's
-			// member table.
+			// member table, on the plan Initialize compiled.
 			members := make([]core.ShardId, len(t.Members))
 			for i, m := range t.Members {
 				members[i] = core.ShardId(m)
 			}
-			tmap, err := core.RebalanceShards(c.Graph, base, members)
+			tmap, err := core.RebalanceShards(ctrl.Plan(), base, members)
 			if err != nil {
 				return fmt.Errorf("member %d: epoch %d: %w", member, t.Epoch, err)
 			}
@@ -239,7 +239,7 @@ func runGateWorker(cfg config, stdout io.Writer) error {
 					if err != nil {
 						return fmt.Errorf("member %d: adopt from %d: %w", member, donor, err)
 					}
-					for _, id := range c.Graph.TaskIds() {
+					for _, id := range ctrl.Plan().TaskIds() {
 						if tmap.Shard(id) == core.ShardId(t.Rank) {
 							led.Adopt(dled, id)
 						}

@@ -10,90 +10,18 @@ import (
 	"github.com/babelflow/babelflow-go/internal/core"
 	"github.com/babelflow/babelflow-go/internal/faultinject"
 	"github.com/babelflow/babelflow-go/internal/graphs"
-	"github.com/babelflow/babelflow-go/internal/mergetree"
 	"github.com/babelflow/babelflow-go/internal/mpi"
-	"github.com/babelflow/babelflow-go/internal/sim"
 	"github.com/babelflow/babelflow-go/internal/wire"
 )
 
-// The engine benchmarks: scheduler makespan per dispatch discipline, the
-// cost of recovering from a killed peer or a membership change, and the
-// per-iteration price of the loop combinator. Each row reports its figures
+// The engine benchmarks: the cost of recovering from a killed peer or a
+// membership change, and the per-iteration price of the loop combinator. Each row reports its figures
 // through b.ReportMetric (means over b.N) and checks every run against the
 // serial reference. make perf-smoke runs each row once:
 //
-//	go test -run '^$' -bench 'SchedulerModes|Recovery|IterateOverhead' -benchtime 1x ./internal/conformance
+//	go test -run '^$' -bench 'Recovery|IterateOverhead' -benchtime 1x ./internal/conformance
 
 func millis(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-
-// BenchmarkSchedulerModes runs two figure workloads on the real MPI
-// controller (4 ranks, 4 workers) with callbacks that sleep for the sim
-// cost model's task duration — sleeps, not spins, so the comparison holds
-// on loaded or single-core machines — under every schedMode. The balanced
-// compositing reduction (Fig. 10e) barely cares about dispatch order. The
-// merge tree (Fig. 2) puts its feature-dense blocks, six times costlier, on
-// one rank: the paper's load-imbalanced local computation under static
-// placement, where pinned workers leave that rank the straggler and
-// stealing drains it from the idle ranks. speedup_x is fifo over
-// priority_steal.
-func BenchmarkSchedulerModes(b *testing.B) {
-	const ranks, workers, hotRank, hotFactor = 4, 4, 3, 6
-	comp, err := sim.CompositingReductionWorkload(16, 128, 128, 0.004)
-	if err != nil {
-		b.Fatal(err)
-	}
-	mt, err := sim.MergeTreeWorkload(16, 2, 64)
-	if err != nil {
-		b.Fatal(err)
-	}
-	hot, cost := core.NewGraphMap(ranks, mt.Graph), mt.TaskCost
-	mt.TaskCost = func(t core.Task) float64 {
-		if t.Callback == mergetree.CBLocal && hot.Shard(t.Id) == hotRank {
-			return cost(t) * hotFactor
-		}
-		return cost(t)
-	}
-	for _, wl := range []struct {
-		name string
-		w    sim.Workload
-	}{{"balanced_compositing", comp}, {"imbalanced_mergetree", mt}} {
-		b.Run(wl.name, func(b *testing.B) {
-			g, mix := wl.w.Graph, mixCallback(wl.w.Graph)
-			ref := serialReference(b, g, mix)
-			sleepy := func(in []core.Payload, id core.TaskId) ([]core.Payload, error) {
-				t, _ := g.Task(id)
-				time.Sleep(time.Duration(wl.w.TaskCost(t) * float64(time.Second)))
-				return mix(in, id)
-			}
-			m := core.NewGraphMap(ranks, g)
-			spent := make([]time.Duration, len(schedModes))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for k, mode := range schedModes {
-					c := mpi.New(append([]mpi.Option{mpi.WithWorkers(workers)}, mode.opts...)...)
-					if err := c.Initialize(g, m); err != nil {
-						b.Fatal(err)
-					}
-					if err := registerAll(g, sleepy)(c); err != nil {
-						b.Fatal(err)
-					}
-					initial := externalInputsFor(g)
-					start := time.Now()
-					out, err := c.Run(initial)
-					spent[k] += time.Since(start)
-					if err != nil {
-						b.Fatalf("%s: %v", mode.name, err)
-					}
-					check.Sinks(b, ref.Sinks, out)
-				}
-			}
-			for k, mode := range schedModes {
-				b.ReportMetric(millis(spent[k])/float64(b.N), mode.name+"_ms")
-			}
-			b.ReportMetric(float64(spent[0])/float64(spent[len(spent)-1]), "speedup_x")
-		})
-	}
-}
 
 // BenchmarkRecovery prices fault tolerance over loopback TCP. The kill rows
 // run each workload on 4 ranks twice per iteration: clean (baseline_ms) and

@@ -95,18 +95,22 @@ func allControllers(g core.TaskGraph, shards int) []config {
 		s.Observer = obs
 		return s
 	})
+	// mpi-roundrobin deals the ids out round-robin, ignoring the graph's
+	// structure, so most edges cross ranks.
+	rr := core.NewListMap(shards, g.TaskIds())
 	for _, v := range []struct {
 		name string
+		tmap core.TaskMap
 		opts []mpi.Option
 	}{
-		{"mpi", nil},
-		{"mpi-inline", []mpi.Option{mpi.WithInline(true)}},
-		{"mpi-serialize", []mpi.Option{mpi.WithAlwaysSerialize(true), mpi.WithWorkers(2)}},
-		{"mpi-fifo", []mpi.Option{mpi.WithFIFO(true), mpi.WithWorkers(2)}},
-		{"mpi-nosteal", []mpi.Option{mpi.WithNoSteal(true)}},
-		{"mpi-w1", []mpi.Option{mpi.WithWorkers(1)}},
+		{"mpi", m, nil},
+		{"mpi-inline", m, []mpi.Option{mpi.WithInline(true)}},
+		{"mpi-serialize", m, []mpi.Option{mpi.WithAlwaysSerialize(true), mpi.WithWorkers(2)}},
+		{"mpi-inline-serialize", m, []mpi.Option{mpi.WithInline(true), mpi.WithAlwaysSerialize(true)}},
+		{"mpi-roundrobin", rr, nil},
+		{"mpi-w1", m, []mpi.Option{mpi.WithWorkers(1)}},
 	} {
-		add(v.name, m, func(obs core.Observer) core.Controller {
+		add(v.name, v.tmap, func(obs core.Observer) core.Controller {
 			return mpi.New(append([]mpi.Option{mpi.WithObserver(obs)}, v.opts...)...)
 		})
 	}
@@ -151,9 +155,9 @@ func checkMatrix(t *testing.T, prefix string, g core.TaskGraph, shards int, cb c
 
 // TestRandomDAGConformance is the cross-controller fuzz: 20 random DAGs of
 // varying size, each executed on 11 controller configurations (including
-// the scheduler ablations: FIFO dispatch, stealing off, single worker) at
-// several shard counts; all sink outputs must be byte-identical to the
-// serial reference.
+// the inline driver with every payload serialized, a round-robin placement
+// and a single worker) at several shard counts; all sink outputs must be
+// byte-identical to the serial reference.
 func TestRandomDAGConformance(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		g := check.RandomDAG(5+trial*4, int64(1000+trial))

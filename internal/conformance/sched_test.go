@@ -121,24 +121,24 @@ func figureWorkloads(t testing.TB) []schedWorkload {
 	return out
 }
 
-// schedModes are the dispatch disciplines TestSchedulerDeterminism checks
-// and BenchmarkSchedulerModes times: FIFO with workers pinned to their rank
-// (the pre-scheduler engine), critical-path priority with workers pinned,
-// and priority with idle workers stealing across ranks (the default).
+// schedModes are the runs TestSchedulerDeterminism checks at each worker
+// budget: the executor's one discipline (critical-path priority, idle
+// workers stealing across ranks) as is, and with every payload forced
+// through its wire form, so each figure workload's codecs round-trip
+// (and return their arena buffers) under every schedule.
 var schedModes = []struct {
 	name string
 	opts []mpi.Option
 }{
-	{"fifo", []mpi.Option{mpi.WithFIFO(true), mpi.WithNoSteal(true)}},
-	{"priority", []mpi.Option{mpi.WithNoSteal(true)}},
 	{"priority_steal", nil},
+	{"serialize", []mpi.Option{mpi.WithAlwaysSerialize(true)}},
 }
 
 // TestSchedulerDeterminism is the scheduler determinism suite: the three
 // figure workloads must pass the checker — sinks byte-identical to the
 // serial reference, every task once, no goroutine left — at every worker
-// budget (1, 2, GOMAXPROCS) and in every scheduling mode: scheduling order
-// may change timing, never outputs.
+// budget (1, 2, GOMAXPROCS) and in every mode: scheduling order may change
+// timing, never outputs.
 func TestSchedulerDeterminism(t *testing.T) {
 	workers := []int{1, 2, runtime.GOMAXPROCS(0)}
 	for _, w := range figureWorkloads(t) {

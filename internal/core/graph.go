@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sort"
 )
 
@@ -24,23 +23,6 @@ type TaskGraph interface {
 	// Callbacks lists the task types (callback ids) the graph uses, in a
 	// stable documented order so users can register implementations.
 	Callbacks() []CallbackId
-}
-
-// LocalGraph instantiates the set of logical tasks the given task map
-// assigns to one shard. This is the generic definition from the paper's base
-// class: controllers use it to restrict the global graph to small local
-// sub-graphs.
-func LocalGraph(g TaskGraph, m TaskMap, shard ShardId) ([]Task, error) {
-	ids := m.Ids(shard)
-	tasks := make([]Task, 0, len(ids))
-	for _, id := range ids {
-		t, ok := g.Task(id)
-		if !ok {
-			return nil, fmt.Errorf("core: task map assigns unknown task %d to shard %d", id, shard)
-		}
-		tasks = append(tasks, t)
-	}
-	return tasks, nil
 }
 
 // Leaves returns the ids of all leaf tasks (every input external), sorted.

@@ -112,31 +112,6 @@ func TestValidateRejectsUnlistedCallback(t *testing.T) {
 	}
 }
 
-func TestLocalGraph(t *testing.T) {
-	g := diamondGraph()
-	m := NewModuloMap(2, g.Size())
-	local, err := LocalGraph(g, m, 0)
-	if err != nil {
-		t.Fatalf("LocalGraph: %v", err)
-	}
-	if len(local) != 3 {
-		t.Fatalf("shard 0 has %d tasks, want 3", len(local))
-	}
-	for _, task := range local {
-		if task.Id%2 != 0 {
-			t.Errorf("task %d on wrong shard", task.Id)
-		}
-	}
-}
-
-func TestLocalGraphUnknownTask(t *testing.T) {
-	g := diamondGraph()
-	m := NewModuloMap(1, g.Size()+5)
-	if _, err := LocalGraph(g, m, 0); err == nil {
-		t.Error("LocalGraph should fail when the map names unknown tasks")
-	}
-}
-
 func TestMaterializeRoundTrip(t *testing.T) {
 	g := diamondGraph()
 	m := Materialize(g)

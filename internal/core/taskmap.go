@@ -269,14 +269,3 @@ func (m *FuncMap) Ids(shard ShardId) []TaskId {
 
 // ShardCount implements TaskMap.
 func (m *FuncMap) ShardCount() int { return m.shards }
-
-// ValidateMap checks that a task map covers exactly the tasks of a graph
-// (Plan.Place of the compiled graph, the placement discarded).
-func ValidateMap(g TaskGraph, m TaskMap) error {
-	p, err := Compile(g)
-	if err != nil {
-		return err
-	}
-	_, err = p.Place(m)
-	return err
-}

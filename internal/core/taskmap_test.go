@@ -197,14 +197,22 @@ func TestMapPartitionProperty(t *testing.T) {
 	}
 }
 
-func TestValidateMapDetectsGap(t *testing.T) {
-	g := lineGraph(4)
-	m := NewModuloMap(2, 3) // covers only tasks 0..2
-	if err := ValidateMap(g, m); err == nil {
-		t.Error("ValidateMap should reject a map that misses task 3")
+func TestPlaceDetectsGap(t *testing.T) {
+	p := mustCompile(t, lineGraph(4))
+	if _, err := p.Place(NewModuloMap(2, 3)); err == nil { // covers only tasks 0..2
+		t.Error("Place should reject a map that misses task 3")
 	}
-	if err := ValidateMap(g, NewModuloMap(2, 4)); err != nil {
-		t.Errorf("ValidateMap on full cover: %v", err)
+	// A full cover places every task; ids past the graph are ignored.
+	for _, n := range []int{4, 6} {
+		shardOf, err := p.Place(NewModuloMap(2, n))
+		if err != nil {
+			t.Fatalf("Place on a cover of %d ids: %v", n, err)
+		}
+		for i, s := range shardOf {
+			if int(s) != i%2 {
+				t.Fatalf("Place on a cover of %d ids: %v, want task i on shard i%%2", n, shardOf)
+			}
+		}
 	}
 }
 
@@ -224,10 +232,9 @@ func (d dupMap) Shard(id TaskId) ShardId {
 }
 func (d dupMap) ShardCount() int { return 2 }
 
-func TestValidateMapDetectsDuplicateAndDisagreement(t *testing.T) {
-	g := lineGraph(2)
-	if err := ValidateMap(g, dupMap{}); err == nil {
-		t.Error("ValidateMap should reject duplicate/disagreeing assignments")
+func TestPlaceDetectsDuplicateAndDisagreement(t *testing.T) {
+	if _, err := mustCompile(t, lineGraph(2)).Place(dupMap{}); err == nil {
+		t.Error("Place should reject duplicate/disagreeing assignments")
 	}
 }
 

@@ -4,16 +4,15 @@
 // running its home's tasks takes no lock and writes no counter that another
 // home's workers take or write. A fixed budget of workers is homed
 // round-robin over the homes; a worker pops its home deque first and, when
-// it is dry and stealing is on, steals the most critical item of another
-// home, locking one victim at a time (scanning from home+1).
+// it is dry, steals the most critical item of another home, locking one
+// victim at a time (scanning from home+1).
 //
 // Wake-ups cross homes without a shared lock. A submit first wakes a worker
 // parked on the item's home (under that home's lock), and only if none is
-// parked there (and stealing is enabled) wakes a worker parked elsewhere —
-// so a wake-up is never wasted on a worker that cannot reach the item.
+// parked there wakes a worker parked elsewhere.
 // Parking is a check-after-publish handshake on atomic counters: a worker
-// about to park counts itself in parked, then re-reads its own deque and
-// (when it steals) every home's queued count; a submitter counts the item
+// about to park counts itself in parked, then re-reads every home's
+// queued count; a submitter counts the item
 // in its home's queued, then reads parked. The atomics are sequentially
 // consistent, so at least one side sees the other and no wake-up is lost.
 package fabric
@@ -24,17 +23,6 @@ import (
 	"sync"
 	"sync/atomic"
 )
-
-// PoolOptions configures a work-stealing pool.
-type PoolOptions struct {
-	// FIFO disables priority ordering: items pop in submission order, the
-	// pre-scheduler dispatch discipline (ablation baseline).
-	FIFO bool
-	// NoSteal pins workers to their home deque. Every home that will
-	// receive work must then have at least one homed worker, or its items
-	// never run.
-	NoSteal bool
-}
 
 // poolItem is one queued unit of work, run(arg). Items carry no per-task
 // closure: a caller submits one shared runner with a task index.
@@ -56,20 +44,15 @@ type level struct {
 
 // itemQueue is a deterministic priority deque: one FIFO per distinct
 // priority, the levels sorted by ascending priority, so items pop highest
-// priority first and, within a priority, in submission order. In FIFO mode
-// every item joins one level and items pop in submission order. A push at
+// priority first and, within a priority, in submission order. A push at
 // the top's priority is O(1); a new priority costs a binary search and a
 // shift of the (few) levels above it. Emptied levels keep their buffers in
 // the slice's spare capacity for the next new priority.
 type itemQueue struct {
 	levels []level
-	fifo   bool
 }
 
 func (q *itemQueue) push(pri int64, it poolItem) {
-	if q.fifo {
-		pri = 0
-	}
 	n := len(q.levels)
 	k := n - 1
 	if n == 0 || q.levels[k].pri != pri {
@@ -146,20 +129,18 @@ func (h *home) pop() (poolItem, bool) {
 type Pool struct {
 	homes  []home
 	parked atomic.Int32 // workers parked in any home and not yet woken
-	steal  bool
 	closed atomic.Bool
 	wg     sync.WaitGroup
 }
 
 // NewPool starts a pool with one deque per home and one worker per entry of
 // homes (homes[i] is worker i's home deque). Workers run until Close.
-func NewPool(homeCount int, homes []int, opt PoolOptions) *Pool {
+func NewPool(homeCount int, homes []int) *Pool {
 	if homeCount < 1 {
 		panic("fabric: pool needs at least one home")
 	}
-	p := &Pool{homes: make([]home, homeCount), steal: !opt.NoSteal}
+	p := &Pool{homes: make([]home, homeCount)}
 	for i := range p.homes {
-		p.homes[i].q.fifo = opt.FIFO
 		p.homes[i].wake.L = &p.homes[i].mu
 	}
 	p.wg.Add(len(homes))
@@ -183,10 +164,10 @@ func RoundRobinHomes(n, homeCount int) []int {
 	return homes
 }
 
-// Submit enqueues run(arg) on a home's deque. Larger pri runs first
-// (ignored in FIFO mode); equal priorities run in submission order. Submit
-// never blocks; it locks the item's home, and the home of a parked worker
-// it wakes — the item's own, or with stealing the first other one.
+// Submit enqueues run(arg) on a home's deque. Larger pri runs first; equal
+// priorities run in submission order. Submit never blocks; it locks the
+// item's home, and the home of a parked worker it wakes — the item's own,
+// or the first other one.
 // Submitting to a closed pool still runs the item (the pool drains before
 // its workers exit), but new submissions racing Close are the caller's
 // responsibility to avoid.
@@ -198,7 +179,7 @@ func (p *Pool) Submit(home int, pri int64, run func(int), arg int) {
 	h.mu.Unlock()
 	// The item is published in queued, so a worker parking from here on
 	// sees it; one parked already is counted in idle and parked.
-	if p.wake(h) || !p.steal || p.parked.Load() == 0 {
+	if p.wake(h) || p.parked.Load() == 0 {
 		return
 	}
 	for d := 1; d < len(p.homes); d++ {
@@ -227,48 +208,29 @@ func (p *Pool) wake(h *home) bool {
 }
 
 // take pops the next item for a worker homed at me: its own deque first,
-// then (with stealing) the most critical item of the first non-empty deque
-// scanning from me+1.
+// then the most critical item of the first non-empty deque scanning from
+// me+1.
 func (p *Pool) take(me int) (poolItem, bool) {
-	if it, ok := p.homes[me].pop(); ok {
-		return it, true
-	}
-	if p.steal {
-		n := len(p.homes)
-		for d := 1; d < n; d++ {
-			if it, ok := p.homes[(me+d)%n].pop(); ok {
-				return it, true
-			}
+	n := len(p.homes)
+	for d := 0; d < n; d++ {
+		if it, ok := p.homes[(me+d)%n].pop(); ok {
+			return it, true
 		}
 	}
 	return poolItem{}, false
 }
 
-// reachable reports whether an item the worker homed at me may take is
-// queued.
-func (p *Pool) reachable(me int) bool {
-	if !p.steal {
-		return p.homes[me].queued.Load() > 0
-	}
-	for i := range p.homes {
-		if p.homes[i].queued.Load() > 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // park blocks the worker homed at me until there may be work for it. It
 // counts the worker as parked before re-checking for work (the handshake
-// with Submit), and returns false once the pool is closed and nothing the
-// worker can reach is queued.
+// with Submit), and returns false once the pool is closed and nothing is
+// queued.
 func (p *Pool) park(me int) bool {
 	h := &p.homes[me]
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.idle.Add(1)
 	p.parked.Add(1)
-	work := p.reachable(me)
+	work := p.Queued() > 0
 	if !work && !p.closed.Load() {
 		h.wake.Wait() // whoever wakes us has uncounted us
 		return true
@@ -298,10 +260,10 @@ func (p *Pool) Queued() int {
 	return n
 }
 
-// Close stops the pool: workers drain the work they can reach (their home
-// deque, plus anything stealable) and exit. Close blocks until every worker
-// has exited; it is safe to call once, from a non-worker goroutine. A nil
-// pool — an inline run's — has nothing to stop.
+// Close stops the pool: workers drain every deque and exit. Close blocks
+// until every worker has exited; it is safe to call once, from a
+// non-worker goroutine. A nil pool — an inline run's — has nothing to
+// stop.
 func (p *Pool) Close() {
 	if p == nil {
 		return

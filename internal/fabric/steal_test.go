@@ -11,9 +11,9 @@ import (
 
 // runOrder submits items while the pool's single worker is held at a
 // barrier, then releases it and returns the order the items ran in.
-func runOrder(t *testing.T, opt PoolOptions, submit func(p *Pool, record func(v int) func(int))) []int {
+func runOrder(t *testing.T, submit func(p *Pool, record func(v int) func(int))) []int {
 	t.Helper()
-	p := NewPool(1, []int{0}, opt)
+	p := NewPool(1, []int{0})
 	var mu sync.Mutex
 	var order []int
 	record := func(v int) func(int) {
@@ -43,7 +43,7 @@ func runOrder(t *testing.T, opt PoolOptions, submit func(p *Pool, record func(v 
 }
 
 func TestPoolPriorityOrder(t *testing.T) {
-	order := runOrder(t, PoolOptions{}, func(p *Pool, record func(int) func(int)) {
+	order := runOrder(t, func(p *Pool, record func(int) func(int)) {
 		p.Submit(0, 1, record(1), 0)
 		p.Submit(0, 3, record(3), 0)
 		p.Submit(0, 2, record(2), 0)
@@ -60,24 +60,10 @@ func TestPoolPriorityOrder(t *testing.T) {
 	}
 }
 
-func TestPoolFIFOOrder(t *testing.T) {
-	order := runOrder(t, PoolOptions{FIFO: true}, func(p *Pool, record func(int) func(int)) {
-		p.Submit(0, 1, record(1), 0)
-		p.Submit(0, 3, record(3), 0)
-		p.Submit(0, 2, record(2), 0)
-	})
-	want := []int{1, 3, 2}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("FIFO order = %v, want %v", order, want)
-		}
-	}
-}
-
 // TestPoolStealing parks one item on a home with no worker: only stealing
 // gets it executed.
 func TestPoolStealing(t *testing.T) {
-	p := NewPool(2, []int{0}, PoolOptions{}) // one worker, homed at 0
+	p := NewPool(2, []int{0}) // one worker, homed at 0
 	var ran atomic.Bool
 	done := make(chan struct{})
 	p.Submit(1, 0, func(int) { ran.Store(true); close(done) }, 0)
@@ -92,29 +78,6 @@ func TestPoolStealing(t *testing.T) {
 	}
 }
 
-// TestPoolNoStealPins verifies the ablation: with stealing off, a worker
-// homed at 0 must not touch home 1's deque.
-func TestPoolNoStealPins(t *testing.T) {
-	p := NewPool(2, []int{0, 1}, PoolOptions{NoSteal: true})
-	var home0Worker atomic.Bool
-	block1 := make(chan struct{})
-	started1 := make(chan struct{})
-	// Occupy home 1's worker.
-	p.Submit(1, 0, func(int) { close(started1); <-block1 }, 0)
-	<-started1
-	// Queue another item on home 1: home 0's idle worker must leave it.
-	ran := make(chan struct{})
-	p.Submit(1, 0, func(int) { home0Worker.Store(false); close(ran) }, 0)
-	select {
-	case <-ran:
-		t.Fatal("home-1 item ran while home 1's worker was blocked: stealing not disabled")
-	case <-time.After(50 * time.Millisecond):
-	}
-	close(block1)
-	<-ran // home 1's worker picks it up after unblocking
-	p.Close()
-}
-
 // TestPoolBurstWakesParkedStealer submits two items back to back to home 0
 // while the workers of homes 0 and 1 are both parked; the first item blocks
 // until the second has run. The second submit must wake the worker parked
@@ -122,7 +85,7 @@ func TestPoolNoStealPins(t *testing.T) {
 // home 0's only worker is already woken, and the pool would hang.
 func TestPoolBurstWakesParkedStealer(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
-		p := NewPool(2, []int{0, 1}, PoolOptions{})
+		p := NewPool(2, []int{0, 1})
 		for parked := 0; parked < 2; {
 			runtime.Gosched()
 			parked = int(p.parked.Load())
@@ -142,7 +105,7 @@ func TestPoolBurstWakesParkedStealer(t *testing.T) {
 
 func TestPoolManyItemsAllRun(t *testing.T) {
 	const items = 2000
-	p := NewPool(4, RoundRobinHomes(3, 4), PoolOptions{})
+	p := NewPool(4, RoundRobinHomes(3, 4))
 	var count atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(items)
@@ -160,7 +123,7 @@ func TestPoolManyItemsAllRun(t *testing.T) {
 }
 
 func TestPoolCloseDrains(t *testing.T) {
-	p := NewPool(1, []int{0}, PoolOptions{})
+	p := NewPool(1, []int{0})
 	var count atomic.Int64
 	for i := 0; i < 100; i++ {
 		p.Submit(0, 0, func(int) { count.Add(1) }, i)
@@ -183,77 +146,75 @@ func TestRoundRobinHomes(t *testing.T) {
 
 // TestPoolOrderMatchesReference runs seeded random workloads on one worker
 // and checks the run order against a reference model: the next item is the
-// queued one with the largest priority (FIFO mode: none), then the earliest
-// submitted. Items submit seeded children when they run, so levels empty,
-// refill and interleave pushes with pops; priorities reach 1<<40.
+// queued one with the largest priority, then the earliest submitted. Items
+// submit seeded children when they run, so levels empty, refill and
+// interleave pushes with pops; priorities reach 1<<40.
 func TestPoolOrderMatchesReference(t *testing.T) {
-	for _, fifo := range []bool{false, true} {
-		for seed := int64(1); seed <= 20; seed++ {
-			rng := rand.New(rand.NewSource(seed))
-			pris := make([]int64, 1+rng.Intn(8)) // few values, so ties are common
-			for i := range pris {
-				pris[i] = rng.Int63n(1<<41) - 1<<40
-			}
-			const items = 400
-			pri := make([]int64, items)
-			children := make([][]int, items)
-			for i := range pri {
-				pri[i] = pris[rng.Intn(len(pris))]
-			}
-			initial := 1 + rng.Intn(items/4)
-			for c := initial; c < items; c++ {
-				parent := rng.Intn(c) // every child has an earlier parent
-				children[parent] = append(children[parent], c)
-			}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		pris := make([]int64, 1+rng.Intn(8)) // few values, so ties are common
+		for i := range pris {
+			pris[i] = rng.Int63n(1<<41) - 1<<40
+		}
+		const items = 400
+		pri := make([]int64, items)
+		children := make([][]int, items)
+		for i := range pri {
+			pri[i] = pris[rng.Intn(len(pris))]
+		}
+		initial := 1 + rng.Intn(items/4)
+		for c := initial; c < items; c++ {
+			parent := rng.Intn(c) // every child has an earlier parent
+			children[parent] = append(children[parent], c)
+		}
 
-			// Reference: simulate one worker over a (priority, sequence) list.
-			var want []int
-			type queued struct{ id, seq int }
-			var q []queued
-			seq := 0
-			push := func(id int) { q = append(q, queued{id, seq}); seq++ }
-			for id := 0; id < initial; id++ {
-				push(id)
-			}
-			for len(q) > 0 {
-				best := 0
-				for k := range q {
-					if !fifo && pri[q[k].id] > pri[q[best].id] {
-						best = k
-					}
-				}
-				id := q[best].id
-				q = append(q[:best], q[best+1:]...)
-				want = append(want, id)
-				for _, c := range children[id] {
-					push(c)
+		// Reference: simulate one worker over a (priority, sequence) list.
+		var want []int
+		type queued struct{ id, seq int }
+		var q []queued
+		seq := 0
+		push := func(id int) { q = append(q, queued{id, seq}); seq++ }
+		for id := 0; id < initial; id++ {
+			push(id)
+		}
+		for len(q) > 0 {
+			best := 0
+			for k := range q {
+				if pri[q[k].id] > pri[q[best].id] {
+					best = k
 				}
 			}
+			id := q[best].id
+			q = append(q[:best], q[best+1:]...)
+			want = append(want, id)
+			for _, c := range children[id] {
+				push(c)
+			}
+		}
 
-			p := NewPool(1, []int{0}, PoolOptions{FIFO: fifo})
-			var got []int // only the single worker appends
-			var run func(int)
-			run = func(id int) {
-				got = append(got, id)
-				for _, c := range children[id] {
-					p.Submit(0, pri[c], run, c)
-				}
+		p := NewPool(1, []int{0})
+		var got []int // only the single worker appends
+		var run func(int)
+		run = func(id int) {
+			got = append(got, id)
+			for _, c := range children[id] {
+				p.Submit(0, pri[c], run, c)
 			}
-			hold, started := make(chan struct{}), make(chan struct{})
-			p.Submit(0, 0, func(int) { close(started); <-hold }, 0)
-			<-started
-			for id := 0; id < initial; id++ {
-				p.Submit(0, pri[id], run, id)
-			}
-			close(hold)
-			p.Close()
-			if len(got) != len(want) {
-				t.Fatalf("fifo=%v seed %d: ran %d items, want %d", fifo, seed, len(got), len(want))
-			}
-			for k := range want {
-				if got[k] != want[k] {
-					t.Fatalf("fifo=%v seed %d: item %d ran %d, reference runs %d", fifo, seed, k, got[k], want[k])
-				}
+		}
+		hold, started := make(chan struct{}), make(chan struct{})
+		p.Submit(0, 0, func(int) { close(started); <-hold }, 0)
+		<-started
+		for id := 0; id < initial; id++ {
+			p.Submit(0, pri[id], run, id)
+		}
+		close(hold)
+		p.Close()
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: ran %d items, want %d", seed, len(got), len(want))
+		}
+		for k := range want {
+			if got[k] != want[k] {
+				t.Fatalf("seed %d: item %d ran %d, reference runs %d", seed, k, got[k], want[k])
 			}
 		}
 	}
@@ -267,7 +228,7 @@ func TestPoolOrderMatchesReference(t *testing.T) {
 func TestPoolNoLostWakeups(t *testing.T) {
 	const submitters, perSubmitter = 4, 2000
 	rng := rand.New(rand.NewSource(7))
-	p := NewPool(2, []int{0}, PoolOptions{})
+	p := NewPool(2, []int{0})
 	runs := make([]atomic.Int32, submitters*perSubmitter)
 	ran := make([]chan struct{}, submitters)
 	run := func(id int) {
@@ -305,49 +266,6 @@ func TestPoolNoLostWakeups(t *testing.T) {
 	}
 }
 
-// TestPoolNoStealStaysHome blocks home 1's only worker, queues seeded work
-// on both homes and waits until home 0's worker has drained its own deque
-// and parked. With stealing off it must have left every home-1 item alone:
-// those run only once home 1's worker is released.
-func TestPoolNoStealStaysHome(t *testing.T) {
-	for seed := int64(1); seed <= 10; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		p := NewPool(2, []int{0, 1}, PoolOptions{NoSteal: true})
-		hold, started := make(chan struct{}), make(chan struct{})
-		p.Submit(1, 0, func(int) { close(started); <-hold }, 0)
-		<-started
-		var held atomic.Bool
-		held.Store(true)
-		var offHome atomic.Int32
-		var home0, home1 sync.WaitGroup
-		n0, n1 := 1+rng.Intn(50), 1+rng.Intn(50)
-		home0.Add(n0)
-		home1.Add(n1)
-		for k := 0; k < n1; k++ {
-			p.Submit(1, rng.Int63n(8), func(int) {
-				if held.Load() {
-					offHome.Add(1)
-				}
-				home1.Done()
-			}, k)
-		}
-		for k := 0; k < n0; k++ {
-			p.Submit(0, rng.Int63n(8), func(int) { home0.Done() }, k)
-		}
-		home0.Wait()
-		for p.parked.Load() != 1 { // home 0's worker parks; home 1's is held
-			runtime.Gosched()
-		}
-		if n := offHome.Load(); n != 0 {
-			t.Fatalf("seed %d: %d home-1 items ran while home 1's worker was held", seed, n)
-		}
-		held.Store(false)
-		close(hold)
-		home1.Wait()
-		p.Close()
-	}
-}
-
 // BenchmarkPool measures the executor's per-item cost with two workers on
 // two chains of items, each item submitting its successor: homed on two
 // homes, one chain and one worker each, the two sides share no lock; on
@@ -358,7 +276,7 @@ func BenchmarkPool(b *testing.B) {
 		homes int
 	}{{"two-homes", 2}, {"one-home", 1}} {
 		b.Run(bc.name, func(b *testing.B) {
-			p := NewPool(bc.homes, RoundRobinHomes(2, bc.homes), PoolOptions{})
+			p := NewPool(bc.homes, RoundRobinHomes(2, bc.homes))
 			defer p.Close()
 			var done sync.WaitGroup
 			chain := func(h int) func(int) {

@@ -3,7 +3,7 @@ package legion
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"github.com/babelflow/babelflow-go/internal/core"
@@ -24,8 +24,9 @@ type Options struct {
 // synchronize exclusively through the phase barriers of the region store.
 type SPMD struct {
 	core.Base
-	opt  Options
-	tmap core.TaskMap
+	opt     Options
+	shards  int
+	shardOf []int32 // the task map's placement, by plan index
 
 	lastMetrics Metrics
 }
@@ -66,10 +67,11 @@ func (c *SPMD) Initialize(g core.TaskGraph, m core.TaskMap) error {
 	if m == nil {
 		return fmt.Errorf("legion: the SPMD controller requires a task map")
 	}
-	if err := core.ValidateMap(p, m); err != nil {
+	shardOf, err := p.Place(m)
+	if err != nil {
 		return err
 	}
-	c.tmap = m
+	c.shards, c.shardOf = m.ShardCount(), shardOf
 	return c.Bind(p)
 }
 
@@ -94,7 +96,7 @@ func (c *SPMD) RunContext(ctx context.Context, initial map[core.TaskId][]core.Pa
 	// Must-parallelism launch: one shard task per shard, all running
 	// concurrently without runtime synchronization between them.
 	var wg sync.WaitGroup
-	for s := 0; s < c.tmap.ShardCount(); s++ {
+	for s := 0; s < c.shards; s++ {
 		wg.Add(1)
 		go func(shard core.ShardId) {
 			defer wg.Done()
@@ -115,20 +117,19 @@ func (c *SPMD) RunContext(ctx context.Context, initial map[core.TaskId][]core.Pa
 // deadlock.
 func (c *SPMD) runShard(shard core.ShardId, r *run) error {
 	p := c.Plan()
-	local, err := core.LocalGraph(p, c.tmap, shard)
-	if err != nil {
-		return err
+	var local []int // the shard's plan indices, ascending: id order
+	for i, s := range c.shardOf {
+		if s == int32(shard) {
+			local = append(local, i)
+		}
 	}
 	// Global level order (level, then id): every shard walks its local
 	// tasks in it, which guarantees progress.
-	sort.Slice(local, func(a, b int) bool {
-		if ha, hb := p.Height(local[a].Id), p.Height(local[b].Id); ha != hb {
-			return ha < hb
-		}
-		return local[a].Id < local[b].Id
-	})
+	ids := p.TaskIds()
+	slices.SortStableFunc(local, func(a, b int) int { return p.Height(ids[a]) - p.Height(ids[b]) })
 
-	for _, t := range local {
+	for _, i := range local {
+		t := p.TaskAt(i)
 		// Single task launcher: gather region requirements, wait for them,
 		// execute, stage the outputs.
 		r.met.launch()

@@ -20,8 +20,6 @@ type TransportFactory func(ranks int) fabric.Transport
 // functional options below are the only way to set it.
 type options struct {
 	Workers         int
-	FIFO            bool
-	NoSteal         bool
 	Inline          bool
 	AlwaysSerialize bool
 	Observer        core.Observer
@@ -80,23 +78,18 @@ func resolve(opts []Option) options {
 // service passes the budget itself), homed round-robin over the ranks. A
 // run that drives a single rank (only >= 0) homes every worker there — its
 // peers live behind the transport, so the budget applies per process.
-// Without stealing every homed rank needs a worker of its own. Inline runs
-// have none: the rank loops run their tasks.
+// Inline runs have none: the rank loops run their tasks.
 func (o *options) newPool(limit, ranks, only int) *fabric.Pool {
 	if o.Inline {
 		return nil
 	}
-	n := max(min(o.Workers, limit), 1)
-	if o.NoSteal && only < 0 {
-		n = max(n, ranks)
-	}
-	homes := fabric.RoundRobinHomes(n, ranks)
+	homes := fabric.RoundRobinHomes(max(min(o.Workers, limit), 1), ranks)
 	if only >= 0 {
 		for i := range homes {
 			homes[i] = only
 		}
 	}
-	return fabric.NewPool(ranks, homes, fabric.PoolOptions{FIFO: o.FIFO, NoSteal: o.NoSteal})
+	return fabric.NewPool(ranks, homes)
 }
 
 // Option configures a Controller (or Service, or in-situ Group) at
@@ -111,12 +104,10 @@ type optionFunc func(*options)
 func (f optionFunc) apply(o *options) { f(o) }
 
 // WithWorkers sets the global worker budget of a run: the number of
-// executor goroutines shared by all ranks. With stealing enabled (the
-// default) an idle rank's worker executes another rank's ready tasks, so
-// the budget bounds total execution concurrency rather than per-rank
-// concurrency. Zero selects runtime.GOMAXPROCS(0). When stealing is
-// disabled the budget is raised to at least one homed worker per rank,
-// since nothing else can drain a rank's deque.
+// executor goroutines shared by all ranks. An idle rank's worker executes
+// another rank's ready tasks, so the budget bounds total execution
+// concurrency rather than per-rank concurrency. Zero selects
+// runtime.GOMAXPROCS(0).
 func WithWorkers(n int) Option {
 	return optionFunc(func(o *options) { o.Workers = n })
 }
@@ -146,19 +137,6 @@ func WithTransport(t TransportFactory) Option {
 // pool — the single-threaded execution style of the hand-tuned baseline.
 func WithInline(inline bool) Option {
 	return optionFunc(func(o *options) { o.Inline = inline })
-}
-
-// WithFIFO dispatches ready tasks in arrival order instead of
-// most-critical-first — the pre-scheduler discipline, kept as the ablation
-// baseline of BenchmarkSchedulerModes.
-func WithFIFO(fifo bool) Option {
-	return optionFunc(func(o *options) { o.FIFO = fifo })
-}
-
-// WithNoSteal pins workers to their home rank's deque (ablation). It forces
-// at least one worker per rank.
-func WithNoSteal(noSteal bool) Option {
-	return optionFunc(func(o *options) { o.NoSteal = noSteal })
 }
 
 // WithAlwaysSerialize disables the in-memory message optimization, forcing

@@ -16,10 +16,10 @@ import (
 //	                          sink
 //	head -> c1 -> ... -> c(depth-1) --/
 //
-// All leaves and the chain head are ready at t=0. A FIFO dispatcher drains
-// in submission order, so with the head submitted last the whole chain
-// waits behind every leaf; the critical-path scheduler runs the head first
-// (depth+1 levels of downstream work vs. the leaves' 2).
+// All leaves and the chain head are ready at t=0, the head submitted last.
+// A dispatcher in submission order would make the whole chain wait behind
+// every leaf; the critical-path scheduler runs the head first (depth+1
+// levels of downstream work vs. the leaves' 2).
 func chainVsLeaves(width, depth int) (core.TaskGraph, []core.TaskId, []core.TaskId) {
 	var tasks []core.Task
 	var leaves []core.TaskId
@@ -63,13 +63,13 @@ func chainVsLeaves(width, depth int) (core.TaskGraph, []core.TaskId, []core.Task
 
 // runChainVsLeaves executes the shape on one rank with a single worker and
 // returns how many leaves ran before the chain's first task.
-func runChainVsLeaves(t *testing.T, fifo bool) int {
+func runChainVsLeaves(t *testing.T) int {
 	t.Helper()
 	const width, depth = 24, 8
 	g, leaves, chain := chainVsLeaves(width, depth)
 
 	log := core.NewExecutionLog()
-	ctrl := New(WithWorkers(1), WithFIFO(fifo), WithObserver(log))
+	ctrl := New(WithWorkers(1), WithObserver(log))
 	if err := ctrl.Initialize(g, core.NewModuloMap(1, g.Size())); err != nil {
 		t.Fatal(err)
 	}
@@ -105,17 +105,13 @@ func runChainVsLeaves(t *testing.T, fifo bool) int {
 }
 
 // TestPriorityAvoidsChainStarvation is the starvation regression test of
-// the scheduler issue: under FIFO dispatch the deep chain's head runs after
-// (nearly) every leaf; under critical-path priority it runs (nearly) first.
-// The bounds are generous — the receive loop may dispatch a couple of tasks
-// before the queue fills — but the two disciplines must land on opposite
-// ends.
+// the scheduler: in submission order the deep chain's head would run after
+// every leaf; under critical-path priority it runs (nearly) first. The
+// bound is generous — the receive loop may dispatch a couple of tasks
+// before the queue fills.
 func TestPriorityAvoidsChainStarvation(t *testing.T) {
 	const width = 24
-	if before := runChainVsLeaves(t, true); before < width/2 {
-		t.Errorf("FIFO: only %d of %d leaves ran before the chain head — scenario no longer exercises starvation", before, width)
-	}
-	if before := runChainVsLeaves(t, false); before > width/2 {
+	if before := runChainVsLeaves(t); before > width/2 {
 		t.Errorf("priority: %d of %d leaves ran before the chain head, want the head scheduled early", before, width)
 	}
 }

@@ -9,6 +9,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"github.com/babelflow/babelflow-go/internal/core"
 )
 
 // bootstrap establishes the full connection mesh for one rank and returns
@@ -101,15 +103,11 @@ func listen(opt Options, deadline time.Time) (self endpoint, lns []net.Listener,
 // made here.
 func rendezvous(opt Options, me hello, deadline time.Time) ([]endpoint, error) {
 	if opt.Rank != 0 {
-		c, err := dialRetry(rendezvousNetwork(opt.Addr), opt.Addr, deadline)
+		c, body, err := call(rendezvousNetwork(opt.Addr), opt.Addr, me, frameWelcome, deadline)
 		if err != nil {
 			return nil, fmt.Errorf("wire: rank %d: rendezvous %s: %w", opt.Rank, opt.Addr, err)
 		}
-		defer c.Close()
-		body, err := greet(c, me, 0, frameWelcome, deadline)
-		if err != nil {
-			return nil, err
-		}
+		c.Close()
 		eps, err := decodeWelcome(body)
 		if err != nil || len(eps) != opt.Ranks {
 			return nil, fmt.Errorf("wire: rank %d: bad welcome (%d entries): %v", opt.Rank, len(eps), err)
@@ -134,13 +132,9 @@ func rendezvous(opt Options, me hello, deadline time.Time) ([]endpoint, error) {
 		if err != nil {
 			return nil, fmt.Errorf("wire: rendezvous: waiting for %d more rank(s): %w", opt.Ranks-n, err)
 		}
-		h, err := readHello(c, deadline)
+		h, err := answer(c, deadline, func(h hello) string { return vetWorker(me, regConns, h) })
 		if err != nil {
-			c.Close()
 			return nil, fmt.Errorf("wire: rendezvous: %w", err)
-		}
-		if reason := vetHello(me, h, 1, regConns); reason != "" {
-			return nil, refuse(c, h.Rank, reason, deadline)
 		}
 		regConns[h.Rank] = c
 		eps[h.Rank] = h.Endpoint
@@ -198,10 +192,6 @@ func linkFor(opt Options, self, peer endpoint) (network, addr string, ring bool,
 // hello offers it and the accept says whether it was mapped. The acceptor
 // refuses a dialer arriving over another network than the table gives.
 func pairUp(opt Options, me hello, eps []endpoint, lns []net.Listener, conns []net.Conn, regs []*shmRegion, deadline time.Time) error {
-	type link struct {
-		network, addr string
-		ring          bool
-	}
 	links := make([]link, opt.Ranks)
 	for j := range eps {
 		if j == opt.Rank {
@@ -220,8 +210,8 @@ func pairUp(opt Options, me hello, eps []endpoint, lns []net.Listener, conns []n
 			return fmt.Errorf("wire: rank %d: rank %d at %s: %w", opt.Rank, j, links[j].addr, err)
 		}
 		conns[j] = c
-		if regs[j], err = dialPair(opt, me, eps[j], links[j].ring, c, j, deadline); err != nil {
-			return err
+		if regs[j], err = dialPair(opt, me, eps[j], links[j].ring, c, deadline); err != nil {
+			return fmt.Errorf("wire: rank %d: rank %d: %w", opt.Rank, j, err)
 		}
 	}
 
@@ -236,21 +226,15 @@ func pairUp(opt Options, me hello, eps []endpoint, lns []net.Listener, conns []n
 			return fmt.Errorf("wire: rank %d: waiting for %d higher rank(s): %w", opt.Rank, need, in.err)
 		}
 		c := in.c
-		h, err := readHello(c, deadline)
+		h, err := answer(c, deadline, func(h hello) string {
+			return vetPair(me, conns, links, h, c.LocalAddr().Network())
+		})
 		if err != nil {
-			c.Close()
 			return fmt.Errorf("wire: rank %d: %w", opt.Rank, err)
-		}
-		reason := vetHello(me, h, opt.Rank+1, conns)
-		if got := c.LocalAddr().Network(); reason == "" && got != links[h.Rank].network {
-			reason = fmt.Sprintf("rank %d dialed over %s, but the pair links over %s", h.Rank, got, links[h.Rank].network)
-		}
-		if reason != "" {
-			return refuse(c, h.Rank, reason, deadline)
 		}
 		conns[h.Rank] = c
 		if regs[h.Rank], err = acceptPair(opt, me, h, eps[h.Rank], links[h.Rank].ring, c, deadline); err != nil {
-			return err
+			return fmt.Errorf("wire: rank %d: rank %d: %w", opt.Rank, h.Rank, err)
 		}
 	}
 	return nil
@@ -261,7 +245,7 @@ func pairUp(opt Options, me hello, eps []endpoint, lns []net.Listener, conns []n
 // (an empty path when it cannot), then reads the accept and unlinks the
 // file, whose mappings outlive the name. It returns the region the pair
 // settled on, nil when the pair stays on its socket.
-func dialPair(opt Options, me hello, peer endpoint, ring bool, c net.Conn, to int, deadline time.Time) (*shmRegion, error) {
+func dialPair(opt Options, me hello, peer endpoint, ring bool, c net.Conn, deadline time.Time) (*shmRegion, error) {
 	var reg *shmRegion
 	var declined error
 	if ring {
@@ -273,7 +257,7 @@ func dialPair(opt Options, me hello, peer endpoint, ring bool, c net.Conn, to in
 			defer os.Remove(reg.path)
 		}
 	}
-	body, err := greet(c, me, to, frameAccept, deadline)
+	body, err := greet(c, me, frameAccept, deadline)
 	var mapped bool
 	if err == nil {
 		mapped, err = decodeAccept(body)
@@ -288,7 +272,7 @@ func dialPair(opt Options, me hello, peer endpoint, ring bool, c net.Conn, to in
 	if err != nil {
 		return nil, err
 	}
-	return nil, settle(opt, me, peer, to, declined)
+	return nil, settle(opt, me, peer, declined)
 }
 
 // acceptPair is the acceptor's half, after h is vetted: it maps the ring
@@ -304,9 +288,9 @@ func acceptPair(opt Options, me, h hello, peer endpoint, ring bool, c net.Conn, 
 		if reg != nil {
 			reg.close()
 		}
-		return nil, fmt.Errorf("wire: rank %d: accept to rank %d: %w", opt.Rank, h.Rank, err)
+		return nil, fmt.Errorf("accept: %w", err)
 	}
-	return reg, settle(opt, me, peer, h.Rank, declined)
+	return reg, settle(opt, me, peer, declined)
 }
 
 // mapRing maps and validates the ring region a dialer's hello names. A
@@ -337,42 +321,66 @@ func mapRing(opt Options, h hello) (*shmRegion, error) {
 // settle is the one place a declined ring becomes an error or a fallback.
 // Both ends see a decline with the socket in step; the tier table, asked
 // again without the ring, says whether the pair may stay on the socket.
-func settle(opt Options, me hello, peer endpoint, rank int, declined error) error {
+func settle(opt Options, me hello, peer endpoint, declined error) error {
 	if declined == nil {
 		return nil
 	}
 	noRing := peer
 	noRing.Shm = ""
 	if _, _, _, err := linkFor(opt, me.Endpoint, noRing); err != nil {
-		return fmt.Errorf("wire: rank %d: shm ring with rank %d: %w (%v)", opt.Rank, rank, err, declined)
+		return fmt.Errorf("shm ring: %w (%v)", err, declined)
 	}
 	return nil
 }
 
-// greet sends this rank's hello to rank `to` and reads the reply: the body
-// of a frame of type want, or the peer's refusal as ErrHandshake.
-func greet(c net.Conn, me hello, to int, want byte, deadline time.Time) ([]byte, error) {
-	if err := writeConn(c, deadline, encodeHello(me)); err != nil {
-		return nil, fmt.Errorf("wire: rank %d: hello to rank %d: %w", me.Rank, to, err)
+// call is the dialing side of one control exchange — the rendezvous
+// registration, a gate join or a drain request: it dials addr, retrying
+// until the deadline, sends h and reads the one reply, which must be a
+// frame of type want. The caller owns the open connection it returns.
+func call(network, addr string, h hello, want byte, deadline time.Time) (net.Conn, []byte, error) {
+	c, err := dialRetry(network, addr, deadline)
+	if err != nil {
+		return nil, nil, err
 	}
-	typ, body, err := readControl(c, deadline)
-	switch {
-	case err != nil:
-		return nil, fmt.Errorf("wire: rank %d: reply from rank %d: %w", me.Rank, to, err)
-	case typ == frameReject:
-		return nil, fmt.Errorf("%w: rank %d: %s", ErrHandshake, to, body)
-	case typ != want:
-		return nil, fmt.Errorf("wire: rank %d: unexpected frame %d from rank %d", me.Rank, typ, to)
+	body, err := greet(c, h, want, deadline)
+	if err != nil {
+		c.Close()
+		return nil, nil, err
 	}
-	return body, nil
+	return c, body, nil
 }
 
-// refuse answers a vetted-out hello with a reject frame, closes the
-// connection and returns the typed refusal.
-func refuse(c net.Conn, rank int, reason string, deadline time.Time) error {
-	writeConn(c, deadline, encodeReject(reason))
-	c.Close()
-	return fmt.Errorf("%w: rank %d: %s", ErrHandshake, rank, reason)
+// greet is call over a connection already open, as a pair dialer has it:
+// it sends h and returns the body of the reply of type want, or the
+// peer's refusal as ErrHandshake.
+func greet(c net.Conn, h hello, want byte, deadline time.Time) ([]byte, error) {
+	if err := writeConn(c, deadline, encodeHello(h)); err != nil {
+		return nil, err
+	}
+	return readControl(c, want, deadline)
+}
+
+// answer is the accepting side of one control exchange, up to its
+// verdict: it reads the dialer's hello and asks vet, a pure decision, for
+// a refusal reason. A refused dialer gets a reject frame, its connection
+// is closed and answer returns ErrHandshake; an admitted hello is returned
+// for the caller to reply to.
+func answer(c net.Conn, deadline time.Time, vet func(hello) string) (hello, error) {
+	body, err := readControl(c, frameHello, deadline)
+	var h hello
+	if err == nil {
+		h, err = decodeHello(body)
+	}
+	if err != nil {
+		c.Close()
+		return h, err
+	}
+	if reason := vet(h); reason != "" {
+		writeConn(c, deadline, encodeReject(reason))
+		c.Close()
+		return h, fmt.Errorf("%w: %v hello from rank %d: %s", ErrHandshake, h.Kind, h.Rank, reason)
+	}
+	return h, nil
 }
 
 type accepted struct {
@@ -416,23 +424,25 @@ func setListenerDeadline(ln net.Listener, deadline time.Time) {
 	}
 }
 
-// vetHello validates a peer's hello against this side's own. The
-// membership gate (conns == nil) serves join and drain hellos only. The
-// data plane serves worker hellos with a rank in [minRank, Ranks) not yet
-// connected that agree on rank count, recovery epoch and transport tier.
-// Both demand the same graph fingerprint. It returns a refusal reason, or
-// "" when the peer is sound.
-func vetHello(me, h hello, minRank int, conns []net.Conn) string {
-	gate := conns == nil
+// link is how a pair connects: the network and address the dialer uses,
+// and whether the pair negotiates a shm ring.
+type link struct {
+	network, addr string
+	ring          bool
+}
+
+// vetWorker is the data plane's accept decision, rank 0's registrar's and
+// a pair acceptor's alike: a worker hello from a higher rank than me's,
+// not yet in admitted (indexed by rank), that agrees with me on rank
+// count, recovery epoch, transport tier and graph fingerprint. It returns
+// a refusal reason, or "" when the peer is sound.
+func vetWorker(me hello, admitted []net.Conn, h hello) string {
 	switch {
-	case gate && h.Kind != KindJoin && h.Kind != KindDrain:
-		return fmt.Sprintf("%v hello on the membership gate: dial the epoch rendezvous", h.Kind)
-	case gate: // no ranks to vet
 	case h.Kind != KindWorker:
 		return fmt.Sprintf("%v hello on the data plane: membership changes go through the gate", h.Kind)
-	case h.Rank < minRank || h.Rank >= me.Ranks:
-		return fmt.Sprintf("rank %d out of range [%d,%d)", h.Rank, minRank, me.Ranks)
-	case conns[h.Rank] != nil:
+	case h.Rank <= me.Rank || h.Rank >= me.Ranks:
+		return fmt.Sprintf("rank %d out of range [%d,%d)", h.Rank, me.Rank+1, me.Ranks)
+	case admitted[h.Rank] != nil:
 		return fmt.Sprintf("rank %d already connected", h.Rank)
 	case h.Ranks != me.Ranks:
 		return fmt.Sprintf("rank count mismatch: peer says %d, local says %d", h.Ranks, me.Ranks)
@@ -441,8 +451,33 @@ func vetHello(me, h hello, minRank int, conns []net.Conn) string {
 	case h.Tier != me.Tier:
 		return fmt.Sprintf("transport tier mismatch: peer says %v, local says %v", h.Tier, me.Tier)
 	}
-	if h.Fingerprint != me.Fingerprint {
-		return fmt.Sprintf("graph fingerprint mismatch: peer %s, local %s", h.Fingerprint, me.Fingerprint)
+	return vetFingerprint(me.Fingerprint, h)
+}
+
+// vetPair is a pair acceptor's decision: vetWorker, and the hello must
+// have arrived over the network the tier table links the pair with.
+func vetPair(me hello, admitted []net.Conn, links []link, h hello, arrived string) string {
+	if reason := vetWorker(me, admitted, h); reason != "" {
+		return reason
+	}
+	if want := links[h.Rank].network; arrived != want {
+		return fmt.Sprintf("rank %d dialed over %s, but the pair links over %s", h.Rank, arrived, want)
+	}
+	return ""
+}
+
+// vetGate is the membership gate's decision: a join or drain hello that
+// presents the gate's graph fingerprint.
+func vetGate(fp core.Fingerprint, h hello) string {
+	if h.Kind != KindJoin && h.Kind != KindDrain {
+		return fmt.Sprintf("%v hello on the membership gate: dial the epoch rendezvous", h.Kind)
+	}
+	return vetFingerprint(fp, h)
+}
+
+func vetFingerprint(fp core.Fingerprint, h hello) string {
+	if h.Fingerprint != fp {
+		return fmt.Sprintf("graph fingerprint mismatch: peer %s, local %s", h.Fingerprint, fp)
 	}
 	return ""
 }
@@ -487,36 +522,30 @@ func defaultHostID() string {
 	return hostIDCached
 }
 
-// readControl reads one whole (small) handshake frame from a raw
-// connection, verifying its CRC32C.
-func readControl(c net.Conn, deadline time.Time) (byte, []byte, error) {
+// readControl reads one whole (small) control frame from a raw
+// connection, verifies its CRC32C and returns its body, which must be of
+// type want. A reject frame in its place is the peer's refusal, returned
+// as ErrHandshake.
+func readControl(c net.Conn, want byte, deadline time.Time) ([]byte, error) {
 	c.SetReadDeadline(deadline)
-	typ, n, crc, err := readFrame(c)
+	var hdr [frameHeaderSize]byte
+	typ, n, crc, err := readFrameLimit(c, hdr[:], 1<<20)
 	if err != nil {
-		return 0, nil, err
-	}
-	if n > 1<<20 {
-		return 0, nil, fmt.Errorf("wire: oversized handshake frame (%d bytes)", n)
+		return nil, err
 	}
 	body := make([]byte, n)
 	if _, err := io.ReadFull(c, body); err != nil {
-		return 0, nil, err
+		return nil, err
 	}
-	if err := verifyBody(typ, body, crc); err != nil {
-		return 0, nil, err
+	switch err := verifyBody(typ, body, crc); {
+	case err != nil:
+		return nil, err
+	case typ == frameReject:
+		return nil, fmt.Errorf("%w: %s", ErrHandshake, body)
+	case typ != want:
+		return nil, fmt.Errorf("wire: expected frame type %d, got %d", want, typ)
 	}
-	return typ, body, nil
-}
-
-func readHello(c net.Conn, deadline time.Time) (hello, error) {
-	typ, body, err := readControl(c, deadline)
-	if err != nil {
-		return hello{}, err
-	}
-	if typ != frameHello {
-		return hello{}, fmt.Errorf("wire: expected hello, got frame type %d", typ)
-	}
-	return decodeHello(body)
+	return body, nil
 }
 
 func writeConn(c net.Conn, deadline time.Time, b []byte) error {

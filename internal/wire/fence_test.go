@@ -124,15 +124,6 @@ func TestGateJoinDrainRoundTrip(t *testing.T) {
 	if _, err := JoinGate(g.Addr(), bad, 5*time.Second); !errors.Is(err, ErrHandshake) {
 		t.Fatalf("bad-fingerprint join: %v, want ErrHandshake", err)
 	}
-	// So is a data-plane worker hello.
-	c, err := dialRetry("tcp", g.Addr(), time.Now().Add(5*time.Second))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if _, err := gateReply(c, hello{Kind: KindWorker, Fingerprint: fp}, time.Now().Add(5*time.Second)); !errors.Is(err, ErrHandshake) {
-		t.Fatalf("worker hello on the gate: %v, want ErrHandshake", err)
-	}
 
 	if err := g.SendTicket(2, Ticket{Action: ActionExit}); err != nil {
 		t.Fatal(err)

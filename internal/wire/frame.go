@@ -104,6 +104,7 @@ const (
 	maxFrameSize    = 1 << 30   // hard ceiling on a single frame
 	fingerprintSize = 32        // sha256
 	maxAddrLen      = 1<<16 - 1 // address strings are u16-length-prefixed
+	minEndpointSize = 16        // four empty strings' u16 lengths + u64 generation
 )
 
 // DataFrameOverhead is the number of framing bytes preceding the payload of
@@ -223,42 +224,12 @@ type endpoint struct {
 	ShmGen uint64
 }
 
-// endpointWireSize is the encoded size of one endpoint table entry: four
-// u16 length prefixes plus the u64 generation plus the string bytes.
-func endpointWireSize(ep endpoint) int {
-	return 16 + len(ep.TCP) + len(ep.Unix) + len(ep.HostID) + len(ep.Shm)
-}
-
 func appendEndpoint(b []byte, ep endpoint) []byte {
 	b = appendString(b, ep.TCP)
 	b = appendString(b, ep.Unix)
 	b = appendString(b, ep.HostID)
 	b = appendString(b, ep.Shm)
 	return binary.LittleEndian.AppendUint64(b, ep.ShmGen)
-}
-
-// takeEndpoint consumes one endpoint table entry from body at off,
-// returning the new offset or -1 on truncation.
-func takeEndpoint(body []byte, off int) (endpoint, int) {
-	var ep endpoint
-	ep.TCP, off = takeString(body, off)
-	if off >= 0 {
-		ep.Unix, off = takeString(body, off)
-	}
-	if off >= 0 {
-		ep.HostID, off = takeString(body, off)
-	}
-	if off >= 0 {
-		ep.Shm, off = takeString(body, off)
-	}
-	if off >= 0 {
-		if len(body) < off+8 {
-			return ep, -1
-		}
-		ep.ShmGen = binary.LittleEndian.Uint64(body[off:])
-		off += 8
-	}
-	return ep, off
 }
 
 // hello is the handshake announcement either side of a connection sends
@@ -283,24 +254,8 @@ func appendString(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
-// takeString consumes one u16-length-prefixed string from body at off,
-// returning the string and the new offset, or -1 on truncation.
-func takeString(body []byte, off int) (string, int) {
-	if len(body) < off+2 {
-		return "", -1
-	}
-	l := int(binary.LittleEndian.Uint16(body[off:]))
-	off += 2
-	if len(body) < off+l {
-		return "", -1
-	}
-	return string(body[off : off+l]), off + l
-}
-
 func encodeHello(h hello) []byte {
-	body := 4 + 4 + 4 + 2 + fingerprintSize + endpointWireSize(h.Endpoint) + 10 + len(h.Ring)
-	b := make([]byte, frameHeaderSize, frameHeaderSize+body)
-	b = binary.LittleEndian.AppendUint32(b, uint32(h.Rank))
+	b := binary.LittleEndian.AppendUint32(make([]byte, frameHeaderSize), uint32(h.Rank))
 	b = binary.LittleEndian.AppendUint32(b, uint32(h.Ranks))
 	b = binary.LittleEndian.AppendUint32(b, uint32(h.Epoch))
 	b = append(b, byte(h.Tier))
@@ -313,64 +268,33 @@ func encodeHello(h hello) []byte {
 }
 
 func decodeHello(body []byte) (hello, error) {
-	var h hello
-	if len(body) < 4+4+4+2+fingerprintSize+16+10 {
-		return h, fmt.Errorf("wire: hello frame truncated (%d bytes)", len(body))
-	}
-	h.Rank = int(binary.LittleEndian.Uint32(body))
-	h.Ranks = int(binary.LittleEndian.Uint32(body[4:]))
-	h.Epoch = int(binary.LittleEndian.Uint32(body[8:]))
-	h.Tier = Tier(body[12])
-	h.Kind = HelloKind(body[13])
-	copy(h.Fingerprint[:], body[14:14+fingerprintSize])
-	var off int
-	h.Endpoint, off = takeEndpoint(body, 14+fingerprintSize)
-	if off >= 0 {
-		h.Ring, off = takeString(body, off)
-	}
-	if off < 0 || len(body) != off+8 {
-		return h, fmt.Errorf("wire: hello frame length mismatch")
-	}
-	h.RingBytes = binary.LittleEndian.Uint64(body[off:])
-	return h, nil
+	r := reader{b: body}
+	h := hello{Rank: r.u32(), Ranks: r.u32(), Epoch: r.u32(), Tier: Tier(r.u8()), Kind: HelloKind(r.u8())}
+	copy(h.Fingerprint[:], r.take(fingerprintSize))
+	h.Endpoint = r.endpoint()
+	h.Ring, h.RingBytes = r.str(), r.u64()
+	return h, r.end("hello")
 }
 
 func encodeWelcome(eps []endpoint) ([]byte, error) {
-	body := 4
+	b := binary.LittleEndian.AppendUint32(make([]byte, frameHeaderSize), uint32(len(eps)))
 	for _, ep := range eps {
 		if len(ep.TCP) > maxAddrLen || len(ep.Unix) > maxAddrLen || len(ep.HostID) > maxAddrLen || len(ep.Shm) > maxAddrLen {
 			return nil, fmt.Errorf("wire: endpoint string too long: %+v", ep)
 		}
-		body += endpointWireSize(ep)
-	}
-	b := make([]byte, frameHeaderSize, frameHeaderSize+body)
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(eps)))
-	for _, ep := range eps {
 		b = appendEndpoint(b, ep)
 	}
 	return finishFrame(b, frameWelcome), nil
 }
 
 func decodeWelcome(body []byte) ([]endpoint, error) {
-	if len(body) < 4 {
-		return nil, fmt.Errorf("wire: welcome frame truncated")
+	r := reader{b: body}
+	eps := make([]endpoint, r.count(minEndpointSize))
+	for i := range eps {
+		eps[i] = r.endpoint()
 	}
-	n := int(binary.LittleEndian.Uint32(body))
-	if n > 1<<20 {
-		return nil, fmt.Errorf("wire: welcome table of %d entries", n)
-	}
-	eps := make([]endpoint, 0, n)
-	off := 4
-	for i := 0; i < n; i++ {
-		var ep endpoint
-		ep, off = takeEndpoint(body, off)
-		if off < 0 {
-			return nil, fmt.Errorf("wire: welcome frame truncated at entry %d", i)
-		}
-		eps = append(eps, ep)
-	}
-	if off != len(body) {
-		return nil, fmt.Errorf("wire: welcome frame length mismatch")
+	if err := r.end("welcome"); err != nil {
+		return nil, err
 	}
 	return eps, nil
 }
@@ -389,10 +313,9 @@ func encodeAccept(mapped bool) []byte {
 }
 
 func decodeAccept(body []byte) (mapped bool, err error) {
-	if len(body) != 1 || body[0] > 1 {
-		return false, fmt.Errorf("wire: accept frame body %x", body)
-	}
-	return body[0] == 1, nil
+	r := reader{b: body}
+	mapped = r.flag()
+	return mapped, r.end("accept")
 }
 
 func boolByte(v bool) byte {
@@ -456,39 +379,10 @@ func encodeTicket(t Ticket) []byte {
 }
 
 func decodeTicket(body []byte) (Ticket, error) {
-	var t Ticket
-	if len(body) < 17 {
-		return t, fmt.Errorf("wire: ticket frame truncated (%d bytes)", len(body))
-	}
-	t.Action = TicketAction(body[0])
-	t.Member = int(binary.LittleEndian.Uint32(body[1:]))
-	t.Epoch = int(binary.LittleEndian.Uint32(body[5:]))
-	t.Rank = int(binary.LittleEndian.Uint32(body[9:]))
-	t.Ranks = int(binary.LittleEndian.Uint32(body[13:]))
-	addr, off := takeString(body, 17)
-	if off < 0 {
-		return t, fmt.Errorf("wire: ticket frame truncated")
-	}
-	t.Addr = addr
-	for _, table := range []*[]int{&t.Members, &t.Retired} {
-		if len(body) < off+4 {
-			return t, fmt.Errorf("wire: ticket frame truncated")
-		}
-		n := int(binary.LittleEndian.Uint32(body[off:]))
-		off += 4
-		if n > 1<<20 || len(body) < off+4*n {
-			return t, fmt.Errorf("wire: ticket member table length mismatch")
-		}
-		*table = make([]int, n)
-		for i := range *table {
-			(*table)[i] = int(binary.LittleEndian.Uint32(body[off+4*i:]))
-		}
-		off += 4 * n
-	}
-	if off != len(body) {
-		return t, fmt.Errorf("wire: ticket frame length mismatch")
-	}
-	return t, nil
+	r := reader{b: body}
+	t := Ticket{Action: TicketAction(r.u8()), Member: r.u32(), Epoch: r.u32(), Rank: r.u32(), Ranks: r.u32(), Addr: r.str()}
+	t.Members, t.Retired = r.ints(), r.ints()
+	return t, r.end("ticket")
 }
 
 // Status is a gate session's report back to the coordinator after acting on
@@ -511,20 +405,88 @@ func encodeStatus(s Status) []byte {
 }
 
 func decodeStatus(body []byte) (Status, error) {
-	var s Status
-	if len(body) < 11 {
-		return s, fmt.Errorf("wire: status frame truncated (%d bytes)", len(body))
+	r := reader{b: body}
+	st := Status{Member: r.u32(), Epoch: r.u32(), OK: r.flag(), Detail: r.str()}
+	return st, r.end("status")
+}
+
+// reader decodes one control-frame body field by field. Its error is
+// sticky: after the first field that does not fit, every read yields zero
+// and end reports that first failure, so a decoder reads all its fields
+// and checks once.
+type reader struct {
+	b   []byte
+	err error
+}
+
+// fail records the body's first failure.
+func (r *reader) fail(err error) {
+	if r.err == nil {
+		r.err = err
 	}
-	if body[8] > 1 {
-		return s, fmt.Errorf("wire: status ok byte %d", body[8])
+}
+
+// take consumes the next n bytes. When fewer are left it fails the body
+// and, from then on, yields zeros.
+func (r *reader) take(n int) []byte {
+	if len(r.b) < n {
+		r.fail(errors.New("truncated"))
+		r.b = nil
+		return make([]byte, n)
 	}
-	s.Member = int(binary.LittleEndian.Uint32(body))
-	s.Epoch = int(binary.LittleEndian.Uint32(body[4:]))
-	s.OK = body[8] == 1
-	detail, off := takeString(body, 9)
-	if off != len(body) {
-		return s, fmt.Errorf("wire: status frame length mismatch")
+	p := r.b[:n]
+	r.b = r.b[n:]
+	return p
+}
+
+func (r *reader) u8() byte    { return r.take(1)[0] }
+func (r *reader) u32() int    { return int(binary.LittleEndian.Uint32(r.take(4))) }
+func (r *reader) u64() uint64 { return binary.LittleEndian.Uint64(r.take(8)) }
+
+// str is a u16-length-prefixed string.
+func (r *reader) str() string { return string(r.take(int(binary.LittleEndian.Uint16(r.take(2))))) }
+
+// flag is a u8 that must be 0 or 1.
+func (r *reader) flag() bool {
+	v := r.u8()
+	if v > 1 {
+		r.fail(fmt.Errorf("flag byte %d", v))
 	}
-	s.Detail = detail
-	return s, nil
+	return v == 1
+}
+
+// count is a u32 table length, bounded by the body: a table of more
+// entries than the rest of the body holds at min bytes each fails here,
+// before anything is allocated for it.
+func (r *reader) count(min int) int {
+	n := r.u32()
+	if n > len(r.b)/min {
+		r.fail(fmt.Errorf("table of %d entries in %d bytes", n, len(r.b)))
+		return 0
+	}
+	return n
+}
+
+func (r *reader) ints() []int {
+	v := make([]int, r.count(4))
+	for i := range v {
+		v[i] = r.u32()
+	}
+	return v
+}
+
+func (r *reader) endpoint() endpoint {
+	return endpoint{TCP: r.str(), Unix: r.str(), HostID: r.str(), Shm: r.str(), ShmGen: r.u64()}
+}
+
+// end closes the body: it reports the first failed read, or the bytes no
+// field consumed.
+func (r *reader) end(frame string) error {
+	if len(r.b) != 0 {
+		r.fail(fmt.Errorf("%d trailing bytes", len(r.b)))
+	}
+	if r.err != nil {
+		return fmt.Errorf("wire: %s frame: %w", frame, r.err)
+	}
+	return nil
 }

@@ -202,65 +202,58 @@ func FuzzFrameDecode(f *testing.F) {
 	})
 }
 
-// FuzzHandshakeDecode drives the five handshake body decoders directly,
-// chosen by frame type, without the CRC gate FuzzFrameDecode has to pass
-// first. A decoder must never panic, and a body it accepts must re-encode
-// to the same bytes, so no two peers can read one body two ways.
-func FuzzHandshakeDecode(f *testing.F) {
-	reencode := map[byte]func([]byte) ([]byte, error){
-		frameHello: func(b []byte) ([]byte, error) {
-			h, err := decodeHello(b)
-			if err != nil {
-				return nil, err
-			}
-			return encodeHello(h), nil
-		},
-		frameWelcome: func(b []byte) ([]byte, error) {
-			eps, err := decodeWelcome(b)
-			if err != nil {
-				return nil, err
-			}
-			return encodeWelcome(eps)
-		},
-		frameAccept: func(b []byte) ([]byte, error) {
-			mapped, err := decodeAccept(b)
-			if err != nil {
-				return nil, err
-			}
-			return encodeAccept(mapped), nil
-		},
-		frameTicket: func(b []byte) ([]byte, error) {
-			tk, err := decodeTicket(b)
-			if err != nil {
-				return nil, err
-			}
-			return encodeTicket(tk), nil
-		},
-		frameStatus: func(b []byte) ([]byte, error) {
-			st, err := decodeStatus(b)
-			if err != nil {
-				return nil, err
-			}
-			return encodeStatus(st), nil
-		},
-	}
-	body := func(frame []byte) []byte { return frame[frameHeaderSize:] }
-	f.Add(frameHello, body(encodeHello(hello{Rank: 2, Ranks: 4, Epoch: 1, Tier: TierShm, Kind: KindJoin,
-		Fingerprint: core.Fingerprint{7}, Endpoint: endpoint{TCP: "a:1", Unix: "/tmp/a.sock", HostID: "h", Shm: "/dev/shm/a", ShmGen: 1}})))
-	w, _ := encodeWelcome([]endpoint{{TCP: "x:1", HostID: "h"}, {TCP: "y:2", Unix: "/tmp/y.sock", HostID: "h", Shm: "/dev/shm/y", ShmGen: 3}})
-	f.Add(frameWelcome, body(w))
-	f.Add(frameHello, body(encodeHello(hello{Rank: 1, Ranks: 2, Epoch: 3, Tier: TierAuto, Fingerprint: core.Fingerprint{7},
-		Endpoint: endpoint{TCP: "a:1", Unix: "/tmp/a.sock", HostID: "h", Shm: "/dev/shm/a", ShmGen: 3},
-		Ring:     "/dev/shm/bfshm-1/ring-1.shm", RingBytes: 1 << 20})))
-	f.Add(frameAccept, body(encodeAccept(true)))
-	f.Add(frameAccept, body(encodeAccept(false)))
-	f.Add(frameTicket, body(encodeTicket(Ticket{Action: ActionRun, Member: 5, Epoch: 2, Rank: 1, Ranks: 3,
-		Addr: "127.0.0.1:7000", Members: []int{0, 5, 2}, Retired: []int{4}})))
-	f.Add(frameStatus, body(encodeStatus(Status{Member: 5, Epoch: 2, OK: true, Detail: "replayed=3"})))
-	f.Add(frameStatus, body(encodeStatus(Status{Member: 1, Epoch: 9, Detail: "boom"})))
+// reencodeControl decodes a control-frame body of each type and encodes
+// the result again, the whole frame.
+var reencodeControl = map[byte]func([]byte) ([]byte, error){
+	frameHello: func(b []byte) ([]byte, error) {
+		h, err := decodeHello(b)
+		if err != nil {
+			return nil, err
+		}
+		return encodeHello(h), nil
+	},
+	frameWelcome: func(b []byte) ([]byte, error) {
+		eps, err := decodeWelcome(b)
+		if err != nil {
+			return nil, err
+		}
+		return encodeWelcome(eps)
+	},
+	frameReject: func(b []byte) ([]byte, error) { return encodeReject(string(b)), nil },
+	frameAccept: func(b []byte) ([]byte, error) {
+		mapped, err := decodeAccept(b)
+		if err != nil {
+			return nil, err
+		}
+		return encodeAccept(mapped), nil
+	},
+	frameTicket: func(b []byte) ([]byte, error) {
+		tk, err := decodeTicket(b)
+		if err != nil {
+			return nil, err
+		}
+		return encodeTicket(tk), nil
+	},
+	frameStatus: func(b []byte) ([]byte, error) {
+		st, err := decodeStatus(b)
+		if err != nil {
+			return nil, err
+		}
+		return encodeStatus(st), nil
+	},
+}
 
+// FuzzHandshakeDecode drives the handshake body decoders directly, chosen
+// by frame type, without the CRC gate FuzzFrameDecode has to pass first. A
+// decoder must never panic, and a body it accepts must re-encode to the
+// same bytes, so no two peers can read one body two ways. It seeds from
+// the golden control frames.
+func FuzzHandshakeDecode(f *testing.F) {
+	for _, g := range controlGolden(f) {
+		f.Add(g.frame[4], g.frame[frameHeaderSize:])
+	}
 	f.Fuzz(func(t *testing.T, kind byte, b []byte) {
-		re, ok := reencode[kind]
+		re, ok := reencodeControl[kind]
 		if !ok {
 			return
 		}

@@ -134,13 +134,8 @@ func (g *Gate) acceptLoop() {
 func (g *Gate) admit(c net.Conn) {
 	defer g.wg.Done()
 	deadline := time.Now().Add(10 * time.Second)
-	h, err := readHello(c, deadline)
+	h, err := answer(c, deadline, func(h hello) string { return vetGate(g.fp, h) })
 	if err != nil {
-		c.Close()
-		return
-	}
-	if reason := vetHello(hello{Fingerprint: g.fp}, h, 0, nil); reason != "" {
-		refuse(c, h.Rank, reason, deadline)
 		return
 	}
 	if h.Kind == KindJoin {
@@ -189,12 +184,12 @@ func (g *Gate) emit(e Event) {
 // one gone event.
 func (g *Gate) readStatuses(member int, c net.Conn) {
 	for {
-		typ, body, err := readControl(c, time.Time{})
+		body, err := readControl(c, frameStatus, time.Time{})
 		var st Status
-		if err == nil && typ == frameStatus {
+		if err == nil {
 			st, err = decodeStatus(body)
 		}
-		if err != nil || typ != frameStatus {
+		if err != nil {
 			g.drop(member)
 			g.emit(Event{Kind: EventGone, Member: member})
 			return
@@ -272,21 +267,11 @@ type Session struct {
 // JoinGate dials the membership gate with a join hello and blocks for
 // admission. The returned session carries the assigned member identity.
 func JoinGate(addr string, fp core.Fingerprint, timeout time.Duration) (*Session, error) {
-	deadline := time.Now().Add(timeout)
-	c, err := dialRetry("tcp", addr, deadline)
+	c, member, err := gateCall(addr, hello{Kind: KindJoin, Fingerprint: fp}, timeout)
 	if err != nil {
-		return nil, fmt.Errorf("wire: join gate: %w", err)
-	}
-	t, err := gateReply(c, hello{Kind: KindJoin, Fingerprint: fp}, deadline)
-	if err != nil {
-		c.Close()
 		return nil, err
 	}
-	if t.Action != ActionAdmit {
-		c.Close()
-		return nil, fmt.Errorf("wire: join gate: expected admission, got action %d", t.Action)
-	}
-	return &Session{c: c, member: t.Member}, nil
+	return &Session{c: c, member: member}, nil
 }
 
 // Member returns the identity the gate assigned to this session.
@@ -299,12 +284,9 @@ func (s *Session) NextTicket(timeout time.Duration) (Ticket, error) {
 	if timeout > 0 {
 		deadline = time.Now().Add(timeout)
 	}
-	typ, body, err := readControl(s.c, deadline)
-	switch {
-	case err != nil:
+	body, err := readControl(s.c, frameTicket, deadline)
+	if err != nil {
 		return Ticket{}, fmt.Errorf("wire: gate ticket: %w", err)
-	case typ != frameTicket:
-		return Ticket{}, fmt.Errorf("wire: expected ticket, got frame type %d", typ)
 	}
 	return decodeTicket(body)
 }
@@ -318,32 +300,32 @@ func (s *Session) Report(st Status) error {
 // Close tears the session down.
 func (s *Session) Close() error { return s.c.Close() }
 
-// gateReply sends a join or drain hello to the gate and decodes its ticket
-// reply; a refusal comes back as ErrHandshake.
-func gateReply(c net.Conn, h hello, deadline time.Time) (Ticket, error) {
-	body, err := greet(c, h, 0, frameTicket, deadline)
-	if err != nil {
-		return Ticket{}, err
-	}
-	return decodeTicket(body)
-}
-
 // RequestDrain dials the gate and asks for member to be gracefully
 // retired. It returns once the gate has acknowledged the request; the
 // hand-off itself happens at the coordinator's next epoch boundary.
 func RequestDrain(addr string, member int, fp core.Fingerprint, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	c, err := dialRetry("tcp", addr, deadline)
+	c, _, err := gateCall(addr, hello{Kind: KindDrain, Rank: member, Fingerprint: fp}, timeout)
+	if err == nil {
+		c.Close()
+	}
+	return err
+}
+
+// gateCall is a dialer's one exchange with the gate: a join or drain hello
+// answered by an admission ticket, which for a drain names the member to
+// retire. It returns the open connection and the ticket's member.
+func gateCall(addr string, h hello, timeout time.Duration) (net.Conn, int, error) {
+	c, body, err := call("tcp", addr, h, frameTicket, time.Now().Add(timeout))
 	if err != nil {
-		return fmt.Errorf("wire: drain request: %w", err)
+		return nil, 0, fmt.Errorf("wire: %v gate: %w", h.Kind, err)
 	}
-	defer c.Close()
-	t, err := gateReply(c, hello{Kind: KindDrain, Rank: member, Fingerprint: fp}, deadline)
+	t, err := decodeTicket(body)
+	if err == nil && (t.Action != ActionAdmit || h.Kind == KindDrain && t.Member != h.Rank) {
+		err = fmt.Errorf("expected admission, got action %d member %d", t.Action, t.Member)
+	}
 	if err != nil {
-		return err
+		c.Close()
+		return nil, 0, fmt.Errorf("wire: %v gate: %w", h.Kind, err)
 	}
-	if t.Action != ActionAdmit || t.Member != member {
-		return fmt.Errorf("wire: drain request: unexpected ack (action %d member %d)", t.Action, t.Member)
-	}
-	return nil
+	return c, t.Member, nil
 }

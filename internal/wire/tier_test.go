@@ -421,7 +421,7 @@ func TestAcceptorRefusesWrongNetwork(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := greet(c, me, 0, frameAccept, deadline); !errors.Is(err, ErrHandshake) {
+	if _, err := greet(c, me, frameAccept, deadline); !errors.Is(err, ErrHandshake) {
 		t.Fatalf("dialer over tcp: %v, want ErrHandshake", err)
 	}
 	if err := <-root; !errors.Is(err, ErrHandshake) {
@@ -500,9 +500,9 @@ func TestPairHandshakeRingOffers(t *testing.T) {
 				// (net.Pipe is unbuffered, so the two ends alternate).
 				send := func(c net.Conn) error { return writeConn(c, deadline, frame) }
 				recv := func(c net.Conn) error {
-					typ, body, err := readControl(c, deadline)
-					if err != nil || typ != frameData || string(body) != string(frame[frameHeaderSize:]) {
-						return fmt.Errorf("frame after the handshake: type %d, %v", typ, err)
+					body, err := readControl(c, frameData, deadline)
+					if err != nil || string(body) != string(frame[frameHeaderSize:]) {
+						return fmt.Errorf("frame after the handshake: %q, %v", body, err)
 					}
 					return nil
 				}
@@ -512,7 +512,7 @@ func TestPairHandshakeRingOffers(t *testing.T) {
 				}
 				accepted := make(chan result, 1)
 				go func() {
-					h, err := readHello(b, deadline)
+					h, err := answer(b, deadline, func(hello) string { return "" })
 					if err != nil {
 						accepted <- result{nil, err}
 						return
@@ -525,7 +525,7 @@ func TestPairHandshakeRingOffers(t *testing.T) {
 					}
 					accepted <- result{reg, err}
 				}()
-				dreg, derr := dialPair(opt(1), dialer, acceptor.Endpoint, true, &helloTamper{a, tc.mutate}, 0, deadline)
+				dreg, derr := dialPair(opt(1), dialer, acceptor.Endpoint, true, &helloTamper{a, tc.mutate}, deadline)
 				if derr == nil && dreg == nil {
 					if derr = recv(a); derr == nil {
 						derr = send(a)
