@@ -48,7 +48,6 @@ import (
 	"github.com/babelflow/babelflow-go/internal/core"
 	"github.com/babelflow/babelflow-go/internal/dot"
 	"github.com/babelflow/babelflow-go/internal/graphs"
-	"github.com/babelflow/babelflow-go/internal/journal"
 	"github.com/babelflow/babelflow-go/internal/legion"
 	"github.com/babelflow/babelflow-go/internal/mpi"
 	"github.com/babelflow/babelflow-go/internal/trace"
@@ -287,26 +286,11 @@ func WithInline(inline bool) MPIOption { return mpi.WithInline(inline) }
 // rank-local deliveries, proving serialization round-trips are lossless.
 func WithAlwaysSerialize(always bool) MPIOption { return mpi.WithAlwaysSerialize(always) }
 
-// SyncPolicy selects when a lineage journal fsyncs: SyncEveryRecord
-// (default, crash-durable), SyncNever, or SyncGroupCommit
-// (near-SyncNever append cost with a bounded, observable durability lag).
-type SyncPolicy = journal.SyncPolicy
-
-// Journal fsync policies; see SyncPolicy.
-const (
-	SyncEveryRecord = journal.SyncEveryRecord
-	SyncNever       = journal.SyncNever
-	SyncGroupCommit = journal.SyncGroupCommit
-)
-
 // WithJournal persists each rank's lineage ledger to an append-only,
 // CRC-framed journal under dir (one rank-N subdirectory per rank). A run
 // killed at any point resumes from the same directory: journaled tasks
 // replay their recorded outputs and only the remaining frontier executes.
 func WithJournal(dir string) MPIOption { return mpi.WithJournal(dir) }
-
-// WithJournalSync sets the journal's fsync policy (default SyncEveryRecord).
-func WithJournalSync(p SyncPolicy) MPIOption { return mpi.WithJournalSync(p) }
 
 // WithJournalGroupCommit selects SyncGroupCommit with the given commit
 // window: the journal fsyncs once per interval, or every records appends,

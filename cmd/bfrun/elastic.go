@@ -5,10 +5,11 @@
 // byte-identical-output guarantee, checked across process boundaries.
 // Workers are ordinary bfrun invocations with the internal -wire-gate flag:
 // each builds the same case from the catalog, joins the gate (which vets
-// its graph fingerprint), follows per-epoch tickets — derive the epoch's
-// task map from the ticket's member table with core.RebalanceShards,
-// connect the epoch's rendezvous, run its logical rank — and reports status
-// back.
+// its graph fingerprint), follows per-epoch tickets — connect the epoch's
+// rendezvous and run its logical rank with mpi.Controller.RunMember, which
+// places the epoch over the ticket's member table as the in-process
+// coordinator does — and reports status back. The parent keeps the member
+// table in an mpi.Roster, the same rule mpi.Membership applies in process.
 //
 //	bfrun -case mergetree -runtime mpi -transport tcp -ranks 4
 //	bfrun -case register -journal /tmp/bf -kill-all-after 1 -ranks 4
@@ -35,7 +36,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"slices"
 	"strconv"
 	"time"
 
@@ -80,15 +80,14 @@ func (cfg config) workerArgs(gate string) []string {
 	return args
 }
 
-// localInputs is the part of the external inputs the map places on rank.
-func localInputs(initial map[core.TaskId][]core.Payload, tmap core.TaskMap, rank int) map[core.TaskId][]core.Payload {
-	local := make(map[core.TaskId][]core.Payload)
-	for id, ps := range initial {
-		if tmap.Shard(id) == core.ShardId(rank) {
-			local[id] = ps
-		}
+// convertIds converts a member table between the gate's ints and the
+// roster's core.ShardId.
+func convertIds[To, From ~int](ids []From) []To {
+	out := make([]To, len(ids))
+	for i, id := range ids {
+		out[i] = To(id)
 	}
-	return local
+	return out
 }
 
 // epochResult is what one epoch attempt hands back to the worker loop.
@@ -111,27 +110,26 @@ type epochRun struct {
 // each epoch's rebalance diffs against — with the callbacks of an elastic
 // run paced by -elastic-pace. Parent and workers share it so the gate vets
 // joiners by the fingerprint the workers derive.
-func gateSetup(cfg config) (usecase.Case, core.TaskMap, *mpi.Controller, error) {
+func gateSetup(cfg config) (usecase.Case, *mpi.Controller, error) {
 	c, err := cfg.build()
 	if err != nil {
-		return c, nil, nil, err
+		return c, nil, err
 	}
 	ctrl := mpi.New(mpi.WithJournal(cfg.journal)) // "" journals nothing; opened per member
-	base := c.Map(cfg.ranks)
-	if err := ctrl.Initialize(c.Graph, base); err != nil {
-		return c, nil, nil, err
+	if err := ctrl.Initialize(c.Graph, c.Map(cfg.ranks)); err != nil {
+		return c, nil, err
 	}
 	var reg core.CallbackRegistrar = ctrl
 	if cfg.elastic {
 		reg = wrappedRegistrar{ctrl, paced(cfg.pace)}
 	}
-	return c, base, ctrl, c.Register(reg)
+	return c, ctrl, c.Register(reg)
 }
 
 // runGateWorker is one member process: join the gate, then follow tickets
 // until released.
 func runGateWorker(cfg config, stdout io.Writer) error {
-	c, base, ctrl, err := gateSetup(cfg)
+	c, ctrl, err := gateSetup(cfg)
 	if err != nil {
 		return err
 	}
@@ -220,34 +218,7 @@ func runGateWorker(cfg config, stdout io.Writer) error {
 		switch t.Action {
 		case wire.ActionRun:
 			fence()
-			// The epoch's task map: the base map rebalanced over the ticket's
-			// member table, on the plan Initialize compiled.
-			members := make([]core.ShardId, len(t.Members))
-			for i, m := range t.Members {
-				members[i] = core.ShardId(m)
-			}
-			tmap, err := core.RebalanceShards(ctrl.Plan(), base, members)
-			if err != nil {
-				return fmt.Errorf("member %d: epoch %d: %w", member, t.Epoch, err)
-			}
-			// Adopt handed-off lineage from members retired since the last
-			// epoch: their journals are closed (they reported their drain),
-			// so replaying their completed work here is safe and durable.
-			if store != nil {
-				for _, donor := range t.Retired {
-					dled, dstore, err := ctrl.OpenMemberLedger(donor)
-					if err != nil {
-						return fmt.Errorf("member %d: adopt from %d: %w", member, donor, err)
-					}
-					for _, id := range ctrl.Plan().TaskIds() {
-						if tmap.Shard(id) == core.ShardId(t.Rank) {
-							led.Adopt(dled, id)
-						}
-					}
-					dstore.Close()
-				}
-			}
-			if cur, err = startEpoch(cfg, ctrl, localInputs(c.Initial, tmap, t.Rank), tmap, t, lineage); err != nil {
+			if cur, err = startEpoch(cfg, ctrl, c.Initial, t, lineage); err != nil {
 				return err
 			}
 			epochs++
@@ -273,9 +244,11 @@ func runGateWorker(cfg config, stdout io.Writer) error {
 }
 
 // startEpoch connects the ticket's rendezvous as the assigned logical rank
-// and launches the run over the epoch's task map. With -kill-all-after the
-// member's transport dies after that many inter-rank sends.
-func startEpoch(cfg config, ctrl *mpi.Controller, local map[core.TaskId][]core.Payload, tmap core.TaskMap, t wire.Ticket, led *core.Ledger) (*epochRun, error) {
+// and launches the rank's run over the ticket's member table; the run
+// adopts the lineage of the members retired since the last epoch (their
+// journals are closed: they reported their drain). With -kill-all-after
+// the member's transport dies after that many inter-rank sends.
+func startEpoch(cfg config, ctrl *mpi.Controller, initial map[core.TaskId][]core.Payload, t wire.Ticket, led *core.Ledger) (*epochRun, error) {
 	fab, err := wire.Connect(wire.Options{
 		Rank: t.Rank, Ranks: t.Ranks, Addr: t.Addr, Epoch: t.Epoch, Tier: cfg.tier,
 		Fingerprint:       ctrl.Fingerprint(),
@@ -296,7 +269,7 @@ func startEpoch(cfg config, ctrl *mpi.Controller, local map[core.TaskId][]core.P
 	ctx, cancel := context.WithCancel(context.Background())
 	run := &epochRun{epoch: t.Epoch, fab: fab, cancel: cancel, done: make(chan epochResult, 1)}
 	go func() {
-		out, err := ctrl.RunMemberContext(ctx, t.Rank, tr, local, tmap, led)
+		out, err := ctrl.RunMember(ctx, t.Rank, convertIds[core.ShardId](t.Members), convertIds[core.ShardId](t.Retired), tr, led, initial)
 		if err == nil {
 			if serr := fab.Shutdown(30 * time.Second); serr != nil {
 				err = fmt.Errorf("shutdown: %w", serr)
@@ -318,7 +291,7 @@ func runGateParent(cfg config, stdout io.Writer) error {
 		cfg.journal, cfg.killAll = cfg.resume, -1
 	}
 	seed := cfg.killAll >= 0
-	c, _, fpc, err := gateSetup(cfg)
+	c, fpc, err := gateSetup(cfg)
 	if err != nil {
 		return err
 	}
@@ -329,7 +302,7 @@ func runGateParent(cfg config, stdout io.Writer) error {
 		return err
 	}
 
-	gate, err := wire.NewGate("127.0.0.1:0", 0, fp)
+	gate, err := wire.NewGate("127.0.0.1:0", fp)
 	if err != nil {
 		return err
 	}
@@ -386,54 +359,48 @@ func runGateParent(cfg config, stdout io.Writer) error {
 		}
 	}
 
+	roster, err := mpi.NewRoster(cfg.ranks)
+	if err != nil {
+		return err
+	}
 	var (
-		members, admitted []int // the epoch's members (sorted: logical rank = index); everyone ever admitted
-		joins, drains     []int // requests not yet folded into an epoch
-		draining, retired []int // drain tickets awaiting "drained"; donors for the next epoch
-		drained           []int // retired for good: their loss is harmless
-		epoch, fences     int
-		fenced            bool         // the running epoch is abandoned for a membership change
-		reported          map[int]bool // members that reported on the running epoch
-		crashed           int          // failed reports on it (a -kill-all-after seed)
+		founders, drains int // founders admitted; drains confirmed
+		epoch, fences    int
+		fenced           bool         // the running epoch is abandoned for a membership change
+		reported         map[int]bool // members that reported on the running epoch
+		crashed          int          // failed reports on it (a -kill-all-after seed)
 
 		admission               = time.After(30 * time.Second)
 		coalesce, drainDeadline <-chan time.Time
 	)
-	// next folds the pending requests in at an epoch boundary: joiners
-	// enter, every drain target is told to drain, and once none is left
-	// draining the next epoch's tickets go out.
+	// next is an epoch boundary: the pending joins and drains apply in one
+	// step, every drain target is told to drain, and once none is left
+	// draining the next epoch's tickets go out, naming the members whose
+	// drain was confirmed since the last epoch as hand-off donors.
 	next := func() error {
-		members = append(members, joins...)
-		joins = nil
-		for _, d := range drains {
-			if !slices.Contains(members, d) || slices.Contains(draining, d) {
-				continue // unknown or already draining: ignore
-			}
-			if err := gate.SendTicket(d, wire.Ticket{Action: wire.ActionDrain, Member: d, Epoch: epoch + 1}); err != nil {
+		_, drained := roster.Boundary()
+		for _, d := range drained {
+			if err := gate.SendTicket(int(d), wire.Ticket{Action: wire.ActionDrain, Member: int(d), Epoch: epoch + 1}); err != nil {
 				return err
 			}
-			draining = append(draining, d)
 		}
-		drains = nil
-		if len(draining) > 0 {
+		if len(roster.Draining()) > 0 {
 			drainDeadline = time.After(60 * time.Second)
 			return nil
 		}
 		drainDeadline = nil
-		slices.Sort(members)
-		if len(members) == 0 {
-			return errors.New("every member drained; nothing left to run the epoch")
-		}
+		members, donors := roster.Epoch()
+		table, retired := convertIds[int](members), convertIds[int](donors)
 		epoch++
 		addr := filepath.Join(rdvDir, fmt.Sprintf("e%d.sock", epoch))
-		for l, m := range members {
+		for l, m := range table {
 			t := wire.Ticket{Action: wire.ActionRun, Member: m, Epoch: epoch, Rank: l,
-				Ranks: len(members), Addr: addr, Members: members, Retired: retired}
+				Ranks: len(table), Addr: addr, Members: table, Retired: retired}
 			if err := gate.SendTicket(m, t); err != nil {
 				return err
 			}
 		}
-		retired, fenced, reported, crashed = nil, false, map[int]bool{}, 0
+		fenced, reported, crashed = false, map[int]bool{}, 0
 		return nil
 	}
 	// fence abandons the running epoch for a membership request; whatever
@@ -452,40 +419,40 @@ func runGateParent(cfg config, stdout io.Writer) error {
 		case <-admission:
 			err = errors.New("initial workers never joined the gate")
 		case <-drainDeadline:
-			err = fmt.Errorf("member %d never reported its drain", draining[0])
+			err = fmt.Errorf("member %d never reported its drain", roster.Draining()[0])
 		case <-coalesce:
 			coalesce = nil
 			err = next()
 		case ev := <-gate.Events():
-			st := ev.Status
+			st, id := ev.Status, core.ShardId(ev.Member)
 			switch {
-			case ev.Kind == wire.EventJoin && epoch == 0 && len(members) < cfg.ranks:
-				// A founder: the first -ranks joins are the founding member set.
-				admitted = append(admitted, ev.Member)
-				if members = append(members, ev.Member); len(members) == cfg.ranks {
+			case ev.Kind == wire.EventJoin && ev.Member < cfg.ranks:
+				// A founder: the gate admits the first -ranks joiners as
+				// members 0..ranks-1, the roster's founders.
+				if founders++; founders == cfg.ranks {
 					admission = nil
 					armTimers()
 					err = next()
 				}
 			case ev.Kind == wire.EventJoin:
-				admitted = append(admitted, ev.Member)
-				joins = append(joins, ev.Member)
-				fence()
+				if err = roster.Join(id); err == nil {
+					fence()
+				}
 			case ev.Kind == wire.EventDrain:
-				drains = append(drains, ev.Member)
-				fence()
+				// A drain the roster refuses (an unknown member, or the last
+				// one) changes nothing.
+				if roster.Drain(id) == nil {
+					fence()
+				}
 			case ev.Kind == wire.EventGone:
-				if !slices.Contains(drained, ev.Member) {
+				if !roster.Retired(id) {
 					err = fmt.Errorf("member %d is gone (its process died or dropped the gate) during epoch %d", ev.Member, epoch)
 				}
 			// The rest are status reports.
 			case st.OK && st.Detail == "drained":
-				if i := slices.Index(draining, ev.Member); i >= 0 {
-					draining = slices.Delete(draining, i, i+1)
-					members = slices.DeleteFunc(members, func(m int) bool { return m == ev.Member })
-					retired = append(retired, ev.Member)
-					drained = append(drained, ev.Member)
-					if len(draining) == 0 {
+				if roster.Drained(id) == nil {
+					drains++
+					if len(roster.Draining()) == 0 {
 						err = next()
 					}
 				}
@@ -498,7 +465,7 @@ func runGateParent(cfg config, stdout io.Writer) error {
 					crashed++
 				}
 				reported[ev.Member] = true
-				running = len(reported) < len(members)
+				running = len(reported) < len(roster.Members())
 			}
 		}
 		if err != nil {
@@ -506,8 +473,8 @@ func runGateParent(cfg config, stdout io.Writer) error {
 		}
 	}
 	stopTimers() // no joiner may be forked after the exits go out
-	for _, m := range admitted {
-		gate.SendTicket(m, wire.Ticket{Action: wire.ActionExit})
+	for _, m := range roster.Identities() {
+		gate.SendTicket(int(m), wire.Ticket{Action: wire.ActionExit})
 	}
 
 	t := workers.wait()
@@ -539,7 +506,7 @@ func runGateParent(cfg config, stdout io.Writer) error {
 	switch {
 	case cfg.elastic:
 		fmt.Fprintf(stdout, "wire-elastic %-10s %d tasks: start=%d join=+%d drain=%d epochs=%d fences=%d %v  sinks=%d/%d match-serial=%v\n",
-			cfg.useCase, tasks, cfg.ranks, cfg.join, len(drained), epoch, fences, elapsed, matches, len(want), ok)
+			cfg.useCase, tasks, cfg.ranks, cfg.join, drains, epoch, fences, elapsed, matches, len(want), ok)
 	case cfg.resume != "":
 		// A restart must prove it resumed rather than recomputed: journals
 		// carried completed tasks in, every one of them replayed, and

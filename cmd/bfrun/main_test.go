@@ -179,6 +179,25 @@ func TestElasticJoinAndDrain(t *testing.T) {
 	}
 }
 
+// TestElasticDrainOfLastMemberRefused asks a one-member elastic run to
+// drain its only member mid-run. The roster refuses the drain, as the
+// in-process Membership does, so the run neither fences nor drains and
+// still matches serial.
+func TestElasticDrainOfLastMemberRefused(t *testing.T) {
+	out, err := bfrun(t, "-case", "mergetree", "-elastic", "-ranks", "1", "-drain", "0", "-drain-after", "100ms")
+	if err != nil {
+		t.Fatalf("%v\n%s", err, out)
+	}
+	m := regexp.MustCompile(`drain=0 epochs=1 fences=0 (\S+) +sinks=8/8 match-serial=true`).FindStringSubmatch(out)
+	if m == nil {
+		t.Fatalf("unexpected summary:\n%s", out)
+	}
+	// The request must have landed while the epoch ran.
+	if d, err := time.ParseDuration(m[1]); err != nil || d < 100*time.Millisecond {
+		t.Fatalf("the run took %s, so the drain request never reached it", m[1])
+	}
+}
+
 func TestJudge(t *testing.T) {
 	sinks := map[core.TaskId][]core.Payload{
 		3: {core.Buffer([]byte("three"))},
@@ -226,23 +245,40 @@ func TestJudge(t *testing.T) {
 	}
 }
 
-// TestFleetKillLeavesNoChild closes a fleet whose workers are still dialing
-// a gate nobody will ever serve — the state a parent's error path leaves
-// them in — and checks every child is gone and reaped.
+// TestFleetKillLeavesNoChild closes a fleet whose workers are waiting on a
+// gate that accepts their dials and never answers — the state a parent's
+// error path leaves them in — and checks every child is gone and reaped.
 func TestFleetKillLeavesNoChild(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr := ln.Addr().String()
-	ln.Close()
+	defer ln.Close()
 	var f fleet
 	for i := 0; i < 2; i++ {
-		if err := f.fork("-case", "register", "-ranks", "3", "-wire-gate", addr); err != nil {
+		if err := f.fork("-case", "register", "-ranks", "3", "-wire-gate", ln.Addr().String()); err != nil {
 			t.Fatal(err)
 		}
 	}
-	time.Sleep(100 * time.Millisecond) // let them reach the gate
+	// Both workers are at the gate once it has accepted both dials.
+	accepted := make(chan net.Conn, 2)
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			accepted <- c
+		}
+	}()
+	for i := 0; i < 2; i++ {
+		select {
+		case c := <-accepted:
+			defer c.Close()
+		case <-time.After(30 * time.Second):
+			t.Fatalf("%d of 2 workers dialed the gate within 30 s", i)
+		}
+	}
 	for _, w := range f.workers {
 		if err := w.cmd.Process.Signal(syscall.Signal(0)); err != nil {
 			t.Fatalf("worker %d exited on its own before the fleet was closed: %v", w.cmd.Process.Pid, err)

@@ -267,11 +267,11 @@ func reassignGraph() *ExplicitGraph {
 	return NewExplicitGraph(tasks)
 }
 
-func TestRebalanceShardsLoss(t *testing.T) {
+func TestPlanRebalanceLoss(t *testing.T) {
 	g := reassignGraph()
 	m := NewGraphMap(4, g)
 	// Kill shard 2: survivors 0,1,3 become logical 0,1,2.
-	next, err := RebalanceShards(g, m, []ShardId{0, 1, 3})
+	next, err := rebalance(g, m, []ShardId{0, 1, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,12 +299,12 @@ func TestRebalanceShardsLoss(t *testing.T) {
 	}
 }
 
-// TestRebalanceShardsLosesHighestRank kills the top shard: no survivor moves,
+// TestPlanRebalanceLosesHighestRank kills the top shard: no survivor moves,
 // and every orphan lands on a valid logical shard.
-func TestRebalanceShardsLosesHighestRank(t *testing.T) {
+func TestPlanRebalanceLosesHighestRank(t *testing.T) {
 	g := reassignGraph()
 	m := NewGraphMap(4, g)
-	next, err := RebalanceShards(g, m, []ShardId{0, 1, 2})
+	next, err := rebalance(g, m, []ShardId{0, 1, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,17 +331,17 @@ func TestRebalanceShardsLosesHighestRank(t *testing.T) {
 	}
 }
 
-// TestRebalanceShardsSuccessiveLosses chains two epochs of loss, 4 → 3 → 2,
+// TestPlanRebalanceSuccessiveLosses chains two epochs of loss, 4 → 3 → 2,
 // as a supervised mpi run does: the second reassignment starts from the first's map.
-func TestRebalanceShardsSuccessiveLosses(t *testing.T) {
+func TestPlanRebalanceSuccessiveLosses(t *testing.T) {
 	g := reassignGraph()
 	m0 := NewGraphMap(4, g)
-	m1, err := RebalanceShards(g, m0, []ShardId{0, 2, 3}) // lose shard 1
+	m1, err := rebalance(g, m0, []ShardId{0, 2, 3}) // lose shard 1
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Epoch 2 loses logical shard 2 (originally 3) of the reassigned map.
-	m2, err := RebalanceShards(g, m1, []ShardId{0, 1})
+	m2, err := rebalance(g, m1, []ShardId{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,13 +368,13 @@ func TestRebalanceShardsSuccessiveLosses(t *testing.T) {
 	}
 }
 
-// TestRebalanceShardsSingleSurvivor degrades 4 → 1: the survivor owns the
+// TestPlanRebalanceSingleSurvivor degrades 4 → 1: the survivor owns the
 // entire graph.
-func TestRebalanceShardsSingleSurvivor(t *testing.T) {
+func TestPlanRebalanceSingleSurvivor(t *testing.T) {
 	g := reassignGraph()
 	m := NewGraphMap(4, g)
 	for _, last := range []ShardId{0, 3} {
-		next, err := RebalanceShards(g, m, []ShardId{last})
+		next, err := rebalance(g, m, []ShardId{last})
 		if err != nil {
 			t.Fatalf("survivor %d: %v", last, err)
 		}

@@ -2,21 +2,24 @@ package core
 
 import "errors"
 
-// Shard rebalancing for recovery and elastic membership: RebalanceShards
-// builds the map of an arbitrary membership epoch. Members may drop out
-// (drained or dead) AND new members may join, with work actively moved onto
-// the joiners; a recovery epoch is the loss-only special case.
+// Shard rebalancing for recovery and elastic membership: Plan.Rebalance
+// places an arbitrary membership epoch. Members may drop out (drained or
+// dead) AND new members may join, with work actively moved onto the
+// joiners; a recovery epoch is the loss-only special case. Both elastic
+// coordinators place every epoch with it: mpi's supervise in process and
+// each forked member (mpi.Controller.RunMember).
 //
 // Member identity convention: members[l] is the physical identity of the
-// epoch's logical rank l. An identity in [0, m.ShardCount()) denotes that
-// base shard — a survivor, which keeps its own tasks so its lineage ledger
-// stays valid. An identity >= m.ShardCount() is a joiner: it owns no tasks
-// under the base map and receives work from the rebalance. Identities are
-// stable across epochs, so per-member journals and ledgers follow the
-// member, not the logical rank.
+// epoch's logical rank l. An identity in [0, shards) denotes that base
+// shard — a survivor, which keeps its own tasks so its lineage ledger stays
+// valid. An identity >= shards is a joiner: it owns no tasks under the base
+// placement and receives work from the rebalance. Identities are stable
+// across epochs, so per-member journals and ledgers follow the member, not
+// the logical rank.
 
-// RebalanceShards builds the task map of a membership epoch over members.
-// Three deterministic steps:
+// Rebalance places a membership epoch: base[i] is the base shard (of
+// shards) of the plan's i-th task, and the result is each task's logical
+// rank in the epoch over members. Three deterministic steps:
 //
 //  1. Survivors keep their own tasks (renumbered to their logical rank).
 //  2. Orphaned tasks — whose base shard is not a member (dead or drained) —
@@ -26,33 +29,9 @@ import "errors"
 //     rank by more than one task, so new capacity takes a fair share
 //     instead of only inheriting orphans.
 //
-// Tasks that change owners lose ledger locality; the elastic coordinator
-// repairs that by adopting their recorded lineage into the new owner's
+// Tasks that change owners lose ledger locality; the elastic coordinators
+// repair that by adopting their recorded lineage into the new owner's
 // ledger (Ledger.Adopt) before the epoch runs.
-func RebalanceShards(g TaskGraph, m TaskMap, members []ShardId) (TaskMap, error) {
-	p, err := Compile(g)
-	if err != nil {
-		return nil, err
-	}
-	base := make([]int32, len(p.ids))
-	for i, id := range p.ids {
-		base[i] = int32(m.Shard(id))
-	}
-	dest, err := p.Rebalance(base, m.ShardCount(), members)
-	if err != nil {
-		return nil, err
-	}
-	return NewFuncMap(len(members), p.ids, func(id TaskId) ShardId {
-		if i, ok := p.Index(id); ok {
-			return ShardId(dest[i])
-		}
-		return 0
-	}), nil
-}
-
-// Rebalance is RebalanceShards on compiled placements: base[i] is the base
-// shard (of shards) of the plan's i-th task, and the result is each task's
-// logical rank in the epoch over members.
 func (p *Plan) Rebalance(base []int32, shards int, members []ShardId) ([]int32, error) {
 	if len(members) == 0 {
 		return nil, errors.New("core: rebalance: no members")

@@ -2,16 +2,37 @@ package core
 
 import "testing"
 
-// TestRebalanceShardsWithoutJoiners: with every member a shard of the base
+// rebalance is Plan.Rebalance of m's placement over members, returned as a
+// task map so the tests below can compare it with m task by task.
+func rebalance(g TaskGraph, m TaskMap, members []ShardId) (TaskMap, error) {
+	p, err := Compile(g)
+	if err != nil {
+		return nil, err
+	}
+	base, err := p.Place(m)
+	if err != nil {
+		return nil, err
+	}
+	dest, err := p.Rebalance(base, m.ShardCount(), members)
+	if err != nil {
+		return nil, err
+	}
+	return NewFuncMap(len(members), p.TaskIds(), func(id TaskId) ShardId {
+		i, _ := p.Index(id)
+		return ShardId(dest[i])
+	}), nil
+}
+
+// TestPlanRebalanceWithoutJoiners: with every member a shard of the base
 // map, survivors keep their tasks under their logical rank and orphans land
 // in range — the loss-only (recovery) special case.
-func TestRebalanceShardsWithoutJoiners(t *testing.T) {
+func TestPlanRebalanceWithoutJoiners(t *testing.T) {
 	g := reassignGraph()
 	m := NewGraphMap(4, g)
 	for _, members := range [][]ShardId{
 		{0, 1, 2, 3}, {0, 1, 3}, {2}, {0, 2},
 	} {
-		got, err := RebalanceShards(g, m, members)
+		got, err := rebalance(g, m, members)
 		if err != nil {
 			t.Fatalf("members %v: %v", members, err)
 		}
@@ -34,14 +55,14 @@ func TestRebalanceShardsWithoutJoiners(t *testing.T) {
 	}
 }
 
-// TestRebalanceShardsJoin grows 2 → 4: survivors keep a fair share, the two
+// TestPlanRebalanceJoin grows 2 → 4: survivors keep a fair share, the two
 // joiners end up within one task of every other rank, and the result is
 // deterministic.
-func TestRebalanceShardsJoin(t *testing.T) {
+func TestPlanRebalanceJoin(t *testing.T) {
 	g := reassignGraph() // 8 tasks
 	m := NewGraphMap(2, g)
 	members := []ShardId{0, 1, 2, 3} // 2 survivors + joiners 2,3
-	next, err := RebalanceShards(g, m, members)
+	next, err := rebalance(g, m, members)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +86,7 @@ func TestRebalanceShardsJoin(t *testing.T) {
 			t.Errorf("rank %d owns %d tasks, want 2 (counts %v)", l, counts[l], counts)
 		}
 	}
-	again, err := RebalanceShards(g, m, members)
+	again, err := rebalance(g, m, members)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,14 +97,14 @@ func TestRebalanceShardsJoin(t *testing.T) {
 	}
 }
 
-// TestRebalanceShardsJoinAndDrain interleaves a drain with a join: shard 1
+// TestPlanRebalanceJoinAndDrain interleaves a drain with a join: shard 1
 // of a 3-shard map leaves while member 3 joins. Orphans and balancing both
 // land on valid ranks, survivors never move, and nobody is idle.
-func TestRebalanceShardsJoinAndDrain(t *testing.T) {
+func TestPlanRebalanceJoinAndDrain(t *testing.T) {
 	g := reassignGraph()
 	m := NewGraphMap(3, g)
 	members := []ShardId{0, 2, 3} // drain 1, join 3
-	next, err := RebalanceShards(g, m, members)
+	next, err := rebalance(g, m, members)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,17 +140,17 @@ func TestRebalanceShardsJoinAndDrain(t *testing.T) {
 	}
 }
 
-// TestRebalanceShardsSuccessiveEpochs chains membership epochs the way the
+// TestPlanRebalanceSuccessiveEpochs chains membership epochs the way the
 // elastic coordinator does: each epoch's map feeds the next with member
 // identities relabelled to the previous epoch's logical ranks.
-func TestRebalanceShardsSuccessiveEpochs(t *testing.T) {
+func TestPlanRebalanceSuccessiveEpochs(t *testing.T) {
 	g := reassignGraph()
 	m0 := NewGraphMap(2, g)
-	m1, err := RebalanceShards(g, m0, []ShardId{0, 1, 2, 3}) // 2 -> 4 join
+	m1, err := rebalance(g, m0, []ShardId{0, 1, 2, 3}) // 2 -> 4 join
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := RebalanceShards(g, m1, []ShardId{0, 1, 3}) // drain logical 2
+	m2, err := rebalance(g, m1, []ShardId{0, 1, 3}) // drain logical 2
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,16 +176,16 @@ func TestRebalanceShardsSuccessiveEpochs(t *testing.T) {
 	}
 }
 
-func TestRebalanceShardsRejectsBadMembers(t *testing.T) {
+func TestPlanRebalanceRejectsBadMembers(t *testing.T) {
 	g := reassignGraph()
 	m := NewGraphMap(4, g)
-	if _, err := RebalanceShards(g, m, nil); err == nil {
+	if _, err := rebalance(g, m, nil); err == nil {
 		t.Error("empty member set accepted")
 	}
-	if _, err := RebalanceShards(g, m, []ShardId{0, 4, 4}); err == nil {
+	if _, err := rebalance(g, m, []ShardId{0, 4, 4}); err == nil {
 		t.Error("duplicate member accepted")
 	}
-	if _, err := RebalanceShards(g, m, []ShardId{0, -1}); err == nil {
+	if _, err := rebalance(g, m, []ShardId{0, -1}); err == nil {
 		t.Error("negative member accepted")
 	}
 }

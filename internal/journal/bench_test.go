@@ -8,11 +8,12 @@ import (
 
 // BenchmarkAppend measures the append path under each fsync policy — the
 // per-record side of the repository benchmark's journal.append_us /
-// journal.overhead_x (make bench) and the CI perf-smoke sweep. Group commit's value is visible here: appends return at
-// write speed while a background committer amortizes the fsyncs, landing
-// near the rotate/never policies instead of the per-record fsync floor.
+// journal.overhead_x (make bench) and the CI perf-smoke sweep. Group
+// commit's value is visible here: appends return at write speed while a
+// background committer amortizes the fsyncs, far below the per-record
+// fsync floor.
 func BenchmarkAppend(b *testing.B) {
-	policies := []SyncPolicy{SyncEveryRecord, SyncGroupCommit, SyncNever}
+	policies := []SyncPolicy{SyncEveryRecord, SyncGroupCommit}
 	body := make([]byte, 256)
 	for _, p := range policies {
 		b.Run(fmt.Sprintf("sync=%s", p), func(b *testing.B) {

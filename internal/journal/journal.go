@@ -17,10 +17,9 @@
 //
 // Appends go to the highest-numbered segment; a segment exceeding
 // Options.SegmentBytes is sealed and a new one started. Durability is
-// governed by Options.Sync: every record, never (leaving flushes to the
-// OS), or group commit — a background committer that amortizes one fsync
-// across a bounded window of appends and publishes the crash-safe prefix
-// through the Committed watermark.
+// governed by Options.Sync: every record, or group commit — a background
+// committer that amortizes one fsync across a bounded window of appends
+// and publishes the crash-safe prefix through the Committed watermark.
 //
 // Crash and corruption rules, applied when a journal is opened:
 //
@@ -57,9 +56,6 @@ const (
 	// SyncEveryRecord fsyncs after every append — a record returned from
 	// Append survives an immediate process or OS crash. The default.
 	SyncEveryRecord SyncPolicy = iota
-	// SyncNever leaves flushing to the OS (and to Sync/Close). Fastest;
-	// a crash may lose any unflushed suffix.
-	SyncNever
 	// SyncGroupCommit amortizes fsyncs across a commit window: Append
 	// returns as soon as the record is written, and a background committer
 	// fsyncs when CommitRecords appends have accumulated or CommitInterval
@@ -73,8 +69,6 @@ func (p SyncPolicy) String() string {
 	switch p {
 	case SyncEveryRecord:
 		return "every-record"
-	case SyncNever:
-		return "never"
 	case SyncGroupCommit:
 		return "group-commit"
 	}
@@ -430,17 +424,15 @@ func (l *Log) Committed() int {
 	return l.committed
 }
 
-// rotateLocked seals the active segment (fsyncing it unless the policy is
-// SyncNever) and starts the next one.
+// rotateLocked seals the active segment, fsyncing it, and starts the next
+// one.
 func (l *Log) rotateLocked() error {
 	active := l.segs[len(l.segs)-1]
-	if l.opt.Sync != SyncNever {
-		if err := active.f.Sync(); err != nil {
-			return fmt.Errorf("journal: fsync on rotate: %w", err)
-		}
-		l.dirty = false
-		l.committed = l.stats.Records
+	if err := active.f.Sync(); err != nil {
+		return fmt.Errorf("journal: fsync on rotate: %w", err)
 	}
+	l.dirty = false
+	l.committed = l.stats.Records
 	return l.addSegment()
 }
 

@@ -80,7 +80,7 @@ func TestRoundTrip(t *testing.T) {
 }
 
 func TestRotation(t *testing.T) {
-	for _, pol := range []SyncPolicy{SyncEveryRecord, SyncNever, SyncGroupCommit} {
+	for _, pol := range []SyncPolicy{SyncEveryRecord, SyncGroupCommit} {
 		t.Run(pol.String(), func(t *testing.T) { testRotation(t, pol) })
 	}
 }
@@ -277,7 +277,7 @@ func TestAppendRejectsOversizedRecord(t *testing.T) {
 }
 
 func TestSyncPolicies(t *testing.T) {
-	for _, pol := range []SyncPolicy{SyncEveryRecord, SyncNever, SyncGroupCommit} {
+	for _, pol := range []SyncPolicy{SyncEveryRecord, SyncGroupCommit} {
 		t.Run(pol.String(), func(t *testing.T) {
 			dir := t.TempDir()
 			l, err := Open(dir, Options{Sync: pol, SegmentBytes: 128})
@@ -344,7 +344,7 @@ func TestEmptyDirAndIgnoredFiles(t *testing.T) {
 }
 
 func TestConcurrentAppend(t *testing.T) {
-	l, err := Open(t.TempDir(), Options{SegmentBytes: 1024, Sync: SyncNever})
+	l, err := Open(t.TempDir(), Options{SegmentBytes: 1024, Sync: SyncGroupCommit})
 	if err != nil {
 		t.Fatal(err)
 	}

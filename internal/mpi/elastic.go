@@ -18,10 +18,11 @@ import (
 // registry accumulates join and drain requests; the coordinator fences the
 // running epoch at a journal-consistent point (Fabric.Fence suspends
 // liveness timers, group-commit journals are flushed, the epoch collapses),
-// applies the pending changes in ONE epoch bump, rebalances the task map
-// with core.RebalanceShards, adopts handed-off lineage into the new owners'
-// ledgers, and runs the next epoch. Losses still shrink the membership, but
-// partition hardening distinguishes "partitioned but alive" from "dead":
+// applies the pending changes in ONE epoch bump (Roster.Boundary),
+// rebalances the placement with Plan.Rebalance, adopts handed-off lineage
+// into the new owners' ledgers, and runs the next epoch. Losses still
+// shrink the membership, but partition hardening distinguishes
+// "partitioned but alive" from "dead":
 // a rank that itself reported a peer loss was alive to report it and is
 // never evicted, so an asymmetric or flapping link costs at most one epoch
 // bump instead of an eviction storm.
@@ -36,38 +37,29 @@ type Fencer interface {
 	Fence(on bool)
 }
 
-// Membership is the shared registry of an elastic run's member set. Members
-// are identified by stable physical ids: the initial ranks occupy
-// [0, ranks) and every joiner gets a fresh id, so per-member journals and
-// lineage ledgers survive renumbering across epochs. Join and Drain may be
+// Membership is the shared registry of an in-process elastic run: a
+// Roster behind a lock, the identity minting of joiners and the wake
+// signal that fences a running epoch. The initial ranks are members
+// [0, ranks) and every joiner gets a fresh identity. Join and Drain may be
 // called from any goroutine, before or during a run; the coordinator
 // coalesces everything pending into the next epoch boundary — one epoch
 // bump per batch of membership events, however many arrive together.
 type Membership struct {
-	mu       sync.Mutex
-	active   []core.ShardId
-	pendJoin []core.ShardId
-	pendDrop []core.ShardId
-	nextID   core.ShardId
-	joinAt   time.Time // earliest unapplied join request
-	drainAt  time.Time // earliest unapplied drain request
-	signal   chan struct{}
+	mu      sync.Mutex
+	roster  *Roster
+	nextID  core.ShardId
+	joinAt  time.Time // earliest unapplied join request
+	drainAt time.Time // earliest unapplied drain request
+	signal  chan struct{}
 }
 
 // NewMembership returns a registry whose initial members are 0..ranks-1.
 func NewMembership(ranks int) (*Membership, error) {
-	if ranks <= 0 {
-		return nil, fmt.Errorf("mpi: membership needs at least one rank, got %d", ranks)
+	r, err := NewRoster(ranks)
+	if err != nil {
+		return nil, err
 	}
-	m := &Membership{
-		active: make([]core.ShardId, ranks),
-		nextID: core.ShardId(ranks),
-		signal: make(chan struct{}),
-	}
-	for i := range m.active {
-		m.active[i] = core.ShardId(i)
-	}
-	return m, nil
+	return &Membership{roster: r, nextID: core.ShardId(ranks), signal: make(chan struct{})}, nil
 }
 
 // Join registers a new member and returns its identity. The member becomes
@@ -78,7 +70,7 @@ func (m *Membership) Join() core.ShardId {
 	defer m.mu.Unlock()
 	id := m.nextID
 	m.nextID++
-	m.pendJoin = append(m.pendJoin, id)
+	m.roster.Join(id) // a fresh identity is never refused
 	if m.joinAt.IsZero() {
 		m.joinAt = time.Now()
 	}
@@ -86,40 +78,16 @@ func (m *Membership) Join() core.ShardId {
 	return id
 }
 
-// Drain marks a member for graceful removal: at the next epoch boundary its
-// shards are handed off (lineage adopted by the new owners) and it leaves
-// the rank set without being declared lost. Draining the last remaining
-// member is refused.
+// Drain marks a member or pending joiner for graceful removal (Roster.Drain):
+// at the next epoch boundary its shards are handed off (lineage adopted by
+// the new owners) and it leaves the rank set without being declared lost.
+// Draining the last remaining member is refused.
 func (m *Membership) Drain(id core.ShardId) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	found := false
-	for _, a := range m.active {
-		if a == id {
-			found = true
-			break
-		}
+	if err := m.roster.Drain(id); err != nil {
+		return err
 	}
-	if !found {
-		for _, j := range m.pendJoin {
-			if j == id {
-				found = true
-				break
-			}
-		}
-	}
-	if !found {
-		return fmt.Errorf("mpi: drain: member %d is not part of the membership", id)
-	}
-	for _, d := range m.pendDrop {
-		if d == id {
-			return nil // idempotent
-		}
-	}
-	if len(m.active)+len(m.pendJoin)-len(m.pendDrop) <= 1 {
-		return fmt.Errorf("mpi: drain: member %d is the last member", id)
-	}
-	m.pendDrop = append(m.pendDrop, id)
 	if m.drainAt.IsZero() {
 		m.drainAt = time.Now()
 	}
@@ -148,53 +116,37 @@ func (m *Membership) wait() <-chan struct{} {
 func (m *Membership) Members() []core.ShardId {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return append([]core.ShardId(nil), m.active...)
+	return m.roster.Members()
 }
 
-// take applies every pending change to the active set and returns what
-// changed plus the earliest request times (for join/drain latency
-// accounting). Called by the coordinator at an epoch boundary.
-func (m *Membership) take() (joins, drains []core.ShardId, joinAt, drainAt time.Time) {
+// take is supervise's epoch boundary: it applies every pending change and
+// returns the epoch's members, what changed and the earliest request times
+// (for join/drain latency accounting). A drain is confirmed at once — the
+// in-process hand-off source is the previous owner's ledger, which the
+// coordinator already holds.
+func (m *Membership) take() (members, joins, drains []core.ShardId, joinAt, drainAt time.Time) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	joins, drains = m.pendJoin, m.pendDrop
-	joinAt, drainAt = m.joinAt, m.drainAt
-	m.pendJoin, m.pendDrop = nil, nil
-	m.joinAt, m.drainAt = time.Time{}, time.Time{}
-	m.active = append(m.active, joins...)
-	if len(drains) > 0 {
-		drop := make(map[core.ShardId]bool, len(drains))
-		for _, d := range drains {
-			drop[d] = true
-		}
-		next := m.active[:0]
-		for _, a := range m.active {
-			if !drop[a] {
-				next = append(next, a)
-			}
-		}
-		m.active = next
+	joins, drains = m.roster.Boundary()
+	for _, id := range drains {
+		m.roster.Drained(id) // draining since Boundary: never refused
 	}
+	members, _ = m.roster.Epoch()
+	joinAt, drainAt = m.joinAt, m.drainAt
+	m.joinAt, m.drainAt = time.Time{}, time.Time{}
 	select {
 	case <-m.signal:
 		m.signal = make(chan struct{}) // re-arm
 	default:
 	}
-	return joins, drains, joinAt, drainAt
+	return members, joins, drains, joinAt, drainAt
 }
 
-// evict removes a member declared dead (not drained): no hand-off, its
-// unrecorded work re-executes elsewhere.
+// evict removes a member declared dead (Roster.Evict).
 func (m *Membership) evict(id core.ShardId) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	next := m.active[:0]
-	for _, a := range m.active {
-		if a != id {
-			next = append(next, a)
-		}
-	}
-	m.active = next
+	m.roster.Evict(id) // classifyDead names members of the epoch: never refused
 }
 
 // ElasticOptions parameterizes RunElastic.
@@ -332,10 +284,9 @@ func classifyDead(wrapped []fabric.Transport, errs []error, members []core.Shard
 // OpenMemberLedger opens the journal-backed lineage ledger of a stable
 // member identity under the controller's journal directory (WithJournal),
 // restoring whatever records a previous process left there. The caller owns
-// the returned store: Sync it at a fence, Close it on drain or exit. An
-// elastic worker also uses this to adopt lineage from a RETIRED member's
-// journal — safe only once that member reported its drain, because the
-// store admits a single writer.
+// the returned store: Sync it at a fence, Close it on drain or exit — a
+// journal admits a single writer, so RunMember adopts a retired member's
+// lineage only after it closed its own.
 func (c *Controller) OpenMemberLedger(member int) (*core.Ledger, *journal.LedgerStore, error) {
 	if c.opt.Journal == "" {
 		return nil, nil, fmt.Errorf("mpi: OpenMemberLedger requires a journal directory (WithJournal)")

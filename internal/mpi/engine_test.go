@@ -259,6 +259,51 @@ func TestEntriesAgree(t *testing.T) {
 				ledgered(t, rep.Replayed, rep.Executed)
 				return got
 			}},
+			{"RunMember", func(t *testing.T, g core.TaskGraph) map[core.TaskId][]core.Payload {
+				// Two forked-style epochs on one journal directory: every
+				// member of {0,1,2}, then {0,2} with member 1 retired, each
+				// rank a RunMember over a shared fabric with its member's
+				// journaled ledger. The second epoch adopts member 1's
+				// lineage and replays every task.
+				c := newCtrl(t, g, WithJournal(t.TempDir()))
+				epoch := func(members, retired []core.ShardId) (sinks map[core.TaskId][]core.Payload, replayed, executed int) {
+					t.Helper()
+					fab := fabric.New(len(members))
+					out := make([]map[core.TaskId][]core.Payload, len(members))
+					errs := make([]error, len(members))
+					leds := make([]*core.Ledger, len(members))
+					var wg sync.WaitGroup
+					for l, m := range members {
+						led, store, err := c.OpenMemberLedger(int(m))
+						if err != nil {
+							t.Fatal(err)
+						}
+						leds[l] = led
+						wg.Add(1)
+						go func(l int) {
+							defer wg.Done()
+							defer store.Close()
+							out[l], errs[l] = c.RunMember(context.Background(), l, members, retired, fab, led, w.initial())
+						}(l)
+					}
+					wg.Wait()
+					for l, err := range errs {
+						if err != nil {
+							t.Fatalf("members %v rank %d: %v", members, l, err)
+						}
+						replayed, executed = replayed+leds[l].Replays(), executed+leds[l].Executions()
+					}
+					return mergeSinks(out), replayed, executed
+				}
+				if _, replayed, executed := epoch([]core.ShardId{0, 1, 2}, nil); replayed != 0 || executed != tasks {
+					t.Errorf("first epoch replayed %d, executed %d, want 0 and %d", replayed, executed, tasks)
+				}
+				got, replayed, executed := epoch([]core.ShardId{0, 2}, []core.ShardId{1})
+				if replayed != tasks || executed != 0 {
+					t.Errorf("epoch after member 1 retired replayed %d, executed %d, want %d and 0", replayed, executed, tasks)
+				}
+				return got
+			}},
 			{"Service.Submit", func(t *testing.T, g core.TaskGraph) map[core.TaskId][]core.Payload {
 				svc, err := NewService(ranks)
 				if err != nil {

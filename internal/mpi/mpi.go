@@ -301,17 +301,54 @@ func (c *Controller) RunRank(rank int, tr fabric.Transport, initial map[core.Tas
 	return c.run(context.Background(), rank, tr, nil, nil, nil, initial)
 }
 
-// RunMemberContext executes one logical rank of an elastic epoch whose
-// peers live in other OS processes: the multi-process counterpart of the
-// per-rank loop inside RunElastic. rank is the epoch's logical rank on the
-// transport, tmap the epoch task map (core.RebalanceShards over the
-// coordinator's member table), and led the member's lineage ledger — tasks
-// already recorded there replay instead of re-executing, exactly as in a
-// recovery epoch. A nil ledger runs the epoch without lineage. A finished
-// ctx cancels the transport, unwinding this rank (and, over the wire, its
-// peers) with an error wrapping core.ErrCancelled.
-func (c *Controller) RunMemberContext(ctx context.Context, rank int, tr fabric.Transport, initial map[core.TaskId][]core.Payload, tmap core.TaskMap, led *core.Ledger) (map[core.TaskId][]core.Payload, error) {
-	return c.run(ctx, rank, tr, nil, tmap, led, initial)
+// RunMember executes one logical rank of an elastic epoch whose peers live
+// in other OS processes: the multi-process counterpart of an epoch of
+// RunElastic. members is the epoch's member table (logical rank l is
+// members[l]) and rank this process's logical rank on tr. The epoch is
+// placed as supervise places it: Plan.Rebalance of the Initialize map over
+// members. Before it runs, led adopts the journaled lineage of the rank's
+// tasks from every retired member — safe once that member confirmed its
+// drain, because a journal has a single writer. initial is the dataflow's
+// full set of external inputs; the rank takes its share. Tasks recorded in
+// led replay instead of re-executing; a nil led runs without lineage. A
+// finished ctx cancels the transport, unwinding this rank (and, over the
+// wire, its peers) with an error wrapping core.ErrCancelled.
+func (c *Controller) RunMember(ctx context.Context, rank int, members, retired []core.ShardId, tr fabric.Transport, led *core.Ledger, initial map[core.TaskId][]core.Payload) (sinks map[core.TaskId][]core.Payload, err error) {
+	defer func() {
+		if err != nil {
+			tr.Cancel()
+		}
+	}()
+	if c.place == nil {
+		return nil, core.ErrNotInitialized
+	}
+	dest, err := c.Plan().Rebalance(c.place.shardOf, len(c.place.local), members)
+	if err != nil {
+		return nil, err
+	}
+	// The rank's share of initial; ids outside the plan pass on for the
+	// pre-flight to report.
+	local := make(map[core.TaskId][]core.Payload)
+	for id, ps := range initial {
+		if i, ok := c.Plan().Index(id); !ok || dest[i] == int32(rank) {
+			local[id] = ps
+		}
+	}
+	if led != nil && c.opt.Journal != "" {
+		for _, donor := range retired {
+			dled, store, err := c.openLedger(int(donor))
+			if err != nil {
+				return nil, err
+			}
+			for i, r := range dest {
+				if r == int32(rank) {
+					led.Adopt(dled, c.Plan().TaskIds()[i])
+				}
+			}
+			store.Close()
+		}
+	}
+	return c.run(ctx, rank, tr, nil, newPlacement(len(members), dest), led, local)
 }
 
 // allRanks is run's rank argument for driving every rank of the task map.
@@ -335,7 +372,7 @@ func (c *Controller) preflight(pl *placement, rank int, initial map[core.TaskId]
 // epoch. rank selects the ranks driven here (allRanks, or one logical rank
 // whose peers live behind tr). Everything passed as nil is run-scoped and
 // owned by run: a nil tr is a fresh in-process fabric (whose traffic becomes
-// Stats), a nil pool a fresh executor, a nil tmap the Initialize map, and
+// Stats), a nil pool a fresh executor, a nil pl the Initialize placement, and
 // a nil led the rank's journal-backed ledger when the controller journals
 // (a fresh directory journals progress, an existing one resumes from it) —
 // opened here, and closed with the journal counters published on every
@@ -343,17 +380,14 @@ func (c *Controller) preflight(pl *placement, rank int, initial map[core.TaskId]
 //
 // Any failure once tr is in hand cancels it: a peer blocked in a receive
 // on a shared transport must not outwait a run that never started.
-func (c *Controller) run(ctx context.Context, rank int, tr fabric.Transport, pool *fabric.Pool, tmap core.TaskMap, led *core.Ledger, initial map[core.TaskId][]core.Payload) (sinks map[core.TaskId][]core.Payload, err error) {
+func (c *Controller) run(ctx context.Context, rank int, tr fabric.Transport, pool *fabric.Pool, pl *placement, led *core.Ledger, initial map[core.TaskId][]core.Payload) (sinks map[core.TaskId][]core.Payload, err error) {
 	defer func() {
 		if err != nil && tr != nil {
 			tr.Cancel()
 		}
 	}()
-	pl := c.place
-	if tmap != nil && c.Plan() != nil {
-		if pl, err = place(c.Plan(), tmap); err != nil {
-			return nil, err
-		}
+	if pl == nil {
+		pl = c.place
 	}
 	if err = c.preflight(pl, rank, initial); err != nil {
 		return nil, err

@@ -26,40 +26,18 @@ type options struct {
 	Retry           core.RetryPolicy
 	Transport       TransportFactory
 	Journal         string
-	JournalSync     journal.SyncPolicy
+	JournalSync     journal.SyncPolicy // SyncEveryRecord unless WithJournalGroupCommit
 	// Group-commit window; zero keeps the journal defaults (2ms, 64 records).
 	JournalCommitInterval time.Duration
 	JournalCommitRecords  int
 
-	// Validation bookkeeping stamped by the options so conflicting
-	// combinations surface as errors at Initialize instead of silently
-	// letting the last option win.
-	syncSet  bool
-	syncWas  journal.SyncPolicy
-	groupSet bool
-	optErr   error
+	// optErr is an error an option recorded while being applied; it
+	// surfaces at Initialize instead of silently degrading the run.
+	optErr error
 }
 
-// validate rejects option combinations with no coherent meaning: an
-// explicit WithJournalSync policy fighting WithJournalGroupCommit, or a
-// negative commit window. It returns the first error an option recorded
-// while being applied.
-func (o *options) validate() error {
-	if o.optErr != nil {
-		return o.optErr
-	}
-	if o.syncSet && o.groupSet && o.syncWas != journal.SyncGroupCommit {
-		return fmt.Errorf("mpi: WithJournalSync(%v) conflicts with WithJournalGroupCommit (which implies %v); pass one of them",
-			o.syncWas, journal.SyncGroupCommit)
-	}
-	if o.JournalCommitInterval < 0 {
-		return fmt.Errorf("mpi: negative journal commit interval %v", o.JournalCommitInterval)
-	}
-	if o.JournalCommitRecords < 0 {
-		return fmt.Errorf("mpi: negative journal commit record bound %d", o.JournalCommitRecords)
-	}
-	return nil
-}
+// validate returns the error an option recorded while being applied.
+func (o *options) validate() error { return o.optErr }
 
 // resolve applies opts left to right and fills the defaults.
 func resolve(opts []Option) options {
@@ -157,19 +135,6 @@ func WithJournal(dir string) Option {
 	return optionFunc(func(o *options) { o.Journal = dir })
 }
 
-// WithJournalSync selects the journal's fsync policy. The default
-// (journal.SyncEveryRecord) makes every recorded task crash-durable; see
-// journal.SyncPolicy for the cheaper relaxations. Combining it with
-// WithJournalGroupCommit is an error unless the policy is
-// journal.SyncGroupCommit — the two options would otherwise silently
-// overwrite each other depending on order.
-func WithJournalSync(p journal.SyncPolicy) Option {
-	return optionFunc(func(o *options) {
-		o.JournalSync = p
-		o.syncSet, o.syncWas = true, p
-	})
-}
-
 // WithJournalGroupCommit selects the journal.SyncGroupCommit fsync policy
 // with the given commit window: a background committer fsyncs once per
 // interval (or every records appends, whichever comes first), amortizing
@@ -182,7 +147,6 @@ func WithJournalGroupCommit(interval time.Duration, records int) Option {
 		o.JournalSync = journal.SyncGroupCommit
 		o.JournalCommitInterval = interval
 		o.JournalCommitRecords = records
-		o.groupSet = true
 		if interval <= 0 || records <= 0 {
 			o.optErr = fmt.Errorf("mpi: WithJournalGroupCommit window must be positive, got interval %v, records %d", interval, records)
 		}

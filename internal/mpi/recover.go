@@ -79,10 +79,9 @@ func (c *Controller) supervise(ctx context.Context, ms *Membership, connect Conn
 			return nil, rep, core.Cancelled(ctx)
 		}
 
-		joins, drains, joinAt, drainAt := ms.take()
+		members, joins, drains, joinAt, drainAt := ms.take()
 		rep.Joined = append(rep.Joined, joins...)
 		rep.Drained = append(rep.Drained, drains...)
-		members := ms.Members()
 		if len(members) == 0 {
 			return nil, rep, fmt.Errorf("mpi: every member lost: %w", core.ErrRetriesExhausted)
 		}

@@ -7,12 +7,10 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
-	"time"
 
 	"github.com/babelflow/babelflow-go/internal/check"
 	"github.com/babelflow/babelflow-go/internal/core"
 	"github.com/babelflow/babelflow-go/internal/graphs"
-	"github.com/babelflow/babelflow-go/internal/journal"
 )
 
 func reductionSubmission(g *graphs.Reduction, initial map[core.TaskId][]core.Payload) Submission {
@@ -235,7 +233,7 @@ func TestServiceJournalPerRun(t *testing.T) {
 	initial := reductionInputs(g)
 	dir := t.TempDir()
 
-	s, err := NewService(2, WithJournal(dir), WithJournalSync(journal.SyncNever))
+	s, err := NewService(2, WithJournal(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,8 +257,8 @@ func TestServiceJournalPerRun(t *testing.T) {
 // TestServiceRejectsBadOptions covers NewService surfacing option
 // validation errors directly.
 func TestServiceRejectsBadOptions(t *testing.T) {
-	if _, err := NewService(2, WithJournalSync(journal.SyncNever), WithJournalGroupCommit(time.Millisecond, 8)); err == nil {
-		t.Error("conflicting sync options accepted")
+	if _, err := NewService(2, WithJournalGroupCommit(0, 8)); err == nil {
+		t.Error("zero commit window accepted")
 	}
 	if _, err := NewService(0); err == nil {
 		t.Error("zero ranks accepted")

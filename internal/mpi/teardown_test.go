@@ -14,7 +14,6 @@ import (
 	"github.com/babelflow/babelflow-go/internal/core"
 	"github.com/babelflow/babelflow-go/internal/fabric"
 	"github.com/babelflow/babelflow-go/internal/graphs"
-	"github.com/babelflow/babelflow-go/internal/journal"
 )
 
 // openFDs counts this process's open file descriptors, or -1 where
@@ -32,7 +31,7 @@ func openFDs() int {
 // times, including beside an explicit call.
 func TestLedgerTableCloseIdempotent(t *testing.T) {
 	g, _ := graphs.NewReduction(4, 2)
-	c := New(WithJournal(t.TempDir()), WithJournalSync(journal.SyncNever))
+	c := New(WithJournal(t.TempDir()))
 	if err := c.Initialize(g, core.NewModuloMap(2, g.Size())); err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +75,7 @@ func TestJournalClosedOnError(t *testing.T) {
 	}
 
 	base := openFDs()
-	fail := New(WithJournal(dir), WithJournalSync(journal.SyncNever))
+	fail := New(WithJournal(dir))
 	if err := fail.Initialize(g, m); err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +91,7 @@ func TestJournalClosedOnError(t *testing.T) {
 
 	// The journals were closed cleanly, so a resumed run over the same
 	// directory replays the journaled prefix and completes.
-	resume := New(WithJournal(dir), WithJournalSync(journal.SyncNever))
+	resume := New(WithJournal(dir))
 	if err := resume.Initialize(g, m); err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +116,7 @@ func TestJournalClosedOnCancel(t *testing.T) {
 	dir := t.TempDir()
 
 	base := openFDs()
-	c := New(WithJournal(dir), WithJournalSync(journal.SyncNever))
+	c := New(WithJournal(dir))
 	if err := c.Initialize(g, m); err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +134,7 @@ func TestJournalClosedOnCancel(t *testing.T) {
 		}
 	}
 
-	resume := New(WithJournal(dir), WithJournalSync(journal.SyncNever))
+	resume := New(WithJournal(dir))
 	if err := resume.Initialize(g, m); err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +154,7 @@ func TestRunRankJournalClosedOnError(t *testing.T) {
 	dir := t.TempDir()
 
 	base := openFDs()
-	c := New(WithJournal(dir), WithJournalSync(journal.SyncNever))
+	c := New(WithJournal(dir))
 	if err := c.Initialize(g, m); err != nil {
 		t.Fatal(err)
 	}

@@ -1,13 +1,11 @@
 package mpi
 
 import (
-	"strings"
 	"testing"
 	"time"
 
 	"github.com/babelflow/babelflow-go/internal/core"
 	"github.com/babelflow/babelflow-go/internal/graphs"
-	"github.com/babelflow/babelflow-go/internal/journal"
 )
 
 // initErr builds a controller with the given options and returns the error
@@ -17,34 +15,6 @@ func initErr(t *testing.T, opts ...Option) error {
 	g, _ := graphs.NewReduction(4, 2)
 	c := New(opts...)
 	return c.Initialize(g, core.NewModuloMap(2, g.Size()))
-}
-
-func TestOptionValidationConflictingSync(t *testing.T) {
-	err := initErr(t, WithJournalSync(journal.SyncNever), WithJournalGroupCommit(time.Millisecond, 8))
-	if err == nil {
-		t.Fatal("WithJournalSync(SyncNever) + WithJournalGroupCommit accepted")
-	}
-	if !strings.Contains(err.Error(), "conflicts") {
-		t.Fatalf("conflict error not descriptive: %v", err)
-	}
-	// Order must not matter: the combination is rejected either way.
-	if err := initErr(t, WithJournalGroupCommit(time.Millisecond, 8), WithJournalSync(journal.SyncNever)); err == nil {
-		t.Fatal("reversed order accepted")
-	}
-}
-
-func TestOptionValidationCompatibleSync(t *testing.T) {
-	// An explicit SyncGroupCommit policy agrees with the group-commit
-	// window option; only genuinely conflicting policies are rejected.
-	if err := initErr(t, WithJournalSync(journal.SyncGroupCommit), WithJournalGroupCommit(time.Millisecond, 8)); err != nil {
-		t.Fatalf("compatible combination rejected: %v", err)
-	}
-	if err := initErr(t, WithJournalSync(journal.SyncNever)); err != nil {
-		t.Fatalf("lone WithJournalSync rejected: %v", err)
-	}
-	if err := initErr(t, WithJournalGroupCommit(time.Millisecond, 8)); err != nil {
-		t.Fatalf("lone WithJournalGroupCommit rejected: %v", err)
-	}
 }
 
 func TestOptionValidationCommitWindow(t *testing.T) {
@@ -62,18 +32,7 @@ func TestOptionValidationCommitWindow(t *testing.T) {
 			t.Errorf("%s: accepted", tc.name)
 		}
 	}
-}
-
-func TestOptionValidationStructForm(t *testing.T) {
-	// The struct form keeps zero-means-default semantics (legacy callers),
-	// but negative windows are still rejected.
-	if err := initErr(t, WithJournalSync(journal.SyncGroupCommit)); err != nil {
-		t.Fatalf("struct form with zero windows rejected: %v", err)
-	}
-	if err := initErr(t, WithJournalGroupCommit(-time.Second, 8)); err == nil {
-		t.Error("struct form negative interval accepted")
-	}
-	if err := initErr(t, WithJournalGroupCommit(time.Millisecond, -4)); err == nil {
-		t.Error("struct form negative record bound accepted")
+	if err := initErr(t, WithJournalGroupCommit(time.Millisecond, 8)); err != nil {
+		t.Fatalf("positive window rejected: %v", err)
 	}
 }

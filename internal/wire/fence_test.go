@@ -61,7 +61,7 @@ func TestFenceSuppressesPeerLoss(t *testing.T) {
 func TestGateJoinDrainRoundTrip(t *testing.T) {
 	var fp core.Fingerprint
 	fp[0] = 0xbf
-	g, err := NewGate("127.0.0.1:0", 2, fp)
+	g, err := NewGate("127.0.0.1:0", fp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,17 +72,17 @@ func TestGateJoinDrainRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sess.Close()
-	if sess.Member() != 2 {
-		t.Fatalf("assigned member %d, want 2 (firstMember)", sess.Member())
+	if sess.Member() != 0 {
+		t.Fatalf("assigned member %d, want 0 (the first joiner)", sess.Member())
 	}
 	ev := nextEvent(t, g)
-	if ev.Kind != EventJoin || ev.Member != 2 {
-		t.Fatalf("join event %+v, want a join of member 2", ev)
+	if ev.Kind != EventJoin || ev.Member != 0 {
+		t.Fatalf("join event %+v, want a join of member 0", ev)
 	}
 
-	want := Ticket{Action: ActionRun, Member: 2, Epoch: 3, Rank: 1, Ranks: 4,
+	want := Ticket{Action: ActionRun, Member: 0, Epoch: 3, Rank: 0, Ranks: 4,
 		Addr: "127.0.0.1:9999", Members: []int{0, 1, 2, 5}, Retired: []int{3}}
-	if err := g.SendTicket(2, want); err != nil {
+	if err := g.SendTicket(0, want); err != nil {
 		t.Fatal(err)
 	}
 	got, err := sess.NextTicket(5 * time.Second)
@@ -106,8 +106,8 @@ func TestGateJoinDrainRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	ev = nextEvent(t, g)
-	if st := ev.Status; ev.Kind != EventStatus || ev.Member != 2 ||
-		st.Member != 2 || st.Epoch != 3 || !st.OK || st.Detail != "epoch done" {
+	if st := ev.Status; ev.Kind != EventStatus || ev.Member != 0 ||
+		st.Member != 0 || st.Epoch != 3 || !st.OK || st.Detail != "epoch done" {
 		t.Fatalf("status event %+v", ev)
 	}
 
@@ -125,7 +125,7 @@ func TestGateJoinDrainRoundTrip(t *testing.T) {
 		t.Fatalf("bad-fingerprint join: %v, want ErrHandshake", err)
 	}
 
-	if err := g.SendTicket(2, Ticket{Action: ActionExit}); err != nil {
+	if err := g.SendTicket(0, Ticket{Action: ActionExit}); err != nil {
 		t.Fatal(err)
 	}
 	exit, err := sess.NextTicket(5 * time.Second)
@@ -133,8 +133,8 @@ func TestGateJoinDrainRoundTrip(t *testing.T) {
 		t.Fatalf("exit ticket %+v, err %v", exit, err)
 	}
 	sess.Close()
-	if ev := nextEvent(t, g); ev.Kind != EventGone || ev.Member != 2 {
-		t.Fatalf("event after the member left: %+v, want member 2 gone", ev)
+	if ev := nextEvent(t, g); ev.Kind != EventGone || ev.Member != 0 {
+		t.Fatalf("event after the member left: %+v, want member 0 gone", ev)
 	}
 }
 
@@ -144,7 +144,7 @@ func TestGateJoinDrainRoundTrip(t *testing.T) {
 // be reported twice, even when a ticket send also trips over it.
 func TestGateGoneFollowsStatuses(t *testing.T) {
 	var fp core.Fingerprint
-	g, err := NewGate("127.0.0.1:0", 0, fp)
+	g, err := NewGate("127.0.0.1:0", fp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestGateGoneFollowsStatuses(t *testing.T) {
 // return.
 func TestGateCloseWithUnreadEvents(t *testing.T) {
 	var fp core.Fingerprint
-	g, err := NewGate("127.0.0.1:0", 0, fp)
+	g, err := NewGate("127.0.0.1:0", fp)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -88,10 +88,9 @@ type gateSession struct {
 }
 
 // NewGate opens the membership gate on addr (host:port, port 0 for
-// ephemeral). firstMember is the identity assigned to the first joiner;
-// the coordinator's own ranks occupy [0, firstMember). fp is the graph
-// fingerprint every join must present.
-func NewGate(addr string, firstMember int, fp core.Fingerprint) (*Gate, error) {
+// ephemeral). Joiners are admitted as members 0, 1, 2, … in the order the
+// gate admits them. fp is the graph fingerprint every join must present.
+func NewGate(addr string, fp core.Fingerprint) (*Gate, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("wire: gate listen: %w", err)
@@ -101,7 +100,6 @@ func NewGate(addr string, firstMember int, fp core.Fingerprint) (*Gate, error) {
 		fp:     fp,
 		events: make(chan Event, 64),
 		done:   make(chan struct{}),
-		next:   firstMember,
 		sess:   make(map[int]*gateSession),
 	}
 	g.wg.Add(1)
