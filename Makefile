@@ -145,12 +145,13 @@ smoke-elastic:
 ## codec (every accepted body must re-encode byte for byte; seeded from the
 ## golden control frames TestControlFramesGolden pins), of the merge-tree
 ## decoder, of the image decoder, of the
-## sparse compositor against the dense one and of the MPI rank kernel's
-## interleavings (longer runs: go test -fuzz=FuzzFrameDecode or
+## sparse compositor against the dense one, of the MPI rank kernel's
+## interleavings and of the prototypes' written plans against their
+## generic compile (longer runs: go test -fuzz=FuzzFrameDecode or
 ## -fuzz=FuzzHandshakeDecode ./internal/wire, go test -fuzz=FuzzTreeDecode
 ## ./internal/mergetree, go test -fuzz=FuzzImageDecode or
 ## -fuzz=FuzzComposite ./internal/render, go test -fuzz=FuzzRankKernel
-## ./internal/mpi).
+## ./internal/mpi, go test -fuzz=FuzzPlanWrite ./internal/graphs).
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzFrameDecode -fuzztime=10s ./internal/wire
 	$(GO) test -run='^$$' -fuzz=FuzzHandshakeDecode -fuzztime=10s ./internal/wire
@@ -158,6 +159,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzImageDecode -fuzztime=10s ./internal/render
 	$(GO) test -run='^$$' -fuzz=FuzzComposite -fuzztime=10s ./internal/render
 	$(GO) test -run='^$$' -fuzz=FuzzRankKernel -fuzztime=10s ./internal/mpi
+	$(GO) test -run='^$$' -fuzz=FuzzPlanWrite -fuzztime=10s ./internal/graphs
 
 ## perf-smoke: the CI perf job, defined only here — every wire benchmark
 ## (all transport tiers), once plain and once under the race detector, and
@@ -167,8 +169,9 @@ fuzz:
 ## detector, then the seeded executor pool tests (pop order against a
 ## reference model, cross-home wake-ups) 50 times under the
 ## race detector and the pool benchmark (ns per item on two homes against
-## one), then the graph-plan benchmarks (compile and cold run of the
-## 16k-task graph) and the data kernels (block extraction of a 256³ field,
+## one), then the graph-plan benchmarks (compile as the graph writes
+## itself and through the generic walk, fingerprint, the service's
+## submission build and cold run of the 16k-task graph) and the data kernels (block extraction of a 256³ field,
 ## 256² image encode and decode, a render leaf of a 256³ field in 32
 ## blocks from its extracted block and in place, the leaf inputs of that
 ## render, one internal compositing node of that render) and the
@@ -179,7 +182,7 @@ fuzz:
 ## killed peer or a membership change, loop-combinator overhead; each run
 ## checked against serial) once each so
 ## they cannot rot, then the allocation pins (plan, cold and warm runs, what
-## tracing adds per task, block extraction, the render leaf, its inputs
+## tracing adds per task, the service's submission build, block extraction, the render leaf, its inputs
 ## and the image codec, the merge-tree kernels, and the registration
 ## search, process task and set-up).
 perf-smoke:
@@ -190,11 +193,12 @@ perf-smoke:
 	$(GO) test -race -count=1 ./internal/conformance
 	$(GO) test -race -count=50 -run='^TestPool(OrderMatchesReference|NoLostWakeups)$$' ./internal/fabric
 	$(GO) test -run='^$$' -bench='^BenchmarkPool$$' -benchtime=100000x ./internal/fabric
-	$(GO) test -run='^$$' -bench='^BenchmarkCompile$$' -benchtime=1x ./internal/core
+	$(GO) test -run='^$$' -bench='^Benchmark(Compile|CompileGeneric|Fingerprint)$$' -benchtime=1x ./internal/core
+	$(GO) test -run='^$$' -bench='^BenchmarkBuild$$' -benchtime=1x ./internal/serve
 	$(GO) test -run='^$$' -bench='^BenchmarkColdRun16k$$' -benchtime=1x ./internal/mpi
 	$(GO) test -run='^$$' -bench='^BenchmarkExtract$$' -benchtime=1x ./internal/data
 	$(GO) test -run='^$$' -bench='^Benchmark(Image(Serialize|Deserialize)|RenderBlock|Composite|InitialInputs)$$' -benchtime=1x ./internal/render
 	$(GO) test -run='^$$' -bench='^Benchmark(FromField|Merge|Segment)$$' -benchtime=1x ./internal/mergetree
 	$(GO) test -run='^$$' -bench='^Benchmark(Correlate|IterativeSetup)$$' -benchtime=1x ./internal/register
 	$(GO) test -run='^$$' -bench='Recovery|IterateOverhead' -benchtime=1x ./internal/conformance
-	$(GO) test -count=1 -run='AllocationPins' ./internal/core ./internal/mpi ./internal/data ./internal/render ./internal/mergetree ./internal/register
+	$(GO) test -count=1 -run='AllocationPins' ./internal/core ./internal/mpi ./internal/serve ./internal/data ./internal/render ./internal/mergetree ./internal/register

@@ -135,7 +135,7 @@ func (e *CondError) Error() string {
 
 // validateCond checks one task's conditional-edge declaration; it returns
 // nil for tasks without branches (Cond must then be nil too).
-func validateCond(t Task) error {
+func validateCond(t *Task) error {
 	if t.Branches == 0 && t.Cond == nil {
 		return nil
 	}

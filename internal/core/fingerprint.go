@@ -39,14 +39,19 @@ func (f Fingerprint) IsZero() bool { return f == Fingerprint{} }
 // dataflow (e.g. a procedural graph and its Materialize'd copy) fingerprint
 // identically.
 func GraphFingerprint(g TaskGraph, registered []CallbackId) Fingerprint {
+	// The words are gathered in a 4 KB buffer and hashed a buffer at a time.
 	h := sha256.New()
-	var buf [8]byte
+	var buf [4096]byte
+	n := copy(buf[:], "babelflow-graph-fingerprint-v2")
 	wu64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
+		if n+8 > len(buf) {
+			h.Write(buf[:n])
+			n = 0
+		}
+		binary.LittleEndian.PutUint64(buf[n:], v)
+		n += 8
 	}
 
-	h.Write([]byte("babelflow-graph-fingerprint-v2"))
 	ids := g.TaskIds()
 	wu64(uint64(len(ids)))
 	for _, id := range ids {
@@ -93,6 +98,7 @@ func GraphFingerprint(g TaskGraph, registered []CallbackId) Fingerprint {
 		wu64(uint64(cb))
 	}
 
+	h.Write(buf[:n])
 	var f Fingerprint
 	h.Sum(f[:0])
 	return f

@@ -110,6 +110,20 @@ func explicitGraph(tasks []Task, clone bool) *ExplicitGraph {
 	return g
 }
 
+// WritePlan implements PlanSource: the tasks are written as stored, with no
+// defensive clone — the writer copies every slice.
+func (g *ExplicitGraph) WritePlan(w *PlanWriter) {
+	var ins, slots, edges int
+	for _, t := range g.tasks {
+		ins, slots, edges = ins+len(t.Incoming), slots+len(t.Outgoing), edges+t.OutDegree()
+	}
+	w.Grow(len(g.ids), ins, slots, edges)
+	for _, id := range g.ids {
+		t := g.tasks[id]
+		w.put(&t)
+	}
+}
+
 // Materialize copies an arbitrary task graph into an ExplicitGraph.
 func Materialize(g TaskGraph) *ExplicitGraph {
 	tasks := make([]Task, 0, g.Size())

@@ -6,13 +6,13 @@ import (
 	"sort"
 )
 
-// Plan is a task graph compiled into flat arrays: the procedural TaskGraph
-// is asked for its ids once and for each task exactly once, and everything
-// the framework needs afterwards — validation, the dependency levels, the
-// critical-path annotation, input and edge offsets — is derived from and
-// answered out of those arrays. A Plan is immutable and safe for concurrent
-// use; it implements TaskGraph with zero-allocation answers whose slices
-// alias the plan's storage and must not be modified.
+// Plan is a task graph compiled into flat arrays: each task is written once
+// (see Compile), and everything the framework needs afterwards —
+// validation, the dependency levels, the critical-path annotation, input
+// and edge offsets — is derived from and answered out of those arrays. A
+// Plan is immutable and safe for concurrent use; it implements TaskGraph
+// with zero-allocation answers whose slices alias the plan's storage and
+// must not be modified.
 //
 // Tasks are addressed by dense index as well as by id: index i is the
 // position of the task's id in the ascending TaskIds enumeration. Controllers
@@ -24,7 +24,7 @@ import (
 type Plan struct {
 	ids       []TaskId // ascending
 	dense     bool     // ids[i] == TaskId(i), so Index is the identity
-	tasks     []Task   // by index; every slice aliases one of Compile's backing arrays
+	tasks     []Task   // by index; every slice is a window of a PlanWriter array
 	callbacks []CallbackId
 
 	ext    []int32 // number of ExternalInput slots per task
@@ -42,13 +42,14 @@ type Plan struct {
 	max           int
 }
 
-// Compile validates a task graph and returns its plan. It is the one
-// traversal of the procedural interface: TaskIds is called once and Task
-// once per id. The checks, in ascending id order so a graph with several
-// defects always reports the same one:
+// Compile validates a task graph and returns its plan. Its one back end is
+// a PlanWriter, fed by one of two front ends: a PlanSource writes its own
+// tasks, and any other graph is walked — TaskIds called once and Task once
+// per id. Every plan then gets the same checks, in ascending id order so a
+// graph with several defects always reports the same one:
 //
-//   - Size matches the number of enumerated ids, ids ascend strictly and
-//     none is the reserved ExternalInput;
+//   - Size matches the number of tasks, ids ascend strictly and none is the
+//     reserved ExternalInput;
 //   - every task's callback id appears in Callbacks();
 //   - conditional-edge declarations are well formed (violations surface as
 //     *CondError);
@@ -64,86 +65,180 @@ func Compile(g TaskGraph) (*Plan, error) {
 	if g == nil {
 		return nil, fmt.Errorf("core: nil task graph")
 	}
+	var w PlanWriter
 	switch g := g.(type) {
 	case *Plan:
 		return g, nil
 	case *IterativeGraph:
 		return g.plan, nil
+	case PlanSource:
+		g.WritePlan(&w)
+	default:
+		if err := w.walk(g); err != nil {
+			return nil, err
+		}
 	}
+	return w.plan(g)
+}
+
+// PlanSource is a task graph that writes its own plan: WritePlan writes
+// through w, in ascending id order, exactly the tasks Task answers. Compile
+// takes what it writes instead of walking Task, and validates it the same
+// way. A type that embeds a PlanSource and answers Task differently must
+// write its own plan too.
+type PlanSource interface {
+	TaskGraph
+	WritePlan(w *PlanWriter)
+}
+
+// PlanWriter writes a plan task by task: Task opens a task with its
+// callback and producers, and each Slot call appends an output slot to it.
+// Every slice of a written task is a capacity-capped window of one of the
+// writer's arrays, so a plan Grow sized exactly costs a constant number of
+// allocations whatever its size.
+//
+// A zero PlanWriter that writes one task hands it back with Written: that
+// is how a PlanSource answers Task(id) with the rule it writes its plan
+// with.
+type PlanWriter struct {
+	tasks   []Task
+	in, out []TaskId
+	slots   [][]TaskId
+	cond    []int
+	s0      int  // the open task's first slot in slots
+	one     Task // the first task of a writer never grown, until a second
+	staged  bool // one is the open task
+}
+
+// Grow sizes the writer for a plan's totals: tasks, input slots, output
+// slots and consumer edges. Short totals cost allocations, never
+// correctness.
+func (w *PlanWriter) Grow(tasks, ins, slots, edges int) {
+	w.tasks = slices.Grow(w.tasks, tasks)
+	w.in = slices.Grow(w.in, ins)
+	w.slots = slices.Grow(w.slots, slots)
+	w.out = slices.Grow(w.out, edges)
+}
+
+// Task opens the next task: its id, callback and producers in input-slot
+// order (nil for none).
+func (w *PlanWriter) Task(id TaskId, cb CallbackId, in ...TaskId) {
+	if cap(w.tasks) == 0 && !w.staged {
+		w.one, w.staged = Task{Id: id, Callback: cb}, true
+	} else {
+		w.unstage()
+		w.tasks = append(w.tasks, Task{Id: id, Callback: cb})
+	}
+	w.open().Incoming = window(&w.in, in)
+	w.s0 = len(w.slots)
+}
+
+// open is the task written last.
+func (w *PlanWriter) open() *Task {
+	if w.staged {
+		return &w.one
+	}
+	return &w.tasks[len(w.tasks)-1]
+}
+
+// unstage moves a staged task into tasks.
+func (w *PlanWriter) unstage() {
+	if w.staged {
+		w.tasks, w.staged = append(w.tasks, w.one), false
+	}
+}
+
+// Slot appends an output slot to the open task, multicast to the given
+// consumers; with none it is a sink.
+func (w *PlanWriter) Slot(consumers ...TaskId) {
+	if consumers == nil {
+		consumers = []TaskId{}
+	}
+	w.slots = append(w.slots, window(&w.out, consumers))
+	w.open().Outgoing = w.slots[w.s0:len(w.slots):len(w.slots)]
+}
+
+// Written returns the open task: the one task a zero writer was given.
+func (w *PlanWriter) Written() Task { return *w.open() }
+
+// window appends src to *arr and returns the appended elements as a
+// capacity-capped window; nil stays nil and empty stays empty.
+func window[T any](arr *[]T, src []T) []T {
+	if src == nil {
+		return nil
+	}
+	if len(src) == 0 {
+		return []T{}
+	}
+	k := len(*arr)
+	*arr = append(*arr, src...)
+	return (*arr)[k:len(*arr):len(*arr)]
+}
+
+// put writes a task exactly as a graph answered it, nil-ness included.
+func (w *PlanWriter) put(t *Task) {
+	w.Task(t.Id, t.Callback, t.Incoming...)
+	for _, slot := range t.Outgoing {
+		w.Slot(slot...)
+		if slot == nil {
+			w.slots[len(w.slots)-1] = nil
+		}
+	}
+	o := w.open()
+	if t.Outgoing != nil && len(t.Outgoing) == 0 {
+		o.Outgoing = [][]TaskId{}
+	}
+	o.Cond, o.Branches = window(&w.cond, t.Cond), t.Branches
+}
+
+// walk is the front end of a graph that does not write itself: each task
+// Task answers is written as it arrives, into arrays sized for one input,
+// slot and edge per task and grown past that.
+func (w *PlanWriter) walk(g TaskGraph) error {
 	ids := g.TaskIds()
-	n := len(ids)
+	w.Grow(len(ids), len(ids), len(ids), len(ids))
+	for _, id := range ids {
+		t, ok := g.Task(id)
+		if !ok {
+			return fmt.Errorf("core: graph enumerates task %d but Task() does not return it", id)
+		}
+		if t.Id != id {
+			return fmt.Errorf("core: Task(%d) returned a task with id %d", id, t.Id)
+		}
+		w.put(&t)
+	}
+	return nil
+}
+
+// plan is the back end: it checks and annotates what was written as the
+// plan of g.
+func (w *PlanWriter) plan(g TaskGraph) (*Plan, error) {
+	w.unstage()
+	n := len(w.tasks)
 	if n != g.Size() {
-		return nil, fmt.Errorf("core: graph Size()=%d but TaskIds() enumerates %d tasks", g.Size(), n)
+		return nil, fmt.Errorf("core: graph Size()=%d but it has %d tasks", g.Size(), n)
+	}
+	ids := make([]TaskId, n)
+	for i := range w.tasks {
+		ids[i] = w.tasks[i].Id
+		if i > 0 && ids[i-1] >= ids[i] {
+			return nil, fmt.Errorf("core: task ids not strictly ascending at index %d (%d after %d)", i, ids[i], ids[i-1])
+		}
+		if ids[i] == ExternalInput {
+			return nil, fmt.Errorf("core: graph uses the reserved ExternalInput id")
+		}
 	}
 	p := &Plan{
-		ids:       append([]TaskId(nil), ids...),
-		tasks:     make([]Task, n),
+		ids:       ids,
+		dense:     n == 0 || ids[n-1] == TaskId(n-1),
+		tasks:     w.tasks,
 		callbacks: append([]CallbackId(nil), g.Callbacks()...),
 		ext:       make([]int32, n),
 		outOff:    make([]int32, n+1),
 	}
-	p.dense = n == 0 || p.ids[n-1] == TaskId(n-1)
-
-	// The traversal: collect every task and size the backing arrays. An
-	// ExplicitGraph's tasks are read without Task's defensive clone: every
-	// slice is copied below.
-	eg, _ := g.(*ExplicitGraph)
-	var ins, slots, conds int
-	for i, id := range p.ids {
-		if i > 0 && p.ids[i-1] >= id {
-			return nil, fmt.Errorf("core: TaskIds() not strictly ascending at index %d (%d after %d)", i, id, p.ids[i-1])
-		}
-		if id == ExternalInput {
-			return nil, fmt.Errorf("core: graph uses the reserved ExternalInput id")
-		}
-		var t Task
-		var ok bool
-		if eg != nil {
-			t, ok = eg.tasks[id]
-		} else {
-			t, ok = g.Task(id)
-		}
-		if !ok {
-			return nil, fmt.Errorf("core: graph enumerates task %d but Task() does not return it", id)
-		}
-		if t.Id != id {
-			return nil, fmt.Errorf("core: Task(%d) returned a task with id %d", id, t.Id)
-		}
-		p.tasks[i] = t
-		ins += len(t.Incoming)
-		p.outOff[i+1] = p.outOff[i] + int32(t.OutDegree())
-		slots += len(t.Outgoing)
-		conds += len(t.Cond)
-	}
-
-	// Move the answers into four backing arrays; nil-ness is preserved so a
-	// plan's task equals the graph's.
-	in := make([]TaskId, ins)
-	out := make([]TaskId, p.outOff[n])
-	outSlots := make([][]TaskId, slots)
-	cond := make([]int, conds)
 	for i := range p.tasks {
-		t := &p.tasks[i]
-		if t.Incoming != nil {
-			k := copy(in, t.Incoming)
-			t.Incoming, in = in[:k:k], in[k:]
-		}
-		if t.Outgoing != nil {
-			k := copy(outSlots, t.Outgoing)
-			t.Outgoing, outSlots = outSlots[:k:k], outSlots[k:]
-			for s, slot := range t.Outgoing {
-				if slot != nil {
-					k := copy(out, slot)
-					t.Outgoing[s], out = out[:k:k], out[k:]
-				}
-			}
-		}
-		if t.Cond != nil {
-			k := copy(cond, t.Cond)
-			t.Cond, cond = cond[:k:k], cond[k:]
-		}
+		p.outOff[i+1] = p.outOff[i] + int32(p.tasks[i].OutDegree())
 	}
-
 	if err := p.link(); err != nil {
 		return nil, err
 	}
@@ -162,7 +257,7 @@ func (p *Plan) link() error {
 		if !slices.Contains(p.callbacks, t.Callback) {
 			return fmt.Errorf("core: task %d uses callback %d not listed in Callbacks()", t.Id, t.Callback)
 		}
-		if err := validateCond(*t); err != nil {
+		if err := validateCond(t); err != nil {
 			return err
 		}
 		for slot, src := range t.Incoming {

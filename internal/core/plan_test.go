@@ -265,7 +265,8 @@ func TestCompileReportsLowestDefect(t *testing.T) {
 
 // TestPlanAllocationPins: answering out of the plan, and the dense
 // readiness bookkeeping on it, allocate nothing; compiling allocates a
-// constant number of arrays beyond what the graph's own Task answers cost.
+// constant number of arrays, beyond what the graph's own Task answers cost
+// when it is walked.
 func TestPlanAllocationPins(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -318,14 +319,36 @@ func TestPlanAllocationPins(t *testing.T) {
 		t.Errorf("DataflowState Deliver/Take allocate %v per task", n)
 	}
 
-	// Compile: the graph's own answers, plus a constant.
+	// Compile of a graph that writes itself: a constant, whatever its size
+	// (parent: 65 544 for the k-way merge, 4.0 per task for its Task
+	// answers).
+	if n := testing.AllocsPerRun(3, func() { core.Compile(g) }); n > 64 {
+		t.Errorf("Compile of the %d-task k-way merge allocates %v, pinned at 64", len(ids), n)
+	}
+	// Each prototype sizes its writer exactly: writing its plan allocates
+	// the writer's four arrays and nothing more.
+	w := new(core.PlanWriter)
+	for _, src := range []core.PlanSource{
+		must(graphs.NewBinarySwap(1024)).(core.PlanSource), must(graphs.NewBroadcast(729, 3)).(core.PlanSource),
+		must(graphs.NewGather(8)).(core.PlanSource), must(graphs.NewKWayMerge(1024, 4)).(core.PlanSource),
+		must(graphs.NewNeighbor2D(40, 30)).(core.PlanSource), must(graphs.NewNeighbor3D(12, 10, 8)).(core.PlanSource),
+		must(graphs.NewReduction(1024, 4)).(core.PlanSource),
+	} {
+		if n := testing.AllocsPerRun(3, func() { *w = core.PlanWriter{}; src.WritePlan(w) }); n > 4 {
+			t.Errorf("%T.WritePlan of %d tasks allocates %v, want the writer's 4 arrays", src, src.Size(), n)
+		}
+	}
+
+	// Compile through the generic walk: the graph's own answers, plus a
+	// constant.
+	walked := struct{ core.TaskGraph }{g}
 	own := testing.AllocsPerRun(3, func() {
 		for _, id := range ids {
 			t, _ := g.Task(id)
 			sink += len(t.Incoming)
 		}
 	})
-	if n := testing.AllocsPerRun(3, func() { core.Compile(g) }); n > own+64 {
+	if n := testing.AllocsPerRun(3, func() { core.Compile(walked) }); n > own+64 {
 		t.Errorf("Compile of %d tasks allocates %v; the graph's %d Task answers alone cost %v, and the plan may add 64", len(ids), n, len(ids), own)
 	}
 }
@@ -338,6 +361,102 @@ func BenchmarkCompile(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := core.Compile(g); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestFingerprintGolden pins GraphFingerprint's digest, word for word, on
+// the graph-scale k-way merge (with its callbacks registered), a reduction
+// (structure only), a graph with conditional edges and an iterative graph.
+// The hex values were computed by the one-Write-per-word encoder; any
+// rewrite of the encoder must reproduce them.
+func TestFingerprintGolden(t *testing.T) {
+	big := must(graphs.NewKWayMerge(4096, 2))
+	router := core.NewExplicitGraph([]core.Task{
+		{Id: 0, Callback: 1, Incoming: []core.TaskId{core.ExternalInput}, Outgoing: [][]core.TaskId{{1}, {2}, {1, 2}}, Cond: []int{0, 1, -1}, Branches: 2},
+		{Id: 1, Callback: 2, Incoming: []core.TaskId{0, 0}, Outgoing: [][]core.TaskId{nil}},
+		{Id: 2, Callback: 2, Incoming: []core.TaskId{0, 0}, Outgoing: [][]core.TaskId{{}}},
+	})
+	body := core.NewExplicitGraph([]core.Task{{Id: 0, Callback: 7, Incoming: []core.TaskId{core.ExternalInput}, Outgoing: [][]core.TaskId{nil}}})
+	loop, err := core.Iterate(body, func(int, map[core.TaskId][]core.Payload) (bool, error) { return true, nil },
+		core.MaxIterations(4), core.Gate(0, 0, 0, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		g    core.TaskGraph
+		reg  []core.CallbackId
+		want string
+	}{
+		{"kwaymerge-4096-2", big, big.Callbacks(), "2160a557ecd278178e3b5e3c1c71b4c8383bfaecdf372dd978353603a337e7c8"},
+		{"reduction-64-4", must(graphs.NewReduction(64, 4)), nil, "0d3d3410c9e538326ddb9df1b1e44fa770fa325f5cb6faaa66035ca2cdad33f9"},
+		{"cond-router", router, []core.CallbackId{2, 1}, "ea1e758d87d07e391ed1047fb31c9ab45a940f89210561638874ea158110ed13"},
+		{"iterate-4", loop, nil, "ad8f79a476d68654b06418683edb6911d710b69b6bd4f9c53bd3f5670136baf2"},
+	} {
+		if got := core.GraphFingerprint(c.g, c.reg).String(); got != c.want {
+			t.Errorf("%s: fingerprint %s, pinned %s", c.name, got, c.want)
+		}
+	}
+}
+
+// BenchmarkCompileGeneric is BenchmarkCompile through the generic walk: the
+// same graph with its WritePlan hidden, as a user graph is compiled.
+func BenchmarkCompileGeneric(b *testing.B) {
+	g := struct{ core.TaskGraph }{must(graphs.NewKWayMerge(4096, 2))}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.Compile(g); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkFingerprint is the digest every wire rank computes at set-up, of
+// the plan of the graph-scale k-way merge.
+func BenchmarkFingerprint(b *testing.B) {
+	g := must(graphs.NewKWayMerge(4096, 2))
+	p, err := core.Compile(g)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		core.GraphFingerprint(p, g.Callbacks())
+	}
+}
+
+// replayed writes its plan through the exported PlanWriter calls alone,
+// never growing the writer, from its graph's Task answers.
+type replayed struct{ core.TaskGraph }
+
+func (g replayed) WritePlan(w *core.PlanWriter) {
+	for _, id := range g.TaskIds() {
+		t, _ := g.Task(id)
+		w.Task(t.Id, t.Callback, t.Incoming...)
+		for _, slot := range t.Outgoing {
+			w.Slot(slot...)
+		}
+	}
+}
+
+// TestPlanWriterWithoutGrow: a PlanSource that never calls Grow still
+// writes the plan the generic walk compiles.
+func TestPlanWriterWithoutGrow(t *testing.T) {
+	for _, c := range prototypes() {
+		p, err := core.Compile(replayed{c.g})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		q, err := core.Compile(struct{ core.TaskGraph }{c.g})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		for i := range p.TaskIds() {
+			if a, b := p.TaskAt(i), q.TaskAt(i); !reflect.DeepEqual(a, b) {
+				t.Fatalf("%s: task %d written %v, walked %v", c.name, i, a, b)
+			}
 		}
 	}
 }

@@ -86,48 +86,54 @@ func (g *BinarySwap) RoundOf(id core.TaskId) (round, index int) {
 	return int(id) / g.n, int(id) % g.n
 }
 
-// Task implements core.TaskGraph.
-func (g *BinarySwap) Task(id core.TaskId) (core.Task, bool) {
-	if id == core.ExternalInput || int(id) < 0 || int(id) >= g.Size() {
-		return core.Task{}, false
-	}
+// write is the exchange's edge rule, writing the task with the given id:
+// round 0 takes one external input and any later round its own
+// predecessor's kept half and its partner's swapped half; each round but
+// the last keeps one half for its successor and sends the other to the
+// next round's partner, and the last emits its tile on a sink.
+func (g *BinarySwap) write(w *core.PlanWriter, id core.TaskId) {
 	r, i := g.RoundOf(id)
-	t := core.Task{Id: id}
-
+	cb := SwapMidCB
 	switch {
+	case r == g.d: // a single participant renders and writes in one task
+		cb = SwapRootCB
 	case r == 0:
-		t.Callback = SwapLeafCB
-		t.Incoming = []core.TaskId{core.ExternalInput}
-	case r == g.d:
-		t.Callback = SwapRootCB
-	default:
-		t.Callback = SwapMidCB
+		cb = SwapLeafCB
 	}
-	if r > 0 {
-		// Inputs: kept half from own predecessor, swapped half from the
-		// round-(r-1) partner. Partner bit for transition r-1 -> r is r-1.
-		partner := i ^ (1 << (r - 1))
-		t.Incoming = []core.TaskId{
-			core.TaskId((r-1)*g.n + i),
-			core.TaskId((r-1)*g.n + partner),
-		}
-	}
-	if r < g.d {
-		partner := i ^ (1 << r)
-		t.Outgoing = [][]core.TaskId{
-			{core.TaskId((r+1)*g.n + i)},       // half we keep
-			{core.TaskId((r+1)*g.n + partner)}, // half we send
-		}
+	if r == 0 {
+		w.Task(id, cb, core.ExternalInput)
 	} else {
-		// Final round: one sink output, the finished tile.
-		t.Outgoing = [][]core.TaskId{{}}
+		// The partner bit of the transition r-1 -> r is r-1.
+		prev := core.TaskId((r - 1) * g.n)
+		w.Task(id, cb, prev+core.TaskId(i), prev+core.TaskId(i^(1<<(r-1))))
 	}
-	if g.d == 0 {
-		// Single participant: render and write in one task.
-		t.Callback = SwapRootCB
-		t.Incoming = []core.TaskId{core.ExternalInput}
+	if r == g.d {
+		w.Slot()
+		return
 	}
-	return t, true
+	next := core.TaskId((r + 1) * g.n)
+	w.Slot(next + core.TaskId(i))        // half we keep
+	w.Slot(next + core.TaskId(i^(1<<r))) // half we send
 }
 
-var _ core.TaskGraph = (*BinarySwap)(nil)
+// Task implements core.TaskGraph.
+func (g *BinarySwap) Task(id core.TaskId) (core.Task, bool) {
+	if id >= core.TaskId(g.Size()) {
+		return core.Task{}, false
+	}
+	var w core.PlanWriter
+	g.write(&w, id)
+	return w.Written(), true
+}
+
+// WritePlan implements core.PlanSource.
+func (g *BinarySwap) WritePlan(w *core.PlanWriter) {
+	// Each of the d exchanges is 2n edges, each an input and a one-edge
+	// output slot; round 0 adds n external inputs, the last round n sinks.
+	w.Grow(g.Size(), g.n+2*g.d*g.n, g.n+2*g.d*g.n, 2*g.d*g.n)
+	for id := range core.TaskId(g.Size()) {
+		g.write(w, id)
+	}
+}
+
+var _ core.PlanSource = (*BinarySwap)(nil)

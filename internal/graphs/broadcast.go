@@ -17,93 +17,67 @@ const (
 )
 
 // Broadcast is a k-way broadcast tree over k^d leaves: the mirror image of a
-// Reduction. Task 0 is the root and receives one external input; every node
-// forwards one output, multicast to its k children; leaves emit sink
-// outputs. The paper's merge-tree dataflow uses such relay trees to fan
+// Reduction, in the same id scheme. The root receives one external input;
+// every node forwards one output, multicast to its k children; leaves emit
+// sink outputs. The paper's merge-tree dataflow uses such relay trees to fan
 // augmented boundary trees out to the correction tasks without overloading
 // a single join task.
-type Broadcast struct {
-	k      int
-	d      int
-	leafs  int
-	ntasks int
-}
+type Broadcast struct{ tree }
 
 // NewBroadcast returns a broadcast over the given number of leaves with the
 // given valence (fan-out). The leaf count must be a power of the valence.
 func NewBroadcast(leafs, valence int) (*Broadcast, error) {
-	r, err := NewReduction(leafs, valence)
+	t, err := newTree(leafs, valence)
 	if err != nil {
 		return nil, fmt.Errorf("graphs: broadcast: %w", err)
 	}
-	return &Broadcast{k: r.k, d: r.d, leafs: r.leafs, ntasks: r.ntasks}, nil
+	return &Broadcast{t}, nil
 }
-
-// Valence returns the fan-out of the tree.
-func (g *Broadcast) Valence() int { return g.k }
-
-// Depth returns the number of broadcast levels.
-func (g *Broadcast) Depth() int { return g.d }
-
-// Leafs returns the number of leaf tasks.
-func (g *Broadcast) Leafs() int { return g.leafs }
-
-// Size implements core.TaskGraph.
-func (g *Broadcast) Size() int { return g.ntasks }
-
-// TaskIds implements core.TaskGraph.
-func (g *Broadcast) TaskIds() []core.TaskId { return core.ContiguousIds(g.ntasks) }
 
 // Callbacks implements core.TaskGraph.
 func (g *Broadcast) Callbacks() []core.CallbackId {
 	return []core.CallbackId{BcastSourceCB, BcastRelayCB, BcastSinkCB}
 }
 
-// Root returns the id of the root (source) task.
-func (g *Broadcast) Root() core.TaskId { return 0 }
-
-// LeafIds returns the ids of the leaf tasks in block order.
-func (g *Broadcast) LeafIds() []core.TaskId {
-	ids := make([]core.TaskId, g.leafs)
-	first := g.ntasks - g.leafs
-	for i := range ids {
-		ids[i] = core.TaskId(first + i)
+// write is the broadcast's edge rule, writing task i with its ids shifted
+// by base: the root takes its input from rootFrom, any other task from its
+// parent, and each multicasts its one output to its k children — a leaf's
+// is a sink. cbs names the root, inner and leaf callbacks.
+func (g *Broadcast) write(w *core.PlanWriter, i int, base core.TaskId, cbs [3]core.CallbackId, rootFrom core.TaskId) {
+	id, cb := base+core.TaskId(i), g.role(i, cbs[0], cbs[2], cbs[1])
+	if i == 0 {
+		w.Task(id, cb, rootFrom)
+	} else {
+		w.Task(id, cb, base+core.TaskId((i-1)/g.k))
 	}
-	return ids
+	if i >= g.ntasks-g.leafs {
+		w.Slot()
+	} else {
+		var buf [8]core.TaskId
+		w.Slot(span(buf[:0], base+core.TaskId(i*g.k+1), g.k)...)
+	}
 }
+
+var bcastCBs = [3]core.CallbackId{BcastSourceCB, BcastRelayCB, BcastSinkCB}
 
 // Task implements core.TaskGraph.
 func (g *Broadcast) Task(id core.TaskId) (core.Task, bool) {
-	i := int(id)
-	if id == core.ExternalInput || i < 0 || i >= g.ntasks {
+	if id >= core.TaskId(g.ntasks) {
 		return core.Task{}, false
 	}
-	t := core.Task{Id: id}
-	if i == 0 {
-		t.Callback = BcastSourceCB
-		t.Incoming = []core.TaskId{core.ExternalInput}
-	} else {
-		t.Callback = BcastRelayCB
-		t.Incoming = []core.TaskId{core.TaskId((i - 1) / g.k)}
-	}
-	isLeaf := i >= g.ntasks-g.leafs
-	if isLeaf {
-		t.Callback = BcastSinkCB
-		t.Outgoing = [][]core.TaskId{{}}
-	} else {
-		children := make([]core.TaskId, g.k)
-		for c := 0; c < g.k; c++ {
-			children[c] = core.TaskId(i*g.k + c + 1)
-		}
-		// A single output slot multicast to all children: every child
-		// receives (a copy of) the same payload.
-		t.Outgoing = [][]core.TaskId{children}
-	}
-	if g.ntasks == 1 {
-		// Degenerate single-task broadcast: source with a sink output.
-		t.Callback = BcastSourceCB
-	}
-	return t, true
+	var w core.PlanWriter
+	g.write(&w, int(id), 0, bcastCBs, core.ExternalInput)
+	return w.Written(), true
 }
 
-var _ core.TaskGraph = (*Broadcast)(nil)
+// WritePlan implements core.PlanSource.
+func (g *Broadcast) WritePlan(w *core.PlanWriter) {
+	// One input and one output slot per task; every task but the root is
+	// one consumer of its parent.
+	w.Grow(g.ntasks, g.ntasks, g.ntasks, g.ntasks-1)
+	for i := range g.ntasks {
+		g.write(w, i, 0, bcastCBs, core.ExternalInput)
+	}
+}
+
+var _ core.PlanSource = (*Broadcast)(nil)

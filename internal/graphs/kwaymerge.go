@@ -79,65 +79,40 @@ func (g *KWayMerge) DownLeafIds() []core.TaskId {
 	return ids
 }
 
-// Task implements core.TaskGraph.
-func (g *KWayMerge) Task(id core.TaskId) (core.Task, bool) {
-	if id == core.ExternalInput || int(id) < 0 || int(id) >= g.Size() {
-		return core.Task{}, false
+// write writes task i: the up-sweep by the Reduction rule, its root
+// feeding the down-sweep root, and the down-sweep by the Broadcast rule
+// shifted by nt, its root fed by the up-sweep root. With a single leaf the
+// down-sweep root is the final task.
+func (g *KWayMerge) write(w *core.PlanWriter, i int) {
+	if i < g.nt {
+		g.up.write(w, i, [3]core.CallbackId{MergeLeafCB, MergeMidCB, MergeRootCB}, core.TaskId(g.nt))
+		return
 	}
-	if int(id) < g.nt {
-		// Up-sweep: a Reduction task; the root's sink output is rewired to
-		// feed the down-sweep root.
-		t, ok := g.up.Task(id)
-		if !ok {
-			return core.Task{}, false
-		}
-		switch t.Callback {
-		case ReduceLeafCB:
-			t.Callback = MergeLeafCB
-		case ReduceMidCB:
-			t.Callback = MergeMidCB
-		case ReduceRootCB:
-			t.Callback = MergeRootCB
-		}
-		if id == g.up.Root() {
-			t.Outgoing = [][]core.TaskId{{core.TaskId(g.nt)}}
-		}
-		return t, true
-	}
-	// Down-sweep: a Broadcast task shifted by nt; the root's external input
-	// is rewired to come from the up-sweep root.
-	bt, ok := g.down.Task(id - core.TaskId(g.nt))
-	if !ok {
-		return core.Task{}, false
-	}
-	t := core.Task{Id: id}
-	switch bt.Callback {
-	case BcastSourceCB, BcastRelayCB:
-		t.Callback = MergeRelayCB
-	case BcastSinkCB:
-		t.Callback = MergeFinalCB
-	}
-	if len(bt.Incoming) == 1 && bt.Incoming[0] == core.ExternalInput {
-		t.Incoming = []core.TaskId{g.up.Root()}
-	} else {
-		t.Incoming = make([]core.TaskId, len(bt.Incoming))
-		for i, in := range bt.Incoming {
-			t.Incoming[i] = in + core.TaskId(g.nt)
-		}
-	}
-	t.Outgoing = make([][]core.TaskId, len(bt.Outgoing))
-	for s, slot := range bt.Outgoing {
-		t.Outgoing[s] = make([]core.TaskId, len(slot))
-		for i, c := range slot {
-			t.Outgoing[s][i] = c + core.TaskId(g.nt)
-		}
-	}
+	turn := MergeRelayCB
 	if g.nt == 1 {
-		// Degenerate: single leaf. Down task receives from up root and
-		// emits the sink output.
-		t.Callback = MergeFinalCB
+		turn = MergeFinalCB
 	}
-	return t, true
+	g.down.write(w, i-g.nt, core.TaskId(g.nt), [3]core.CallbackId{turn, MergeRelayCB, MergeFinalCB}, g.up.Root())
 }
 
-var _ core.TaskGraph = (*KWayMerge)(nil)
+// Task implements core.TaskGraph.
+func (g *KWayMerge) Task(id core.TaskId) (core.Task, bool) {
+	if id >= core.TaskId(g.Size()) {
+		return core.Task{}, false
+	}
+	var w core.PlanWriter
+	g.write(&w, int(id))
+	return w.Written(), true
+}
+
+// WritePlan implements core.PlanSource.
+func (g *KWayMerge) WritePlan(w *core.PlanWriter) {
+	// The Reduction's and the Broadcast's totals, plus the edge that joins
+	// the two roots.
+	w.Grow(2*g.nt, g.Leafs()+2*g.nt-1, 2*g.nt, 2*g.nt-1)
+	for i := range 2 * g.nt {
+		g.write(w, i)
+	}
+}
+
+var _ core.PlanSource = (*KWayMerge)(nil)

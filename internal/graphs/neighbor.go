@@ -30,8 +30,6 @@ const (
 	South
 )
 
-var dirOffsets = [4][2]int{{-1, 0}, {1, 0}, {0, -1}, {0, 1}}
-
 // Neighbor2D is a two-phase halo-exchange dataflow over a W x H grid of
 // cells (Fig. 8 of the paper uses it for volume registration). Each cell
 // has an extract task (phase 0, id = y*W + x) and a process task (phase 1,
@@ -92,26 +90,19 @@ func (g *Neighbor2D) CellOf(id core.TaskId) (x, y, phase int) {
 	return i % g.w, i / g.w, phase
 }
 
-// neighbors returns the existing neighbors of (x, y) in canonical order,
-// together with their directions.
-func (g *Neighbor2D) neighbors(x, y int) (xs, ys []int, dirs []Direction) {
-	for d, off := range dirOffsets {
-		nx, ny := x+off[0], y+off[1]
-		if nx < 0 || nx >= g.w || ny < 0 || ny >= g.h {
-			continue
-		}
-		xs = append(xs, nx)
-		ys = append(ys, ny)
-		dirs = append(dirs, Direction(d))
-	}
-	return xs, ys, dirs
-}
+// grid is the cell grid as a one-cell-deep Neighbor3D: the same ids, and
+// Down and Up never exist, so the same neighbors in the same slot order.
+// It writes the 2-D tasks.
+func (g *Neighbor2D) grid() *Neighbor3D { return &Neighbor3D{w: g.w, h: g.h, d: 1} }
 
 // NeighborDirs returns the directions of the existing neighbors of cell
 // (x, y) in canonical slot order: the i-th entry corresponds to extract
 // output slot i+1 and to process input slot i+1.
 func (g *Neighbor2D) NeighborDirs(x, y int) []Direction {
-	_, _, dirs := g.neighbors(x, y)
+	var dirs []Direction
+	for _, d := range g.grid().NeighborDirs(x, y, 0) {
+		dirs = append(dirs, Direction(d))
+	}
 	return dirs
 }
 
@@ -120,8 +111,7 @@ func (g *Neighbor2D) NeighborDirs(x, y int) []Direction {
 // the cell's own process task). ok is false when that neighbor does not
 // exist.
 func (g *Neighbor2D) ExtractSlot(x, y int, dir Direction) (slot int, ok bool) {
-	_, _, dirs := g.neighbors(x, y)
-	for i, d := range dirs {
+	for i, d := range g.NeighborDirs(x, y) {
 		if d == dir {
 			return i + 1, true
 		}
@@ -130,34 +120,12 @@ func (g *Neighbor2D) ExtractSlot(x, y int, dir Direction) (slot int, ok bool) {
 }
 
 // Task implements core.TaskGraph.
-func (g *Neighbor2D) Task(id core.TaskId) (core.Task, bool) {
-	if id == core.ExternalInput || int(id) < 0 || int(id) >= g.Size() {
-		return core.Task{}, false
-	}
-	x, y, phase := g.CellOf(id)
-	t := core.Task{Id: id}
-	if phase == 0 {
-		t.Callback = NeighborExtractCB
-		t.Incoming = []core.TaskId{core.ExternalInput}
-		xs, ys, _ := g.neighbors(x, y)
-		t.Outgoing = make([][]core.TaskId, 1+len(xs))
-		t.Outgoing[0] = []core.TaskId{g.ProcessId(x, y)}
-		for i := range xs {
-			t.Outgoing[i+1] = []core.TaskId{g.ProcessId(xs[i], ys[i])}
-		}
-		return t, true
-	}
-	t.Callback = NeighborProcessCB
-	t.Incoming = []core.TaskId{g.ExtractId(x, y)}
-	xs, ys, _ := g.neighbors(x, y)
-	for i := range xs {
-		t.Incoming = append(t.Incoming, g.ExtractId(xs[i], ys[i]))
-	}
-	t.Outgoing = [][]core.TaskId{{}}
-	return t, true
-}
+func (g *Neighbor2D) Task(id core.TaskId) (core.Task, bool) { return g.grid().Task(id) }
 
-var _ core.TaskGraph = (*Neighbor2D)(nil)
+// WritePlan implements core.PlanSource.
+func (g *Neighbor2D) WritePlan(w *core.PlanWriter) { g.grid().WritePlan(w) }
+
+var _ core.PlanSource = (*Neighbor2D)(nil)
 
 // Callback slots of a Gather, in the order returned by Callbacks().
 const (
@@ -204,25 +172,36 @@ func (g *Gather) Callbacks() []core.CallbackId {
 	return []core.CallbackId{GatherLeafCB, GatherRootCB}
 }
 
-// Task implements core.TaskGraph.
-func (g *Gather) Task(id core.TaskId) (core.Task, bool) {
-	if id == core.ExternalInput || int(id) < 0 || int(id) > g.n {
-		return core.Task{}, false
-	}
-	t := core.Task{Id: id}
+// write is the gather's edge rule, writing the task with the given id:
+// each leaf takes one external input and sends to the root, which takes
+// every leaf's output in leaf order and emits one sink.
+func (g *Gather) write(w *core.PlanWriter, id core.TaskId) {
 	if int(id) < g.n {
-		t.Callback = GatherLeafCB
-		t.Incoming = []core.TaskId{core.ExternalInput}
-		t.Outgoing = [][]core.TaskId{{core.TaskId(g.n)}}
-		return t, true
+		w.Task(id, GatherLeafCB, core.ExternalInput)
+		w.Slot(g.Root())
+		return
 	}
-	t.Callback = GatherRootCB
-	t.Incoming = make([]core.TaskId, g.n)
-	for i := 0; i < g.n; i++ {
-		t.Incoming[i] = core.TaskId(i)
-	}
-	t.Outgoing = [][]core.TaskId{{}}
-	return t, true
+	var buf [8]core.TaskId
+	w.Task(id, GatherRootCB, span(buf[:0], 0, g.n)...)
+	w.Slot()
 }
 
-var _ core.TaskGraph = (*Gather)(nil)
+// Task implements core.TaskGraph.
+func (g *Gather) Task(id core.TaskId) (core.Task, bool) {
+	if id > g.Root() {
+		return core.Task{}, false
+	}
+	var w core.PlanWriter
+	g.write(&w, id)
+	return w.Written(), true
+}
+
+// WritePlan implements core.PlanSource.
+func (g *Gather) WritePlan(w *core.PlanWriter) {
+	w.Grow(g.n+1, 2*g.n, g.n+1, g.n)
+	for id := range g.Root() + 1 {
+		g.write(w, id)
+	}
+}
+
+var _ core.PlanSource = (*Gather)(nil)

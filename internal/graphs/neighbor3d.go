@@ -78,48 +78,76 @@ func (g *Neighbor3D) CellOf(id core.TaskId) (x, y, z, phase int) {
 	return
 }
 
+// inside reports whether (x, y, z) is a cell of the grid.
+func (g *Neighbor3D) inside(x, y, z int) bool {
+	return x >= 0 && x < g.w && y >= 0 && y < g.h && z >= 0 && z < g.d
+}
+
 // NeighborDirs returns the directions of the existing neighbors of cell
 // (x, y, z) in canonical slot order: the i-th entry corresponds to extract
 // output slot i+1 and process input slot i+1.
 func (g *Neighbor3D) NeighborDirs(x, y, z int) []Direction3D {
 	var dirs []Direction3D
 	for d, off := range dirOffsets3D {
-		nx, ny, nz := x+off[0], y+off[1], z+off[2]
-		if nx < 0 || nx >= g.w || ny < 0 || ny >= g.h || nz < 0 || nz >= g.d {
-			continue
+		if g.inside(x+off[0], y+off[1], z+off[2]) {
+			dirs = append(dirs, Direction3D(d))
 		}
-		dirs = append(dirs, Direction3D(d))
 	}
 	return dirs
 }
 
-// Task implements core.TaskGraph.
-func (g *Neighbor3D) Task(id core.TaskId) (core.Task, bool) {
-	if id == core.ExternalInput || int(id) < 0 || int(id) >= g.Size() {
-		return core.Task{}, false
-	}
-	x, y, z, phase := g.CellOf(id)
-	t := core.Task{Id: id}
-	dirs := g.NeighborDirs(x, y, z)
-	if phase == 0 {
-		t.Callback = NeighborExtractCB
-		t.Incoming = []core.TaskId{core.ExternalInput}
-		t.Outgoing = make([][]core.TaskId, 1+len(dirs))
-		t.Outgoing[0] = []core.TaskId{g.ProcessId(x, y, z)}
-		for i, d := range dirs {
-			off := dirOffsets3D[d]
-			t.Outgoing[i+1] = []core.TaskId{g.ProcessId(x+off[0], y+off[1], z+off[2])}
+// around appends to buf the ids, in the given phase, of cell (x, y, z) and
+// then of its existing neighbors in canonical order.
+func (g *Neighbor3D) around(buf []core.TaskId, x, y, z, phase int) []core.TaskId {
+	base := core.TaskId(phase * g.Cells())
+	buf = append(buf, base+g.ExtractId(x, y, z))
+	for _, off := range dirOffsets3D {
+		if nx, ny, nz := x+off[0], y+off[1], z+off[2]; g.inside(nx, ny, nz) {
+			buf = append(buf, base+g.ExtractId(nx, ny, nz))
 		}
-		return t, true
 	}
-	t.Callback = NeighborProcessCB
-	t.Incoming = []core.TaskId{g.ExtractId(x, y, z)}
-	for _, d := range dirs {
-		off := dirOffsets3D[d]
-		t.Incoming = append(t.Incoming, g.ExtractId(x+off[0], y+off[1], z+off[2]))
-	}
-	t.Outgoing = [][]core.TaskId{{}}
-	return t, true
+	return buf
 }
 
-var _ core.TaskGraph = (*Neighbor3D)(nil)
+// write is the halo exchange's edge rule, writing the task with the given
+// id: an extract task takes one external input and sends one slot to each
+// process task around its cell, its own first; a process task takes one
+// input from each extract task around its cell, its own first, and emits
+// one sink.
+func (g *Neighbor3D) write(w *core.PlanWriter, id core.TaskId) {
+	x, y, z, phase := g.CellOf(id)
+	var buf [1 + len(dirOffsets3D)]core.TaskId
+	if phase == 0 {
+		w.Task(id, NeighborExtractCB, core.ExternalInput)
+		for _, c := range g.around(buf[:0], x, y, z, 1) {
+			w.Slot(c)
+		}
+		return
+	}
+	w.Task(id, NeighborProcessCB, g.around(buf[:0], x, y, z, 0)...)
+	w.Slot()
+}
+
+// Task implements core.TaskGraph.
+func (g *Neighbor3D) Task(id core.TaskId) (core.Task, bool) {
+	if id >= core.TaskId(g.Size()) {
+		return core.Task{}, false
+	}
+	var w core.PlanWriter
+	g.write(&w, id)
+	return w.Written(), true
+}
+
+// WritePlan implements core.PlanSource.
+func (g *Neighbor3D) WritePlan(w *core.PlanWriter) {
+	// pairs counts the ordered neighbor pairs: each is one edge, one extract
+	// output slot and one process input on top of each cell's own.
+	c := g.Cells()
+	pairs := 2 * ((g.w-1)*g.h*g.d + g.w*(g.h-1)*g.d + g.w*g.h*(g.d-1))
+	w.Grow(2*c, 2*c+pairs, 2*c+pairs, c+pairs)
+	for id := range core.TaskId(g.Size()) {
+		g.write(w, id)
+	}
+}
+
+var _ core.PlanSource = (*Neighbor3D)(nil)

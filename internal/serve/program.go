@@ -186,52 +186,71 @@ func prototypeSubmission(g core.TaskGraph, p Params) mpi.Submission {
 // mixCallback returns a deterministic callback hashing the task id and all
 // input bytes into each output slot — the same shape the conformance suite
 // uses, so any routing, interleaving or isolation defect flips the digest.
-// It counts output slots on g's plan (g itself when it is one).
-func mixCallback(g core.TaskGraph) core.Callback {
-	if plan, err := core.Compile(g); err == nil {
-		g = plan
-	}
-	return func(in []core.Payload, id core.TaskId) ([]core.Payload, error) {
-		h := sha256.New()
-		var idb [8]byte
-		binary.LittleEndian.PutUint64(idb[:], uint64(id))
-		h.Write(idb[:])
-		for _, p := range in {
-			w, err := p.Wire()
-			if err != nil {
-				return nil, err
-			}
-			h.Write(w)
+// It counts output slots on the plan, by dense index. The body is a named
+// function: inlined with the closure into its caller, the hash state
+// escaped to the heap, one more allocation per task.
+func mixCallback(plan *core.Plan) core.Callback {
+	return func(in []core.Payload, id core.TaskId) ([]core.Payload, error) { return mixOutputs(plan, in, id) }
+}
+
+// mixOutputs is the hash-mix callback on a task of plan.
+func mixOutputs(plan *core.Plan, in []core.Payload, id core.TaskId) ([]core.Payload, error) {
+	h := sha256.New()
+	var idb [8]byte
+	binary.LittleEndian.PutUint64(idb[:], uint64(id))
+	h.Write(idb[:])
+	for _, p := range in {
+		w, err := p.Wire()
+		if err != nil {
+			return nil, err
 		}
-		base := h.Sum(nil)
-		t, _ := g.Task(id)
-		out := make([]core.Payload, len(t.Outgoing))
-		for s := range out {
-			buf := make([]byte, len(base)+1)
-			copy(buf, base)
-			buf[len(base)] = byte(s)
-			out[s] = core.Buffer(buf)
-		}
-		return out, nil
+		h.Write(w)
 	}
+	base := h.Sum(nil)
+	i, _ := plan.Index(id)
+	out := make([]core.Payload, len(plan.TaskAt(i).Outgoing))
+	for s := range out {
+		buf := make([]byte, len(base)+1)
+		copy(buf, base)
+		buf[len(base)] = byte(s)
+		out[s] = core.Buffer(buf)
+	}
+	return out, nil
 }
 
 // externalInputsFor synthesizes one deterministic payload of size bytes per
-// ExternalInput slot.
+// ExternalInput slot. Every payload is a capacity-capped window of one byte
+// array, and every task's list a window of one payload array.
 func externalInputsFor(p *core.Plan, size int) map[core.TaskId][]core.Payload {
 	if size < 8 {
 		size = 8
 	}
-	initial := make(map[core.TaskId][]core.Payload)
+	slots, fed := 0, 0
+	for i := range p.Size() {
+		if k := p.Externals(i); k > 0 {
+			slots, fed = slots+k, fed+1
+		}
+	}
+	data := make([]byte, slots*size)
+	payloads := make([]core.Payload, slots)
+	initial := make(map[core.TaskId][]core.Payload, fed)
 	for i, id := range p.TaskIds() {
-		for j := 0; j < p.Externals(i); j++ {
-			b := make([]byte, size)
+		k := p.Externals(i)
+		if k == 0 {
+			continue
+		}
+		ps := payloads[:k:k]
+		payloads = payloads[k:]
+		for j := range ps {
+			b := data[:size:size]
+			data = data[size:]
 			binary.LittleEndian.PutUint64(b, uint64(id)*31+uint64(j))
 			for off := 8; off < size; off++ {
 				b[off] = byte(off ^ int(id))
 			}
-			initial[id] = append(initial[id], core.Buffer(b))
+			ps[j] = core.Buffer(b)
 		}
+		initial[id] = ps
 	}
 	return initial
 }

@@ -33,7 +33,7 @@ func slowRegistry() *Registry {
 				return mpi.Submission{}, err
 			}
 			sub := prototypeSubmission(g, p)
-			mix := mixCallback(g)
+			mix := mixCallback(sub.Graph.(*core.Plan))
 			nap := time.Duration(p.Get("sleep_ms", 20)) * time.Millisecond
 			sub.Register = func(c core.CallbackRegistrar) error {
 				for _, cb := range g.Callbacks() {
@@ -314,7 +314,7 @@ func TestServerFailedRunIsolated(t *testing.T) {
 				return mpi.Submission{}, err
 			}
 			sub := prototypeSubmission(g, p)
-			mix := mixCallback(g)
+			mix := mixCallback(sub.Graph.(*core.Plan))
 			sub.Register = func(c core.CallbackRegistrar) error {
 				for _, cb := range g.Callbacks() {
 					if err := c.RegisterCallback(cb, func(in []core.Payload, id core.TaskId) ([]core.Payload, error) {
@@ -580,6 +580,38 @@ func TestDefaultRegistryDigestsPinned(t *testing.T) {
 		}
 		if got != want {
 			t.Errorf("%s: reference digest %s, pinned %s", name, got, want)
+		}
+	}
+}
+
+// TestBuildAllocationPins: building the graph-scale k-way merge submission
+// (16 382 tasks, 4 096 inputs of 64 bytes) costs a constant number of
+// allocations. Parent: 73 794 — a Task answer walk in Compile, a second
+// Compile in the callback and one byte slice per input.
+func TestBuildAllocationPins(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	reg := DefaultRegistry()
+	p := Params{"blocks": 4096, "valence": 2, "payload": 64}
+	if n := testing.AllocsPerRun(3, func() {
+		if _, err := reg.Build("kwaymerge", p); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 100 {
+		t.Errorf("Build(kwaymerge, 4096 blocks) allocates %v, pinned at 100 (parent 73 794)", n)
+	}
+}
+
+// BenchmarkBuild is the graph-scale workload's set-up before Initialize:
+// the kwaymerge submission over 4 096 blocks.
+func BenchmarkBuild(b *testing.B) {
+	reg := DefaultRegistry()
+	p := Params{"blocks": 4096, "valence": 2, "payload": 64}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := reg.Build("kwaymerge", p); err != nil {
+			b.Fatal(err)
 		}
 	}
 }
