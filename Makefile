@@ -176,7 +176,8 @@ fuzz:
 ## blocks from its extracted block and in place, the leaf inputs of that
 ## render, one internal compositing node of that render) and the
 ## merge-tree kernels (a leaf's local tree, a correction merge, a
-## segmentation) and the registration search (a full NCC window,
+## segmentation) and the merge-tree use case end to end (serial, and mpi on
+## 2 ranks of 2 workers, at the mergetree-mem shape) and the registration search (a full NCC window,
 ## East and South) and set-up (the 6×6 refinement loop built, placed,
 ## initialized and seeded) and the engine benchmarks (recovery from a
 ## killed peer or a membership change, loop-combinator overhead; each run
@@ -198,7 +199,7 @@ perf-smoke:
 	$(GO) test -run='^$$' -bench='^BenchmarkColdRun16k$$' -benchtime=1x ./internal/mpi
 	$(GO) test -run='^$$' -bench='^BenchmarkExtract$$' -benchtime=1x ./internal/data
 	$(GO) test -run='^$$' -bench='^Benchmark(Image(Serialize|Deserialize)|RenderBlock|Composite|InitialInputs)$$' -benchtime=1x ./internal/render
-	$(GO) test -run='^$$' -bench='^Benchmark(FromField|Merge|Segment)$$' -benchtime=1x ./internal/mergetree
+	$(GO) test -run='^$$' -bench='^Benchmark(FromField|Merge|Segment|Run)$$' -benchtime=1x ./internal/mergetree
 	$(GO) test -run='^$$' -bench='^Benchmark(Correlate|IterativeSetup)$$' -benchtime=1x ./internal/register
 	$(GO) test -run='^$$' -bench='Recovery|IterateOverhead' -benchtime=1x ./internal/conformance
 	$(GO) test -count=1 -run='AllocationPins' ./internal/core ./internal/mpi ./internal/serve ./internal/data ./internal/render ./internal/mergetree ./internal/register

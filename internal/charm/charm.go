@@ -214,10 +214,10 @@ func (r *charmRun) peLoop(pe int) error {
 }
 
 // execute runs the chare's entry method (the registered callback) and sends
-// the outputs to the consuming chares as RPCs: the last consumer of a slot
-// receives the payload pointer when it lives on this PE (the PUP framework's
-// in-memory optimization), every other RPC carries the wire form
-// core.FanOut decides on.
+// the outputs to the consuming chares as RPCs, in the forms core.FanOut
+// decides on: a consumer on this PE may receive the payload pointer (the
+// PUP framework's in-memory optimization), every other RPC carries the wire
+// form.
 func (r *charmRun) execute(pe, i int, in []core.Payload) error {
 	t := r.plan.TaskAt(i)
 	out, _, err := core.Step(r.c.Registry(), r.c.opt.Observer, t, in, core.Event{Shard: core.ShardId(pe)})
@@ -233,18 +233,20 @@ func (r *charmRun) execute(pe, i int, in []core.Payload) error {
 			r.Sink(t.Id, out[slot])
 			continue
 		}
-		last := len(consumers) - 1
-		lastLocal := int(r.chares[to[last]].owner.Load()) == pe
-		wire, err := core.FanOut(out[slot], len(consumers), lastLocal)
+		// Each consumer's PE is read once, so a migration racing this
+		// fan-out cannot carry a pointer FanOut gave a local consumer to
+		// another PE.
+		base := len(batch)
+		for k, dest := range consumers {
+			batch = append(batch, fabric.Message{From: pe, To: int(r.chares[to[k]].owner.Load()), Src: t.Id, Dest: dest})
+		}
+		local := func(k int) bool { return batch[base+k].To == pe }
+		f, err := core.FanOut(out[slot], len(consumers), local)
 		if err != nil {
 			return fmt.Errorf("charm: chare %d output slot %d: %w", t.Id, slot, err)
 		}
-		for k, dest := range consumers {
-			m := fabric.Message{From: pe, To: int(r.chares[to[k]].owner.Load()), Src: t.Id, Dest: dest, Payload: wire}
-			if lastLocal && k == last {
-				m.To, m.Payload = pe, out[slot]
-			}
-			batch = append(batch, m)
+		for k := range consumers {
+			batch[base+k].Payload = f.To(k)
 		}
 	}
 	err = r.fab.SendN(batch)

@@ -98,15 +98,20 @@ func GrabBuffer(n int) []byte {
 	return make([]byte, n, 1<<c)
 }
 
-// ReleaseBuffer returns a buffer to the arena for reuse. Any buffer may be
-// donated — ones from GrabBuffer and ones the controller owns outright (a
-// relinquished wire form); buffers outside the pooled size range are
-// dropped. The caller must guarantee no reference to the buffer survives
-// the call.
+// ReleaseBuffer returns a buffer from GrabBuffer to the arena for reuse;
+// buffers outside the pooled size range are dropped. The caller must
+// guarantee no reference to the buffer survives the call.
 func ReleaseBuffer(b []byte) {
 	if arenaTrack.Load() {
 		arenaOutstanding.Add(-1)
 	}
+	donateBuffer(b)
+}
+
+// donateBuffer pools a buffer the arena never handed out (a fresh
+// serialization the controller owns outright), so accounting does not
+// count it: it was never grabbed.
+func donateBuffer(b []byte) {
 	if cap(b) == 0 {
 		return
 	}

@@ -151,25 +151,60 @@ func (a *Attempt) Result() (map[TaskId][]Payload, error) {
 	return a.sinks, nil
 }
 
-// FanOut is the copy-on-fan-out decision for one output slot with the given
-// number of consumers. When lastLocal, the last consumer shares the
-// producer's memory and receives p itself — the pointer pass of §IV-A;
-// every other consumer receives the returned wire form. A single wire
-// consumer with no pointer pass is handed the relinquished buffer as-is;
-// several share one immutable serialization (SharedPayload), which never
-// aliases a pointer-passed p. The zero Payload is returned when no consumer
-// needs a wire form.
-func FanOut(p Payload, consumers int, lastLocal bool) (wire Payload, err error) {
-	wireConsumers := consumers
-	if lastLocal {
-		wireConsumers--
+// Fan is one output slot's copy-on-fan-out decision: the form each
+// consumer receives (To).
+type Fan struct {
+	out, wire Payload
+	last      int
+	ptr       uint64   // bit j: consumer last-j receives out
+	more      []uint64 // ptr's bits from j = 64 on (an Immutable out only)
+}
+
+// FanOut decides the copies of output p for its consumers; local(k) says
+// consumer k may share the producer's memory. An Immutable object goes to
+// every local consumer by pointer, anything else to the last consumer only,
+// if local (the pointer pass of §IV-A). The others get one wire form: a
+// lone one the relinquished buffer as-is, several one shared serialization
+// (SharedPayload) that never aliases p.
+func FanOut(p Payload, consumers int, local func(k int) bool) (f Fan, err error) {
+	f = Fan{out: p, last: consumers - 1}
+	span := min(consumers, 1)
+	if p.Object != nil {
+		if _, ok := p.Object.(Immutable); ok {
+			span = consumers
+		}
 	}
+	wireConsumers := consumers
+	for j := 0; j < span; j++ {
+		if !local(f.last - j) {
+			continue
+		}
+		wireConsumers--
+		if j < 64 {
+			f.ptr |= 1 << j
+			continue
+		}
+		if f.more == nil {
+			f.more = make([]uint64, (span-1)/64)
+		}
+		f.more[j/64-1] |= 1 << (j % 64)
+	}
+	aliased := wireConsumers < consumers
 	switch {
 	case wireConsumers == 0:
-		return Payload{}, nil
-	case wireConsumers == 1 && !lastLocal:
-		return p.WireForm()
+	case wireConsumers == 1 && !aliased:
+		f.wire, err = p.WireForm()
 	default:
-		return SharedPayload(p, wireConsumers, lastLocal)
+		f.wire, err = SharedPayload(p, wireConsumers, aliased)
 	}
+	return f, err
+}
+
+// To returns the payload consumer k receives.
+func (f *Fan) To(k int) Payload {
+	j := f.last - k
+	if j < 64 && f.ptr>>j&1 != 0 || j >= 64 && f.more != nil && f.more[j/64-1]>>(j%64)&1 != 0 {
+		return f.out
+	}
+	return f.wire
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -116,53 +117,64 @@ func TestAttemptWatchFails(t *testing.T) {
 	}
 }
 
-type serializableObj struct{ b []byte }
+type serializableObj struct {
+	b     []byte
+	calls int // Serialize calls
+}
 
-func (o *serializableObj) Serialize() []byte { return append([]byte(nil), o.b...) }
+func (o *serializableObj) Serialize() []byte {
+	o.calls++
+	return append([]byte(nil), o.b...)
+}
+
+func (o *serializableObj) serializeCalls() int { return o.calls }
+
+// frozenObj is a serializable object that declares itself Immutable.
+type frozenObj struct{ serializableObj }
+
+func (*frozenObj) Immutable() {}
 
 // TestFanOut is the copy-on-fan-out table: which form every consumer of a
 // slot gets, that a shared form never aliases a pointer-passed payload, that
-// the share count reaches zero once every wire consumer owned or released
-// its reference, and that an unserializable object is refused.
+// an object is serialized at most once, that the share count reaches zero
+// once every wire consumer owned or released its reference, and that an
+// unserializable object is refused. A shape lists each consumer's place: L
+// may share the producer's memory, R is on another rank, A is local under
+// AlwaysSerialize (no consumer may share).
 func TestFanOut(t *testing.T) {
 	payloads := []struct {
-		name         string
-		mk           func() Payload
-		serializable bool
+		name                    string
+		mk                      func() Payload
+		serializable, immutable bool
 	}{
-		{"buffer", func() Payload { return Buffer([]byte("payload-bytes")) }, true},
-		{"serializable", func() Payload { return Object(&serializableObj{b: []byte("payload-bytes")}) }, true},
-		{"opaque", func() Payload { return Object(struct{ x int }{7}) }, false},
+		{"buffer", func() Payload { return Buffer([]byte("payload-bytes")) }, true, false},
+		{"serializable", func() Payload { return Object(&serializableObj{b: []byte("payload-bytes")}) }, true, false},
+		{"opaque", func() Payload { return Object(struct{ x int }{7}) }, false, false},
+		{"immutable", func() Payload { return Object(&frozenObj{serializableObj{b: []byte("payload-bytes")}}) }, true, true},
 	}
-	shapes := []struct {
-		name      string
-		consumers int
-		lastLocal bool
-	}{
-		{"1-local", 1, true},
-		{"1-remote", 1, false},
-		{"k-remote", 3, false},
-		{"k-1-remote+local", 3, true},
-	}
+	// The last shape has local consumers 64 and more places before the last.
+	shapes := []string{"L", "R", "RRR", "RRL", "LLL", "LRL", "LRLR", "RLLR", "AAA", "LR" + strings.Repeat("L", 68)}
 	for _, pc := range payloads {
-		for _, sh := range shapes {
-			t.Run(pc.name+"/"+sh.name, func(t *testing.T) {
+		for _, shape := range shapes {
+			t.Run(pc.name+"/"+shape[:min(len(shape), 8)], func(t *testing.T) {
 				ArenaAccounting(true)
 				defer ArenaAccounting(false)
 				p := pc.mk()
-				wireConsumers := sh.consumers
-				if sh.lastLocal {
-					wireConsumers--
-				}
-				wire, err := FanOut(p, sh.consumers, sh.lastLocal)
-				switch {
-				case wireConsumers == 0:
-					// Pure pointer pass: nothing to serialize, nothing refused.
-					if err != nil || !wire.Empty() || wire.Shared() {
-						t.Fatalf("FanOut = %+v, %v; want the zero payload", wire, err)
+				n, last := len(shape), len(shape)-1
+				// The rule: an immutable object goes to every L consumer,
+				// anything else to the last consumer only, if it is L.
+				pointer := make([]bool, n)
+				wireConsumers := n
+				for k := range shape {
+					if shape[k] == 'L' && (pc.immutable || k == last) {
+						pointer[k], wireConsumers = true, wireConsumers-1
 					}
-					return
-				case !pc.serializable:
+				}
+				aliased := wireConsumers < n
+				local := func(k int) bool { return shape[k] == 'L' }
+				f, err := FanOut(p, n, local)
+				switch {
+				case !pc.serializable && wireConsumers > 0:
 					if !errors.Is(err, ErrNotSerializable) {
 						t.Fatalf("FanOut error = %v, want ErrNotSerializable", err)
 					}
@@ -170,16 +182,39 @@ func TestFanOut(t *testing.T) {
 				case err != nil:
 					t.Fatal(err)
 				}
-				if string(wire.Data) != "payload-bytes" || wire.Object != nil {
-					t.Fatalf("wire form = %+v, want the bytes alone", wire)
+				var wire Payload
+				for k := range shape {
+					got := f.To(k)
+					if pointer[k] {
+						if got.Object != p.Object || got.Data != nil && &got.Data[0] != &p.Data[0] {
+							t.Fatalf("consumer %d got %+v, want the producer's payload", k, got)
+						}
+						continue
+					}
+					if string(got.Data) != "payload-bytes" || got.Object != nil {
+						t.Fatalf("consumer %d got %+v, want the bytes alone", k, got)
+					}
+					wire = got
 				}
-				if single := wireConsumers == 1 && !sh.lastLocal; wire.Shared() == single {
-					t.Fatalf("Shared() = %v with %d wire consumer(s), lastLocal=%v", wire.Shared(), wireConsumers, sh.lastLocal)
+				if o, ok := p.Object.(interface{ serializeCalls() int }); ok {
+					if calls, want := o.serializeCalls(), min(wireConsumers, 1); calls != want {
+						t.Errorf("Serialize called %d times for %d wire consumer(s), want %d", calls, wireConsumers, want)
+					}
 				}
-				if sh.lastLocal && p.Data != nil && &wire.Data[0] == &p.Data[0] {
+				if wireConsumers == 0 {
+					// Pure pointer pass: nothing serialized, copied or shared.
+					if !f.wire.Empty() || f.wire.Shared() || ArenaOutstanding() != 0 {
+						t.Fatalf("wire form = %+v, arena outstanding %d; want neither", f.wire, ArenaOutstanding())
+					}
+					return
+				}
+				if single := wireConsumers == 1 && !aliased; wire.Shared() == single {
+					t.Fatalf("Shared() = %v with %d wire consumer(s), aliased=%v", wire.Shared(), wireConsumers, aliased)
+				}
+				if aliased && p.Data != nil && &wire.Data[0] == &p.Data[0] {
 					t.Error("shared wire form aliases the pointer-passed payload")
 				}
-				if !sh.lastLocal && wireConsumers == 1 && p.Data != nil && &wire.Data[0] != &p.Data[0] {
+				if !aliased && wireConsumers == 1 && p.Data != nil && &wire.Data[0] != &p.Data[0] {
 					t.Error("single wire consumer was handed a copy, want the relinquished buffer")
 				}
 				// Every wire consumer detaches: all but one own a copy, one

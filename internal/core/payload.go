@@ -6,17 +6,19 @@ import "sync/atomic"
 // a Payload is either a binary buffer (Data) or a pointer to an in-memory
 // object (Object), or both when an object has already been serialized.
 //
-// Controllers pass Payloads by pointer (in-memory messages) when producer and
-// consumer live on the same shard and the output does not fan out; otherwise
-// the payload is serialized onto the wire, which requires either Data to be
-// populated or Object to implement Serializable.
+// Controllers pass a Payload by pointer (in-memory message) to a consumer on
+// the producer's shard: to every such consumer when Object is Immutable,
+// else to the slot's last consumer only (FanOut). Every other consumer gets
+// the wire form, which requires either Data to be populated or Object to
+// implement Serializable.
 //
 // Each task assumes ownership of its input payloads and relinquishes
 // ownership of its outputs to the controller; callbacks must not retain or
-// mutate payloads after returning them. The routing fast path depends on
-// this hand-off: a relinquished output buffer may be forwarded to a single
-// consumer without a defensive copy, or published read-only to several
-// consumers through a refcounted shared wire form (SharedPayload).
+// mutate payloads after returning them, nor ever mutate an Immutable input.
+// The routing fast path depends on this hand-off: a relinquished output
+// buffer may be forwarded to a single consumer without a defensive copy, or
+// published read-only to several consumers through a refcounted shared
+// wire form (SharedPayload).
 type Payload struct {
 	// Data is the binary representation of the payload, if available.
 	Data []byte
@@ -35,12 +37,12 @@ type Payload struct {
 type sharedWire struct {
 	refs   atomic.Int32
 	buf    []byte
-	pooled bool // donate buf to the arena when the last reference drops
+	donate func([]byte) // gives buf to the arena when the last reference drops
 }
 
 func (w *sharedWire) release() {
-	if w.refs.Add(-1) == 0 && w.pooled {
-		ReleaseBuffer(w.buf)
+	if w.refs.Add(-1) == 0 && w.donate != nil {
+		w.donate(w.buf)
 	}
 }
 
@@ -53,6 +55,10 @@ func (w *sharedWire) release() {
 type Serializable interface {
 	Serialize() []byte
 }
+
+// Immutable marks a payload object no callback mutates, so one pointer to
+// it (and to its payload's Data) may go to several consumers at once.
+type Immutable interface{ Immutable() }
 
 // Buffer returns a payload wrapping a binary buffer.
 func Buffer(b []byte) Payload { return Payload{Data: b} }
@@ -133,20 +139,21 @@ func SharedPayload(p Payload, refs int, aliased bool) (Payload, error) {
 	if err != nil {
 		return Payload{}, err
 	}
-	buf := wire
+	w := &sharedWire{buf: wire}
 	// A fresh serialization (p.Data == nil) is exclusively ours and can be
 	// donated to the arena when the last consumer detaches. A relinquished
 	// Data buffer is wrapped in place — unless it is still aliased, in
 	// which case an arena copy isolates the fan-out readers.
-	pooled := p.Data == nil
-	if aliased && p.Data != nil {
-		buf = GrabBuffer(len(wire))
-		copy(buf, wire)
-		pooled = true
+	switch {
+	case p.Data == nil:
+		w.donate = donateBuffer
+	case aliased:
+		w.buf = GrabBuffer(len(wire))
+		copy(w.buf, wire)
+		w.donate = ReleaseBuffer
 	}
-	w := &sharedWire{buf: buf, pooled: pooled}
 	w.refs.Store(int32(refs))
-	return Payload{Data: buf, shared: w}, nil
+	return Payload{Data: w.buf, shared: w}, nil
 }
 
 // Own returns a payload the caller exclusively owns. For ordinary payloads

@@ -114,13 +114,20 @@ func (s *Serial) Run(initial map[TaskId][]Payload) (map[TaskId][]Payload, error)
 // RunContext implements Controller. The serial loop checks the context
 // between tasks, so cancellation latency is bounded by the longest single
 // callback.
-func (s *Serial) RunContext(ctx context.Context, initial map[TaskId][]Payload) (map[TaskId][]Payload, error) {
+func (s *Serial) RunContext(ctx context.Context, initial map[TaskId][]Payload) (_ map[TaskId][]Payload, err error) {
 	if err := s.Preflight(initial, nil, 0); err != nil {
 		return nil, err
 	}
 	p := s.plan
 
 	st := NewDataflowState(p, nil)
+	defer func() {
+		if err != nil { // release the shared wire forms no task took
+			for _, pl := range st.slots {
+				pl.Release()
+			}
+		}
+	}()
 	for id, ps := range initial {
 		i, _ := p.Index(id)
 		for _, pl := range ps {
@@ -152,18 +159,12 @@ func (s *Serial) RunContext(ctx context.Context, initial map[TaskId][]Payload) (
 					att.Sink(id, out[slot])
 					continue
 				}
+				f, err := FanOut(out[slot], len(consumers), everyLocal)
+				if err != nil {
+					return nil, fmt.Errorf("core: task %d output slot %d fans out: %w", id, slot, err)
+				}
 				for k := range consumers {
-					pl := out[slot]
-					if k > 0 {
-						// Fan-out: every consumer after the first receives
-						// an owned copy.
-						cp, err := pl.CloneForWire()
-						if err != nil {
-							return nil, fmt.Errorf("core: task %d output slot %d fans out: %w", id, slot, err)
-						}
-						pl = cp
-					}
-					if err := st.Deliver(int(dest[k]), id, pl); err != nil {
+					if err := st.Deliver(int(dest[k]), id, f.To(k)); err != nil {
 						return nil, err
 					}
 				}
@@ -176,6 +177,9 @@ func (s *Serial) RunContext(ctx context.Context, initial map[TaskId][]Payload) (
 	}
 	return att.Result()
 }
+
+// everyLocal is the serial placement for FanOut: every consumer is local.
+func everyLocal(int) bool { return true }
 
 // DataflowState tracks which input slots of a plan's tasks have been filled:
 // one count of missing inputs per task and one payload arena holding every

@@ -123,9 +123,14 @@ func (cfg Config) joinCallback(g *Graph) core.Callback {
 }
 
 // relayCallback forwards the augmented boundary tree unchanged down the
-// broadcast overlay.
+// broadcast overlay, decoded once here so that the consumers on its rank
+// share the tree; one whose consumers are all remote decodes and encodes.
 func relayCallback(in []core.Payload, id core.TaskId) ([]core.Payload, error) {
-	return []core.Payload{in[0]}, nil
+	t, err := asTree(in[0])
+	if err != nil {
+		return nil, err
+	}
+	return []core.Payload{core.Object(t)}, nil
 }
 
 // correctionCallback merges the augmented boundary tree of one join level

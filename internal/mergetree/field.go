@@ -28,8 +28,10 @@ func VertexCoords(id uint64, nx, ny int) (x, y, z int) {
 // order and a vertex's neighbours lie ±1, ±NX and ±NX·NY voxels away.
 func FromField(block *data.Field, originX, originY, originZ, domainNX, domainNY int, threshold float32) *Tree {
 	nx, ny, nz := block.NX, block.NY, block.NZ
+	w := works.Get().(*work)
+	defer works.Put(w)
 	// at maps a block voxel to its node index, or -1 below the threshold.
-	at := make([]int32, len(block.Values))
+	at := grow(&w.at, len(block.Values))
 	n := int32(0)
 	for i, v := range block.Values {
 		at[i] = -1
@@ -38,7 +40,7 @@ func FromField(block *data.Field, originX, originY, originZ, domainNX, domainNY 
 		}
 	}
 	ids, val := make([]uint64, 0, n), make([]float32, 0, n)
-	off, adj := make([]int32, 1, n+1), make([]int32, 0, 6*n)
+	off, adj := append(grow(&w.off, int(n)+1)[:0], 0), grow(&w.adj, 6*int(n))[:0]
 	link := func(j int) {
 		if at[j] >= 0 {
 			adj = append(adj, at[j])
@@ -75,7 +77,7 @@ func FromField(block *data.Field, originX, originY, originZ, domainNX, domainNY 
 			}
 		}
 	}
-	return compute(ids, val, off, adj)
+	return compute(ids, val, off, adj, w)
 }
 
 // BoundaryKeeper returns a keep-predicate for Tree.Reduce that retains

@@ -3,7 +3,9 @@ package mergetree
 import (
 	"testing"
 
+	"github.com/babelflow/babelflow-go/internal/core"
 	"github.com/babelflow/babelflow-go/internal/data"
+	"github.com/babelflow/babelflow-go/internal/mpi"
 )
 
 // correctionShape builds the inputs of one correction task of the
@@ -86,8 +88,9 @@ func leastAllocs(f func()) float64 {
 }
 
 // TestMergeTreeAllocationPins pins that FromField, Merge and Reduce make
-// the same number of allocations on a 16³ and a 64³ block: every array is
-// presized, none grows by append.
+// the same number of allocations on a 16³ and a 64³ block — every array is
+// presized, none grows by append — and at most a ceiling each: a call
+// allocates its result tree and takes its scratch from the pool.
 func TestMergeTreeAllocationPins(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -105,10 +108,63 @@ func TestMergeTreeAllocationPins(t *testing.T) {
 		}
 	}
 	small, large := allocs(16), allocs(64)
+	ceiling := [3]float64{4, 4, 4}
 	for i, name := range []string{"FromField", "Merge", "Reduce"} {
 		if small[i] != large[i] {
 			t.Errorf("%s: %.0f allocations on 16³ but %.0f on 64³", name, small[i], large[i])
 		}
+		if large[i] > ceiling[i] {
+			t.Errorf("%s: %.0f allocations per call, pinned at %.0f", name, large[i], ceiling[i])
+		}
 	}
 	t.Logf("allocations per call (FromField, Merge, Reduce): %v", small)
+}
+
+// BenchmarkRun is the use case end to end at the mergetree-mem bench's
+// shape — 128³ in 32 blocks, a 2-way graph, threshold 0.3 — on the serial
+// controller and on mpi with 2 ranks of 2 workers placed by GraphMap. The
+// field is built once and each run's inputs are extracted outside the
+// timer, so a run is the dataflow alone.
+func BenchmarkRun(b *testing.B) {
+	const n, blocks = 128, 32
+	field := data.SyntheticHCCI(n, n, n, 8, 2026)
+	decomp, err := data.NewDecomposition(n, n, n, 2, 2, blocks/4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	g, err := NewGraph(blocks, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := Config{Decomp: decomp, Threshold: 0.3}
+	for _, bc := range []struct {
+		name string
+		c    core.Controller
+		tmap core.TaskMap
+	}{
+		{"serial", core.NewSerial(), nil},
+		{"mpi", mpi.New(mpi.WithWorkers(2)), core.NewGraphMap(2, g)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			if err := bc.c.Initialize(g, bc.tmap); err != nil {
+				b.Fatal(err)
+			}
+			if err := cfg.Register(bc.c, g); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				initial, err := cfg.InitialInputs(field, g)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if out, err := bc.c.Run(initial); err != nil || len(out) != blocks {
+					b.Fatalf("run: %d sinks, %v", len(out), err)
+				}
+			}
+		})
+	}
 }

@@ -57,13 +57,15 @@ func (t *Tree) BranchDecomposition(minPersistence float32) map[uint64]uint64 {
 // processing time. Dying branches with persistence below minPersistence
 // are remapped into their survivor when simplify is set.
 func (t *Tree) sweepBranches(minPersistence float32, simplify bool) ([]int32, []Pair) {
-	off, kids := csr(len(t.ids), func(add func(from, to int32)) {
-		for c, p := range t.par {
-			if p >= 0 {
-				add(p, int32(c))
-			}
+	w := works.Get().(*work)
+	defer works.Put(w)
+	src, dst := grow(&w.src, len(t.par))[:0], grow(&w.dst, len(t.par))[:0]
+	for c, p := range t.par {
+		if p >= 0 {
+			src, dst = append(src, p), append(dst, int32(c))
 		}
-	})
+	}
+	off, kids := csr(len(t.ids), w, src, dst)
 	n := len(t.ids)
 	uf, best := make([]int32, n), make([]int32, n) // best: root -> branch max
 	labels, remap := make([]int32, n), make([]int32, n)
@@ -71,7 +73,7 @@ func (t *Tree) sweepBranches(minPersistence float32, simplify bool) ([]int32, []
 		uf[i], best[i], remap[i] = int32(i), int32(i), -1
 	}
 	var pairs []Pair
-	for _, v := range sweepOrder(t.val) {
+	for _, v := range sweepOrder(t.val, w) {
 		survivor := v
 		for _, c := range kids[off[v]:off[v+1]] {
 			if m := best[find(uf, c)]; t.above(m, survivor) {

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 )
 
 // NoNode marks the absence of a parent (tree roots).
@@ -34,6 +35,28 @@ type Tree struct {
 	ids []uint64
 	val []float32
 	par []int32 // parent index, -1 for roots
+}
+
+// Immutable implements core.Immutable: every operation builds a new tree,
+// so one tree may go to every consumer on a rank.
+func (*Tree) Immutable() {}
+
+// work is one kernel call's pooled scratch, reused instead of zeroing fresh
+// arrays. A tree's own arrays never come from it: trees are shared.
+type work struct {
+	at, to, src, dst, off, adj, uf, order, tmp []int32
+	keys, tkeys                                []uint32
+}
+
+var works = sync.Pool{New: func() any { return new(work) }}
+
+// grow resizes *s to n, reallocating only when short, and returns it.
+func grow[T any](s *[]T, n int) []T {
+	if cap(*s) < n {
+		*s = make([]T, n)
+	}
+	*s = (*s)[:n]
+	return *s
 }
 
 // NewTree returns an empty tree.
@@ -90,37 +113,40 @@ func (t *Tree) above(a, b int32) bool {
 // on their values' bits, mapped so that ascending keys are descending
 // values: one stable pass per key byte, lowest first, skipping a byte all
 // keys share. Starting from descending indices leaves ties in descending
-// index order.
-func sweepOrder(val []float32) []int32 {
+// index order. Keys travel with their indices; one sweep counts all bytes.
+// The result is w's scratch.
+func sweepOrder(val []float32, w *work) []int32 {
 	n := len(val)
-	keys, order, tmp := make([]uint32, n), make([]int32, n), make([]int32, n)
+	keys, tkeys, order, tmp := grow(&w.keys, n), grow(&w.tkeys, n), grow(&w.order, n), grow(&w.tmp, n)
+	var at [4][257]int32 // at[p][d+1] counts byte d of pass p, then at[p][d] is where it goes
 	for i, v := range val {
 		if v == 0 {
 			v = 0 // -0 ties +0, as in above
 		}
-		if b := math.Float32bits(v); b>>31 != 0 {
-			keys[i] = b
-		} else {
-			keys[i] = ^b &^ (1 << 31)
+		k := math.Float32bits(v)
+		if k>>31 == 0 {
+			k = ^k &^ (1 << 31)
 		}
-		order[n-1-i] = int32(i)
+		keys[n-1-i], order[n-1-i] = k, int32(i)
+		at[0][k&0xff+1]++
+		at[1][k>>8&0xff+1]++
+		at[2][k>>16&0xff+1]++
+		at[3][k>>24+1]++
 	}
-	for shift := 0; shift < 32 && n > 0; shift += 8 {
-		var at [257]int32 // at[d+1] counts byte d, then at[d] is where it goes
-		for _, k := range keys {
-			at[k>>shift&0xff+1]++
-		}
-		if at[keys[0]>>shift&0xff+1] == int32(n) {
+	for p := range at {
+		shift := 8 * p
+		if n == 0 || at[p][keys[0]>>shift&0xff+1] == int32(n) {
 			continue
 		}
-		for d := 1; d < len(at); d++ {
-			at[d] += at[d-1]
+		c := &at[p]
+		for d := 1; d < len(c); d++ {
+			c[d] += c[d-1]
 		}
-		for _, i := range order {
-			d := keys[i] >> shift & 0xff
-			tmp[at[d]], at[d] = i, at[d]+1
+		for j, k := range keys {
+			d := k >> shift & 0xff
+			tmp[c[d]], tkeys[c[d]], c[d] = order[j], k, c[d]+1
 		}
-		order, tmp = tmp, order
+		order, tmp, keys, tkeys = tmp, order, tkeys, keys
 	}
 	return order
 }
@@ -134,16 +160,22 @@ func find(uf []int32, x int32) int32 {
 	return x
 }
 
-// csr builds a compressed adjacency over n nodes from the arcs that arcs
-// passes to add: node i's targets end up in adj[off[i]:off[i+1]].
-func csr(n int, arcs func(add func(from, to int32))) (off, adj []int32) {
-	off = make([]int32, n+2)
-	arcs(func(a, _ int32) { off[a+2]++ })
+// csr builds, in w's scratch, the compressed adjacency over n nodes of the
+// arcs src[k] → dst[k]: node i's targets end up in adj[off[i]:off[i+1]], in
+// arc order.
+func csr(n int, w *work, src, dst []int32) (off, adj []int32) {
+	off = grow(&w.off, n+2)
+	clear(off)
+	for _, a := range src {
+		off[a+2]++
+	}
 	for i := 2; i < len(off); i++ {
 		off[i] += off[i-1]
 	}
-	adj = make([]int32, off[n+1])
-	arcs(func(a, b int32) { adj[off[a+1]] = b; off[a+1]++ })
+	adj = grow(&w.adj, int(off[n+1]))
+	for k, a := range src {
+		adj[off[a+1]], off[a+1] = dst[k], off[a+1]+1
+	}
 	return off[:n+1], adj
 }
 
@@ -156,13 +188,13 @@ func csr(n int, arcs func(add func(from, to int32))) (off, adj []int32) {
 // a parent arc to the next lower node of its component). A component's
 // lowest node is always its union-find root, since each vertex becomes the
 // root of everything it joins.
-func compute(ids []uint64, val []float32, off, adj []int32) *Tree {
+func compute(ids []uint64, val []float32, off, adj []int32, w *work) *Tree {
 	t := &Tree{ids: ids, val: val, par: make([]int32, len(ids))}
-	uf := make([]int32, len(ids)) // -1 until the node is swept
+	uf := grow(&w.uf, len(ids)) // -1 until the node is swept
 	for i := range uf {
 		t.par[i], uf[i] = -1, -1
 	}
-	for _, v := range sweepOrder(val) {
+	for _, v := range sweepOrder(val, w) {
 		uf[v] = v
 		for _, u := range adj[off[v]:off[v+1]] {
 			if uf[u] < 0 {
@@ -188,14 +220,17 @@ func Merge(trees ...*Tree) *Tree {
 		total += tr.Len()
 	}
 	ids, val := make([]uint64, 0, total), make([]float32, 0, total)
+	w := works.Get().(*work)
+	defer works.Put(w)
 	// A k-way merge of the sorted id arrays: at[k] is tree k's cursor, and
 	// to maps every input node (trees concatenated) to its merged index.
-	at, to := make([]int, len(trees)), make([]int32, total)
+	at, to := grow(&w.at, len(trees)), grow(&w.to, total)
+	clear(at)
 	for {
 		var next uint64
 		found := false
 		for k, tr := range trees {
-			if at[k] < tr.Len() && (!found || tr.ids[at[k]] < next) {
+			if int(at[k]) < tr.Len() && (!found || tr.ids[at[k]] < next) {
 				next, found = tr.ids[at[k]], true
 			}
 		}
@@ -205,27 +240,27 @@ func Merge(trees ...*Tree) *Tree {
 		ids, val = append(ids, next), append(val, 0)
 		base := 0
 		for k, tr := range trees {
-			if at[k] < tr.Len() && tr.ids[at[k]] == next {
-				val[len(val)-1], to[base+at[k]] = tr.val[at[k]], int32(len(ids)-1)
+			if int(at[k]) < tr.Len() && tr.ids[at[k]] == next {
+				val[len(val)-1], to[base+int(at[k])] = tr.val[at[k]], int32(len(ids)-1)
 				at[k]++
 			}
 			base += tr.Len()
 		}
 	}
-	off, adj := csr(len(ids), func(add func(from, to int32)) {
-		base := 0
-		for _, tr := range trees {
-			for c, p := range tr.par {
-				if p >= 0 {
-					a, b := to[base+c], to[base+int(p)]
-					add(a, b)
-					add(b, a)
-				}
+	// Every tree's arcs, in merged indices, both ways.
+	src, dst := grow(&w.src, 2*total)[:0], grow(&w.dst, 2*total)[:0]
+	base := 0
+	for _, tr := range trees {
+		for c, p := range tr.par {
+			if p >= 0 {
+				a, b := to[base+c], to[base+int(p)]
+				src, dst = append(src, a, b), append(dst, b, a)
 			}
-			base += tr.Len()
 		}
-	})
-	return compute(ids, val, off, adj)
+		base += tr.Len()
+	}
+	off, adj := csr(len(ids), w, src, dst)
+	return compute(ids, val, off, adj, w)
 }
 
 // Reduce contracts the tree to its critical nodes — leaves (maxima), merge
@@ -237,7 +272,10 @@ func Merge(trees ...*Tree) *Tree {
 func (t *Tree) Reduce(keep func(id uint64) bool) *Tree {
 	// to[i] first counts node i's children, then becomes its index in the
 	// result, or -1 when it is contracted away.
-	to := make([]int32, len(t.ids))
+	w := works.Get().(*work)
+	defer works.Put(w)
+	to := grow(&w.to, len(t.ids))
+	clear(to)
 	for _, p := range t.par {
 		if p >= 0 {
 			to[p]++

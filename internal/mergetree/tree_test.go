@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/hex"
+	"math"
 	"reflect"
 	"slices"
 	"testing"
 	"testing/quick"
 
+	"github.com/babelflow/babelflow-go/internal/core"
 	"github.com/babelflow/babelflow-go/internal/data"
 )
 
@@ -289,5 +291,125 @@ func TestMergeSplitProperty(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
+	}
+}
+
+// treeSum is a checksum of a tree's three arrays.
+func treeSum(t *Tree) uint64 {
+	h := uint64(14695981039346656037)
+	mix := func(v uint64) { h = (h ^ v) * 1099511628211 }
+	for i, id := range t.ids {
+		mix(id)
+		mix(uint64(math.Float32bits(t.val[i])))
+		mix(uint64(uint32(t.par[i])))
+	}
+	return h
+}
+
+// immutabilityRegistrar wraps every callback it registers: the trees (and
+// the field) among a call's inputs must read the same before and after it.
+type immutabilityRegistrar struct {
+	c     core.CallbackRegistrar
+	t     *testing.T
+	calls map[core.CallbackId]int
+}
+
+func (r immutabilityRegistrar) RegisterCallback(cb core.CallbackId, fn core.Callback) error {
+	return r.c.RegisterCallback(cb, func(in []core.Payload, id core.TaskId) ([]core.Payload, error) {
+		sums := func() []uint64 {
+			var out []uint64
+			for _, p := range in {
+				switch o := p.Object.(type) {
+				case *Tree:
+					out = append(out, treeSum(o))
+				case *data.Field:
+					out = append(out, treeSum(&Tree{val: o.Values}))
+				}
+			}
+			return out
+		}
+		before := sums()
+		out, err := fn(in, id)
+		if after := sums(); !slices.Equal(before, after) {
+			r.t.Errorf("callback %d (task %d) wrote an input: checksums %x, then %x", cb, id, before, after)
+		}
+		r.calls[cb]++
+		return out, err
+	})
+}
+
+// TestTreesAreImmutable checks the promise *Tree makes as a core.Immutable:
+// no exported method writes its receiver, Merge writes none of its
+// arguments, and none of the five callbacks writes an input, on a serial
+// run that hands one tree object to every consumer.
+func TestTreesAreImmutable(t *testing.T) {
+	const n = 16
+	field := data.SyntheticHCCI(n, n, n, 6, 2026)
+	decomp, err := data.NewDecomposition(n, n, n, 2, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keep := BoundaryKeeper(decomp)
+	tr := FromField(field, 0, 0, 0, n, n, 0.3)
+	other := tr.Reduce(keep)
+	methods := map[string]func(*Tree){
+		"BranchDecomposition": func(t *Tree) { t.BranchDecomposition(0.1) },
+		"Equal":               func(t *Tree) { t.Equal(other) },
+		"FeatureCount":        func(t *Tree) { t.FeatureCount(0.1) },
+		"Features":            func(t *Tree) { t.Features(0.5) },
+		"Ids":                 func(t *Tree) { t.Ids() },
+		"Immutable":           func(t *Tree) { t.Immutable() },
+		"Len":                 func(t *Tree) { t.Len() },
+		"Parent":              func(t *Tree) { t.Parent(t.ids[0]) },
+		"PersistencePairs":    func(t *Tree) { t.PersistencePairs() },
+		"Reduce":              func(t *Tree) { t.Reduce(keep) },
+		"Segment":             func(t *Tree) { t.Segment(0.5) },
+		"Serialize":           func(t *Tree) { t.Serialize() },
+		"Value":               func(t *Tree) { t.Value(t.ids[0]) },
+	}
+	typ := reflect.TypeOf(tr)
+	for i := 0; i < typ.NumMethod(); i++ {
+		name := typ.Method(i).Name
+		call, ok := methods[name]
+		if !ok {
+			t.Errorf("(*Tree).%s has no immutability check", name)
+			continue
+		}
+		before := treeSum(tr)
+		call(tr)
+		if treeSum(tr) != before {
+			t.Errorf("(*Tree).%s wrote its receiver", name)
+		}
+	}
+	sums := [2]uint64{treeSum(tr), treeSum(other)}
+	Merge(tr, other)
+	if [2]uint64{treeSum(tr), treeSum(other)} != sums {
+		t.Error("Merge wrote an argument")
+	}
+
+	g, err := NewGraph(decomp.Blocks(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Decomp: decomp, Threshold: 0.3}
+	s := core.NewSerial()
+	if err := s.Initialize(g, nil); err != nil {
+		t.Fatal(err)
+	}
+	reg := immutabilityRegistrar{s, t, map[core.CallbackId]int{}}
+	if err := cfg.Register(reg, g); err != nil {
+		t.Fatal(err)
+	}
+	initial, err := cfg.InitialInputs(field, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Run(initial); err != nil {
+		t.Fatal(err)
+	}
+	for _, cb := range g.Callbacks() {
+		if reg.calls[cb] == 0 {
+			t.Errorf("callback %d never ran", cb)
+		}
 	}
 }

@@ -64,6 +64,7 @@ type kernelCase struct {
 	initial   func() map[core.TaskId][]core.Payload
 	mode      int
 	serialize bool
+	objects   int   // the mix outputs: 0 bytes, 1 frozen objects, 2 frozen objects with their bytes
 	failAt    int64 // modeFail: the callback invocation that fails
 	r         *rand.Rand
 }
@@ -102,23 +103,35 @@ func drawCase(tb testing.TB, seed int64) kernelCase {
 		w := loopWorkload(tb)
 		kc.desc, kc.graph, kc.register, kc.initial = "iterate", w.graph, w.register, w.initial
 	}
-	if kc.register == nil {
-		kc.register, kc.initial = mixCallbacks(tb, kc.graph), func() map[core.TaskId][]core.Payload { return mixInputs(kc.graph) }
-	}
 	if r.Intn(2) == 0 {
 		kc.tmap = core.NewGraphMap(ranks, kc.graph)
 	} else {
 		kc.tmap = core.NewListMap(ranks, kc.graph.TaskIds())
 	}
 	kc.failAt = 1 + r.Int63n(int64(kc.graph.Size()))
-	kc.desc = fmt.Sprintf("%s on %d rank(s), mode %d, serialize %v", kc.desc, ranks, kc.mode, kc.serialize)
+	if kc.register == nil {
+		kc.objects = max(r.Intn(4)-1, 0)
+		kc.register, kc.initial = mixCallbacks(tb, kc.graph, kc.objects), func() map[core.TaskId][]core.Payload { return mixInputs(kc.graph) }
+	}
+	kc.desc = fmt.Sprintf("%s on %d rank(s), mode %d, serialize %v, objects %d", kc.desc, ranks, kc.mode, kc.serialize, kc.objects)
 	return kc
 }
 
+// frozen is an 8-byte value as a core.Immutable object: every consumer on
+// the producer's rank shares one pointer to it, and the others one fresh
+// serialization.
+type frozen struct{ b []byte }
+
+func (*frozen) Immutable() {}
+
+func (f *frozen) Serialize() []byte { return append(make([]byte, 0, len(f.b)), f.b...) }
+
 // mixCallbacks binds every callback of g to a hash of the task id and its
-// inputs, one 8-byte output per slot; a task declaring branches keeps the
-// branch its hash picks, so dead tokens flow in random DAGs too.
-func mixCallbacks(tb testing.TB, g core.TaskGraph) func(core.CallbackRegistrar) error {
+// inputs, one 8-byte output per slot — a frozen object when objects > 0,
+// which keeps the bytes in Data too when objects is 2; a task declaring
+// branches keeps the branch its hash picks, so dead tokens flow in random
+// DAGs too.
+func mixCallbacks(tb testing.TB, g core.TaskGraph, objects int) func(core.CallbackRegistrar) error {
 	p, err := core.Compile(g)
 	if err != nil {
 		tb.Fatal(err)
@@ -126,7 +139,11 @@ func mixCallbacks(tb testing.TB, g core.TaskGraph) func(core.CallbackRegistrar) 
 	fn := func(in []core.Payload, id core.TaskId) ([]core.Payload, error) {
 		h := uint64(id)*0x9e3779b97f4a7c15 + 1
 		for _, pay := range in {
-			for _, b := range pay.Data {
+			bs := pay.Data
+			if f, ok := pay.Object.(*frozen); ok {
+				bs = f.b
+			}
+			for _, b := range bs {
 				h = (h ^ uint64(b)) * 0x100000001b3
 			}
 		}
@@ -134,6 +151,12 @@ func mixCallbacks(tb testing.TB, g core.TaskGraph) func(core.CallbackRegistrar) 
 		out := make([]core.Payload, len(t.Outgoing))
 		for s := range out {
 			out[s] = u64(h + uint64(s))
+			switch objects {
+			case 1:
+				out[s] = core.Object(&frozen{out[s].Data})
+			case 2:
+				out[s].Object = &frozen{out[s].Data}
+			}
 		}
 		if t.Branches > 0 {
 			return core.SelectBranch(t, int(h>>33)%t.Branches, out)

@@ -190,3 +190,39 @@ func TestWireOptionsCarriesFingerprint(t *testing.T) {
 		t.Fatalf("fingerprint not plumbed: %+v", wo.Fingerprint)
 	}
 }
+
+// countingObj is a serializable object that counts its serializations.
+type countingObj struct{ calls int }
+
+func (o *countingObj) Serialize() []byte { o.calls++; return []byte{1, 2, 3} }
+
+// sliceObj is a serializable object whose dynamic type == cannot compare.
+type sliceObj []byte
+
+func (s sliceObj) Serialize() []byte { return append([]byte(nil), s...) }
+
+// TestRecordOutputsSerializesSharedObjectOnce: a task emitting one object
+// in two slots (a non-root merge-tree join) is recorded with one
+// serialization, one buffer in both slots; distinct objects, buffers and
+// values of an uncomparable type are recorded apart.
+func TestRecordOutputsSerializesSharedObjectOnce(t *testing.T) {
+	led := core.NewLedger()
+	obj, other := &countingObj{}, &countingObj{}
+	recordOutputs(led, core.Task{Id: 7}, []core.Payload{core.Object(obj), core.Object(obj), core.Object(other), u64(5), core.Object(sliceObj{9}), core.Object(sliceObj{9})})
+	outs, ok := led.Outputs(7)
+	if !ok || len(outs) != 6 {
+		t.Fatalf("recorded %d slot(s), ok=%v", len(outs), ok)
+	}
+	if obj.calls != 1 || other.calls != 1 {
+		t.Errorf("Serialize calls: shared object %d, other %d; want 1 each", obj.calls, other.calls)
+	}
+	if &outs[0][0] != &outs[1][0] {
+		t.Error("the shared object's slots hold two buffers")
+	}
+	if &outs[0][0] == &outs[2][0] || &outs[4][0] == &outs[5][0] {
+		t.Error("distinct objects share a buffer")
+	}
+	if outs[3][0] != 5 || outs[5][0] != 9 {
+		t.Errorf("slots 3 and 5 hold %v and %v", outs[3], outs[5])
+	}
+}

@@ -193,34 +193,30 @@ func (k *rankKernel) execute(i int, sc *scratch) error {
 	return k.fanOut(i, t, attempt, out, sc)
 }
 
-// fanOut hands task i's outputs on, slot by slot: a consumer slot's wire
-// form is what core.FanOut decides on — serialized without the lock — and
-// the slot's last consumer, if on this rank, gets the output itself. rank
-// is the task's home rank, never a stealing worker's, so routing follows
-// placement and outputs never depend on the schedule. A message for
-// another rank of a ledgered run carries the rank's next Seq, the
-// receiver's dedup identity.
+// fanOut hands task i's outputs on, slot by slot, in the forms core.FanOut
+// decides on — serialized without the lock: a consumer on this rank may get
+// the output itself, every other consumer its wire form. rank is the task's
+// home rank, never a stealing worker's, so routing follows placement and
+// outputs never depend on the schedule. A message for another rank of a
+// ledgered run carries the rank's next Seq, the receiver's dedup identity.
 func (k *rankKernel) fanOut(i int, t core.Task, attempt uint32, out []core.Payload, sc *scratch) error {
 	dest, shardOf := k.c.Plan().Consumers(i), k.env.place.shardOf
 	for slot, consumers := range t.Outgoing {
-		to, last := dest[:len(consumers)], len(consumers)-1
+		to := dest[:len(consumers)]
 		dest = dest[len(consumers):]
-		lastLocal := last >= 0 && !k.c.opt.AlwaysSerialize && int(shardOf[to[last]]) == k.rank
-		wire, err := core.FanOut(out[slot], len(consumers), lastLocal)
+		local := func(c int) bool { return !k.c.opt.AlwaysSerialize && int(shardOf[to[c]]) == k.rank }
+		f, err := core.FanOut(out[slot], len(consumers), local)
 		if err != nil {
 			release(sc.msgs)
 			drop(out[slot:])
 			return fmt.Errorf("mpi: task %d output slot %d: %w", t.Id, slot, err)
 		}
 		k.mu.Lock()
-		if last < 0 {
+		if len(consumers) == 0 {
 			k.sinks = append(k.sinks, sinkOut{t.Id, out[slot]})
 		}
 		for c, id := range consumers {
-			pay := wire
-			if lastLocal && c == last {
-				pay = out[slot]
-			}
+			pay := f.To(c)
 			if r := int(shardOf[to[c]]); r != k.rank {
 				m := fabric.Message{From: k.rank, To: r, Src: t.Id, Dest: id, Payload: pay, Attempt: attempt}
 				if k.seen != nil {
@@ -232,8 +228,8 @@ func (k *rankKernel) fanOut(i int, t core.Task, attempt uint32, out []core.Paylo
 				k.mu.Unlock()
 				// This consumer's payload and those of the consumers not
 				// reached yet were never handed out.
-				for j := c; j < last || j == last && !lastLocal; j++ {
-					wire.Release()
+				for j := c; j < len(consumers); j++ {
+					f.To(j).Release()
 				}
 				release(sc.msgs)
 				drop(out[slot+1:])

@@ -54,6 +54,7 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -664,13 +665,22 @@ func (c *Controller) runRank(rank int, env *runEnv, initial map[core.TaskId][]co
 }
 
 // recordOutputs retains a completed task's serialized outputs in the
-// lineage ledger. Best effort: if any slot cannot serialize (an object
+// lineage ledger. A slot holding the same object as an earlier slot (a
+// non-root merge-tree join emits its tree twice) shares that slot's buffer,
+// serialized once. Best effort: if any slot cannot serialize (an object
 // payload without Serializable) the task stays unrecorded and simply
 // re-executes in a recovery epoch — always correct under the idempotence
 // contract, just not accelerated.
 func recordOutputs(led *core.Ledger, t core.Task, out []core.Payload) {
 	wires := make([][]byte, len(out))
+next:
 	for i := range out {
+		for j := range out[:i] {
+			if sameObject(out[i], out[j]) {
+				wires[i] = wires[j]
+				continue next
+			}
+		}
 		cp, err := out[i].CloneForWire()
 		if err != nil {
 			return
@@ -678,6 +688,16 @@ func recordOutputs(led *core.Ledger, t core.Task, out []core.Payload) {
 		wires[i] = cp.Data
 	}
 	led.Record(t.Id, wires)
+}
+
+// sameObject reports whether two object-only payloads hold the same
+// pointer. Only pointers are compared: == on other dynamic types may panic.
+func sameObject(a, b core.Payload) bool {
+	if a.Data != nil || b.Data != nil || a.Object == nil {
+		return false
+	}
+	ta := reflect.TypeOf(a.Object)
+	return ta.Kind() == reflect.Pointer && ta == reflect.TypeOf(b.Object) && a.Object == b.Object
 }
 
 var _ core.Controller = (*Controller)(nil)
