@@ -90,11 +90,16 @@ smoke-wire:
 	./bin/bfrun -case render   -runtime mpi -transport tcp -ranks 4
 	./bin/bfrun -case register -runtime mpi -transport tcp -ranks 4
 
-## smoke-faults: run every use case on 4 ranks with one peer killed on the
-## first epoch, recover via lineage-ledger replay, and verify the recovered
-## sink digests byte-for-byte against the serial reference.
+## smoke-faults: run every use case over 4 forked worker processes with
+## member 1's process killed in the first epoch; the parent evicts it,
+## recovers via lineage-ledger replay and verifies the recovered sink
+## digests byte-for-byte against the serial reference. The second round
+## journals, so the survivors adopt the dead member's journaled lineage. A
+## round in which no member dies fails.
 smoke-faults:
-	$(GO) run ./cmd/bfrun -faults
+	$(GO) build -o bin/bfrun ./cmd/bfrun
+	./bin/bfrun -faults
+	@dir=$$(mktemp -d); ./bin/bfrun -faults -journal $$dir; status=$$?; rm -rf $$dir; exit $$status
 
 ## smoke-resume: for every use case (and the iterative loop, killed
 ## mid-iteration), kill EVERY rank (including rank 0) of a journaled

@@ -33,11 +33,12 @@
 //	})
 //	results, err := c.Run(initialInputs)
 //
-// Runs can be bounded and made fault tolerant: every controller implements
-// RunContext (cancellation and deadlines, with errors testable against
-// ErrCancelled), and the MPI controller additionally offers replay-based
-// peer-loss recovery (and live joins and drains) via its RunElastic
-// method, governed by a RetryPolicy (see WithRetry).
+// Runs can be bounded: every controller implements RunContext
+// (cancellation and deadlines, with errors testable against ErrCancelled).
+// Replay-based peer-loss recovery and live joins and drains run inside this
+// module (the MPI controller's RunElastic, and cmd/bfrun's forked -faults
+// and -elastic sessions); ErrRetriesExhausted marks a recovery that gave
+// up.
 package babelflow
 
 import (
@@ -119,10 +120,6 @@ var (
 	// attempt its retry policy allowed.
 	ErrRetriesExhausted = core.ErrRetriesExhausted
 )
-
-// RetryPolicy bounds fault-tolerant re-execution: attempts, backoff and
-// per-attempt timeout. The zero value selects sensible defaults.
-type RetryPolicy = core.RetryPolicy
 
 // Buffer returns a payload wrapping a binary buffer.
 func Buffer(b []byte) Payload { return core.Buffer(b) }
@@ -262,15 +259,11 @@ func NewIterativeMap(shardCount int, g *IterativeGraph) TaskMap {
 // Runtime controllers.
 
 // MPIOption configures the MPI controller at construction; see WithWorkers,
-// WithRetry, WithTransport, WithObserver.
+// WithTransport, WithObserver.
 type MPIOption = mpi.Option
 
 // WithWorkers sets the MPI controller's global worker budget.
 func WithWorkers(n int) MPIOption { return mpi.WithWorkers(n) }
-
-// WithRetry sets the retry policy governing the MPI controller's
-// fault-tolerant execution: attempt count, backoff, per-attempt timeout.
-func WithRetry(p RetryPolicy) MPIOption { return mpi.WithRetry(p) }
 
 // WithTransport installs a transport factory — the seam fault injection and
 // custom interconnects plug into.
@@ -314,7 +307,7 @@ func NewSerial() Controller { return core.NewSerial() }
 // NewMPI returns the MPI runtime controller (§IV-A), configured by
 // functional options applied left to right:
 //
-//	babelflow.NewMPI(babelflow.WithWorkers(8), babelflow.WithRetry(policy))
+//	babelflow.NewMPI(babelflow.WithWorkers(8), babelflow.WithObserver(obs))
 func NewMPI(opts ...MPIOption) Controller { return mpi.New(opts...) }
 
 // NewCharm returns the Charm++ runtime controller (§IV-B).

@@ -9,18 +9,27 @@
 // rendezvous and run its logical rank with mpi.Controller.RunMember, which
 // places the epoch over the ticket's member table as the in-process
 // coordinator does — and reports status back. The parent keeps the member
-// table in an mpi.Roster, the same rule mpi.Membership applies in process.
+// table in an mpi.Roster and decides every attempt with an mpi.Supervisor:
+// the same membership and recovery rules mpi.RunElastic applies in process.
 //
 //	bfrun -case mergetree -runtime mpi -transport tcp -ranks 4
+//	bfrun -faults -journal /tmp/bf-faults
 //	bfrun -case register -journal /tmp/bf -kill-all-after 1 -ranks 4
 //	bfrun -case register -resume /tmp/bf -ranks 4
 //	bfrun -case mergetree -elastic -ranks 2 -join 2 -join-after 150ms \
 //	      -drain 1 -drain-after 400ms -journal /tmp/bf-elastic
 //
 // A static run (-transport tcp, -journal, -resume) is the session with no
-// joins and no drains: one epoch. -journal makes every member journal its
-// lineage under rank-<member>; -kill-all-after arms every member's
-// transport to die after that many inter-rank sends, seeding a crash a
+// joins and no drains: one epoch unless a member dies. A member whose
+// process dies is evicted and the next epoch's tickets go out at once,
+// naming it retired, so with -journal the survivors adopt its journaled
+// lineage (without, its tasks re-execute). -journal makes every member
+// journal its lineage under rank-<member>. -faults runs each case (every
+// case unless -case is given; with -journal, each under its own
+// subdirectory) with member -kill-rank's first-epoch transport dying after
+// -kill-after inter-rank sends, whereupon its process exits; the run must
+// lose that member, recover and match serial. -kill-all-after arms every
+// member's transport instead, seeding a crash (a one-attempt budget) that a
 // later -resume restarts from the journals. -elastic changes membership
 // while the dataflow is in flight: joiners are forked after -join-after,
 // member -drain is retired after -drain-after, and each burst of requests
@@ -36,6 +45,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"time"
 
@@ -62,7 +72,7 @@ func paced(delay time.Duration) func(core.CallbackId, core.Callback) core.Callba
 
 // workerArgs is the command line of every forked member: the case
 // parameters that make it build the parent's graph, its journal and kill
-// plan, the gate to join and, in an elastic run, the pace.
+// plans, the gate to join and, in an elastic run, the pace.
 func (cfg config) workerArgs(gate string) []string {
 	args := []string{
 		"-case", cfg.useCase,
@@ -73,6 +83,9 @@ func (cfg config) workerArgs(gate string) []string {
 		"-journal", cfg.journal,
 		"-kill-all-after", strconv.Itoa(cfg.killAll),
 		"-wire-gate", gate,
+	}
+	if cfg.faults {
+		args = append(args, "-faults", "-kill-rank", strconv.Itoa(cfg.killRank), "-kill-after", strconv.Itoa(cfg.killAfter))
 	}
 	if cfg.elastic {
 		args = append(args, "-elastic", "-elastic-pace", cfg.pace.String())
@@ -101,6 +114,7 @@ type epochResult struct {
 type epochRun struct {
 	epoch  int
 	fab    *wire.Fabric
+	inj    *faultinject.Transport // the armed kill plan, if any
 	cancel context.CancelFunc
 	done   chan epochResult
 }
@@ -143,8 +157,8 @@ func runGateWorker(cfg config, stdout io.Writer) error {
 
 	// The member's lineage: journal-backed with -journal (restored on
 	// start, synced at every fence, closed on drain/exit), in memory in an
-	// elastic run without one (hand-offs then re-execute instead of
-	// replaying), and none in a static run without one — its one epoch
+	// elastic or -faults run without one (hand-offs then re-execute instead
+	// of replaying), and none in a static run without one — its one epoch
 	// hands nothing off.
 	led := core.NewLedger()
 	var store *journal.LedgerStore
@@ -154,7 +168,7 @@ func runGateWorker(cfg config, stdout io.Writer) error {
 		}
 	}
 	lineage := led
-	if cfg.journal == "" && !cfg.elastic {
+	if cfg.journal == "" && !cfg.elastic && !cfg.faults {
 		lineage = nil
 	}
 
@@ -198,6 +212,11 @@ func runGateWorker(cfg config, stdout io.Writer) error {
 			select {
 			case t = <-tickets:
 			case res := <-cur.done:
+				if cfg.faults && cur.inj != nil && cur.inj.Killed() {
+					// The -kill-rank victim dies as a crashed process
+					// would: no status, no sinks, its journal left as is.
+					return fmt.Errorf("member %d: killed by -kill-after %d in epoch %d", member, cfg.killAfter, cur.epoch)
+				}
 				if res.err != nil {
 					// A collapsed epoch (a peer fenced, drained, or died, or
 					// -kill-all-after fired) is not fatal: report it and wait
@@ -234,8 +253,8 @@ func runGateWorker(cfg config, stdout io.Writer) error {
 			if store != nil {
 				store.Close()
 			}
-			fmt.Fprintf(stdout, "BFWIRE member=%d epochs=%d restored=%d replayed=%d executed=%d\n",
-				member, epochs, led.Restored(), led.Replays(), led.Executions())
+			fmt.Fprintf(stdout, "BFWIRE member=%d epochs=%d restored=%d adopted=%d replayed=%d executed=%d\n",
+				member, epochs, led.Restored(), led.Adopted(), led.Replays(), led.Executions())
 			return printSinks(stdout, lastOut)
 		default:
 			return fmt.Errorf("member %d: unexpected ticket action %d", member, t.Action)
@@ -246,8 +265,9 @@ func runGateWorker(cfg config, stdout io.Writer) error {
 // startEpoch connects the ticket's rendezvous as the assigned logical rank
 // and launches the rank's run over the ticket's member table; the run
 // adopts the lineage of the members retired since the last epoch (their
-// journals are closed: they reported their drain). With -kill-all-after
-// the member's transport dies after that many inter-rank sends.
+// journals have no writer left: they reported their drain, or died). With
+// -kill-all-after the member's transport dies after that many inter-rank
+// sends, and so does the first-epoch transport of the -faults victim.
 func startEpoch(cfg config, ctrl *mpi.Controller, initial map[core.TaskId][]core.Payload, t wire.Ticket, led *core.Ledger) (*epochRun, error) {
 	fab, err := wire.Connect(wire.Options{
 		Rank: t.Rank, Ranks: t.Ranks, Addr: t.Addr, Epoch: t.Epoch, Tier: cfg.tier,
@@ -258,16 +278,17 @@ func startEpoch(cfg config, ctrl *mpi.Controller, initial map[core.TaskId][]core
 	if err != nil {
 		return nil, fmt.Errorf("epoch %d rank %d: connect: %w", t.Epoch, t.Rank, err)
 	}
-	var tr fabric.Transport = fab
-	if cfg.killAll >= 0 {
-		tr = faultinject.Wrap(fab, t.Rank, faultinject.Plan{
-			KillRank:  t.Rank,
-			KillAfter: cfg.killAll,
-			Delay:     time.Millisecond,
-		})
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	run := &epochRun{epoch: t.Epoch, fab: fab, cancel: cancel, done: make(chan epochResult, 1)}
+	var tr fabric.Transport = fab
+	kill := cfg.killAll
+	if cfg.faults && t.Epoch == 1 && t.Member == cfg.killRank {
+		kill = cfg.killAfter
+	}
+	if kill >= 0 {
+		run.inj = faultinject.Wrap(fab, t.Rank, faultinject.Plan{KillRank: t.Rank, KillAfter: kill, Delay: time.Millisecond})
+		tr = run.inj
+	}
 	go func() {
 		out, err := ctrl.RunMember(ctx, t.Rank, convertIds[core.ShardId](t.Members), convertIds[core.ShardId](t.Retired), tr, led, initial)
 		if err == nil {
@@ -280,12 +301,33 @@ func startEpoch(cfg config, ctrl *mpi.Controller, initial map[core.TaskId][]core
 	return run, nil
 }
 
+// runFaultCases runs -faults on the -case named, or on every case, each
+// journaling (with -journal) under a subdirectory of its own so no case
+// restores another's records.
+func runFaultCases(cfg config, stdout io.Writer) error {
+	cases := []string{"mergetree", "render", "register", "register-iter"}
+	if cfg.caseSet {
+		cases = []string{cfg.useCase}
+	}
+	root := cfg.journal
+	for _, uc := range cases {
+		cfg.useCase = uc
+		if root != "" {
+			cfg.journal = filepath.Join(root, uc)
+		}
+		if err := runGateParent(cfg, stdout); err != nil {
+			return fmt.Errorf("%s: %w", uc, err)
+		}
+	}
+	return nil
+}
+
 // runGateParent is the coordinator of every forked mode: gate, founding
 // fleet, the epoch loop over the gate's event stream, then digest
 // verification and the mode's summary line.
 func runGateParent(cfg config, stdout io.Writer) error {
 	switch { // what the members journal, and whether they crash
-	case cfg.elastic:
+	case cfg.elastic || cfg.faults:
 		cfg.killAll = -1
 	case cfg.resume != "":
 		cfg.journal, cfg.killAll = cfg.resume, -1
@@ -363,20 +405,27 @@ func runGateParent(cfg config, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
+	sup := mpi.NewSupervisor(0) // the default retry budget
+	if seed {
+		sup = mpi.NewSupervisor(1) // the crash ends the run
+	}
 	var (
 		founders, drains int // founders admitted; drains confirmed
-		epoch, fences    int
-		fenced           bool         // the running epoch is abandoned for a membership change
-		reported         map[int]bool // members that reported on the running epoch
-		crashed          int          // failed reports on it (a -kill-all-after seed)
+		epoch            int
+		table            []int        // the running attempt's member table; nil once decided
+		reported         map[int]bool // members that reported on the running attempt
+		crashed          int          // failed reports on it
+		failure, giveUp  error        // the last of them; why the supervisor gave up
 
-		admission               = time.After(30 * time.Second)
-		coalesce, drainDeadline <-chan time.Time
+		admission                        = time.After(30 * time.Second)
+		coalesce, backoff, drainDeadline <-chan time.Time
 	)
 	// next is an epoch boundary: the pending joins and drains apply in one
 	// step, every drain target is told to drain, and once none is left
 	// draining the next epoch's tickets go out, naming the members whose
-	// drain was confirmed since the last epoch as hand-off donors.
+	// drain was confirmed, or who were evicted, since the last epoch as
+	// hand-off donors. A member that died since is skipped: its gone event
+	// is on its way.
 	next := func() error {
 		_, drained := roster.Boundary()
 		for _, d := range drained {
@@ -390,26 +439,41 @@ func runGateParent(cfg config, stdout io.Writer) error {
 		}
 		drainDeadline = nil
 		members, donors := roster.Epoch()
-		table, retired := convertIds[int](members), convertIds[int](donors)
+		retired := convertIds[int](donors)
+		table = convertIds[int](members)
 		epoch++
 		addr := filepath.Join(rdvDir, fmt.Sprintf("e%d.sock", epoch))
 		for l, m := range table {
 			t := wire.Ticket{Action: wire.ActionRun, Member: m, Epoch: epoch, Rank: l,
 				Ranks: len(table), Addr: addr, Members: table, Retired: retired}
-			if err := gate.SendTicket(m, t); err != nil {
+			if err := gate.SendTicket(m, t); err != nil && !errors.Is(err, wire.ErrMemberGone) {
 				return err
 			}
 		}
-		fenced, reported, crashed = false, map[int]bool{}, 0
+		reported, crashed, failure = map[int]bool{}, 0, nil
 		return nil
 	}
 	// fence abandons the running epoch for a membership request; whatever
 	// else arrives in the next beat joins the same fence.
 	fence := func() {
-		if epoch > 0 && !fenced {
-			fenced, fences = true, fences+1
+		if table != nil && coalesce == nil {
 			coalesce = time.After(50 * time.Millisecond)
 		}
+	}
+	// decide ends the running attempt with its outcome and acts on the
+	// supervisor's step; it reports whether the session goes on.
+	decide := func(o mpi.Outcome) (bool, error) {
+		table, coalesce, backoff = nil, nil, nil
+		step := sup.Decide(roster, o)
+		switch {
+		case !step.Next:
+			giveUp = step.Err
+			return false, nil
+		case step.Backoff > 0:
+			backoff = time.After(core.DefaultRetryPolicy().Backoff(step.Backoff))
+			return true, nil
+		}
+		return true, next()
 	}
 
 	for running := true; running; {
@@ -421,7 +485,9 @@ func runGateParent(cfg config, stdout io.Writer) error {
 		case <-drainDeadline:
 			err = fmt.Errorf("member %d never reported its drain", roster.Draining()[0])
 		case <-coalesce:
-			coalesce = nil
+			running, err = decide(mpi.Outcome{Fenced: true})
+		case <-backoff:
+			backoff = nil
 			err = next()
 		case ev := <-gate.Events():
 			st, id := ev.Status, core.ShardId(ev.Member)
@@ -444,10 +510,15 @@ func runGateParent(cfg config, stdout io.Writer) error {
 				if roster.Drain(id) == nil {
 					fence()
 				}
-			case ev.Kind == wire.EventGone:
-				if !roster.Retired(id) {
-					err = fmt.Errorf("member %d is gone (its process died or dropped the gate) during epoch %d", ev.Member, epoch)
+			case ev.Kind == wire.EventGone && !roster.Retired(id):
+				err = fmt.Errorf("member %d is gone (its process died or dropped the gate) during epoch %d", ev.Member, epoch)
+				if epoch > 0 && slices.Contains(roster.Members(), id) {
+					// A member of the running epoch: a loss. A founder
+					// before the first epoch, a joiner or a draining
+					// member fails the run.
+					running, err = decide(mpi.Outcome{Lost: []core.ShardId{id}, Err: err})
 				}
+			case ev.Kind == wire.EventGone:
 			// The rest are status reports.
 			case st.OK && st.Detail == "drained":
 				if roster.Drained(id) == nil {
@@ -456,21 +527,26 @@ func runGateParent(cfg config, stdout io.Writer) error {
 						err = next()
 					}
 				}
-			case st.Epoch != epoch || fenced || st.Detail == "fenced":
-				// A report on an abandoned epoch.
-			case !st.OK && !seed:
-				err = fmt.Errorf("member %d failed epoch %d: %s", ev.Member, st.Epoch, st.Detail)
+			case table == nil || st.Epoch != epoch || coalesce != nil || st.Detail == "fenced":
+				// A report on an abandoned or decided attempt.
 			default:
 				if !st.OK {
+					// The parent cannot see the error's type: every failed
+					// status counts as retryable.
 					crashed++
+					failure = fmt.Errorf("member %d failed epoch %d: %s", ev.Member, st.Epoch, st.Detail)
 				}
-				reported[ev.Member] = true
-				running = len(reported) < len(roster.Members())
+				if reported[ev.Member] = true; len(reported) == len(table) {
+					running, err = decide(mpi.Outcome{Err: failure})
+				}
 			}
 		}
 		if err != nil {
 			return err
 		}
+	}
+	if giveUp != nil && !seed {
+		return giveUp
 	}
 	stopTimers() // no joiner may be forked after the exits go out
 	for _, m := range roster.Identities() {
@@ -479,13 +555,14 @@ func runGateParent(cfg config, stdout io.Writer) error {
 
 	t := workers.wait()
 	elapsed := time.Since(start).Round(time.Millisecond)
-	var restored, replayed, executed int
+	var restored, adopted, replayed, executed int
 	for _, line := range t.records {
 		fmt.Fprintln(stdout, line)
-		var m, ep, re, rp, ex int
-		if _, err := fmt.Sscanf(line, "BFWIRE member=%d epochs=%d restored=%d replayed=%d executed=%d",
-			&m, &ep, &re, &rp, &ex); err == nil {
+		var m, ep, re, ad, rp, ex int
+		if _, err := fmt.Sscanf(line, "BFWIRE member=%d epochs=%d restored=%d adopted=%d replayed=%d executed=%d",
+			&m, &ep, &re, &ad, &rp, &ex); err == nil {
 			restored += re
+			adopted += ad
 			replayed += rp
 			executed += ex
 		}
@@ -502,11 +579,23 @@ func runGateParent(cfg config, stdout io.Writer) error {
 		}
 		return nil
 	}
-	matches, ok := judge(want, t.sinks, t.failed)
+	// An evicted member's process died: its exit status is no verdict.
+	lost := sup.Lost()
+	matches, ok := judge(want, t.sinks, max(t.failed-len(lost), 0))
 	switch {
+	case cfg.faults:
+		status := "MATCH"
+		if !ok {
+			status = "MISMATCH"
+		}
+		fmt.Fprintf(stdout, "faults %-13s %d tasks over %d processes: %v  epochs=%d lost=%v adopted=%d replayed=%d executed=%d sinks=%d/%d %s\n",
+			cfg.useCase, tasks, cfg.ranks, elapsed, epoch, lost, adopted, replayed, executed, matches, len(want), status)
+		if ok && !slices.Contains(lost, core.ShardId(cfg.killRank)) {
+			return fmt.Errorf("member %d was never lost: no fault fired (lower -kill-after)", cfg.killRank)
+		}
 	case cfg.elastic:
 		fmt.Fprintf(stdout, "wire-elastic %-10s %d tasks: start=%d join=+%d drain=%d epochs=%d fences=%d %v  sinks=%d/%d match-serial=%v\n",
-			cfg.useCase, tasks, cfg.ranks, cfg.join, drains, epoch, fences, elapsed, matches, len(want), ok)
+			cfg.useCase, tasks, cfg.ranks, cfg.join, drains, epoch, sup.Fences(), elapsed, matches, len(want), ok)
 	case cfg.resume != "":
 		// A restart must prove it resumed rather than recomputed: journals
 		// carried completed tasks in, every one of them replayed, and

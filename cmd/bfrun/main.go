@@ -10,9 +10,8 @@
 //	bfrun -case register -runtime legion-spmd
 //	bfrun -case register-iter -runtime mpi -ranks 4
 //
-// The multi-process modes (-transport tcp, -journal/-resume, -elastic) are
-// all one membership-gate session, described in elastic.go; -faults is
-// described in faults.go.
+// The multi-process modes (-transport tcp, -journal/-resume, -elastic,
+// -faults) are all one membership-gate session, described in elastic.go.
 package main
 
 import (
@@ -116,10 +115,10 @@ func run(args []string, stdout io.Writer) error {
 	fs.StringVar(&cfg.traceTo, "trace", "", "write a per-task execution trace (CSV) here (in-memory runs)")
 	fs.IntVar(&cfg.whatIf, "whatif", 0, "with -trace: replay the measured trace on all simulated runtime models at this core count")
 	fs.StringVar(&cfg.transport, "transport", "mem", "mem | tcp (tcp forks one worker process per rank)")
-	fs.BoolVar(&cfg.faults, "faults", false, "run under fault injection: kill one peer, recover via replay, verify against serial")
-	fs.IntVar(&cfg.killRank, "kill-rank", 1, "with -faults: the rank to kill")
+	fs.BoolVar(&cfg.faults, "faults", false, "fork -ranks workers, kill one, recover via replay, verify against serial (every case unless -case)")
+	fs.IntVar(&cfg.killRank, "kill-rank", 1, "with -faults: the member whose process dies")
 	fs.IntVar(&cfg.killAfter, "kill-after", 0, "with -faults: inter-rank messages the victim sends before dying")
-	fs.StringVar(&cfg.journal, "journal", "", "with -transport tcp: persist per-rank lineage journals under this directory")
+	fs.StringVar(&cfg.journal, "journal", "", "with -transport tcp or -faults: persist per-member lineage journals under this directory")
 	fs.StringVar(&cfg.resume, "resume", "", "restart a crashed -journal run from its directory over TCP and verify sink digests against serial")
 	fs.IntVar(&cfg.killAll, "kill-all-after", -1, "with -journal: kill EVERY rank (including rank 0) after it sends this many inter-rank messages, seeding a resumable crash")
 	fs.StringVar(&cfg.tierName, "wire-tier", "auto", "with -transport tcp: transport between co-located ranks (auto | tcp | unix | shm)")
@@ -153,7 +152,7 @@ func run(args []string, stdout io.Writer) error {
 	case cfg.elastic:
 		return runGateParent(cfg, stdout)
 	case cfg.faults:
-		return runFaults(cfg, stdout)
+		return runFaultCases(cfg, stdout)
 	case cfg.forked():
 		return runGateParent(cfg, stdout)
 	}
@@ -177,6 +176,9 @@ func (cfg config) validate() error {
 	}
 	if cfg.forked() && !cfg.elastic && !cfg.faults && cfg.runtime != "mpi" {
 		return usagef("-transport tcp supports -runtime mpi, got %q", cfg.runtime)
+	}
+	if cfg.faults && (cfg.killRank < 0 || cfg.killRank >= cfg.ranks) {
+		return usagef("-kill-rank %d names no member of %d ranks", cfg.killRank, cfg.ranks)
 	}
 	if cfg.killAll >= 0 && cfg.journal == "" {
 		return usagef("-kill-all-after needs -journal (a crash without a journal is not resumable)")

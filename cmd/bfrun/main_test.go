@@ -102,6 +102,8 @@ func TestBadCommandLinesAreUsageErrors(t *testing.T) {
 		{"-wire-tier", "carrier-pigeon"},
 		{"-runtime", "slurm"},
 		{"-kill-all-after", "1"},
+		{"-faults", "-kill-rank", "9"},
+		{"-faults", "-ranks", "2", "-kill-rank", "-1"},
 		{"-elastic", "-ranks", "2", "-join", "1", "-drain", "3"},
 		{"-shards", "4"},
 		{"-wire-rank", "0"},
@@ -165,6 +167,54 @@ func TestKillAllThenResume(t *testing.T) {
 	if restored == 0 || replayed != restored || replayed+executed != tasks {
 		t.Errorf("restored=%d replayed=%d executed=%d tasks=%d: the restart did not resume from the journals",
 			restored, replayed, executed, tasks)
+	}
+}
+
+// TestFaultsKillOneMember kills member 1 of four worker processes after
+// its first inter-rank send. The parent must see the process die, evict it,
+// recover in a second epoch and match serial — with -journal by adopting
+// the dead member's journaled lineage, without by re-executing its tasks.
+func TestFaultsKillOneMember(t *testing.T) {
+	summary := regexp.MustCompile(`faults register +18 tasks over 4 processes: \S+  epochs=(\d+) lost=\[1\] adopted=(\d+) replayed=(\d+) executed=\d+ sinks=9/9 MATCH`)
+	for _, journal := range []bool{false, true} {
+		args := []string{"-faults", "-case", "register", "-ranks", "4", "-kill-rank", "1", "-kill-after", "1"}
+		if journal {
+			args = append(args, "-journal", t.TempDir())
+		}
+		out, err := bfrun(t, args...)
+		if err != nil {
+			t.Fatalf("journal=%v: %v\n%s", journal, err, out)
+		}
+		m := summary.FindStringSubmatch(out)
+		if m == nil {
+			t.Fatalf("journal=%v: unexpected summary:\n%s", journal, out)
+		}
+		epochs, _ := strconv.Atoi(m[1])
+		adopted, _ := strconv.Atoi(m[2])
+		replayed, _ := strconv.Atoi(m[3])
+		if epochs < 2 {
+			t.Errorf("journal=%v: %d epoch(s), want a recovery epoch", journal, epochs)
+		}
+		// The victim journaled the task whose output it sent before dying,
+		// so its new owner adopts it and replays it.
+		if journal && (adopted == 0 || replayed < adopted) {
+			t.Errorf("journal=%v: adopted=%d replayed=%d: the dead member's lineage was not replayed", journal, adopted, replayed)
+		}
+		if !journal && adopted != 0 {
+			t.Errorf("journal=%v: adopted=%d without a journal to adopt from", journal, adopted)
+		}
+	}
+}
+
+// TestFaultsWithoutAFaultFails arms a kill that never fires: the run
+// matches serial but recovered nothing, so it must fail.
+func TestFaultsWithoutAFaultFails(t *testing.T) {
+	out, err := bfrun(t, "-faults", "-case", "register", "-ranks", "2", "-kill-after", "100000")
+	if err == nil || !strings.Contains(err.Error(), "member 1 was never lost") {
+		t.Fatalf("a -faults run without a fault: %v, want it to fail naming member 1\n%s", err, out)
+	}
+	if !strings.Contains(out, "lost=[] ") {
+		t.Errorf("unexpected summary:\n%s", out)
 	}
 }
 
@@ -323,6 +373,37 @@ func TestElasticDeadMemberFailsRun(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("the coordinator outlived its only member by 10 s")
+	}
+}
+
+// TestElasticSurvivesKilledMember SIGKILLs one of two workers of a paced
+// elastic run mid-epoch. The parent must treat the gate's gone event as a
+// loss, evict the member and finish on the survivor, matching serial.
+func TestElasticSurvivesKilledMember(t *testing.T) {
+	if _, err := os.Stat("/proc/self/stat"); err != nil {
+		t.Skip("finding the forked worker needs /proc")
+	}
+	var out string
+	done := make(chan error, 1)
+	go func() {
+		var err error
+		out, err = bfrun(t, "-case", "mergetree", "-elastic", "-ranks", "2", "-elastic-pace", "100ms")
+		done <- err
+	}()
+	if err := syscall.Kill(joinedWorker(t), syscall.SIGKILL); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("run after one of two members died: %v\n%s", err, out)
+		}
+		m := regexp.MustCompile(`epochs=(\d+) fences=0 \S+ +sinks=8/8 match-serial=true`).FindStringSubmatch(out)
+		if m == nil || m[1] == "1" {
+			t.Fatalf("want a recovery epoch and sinks matching serial:\n%s", out)
+		}
+	case <-time.After(60 * time.Second):
+		t.Fatal("the run outlived its killed member by 60 s")
 	}
 }
 

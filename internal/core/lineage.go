@@ -29,6 +29,7 @@ type Ledger struct {
 	attempts map[TaskId]int
 	replays  int
 	execs    int
+	adopted  int
 
 	store      LedgerStore     // nil for a purely in-memory ledger
 	stored     map[TaskId]bool // persisted in store (safe to evict)
@@ -227,5 +228,15 @@ func (l *Ledger) Adopt(donor *Ledger, id TaskId) bool {
 		cp[i] = append([]byte(nil), b...)
 	}
 	l.Record(id, cp)
+	l.mu.Lock()
+	l.adopted++
+	l.mu.Unlock()
 	return true
+}
+
+// Adopted returns how many tasks the ledger adopted from donors.
+func (l *Ledger) Adopted() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.adopted
 }

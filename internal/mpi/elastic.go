@@ -142,11 +142,11 @@ func (m *Membership) take() (members, joins, drains []core.ShardId, joinAt, drai
 	return members, joins, drains, joinAt, drainAt
 }
 
-// evict removes a member declared dead (Roster.Evict).
-func (m *Membership) evict(id core.ShardId) {
+// decide is supervise's verdict on an attempt: s.Decide over the roster.
+func (m *Membership) decide(s *Supervisor, o Outcome) Step {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.roster.Evict(id) // classifyDead names members of the epoch: never refused
+	return s.Decide(m.roster, o)
 }
 
 // ElasticOptions parameterizes RunElastic.

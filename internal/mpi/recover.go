@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -25,19 +25,14 @@ type ConnectFunc func(epoch, ranks int) ([]fabric.Transport, error)
 // deterministic fault-injection harness (internal/faultinject) plugs into.
 type InjectFunc func(epoch, rank int, tr fabric.Transport) fabric.Transport
 
-// maxFences bounds membership-fence rebuilds of one supervised run. Fenced
-// epochs do not consume the retry budget — a retry is a failure, a fence is
-// a request — but runaway churn must still terminate.
-const maxFences = 32
-
 // supervise is the one loop around epoch for fault-tolerant runs. Per
 // iteration it applies the pending membership changes in ONE epoch bump,
 // rebalances the placement over the members (Plan.Rebalance), hands
 // the lineage of every task that changed owner to the new owner's ledger,
-// runs one attempt, and decides: done; fenced by a membership change
-// (rebuild, no backoff, no budget); members lost (evict them, retry);
-// partitioned or timed out (retry in place); non-retryable (give up);
-// budget exhausted (give up). Ledgers are keyed by stable member identity
+// runs one attempt, and asks the Supervisor what next: done; fenced by a
+// membership change (rebuild, no backoff, no budget); members lost (evict
+// them, retry); partitioned or timed out (retry in place); non-retryable
+// or budget exhausted (give up). Ledgers are keyed by stable member identity
 // and live as long as the loop, so they survive renumbering across epochs
 // — and, when journaled, process restarts.
 //
@@ -70,9 +65,8 @@ func (c *Controller) supervise(ctx context.Context, ms *Membership, connect Conn
 		prevOwner[i] = core.ShardId(r)
 	}
 
+	sup := NewSupervisor(policy.MaxAttempts)
 	var recoveryStart time.Time
-	var lastErr error
-	failures := 0
 	for epoch := 1; ; epoch++ {
 		rep.Epochs = epoch
 		if ctx.Err() != nil {
@@ -82,9 +76,6 @@ func (c *Controller) supervise(ctx context.Context, ms *Membership, connect Conn
 		members, joins, drains, joinAt, drainAt := ms.take()
 		rep.Joined = append(rep.Joined, joins...)
 		rep.Drained = append(rep.Drained, drains...)
-		if len(members) == 0 {
-			return nil, rep, fmt.Errorf("mpi: every member lost: %w", core.ErrRetriesExhausted)
-		}
 		dest, err := c.Plan().Rebalance(c.place.shardOf, len(c.place.local), members)
 		if err != nil {
 			return nil, rep, err
@@ -110,43 +101,27 @@ func (c *Controller) supervise(ctx context.Context, ms *Membership, connect Conn
 		}
 
 		sinks, lost, err := s.attempt(ctx, epoch, pl, members, leds, joinAt, drainAt)
-		if err == nil {
+		if err != nil && recoveryStart.IsZero() {
+			recoveryStart = time.Now()
+		}
+		if err != nil && ctx.Err() != nil {
+			return nil, rep, core.Cancelled(ctx)
+		}
+		step := ms.decide(sup, Outcome{Fenced: err == errFenced, Lost: lost, Err: err, Fatal: err != nil && err != errFenced && !retryable(err)})
+		rep.Fences, rep.LostShards = sup.Fences(), sup.Lost()
+		switch {
+		case !step.Next: // done, or given up (sinks is nil then)
 			if !recoveryStart.IsZero() {
 				rep.RecoveryTime = time.Since(recoveryStart)
 			}
-			return sinks, rep, nil
-		}
-		if recoveryStart.IsZero() {
-			recoveryStart = time.Now()
-		}
-		if ctx.Err() != nil {
-			return nil, rep, core.Cancelled(ctx)
-		}
-		if err == errFenced {
-			rep.Fences++
-			if rep.Fences > maxFences {
-				return nil, rep, fmt.Errorf("mpi: %d membership fences: %w", rep.Fences, core.ErrRetriesExhausted)
+			return sinks, rep, step.Err
+		case step.Backoff > 0:
+			if obs := c.opt.Observer; obs != nil {
+				obs.Observe(core.Event{Kind: core.EpochRetried, Epoch: epoch + 1, Lost: sup.Lost()})
 			}
-			continue
-		}
-		if !retryable(err) {
-			return nil, rep, err
-		}
-		lastErr = err
-		failures++
-		for _, id := range lost {
-			ms.evict(id)
-			rep.LostShards = append(rep.LostShards, id)
-		}
-		sort.Slice(rep.LostShards, func(i, j int) bool { return rep.LostShards[i] < rep.LostShards[j] })
-		if failures >= policy.MaxAttempts {
-			return nil, rep, fmt.Errorf("mpi: %d attempt(s) failed: %w (last: %v)", failures, core.ErrRetriesExhausted, lastErr)
-		}
-		if obs := c.opt.Observer; obs != nil {
-			obs.Observe(core.Event{Kind: core.EpochRetried, Epoch: epoch + 1, Lost: append([]core.ShardId(nil), rep.LostShards...)})
-		}
-		if err := policy.Sleep(ctx, failures); err != nil {
-			return nil, rep, err
+			if err := policy.Sleep(ctx, step.Backoff); err != nil {
+				return nil, rep, err
+			}
 		}
 	}
 }
@@ -249,29 +224,22 @@ func (s *supervision) attempt(ctx context.Context, epoch int, pl *placement, mem
 	}
 
 	lost := classifyDead(wrapped, errs, members)
-	isLost := make(map[core.ShardId]bool, len(lost))
-	for _, id := range lost {
-		isLost[id] = true
-	}
-	var firstErr error
+	var first error
 	for l, e := range errs {
-		if e == nil {
-			continue
-		}
-		if !isLost[members[l]] && !retryable(e) {
+		switch {
+		case e != nil && !slices.Contains(lost, members[l]) && !retryable(e):
 			// A real dataflow failure on a healthy rank outranks every
 			// transport echo around it.
 			return nil, lost, e
-		}
-		if firstErr == nil {
-			firstErr = e
+		case first == nil:
+			first = e
 		}
 	}
-	if firstErr == nil && len(lost) > 0 {
-		firstErr = fmt.Errorf("mpi: epoch %d: %d member(s) lost: %w", epoch, len(lost), fabric.ErrPeerLost)
+	if first == nil && len(lost) > 0 {
+		first = fmt.Errorf("mpi: epoch %d: %d member(s) lost: %w", epoch, len(lost), fabric.ErrPeerLost)
 	}
-	if firstErr != nil {
-		return nil, lost, firstErr
+	if first != nil {
+		return nil, lost, first
 	}
 	// Every rank loop returned nil, which it does only once each of its
 	// tasks ran (or replayed) and routed: the sinks are complete.

@@ -10,7 +10,8 @@ import (
 // Roster is the member table of an elastic run and its one change rule. It
 // does no I/O and takes no lock: Membership wraps it behind a mutex for the
 // in-process coordinator (supervise), and bfrun's gate parent drives it
-// from its event loop. Identities are stable — founders are 0..n-1 and
+// from its event loop; Supervisor applies its loss rule to it. Identities
+// are stable — founders are 0..n-1 and
 // every joiner brings one never seen before — so per-member journals and
 // ledgers follow the member, not its logical rank.
 //
@@ -18,7 +19,8 @@ import (
 // drain targets a member or pending joiner; the boundary takes it out of
 // the rank set, and it drains until Drained confirms it. It is then a
 // hand-off donor, returned once by the next Epoch, and has left. Evict
-// removes a member declared dead at once, with no hand-off.
+// takes a member declared dead out of the rank set at once and makes it a
+// donor too: its process is gone, so its journal has no writer left.
 type Roster struct {
 	state         map[core.ShardId]standing
 	joins, drains []core.ShardId // pending, in request order
@@ -31,8 +33,8 @@ const (
 	joining  standing = iota + 1 // admitted; enters the rank set at the next boundary
 	member                       // in the rank set
 	draining                     // out of the rank set; drain not yet confirmed
-	donor                        // drain confirmed; hands its lineage to the next epoch
-	left                         // handed off or evicted; never returns
+	donor                        // drain confirmed or evicted; hands its lineage to the next epoch
+	left                         // handed off; never returns
 )
 
 // NewRoster returns a roster whose members are the founders 0..n-1.
@@ -100,14 +102,16 @@ func (r *Roster) Drained(id core.ShardId) error {
 	return nil
 }
 
-// Evict removes a member declared dead: no hand-off, its unrecorded work
-// re-executes elsewhere. A pending drain of it is dropped. Evicting the
-// last member is allowed; the run then has no one left.
+// Evict removes a member declared dead from the rank set and makes it a
+// donor of the next Epoch: its recorded lineage (journaled, when the run
+// journals) is adopted, its unrecorded work re-executes elsewhere. A
+// pending drain of it is dropped. Evicting the last member is allowed; the
+// run then has no one left.
 func (r *Roster) Evict(id core.ShardId) error {
 	if r.state[id] != member {
 		return fmt.Errorf("mpi: evict: member %d is not in the rank set", id)
 	}
-	r.state[id] = left
+	r.state[id] = donor
 	r.drains = slices.DeleteFunc(r.drains, func(d core.ShardId) bool { return d == id })
 	return nil
 }

@@ -116,13 +116,13 @@ func TestRosterDecisions(t *testing.T) {
 			"ok; joined=[] drained=[1]; members=[0 2] donors=[]; ok; members=[0 2] donors=[1]"},
 		{"evict removes a member and drops its pending drain", 3,
 			"drain 1; evict 1; pending; evict 1; evict 7; retired 1; boundary; epoch",
-			"ok; ok; pending=false; refused; refused; retired=true; joined=[] drained=[]; members=[0 2] donors=[]"},
+			"ok; ok; pending=false; refused; refused; retired=true; joined=[] drained=[]; members=[0 2] donors=[1]"},
 		{"evict refuses a pending joiner and a draining member", 2,
 			"join 2; evict 2; drain 1; boundary; evict 1; drained 1",
 			"ok; refused; ok; joined=[2] drained=[1]; refused; ok"},
 		{"evict may remove the last member", 1,
 			"evict 0; epoch; drain 0",
-			"ok; members=[] donors=[]; refused"},
+			"ok; members=[] donors=[0]; refused"},
 	} {
 		if got := playRoster(t, tc.n, tc.script); got != tc.want {
 			t.Errorf("%s:\n got %s\nwant %s", tc.name, got, tc.want)
@@ -138,7 +138,7 @@ func TestRosterDecisions(t *testing.T) {
 // epochs, checking the roster's invariants after every step: a drain never
 // leaves the run without a member unless someone was evicted; a boundary
 // applies its whole batch at once; a drain is confirmed only while
-// draining and hands its member off exactly once; identities are never
+// draining, and a confirmed or evicted member is handed off exactly once; identities are never
 // reused; and every identity is in exactly one place. A failure names its
 // seed.
 func TestRosterRandomSequences(t *testing.T) {
@@ -230,7 +230,7 @@ func rosterSequence(seed int64) error {
 				return fmt.Errorf("step %d: evict %d (members %v): %v", step, id, members, err)
 			}
 			if err == nil {
-				evicted = true
+				evicted, confirmed[id] = true, true // a donor, like a confirmed drain
 			}
 		default:
 			op = "epoch"
