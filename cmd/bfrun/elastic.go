@@ -154,6 +154,8 @@ func runGateWorker(cfg config, stdout io.Writer) error {
 	}
 	defer sess.Close()
 	member := sess.Member()
+	// Tells the parent which member this process is, should it die.
+	fmt.Fprintf(stdout, "BFWIRE joined member=%d\n", member)
 
 	// The member's lineage: journal-backed with -journal (restored on
 	// start, synced at every fence, closed on drain/exit), in memory in an
@@ -553,7 +555,8 @@ func runGateParent(cfg config, stdout io.Writer) error {
 		gate.SendTicket(int(m), wire.Ticket{Action: wire.ActionExit})
 	}
 
-	t := workers.wait()
+	lost := sup.Lost()
+	t := workers.wait(lost)
 	elapsed := time.Since(start).Round(time.Millisecond)
 	var restored, adopted, replayed, executed int
 	for _, line := range t.records {
@@ -579,9 +582,7 @@ func runGateParent(cfg config, stdout io.Writer) error {
 		}
 		return nil
 	}
-	// An evicted member's process died: its exit status is no verdict.
-	lost := sup.Lost()
-	matches, ok := judge(want, t.sinks, max(t.failed-len(lost), 0))
+	matches, ok := judge(want, t.sinks, t.failed)
 	switch {
 	case cfg.faults:
 		status := "MATCH"

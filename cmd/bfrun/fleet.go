@@ -12,6 +12,7 @@ import (
 	"io"
 	"os"
 	"os/exec"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -117,37 +118,43 @@ func (f *fleet) fork(args ...string) error {
 // tally is what a finished fleet reported on stdout.
 type tally struct {
 	sinks   map[string]bool // distinct "BFWIRE sink" lines
-	records []string        // every other BFWIRE line, in worker order
-	failed  int             // workers that exited non-zero
+	records []string        // every other BFWIRE line but "joined", in worker order
+	failed  int             // workers that exited non-zero, evicted members aside
 }
 
 // wait blocks until every forked worker has exited and collects their
-// BFWIRE lines.
-func (f *fleet) wait() tally {
+// BFWIRE lines. A worker whose member is in lost was evicted: its death
+// was expected, so its exit status is neither reported nor a failure.
+func (f *fleet) wait(lost []core.ShardId) tally {
 	f.mu.Lock()
 	workers := f.workers
 	f.mu.Unlock()
 	t := tally{sinks: make(map[string]bool)}
 	for i, w := range workers {
-		if err := w.cmd.Wait(); err != nil {
+		err := w.cmd.Wait()
+		if member := t.scan(w.out.String()); err != nil && !slices.Contains(lost, core.ShardId(member)) {
 			fmt.Fprintf(os.Stderr, "bfrun: worker %d exited: %v\n", i, err)
 			t.failed++
 		}
-		t.scan(w.out.String())
 	}
 	return t
 }
 
-// scan files one worker's stdout into the tally.
-func (t *tally) scan(stdout string) {
+// scan files one worker's stdout into the tally and returns the member the
+// worker joined as, or -1 if it never joined.
+func (t *tally) scan(stdout string) (member int) {
+	member = -1
 	for _, line := range strings.Split(stdout, "\n") {
 		switch {
 		case strings.HasPrefix(line, "BFWIRE sink"):
 			t.sinks[line] = true
+		case strings.HasPrefix(line, "BFWIRE joined "):
+			fmt.Sscanf(line, "BFWIRE joined member=%d", &member)
 		case strings.HasPrefix(line, "BFWIRE "):
 			t.records = append(t.records, line)
 		}
 	}
+	return member
 }
 
 // kill stops and reaps every worker that has not been waited for, and

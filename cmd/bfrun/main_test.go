@@ -206,6 +206,57 @@ func TestFaultsKillOneMember(t *testing.T) {
 	}
 }
 
+// captureStderr runs f with os.Stderr, which forked workers inherit,
+// going to a file, and returns what was written there.
+func captureStderr(t *testing.T, f func()) string {
+	t.Helper()
+	file, err := os.Create(filepath.Join(t.TempDir(), "stderr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer file.Close()
+	saved := os.Stderr
+	os.Stderr = file
+	f()
+	os.Stderr = saved
+	b, err := os.ReadFile(file.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// TestFaultsReportOnlyUnexpectedExits reads the stderr of a -faults run:
+// the evicted member's process dies on purpose, so the parent must not
+// report its exit, while a worker that fails on its own still is.
+func TestFaultsReportOnlyUnexpectedExits(t *testing.T) {
+	stderr := captureStderr(t, func() {
+		out, err := bfrun(t, "-faults", "-case", "register", "-ranks", "3", "-kill-rank", "1", "-kill-after", "1")
+		if err != nil || !strings.Contains(out, "lost=[1]") {
+			t.Errorf("faults run: %v\n%s", err, out)
+		}
+	})
+	if !strings.Contains(stderr, "member 1: killed by -kill-after") {
+		t.Errorf("the victim's own error is missing from stderr:\n%s", stderr)
+	}
+	if strings.Contains(stderr, "exited:") {
+		t.Errorf("the parent reported the evicted member's exit:\n%s", stderr)
+	}
+
+	stderr = captureStderr(t, func() {
+		var f fleet
+		if err := f.fork("-ranks", "0"); err != nil {
+			t.Fatal(err)
+		}
+		if got := f.wait([]core.ShardId{0}); got.failed != 1 {
+			t.Errorf("a worker that never joined and exited 2 counts as %d failures, want 1", got.failed)
+		}
+	})
+	if !strings.Contains(stderr, "bfrun: worker 0 exited: exit status 2") {
+		t.Errorf("a failed worker that was not evicted went unreported:\n%s", stderr)
+	}
+}
+
 // TestFaultsWithoutAFaultFails arms a kill that never fires: the run
 // matches serial but recovered nothing, so it must fail.
 func TestFaultsWithoutAFaultFails(t *testing.T) {

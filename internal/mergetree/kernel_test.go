@@ -61,6 +61,23 @@ func BenchmarkMerge(b *testing.B) {
 	}
 }
 
+// BenchmarkDeserialize measures the decoding of the trees a correction
+// task receives and sends over the wire: the local tree, the augmented
+// boundary tree and their merge.
+func BenchmarkDeserialize(b *testing.B) {
+	_, _, local, aug := correctionShape(b)
+	bufs := [][]byte{local.Serialize(), aug.Serialize(), Merge(local, aug).Serialize()}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, buf := range bufs {
+			if _, err := Deserialize(buf); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 // BenchmarkSegment measures the superlevel-set labeling of a corrected
 // block tree, as the segmentation tasks run it.
 func BenchmarkSegment(b *testing.B) {
@@ -87,29 +104,33 @@ func leastAllocs(f func()) float64 {
 	return least
 }
 
-// TestMergeTreeAllocationPins pins that FromField, Merge and Reduce make
-// the same number of allocations on a 16³ and a 64³ block — every array is
-// presized, none grows by append — and at most a ceiling each: a call
-// allocates its result tree and takes its scratch from the pool.
+// TestMergeTreeAllocationPins pins that FromField, Merge, Reduce and
+// Deserialize make the same number of allocations on a 16³ and a 64³ block
+// — every array is presized, none grows by append — and at most a ceiling
+// each: a call allocates its result tree and takes its scratch (Merge's
+// ancestry memo and visit list, Deserialize's bucket index) from the pool.
 func TestMergeTreeAllocationPins(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	allocs := func(n int) [3]float64 {
+	allocs := func(n int) [4]float64 {
 		blk := data.SyntheticHCCI(n, n, n, 8, 7)
 		d, _ := data.NewDecomposition(n, n, n, 2, 2, 2)
 		keep := BoundaryKeeper(d)
 		local := FromField(blk, 0, 0, 0, n, n, 0.3)
 		boundary := local.Reduce(keep)
-		return [3]float64{
+		wire := local.Serialize()
+		return [4]float64{
 			leastAllocs(func() { FromField(blk, 0, 0, 0, n, n, 0.3) }),
 			leastAllocs(func() { Merge(local, boundary) }),
 			leastAllocs(func() { local.Reduce(keep) }),
+			leastAllocs(func() { Deserialize(wire) }),
 		}
 	}
 	small, large := allocs(16), allocs(64)
-	ceiling := [3]float64{4, 4, 4}
-	for i, name := range []string{"FromField", "Merge", "Reduce"} {
+	// Deserialize: the tree and its three arrays.
+	ceiling := [4]float64{4, 4, 4, 4}
+	for i, name := range []string{"FromField", "Merge", "Reduce", "Deserialize"} {
 		if small[i] != large[i] {
 			t.Errorf("%s: %.0f allocations on 16³ but %.0f on 64³", name, small[i], large[i])
 		}
@@ -117,7 +138,7 @@ func TestMergeTreeAllocationPins(t *testing.T) {
 			t.Errorf("%s: %.0f allocations per call, pinned at %.0f", name, large[i], ceiling[i])
 		}
 	}
-	t.Logf("allocations per call (FromField, Merge, Reduce): %v", small)
+	t.Logf("allocations per call (FromField, Merge, Reduce, Deserialize): %v", small)
 }
 
 // BenchmarkRun is the use case end to end at the mergetree-mem bench's
@@ -167,4 +188,144 @@ func BenchmarkRun(b *testing.B) {
 			}
 		})
 	}
+}
+
+// TestZipStepsStarOverChain merges a star — every node of the top three
+// quarters of a chain attached to the chain's lowest node — into the chain.
+// Without the ancestry memo each star arc walks the chain down to its
+// root, about 7.5 million steps in all; with it the zip is linear.
+func TestZipStepsStarOverChain(t *testing.T) {
+	const n = 4001
+	chain, star := NewTree(), NewTree()
+	for i := 0; i < n; i++ {
+		chain.ids, chain.val, chain.par = append(chain.ids, uint64(i)), append(chain.val, float32(i)), append(chain.par, int32(i)-1)
+		if i == 0 || i > n/4 {
+			star.ids, star.val, star.par = append(star.ids, uint64(i)), append(star.val, float32(i)), append(star.par, 0)
+		}
+	}
+	star.par[0] = -1
+	for _, trees := range [][]*Tree{{chain, star}, {star, chain}} {
+		got, base, steps := merge(trees)
+		if !got.Equal(chain) {
+			t.Fatal("the star's arcs changed the chain's merge tree")
+		}
+		if trees[base] != chain {
+			t.Errorf("base is tree %d, want the chain", base)
+		}
+		if steps > 4*n {
+			t.Errorf("%d zip steps for %d nodes, want at most %d", steps, n, 4*n)
+		}
+		t.Logf("%d zip steps for %d nodes", steps, n)
+	}
+}
+
+// TestMergeBaseRule merges a six-node chain with a later, smaller tree
+// that gives a shared vertex another value. Where the new value reverses
+// one of the chain's arcs, the chain is not the merge tree of its own arcs
+// under the merged values, so the base must be the last tree; where every
+// arc keeps its direction, the larger chain stays the base. Both results
+// must equal the reference's.
+func TestMergeBaseRule(t *testing.T) {
+	chain := lineField(6, 5, 4, 3, 2, 1)
+	for _, c := range []struct {
+		name string
+		last *data.Field // over ids 2 and 3; the chain has 4 and 3 there
+		base int
+	}{
+		{"reversed arc", lineField(4, 9), 1},
+		{"arcs kept", lineField(4, 2.5), 0},
+	} {
+		trees := []*Tree{FromField(chain, 0, 0, 0, 6, 1, -100), FromField(c.last, 2, 0, 0, 6, 1, -100)}
+		want := refMerge(refFromField(chain, 0, 0, 0, 6, 1, -100), refFromField(c.last, 2, 0, 0, 6, 1, -100))
+		got, base, _ := merge(trees)
+		if base != c.base {
+			t.Errorf("%s: base is tree %d, want %d", c.name, base, c.base)
+		}
+		if !got.Equal(want.tree()) || string(got.Serialize()) != string(want.serialize()) {
+			t.Errorf("%s: Merge differs from the reference", c.name)
+		}
+	}
+}
+
+// TestMergeArcsInAnyDirection merges decoded trees whose parent arcs go up
+// or close a cycle, which Deserialize does not reject. Neither can be the
+// base, and the zips must still end with the reference's tree.
+func TestMergeArcsInAnyDirection(t *testing.T) {
+	value := map[uint64]float32{1: 1, 2: 2, 3: 3, 4: 2}
+	for _, parent := range []map[uint64]uint64{
+		{1: 2, 2: 3},       // both arcs go up
+		{1: 2, 2: 3, 3: 1}, // a cycle
+	} {
+		odd := &refTree{value: value, parent: parent}
+		small := &refTree{value: map[uint64]float32{3: 3, 4: 2}, parent: map[uint64]uint64{3: 4}}
+		got, base, _ := merge([]*Tree{odd.tree(), small.tree()})
+		if want := refMerge(odd, small); base != 1 || !got.Equal(want.tree()) {
+			t.Errorf("arcs %v: base %d, want 1; tree equals the reference: %v", parent, base, got.Equal(want.tree()))
+		}
+	}
+}
+
+// zipCounter registers callbacks with a controller, wrapping the join and
+// correction callbacks so that each first repeats its merge through merge,
+// summing zip steps and merged nodes. The serial controller runs one
+// callback at a time.
+type zipCounter struct {
+	core.CallbackRegistrar
+	steps, nodes int
+}
+
+func (z *zipCounter) RegisterCallback(cb core.CallbackId, fn core.Callback) error {
+	if cb != CBJoin && cb != CBCorrection {
+		return z.CallbackRegistrar.RegisterCallback(cb, fn)
+	}
+	return z.CallbackRegistrar.RegisterCallback(cb, func(in []core.Payload, id core.TaskId) ([]core.Payload, error) {
+		trees := make([]*Tree, len(in))
+		for i, p := range in {
+			tr, err := asTree(p)
+			if err != nil {
+				return nil, err
+			}
+			trees[i] = tr
+		}
+		merged, _, steps := merge(trees)
+		z.steps, z.nodes = z.steps+steps, z.nodes+merged.Len()
+		return fn(in, id)
+	})
+}
+
+// TestZipStepsPerRun bounds the zip work of a whole run at the
+// mergetree-mem bench's shape (128³ in 32 blocks, a 2-way graph, threshold
+// 0.3): summed over every join and correction, the zips take at most 1.5
+// steps per merged node.
+func TestZipStepsPerRun(t *testing.T) {
+	const n, blocks = 128, 32
+	field := data.SyntheticHCCI(n, n, n, 8, 2026)
+	decomp, err := data.NewDecomposition(n, n, n, 2, 2, blocks/4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := NewGraph(blocks, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := core.NewSerial()
+	if err := s.Initialize(g, nil); err != nil {
+		t.Fatal(err)
+	}
+	z := &zipCounter{CallbackRegistrar: s}
+	cfg := Config{Decomp: decomp, Threshold: 0.3}
+	if err := cfg.Register(z, g); err != nil {
+		t.Fatal(err)
+	}
+	initial, err := cfg.InitialInputs(field, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out, err := s.Run(initial); err != nil || len(out) != blocks {
+		t.Fatalf("run: %d sinks, %v", len(out), err)
+	}
+	if z.steps > z.nodes*3/2 {
+		t.Errorf("%d zip steps over %d merged nodes, want at most 1.5 per node", z.steps, z.nodes)
+	}
+	t.Logf("%d zip steps over %d merged nodes", z.steps, z.nodes)
 }

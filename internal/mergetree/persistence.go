@@ -59,14 +59,24 @@ func (t *Tree) BranchDecomposition(minPersistence float32) map[uint64]uint64 {
 func (t *Tree) sweepBranches(minPersistence float32, simplify bool) ([]int32, []Pair) {
 	w := works.Get().(*work)
 	defer works.Put(w)
-	src, dst := grow(&w.src, len(t.par))[:0], grow(&w.dst, len(t.par))[:0]
-	for c, p := range t.par {
+	// Node v's children are kids[off[v]:off[v+1]], ascending.
+	n := len(t.ids)
+	off := grow(&w.off, n+2)
+	clear(off)
+	for _, p := range t.par {
 		if p >= 0 {
-			src, dst = append(src, p), append(dst, int32(c))
+			off[p+2]++
 		}
 	}
-	off, kids := csr(len(t.ids), w, src, dst)
-	n := len(t.ids)
+	for i := 2; i < len(off); i++ {
+		off[i] += off[i-1]
+	}
+	kids := grow(&w.adj, int(off[n+1]))
+	for c, p := range t.par {
+		if p >= 0 {
+			kids[off[p+1]], off[p+1] = int32(c), off[p+1]+1
+		}
+	}
 	uf, best := make([]int32, n), make([]int32, n) // best: root -> branch max
 	labels, remap := make([]int32, n), make([]int32, n)
 	for i := range uf {

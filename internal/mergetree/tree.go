@@ -15,6 +15,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
 )
@@ -44,8 +45,9 @@ func (*Tree) Immutable() {}
 // work is one kernel call's pooled scratch, reused instead of zeroing fresh
 // arrays. A tree's own arrays never come from it: trees are shared.
 type work struct {
-	at, to, src, dst, off, adj, uf, order, tmp []int32
-	keys, tkeys                                []uint32
+	at, to, off, adj, uf, order, tmp, memo, seen []int32
+	keys, tkeys                                  []uint32
+	rank                                         []uint64
 }
 
 var works = sync.Pool{New: func() any { return new(work) }}
@@ -109,6 +111,19 @@ func (t *Tree) above(a, b int32) bool {
 	return a > b
 }
 
+// sweepKey maps a value to a key that ascends as the value descends, with
+// -0 tied to +0 as in above; it orders every bit pattern, NaNs included.
+func sweepKey(v float32) uint32 {
+	if v == 0 {
+		v = 0
+	}
+	k := math.Float32bits(v)
+	if k>>31 == 0 {
+		k = ^k &^ (1 << 31)
+	}
+	return k
+}
+
 // sweepOrder returns the node indices in sweep order. It radix-sorts them
 // on their values' bits, mapped so that ascending keys are descending
 // values: one stable pass per key byte, lowest first, skipping a byte all
@@ -120,13 +135,7 @@ func sweepOrder(val []float32, w *work) []int32 {
 	keys, tkeys, order, tmp := grow(&w.keys, n), grow(&w.tkeys, n), grow(&w.order, n), grow(&w.tmp, n)
 	var at [4][257]int32 // at[p][d+1] counts byte d of pass p, then at[p][d] is where it goes
 	for i, v := range val {
-		if v == 0 {
-			v = 0 // -0 ties +0, as in above
-		}
-		k := math.Float32bits(v)
-		if k>>31 == 0 {
-			k = ^k &^ (1 << 31)
-		}
+		k := sweepKey(v)
 		keys[n-1-i], order[n-1-i] = k, int32(i)
 		at[0][k&0xff+1]++
 		at[1][k>>8&0xff+1]++
@@ -158,25 +167,6 @@ func find(uf []int32, x int32) int32 {
 		x = uf[x]
 	}
 	return x
-}
-
-// csr builds, in w's scratch, the compressed adjacency over n nodes of the
-// arcs src[k] → dst[k]: node i's targets end up in adj[off[i]:off[i+1]], in
-// arc order.
-func csr(n int, w *work, src, dst []int32) (off, adj []int32) {
-	off = grow(&w.off, n+2)
-	clear(off)
-	for _, a := range src {
-		off[a+2]++
-	}
-	for i := 2; i < len(off); i++ {
-		off[i] += off[i-1]
-	}
-	adj = grow(&w.adj, int(off[n+1]))
-	for k, a := range src {
-		adj[off[a+1]], off[a+1] = dst[k], off[a+1]+1
-	}
-	return off[:n+1], adj
 }
 
 // compute runs the merge-tree sweep over a graph whose nodes are ids (in
@@ -215,52 +205,178 @@ func compute(ids []uint64, val []float32, off, adj []int32, w *work) *Tree {
 // superlevel-set connectivity. A vertex in several trees takes the value
 // it has in the last of them.
 func Merge(trees ...*Tree) *Tree {
+	t, _, _ := merge(trees)
+	return t
+}
+
+// merge is Merge, also returning the index of its base tree (-1 for none)
+// and how many zip steps it took. It starts from the base — the largest
+// input tree whose every arc descends in the merged sweep order, so that
+// it is already the merge tree of its own arcs — and zips every other
+// tree's arcs into it. The augmented merge tree of an arc set is unique,
+// so the result depends neither on the base nor on the insertion order.
+func merge(trees []*Tree) (t *Tree, base, steps int) {
+	w := works.Get().(*work)
+	defer works.Put(w)
+	ids, val, to := union(trees, w)
+	// rank[i] > rank[j] exactly when merged node i is above node j.
+	rank := grow(&w.rank, len(ids))
+	for i, v := range val {
+		rank[i] = uint64(^sweepKey(v))<<32 | uint64(i)
+	}
+	// descends reports whether every arc of tr, whose nodes map through
+	// to, goes to a lower node.
+	descends := func(tr *Tree, to []int32) bool {
+		for c, p := range tr.par {
+			if p >= 0 && rank[to[c]] <= rank[to[p]] {
+				return false
+			}
+		}
+		return true
+	}
+	base = -1
+	start := 0 // the base's first node in to
+	for k, off := 0, 0; k < len(trees); k++ {
+		tr := trees[k]
+		if (base < 0 || tr.Len() >= trees[base].Len()) && descends(tr, to[off:]) {
+			base, start = k, off
+		}
+		off += tr.Len()
+	}
+	t = &Tree{ids: ids, val: val, par: make([]int32, len(ids))}
+	z := zipper{par: t.par, rank: rank, memo: grow(&w.memo, len(ids)), seen: w.seen}
+	for i := range t.par {
+		t.par[i], z.memo[i] = -1, -1
+	}
+	if base >= 0 {
+		for c, p := range trees[base].par {
+			if p >= 0 {
+				t.par[to[start+c]] = to[start+int(p)]
+			}
+		}
+	}
+	for k, off := 0, 0; k < len(trees); k++ {
+		tr := trees[k]
+		if k != base {
+			for c, p := range tr.par {
+				if p >= 0 {
+					z.insert(to[off+c], to[off+int(p)])
+				}
+			}
+		}
+		off += tr.Len()
+	}
+	w.seen = z.seen
+	return t, base, z.steps
+}
+
+// union returns the ascending union of the trees' ids with their values,
+// a vertex in several trees taking its value in the last of them, and, in
+// w's scratch, to: every input node's index in the union, the trees'
+// nodes concatenated. It is a k-way merge of the sorted id arrays in which
+// at[k] is tree k's cursor.
+func union(trees []*Tree, w *work) (ids []uint64, val []float32, to []int32) {
 	total := 0
 	for _, tr := range trees {
 		total += tr.Len()
 	}
-	ids, val := make([]uint64, 0, total), make([]float32, 0, total)
-	w := works.Get().(*work)
-	defer works.Put(w)
-	// A k-way merge of the sorted id arrays: at[k] is tree k's cursor, and
-	// to maps every input node (trees concatenated) to its merged index.
-	at, to := grow(&w.at, len(trees)), grow(&w.to, total)
+	ids, val = make([]uint64, 0, total), make([]float32, 0, total)
+	at := grow(&w.at, len(trees))
+	to = grow(&w.to, total)
 	clear(at)
 	for {
-		var next uint64
-		found := false
+		// lead holds the lowest head, low; every other head is at least
+		// bound, when bounded.
+		lead, low, bound, bounded := -1, uint64(0), uint64(0), false
 		for k, tr := range trees {
-			if int(at[k]) < tr.Len() && (!found || tr.ids[at[k]] < next) {
-				next, found = tr.ids[at[k]], true
+			if int(at[k]) == tr.Len() {
+				continue
+			}
+			switch id := tr.ids[at[k]]; {
+			case lead < 0 || id < low:
+				if lead >= 0 {
+					bound, bounded = low, true
+				}
+				lead, low = k, id
+			case !bounded || id < bound:
+				bound, bounded = id, true
 			}
 		}
-		if !found {
+		if lead < 0 {
 			break
 		}
-		ids, val = append(ids, next), append(val, 0)
-		base := 0
+		if !bounded || low < bound {
+			// The lead's run of ids below every other head is its alone.
+			tr, off := trees[lead], 0
+			for _, o := range trees[:lead] {
+				off += o.Len()
+			}
+			i := int(at[lead])
+			for ; i < tr.Len() && (!bounded || tr.ids[i] < bound); i++ {
+				to[off+i] = int32(len(ids))
+				ids, val = append(ids, tr.ids[i]), append(val, tr.val[i])
+			}
+			at[lead] = int32(i)
+			continue
+		}
+		ids, val = append(ids, low), append(val, 0)
+		off := 0
 		for k, tr := range trees {
-			if int(at[k]) < tr.Len() && tr.ids[at[k]] == next {
-				val[len(val)-1], to[base+int(at[k])] = tr.val[at[k]], int32(len(ids)-1)
+			if int(at[k]) < tr.Len() && tr.ids[at[k]] == low {
+				val[len(val)-1], to[off+int(at[k])] = tr.val[at[k]], int32(len(ids)-1)
 				at[k]++
 			}
-			base += tr.Len()
+			off += tr.Len()
 		}
 	}
-	// Every tree's arcs, in merged indices, both ways.
-	src, dst := grow(&w.src, 2*total)[:0], grow(&w.dst, 2*total)[:0]
-	base := 0
-	for _, tr := range trees {
-		for c, p := range tr.par {
-			if p >= 0 {
-				a, b := to[base+c], to[base+int(p)]
-				src, dst = append(src, a, b), append(dst, b, a)
-			}
+	return ids, val, to
+}
+
+// zipper inserts arcs into a merge tree: par is the tree, rank its sweep
+// order. memo[i], when not -1, is a node known to lie on i's path down.
+// Inserting an arc only ever adds nodes to a path, so a recorded ancestor
+// stays one.
+type zipper struct {
+	par, memo, seen []int32
+	rank            []uint64
+	steps           int
+}
+
+// insert adds the arc a–b by zipping the two descending paths from a and b
+// into one (Morozov & Weber, Distributed Merge Trees, PPoPP 2013): the
+// higher head steps down while its next node is at or above the other
+// head, and otherwise takes the other head as its parent, its old parent
+// becoming the other head. The zip stops where the paths meet or one ends.
+// A head jumps straight to its recorded ancestor when that is at or above
+// the other head, and every node the walk left records where it stopped.
+func (z *zipper) insert(a, b int32) {
+	par, memo, rank := z.par, z.memo, z.rank
+	seen := z.seen[:0]
+	for a != b {
+		if rank[b] > rank[a] {
+			a, b = b, a
 		}
-		base += tr.Len()
+		z.steps++
+		seen = append(seen, a)
+		if m := memo[a]; m >= 0 && rank[m] >= rank[b] {
+			a = m
+			continue
+		}
+		p := par[a]
+		if p >= 0 && rank[p] >= rank[b] {
+			a = p
+			continue
+		}
+		par[a] = b
+		if p < 0 {
+			break
+		}
+		a = p
 	}
-	off, adj := csr(len(ids), w, src, dst)
-	return compute(ids, val, off, adj, w)
+	for _, v := range seen {
+		memo[v] = b
+	}
+	z.seen = seen
 }
 
 // Reduce contracts the tree to its critical nodes — leaves (maxima), merge
@@ -396,15 +512,69 @@ func Deserialize(b []byte) (*Tree, error) {
 			return nil, fmt.Errorf("mergetree: tree node %d id %d does not ascend", i, t.ids[i])
 		}
 	}
+	w := works.Get().(*work)
+	defer works.Put(w)
+	ix := bucketsOf(t.ids, w)
 	for i := range t.par {
 		t.par[i] = -1
 		if p := le.Uint64(b[20+20*i:]); p != NoNode {
-			if t.par[i] = t.index(p); t.par[i] < 0 {
+			if t.par[i] = ix.index(p); t.par[i] < 0 {
 				return nil, fmt.Errorf("mergetree: tree node %d has parent %d, which is not a node", t.ids[i], p)
 			}
 		}
 	}
 	return t, nil
+}
+
+// buckets indexes ascending ids for many lookups: the ids whose offset
+// from the lowest, shifted right by shift, is k are ids[off[k]:off[k+1]].
+// The shift leaves about one id per bucket.
+type buckets struct {
+	ids   []uint64
+	off   []int32
+	shift uint
+}
+
+// bucketsOf indexes ids, which ascend, in w's scratch.
+func bucketsOf(ids []uint64, w *work) buckets {
+	if len(ids) == 0 {
+		return buckets{}
+	}
+	span := ids[len(ids)-1] - ids[0]
+	shift := uint(bits.Len64(span / uint64(len(ids))))
+	off := grow(&w.off, int(span>>shift)+2)
+	k := 0
+	for i, id := range ids {
+		for b := int((id - ids[0]) >> shift); k <= b; k++ {
+			off[k] = int32(i)
+		}
+	}
+	for ; k < len(off); k++ {
+		off[k] = int32(len(ids))
+	}
+	return buckets{ids: ids, off: off, shift: shift}
+}
+
+// index returns the index of id, or -1 when it is not one of the ids. It
+// binary-searches id's bucket: ids on a face of a block cluster, so a
+// bucket can hold many.
+func (x buckets) index(id uint64) int32 {
+	if len(x.ids) == 0 || id < x.ids[0] || id > x.ids[len(x.ids)-1] {
+		return -1
+	}
+	k := (id - x.ids[0]) >> x.shift
+	lo, hi := x.off[k], x.off[k+1]
+	for lo < hi {
+		if m := int32(uint32(lo+hi) >> 1); x.ids[m] < id {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if lo < x.off[k+1] && x.ids[lo] == id {
+		return lo
+	}
+	return -1
 }
 
 // Equal reports whether two trees have identical node and arc sets.
