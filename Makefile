@@ -180,7 +180,9 @@ fuzz:
 ## 256² image encode and decode, a render leaf of a 256³ field in 32
 ## blocks from its extracted block and in place, the leaf inputs of that
 ## render, one internal compositing node of that render) and the
-## merge-tree kernels (a leaf's local tree, a correction merge, the
+## merge-tree kernels (a leaf's local tree from its extracted block, and
+## through the leaf callback from its in-place view and from its block, the
+## 32 leaf inputs of that use case, a correction merge, the
 ## decoding of a correction's trees, a segmentation) and the merge-tree use case end to end (serial, and mpi on
 ## 2 ranks of 2 workers, at the mergetree-mem shape) and the registration search (a full NCC window,
 ## East and South) and set-up (the 6×6 refinement loop built, placed,
@@ -189,7 +191,7 @@ fuzz:
 ## checked against serial) once each so
 ## they cannot rot, then the allocation pins (plan, cold and warm runs, what
 ## tracing adds per task, the service's submission build, block extraction, the render leaf, its inputs
-## and the image codec, the merge-tree kernels and tree decoding, and the registration
+## and the image codec, the merge-tree kernels, leaf inputs and tree decoding, and the registration
 ## search, process task and set-up).
 perf-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=100x ./internal/wire
@@ -204,7 +206,7 @@ perf-smoke:
 	$(GO) test -run='^$$' -bench='^BenchmarkColdRun16k$$' -benchtime=1x ./internal/mpi
 	$(GO) test -run='^$$' -bench='^BenchmarkExtract$$' -benchtime=1x ./internal/data
 	$(GO) test -run='^$$' -bench='^Benchmark(Image(Serialize|Deserialize)|RenderBlock|Composite|InitialInputs)$$' -benchtime=1x ./internal/render
-	$(GO) test -run='^$$' -bench='^Benchmark(FromField|Merge|Deserialize|Segment|Run)$$' -benchtime=1x ./internal/mergetree
+	$(GO) test -run='^$$' -bench='^Benchmark(FromField|Local|InitialInputs|Merge|Deserialize|Segment|Run)$$' -benchtime=1x ./internal/mergetree
 	$(GO) test -run='^$$' -bench='^Benchmark(Correlate|IterativeSetup)$$' -benchtime=1x ./internal/register
 	$(GO) test -run='^$$' -bench='Recovery|IterateOverhead' -benchtime=1x ./internal/conformance
 	$(GO) test -count=1 -run='AllocationPins' ./internal/core ./internal/mpi ./internal/serve ./internal/data ./internal/render ./internal/mergetree ./internal/register

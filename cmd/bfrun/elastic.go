@@ -117,6 +117,16 @@ type epochRun struct {
 	inj    *faultinject.Transport // the armed kill plan, if any
 	cancel context.CancelFunc
 	done   chan epochResult
+	base   epochCounts // the ledger's counts when the epoch started
+}
+
+// epochCounts are the tasks a member replayed from its lineage and the
+// callbacks it executed.
+type epochCounts struct{ replayed, executed int }
+
+// counts returns the ledger's counts since base.
+func counts(led *core.Ledger, base epochCounts) epochCounts {
+	return epochCounts{led.Replays() - base.replayed, led.Executions() - base.executed}
 }
 
 // gateSetup builds the case and an MPI controller initialized on the base
@@ -188,8 +198,19 @@ func runGateWorker(cfg config, stdout io.Writer) error {
 		}
 	}()
 
-	// fence ends the in-flight epoch, if any, because a newer ticket arrived.
+	// last holds the counts of the last epoch the member completed or,
+	// until it completes one, of the last it ran; the ledger's own counts
+	// add up over every epoch.
+	var last epochCounts
+	completed := false
 	var cur *epochRun
+	settle := func(ok bool) {
+		if ok || !completed {
+			last, completed = counts(led, cur.base), ok
+		}
+		cur = nil
+	}
+	// fence ends the in-flight epoch, if any, because a newer ticket arrived.
 	fence := func() {
 		if cur == nil {
 			return
@@ -201,7 +222,7 @@ func runGateWorker(cfg config, stdout io.Writer) error {
 		cur.cancel()
 		<-cur.done
 		sess.Report(wire.Status{Epoch: cur.epoch, OK: false, Detail: "fenced"})
-		cur = nil
+		settle(false)
 	}
 
 	var lastOut map[core.TaskId][]core.Payload
@@ -225,13 +246,14 @@ func runGateWorker(cfg config, stdout io.Writer) error {
 					// for the next ticket — the coordinator decides whether
 					// the run is over.
 					sess.Report(wire.Status{Epoch: cur.epoch, OK: false, Detail: res.err.Error()})
-					cur = nil
+					settle(false)
 					continue
 				}
 				lastOut = res.out
+				n := counts(led, cur.base)
 				sess.Report(wire.Status{Epoch: cur.epoch, OK: true,
-					Detail: fmt.Sprintf("replayed=%d executed=%d", led.Replays(), led.Executions())})
-				cur = nil
+					Detail: fmt.Sprintf("replayed=%d executed=%d", n.replayed, n.executed)})
+				settle(true)
 				continue
 			}
 		}
@@ -239,9 +261,11 @@ func runGateWorker(cfg config, stdout io.Writer) error {
 		switch t.Action {
 		case wire.ActionRun:
 			fence()
+			base := counts(led, epochCounts{})
 			if cur, err = startEpoch(cfg, ctrl, c.Initial, t, lineage); err != nil {
 				return err
 			}
+			cur.base = base
 			epochs++
 		case wire.ActionDrain:
 			fence()
@@ -256,7 +280,7 @@ func runGateWorker(cfg config, stdout io.Writer) error {
 				store.Close()
 			}
 			fmt.Fprintf(stdout, "BFWIRE member=%d epochs=%d restored=%d adopted=%d replayed=%d executed=%d\n",
-				member, epochs, led.Restored(), led.Adopted(), led.Replays(), led.Executions())
+				member, epochs, led.Restored(), led.Adopted(), last.replayed, last.executed)
 			return printSinks(stdout, lastOut)
 		default:
 			return fmt.Errorf("member %d: unexpected ticket action %d", member, t.Action)
@@ -585,6 +609,9 @@ func runGateParent(cfg config, stdout io.Writer) error {
 	matches, ok := judge(want, t.sinks, t.failed)
 	switch {
 	case cfg.faults:
+		// The survivors' last epoch ran the whole graph: every task was
+		// replayed from lineage or executed, once.
+		ok = ok && replayed+executed == tasks
 		status := "MATCH"
 		if !ok {
 			status = "MISMATCH"

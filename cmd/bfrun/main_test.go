@@ -174,8 +174,10 @@ func TestKillAllThenResume(t *testing.T) {
 // its first inter-rank send. The parent must see the process die, evict it,
 // recover in a second epoch and match serial — with -journal by adopting
 // the dead member's journaled lineage, without by re-executing its tasks.
+// The counts are the survivors' last epochs, so replayed + executed is the
+// task count.
 func TestFaultsKillOneMember(t *testing.T) {
-	summary := regexp.MustCompile(`faults register +18 tasks over 4 processes: \S+  epochs=(\d+) lost=\[1\] adopted=(\d+) replayed=(\d+) executed=\d+ sinks=9/9 MATCH`)
+	summary := regexp.MustCompile(`faults register +18 tasks over 4 processes: \S+  epochs=(\d+) lost=\[1\] adopted=(\d+) replayed=(\d+) executed=(\d+) sinks=9/9 MATCH`)
 	for _, journal := range []bool{false, true} {
 		args := []string{"-faults", "-case", "register", "-ranks", "4", "-kill-rank", "1", "-kill-after", "1"}
 		if journal {
@@ -192,6 +194,7 @@ func TestFaultsKillOneMember(t *testing.T) {
 		epochs, _ := strconv.Atoi(m[1])
 		adopted, _ := strconv.Atoi(m[2])
 		replayed, _ := strconv.Atoi(m[3])
+		executed, _ := strconv.Atoi(m[4])
 		if epochs < 2 {
 			t.Errorf("journal=%v: %d epoch(s), want a recovery epoch", journal, epochs)
 		}
@@ -202,6 +205,9 @@ func TestFaultsKillOneMember(t *testing.T) {
 		}
 		if !journal && adopted != 0 {
 			t.Errorf("journal=%v: adopted=%d without a journal to adopt from", journal, adopted)
+		}
+		if replayed+executed != 18 {
+			t.Errorf("journal=%v: replayed=%d executed=%d, want them to add up to the 18 tasks", journal, replayed, executed)
 		}
 	}
 }

@@ -510,10 +510,11 @@ func inSituExample() error {
 	return nil
 }
 
-// analyzeShard is one simulation rank's part of an in-situ step: it extracts
-// only the blocks the rank owns (the owner of a block is the rank of the
-// leaf task consuming it, so the analysis starts without moving data), runs
-// its shard, and reports the feature of every vertex of its segmentations.
+// analyzeShard is one simulation rank's part of an in-situ step: it hands
+// its shard views of only the blocks the rank owns (the owner of a block is
+// the rank of the leaf task consuming it, so the analysis starts without
+// moving or copying data), runs its shard, and reports the feature of every
+// vertex of its segmentations.
 func analyzeShard(group *babelflow.InSituGroup, rank int, decomp *data.Decomposition, graph *mergetree.Graph,
 	taskMap babelflow.TaskMap, field *data.Field, feature func(uint64)) error {
 	local := make(map[babelflow.TaskId][]babelflow.Payload)
@@ -521,11 +522,11 @@ func analyzeShard(group *babelflow.InSituGroup, rank int, decomp *data.Decomposi
 		if int(taskMap.Shard(graph.LeafTask(b))) != rank {
 			continue
 		}
-		blk, err := decomp.Extract(field, b)
+		view, err := decomp.View(field, b)
 		if err != nil {
 			return err
 		}
-		local[graph.LeafTask(b)] = []babelflow.Payload{babelflow.Object(blk)}
+		local[graph.LeafTask(b)] = []babelflow.Payload{babelflow.Object(view)}
 	}
 	shard, err := group.Shard(rank)
 	if err != nil {

@@ -414,3 +414,82 @@ func TestRandIntnPanics(t *testing.T) {
 	}()
 	NewRand(1).Intn(0)
 }
+
+// TestViewSerializeMatchesExtract: a view encodes to the bytes of its
+// extracted block, for every block of 2×2×8 on 32³ and of 1×1×4 on
+// 12×10×8 — the high-edge blocks of both have no ghost layer on some axis
+// — and its window reads the extracted block's voxels.
+func TestViewSerializeMatchesExtract(t *testing.T) {
+	for _, g := range []struct{ nx, ny, nz, bx, by, bz int }{
+		{32, 32, 32, 2, 2, 8},
+		{12, 10, 8, 1, 1, 4},
+	} {
+		f := rampField(g.nx, g.ny, g.nz)
+		d, err := NewDecomposition(g.nx, g.ny, g.nz, g.bx, g.by, g.bz)
+		if err != nil {
+			t.Fatal(err)
+		}
+		views, err := d.Views(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ghostless := 0
+		for i := range views {
+			v := &views[i]
+			blk, err := d.Extract(f, i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b := d.Block(i); b.X1 == g.nx || b.Y1 == g.ny || b.Z1 == g.nz {
+				ghostless++
+			}
+			if !slices.Equal(v.Serialize(), blk.Serialize()) {
+				t.Fatalf("%dx%dx%d in %dx%dx%d, block %d: the view's encoding is not the extracted block's",
+					g.nx, g.ny, g.nz, g.bx, g.by, g.bz, i)
+			}
+			vals, origin, row, plane := v.Window()
+			for z := 0; z < blk.NZ; z++ {
+				for y := 0; y < blk.NY; y++ {
+					if !slices.Equal(vals[origin+z*plane+y*row:][:blk.NX], blk.Values[blk.Index(0, y, z):][:blk.NX]) {
+						t.Fatalf("block %d: window row (y %d, z %d) differs from the extracted block", i, y, z)
+					}
+				}
+			}
+			if w, j := v.Of(); w != d || j != i || !v.Is(d, i) || v.Is(d, i+1) {
+				t.Errorf("block %d: the view says it is block %d", i, j)
+			}
+		}
+		if ghostless == 0 {
+			t.Errorf("%dx%dx%d: no block on the domain's high edge", g.bx, g.by, g.bz)
+		}
+	}
+}
+
+// TestViewErrors: a view needs a field of the domain's size and a block of
+// the decomposition; one of an equal decomposition is the same block.
+func TestViewErrors(t *testing.T) {
+	d, _ := NewDecomposition(8, 8, 8, 2, 1, 1)
+	f := rampField(8, 8, 8)
+	if _, err := d.View(NewField(4, 8, 8), 0); err == nil {
+		t.Error("a view of a field that is not the domain should fail")
+	}
+	if _, err := d.Views(NewField(8, 8, 4)); err == nil {
+		t.Error("views of a field that is not the domain should fail")
+	}
+	for _, i := range []int{-1, 2} {
+		if _, err := d.View(f, i); err == nil {
+			t.Errorf("a view of block %d of 2 should fail", i)
+		}
+	}
+	v, err := d.View(f, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same, other := *d, &Decomposition{NX: 8, NY: 8, NZ: 8, BXN: 1, BYN: 2, BZN: 1}
+	if !v.Is(&same, 1) || v.Is(other, 1) {
+		t.Error("Is compares decompositions by value")
+	}
+	if got, want := v.String(), "block 1 of a 2x1x1 grid"; got != want {
+		t.Errorf("String() = %q, want %q", got, want)
+	}
+}

@@ -174,12 +174,19 @@ func (f *Field) MinMax() (lo, hi float32) {
 // Serialize encodes the field: three int32 dimensions followed by the raw
 // float32 values (little endian).
 func (f *Field) Serialize() []byte {
-	le := binary.LittleEndian
-	buf := make([]byte, 12+4*len(f.Values))
-	le.PutUint32(buf[0:], uint32(f.NX))
-	le.PutUint32(buf[4:], uint32(f.NY))
-	le.PutUint32(buf[8:], uint32(f.NZ))
+	buf := fieldBuffer(f.NX, f.NY, f.NZ)
 	EncodeFloat32s(buf[12:], f.Values)
+	return buf
+}
+
+// fieldBuffer returns the encoding of an nx*ny*nz field with its header
+// written and room for the values.
+func fieldBuffer(nx, ny, nz int) []byte {
+	le := binary.LittleEndian
+	buf := make([]byte, 12+4*nx*ny*nz)
+	le.PutUint32(buf[0:], uint32(nx))
+	le.PutUint32(buf[4:], uint32(ny))
+	le.PutUint32(buf[8:], uint32(nz))
 	return buf
 }
 

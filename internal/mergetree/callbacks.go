@@ -67,16 +67,24 @@ func (cfg Config) Register(c core.CallbackRegistrar, g *Graph) error {
 	return nil
 }
 
-// InitialInputs extracts every block of the field (with ghost layers) and
-// addresses it to the corresponding leaf task.
+// InitialInputs addresses block i of the field, ghost layer included, to
+// the leaf task g.LeafTask(i). It copies nothing: each payload is a
+// data.View of f that the leaf sweeps in place, so f must not change until
+// the run has finished. Where a payload is serialized, its wire form is
+// the extracted block, byte for byte what Decomposition.Extract gives.
 func (cfg Config) InitialInputs(f *data.Field, g *Graph) (map[core.TaskId][]core.Payload, error) {
-	initial := make(map[core.TaskId][]core.Payload, g.Leafs())
-	for i := 0; i < g.Leafs(); i++ {
-		blk, err := cfg.Decomp.Extract(f, i)
-		if err != nil {
-			return nil, err
-		}
-		initial[g.LeafTask(i)] = []core.Payload{core.Object(blk)}
+	if g.Leafs() != cfg.Decomp.Blocks() {
+		return nil, fmt.Errorf("mergetree: %d leaf tasks for %d blocks", g.Leafs(), cfg.Decomp.Blocks())
+	}
+	views, err := cfg.Decomp.Views(f)
+	if err != nil {
+		return nil, err
+	}
+	payloads := make([]core.Payload, len(views))
+	initial := make(map[core.TaskId][]core.Payload, len(views))
+	for i := range views {
+		payloads[i] = core.Object(&views[i])
+		initial[g.LeafTask(i)] = payloads[i : i+1 : i+1]
 	}
 	return initial, nil
 }
@@ -88,15 +96,35 @@ func (cfg Config) localCallback(g *Graph) core.Callback {
 	keep := BoundaryKeeper(cfg.Decomp)
 	return func(in []core.Payload, id core.TaskId) ([]core.Payload, error) {
 		_, i := split(id)
-		blk, err := asField(in[0])
+		local, err := cfg.localTree(in[0], id, i)
 		if err != nil {
 			return nil, err
 		}
-		b := cfg.Decomp.Block(i)
-		local := FromField(blk, b.X0, b.Y0, b.Z0, cfg.Decomp.NX, cfg.Decomp.NY, cfg.Threshold)
-		boundary := local.Reduce(keep)
-		return []core.Payload{core.Object(boundary), core.Object(local)}, nil
+		return []core.Payload{core.Object(local.Reduce(keep)), core.Object(local)}, nil
 	}
+}
+
+// localTree computes the local tree of leaf task id, which holds block i:
+// from a view in place, or from a block in memory or on the wire. An input
+// that is not block i of cfg.Decomp is an error, not a wrong tree.
+func (cfg Config) localTree(p core.Payload, id core.TaskId, i int) (*Tree, error) {
+	d, b := cfg.Decomp, cfg.Decomp.Block(i)
+	if v, ok := p.Object.(*data.View); ok {
+		if !v.Is(d, i) {
+			return nil, fmt.Errorf("mergetree: task %d sweeps block %d but got a view of %v", id, i, v)
+		}
+		vals, origin, row, plane := v.Window()
+		return sweep(vals, origin, row, plane, b, d.NX, d.NY, cfg.Threshold), nil
+	}
+	blk, err := asField(p)
+	if err != nil {
+		return nil, err
+	}
+	if sx, sy, sz := b.Dims(); blk.NX != sx || blk.NY != sy || blk.NZ != sz {
+		return nil, fmt.Errorf("mergetree: task %d sweeps block %d (%dx%dx%d) but got a %dx%dx%d field",
+			id, i, sx, sy, sz, blk.NX, blk.NY, blk.NZ)
+	}
+	return FromField(blk, b.X0, b.Y0, b.Z0, d.NX, d.NY, cfg.Threshold), nil
 }
 
 // joinCallback merges the incoming boundary trees, reduces the result to
@@ -158,22 +186,35 @@ func (cfg Config) segmentationCallback(g *Graph) core.Callback {
 		if err != nil {
 			return nil, err
 		}
-		labels := tree.labels(cfg.Threshold)
-		b := cfg.Decomp.Block(i)
-		n := 0
-		for j, r := range labels {
-			x, y, z := VertexCoords(tree.ids[j], cfg.Decomp.NX, cfg.Decomp.NY)
-			if r >= 0 && x >= b.X0 && x < b.X1 && y >= b.Y0 && y < b.Y1 && z >= b.Z0 && z < b.Z1 {
-				n++
-			} else {
-				labels[j] = -1
+		w := works.Get().(*work)
+		defer works.Put(w)
+		labels := tree.labels(cfg.Threshold, w)
+		// The block's ids are its (z, y) rows, each the range
+		// [VertexId(X0, y, z), +X1-X0); both they and the tree's ids
+		// ascend, so one cursor drops every node outside the block.
+		b, ids := cfg.Decomp.Block(i), tree.ids
+		n, j := 0, 0
+		for z := b.Z0; z < b.Z1; z++ {
+			for y := b.Y0; y < b.Y1; y++ {
+				lo := VertexId(b.X0, y, z, cfg.Decomp.NX, cfg.Decomp.NY)
+				for ; j < len(ids) && ids[j] < lo; j++ {
+					labels[j] = -1
+				}
+				for hi := lo + uint64(b.X1-b.X0); j < len(ids) && ids[j] < hi; j++ {
+					if labels[j] >= 0 {
+						n++
+					}
+				}
 			}
+		}
+		for ; j < len(ids); j++ {
+			labels[j] = -1
 		}
 		// Tree ids ascend, so the pairs come out in encoding order.
 		buf := segmentationBuffer(i, n)
 		for j, r := range labels {
 			if r >= 0 {
-				buf = binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(buf, tree.ids[j]), tree.ids[r])
+				buf = binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(buf, ids[j]), ids[r])
 			}
 		}
 		return []core.Payload{core.Buffer(buf)}, nil

@@ -27,16 +27,35 @@ func VertexCoords(id uint64, nx, ny int) (x, y, z int) {
 // must fit the domain's x and y extent, so that its ids ascend in z-y-x
 // order and a vertex's neighbours lie ±1, ±NX and ±NX·NY voxels away.
 func FromField(block *data.Field, originX, originY, originZ, domainNX, domainNY int, threshold float32) *Tree {
-	nx, ny, nz := block.NX, block.NY, block.NZ
+	b := data.Block{X0: originX, Y0: originY, Z0: originZ, X1: originX + block.NX, Y1: originY + block.NY, Z1: originZ + block.NZ}
+	return sweep(block.Values, 0, block.NX, block.NX*block.NY, b, domainNX, domainNY, threshold)
+}
+
+// sweep is the one local-tree kernel, behind FromField and the leaves'
+// in-place views (data.View). It reads block b, whose extent gives the
+// global ids, from vals: voxel (x, y, z) of the block, relative to its
+// origin, is vals[origin + z*plane + y*row + x], so an extracted block
+// (row = its NX) and the whole volume are read alike. A block-local index
+// numbers the voxels, so the adjacency is the same for both.
+func sweep(vals []float32, origin, row, plane int, b data.Block, domainNX, domainNY int, threshold float32) *Tree {
+	nx, ny, nz := b.Dims()
 	w := works.Get().(*work)
 	defer works.Put(w)
-	// at maps a block voxel to its node index, or -1 below the threshold.
-	at := grow(&w.at, len(block.Values))
+	// at maps a block voxel to its node index, or -1 below the threshold;
+	// ends[r] is the node count after (y, z) row r, so the second pass
+	// skips the rows without a node.
+	at, ends := grow(&w.at, nx*ny*nz), grow(&w.ends, ny*nz)
 	n := int32(0)
-	for i, v := range block.Values {
-		at[i] = -1
-		if v >= threshold {
-			at[i], n = n, n+1
+	for z, r := 0, 0; z < nz; z++ {
+		for y := 0; y < ny; y, r = y+1, r+1 {
+			dst := at[r*nx : (r+1)*nx]
+			for x, v := range vals[origin+z*plane+y*row:][:nx] {
+				dst[x] = -1
+				if v >= threshold {
+					dst[x], n = n, n+1
+				}
+			}
+			ends[r] = n
 		}
 	}
 	ids, val := make([]uint64, 0, n), make([]float32, 0, n)
@@ -46,15 +65,19 @@ func FromField(block *data.Field, originX, originY, originZ, domainNX, domainNY 
 			adj = append(adj, at[j])
 		}
 	}
-	i := 0
-	for z := 0; z < nz; z++ {
-		for y := 0; y < ny; y++ {
-			id := VertexId(originX, originY+y, originZ+z, domainNX, domainNY)
-			for x := 0; x < nx; x, i, id = x+1, i+1, id+1 {
-				if at[i] < 0 {
+	for z, r := 0, 0; z < nz; z++ {
+		for y := 0; y < ny; y, r = y+1, r+1 {
+			if int(ends[r]) == len(ids) {
+				continue
+			}
+			src := vals[origin+z*plane+y*row:][:nx]
+			id := VertexId(b.X0, b.Y0+y, b.Z0+z, domainNX, domainNY)
+			for x, a := range at[r*nx : (r+1)*nx] {
+				if a < 0 {
 					continue
 				}
-				ids, val = append(ids, id), append(val, block.Values[i])
+				i := r*nx + x
+				ids, val = append(ids, id+uint64(x)), append(val, src[x])
 				if x > 0 {
 					link(i - 1)
 				}

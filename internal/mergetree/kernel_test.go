@@ -10,10 +10,10 @@ import (
 
 // correctionShape builds the inputs of one correction task of the
 // benchmark's merge tree — 128³ in 2×2×8 blocks at threshold 0.3: the block
-// with the largest local tree, its origin, that tree, and the augmented
-// boundary tree the root join sends down (every block's boundary tree,
-// merged and reduced).
-func correctionShape(tb testing.TB) (blk *data.Field, origin data.Block, local, aug *Tree) {
+// with the largest local tree, as its view and extracted, that tree, and
+// the augmented boundary tree the root join sends down (every block's
+// boundary tree, merged and reduced).
+func correctionShape(tb testing.TB) (view *data.View, blk *data.Field, local, aug *Tree) {
 	tb.Helper()
 	const n = 128
 	field := data.SyntheticHCCI(n, n, n, 8, 2026)
@@ -28,24 +28,108 @@ func correctionShape(tb testing.TB) (blk *data.Field, origin data.Block, local, 
 		o := d.Block(i)
 		tr := FromField(b, o.X0, o.Y0, o.Z0, n, n, 0.3)
 		if local == nil || tr.Len() > local.Len() {
-			blk, origin, local = b, o, tr
+			blk, local = b, tr
+			if view, err = d.View(field, i); err != nil {
+				tb.Fatal(err)
+			}
 		}
 		boundaries = append(boundaries, tr.Reduce(keep))
 	}
-	return blk, origin, local, Merge(boundaries...).Reduce(keep)
+	return view, blk, local, Merge(boundaries...).Reduce(keep)
 }
 
 // BenchmarkFromField measures one leaf task's local tree: the fullest block
 // of the 128³ field in 32 blocks.
 func BenchmarkFromField(b *testing.B) {
-	blk, o, local, _ := correctionShape(b)
+	view, blk, local, _ := correctionShape(b)
+	d, i := view.Of()
+	o := d.Block(i)
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for n := 0; n < b.N; n++ {
 		if tr := FromField(blk, o.X0, o.Y0, o.Z0, 128, 128, 0.3); tr.Len() != local.Len() {
 			b.Fatal("bad tree")
 		}
 	}
+}
+
+// BenchmarkLocal measures the same leaf as its callback computes it, from
+// the block's view, read in place at the volume's strides as the leaves
+// read it, and from the extracted block, as a leaf on another rank gets
+// it. Both read a warm cache.
+func BenchmarkLocal(b *testing.B) {
+	view, blk, local, _ := correctionShape(b)
+	d, i := view.Of()
+	cfg := Config{Decomp: d, Threshold: 0.3}
+	for _, c := range []struct {
+		name string
+		in   core.Payload
+	}{
+		{"view", core.Object(view)},
+		{"block", core.Object(blk)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for n := 0; n < b.N; n++ {
+				if tr, err := cfg.localTree(c.in, 0, i); err != nil || tr.Len() != local.Len() {
+					b.Fatalf("bad tree (%v)", err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkInitialInputs measures mergetree-mem's leaf inputs: the 32
+// blocks of a 128³ field addressed to their leaves.
+func BenchmarkInitialInputs(b *testing.B) {
+	cfg, field, g := inputsShape(b, 128)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		if _, err := cfg.InitialInputs(field, g); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// inputsShape is the mergetree-mem decomposition of an n³ field into 32
+// blocks, threshold 0.3, with its 2-way graph.
+func inputsShape(tb testing.TB, n int) (Config, *data.Field, *Graph) {
+	tb.Helper()
+	d, err := data.NewDecomposition(n, n, n, 2, 2, 8)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	g, err := NewGraph(d.Blocks(), 2)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return Config{Decomp: d, Threshold: 0.3}, data.NewField(n, n, n), g
+}
+
+// TestInitialInputsAllocationPins: InitialInputs copies no voxel. It makes
+// as many allocations for 32 blocks of 32³ as of 128³ — the views, their
+// payloads and the map — and at most two per block.
+func TestInitialInputsAllocationPins(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	var allocs [2]float64
+	for k, n := range []int{32, 128} {
+		cfg, field, g := inputsShape(t, n)
+		allocs[k] = leastAllocs(func() {
+			if _, err := cfg.InitialInputs(field, g); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if allocs[0] != allocs[1] {
+		t.Errorf("InitialInputs: %.0f allocations on 32³ but %.0f on 128³", allocs[0], allocs[1])
+	}
+	if perBlock := allocs[1] / 32; perBlock > 2 {
+		t.Errorf("InitialInputs allocates %v per block, pinned at 2", perBlock)
+	}
+	t.Logf("InitialInputs, 32 blocks: %v allocations", allocs[1])
 }
 
 // BenchmarkMerge measures one correction task: a block's local tree merged
@@ -144,8 +228,8 @@ func TestMergeTreeAllocationPins(t *testing.T) {
 // BenchmarkRun is the use case end to end at the mergetree-mem bench's
 // shape — 128³ in 32 blocks, a 2-way graph, threshold 0.3 — on the serial
 // controller and on mpi with 2 ranks of 2 workers placed by GraphMap. The
-// field is built once and each run's inputs are extracted outside the
-// timer, so a run is the dataflow alone.
+// field is built once and each run's inputs, views of it, are addressed
+// outside the timer, so a run is the dataflow alone.
 func BenchmarkRun(b *testing.B) {
 	const n, blocks = 128, 32
 	field := data.SyntheticHCCI(n, n, n, 8, 2026)

@@ -134,3 +134,14 @@ func (t *Tree) FeatureCount(minPersistence float32) int {
 	}
 	return n
 }
+
+// find returns the union-find root of x in a forest whose roots point to
+// themselves, halving the path on the way. sweepBranches makes each node
+// the root of what it joins, so a root is its component's lowest node.
+func find(uf []int32, x int32) int32 {
+	for uf[x] != x {
+		uf[x] = uf[uf[x]]
+		x = uf[x]
+	}
+	return x
+}

@@ -45,9 +45,9 @@ func (*Tree) Immutable() {}
 // work is one kernel call's pooled scratch, reused instead of zeroing fresh
 // arrays. A tree's own arrays never come from it: trees are shared.
 type work struct {
-	at, to, off, adj, uf, order, tmp, memo, seen []int32
-	keys, tkeys                                  []uint32
-	rank                                         []uint64
+	at, ends, to, off, adj, uf, low, order, tmp, memo, seen []int32
+	keys, tkeys                                             []uint32
+	rank                                                    []uint64
 }
 
 var works = sync.Pool{New: func() any { return new(work) }}
@@ -160,13 +160,35 @@ func sweepOrder(val []float32, w *work) []int32 {
 	return order
 }
 
-// find returns the union-find root of x, halving the path on the way.
-func find(uf []int32, x int32) int32 {
-	for uf[x] != x {
-		uf[x] = uf[uf[x]]
-		x = uf[x]
+// unswept marks, in compute's union-find, a node the sweep has not reached.
+const unswept = math.MinInt32
+
+// root returns the union-find root of x, halving the path on the way. A
+// root r holds -size in uf[r], any other node its parent.
+func root(uf []int32, x int32) int32 {
+	for {
+		p := uf[x]
+		if p < 0 {
+			return x
+		}
+		g := uf[p]
+		if g < 0 {
+			return p
+		}
+		uf[x], x = g, g
 	}
-	return x
+}
+
+// unite joins the trees of roots a and b by size, the smaller under the
+// larger, and returns the joined tree's root. Find paths then stay
+// logarithmic in the component size.
+func unite(uf []int32, a, b int32) int32 {
+	if uf[a] > uf[b] { // a is the smaller
+		a, b = b, a
+	}
+	uf[a] += uf[b]
+	uf[b] = a
+	return a
 }
 
 // compute runs the merge-tree sweep over a graph whose nodes are ids (in
@@ -175,23 +197,26 @@ func find(uf []int32, x int32) int32 {
 // order; each time a vertex touches existing components, the current
 // lowest node of every touched component gains the vertex as its parent
 // arc, producing the fully augmented merge tree (every vertex appears, with
-// a parent arc to the next lower node of its component). A component's
-// lowest node is always its union-find root, since each vertex becomes the
-// root of everything it joins.
+// a parent arc to the next lower node of its component). The union-find
+// joins by size, so a component's root is not its lowest node: low[r]
+// holds that of the component rooted at r.
 func compute(ids []uint64, val []float32, off, adj []int32, w *work) *Tree {
 	t := &Tree{ids: ids, val: val, par: make([]int32, len(ids))}
-	uf := grow(&w.uf, len(ids)) // -1 until the node is swept
+	uf, low := grow(&w.uf, len(ids)), grow(&w.low, len(ids))
 	for i := range uf {
-		t.par[i], uf[i] = -1, -1
+		t.par[i], uf[i] = -1, unswept
 	}
 	for _, v := range sweepOrder(val, w) {
-		uf[v] = v
+		uf[v], low[v] = -1, v
+		rv := v // the root of v's component
 		for _, u := range adj[off[v]:off[v+1]] {
-			if uf[u] < 0 {
+			if uf[u] == unswept {
 				continue
 			}
-			if r := find(uf, u); r != v {
-				t.par[r], uf[r] = v, v
+			if r := root(uf, u); r != rv {
+				t.par[low[r]] = v
+				rv = unite(uf, rv, r)
+				low[rv] = v
 			}
 		}
 	}
@@ -424,29 +449,39 @@ func (t *Tree) Reduce(keep func(id uint64) bool) *Tree {
 // labels returns, per node with value >= threshold, the index of the
 // representative of its superlevel-set component at that threshold — the
 // component's highest node in sweep order — and -1 for the nodes below.
-func (t *Tree) labels(threshold float32) []int32 {
-	uf, rep := make([]int32, len(t.ids)), make([]int32, len(t.ids))
+// The result is w's scratch.
+func (t *Tree) labels(threshold float32, w *work) []int32 {
+	uf, rep := grow(&w.uf, len(t.ids)), grow(&w.low, len(t.ids))
 	for i := range uf {
-		uf[i], rep[i] = int32(i), -1
+		uf[i], rep[i] = -1, -1
 	}
 	for c, p := range t.par {
 		if p >= 0 && t.val[c] >= threshold && t.val[p] >= threshold {
-			uf[find(uf, int32(c))] = find(uf, p)
+			if a, b := root(uf, int32(c)), root(uf, p); a != b {
+				unite(uf, a, b)
+			}
 		}
 	}
 	for i := range uf {
 		if t.val[i] >= threshold {
-			r := find(uf, int32(i))
-			uf[i] = r
+			r := root(uf, int32(i))
+			if r != int32(i) {
+				uf[i] = r
+			}
 			if rep[r] < 0 || t.above(int32(i), rep[r]) {
 				rep[r] = int32(i)
 			}
 		}
 	}
-	// uf[i] is now i's root; it becomes the root's representative.
+	// uf[i] is now i's root, or negative when i is one; it becomes the
+	// root's representative.
 	for i, r := range uf {
-		uf[i] = -1
-		if t.val[i] >= threshold {
+		switch {
+		case t.val[i] < threshold:
+			uf[i] = -1
+		case r < 0:
+			uf[i] = rep[i]
+		default:
 			uf[i] = rep[r]
 		}
 	}
@@ -458,8 +493,10 @@ func (t *Tree) labels(threshold float32) []int32 {
 // highest node in sweep order. Nodes below the threshold are absent from
 // the result.
 func (t *Tree) Segment(threshold float32) map[uint64]uint64 {
+	w := works.Get().(*work)
+	defer works.Put(w)
 	labels := make(map[uint64]uint64)
-	for i, r := range t.labels(threshold) {
+	for i, r := range t.labels(threshold, w) {
 		if r >= 0 {
 			labels[t.ids[i]] = t.ids[r]
 		}
@@ -470,8 +507,10 @@ func (t *Tree) Segment(threshold float32) map[uint64]uint64 {
 // Features returns the distinct segment representatives at a threshold, in
 // ascending order: one entry per connected feature.
 func (t *Tree) Features(threshold float32) []uint64 {
+	w := works.Get().(*work)
+	defer works.Put(w)
 	out := []uint64{}
-	for i, r := range t.labels(threshold) {
+	for i, r := range t.labels(threshold, w) {
 		if int(r) == i { // a representative labels itself
 			out = append(out, t.ids[i])
 		}

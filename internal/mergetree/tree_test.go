@@ -7,6 +7,7 @@ import (
 	"math"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -410,6 +411,95 @@ func TestTreesAreImmutable(t *testing.T) {
 	for _, cb := range g.Callbacks() {
 		if reg.calls[cb] == 0 {
 			t.Errorf("callback %d never ran", cb)
+		}
+	}
+}
+
+// TestLeafViewMatchesBlock: the local tree a leaf sweeps from its block's
+// view in place is Equal to the tree of the extracted block, in memory and
+// on the wire, for every block of 2×2×8 on 32³ and of 1×1×4 on 12×10×8 —
+// whose high-edge blocks have no ghost layer on some axis — on a field of
+// distinct values and on one of quantized values, whose many ties the
+// (value, id) order must break alike.
+func TestLeafViewMatchesBlock(t *testing.T) {
+	rng := data.NewRand(53)
+	for _, g := range []struct{ nx, ny, nz, bx, by, bz int }{
+		{32, 32, 32, 2, 2, 8},
+		{12, 10, 8, 1, 1, 4},
+	} {
+		d, err := data.NewDecomposition(g.nx, g.ny, g.nz, g.bx, g.by, g.bz)
+		if err != nil {
+			t.Fatal(err)
+		}
+		noise, ties := data.NewField(g.nx, g.ny, g.nz), data.NewField(g.nx, g.ny, g.nz)
+		for i := range noise.Values {
+			noise.Values[i], ties.Values[i] = float32(2*rng.Float64()-0.5), float32(rng.Intn(8))/4
+		}
+		for name, f := range map[string]*data.Field{"noise": noise, "ties": ties} {
+			cfg := Config{Decomp: d, Threshold: 0.3}
+			views, err := d.Views(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range views {
+				blk, err := d.Extract(f, i)
+				if err != nil {
+					t.Fatal(err)
+				}
+				o := d.Block(i)
+				want := FromField(blk, o.X0, o.Y0, o.Z0, g.nx, g.ny, cfg.Threshold)
+				if want.Len() == 0 {
+					t.Fatalf("%s %dx%dx%d, block %d: an empty tree tests nothing", name, g.nx, g.ny, g.nz, i)
+				}
+				for form, in := range map[string]core.Payload{
+					"view":  core.Object(&views[i]),
+					"block": core.Object(blk),
+					"wire":  core.Buffer(views[i].Serialize()),
+				} {
+					got, err := cfg.localTree(in, 9, i)
+					if err != nil {
+						t.Fatalf("%s %dx%dx%d, block %d, %s: %v", name, g.nx, g.ny, g.nz, i, form, err)
+					}
+					if !got.Equal(want) {
+						t.Errorf("%s %dx%dx%d, block %d: the tree from the %s differs from the extracted block's",
+							name, g.nx, g.ny, g.nz, i, form)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestLeafInputErrors: a leaf given an input that is not its block fails
+// with an error naming the task and the block instead of sweeping a wrong
+// tree.
+func TestLeafInputErrors(t *testing.T) {
+	f := data.SyntheticHCCI(16, 16, 16, 4, 3)
+	d, _ := data.NewDecomposition(16, 16, 16, 2, 2, 2)
+	other, _ := data.NewDecomposition(16, 16, 16, 1, 1, 8)
+	cfg := Config{Decomp: d, Threshold: 0.3}
+	view := func(d *data.Decomposition, i int) core.Payload {
+		v, err := d.View(f, i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return core.Object(v)
+	}
+	small := data.NewField(2, 2, 2)
+	for _, c := range []struct {
+		name string
+		in   core.Payload
+		want string
+	}{
+		{"view of another block", view(d, 1), "task 7 sweeps block 0 but got a view of block 1 of a 2x2x2 grid"},
+		{"view of another decomposition", view(other, 0), "task 7 sweeps block 0 but got a view of block 0 of a 1x1x8 grid"},
+		{"in-memory block of another size", core.Object(small), "task 7 sweeps block 0 (9x9x9) but got a 2x2x2 field"},
+		{"wire-form block of another size", core.Buffer(small.Serialize()), "task 7 sweeps block 0 (9x9x9) but got a 2x2x2 field"},
+		{"a tree", core.Object(NewTree()), "payload object is *mergetree.Tree"},
+	} {
+		_, err := cfg.localTree(c.in, 7, 0)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %v, want one containing %q", c.name, err, c.want)
 		}
 	}
 }

@@ -63,42 +63,15 @@ func asField(p core.Payload) (*data.Field, error) {
 	return data.DeserializeField(p.Data)
 }
 
-// blockView is one leaf's input as InitialInputs hands it out: block i of
-// decomposition d, read in place from the volume f, which d.Holds. Its
-// wire form is the extracted block, so every path that serializes an
-// input (another rank, a fault-tolerant run's input clone, a Legion
-// region) carries the bytes of Decomposition.Extract.
-type blockView struct {
-	f *data.Field
-	d *data.Decomposition
-	i int
-}
-
-// Serialize encodes the extracted block (core.Serializable).
-func (v *blockView) Serialize() []byte {
-	blk, err := v.d.Extract(v.f, v.i)
-	if err != nil {
-		panic(err) // InitialInputs checked d.Holds(f)
-	}
-	return blk.Serialize()
-}
-
-// render ray-casts the view's block straight from the volume.
-func (v *blockView) render(cam Camera, tf TransferFunction) *Image {
-	b := v.d.Block(v.i)
-	return castCore(cam, tf, v.d, v.i, v.f.Values, v.f.Index(b.X0, b.Y0, b.Z0), v.f.NX, v.f.NX*v.f.NY)
-}
-
 // leafImage renders the input of leaf task id, which holds block i: a view
 // in place, a block in memory or on the wire through RenderBlock. An input
 // that is not block i of cfg.Decomp is an error, not a wrong image.
 func (cfg Config) leafImage(p core.Payload, id core.TaskId, i int) (*Image, error) {
-	if v, ok := p.Object.(*blockView); ok {
-		if v.i != i || *v.d != *cfg.Decomp {
-			return nil, fmt.Errorf("render: task %d renders block %d but got a view of block %d of a %dx%dx%d grid",
-				id, i, v.i, v.d.BXN, v.d.BYN, v.d.BZN)
+	if v, ok := p.Object.(*data.View); ok {
+		if !v.Is(cfg.Decomp, i) {
+			return nil, fmt.Errorf("render: task %d renders block %d but got a view of %v", id, i, v)
 		}
-		return v.render(cfg.Camera, cfg.TF), nil
+		return renderView(cfg.Camera, cfg.TF, v), nil
 	}
 	blk, err := asField(p)
 	if err != nil {
@@ -113,22 +86,21 @@ func (cfg Config) leafImage(p core.Payload, id core.TaskId, i int) (*Image, erro
 
 // InitialInputs addresses block i of the volume to the leaf task
 // leafIds[i] of a reduction or binary-swap dataflow. It copies nothing:
-// each payload is a read-only window of f that the leaf ray-casts in place,
-// so f must not change until the run has finished. Where a payload is
+// each payload is a data.View of f that the leaf ray-casts in place, so f
+// must not change until the run has finished. Where a payload is
 // serialized, its wire form is the extracted block, byte for byte what
 // Decomposition.Extract gives.
 func (cfg Config) InitialInputs(f *data.Field, leafIds []core.TaskId) (map[core.TaskId][]core.Payload, error) {
 	if len(leafIds) != cfg.Decomp.Blocks() {
 		return nil, fmt.Errorf("render: %d leaf tasks for %d blocks", len(leafIds), cfg.Decomp.Blocks())
 	}
-	if err := cfg.Decomp.Holds(f); err != nil {
+	views, err := cfg.Decomp.Views(f)
+	if err != nil {
 		return nil, err
 	}
-	views := make([]blockView, len(leafIds))
 	payloads := make([]core.Payload, len(leafIds))
 	initial := make(map[core.TaskId][]core.Payload, len(leafIds))
 	for i, id := range leafIds {
-		views[i] = blockView{f: f, d: cfg.Decomp, i: i}
 		payloads[i] = core.Object(&views[i])
 		initial[id] = payloads[i : i+1 : i+1]
 	}

@@ -46,13 +46,13 @@ func (i *IceT) RenderAndCompositeSwap(f *data.Field) ([]*Image, error) {
 
 // renderAll renders every block in place, as the dataflows' leaves do.
 func (i *IceT) renderAll(f *data.Field) ([]*Image, error) {
-	if err := i.cfg.Decomp.Holds(f); err != nil {
+	views, err := i.cfg.Decomp.Views(f)
+	if err != nil {
 		return nil, err
 	}
-	images := make([]*Image, i.cfg.Decomp.Blocks())
-	for b := range images {
-		v := blockView{f: f, d: i.cfg.Decomp, i: b}
-		images[b] = v.render(i.cfg.Camera, i.cfg.TF)
+	images := make([]*Image, len(views))
+	for b := range views {
+		images[b] = renderView(i.cfg.Camera, i.cfg.TF, &views[b])
 	}
 	return images, nil
 }

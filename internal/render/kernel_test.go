@@ -12,7 +12,7 @@ import (
 // blocks, the block with the most samples at or above the transfer
 // function's Lo, the use case's 256² camera and transfer function. It
 // returns the volume and that block both as its view and extracted.
-func leafShape(tb testing.TB) (cam Camera, tf TransferFunction, field *data.Field, view *blockView, blk *data.Field) {
+func leafShape(tb testing.TB) (cam Camera, tf TransferFunction, field *data.Field, view *data.View, blk *data.Field) {
 	tb.Helper()
 	const n = 256
 	field = data.SyntheticHCCI(n, n, n, 6, 7)
@@ -31,7 +31,10 @@ func leafShape(tb testing.TB) (cam Camera, tf TransferFunction, field *data.Fiel
 			}
 		}
 		if visible > most {
-			most, view, blk = visible, &blockView{f: field, d: d, i: i}, b
+			most, blk = visible, b
+			if view, err = d.View(field, i); err != nil {
+				tb.Fatal(err)
+			}
 		}
 	}
 	return cam, tf, field, view, blk
@@ -44,16 +47,17 @@ func leafShape(tb testing.TB) (cam Camera, tf TransferFunction, field *data.Fiel
 // strides to the kernel, not cache warmth.
 func BenchmarkRenderBlock(b *testing.B) {
 	cam, tf, _, view, blk := leafShape(b)
+	d, i := view.Of()
 	b.Run("extracted", func(b *testing.B) {
 		b.ReportAllocs()
 		for n := 0; n < b.N; n++ {
-			imageSink = RenderBlock(cam, tf, view.d, view.i, blk)
+			imageSink = RenderBlock(cam, tf, d, i, blk)
 		}
 	})
 	b.Run("view", func(b *testing.B) {
 		b.ReportAllocs()
 		for n := 0; n < b.N; n++ {
-			imageSink = view.render(cam, tf)
+			imageSink = renderView(cam, tf, view)
 		}
 	})
 }
@@ -93,9 +97,13 @@ func inputsShape(tb testing.TB) (Config, *data.Field, []core.TaskId) {
 func BenchmarkComposite(b *testing.B) {
 	cam, tf, field, view, _ := leafShape(b)
 	var leaves []*Image
-	for i := 0; i < 16; i++ {
-		v := blockView{f: field, d: view.d, i: i}
-		leaves = append(leaves, v.render(cam, tf))
+	d, _ := view.Of()
+	views, err := d.Views(field)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := range views[:16] {
+		leaves = append(leaves, renderView(cam, tf, &views[i]))
 	}
 	// fold composites a power-of-two run of leaves pairwise, as the
 	// reduction's internal nodes below the measured one do.
@@ -131,7 +139,10 @@ func TestRenderAllocationPins(t *testing.T) {
 	field := data.SyntheticHCCI(n, n, n, 6, 7)
 	d, _ := data.NewDecomposition(n, n, n, 2, 2, 2)
 	blk, _ := d.Extract(field, 0)
-	view := &blockView{f: field, d: d, i: 0}
+	view, err := d.View(field, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cam, tf := Camera{Width: 48, Height: 24}, TransferFunction{Lo: 0.25, Hi: 1.5, Opacity: 0.4}
 	im := RenderBlock(cam, tf, d, 0, blk)
 	wire := im.Serialize()
@@ -141,7 +152,7 @@ func TestRenderAllocationPins(t *testing.T) {
 		f    func()
 	}{
 		{"RenderBlock", 5, func() { imageSink = RenderBlock(cam, tf, d, 0, blk) }},
-		{"render from a view", 5, func() { imageSink = view.render(cam, tf) }},
+		{"render from a view", 5, func() { imageSink = renderView(cam, tf, view) }},
 		{"Serialize", 1, func() { wireSink = im.Serialize() }},
 		{"DeserializeImage", 3, func() { imageSink, _ = DeserializeImage(wire) }},
 	} {

@@ -442,6 +442,13 @@ func TestLeafInputErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	small := data.NewField(2, 2, 2)
+	view := func(d *data.Decomposition, i int) core.Payload {
+		v, err := d.View(f, i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return core.Object(v)
+	}
 	for _, c := range []struct {
 		name string
 		in   core.Payload
@@ -449,8 +456,8 @@ func TestLeafInputErrors(t *testing.T) {
 	}{
 		{"wire-form block smaller than the core", core.Buffer(small.Serialize()), "task 7 renders block 0 (9x9x9) but got a 2x2x2 field"},
 		{"in-memory block smaller than the core", core.Object(small), "task 7 renders block 0 (9x9x9) but got a 2x2x2 field"},
-		{"view of another block", core.Object(&blockView{f: f, d: cfg.Decomp, i: 1}), "task 7 renders block 0 but got a view of block 1"},
-		{"view of another decomposition", core.Object(&blockView{f: f, d: other, i: 0}), "task 7 renders block 0 but got a view of block 0 of a 1x1x8 grid"},
+		{"view of another block", view(cfg.Decomp, 1), "task 7 renders block 0 but got a view of block 1"},
+		{"view of another decomposition", view(other, 0), "task 7 renders block 0 but got a view of block 0 of a 1x1x8 grid"},
 		{"an image", core.Object(NewImage(1, 1, 0, 0)), "payload object is *render.Image"},
 	} {
 		_, err := cfg.leafImage(c.in, 7, 0)

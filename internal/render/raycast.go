@@ -79,8 +79,16 @@ func RenderBlock(cam Camera, tf TransferFunction, d *data.Decomposition, blockIn
 	return castCore(cam, tf, d, blockIndex, block.Values, 0, block.NX, block.NX*block.NY)
 }
 
+// renderView is RenderBlock of a view's block, ray-cast straight from the
+// volume.
+func renderView(cam Camera, tf TransferFunction, v *data.View) *Image {
+	d, i := v.Of()
+	vals, origin, row, plane := v.Window()
+	return castCore(cam, tf, d, i, vals, origin, row, plane)
+}
+
 // castCore is the one ray-casting kernel, behind RenderBlock and the
-// in-place render of a blockView. It reads block blockIndex's core from
+// in-place render of a data.View. It reads block blockIndex's core from
 // vals: the core's origin voxel is vals[origin], and rows and z planes lie
 // rowStride and planeStride values apart, so an extracted block and the
 // whole volume are read alike. Only the core is read, never the ghost

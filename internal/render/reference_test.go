@@ -187,8 +187,11 @@ func TestKernelMatchesReference(t *testing.T) {
 				t.Fatalf("draw %d: %dx%dx%d in %dx%dx%d blocks, %dx%d camera, %+v: block %d differs from the reference",
 					draws, nx, ny, nz, bx, by, bz, cam.Width, cam.Height, tf, i)
 			}
-			view := blockView{f: f, d: d, i: i}
-			if !bytes.Equal(view.render(cam, tf).Serialize(), img.Serialize()) {
+			view, err := d.View(f, i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(renderView(cam, tf, view).Serialize(), img.Serialize()) {
 				t.Fatalf("draw %d: block %d rendered in place differs from the extracted block", draws, i)
 			}
 			if !tight(img) {
